@@ -65,7 +65,8 @@ class AgentPopulation:
     """Mutable agent roster: memberships never change, actions do.
 
     Agents are stored population-contiguously; ``block_starts[k]`` indexes
-    the first agent of population k.
+    the first agent of population k.  The per-action head counts are kept
+    alongside ``actions`` and updated exactly by :func:`run_round`.
     """
 
     membership: np.ndarray
@@ -75,13 +76,17 @@ class AgentPopulation:
     n_actions: int
     seed: int
     rng: np.random.Generator = field(repr=False, default=None)
+    counts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.counts = np.bincount(self.actions, minlength=self.n_actions)
 
     @property
     def n_agents(self) -> int:
         return self.membership.shape[0]
 
     def action_counts(self) -> np.ndarray:
-        return np.bincount(self.actions, minlength=self.n_actions)
+        return self.counts.copy()
 
     def empirical_output(self) -> np.ndarray:
         return self.action_counts() / self.n_agents
@@ -224,12 +229,12 @@ def run_round(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
     revising = np.flatnonzero(rng.random(n) < revision_prob)
     if revising.size == 0:
         return stats
-    before = pop.actions.copy()
+    # fancy indexing copies, so both reads see the start-of-round actions
     members = pop.membership[revising]
-    own_actions = before[revising]
+    own_actions = pop.actions[revising]
     peer_offsets = rng.integers(0, pop.pop_sizes[members])
     peers = pop.block_starts[members] + peer_offsets
-    peer_actions = before[peers]
+    peer_actions = pop.actions[peers]
     if sampled_matches:
         opponents = rng.choice(pop.n_actions, size=revising.size, p=y_hat)
         own_pay = (scenario.payoffs[members, own_actions, opponents]
@@ -241,7 +246,11 @@ def run_round(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
         peer_pay = table[members, peer_actions]
     prob = np.clip((peer_pay - own_pay) / normalizer, 0.0, 1.0)
     switching = rng.random(revising.size) < prob
-    pop.actions[revising[switching]] = peer_actions[switching]
+    new_actions = peer_actions[switching]
+    pop.actions[revising[switching]] = new_actions
+    pop.counts += (np.bincount(new_actions, minlength=pop.n_actions)
+                   - np.bincount(own_actions[switching],
+                                 minlength=pop.n_actions))
     return stats
 
 

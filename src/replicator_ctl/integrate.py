@@ -236,8 +236,6 @@ class _BatchRun:
         self.observer = observer
         self.n_members = states0.shape[0]
         self.records: list[tuple[int, np.ndarray, np.ndarray]] = []
-        self.final_step = np.zeros(self.n_members, dtype=int)
-        self.final_state = states0.copy()
         self.converged = np.zeros(self.n_members, dtype=bool)
         self.failures: dict[int, IntegrationError] = {}
         self.lyap_max_inc = np.full(self.n_members, -np.inf)
@@ -279,8 +277,6 @@ class _BatchRun:
                             f"t={step * cfg.dt:.6g} after "
                             f"{cfg.max_halvings} halvings of dt={cfg.dt}"
                         )
-                        # final state is the last admissible one
-                        self._finish(member, step - 1, x[local])
                     else:
                         fixed[local] = retried
                         ok[local] = True
@@ -309,10 +305,7 @@ class _BatchRun:
                 sel = just_converged
                 self.records.append((step, ids[sel].copy(), fixed[sel].copy()))
 
-            for local in np.flatnonzero(just_converged):
-                member = int(ids[local])
-                self.converged[member] = True
-                self._finish(member, step, fixed[local])
+            self.converged[ids[just_converged]] = True
 
             if self.observer is not None:
                 done = np.flatnonzero(ending)
@@ -330,38 +323,39 @@ class _BatchRun:
                 if self.observer is not None:
                     v_prev = v_prev[active]
                 if ids.size == 0:
-                    x = fixed
                     break
             x = fixed
 
         # members that ran to the horizon
-        for local, member in enumerate(ids):
-            self._finish(int(member), self.cfg.n_steps, x[local])
-            if self.observer is not None:
-                self.lyap_final[int(member)] = v_prev[local]
+        if self.observer is not None:
+            self.lyap_final[ids] = v_prev
 
-    def _finish(self, member: int, step: int, state: np.ndarray) -> None:
-        self.final_step[member] = step
-        self.final_state[member] = state
+    def results(self) -> list["Trajectory | IntegrationError"]:
+        """Every member's outcome, in member order.
 
-    def result(self, member: int) -> "Trajectory | IntegrationError":
+        One pass groups the recorded rows by member: a stable sort on the
+        member id keeps each member's rows in step order.  A member that did
+        not fail is recorded at step 0 and at its final step, so its rows
+        are the whole trajectory.  The records are released once merged,
+        and each trajectory's states are a slice of the grouped array.
+        """
+        steps = np.repeat([step for step, _, _ in self.records],
+                          [ids.size for _, ids, _ in self.records])
+        ids = np.concatenate([ids for _, ids, _ in self.records])
+        order = np.argsort(ids, kind="stable")
+        grouped = np.concatenate([block for *_, block in self.records])
+        self.records = []
+        grouped = grouped[order]
+        steps = steps[order]
+        bounds = np.searchsorted(ids[order], np.arange(self.n_members + 1))
+        return [self._trajectory(member, steps[lo:hi], grouped[lo:hi])
+                for member, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+
+    def _trajectory(self, member: int, steps: np.ndarray,
+                    states: np.ndarray) -> "Trajectory | IntegrationError":
         if member in self.failures:
             return self.failures[member]
-        steps: list[int] = []
-        rows: list[np.ndarray] = []
-        last = self.final_step[member]
-        for step, ids, block in self.records:
-            if step > last:
-                break
-            pos = np.searchsorted(ids, member)
-            if pos < ids.size and ids[pos] == member:
-                steps.append(step)
-                rows.append(block[pos])
-        if not steps or steps[-1] != last:
-            steps.append(int(last))
-            rows.append(self.final_state[member])
-        states = np.array(rows)
-        times = self.cfg.dt * np.array(steps, dtype=float)
+        times = self.cfg.dt * steps.astype(float)
         outputs = np.einsum("k,tki->ti", self.scenario.shares, states)
         observables = None
         lyap = None
@@ -389,8 +383,7 @@ def simulate(scenario: Scenario, policy: ControlPolicy, x0: np.ndarray,
     the initial state is not interior.
     """
     x0 = _check_interior(x0, scenario, cfg.interior_floor, "x0")
-    run = _BatchRun(scenario, policy, x0[None], cfg, observer)
-    outcome = run.result(0)
+    outcome = _BatchRun(scenario, policy, x0[None], cfg, observer).results()[0]
     if isinstance(outcome, IntegrationError):
         raise outcome
     return outcome
@@ -411,8 +404,7 @@ def phase_portrait(scenario: Scenario, policy: ControlPolicy,
     for idx in range(states0.shape[0]):
         _check_interior(states0[idx], scenario, cfg.interior_floor,
                         f"grid[{idx}]")
-    run = _BatchRun(scenario, policy, states0, cfg, observer)
-    return [run.result(member) for member in range(states0.shape[0])]
+    return _BatchRun(scenario, policy, states0, cfg, observer).results()
 
 
 def detect_convergence(traj: Trajectory,
@@ -473,29 +465,27 @@ def interior_grid(scenario: Scenario, per_dim: int,
     return np.array([[lattice[idx] for idx in combo] for combo in combos])
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
 def write_trajectory_csv(traj: Trajectory, path: str,
                          provenance: dict[str, str] | None = None) -> None:
-    """Write one recorded trajectory as CSV (see module docstring for layout)."""
-    n_pops, n_actions = traj.states.shape[1], traj.states.shape[2]
+    """Write one recorded trajectory as CSV (see module docstring for layout).
+
+    Each value is written as the shortest string that parses back to the
+    same float (``repr``).
+    """
+    n_rows, n_pops, n_actions = traj.states.shape
     columns = ["t"]
     columns += [f"x{k + 1}_{i + 1}" for k in range(n_pops)
                 for i in range(n_actions)]
     columns += [f"y_{i + 1}" for i in range(n_actions)]
-    observable_keys = []
+    blocks = [traj.times[:, None], traj.states.reshape(n_rows, -1),
+              traj.outputs]
     if traj.observables is not None:
         observable_keys = ["V", "Vdot", "F1", "F2"]
         columns += observable_keys
+        blocks += [traj.observables[key][:, None] for key in observable_keys]
+    table = np.hstack(blocks).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for key, value in (provenance or {}).items():
             handle.write(f"# {key}: {value}\n")
         handle.write(",".join(columns) + "\n")
-        for row in range(traj.times.shape[0]):
-            values = [traj.times[row]]
-            values += list(traj.states[row].reshape(-1))
-            values += list(traj.outputs[row])
-            values += [traj.observables[key][row] for key in observable_keys]
-            handle.write(",".join(_format_float(v) for v in values) + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in table)

@@ -29,6 +29,9 @@ recommendation inflates the estimate by a safety margin.
 
 Terminology used throughout: the *matching set* is the polytope of state
 combinations whose aggregate output equals y_star exactly.
+
+SciPy is imported inside the three functions that solve an LP or take a null
+space, so commands that never reach them do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from itertools import product
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from .dynamics import ControlPolicy, field_controlled, field_uncontrolled
 from .game import CARRIER_THRESHOLD, Scenario, aggregate_output, carrier
@@ -428,6 +429,7 @@ def _matching_system(scenario: Scenario,
 def _matching_feasible_point(scenario: Scenario,
                              y_star: np.ndarray) -> np.ndarray:
     """A maximally interior point of the matching set, via a Chebyshev-style LP."""
+    from scipy.optimize import linprog
     m, n = scenario.n_populations, scenario.n_actions
     eq_mat, eq_rhs = _matching_system(scenario, y_star)
     n_vars = m * n
@@ -504,6 +506,7 @@ def min_advantage_on_matching_set(eq: TargetEquilibrium, scenario: Scenario,
     (and higher-dimensional cases).  Raises :class:`InapplicableError` when
     the target output is unreachable.
     """
+    from scipy.linalg import null_space
     y_star = eq.target_output
     start = _matching_feasible_point(scenario, y_star)
     m, n = scenario.n_populations, scenario.n_actions
@@ -629,6 +632,7 @@ def _combo_solutions_lp(scenario: Scenario, y_star: np.ndarray,
                         supports: Sequence[tuple[int, ...]],
                         tol: float) -> tuple[list[np.ndarray], bool]:
     """General-n fallback: linear-programming feasibility plus extent probing."""
+    from scipy.optimize import linprog
     m, n = scenario.n_populations, scenario.n_actions
     var_index: dict[tuple[int, int], int] = {}
     for k, sup in enumerate(supports):

@@ -116,6 +116,23 @@ class TestProtocol:
         np.testing.assert_array_equal(pop.membership, membership)
         np.testing.assert_array_equal(pop.pop_sizes, [200, 300, 500])
 
+    @pytest.mark.parametrize("sampled_matches", [False, True])
+    def test_kept_counts_equal_a_recount(self, threepop, policy_boundary,
+                                         sampled_matches):
+        pop = init_agents(threepop, z_state((0.3, 0.6, 0.4)), 3000, seed=8)
+        initial = np.bincount(pop.actions, minlength=2)
+        series = []
+        for _ in range(200):
+            series.append(run_round(pop, threepop, policy_boundary,
+                                    revision_prob=0.2,
+                                    sampled_matches=sampled_matches))
+            np.testing.assert_array_equal(pop.action_counts(),
+                                          np.bincount(pop.actions,
+                                                      minlength=2))
+        # a snapshot holds its own counts, not a view of the live ones
+        np.testing.assert_array_equal(series[0].action_counts, initial)
+        assert not np.array_equal(pop.action_counts(), initial)
+
     def test_sampled_match_variant_runs_and_tracks(self, threepop,
                                                    policy_boundary):
         pop = init_agents(threepop, z_state((0.5, 0.5, 0.5)), 4000, seed=7)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -286,3 +289,48 @@ class TestManifestRoundTrip:
         assert manifest["scenario"] == SCENARIO
         assert manifest["policy"]["d"] == 1.2
         assert manifest["x0"] == ["0.5,0.5,0.5"]
+
+
+# Runs in a fresh interpreter: argv[1] is a JSON list of (label, argv) runs
+# that must leave SciPy unloaded, argv[2] the argv of a verify run that
+# must load it.
+IMPORT_GUARD = """
+import json, sys
+from replicator_ctl.cli import main
+assert "scipy" not in sys.modules, "import replicator_ctl.cli"
+for label, argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, label
+    assert "scipy" not in sys.modules, label
+assert main(json.loads(sys.argv[2])) == 0, "verify"
+assert "scipy" in sys.modules, "verify"
+"""
+
+
+class TestImportGuard:
+    def test_scipy_is_loaded_only_by_verify(self, tmp_path):
+        common = ["--scenario", SCENARIO, "--policy", POLICY_BOUNDARY]
+        runs = [
+            ("simulate", ["simulate", *common, "--x0", "0.5,0.5,0.5",
+                          "--t-max", "2", "--out", str(tmp_path / "sim")]),
+            ("portrait", ["portrait", *common, "--x0", "0.2,0.4,0.6",
+                          "--x0", "0.8,0.6,0.4", "--t-max", "2",
+                          "--out", str(tmp_path / "por")]),
+            ("sweep", ["sweep", *common, "--d-values", "0,1.2",
+                       "--grid", "2", "--t-max", "2",
+                       "--out", str(tmp_path / "swp")]),
+            ("agents", ["agents", *common, "--x0", "0.5,0.5,0.5",
+                        "--n-agents", "200", "--rounds", "5",
+                        "--out", str(tmp_path / "agt")]),
+        ]
+        verify = ["verify", *common, "--grid-per-dim", "5",
+                  "--samples", "200", "--out", str(tmp_path / "ver")]
+        src = str(REPO / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_GUARD, json.dumps(runs),
+             json.dumps(verify)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "ver" / "report.json").exists()

@@ -22,7 +22,7 @@ from replicator_ctl import (
     simulate,
     write_trajectory_csv,
 )
-from replicator_ctl.integrate import StepError, Trajectory
+from replicator_ctl.integrate import StepError, Trajectory, _BatchRun
 from conftest import (
     FIVE_STARTS,
     UNCONTROLLED_ATTRACTORS,
@@ -238,6 +238,36 @@ class TestPortrait:
             np.testing.assert_allclose(single.states, outcome.states,
                                        atol=1e-13)
 
+    def test_reassembly_matches_per_member_scan(self, threepop,
+                                                policy_boundary):
+        # members converge at different steps, some of them off the stride
+        cfg = IntegrationConfig(dt=0.05, record_stride=7)
+        states0 = np.array(five_start_states()
+                           + [z_state((0.3, 0.6, 0.2)),
+                              z_state((0.9, 0.1, 0.7))])
+        run = _BatchRun(threepop, policy_boundary, states0, cfg)
+        records = list(run.records)
+        results = run.results()
+        final_steps = []
+        for member, outcome in enumerate(results):
+            steps, rows = [], []
+            for step, ids, block in records:
+                pos = np.flatnonzero(ids == member)
+                if pos.size:
+                    steps.append(step)
+                    rows.append(block[pos[0]])
+            final_steps.append(steps[-1])
+            states = np.array(rows)
+            assert outcome.converged
+            np.testing.assert_array_equal(
+                outcome.times, cfg.dt * np.array(steps, dtype=float))
+            np.testing.assert_array_equal(outcome.states, states)
+            np.testing.assert_array_equal(
+                outcome.outputs,
+                np.einsum("k,tki->ti", threepop.shares, states))
+        assert len(set(final_steps)) == len(states0)
+        assert any(step % cfg.record_stride for step in final_steps)
+
     def test_failures_do_not_abort_batch(self):
         payoff = np.array([[0.0, 1e12], [0.0, 0.0]])
         scen = Scenario(payoffs=np.stack([payoff, payoff]),
@@ -292,3 +322,22 @@ class TestCsvExport:
         assert data.shape == (traj.times.shape[0], 9)
         np.testing.assert_allclose(data[:, 0], traj.times)
         np.testing.assert_allclose(data[:, 1], traj.states[:, 0, 0])
+
+    def test_cells_are_shortest_round_trip_repr(self, tmp_path):
+        values = np.array([0.1, -0.0, 5e-324, 1e-20])
+        states = np.stack([values, values[::-1]], axis=1)[:, None, :]
+        observables = {key: values for key in ("V", "Vdot", "F1", "F2")}
+        traj = Trajectory(times=values, states=states, outputs=states[:, 0],
+                          observables=observables)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,x1_1,x1_2,y_1,y_2,V,Vdot,F1,F2"
+        expected = np.column_stack([values, values, values[::-1], values,
+                                    values[::-1]] + [values] * 4)
+        for row, line in zip(expected, lines[1:]):
+            cells = line.split(",")
+            assert cells == [repr(float(v)) for v in row]
+            parsed = np.array([float(cell) for cell in cells])
+            assert np.array_equal(parsed.view(np.uint64), row.view(np.uint64))
+        assert lines[2].split(",")[:2] == ["-0.0", "-0.0"]
