@@ -21,7 +21,6 @@ from .game import (
     local_shift,
     make_state,
     scenario_digest,
-    validate_scenario,
 )
 from .dynamics import (
     ControlPolicy,
@@ -78,6 +77,5 @@ __all__ = [
     "simulate",
     "subsidy_weight",
     "subsidy_weights",
-    "validate_scenario",
     "write_trajectory_csv",
 ]

@@ -31,6 +31,7 @@ import numpy as np
 __all__ = [
     "CARRIER_THRESHOLD",
     "COORD_TOLERANCE",
+    "LATTICE_STATE_BUDGET",
     "SUM_TOLERANCE",
     "Scenario",
     "ScenarioError",
@@ -38,11 +39,12 @@ __all__ = [
     "average_payoff",
     "carrier",
     "check_simplex",
-    "check_state",
     "expected_payoff",
+    "lattice_product",
     "local_shift",
     "make_state",
     "scenario_digest",
+    "simplex_lattice",
 ]
 
 # Strict-positivity threshold for carrier membership; absorbs integration
@@ -56,6 +58,10 @@ COORD_TOLERANCE = 1e-12
 
 # Population shares must sum to 1 within this absolute tolerance.
 SHARE_SUM_TOLERANCE = 1e-12
+
+# Most states a lattice product may hold: 2^22 states of a (3, 3) game take
+# 300 MB as float64.  Larger grids are refused before anything is allocated.
+LATTICE_STATE_BUDGET = 2 ** 22
 
 
 class ScenarioError(ValueError):
@@ -200,11 +206,6 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def validate_scenario(raw: dict[str, Any]) -> Scenario:
-    """Parse and validate a scenario description; alias for Scenario.from_dict."""
-    return Scenario.from_dict(raw)
-
-
 def check_simplex(z: np.ndarray, *, sum_tol: float = SUM_TOLERANCE,
                   coord_tol: float = COORD_TOLERANCE) -> None:
     """Raise ValueError unless z is a simplex point within tolerance."""
@@ -216,20 +217,6 @@ def check_simplex(z: np.ndarray, *, sum_tol: float = SUM_TOLERANCE,
     total = z.sum()
     if abs(total - 1.0) > sum_tol:
         raise ValueError(f"shares sum to {total!r}, expected 1 within {sum_tol}")
-
-
-def check_state(x: np.ndarray, scenario: Scenario, *,
-                sum_tol: float = SUM_TOLERANCE) -> None:
-    """Raise ValueError unless x is a valid state combination for scenario."""
-    x = np.asarray(x, dtype=float)
-    m, n = scenario.n_populations, scenario.n_actions
-    if x.shape != (m, n):
-        raise ValueError(f"state must have shape ({m}, {n}), got {x.shape}")
-    for k in range(m):
-        try:
-            check_simplex(x[k], sum_tol=sum_tol)
-        except ValueError as exc:
-            raise ValueError(f"population {k}: {exc}") from exc
 
 
 def make_state(rows: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
@@ -273,3 +260,28 @@ def local_shift(scenario: Scenario, k: int, j: int, b: float) -> Scenario:
 def carrier(z: np.ndarray, *, threshold: float = CARRIER_THRESHOLD) -> np.ndarray:
     """Indices of strictly positive shares (above the round-off threshold)."""
     return np.flatnonzero(np.asarray(z, dtype=float) > threshold)
+
+
+def simplex_lattice(n_actions: int, per_dim: int) -> np.ndarray:
+    """Compositions of per_dim - 1 into n_actions parts, scaled, in product order."""
+    total = per_dim - 1
+    head = np.indices((per_dim,) * (n_actions - 1)).reshape(n_actions - 1, -1).T
+    head = head[head.sum(axis=1) <= total]
+    return np.column_stack([head, total - head.sum(axis=1)]) / float(total)
+
+
+def lattice_product(lattice: np.ndarray, n_populations: int) -> np.ndarray:
+    """One lattice row per population in ``itertools.product`` order, (L**m, m, n).
+
+    Raises ValueError, before allocating, when L**m exceeds LATTICE_STATE_BUDGET.
+    """
+    size = lattice.shape[0]
+    count = size ** n_populations
+    if count > LATTICE_STATE_BUDGET:
+        raise ValueError(
+            f"a lattice of {size} points per population gives {count:,} "
+            f"states for {n_populations} populations, over the budget of "
+            f"{LATTICE_STATE_BUDGET:,}; use fewer points per simplex edge"
+        )
+    index = np.indices((size,) * n_populations).reshape(n_populations, -1).T
+    return lattice[index]

@@ -30,13 +30,12 @@ observer was attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dynamics import ControlPolicy, batch_field
-from .game import Scenario
+from .game import Scenario, lattice_product, simplex_lattice
 
 __all__ = [
     "ConvergenceVerdict",
@@ -398,12 +397,17 @@ def phase_portrait(scenario: Scenario, policy: ControlPolicy,
     Per-trajectory failures are returned in place (as IntegrationError
     objects) without aborting the rest of the batch.
     """
-    states0 = np.array([np.asarray(g, dtype=float) for g in grid])
+    states0 = np.array(grid, dtype=float)
     if states0.size == 0:
         return []
-    for idx in range(states0.shape[0]):
-        _check_interior(states0[idx], scenario, cfg.interior_floor,
-                        f"grid[{idx}]")
+    # one vectorized pass; _check_interior words the error for the first bad start
+    bad = np.ones(states0.shape[0], dtype=bool)
+    if states0.shape[1:] == (scenario.n_populations, scenario.n_actions):
+        bad = (np.any(np.abs(states0.sum(axis=2) - 1.0) > 1e-9, axis=1)
+               | (states0.min(axis=(1, 2)) < cfg.interior_floor))
+    if bad.any():
+        idx = int(np.argmax(bad))
+        _check_interior(states0[idx], scenario, cfg.interior_floor, f"grid[{idx}]")
     return _BatchRun(scenario, policy, states0, cfg, observer).results()
 
 
@@ -436,16 +440,6 @@ def detect_convergence(traj: Trajectory,
     return ConvergenceVerdict(False, None, None)
 
 
-def _simplex_lattice(n_actions: int, per_dim: int) -> np.ndarray:
-    """All compositions of per_dim - 1 into n parts, scaled to the simplex."""
-    total = per_dim - 1
-    points = []
-    for combo in product(range(total + 1), repeat=n_actions - 1):
-        if sum(combo) <= total:
-            points.append(list(combo) + [total - sum(combo)])
-    return np.array(points, dtype=float) / float(total)
-
-
 def interior_grid(scenario: Scenario, per_dim: int,
                   floor: float = 0.01) -> np.ndarray:
     """Uniform interior grid of initial states, per_dim points per simplex edge.
@@ -453,16 +447,16 @@ def interior_grid(scenario: Scenario, per_dim: int,
     Lattice points are blended toward the barycenter just enough to push
     every share up to ``floor`` (for two actions this is exactly
     linspace(floor, 1 - floor, per_dim) on the first action's share).
-    Returns an array of shape (per_dim-lattice-size ** m, m, n).
+    Returns an array of shape (L ** m, m, n), L the lattice size, built by
+    indexing the blended lattice in ``itertools.product`` order; a grid of
+    more than LATTICE_STATE_BUDGET states raises ValueError unallocated.
     """
     if per_dim < 2:
         raise ValueError("per_dim must be >= 2")
     n = scenario.n_actions
-    lattice = _simplex_lattice(n, per_dim)
     blend = floor * n
-    lattice = (1.0 - blend) * lattice + blend / n
-    combos = product(range(lattice.shape[0]), repeat=scenario.n_populations)
-    return np.array([[lattice[idx] for idx in combo] for combo in combos])
+    lattice = (1.0 - blend) * simplex_lattice(n, per_dim) + blend / n
+    return lattice_product(lattice, scenario.n_populations)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str,

@@ -43,7 +43,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from .dynamics import ControlPolicy, field_controlled, field_uncontrolled
-from .game import CARRIER_THRESHOLD, Scenario, aggregate_output, carrier
+from .game import (CARRIER_THRESHOLD, Scenario, aggregate_output, carrier,
+                   lattice_product, simplex_lattice)
 
 __all__ = [
     "AtTargetOutputError",
@@ -311,19 +312,10 @@ def _dbar_batch(states: np.ndarray, eq: TargetEquilibrium, scenario: Scenario,
     return dbar, valid
 
 
-def _simplex_lattice(n_actions: int, per_dim: int) -> np.ndarray:
-    total = per_dim - 1
-    points = []
-    for combo in product(range(total + 1), repeat=n_actions - 1):
-        if sum(combo) <= total:
-            points.append(list(combo) + [total - sum(combo)])
-    return np.array(points, dtype=float) / float(total)
-
-
 def _grid_states(scenario: Scenario, per_dim: int) -> np.ndarray:
-    lattice = _simplex_lattice(scenario.n_actions, per_dim)
-    combos = product(range(lattice.shape[0]), repeat=scenario.n_populations)
-    return np.array([[lattice[idx] for idx in combo] for combo in combos])
+    # its own name, so that perfbench's trace times the lattice build
+    return lattice_product(simplex_lattice(scenario.n_actions, per_dim),
+                           scenario.n_populations)
 
 
 def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,

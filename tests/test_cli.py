@@ -180,6 +180,31 @@ class TestVerify:
         assert not report["applicable"]
         assert report["reason"] == "no_target_equilibrium"
 
+    def test_oversized_lattice_exits_1(self, tmp_path):
+        # a random (4,3) game at the default 15 points per edge asks for
+        # 120**4 states; the run is capped at 2 GB of address space so that
+        # a missing refusal fails here instead of exhausting the machine
+        rng = np.random.default_rng(43)
+        payoffs = rng.uniform(-5.0, 5.0, size=(4, 3, 3))
+        shares = (rng.dirichlet(np.ones(4)) + 0.05) / 1.2
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(
+            Scenario(payoffs=payoffs, shares=shares).to_dict()))
+        # one BLAS thread, so the cap is not spent on per-thread buffers
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", ADDRESS_SPACE_CAP, "verify",
+             "--scenario", str(scenario), "--y-star", "1,0,0", "--d", "1",
+             "--out", str(tmp_path / "verify")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("input error: ")
+        assert "207,360,000 states" in proc.stderr
+        assert "budget of 4,194,304" in proc.stderr
+
 
 class TestSweep:
     def test_gain_contrast(self, tmp_path):
@@ -196,6 +221,14 @@ class TestSweep:
         assert table[0.0][0] < 1.0
         assert table[1.2][0] == 1.0
         assert table[1.2][1] <= 1e-3
+
+    def test_oversized_grid_exits_1(self, tmp_path, capsys):
+        code = main(["sweep", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--d-values", "1.2",
+                     "--grid", "200", "--out", str(tmp_path / "sweep")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "8,000,000 states" in err and "budget of 4,194,304" in err
 
     def test_empty_d_list_gives_empty_table(self, tmp_path):
         out = tmp_path / "sweep"
@@ -289,6 +322,15 @@ class TestManifestRoundTrip:
         assert manifest["scenario"] == SCENARIO
         assert manifest["policy"]["d"] == 1.2
         assert manifest["x0"] == ["0.5,0.5,0.5"]
+
+
+# Runs main(argv[1:]) in a fresh interpreter limited to 2 GB of address space.
+ADDRESS_SPACE_CAP = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from replicator_ctl.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 # Runs in a fresh interpreter: argv[1] is a JSON list of (label, argv) runs

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,10 @@ from replicator_ctl import (
     local_shift,
     make_state,
     scenario_digest,
-    validate_scenario,
 )
+from replicator_ctl.game import LATTICE_STATE_BUDGET, lattice_product
+from replicator_ctl.integrate import interior_grid
+from replicator_ctl.stability import _grid_states
 from conftest import THREEPOP_PAYOFFS, THREEPOP_SHARES, random_scenario, random_state
 
 
@@ -32,7 +37,7 @@ def threepop_dict():
 
 class TestValidation:
     def test_worked_example_is_valid(self):
-        scen = validate_scenario(threepop_dict())
+        scen = Scenario.from_dict(threepop_dict())
         assert scen.n_populations == 3
         assert scen.n_actions == 2
         np.testing.assert_allclose(scen.shares, [0.2, 0.3, 0.5])
@@ -44,12 +49,12 @@ class TestValidation:
         raw["populations"][1]["share"] = 0.5
         raw["populations"][2]["share"] = 0.1
         with pytest.raises(ScenarioError, match="sum to 1"):
-            validate_scenario(raw)
+            Scenario.from_dict(raw)
 
     def test_single_population_rejected(self):
         raw = {"populations": [{"share": 1.0, "payoff": [[1, 2], [3, 4]]}]}
         with pytest.raises(ScenarioError):
-            validate_scenario(raw)
+            Scenario.from_dict(raw)
 
     def test_share_outside_open_interval(self):
         with pytest.raises(ScenarioError, match="strictly"):
@@ -66,7 +71,7 @@ class TestValidation:
         raw = threepop_dict()
         raw["populations"][2]["payoff"] = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
         with pytest.raises(ScenarioError, match="expected"):
-            validate_scenario(raw)
+            Scenario.from_dict(raw)
 
     def test_single_action_rejected(self):
         with pytest.raises(ScenarioError, match="2 actions"):
@@ -78,7 +83,7 @@ class TestValidation:
             threepop.payoffs[0, 0, 0] = 99.0
 
     def test_digest_is_stable(self, threepop):
-        again = validate_scenario(threepop_dict())
+        again = Scenario.from_dict(threepop_dict())
         assert scenario_digest(threepop) == scenario_digest(again)
 
 
@@ -199,3 +204,49 @@ class TestCarrier:
 
     def test_round_off_is_not_carried(self):
         assert carrier(np.array([1.0 - 1e-13, 1e-13])).tolist() == [0]
+
+
+def reference_lattice(n_actions, per_dim):
+    total = per_dim - 1
+    points = [list(c) + [total - sum(c)]
+              for c in product(range(per_dim), repeat=n_actions - 1)
+              if sum(c) <= total]
+    return np.array(points, dtype=float) / float(total)
+
+
+def reference_product(lattice, n_populations):
+    return np.array([[lattice[idx] for idx in combo] for combo in
+                     product(range(lattice.shape[0]), repeat=n_populations)])
+
+
+LATTICE_CASES = [(3, 2, 9), (2, 3, 4), (3, 3, 10), (2, 4, 5), (5, 2, 3)]
+
+
+class TestLattice:
+    @pytest.mark.parametrize("m,n,per_dim", LATTICE_CASES)
+    def test_grid_states_equal_reference(self, m, n, per_dim):
+        scen = random_scenario(np.random.default_rng(per_dim), m=m, n=n)
+        expected = reference_product(reference_lattice(n, per_dim), m)
+        np.testing.assert_array_equal(_grid_states(scen, per_dim), expected)
+
+    @pytest.mark.parametrize("floor", [0.01, 0.02])
+    @pytest.mark.parametrize("m,n,per_dim", LATTICE_CASES)
+    def test_interior_grid_equals_reference(self, m, n, per_dim, floor):
+        scen = random_scenario(np.random.default_rng(per_dim), m=m, n=n)
+        blend = floor * n
+        lattice = (1.0 - blend) * reference_lattice(n, per_dim) + blend / n
+        expected = reference_product(lattice, m)
+        np.testing.assert_array_equal(interior_grid(scen, per_dim, floor),
+                                      expected)
+
+    def test_oversized_product_is_refused_unallocated(self):
+        lattice = np.zeros((120, 3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="207,360,000 states") as info:
+                lattice_product(lattice, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"budget of {LATTICE_STATE_BUDGET:,}" in str(info.value)
+        assert peak < 1_000_000

@@ -22,7 +22,8 @@ from replicator_ctl import (
     simulate,
     write_trajectory_csv,
 )
-from replicator_ctl.integrate import StepError, Trajectory, _BatchRun
+from replicator_ctl.integrate import (StepError, Trajectory, _BatchRun,
+                                      _check_interior)
 from conftest import (
     FIVE_STARTS,
     UNCONTROLLED_ATTRACTORS,
@@ -215,6 +216,19 @@ class TestPortrait:
             expected = UNCONTROLLED_ATTRACTORS[start]
             np.testing.assert_allclose(outcome.final_state[:, 0], expected,
                                        atol=1e-3)
+
+    def test_first_non_interior_start_is_named(self, threepop):
+        starts = five_start_states()
+        starts[3] = z_state((0.5, 0.0, 0.5))
+        starts[4] = 2.0 * starts[4]  # also bad; the first bad start is named
+        with pytest.raises(ValueError) as alone:
+            _check_interior(starts[3], threepop, 1e-6, "grid[3]")
+        with pytest.raises(ValueError) as info:
+            phase_portrait(threepop, ControlPolicy.off(2), starts,
+                           IntegrationConfig(dt=0.1, t_max=1.0))
+        assert str(info.value) == str(alone.value)
+        assert str(info.value).startswith(
+            "grid[3]: initial states must be interior (every share >= 1e-06)")
 
     def test_empty_grid(self, threepop):
         assert phase_portrait(threepop, ControlPolicy.off(2), [],

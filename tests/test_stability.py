@@ -209,6 +209,22 @@ class TestBoundEstimate:
                                      seed=5))
         assert estimate.value <= 0.0
 
+    def test_random_3x3_vertex_bound_is_pinned(self):
+        # value and argmax as the lattice built from per-state Python lists
+        # gave them, bit for bit
+        scen = random_scenario(np.random.default_rng(2024), m=3, n=3)
+        eq = unique_target_equilibrium(scen, np.array([1.0, 0.0, 0.0]))
+        estimate = estimate_subsidy_bound(
+            eq, scen, SamplingConfig(grid_per_dim=10, random_samples=2_000,
+                                     seed=7))
+        assert repr(estimate.value) == "2.954995396511278"
+        assert estimate.argmax.tolist() == [
+            [1.0, 0.0, 0.0],
+            [0.9999975893232558, 0.0, 2.4106767442244603e-06],
+            [1.0, 0.0, 0.0],
+        ]
+        assert (estimate.n_grid, estimate.n_ascent_evals) == (166_375, 2_691)
+
     def test_estimate_is_deterministic(self, threepop, eq_boundary):
         cfg = SamplingConfig(grid_per_dim=7, random_samples=2_000, seed=11)
         first = estimate_subsidy_bound(eq_boundary, threepop, cfg)
