@@ -43,7 +43,8 @@ from .agents import (
     write_rounds_csv,
 )
 from .dynamics import ControlPolicy
-from .game import Scenario, ScenarioError, scenario_digest
+from .game import (Scenario, ScenarioError, check_lattice_budget,
+                   scenario_digest)
 from .integrate import (
     IntegrationConfig,
     IntegrationError,
@@ -334,6 +335,9 @@ def _cmd_verify(manifest: dict[str, Any]) -> int:
         sampling = SamplingConfig(**sampling_spec)
     except TypeError as exc:
         raise ScenarioError(f"sampling config: {exc}") from exc
+    # refuse an oversized lattice before the equilibrium search runs
+    check_lattice_budget(scenario.n_populations, scenario.n_actions,
+                         sampling.grid_per_dim)
     _echo_manifest(manifest)
     prov = _provenance(manifest, scenario)
     out = manifest["out"]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -31,13 +32,14 @@ import numpy as np
 __all__ = [
     "CARRIER_THRESHOLD",
     "COORD_TOLERANCE",
-    "LATTICE_STATE_BUDGET",
+    "LATTICE_BYTE_BUDGET",
     "SUM_TOLERANCE",
     "Scenario",
     "ScenarioError",
     "aggregate_output",
     "average_payoff",
     "carrier",
+    "check_lattice_budget",
     "check_simplex",
     "expected_payoff",
     "lattice_product",
@@ -59,9 +61,9 @@ COORD_TOLERANCE = 1e-12
 # Population shares must sum to 1 within this absolute tolerance.
 SHARE_SUM_TOLERANCE = 1e-12
 
-# Most states a lattice product may hold: 2^22 states of a (3, 3) game take
-# 300 MB as float64.  Larger grids are refused before anything is allocated.
-LATTICE_STATE_BUDGET = 2 ** 22
+# Most bytes a lattice product may take as float64 (count * m * n * 8).
+# Larger grids are refused before anything is allocated.
+LATTICE_BYTE_BUDGET = 300_000_000
 
 
 class ScenarioError(ValueError):
@@ -262,26 +264,38 @@ def carrier(z: np.ndarray, *, threshold: float = CARRIER_THRESHOLD) -> np.ndarra
     return np.flatnonzero(np.asarray(z, dtype=float) > threshold)
 
 
+def check_lattice_budget(n_populations: int, n_actions: int,
+                         per_dim: int) -> None:
+    """Raise ValueError, allocating nothing, unless the product lattice fits."""
+    if per_dim < 2:
+        raise ValueError(f"per_dim must be >= 2, got {per_dim}")
+    count = math.comb(per_dim + n_actions - 2, n_actions - 1) ** n_populations
+    nbytes = count * n_populations * n_actions * 8
+    if nbytes > LATTICE_BYTE_BUDGET:
+        raise ValueError(
+            f"{per_dim} points per simplex edge give {count:,} states "
+            f"({nbytes:,} bytes) for {n_populations} populations of {n_actions} "
+            f"actions, over the budget of {LATTICE_BYTE_BUDGET:,} bytes"
+        )
+
+
 def simplex_lattice(n_actions: int, per_dim: int) -> np.ndarray:
-    """Compositions of per_dim - 1 into n_actions parts, scaled, in product order."""
+    """Compositions of per_dim - 1 into n_actions parts, scaled, in product order.
+
+    Each partial composition is repeated once per value its next part can
+    take, so no array outgrows the lattice.
+    """
     total = per_dim - 1
-    head = np.indices((per_dim,) * (n_actions - 1)).reshape(n_actions - 1, -1).T
-    head = head[head.sum(axis=1) <= total]
+    head = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_actions - 1):
+        room = total + 1 - head.sum(axis=1)
+        start = np.cumsum(room) - room
+        part = np.arange(room.sum()) - np.repeat(start, room)
+        head = np.column_stack([np.repeat(head, room, axis=0), part])
     return np.column_stack([head, total - head.sum(axis=1)]) / float(total)
 
 
 def lattice_product(lattice: np.ndarray, n_populations: int) -> np.ndarray:
-    """One lattice row per population in ``itertools.product`` order, (L**m, m, n).
-
-    Raises ValueError, before allocating, when L**m exceeds LATTICE_STATE_BUDGET.
-    """
-    size = lattice.shape[0]
-    count = size ** n_populations
-    if count > LATTICE_STATE_BUDGET:
-        raise ValueError(
-            f"a lattice of {size} points per population gives {count:,} "
-            f"states for {n_populations} populations, over the budget of "
-            f"{LATTICE_STATE_BUDGET:,}; use fewer points per simplex edge"
-        )
-    index = np.indices((size,) * n_populations).reshape(n_populations, -1).T
+    """One lattice row per population in ``itertools.product`` order, (L**m, m, n)."""
+    index = np.indices((lattice.shape[0],) * n_populations).reshape(n_populations, -1).T
     return lattice[index]

@@ -35,7 +35,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import ControlPolicy, batch_field
-from .game import Scenario, lattice_product, simplex_lattice
+from .game import (Scenario, check_lattice_budget, lattice_product,
+                   simplex_lattice)
 
 __all__ = [
     "ConvergenceVerdict",
@@ -400,14 +401,9 @@ def phase_portrait(scenario: Scenario, policy: ControlPolicy,
     states0 = np.array(grid, dtype=float)
     if states0.size == 0:
         return []
-    # one vectorized pass; _check_interior words the error for the first bad start
-    bad = np.ones(states0.shape[0], dtype=bool)
-    if states0.shape[1:] == (scenario.n_populations, scenario.n_actions):
-        bad = (np.any(np.abs(states0.sum(axis=2) - 1.0) > 1e-9, axis=1)
-               | (states0.min(axis=(1, 2)) < cfg.interior_floor))
-    if bad.any():
-        idx = int(np.argmax(bad))
-        _check_interior(states0[idx], scenario, cfg.interior_floor, f"grid[{idx}]")
+    for idx in range(states0.shape[0]):
+        _check_interior(states0[idx], scenario, cfg.interior_floor,
+                        f"grid[{idx}]")
     return _BatchRun(scenario, policy, states0, cfg, observer).results()
 
 
@@ -448,12 +444,11 @@ def interior_grid(scenario: Scenario, per_dim: int,
     every share up to ``floor`` (for two actions this is exactly
     linspace(floor, 1 - floor, per_dim) on the first action's share).
     Returns an array of shape (L ** m, m, n), L the lattice size, built by
-    indexing the blended lattice in ``itertools.product`` order; a grid of
-    more than LATTICE_STATE_BUDGET states raises ValueError unallocated.
+    indexing the blended lattice in ``itertools.product`` order; a grid over
+    LATTICE_BYTE_BUDGET raises ValueError before anything is allocated.
     """
-    if per_dim < 2:
-        raise ValueError("per_dim must be >= 2")
     n = scenario.n_actions
+    check_lattice_budget(scenario.n_populations, n, per_dim)
     blend = floor * n
     lattice = (1.0 - blend) * simplex_lattice(n, per_dim) + blend / n
     return lattice_product(lattice, scenario.n_populations)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .dynamics import ControlPolicy, field_controlled, field_uncontrolled
 from .game import (CARRIER_THRESHOLD, Scenario, aggregate_output, carrier,
-                   lattice_product, simplex_lattice)
+                   check_lattice_budget, lattice_product, simplex_lattice)
 
 __all__ = [
     "AtTargetOutputError",
@@ -314,6 +314,7 @@ def _dbar_batch(states: np.ndarray, eq: TargetEquilibrium, scenario: Scenario,
 
 def _grid_states(scenario: Scenario, per_dim: int) -> np.ndarray:
     # its own name, so that perfbench's trace times the lattice build
+    check_lattice_budget(scenario.n_populations, scenario.n_actions, per_dim)
     return lattice_product(simplex_lattice(scenario.n_actions, per_dim),
                            scenario.n_populations)
 

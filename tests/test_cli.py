@@ -203,7 +203,14 @@ class TestVerify:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("input error: ")
         assert "207,360,000 states" in proc.stderr
-        assert "budget of 4,194,304" in proc.stderr
+        assert "budget of 300,000,000 bytes" in proc.stderr
+
+    def test_one_point_per_edge_exits_1(self, tmp_path, capsys):
+        code = main(["verify", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--out", str(tmp_path / "v"),
+                     "--grid-per-dim", "1"])
+        assert code == 1
+        assert "per_dim must be >= 2, got 1" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -228,7 +235,8 @@ class TestSweep:
                      "--grid", "200", "--out", str(tmp_path / "sweep")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "8,000,000 states" in err and "budget of 4,194,304" in err
+        assert "8,000,000 states" in err
+        assert "budget of 300,000,000 bytes" in err
 
     def test_empty_d_list_gives_empty_table(self, tmp_path):
         out = tmp_path / "sweep"

@@ -19,7 +19,7 @@ from replicator_ctl import (
     make_state,
     scenario_digest,
 )
-from replicator_ctl.game import LATTICE_STATE_BUDGET, lattice_product
+from replicator_ctl.game import LATTICE_BYTE_BUDGET, check_lattice_budget
 from replicator_ctl.integrate import interior_grid
 from replicator_ctl.stability import _grid_states
 from conftest import THREEPOP_PAYOFFS, THREEPOP_SHARES, random_scenario, random_state
@@ -239,14 +239,49 @@ class TestLattice:
         np.testing.assert_array_equal(interior_grid(scen, per_dim, floor),
                                       expected)
 
-    def test_oversized_product_is_refused_unallocated(self):
-        lattice = np.zeros((120, 3))
+    @pytest.mark.parametrize("build", [_grid_states, interior_grid])
+    def test_oversized_grid_is_refused_unallocated(self, build):
+        # (2, 8) at 15 points: 116,280 lattice points; the full cube of
+        # 15**7 candidate compositions alone would take 9.6 GB
+        scen = random_scenario(np.random.default_rng(8), m=2, n=8)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="207,360,000 states") as info:
-                lattice_product(lattice, 4)
+            with pytest.raises(ValueError,
+                               match="13,521,038,400 states") as info:
+                build(scen, 15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f"budget of {LATTICE_STATE_BUDGET:,}" in str(info.value)
+        assert f"budget of {LATTICE_BYTE_BUDGET:,} bytes" in str(info.value)
         assert peak < 1_000_000
+
+    def test_lattice_memory_follows_its_size(self):
+        # (2, 30) at 2 points: 30 vertices and 900 states, from a cube of
+        # 2**29 candidate compositions that must never be built
+        scen = random_scenario(np.random.default_rng(30), m=2, n=30)
+        tracemalloc.start()
+        try:
+            grid = _grid_states(scen, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # product order puts the last vertex first
+        expected = reference_product(np.eye(30)[::-1], 2)
+        np.testing.assert_array_equal(grid, expected)
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("m,n,per_dim", [(2, 2, 2100), (4, 2, 46),
+                                             (3, 3, 15)])
+    def test_budget_counts_bytes(self, m, n, per_dim):
+        check_lattice_budget(m, n, per_dim)  # 141, 287 and 124 MB
+
+    def test_budget_refuses_just_over(self):
+        # 3,061**2 states of 2 x 2 doubles take 299,831,072 bytes
+        check_lattice_budget(2, 2, 3_061)
+        with pytest.raises(ValueError, match="300,027,008 bytes"):
+            check_lattice_budget(2, 2, 3_062)
+
+    @pytest.mark.parametrize("per_dim", [1, 0, -3])
+    def test_fewer_than_two_points_are_refused(self, per_dim):
+        with pytest.raises(ValueError, match="per_dim must be >= 2"):
+            check_lattice_budget(3, 3, per_dim)
