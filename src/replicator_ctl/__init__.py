@@ -31,7 +31,6 @@ from .dynamics import (
     per_agent_subsidy,
     region_bounds,
     subsidy_weight,
-    subsidy_weights,
 )
 from .integrate import (
     ConvergenceVerdict,
@@ -76,6 +75,5 @@ __all__ = [
     "scenario_digest",
     "simulate",
     "subsidy_weight",
-    "subsidy_weights",
     "write_trajectory_csv",
 ]

@@ -34,7 +34,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, game
 from .agents import (
     EmptyActionGroupError,
     init_agents,
@@ -368,27 +368,27 @@ def _cmd_sweep(manifest: dict[str, Any]) -> int:
         raise ScenarioError("sweep needs --d-values")
     if manifest.get("policy") is None:
         raise ScenarioError("sweep needs a target output (--policy/--y-star)")
+    for d in d_values:  # a negative or non-finite gain is an input error
+        ControlPolicy(y_star=policy.y_star, d=float(d))
     eq = unique_target_equilibrium(scenario, policy.y_star)
-    states = _initial_states(manifest, scenario, cfg)
+    states = np.array(_initial_states(manifest, scenario, cfg))
     _echo_manifest(manifest)
     prov = _provenance(manifest, scenario)
-    rows = []
-    for d in d_values:
-        swept = ControlPolicy(y_star=policy.y_star, d=float(d))
-        results = phase_portrait(scenario, swept, states, cfg)
-        distances = []
-        for outcome in results:
-            if isinstance(outcome, Trajectory):
-                distances.append(
-                    float(np.max(np.abs(outcome.final_state - eq.state))))
-            else:
-                distances.append(float("inf"))
-        distances_arr = np.array(distances)
-        rows.append((
-            float(d),
-            float(np.mean(distances_arr <= ENDPOINT_TOL)),
-            float(distances_arr.max()),
-        ))
+    # every gain in one batch, cut only where the merged starts would
+    # outgrow the lattice byte budget; bits do not depend on the batch
+    per_batch = max(1, game.LATTICE_BYTE_BUDGET // (states.size * 8))
+    distances = []
+    for lo in range(0, len(d_values), per_batch):
+        group = d_values[lo:lo + per_batch]
+        results = phase_portrait(scenario, policy,
+                                 np.tile(states, (len(group), 1, 1)), cfg,
+                                 gains=np.repeat(group, len(states)))
+        distances += [np.max(np.abs(outcome.final_state - eq.state))
+                      if isinstance(outcome, Trajectory) else np.inf
+                      for outcome in results]
+    rows = [(float(d), float(np.mean(dist <= ENDPOINT_TOL)), float(dist.max()))
+            for d, dist in zip(d_values, np.reshape(distances,
+                                                    (-1, len(states))))]
     path = os.path.join(manifest["out"], "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for key, value in prov.items():

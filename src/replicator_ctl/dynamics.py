@@ -46,7 +46,6 @@ __all__ = [
     "per_agent_subsidy",
     "region_bounds",
     "subsidy_weight",
-    "subsidy_weights",
 ]
 
 # A targeted aggregate share at or below this is treated as outside the
@@ -140,20 +139,6 @@ def subsidy_weight(y: np.ndarray, y_star: np.ndarray, i: int) -> float:
     return float(y_star[i] / y[i])
 
 
-def subsidy_weights(y: np.ndarray, y_star: np.ndarray) -> np.ndarray:
-    """Vector of subsidy weights; raises if any targeted share is ~0."""
-    targeted = y_star > 0.0
-    if np.any(targeted & (y <= DOMAIN_THRESHOLD)):
-        bad = int(np.flatnonzero(targeted & (y <= DOMAIN_THRESHOLD))[0])
-        raise SimplexDomainError(
-            f"targeted action {bad} has aggregate share {y[bad]!r}; "
-            "subsidy weight undefined"
-        )
-    f = np.zeros_like(y_star)
-    f[targeted] = y_star[targeted] / y[targeted]
-    return f
-
-
 def per_agent_subsidy(policy: ControlPolicy, y: np.ndarray, i: int) -> float:
     """Continuous-limit subsidy paid to each agent playing action i: d * f_i(y).
 
@@ -165,11 +150,8 @@ def per_agent_subsidy(policy: ControlPolicy, y: np.ndarray, i: int) -> float:
 
 def field_uncontrolled(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     """Replicator derivative without control; rows sum to zero."""
-    x = np.asarray(x, dtype=float)
-    y = aggregate_output(x, scenario)
-    action_payoffs = scenario.payoffs @ y              # (m, n)
-    averages = np.einsum("ki,ki->k", x, action_payoffs)
-    return (action_payoffs - averages[:, None]) * x
+    off = ControlPolicy.off(scenario.n_actions)
+    return batch_field(scenario, np.asarray(x, dtype=float)[None], off)[0][0]
 
 
 def field_controlled(scenario: Scenario, x: np.ndarray,
@@ -179,46 +161,63 @@ def field_controlled(scenario: Scenario, x: np.ndarray,
     With d = 0 this returns exactly the uncontrolled field (the feedback
     term is skipped, so no domain restriction applies either).
     """
-    base = field_uncontrolled(scenario, x)
-    if policy.d == 0.0:
-        return base
     x = np.asarray(x, dtype=float)
-    y = aggregate_output(x, scenario)
-    f = subsidy_weights(y, policy.y_star)
-    f_avg = x @ f                                      # (m,)
-    return base + policy.d * x * (f[None, :] - f_avg[:, None])
+    deriv, ok = batch_field(scenario, x[None], policy)
+    if not ok[0]:
+        y = aggregate_output(x, scenario)
+        i = int(np.argmin(np.where(policy.y_star > 0.0, y, np.inf)))
+        raise SimplexDomainError(f"targeted action {i} has aggregate share "
+                                 f"{y[i]!r}; subsidy weight undefined")
+    return deriv[0]
 
 
 def batch_field(scenario: Scenario, states: np.ndarray,
-                policy: ControlPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized field over a batch of states.
+                policy: ControlPolicy, gains: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The replicator field x ∘ (F − ⟨x, F⟩) over states of shape (B, m, n).
 
-    Parameters
-    ----------
-    states : ndarray, shape (B, m, n)
+    F = A^k y + d·f(y) folds the subsidy into the payoffs.  Every sum runs
+    over the small m and n axes in a fixed order, as elementwise operations
+    along the batch (no einsum, tensordot or BLAS), so a member's bits do
+    not depend on the rest of its batch.  ``gains``, shape (B,), gives
+    each member its own gain in place of ``policy.d``.  A member with gain
+    0 gets exactly the uncontrolled field and is not domain-checked.
 
-    Returns
-    -------
-    derivatives : ndarray, shape (B, m, n)
-        Batch members that violate the controlled field's domain come back
-        filled with NaN instead of raising.
-    ok : ndarray of bool, shape (B,)
-        False where a targeted aggregate share fell to ~0.
+    Returns the derivatives, shape (B, m, n), and ``ok``, shape (B,):
+    False, with the member's derivative NaN instead of an exception, where
+    a member with a positive gain has a targeted aggregate share at or
+    below DOMAIN_THRESHOLD.
     """
     states = np.asarray(states, dtype=float)
-    shares = scenario.shares
-    y = np.einsum("k,bki->bi", shares, states)                   # (B, n)
-    action_payoffs = np.tensordot(y, scenario.payoffs, axes=([1], [2]))  # (B, m, n)
-    averages = np.einsum("bki,bki->bk", states, action_payoffs)
-    deriv = (action_payoffs - averages[:, :, None]) * states
-    if policy.d == 0.0:
-        return deriv, np.ones(states.shape[0], dtype=bool)
-    targeted = policy.y_star > 0.0
-    ok = ~np.any(y[:, targeted] <= DOMAIN_THRESHOLD, axis=1)
-    f = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f[:, targeted] = policy.y_star[targeted] / y[:, targeted]
-    f_avg = np.einsum("bi,bki->bk", f, states)
-    deriv = deriv + policy.d * states * (f[:, None, :] - f_avg[:, :, None])
-    deriv[~ok] = np.nan
+    m, n = states.shape[1:]
+    # member axis last: every operation below runs along the batch
+    x = np.ascontiguousarray(states.transpose(1, 2, 0))      # (m, n, B)
+    shares, payoffs = scenario.shares, scenario.payoffs
+    y = shares[0] * x[0]                                     # (n, B)
+    for k in range(1, m):
+        y += shares[k] * x[k]
+    F = payoffs[:, :, 0, None] * y[0]                        # (m, n, B)
+    for j in range(1, n):
+        F += payoffs[:, :, j, None] * y[j]
+    gains = policy.d if gains is None else gains
+    controlled = np.asarray(gains) > 0.0
+    ok = np.ones(states.shape[0], dtype=bool)
+    if controlled.any():
+        y_star = policy.y_star[:, None]
+        low = y <= DOMAIN_THRESHOLD
+        if low.any():
+            # such a share divides by 1 instead and its member is flagged,
+            # so no warning is raised for it
+            ok = ~(controlled & np.any(low & (y_star > 0.0), axis=0))
+            y = np.where(low, 1.0, y)
+        # F - (0 - d)·f is F + d·f, and F to the bit (a -0.0 too) at d = 0
+        F -= (0.0 - gains) * (y_star / y)
+    avg = x[:, 0] * F[:, 0]                                  # (m, B)
+    for i in range(1, n):
+        avg += x[:, i] * F[:, i]
+    F -= avg[:, None]
+    F *= x
+    deriv = F.transpose(2, 0, 1)
+    if not ok.all():
+        deriv[~ok] = np.nan
     return deriv, ok

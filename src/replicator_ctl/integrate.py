@@ -13,10 +13,12 @@ coordinates in [-1e-12, 0) are clamped to 0 first, anything more negative
 fails the step.
 
 `simulate` integrates one initial state; `phase_portrait` integrates a
-whole batch simultaneously (vectorized across trajectories, which share
-only immutable inputs) and returns results in input order.  Convergence is
-declared online when the max-norm state change per step stays below
-``convergence_tol`` for ``convergence_window`` consecutive steps.
+whole batch at once, optionally with a gain per start, and returns results
+in input order.  Every operation runs elementwise along the batch, so a
+trajectory's bits depend only on (scenario, policy, x0, config), never on
+the rest of its batch.  Convergence is declared online when the max-norm
+state change per step stays below ``convergence_tol`` for
+``convergence_window`` consecutive steps.
 
 Trajectory CSV layout (one row per recorded step)::
 
@@ -130,31 +132,31 @@ class ConvergenceVerdict:
     limit_state: np.ndarray | None
 
 
-def _rk4_raw(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-             dt: float) -> np.ndarray:
-    k1 = rhs(x)
-    k2 = rhs(x + (0.5 * dt) * k1)
-    k3 = rhs(x + (0.5 * dt) * k2)
-    k4 = rhs(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+              dt: float, renorm_tol: float,
+              neg_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step of a (B, m, n) stack, in any memory layout.
 
-
-def _finalize_step(x_new: np.ndarray, renorm_tol: float,
-                   neg_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp round-off negatives, renormalize drifted rows, flag bad members.
-
-    Works on any (..., m, n) stack; the returned mask collapses the
-    trailing (m, n) axes, True where the member is admissible.
+    Round-off negatives are clamped and drifted rows renormalized (row sums
+    add the actions in order).  The mask is True where the member is
+    admissible: finite, no coordinate below -neg_tol.  NaN and inf act as
+    in-band failure markers, so no floating-point warning is raised.
     """
-    lead_axes = tuple(range(x_new.ndim - 2, x_new.ndim))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        finite = np.all(np.isfinite(x_new), axis=lead_axes)
-        nonneg = np.all(x_new >= -neg_tol, axis=lead_axes)
-        ok = finite & nonneg
-        clamped = np.where((x_new < 0.0) & (x_new >= -neg_tol), 0.0, x_new)
-        sums = clamped.sum(axis=-1, keepdims=True)
-        fixed = np.where(np.abs(sums - 1.0) > renorm_tol, clamped / sums,
-                         clamped)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        k1 = rhs(x)
+        k2 = rhs(x + (0.5 * dt) * k1)
+        k3 = rhs(x + (0.5 * dt) * k2)
+        k4 = rhs(x + dt * k3)
+        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        above = x_new >= -neg_tol
+        ok = (above & (x_new < np.inf)).reshape(len(x_new), -1).all(1)
+        fixed = np.where((x_new < 0.0) & above, 0.0, x_new)
+        sums = fixed[..., 0]
+        for i in range(1, x_new.shape[-1]):
+            sums = sums + fixed[..., i]
+        drift = np.abs(sums - 1.0) > renorm_tol
+        if drift.any():
+            fixed = np.where(drift[..., None], fixed / sums[..., None], fixed)
     return fixed, ok
 
 
@@ -167,45 +169,14 @@ def rk4_step(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     by the field itself propagate unchanged.  Callers recover by halving dt.
     """
     x = np.asarray(x, dtype=float)
-    x_new = _rk4_raw(field, x, dt)
-    fixed, ok = _finalize_step(x_new[None], renorm_tol)
-    if not bool(ok[0]):
+    fixed, ok = _rk4_step(lambda batch: field(batch[0])[None], x[None], dt,
+                          renorm_tol)
+    if not ok[0]:
         raise StepError(
             f"step of size {dt!r} produced an inadmissible state "
-            f"(min coordinate {np.nanmin(x_new)!r})"
+            f"(min coordinate {np.nanmin(fixed)!r})"
         )
     return fixed[0]
-
-
-def _advance_member(scenario: Scenario, policy: ControlPolicy, x: np.ndarray,
-                    dt: float, renorm_tol: float,
-                    max_halvings: int) -> np.ndarray | None:
-    """Advance one state by dt, substepping at dt / 2^j on failure.
-
-    Returns the new state, or None if every halving level failed.
-    """
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        deriv, _ = batch_field(scenario, state[None], policy)
-        return deriv[0]
-
-    for level in range(max_halvings + 1):
-        n_sub = 1 << level
-        sub_dt = dt / n_sub
-        current = x
-        failed = False
-        for _ in range(n_sub):
-            with np.errstate(invalid="ignore", divide="ignore",
-                             over="ignore"):
-                candidate = _rk4_raw(rhs, current, sub_dt)
-            fixed, ok = _finalize_step(candidate[None], renorm_tol)
-            if not bool(ok[0]):
-                failed = True
-                break
-            current = fixed[0]
-        if not failed:
-            return current
-    return None
 
 
 def _check_interior(x0: np.ndarray, scenario: Scenario, floor: float,
@@ -214,9 +185,10 @@ def _check_interior(x0: np.ndarray, scenario: Scenario, floor: float,
     m, n = scenario.n_populations, scenario.n_actions
     if x0.shape != (m, n):
         raise ValueError(f"{label}: expected shape ({m}, {n}), got {x0.shape}")
-    sums = x0.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        raise ValueError(f"{label}: rows must sum to 1, got sums {sums}")
+    if not (np.all(np.isfinite(x0))
+            and np.all(np.abs(x0.sum(axis=1) - 1.0) <= 1e-9)):
+        raise ValueError(f"{label}: rows must be finite and sum to 1, got "
+                         f"{x0.tolist()}")
     if x0.min() < floor:
         raise ValueError(
             f"{label}: initial states must be interior "
@@ -225,15 +197,29 @@ def _check_interior(x0: np.ndarray, scenario: Scenario, floor: float,
     return x0
 
 
+def _member_last(states: np.ndarray) -> np.ndarray:
+    """A (B, m, n) view of a copy laid out (m, n, B) in memory."""
+    return np.ascontiguousarray(states.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
 class _BatchRun:
-    """Shared stepping loop for simulate and phase_portrait."""
+    """Shared stepping loop for simulate and phase_portrait.
+
+    ``gains`` holds one gain per member; by default each is ``policy.d``.
+    The states are kept member-last, so that each step's elementwise
+    operations and per-member reductions run along the batch.
+    """
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
-                 states0: np.ndarray, cfg: IntegrationConfig, observer=None):
+                 states0: np.ndarray, cfg: IntegrationConfig, observer=None,
+                 gains: np.ndarray | None = None):
         self.scenario = scenario
         self.policy = policy
         self.cfg = cfg
         self.observer = observer
+        if gains is None:
+            gains = np.full(states0.shape[0], policy.d)
+        self.gains = gains
         self.n_members = states0.shape[0]
         self.records: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.converged = np.zeros(self.n_members, dtype=bool)
@@ -242,84 +228,92 @@ class _BatchRun:
         self.lyap_final = np.full(self.n_members, np.nan)
         self._run(states0)
 
-    def _observe(self, states: np.ndarray) -> np.ndarray:
-        return self.observer.values(states)
+    def _step(self, x: np.ndarray, gains: np.ndarray,
+              dt: float) -> tuple[np.ndarray, np.ndarray]:
+        return _rk4_step(
+            lambda batch: batch_field(self.scenario, batch, self.policy,
+                                      gains)[0],
+            x, dt, self.cfg.renorm_tol)
+
+    def _retry(self, x: np.ndarray, gains: np.ndarray) -> np.ndarray | None:
+        """Re-take the step of one member, x of shape (1, m, n), as 2^j
+        substeps of dt / 2^j; None if every halving level fails."""
+        for level in range(self.cfg.max_halvings + 1):
+            current = x
+            for _ in range(1 << level):
+                current, ok = self._step(current, gains,
+                                         self.cfg.dt / (1 << level))
+                if not ok[0]:
+                    break
+            else:
+                return current[0]
+        return None
 
     def _run(self, states0: np.ndarray) -> None:
         cfg = self.cfg
         ids = np.arange(self.n_members)
-        x = states0.copy()
+        gains = self.gains
+        x = _member_last(states0)
         counters = np.zeros(self.n_members, dtype=int)
         if self.observer is not None:
-            v_prev = self._observe(x)
-        self.records.append((0, ids.copy(), x.copy()))
+            v_prev = self.observer.values(states0)
+        self.records.append((0, ids, states0.copy()))
         n_steps = cfg.n_steps
 
-        def rhs(batch: np.ndarray) -> np.ndarray:
-            deriv, _ = batch_field(self.scenario, batch, self.policy)
-            return deriv
-
         for step in range(1, n_steps + 1):
-            # NaN/inf act as in-band step-failure markers in the batch path
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                candidate = _rk4_raw(rhs, x, cfg.dt)
-            fixed, ok = _finalize_step(candidate, cfg.renorm_tol)
-            if not np.all(ok):
-                for local in np.flatnonzero(~ok):
-                    retried = _advance_member(
-                        self.scenario, self.policy, x[local], cfg.dt,
-                        cfg.renorm_tol, cfg.max_halvings,
+            fixed, ok = self._step(x, gains, cfg.dt)
+            all_ok = ok.all()
+            for local in [] if all_ok else np.flatnonzero(~ok):
+                retried = self._retry(x[local:local + 1],
+                                      gains[local:local + 1])
+                if retried is None:
+                    member = int(ids[local])
+                    self.failures[member] = IntegrationError(
+                        f"trajectory {member}: step failed at "
+                        f"t={step * cfg.dt:.6g} after "
+                        f"{cfg.max_halvings} halvings of dt={cfg.dt}"
                     )
-                    if retried is None:
-                        member = int(ids[local])
-                        self.failures[member] = IntegrationError(
-                            f"trajectory {member}: step failed at "
-                            f"t={step * cfg.dt:.6g} after "
-                            f"{cfg.max_halvings} halvings of dt={cfg.dt}"
-                        )
-                    else:
-                        fixed[local] = retried
-                        ok[local] = True
-
+                else:
+                    fixed[local] = retried
+                    ok[local] = True
+            all_ok = all_ok or ok.all()
             with np.errstate(invalid="ignore"):
-                delta = np.max(np.abs(fixed - x), axis=(1, 2))
-                below = delta < cfg.convergence_tol
-            counters = np.where(below & ok, counters + 1, 0)
-            just_converged = ok & (counters >= cfg.convergence_window)
+                delta = np.abs(fixed - x).reshape(ids.size, -1).max(axis=1)
+            # a failed member's counter resets, so a full window implies ok
+            counters = np.where((delta < cfg.convergence_tol) & ok,
+                                counters + 1, 0)
+            just_converged = counters >= cfg.convergence_window
 
             if self.observer is not None:
-                v_new = np.where(ok, self._observe(fixed), np.nan)
+                v_new = self.observer.values(np.ascontiguousarray(fixed))
+                if not all_ok:
+                    v_new = np.where(ok, v_new, np.nan)
                 both = np.isfinite(v_new) & np.isfinite(v_prev)
                 inc = np.where(both, v_new - v_prev, -np.inf)
-                local_ids = ids
-                self.lyap_max_inc[local_ids] = np.maximum(
-                    self.lyap_max_inc[local_ids], inc)
+                self.lyap_max_inc[ids] = np.maximum(self.lyap_max_inc[ids],
+                                                    inc)
                 v_prev = v_new
 
             record_now = (step % cfg.record_stride == 0) or (step == n_steps)
-            ending = just_converged | ~ok
-            if record_now and np.any(ok):
-                keep = ok
-                self.records.append((step, ids[keep].copy(), fixed[keep].copy()))
-            elif np.any(just_converged):
-                sel = just_converged
-                self.records.append((step, ids[sel].copy(), fixed[sel].copy()))
+            if record_now and all_ok:
+                self.records.append((step, ids, fixed))
+            elif record_now and ok.any():
+                self.records.append((step, ids[ok], fixed[ok]))
+            elif just_converged.any():
+                self.records.append((step, ids[just_converged],
+                                     fixed[just_converged]))
 
-            self.converged[ids[just_converged]] = True
-
-            if self.observer is not None:
-                done = np.flatnonzero(ending)
-                for local in done:
-                    member = int(ids[local])
-                    self.lyap_final[member] = (
-                        v_prev[local] if ok[local] else self.lyap_final[member]
-                    )
-
-            active = ~ending
-            if not np.all(active):
+            ending = just_converged if all_ok else just_converged | ~ok
+            if ending.any():
+                self.converged[ids[just_converged]] = True
+                if self.observer is not None:
+                    done = ending & ok
+                    self.lyap_final[ids[done]] = v_prev[done]
+                active = ~ending
                 ids = ids[active]
-                fixed = fixed[active]
+                fixed = _member_last(fixed[active])
                 counters = counters[active]
+                gains = gains[active]
                 if self.observer is not None:
                     v_prev = v_prev[active]
                 if ids.size == 0:
@@ -360,7 +354,7 @@ class _BatchRun:
         observables = None
         lyap = None
         if self.observer is not None:
-            observables = self.observer.series(states, self.policy.d)
+            observables = self.observer.series(states, self.gains[member])
             max_inc = self.lyap_max_inc[member]
             lyap = LyapunovStats(
                 max_step_increase=float(max_inc) if np.isfinite(max_inc) else 0.0,
@@ -392,11 +386,18 @@ def simulate(scenario: Scenario, policy: ControlPolicy, x0: np.ndarray,
 def phase_portrait(scenario: Scenario, policy: ControlPolicy,
                    grid: Sequence[np.ndarray] | np.ndarray,
                    cfg: IntegrationConfig = IntegrationConfig(),
-                   observer=None) -> list["Trajectory | IntegrationError"]:
+                   observer=None, gains: Sequence[float] | None = None
+                   ) -> list["Trajectory | IntegrationError"]:
     """Integrate a batch of initial states; results in input order.
 
     Per-trajectory failures are returned in place (as IntegrationError
     objects) without aborting the rest of the batch.
+
+    ``gains``, if given, holds one subsidy gain per start (finite, >= 0)
+    in place of ``policy.d``; the policy then supplies only the target.
+    Start i's trajectory has the same bits as a run of
+    ``ControlPolicy(policy.y_star, gains[i])``: no trajectory depends on
+    which other starts or gains share its batch.
     """
     states0 = np.array(grid, dtype=float)
     if states0.size == 0:
@@ -404,7 +405,14 @@ def phase_portrait(scenario: Scenario, policy: ControlPolicy,
     for idx in range(states0.shape[0]):
         _check_interior(states0[idx], scenario, cfg.interior_floor,
                         f"grid[{idx}]")
-    return _BatchRun(scenario, policy, states0, cfg, observer).results()
+    if gains is not None:
+        gains = np.array(gains, dtype=float)
+        if (gains.shape != states0.shape[:1]
+                or not np.all((gains >= 0.0) & (gains < np.inf))):
+            raise ValueError(f"gains must be {len(states0)} finite values "
+                             f">= 0, got {gains}")
+    return _BatchRun(scenario, policy, states0, cfg, observer,
+                     gains).results()
 
 
 def detect_convergence(traj: Trajectory,
@@ -420,16 +428,10 @@ def detect_convergence(traj: Trajectory,
     if states.shape[0] < 2:
         return ConvergenceVerdict(False, None, None)
     deltas = np.max(np.abs(np.diff(states, axis=0)), axis=(1, 2))
-    below = deltas < cfg.convergence_tol
-    window = cfg.convergence_window
-    if below.size < window:
-        if np.all(below):
-            return ConvergenceVerdict(True, float(traj.times[-1]),
-                                      states[-1].copy())
-        return ConvergenceVerdict(False, None, None)
+    window = min(cfg.convergence_window, deltas.size)
     run_length = 0
-    for idx, flag in enumerate(below):
-        run_length = run_length + 1 if flag else 0
+    for idx, below in enumerate(deltas < cfg.convergence_tol):
+        run_length = run_length + 1 if below else 0
         if run_length >= window:
             return ConvergenceVerdict(True, float(traj.times[idx + 1]),
                                       states[idx + 1].copy())

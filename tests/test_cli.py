@@ -11,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replicator_ctl import Scenario, scenario_digest
+from replicator_ctl import (ControlPolicy, IntegrationConfig, Scenario,
+                            interior_grid, phase_portrait, scenario_digest)
+from replicator_ctl import cli, game
 from replicator_ctl.cli import main
+from replicator_ctl.stability import unique_target_equilibrium
 from conftest import THREEPOP_PAYOFFS, THREEPOP_SHARES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -146,6 +149,21 @@ class TestPortrait:
         assert first == paths[1].read_bytes()
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_start_exits_1(self, tmp_path, capsys, bad):
+        out = tmp_path / "portrait"
+        code = main(["portrait", "--scenario", SCENARIO,
+                     "--x0", "0.2,0.4,0.6", "--x0", f"0.5,{bad},0.5",
+                     "--out", str(out)])
+        assert code == 1
+        assert "grid[1]: rows must be finite" in capsys.readouterr().err
+        assert not (out / "index.json").exists()
+        code = main(["simulate", "--scenario", SCENARIO,
+                     "--x0", f"{bad},0.5,0.5", "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "x0: rows must be finite" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_boundary_target(self, tmp_path):
         out = tmp_path / "verify"
@@ -264,6 +282,69 @@ class TestSweep:
                 (out / "sweep.csv").read_text().splitlines()
                 if line and not line.startswith("#")][1:]
         assert float(rows[0][1]) == 1.0
+
+
+    SWEEP_STARTS = ["0.2,0.4,0.6", "0.9,0.1,0.5"]
+
+    def _sweep(self, out, d_values, *extra):
+        argv = ["sweep", "--scenario", SCENARIO, "--policy", POLICY_BOUNDARY,
+                "--d-values", d_values, "--dt", "0.05",
+                "--record-stride", "1000", "--out", str(out), *extra]
+        for start in self.SWEEP_STARTS:
+            argv += ["--x0", start]
+        return main(argv)
+
+    def test_rows_equal_one_library_portrait_per_gain(self, tmp_path,
+                                                      policy_boundary):
+        out = tmp_path / "sweep"
+        assert self._sweep(out, "0,0.6,1.2", "--grid", "3") == 0
+        rows = [line.split(",") for line in
+                (out / "sweep.csv").read_text().splitlines()
+                if line and not line.startswith("#")][1:]
+        scenario = Scenario.from_file(SCENARIO)
+        eq = unique_target_equilibrium(scenario, policy_boundary.y_star)
+        cfg = IntegrationConfig(dt=0.05, record_stride=1000)
+        states = [np.stack([z, 1.0 - z], axis=1) for z in
+                  (np.array([float(v) for v in s.split(",")])
+                   for s in self.SWEEP_STARTS)]
+        states += list(interior_grid(scenario, 3))
+        assert len(rows) == 3
+        for row, d in zip(rows, (0.0, 0.6, 1.2)):
+            # the d = 0 members are a run with control off, bit for bit
+            policy = (ControlPolicy.off(2) if d == 0.0 else
+                      ControlPolicy(y_star=policy_boundary.y_star, d=d))
+            distances = np.array([
+                np.max(np.abs(outcome.final_state - eq.state))
+                for outcome in phase_portrait(scenario, policy, states, cfg)])
+            assert float(row[0]) == d
+            assert float(row[1]) == np.mean(distances <= cli.ENDPOINT_TOL)
+            assert row[2] == repr(float(distances.max()))
+
+    def test_small_budget_splits_the_gains_same_bytes(self, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        real = cli.phase_portrait
+
+        def counted(*args, **kwargs):
+            calls.append(len(kwargs["gains"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "phase_portrait", counted)
+        assert self._sweep(tmp_path / "one", "0.6,1.2,1.5") == 0
+        assert calls == [6]
+        # room for the two starts (3 x 2 shares each) of two gains
+        monkeypatch.setattr(game, "LATTICE_BYTE_BUDGET", 2 * 2 * 3 * 2 * 8)
+        assert self._sweep(tmp_path / "two", "0.6,1.2,1.5") == 0
+        assert calls == [6, 4, 2]
+        assert ((tmp_path / "one" / "sweep.csv").read_bytes()
+                == (tmp_path / "two" / "sweep.csv").read_bytes())
+
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+    def test_bad_gain_exits_1(self, tmp_path, capsys, value):
+        assert self._sweep(tmp_path / "sweep", f"1.2,{value}") == 1
+        assert ("average subsidy d must be >= 0"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
 
 class TestAgents:

@@ -20,7 +20,6 @@ from replicator_ctl import (
     per_agent_subsidy,
     region_bounds,
     subsidy_weight,
-    subsidy_weights,
 )
 from replicator_ctl.dynamics import batch_field
 from conftest import random_policy, random_scenario, random_state, z_state
@@ -41,12 +40,14 @@ class TestSubsidyWeights:
         assert subsidy_weight(y, y, 0) == pytest.approx(1.0)
         assert subsidy_weight(y, y, 1) == pytest.approx(1.0)
 
-    def test_domain_violation_raises(self, policy_boundary):
+    def test_domain_violation_raises(self, threepop, policy_boundary):
         y = np.array([0.0, 1.0])
         with pytest.raises(SimplexDomainError):
             subsidy_weight(y, policy_boundary.y_star, 0)
-        with pytest.raises(SimplexDomainError):
-            subsidy_weights(y, policy_boundary.y_star)
+        # the state whose aggregate output is y
+        with pytest.raises(SimplexDomainError, match="targeted action 0"):
+            field_controlled(threepop, make_state([[0.0, 1.0]] * 3),
+                             policy_boundary)
 
     def test_per_agent_amount(self, policy_boundary):
         y = np.array([0.5, 0.5])
@@ -148,6 +149,51 @@ class TestControlledField:
                 batch[idx], field_controlled(scen, states[idx], policy),
                 atol=1e-12)
 
+    def test_batch_rows_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(37)
+        scen = random_scenario(rng, m=3, n=3)
+        policy = random_policy(rng, scen)
+        states = np.array([random_state(rng, scen, interior=0.01)
+                           for _ in range(201)])
+        batch, _ = batch_field(scen, states, policy)
+        for size in (1, 2, 7, 64):
+            part, _ = batch_field(scen, states[-size:], policy)
+            assert np.array_equal(part, batch[-size:])
+        for idx in range(states.shape[0]):
+            assert np.array_equal(batch_field(scen, states[idx:idx + 1],
+                                              policy)[0][0], batch[idx])
+
+    @pytest.mark.filterwarnings("error")
+    def test_gain_per_member(self, threepop, policy_boundary):
+        good = z_state((0.4, 0.5, 0.6))
+        bad = z_state((0.0, 0.0, 0.0))
+        states = np.array([good, good, bad, bad])
+        gains = np.array([0.0, 0.6, 0.0, 0.6])
+        batch, ok = batch_field(threepop, states, policy_boundary, gains)
+        # gain 0: the uncontrolled field, bit for bit, and no domain check
+        assert ok.tolist() == [True, True, True, False]
+        assert np.array_equal(batch[0], field_uncontrolled(threepop, good))
+        assert np.array_equal(batch[2], field_uncontrolled(threepop, bad))
+        alone = ControlPolicy(y_star=policy_boundary.y_star, d=0.6)
+        assert np.array_equal(batch[1], field_controlled(threepop, good,
+                                                         alone))
+        assert np.all(np.isnan(batch[3]))
+
+    def test_zero_gain_keeps_the_sign_of_zero(self, policy_boundary):
+        # population 0 earns -0.0 on action 1 and +0.0 on action 2, so its
+        # uncontrolled field has a -0.0 that adding a +0.0 term would flip
+        payoffs = np.array([[[-0.0, -0.0], [0.0, 0.0]],
+                            [[1.0, 0.0], [0.0, 2.0]]])
+        scen = Scenario(payoffs=payoffs, shares=np.array([0.4, 0.6]))
+        x = make_state([[0.3, 0.7], [0.6, 0.4]])
+        batch, _ = batch_field(scen, np.array([x, x]), policy_boundary,
+                               np.array([0.0, 1.2]))
+        base = field_uncontrolled(scen, x)
+        assert np.signbit(base[0, 0])
+        assert np.array_equal(np.signbit(batch[0]), np.signbit(base))
+        assert np.array_equal(batch[0], base)
+
+    @pytest.mark.filterwarnings("error")
     def test_batch_flags_domain_violations(self, threepop, policy_boundary):
         good = z_state((0.4, 0.5, 0.6))
         bad = z_state((0.0, 0.0, 0.0))

@@ -249,8 +249,58 @@ class TestPortrait:
             single = simulate(threepop, policy_boundary, start,
                               IntegrationConfig())
             assert np.array_equal(single.times, outcome.times)
-            np.testing.assert_allclose(single.states, outcome.states,
-                                       atol=1e-13)
+            assert np.array_equal(single.states, outcome.states)
+
+    def test_trajectory_does_not_depend_on_its_batch(self, threepop,
+                                                     policy_boundary):
+        rng = np.random.default_rng(73)
+        start = z_state((0.15, 0.45, 0.8))
+        others = [random_state(rng, threepop, interior=0.01)
+                  for _ in range(200)]
+        cfg = IntegrationConfig(dt=0.05, record_stride=9)
+        alone = simulate(threepop, policy_boundary, start, cfg)
+        for batch, pos in (([start, others[0]], 0),
+                           (others[:100] + [start] + others[100:], 100)):
+            outcome = phase_portrait(threepop, policy_boundary, batch,
+                                     cfg)[pos]
+            assert np.array_equal(outcome.times, alone.times)
+            assert np.array_equal(outcome.states, alone.states)
+            assert outcome.converged == alone.converged
+
+    def test_gains_match_one_run_per_gain(self, threepop, policy_boundary):
+        starts = five_start_states()
+        cfg = IntegrationConfig(dt=0.05, record_stride=13)
+        gains = [0.0, 0.6, 1.2]
+        merged = phase_portrait(threepop, policy_boundary,
+                                starts * len(gains), cfg,
+                                gains=np.repeat(gains, len(starts)))
+        for g, d in enumerate(gains):
+            policy = (ControlPolicy.off(2) if d == 0.0 else
+                      ControlPolicy(y_star=policy_boundary.y_star, d=d))
+            for idx, single in enumerate(phase_portrait(threepop, policy,
+                                                        starts, cfg)):
+                outcome = merged[g * len(starts) + idx]
+                assert np.array_equal(outcome.times, single.times)
+                assert np.array_equal(outcome.states, single.states)
+
+    @pytest.mark.parametrize("gains", [[1.2, -0.1], [1.2, np.nan],
+                                       [1.2, np.inf], [1.2]])
+    def test_bad_gains_are_refused(self, threepop, policy_boundary, gains):
+        with pytest.raises(ValueError, match="gains must be 2 finite"):
+            phase_portrait(threepop, policy_boundary, five_start_states()[:2],
+                           IntegrationConfig(), gains=gains)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_first_non_finite_start_is_named(self, threepop, bad):
+        starts = five_start_states()
+        starts[2] = z_state((0.5, bad, 0.5))
+        starts[4] = z_state((bad, 0.5, 0.5))
+        with pytest.raises(ValueError, match=r"^grid\[2\]: rows must be "
+                                             "finite and sum to 1"):
+            phase_portrait(threepop, ControlPolicy.off(2), starts,
+                           IntegrationConfig(dt=0.1, t_max=1.0))
+        with pytest.raises(ValueError, match=r"^x0: rows must be finite"):
+            simulate(threepop, ControlPolicy.off(2), starts[4])
 
     def test_reassembly_matches_per_member_scan(self, threepop,
                                                 policy_boundary):
