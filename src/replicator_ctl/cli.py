@@ -27,6 +27,7 @@ condition inapplicable, 4 finite-population assumption violated.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -368,21 +369,18 @@ def _cmd_sweep(manifest: dict[str, Any]) -> int:
         raise ScenarioError("sweep needs --d-values")
     if manifest.get("policy") is None:
         raise ScenarioError("sweep needs a target output (--policy/--y-star)")
-    for d in d_values:  # a negative or non-finite gain is an input error
-        ControlPolicy(y_star=policy.y_star, d=float(d))
     eq = unique_target_equilibrium(scenario, policy.y_star)
     states = np.array(_initial_states(manifest, scenario, cfg))
     _echo_manifest(manifest)
     prov = _provenance(manifest, scenario)
-    # every gain in one batch, cut only where the merged starts would
-    # outgrow the lattice byte budget; bits do not depend on the batch
+    # every gain in one batch, split only to fit the lattice byte budget;
+    # record just the first and final states, the only ones read here
+    cfg = dataclasses.replace(cfg, record_stride=cfg.n_steps)
     per_batch = max(1, game.LATTICE_BYTE_BUDGET // (states.size * 8))
     distances = []
     for lo in range(0, len(d_values), per_batch):
-        group = d_values[lo:lo + per_batch]
-        results = phase_portrait(scenario, policy,
-                                 np.tile(states, (len(group), 1, 1)), cfg,
-                                 gains=np.repeat(group, len(states)))
+        results = phase_portrait(scenario, policy, states, cfg,
+                                 gains=d_values[lo:lo + per_batch])
         distances += [np.max(np.abs(outcome.final_state - eq.state))
                       if isinstance(outcome, Trajectory) else np.inf
                       for outcome in results]

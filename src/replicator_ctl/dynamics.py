@@ -165,7 +165,8 @@ def field_controlled(scenario: Scenario, x: np.ndarray,
     deriv, ok = batch_field(scenario, x[None], policy)
     if not ok[0]:
         y = aggregate_output(x, scenario)
-        i = int(np.argmin(np.where(policy.y_star > 0.0, y, np.inf)))
+        i = int(np.flatnonzero((policy.y_star > 0.0)
+                               & (y <= DOMAIN_THRESHOLD))[0])
         raise SimplexDomainError(f"targeted action {i} has aggregate share "
                                  f"{y[i]!r}; subsidy weight undefined")
     return deriv[0]

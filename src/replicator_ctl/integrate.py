@@ -157,6 +157,8 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         drift = np.abs(sums - 1.0) > renorm_tol
         if drift.any():
             fixed = np.where(drift[..., None], fixed / sums[..., None], fixed)
+        if not ok.all():  # a failed member keeps its raw RK4 result
+            fixed[~ok] = x_new[~ok]
     return fixed, ok
 
 
@@ -172,10 +174,8 @@ def rk4_step(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     fixed, ok = _rk4_step(lambda batch: field(batch[0])[None], x[None], dt,
                           renorm_tol)
     if not ok[0]:
-        raise StepError(
-            f"step of size {dt!r} produced an inadmissible state "
-            f"(min coordinate {np.nanmin(fixed)!r})"
-        )
+        raise StepError(f"step of size {dt!r} produced an inadmissible state "
+                        f"(min coordinate {np.nanmin(fixed)!r})")
     return fixed[0]
 
 
@@ -217,9 +217,8 @@ class _BatchRun:
         self.policy = policy
         self.cfg = cfg
         self.observer = observer
-        if gains is None:
-            gains = np.full(states0.shape[0], policy.d)
-        self.gains = gains
+        self.gains = (np.full(states0.shape[0], policy.d) if gains is None
+                      else gains)
         self.n_members = states0.shape[0]
         self.records: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.converged = np.zeros(self.n_members, dtype=bool)
@@ -236,8 +235,7 @@ class _BatchRun:
             x, dt, self.cfg.renorm_tol)
 
     def _retry(self, x: np.ndarray, gains: np.ndarray) -> np.ndarray | None:
-        """Re-take the step of one member, x of shape (1, m, n), as 2^j
-        substeps of dt / 2^j; None if every halving level fails."""
+        """Re-take a (1, m, n) step as 2^j substeps of dt / 2^j, else None."""
         for level in range(self.cfg.max_halvings + 1):
             current = x
             for _ in range(1 << level):
@@ -259,7 +257,6 @@ class _BatchRun:
             v_prev = self.observer.values(states0)
         self.records.append((0, ids, states0.copy()))
         n_steps = cfg.n_steps
-
         for step in range(1, n_steps + 1):
             fixed, ok = self._step(x, gains, cfg.dt)
             all_ok = ok.all()
@@ -269,10 +266,9 @@ class _BatchRun:
                 if retried is None:
                     member = int(ids[local])
                     self.failures[member] = IntegrationError(
-                        f"trajectory {member}: step failed at "
-                        f"t={step * cfg.dt:.6g} after "
-                        f"{cfg.max_halvings} halvings of dt={cfg.dt}"
-                    )
+                        f"trajectory {member}: step failed at t="
+                        f"{step * cfg.dt:.6g} after {cfg.max_halvings} "
+                        f"halvings of dt={cfg.dt}")
                 else:
                     fixed[local] = retried
                     ok[local] = True
@@ -295,13 +291,11 @@ class _BatchRun:
                 v_prev = v_new
 
             record_now = (step % cfg.record_stride == 0) or (step == n_steps)
+            keep = ok if record_now else just_converged
             if record_now and all_ok:
                 self.records.append((step, ids, fixed))
-            elif record_now and ok.any():
-                self.records.append((step, ids[ok], fixed[ok]))
-            elif just_converged.any():
-                self.records.append((step, ids[just_converged],
-                                     fixed[just_converged]))
+            elif keep.any():
+                self.records.append((step, ids[keep], fixed[keep]))
 
             ending = just_converged if all_ok else just_converged | ~ok
             if ending.any():
@@ -393,24 +387,25 @@ def phase_portrait(scenario: Scenario, policy: ControlPolicy,
     Per-trajectory failures are returned in place (as IntegrationError
     objects) without aborting the rest of the batch.
 
-    ``gains``, if given, holds one subsidy gain per start (finite, >= 0)
-    in place of ``policy.d``; the policy then supplies only the target.
-    Start i's trajectory has the same bits as a run of
-    ``ControlPolicy(policy.y_star, gains[i])``: no trajectory depends on
+    ``gains``, if given, lists subsidy gains (finite, >= 0) that replace
+    ``policy.d``, the policy then supplying only the target: every start
+    runs once under each gain, and result ``g * len(grid) + i`` is start i
+    under ``gains[g]``.  It has the same bits as a run of
+    ``ControlPolicy(policy.y_star, gains[g])``: no trajectory depends on
     which other starts or gains share its batch.
     """
     states0 = np.array(grid, dtype=float)
-    if states0.size == 0:
-        return []
-    for idx in range(states0.shape[0]):
+    for idx in range(len(states0)):
         _check_interior(states0[idx], scenario, cfg.interior_floor,
                         f"grid[{idx}]")
     if gains is not None:
         gains = np.array(gains, dtype=float)
-        if (gains.shape != states0.shape[:1]
-                or not np.all((gains >= 0.0) & (gains < np.inf))):
-            raise ValueError(f"gains must be {len(states0)} finite values "
-                             f">= 0, got {gains}")
+        if gains.ndim != 1 or not np.all((gains >= 0.0) & (gains < np.inf)):
+            raise ValueError(f"gains must be finite values >= 0, got {gains}")
+        gains, states0 = (np.repeat(gains, len(states0)),
+                          np.tile(states0, (gains.size, 1, 1)))
+    if states0.size == 0:
+        return []
     return _BatchRun(scenario, policy, states0, cfg, observer,
                      gains).results()
 
@@ -428,10 +423,16 @@ def detect_convergence(traj: Trajectory,
     if states.shape[0] < 2:
         return ConvergenceVerdict(False, None, None)
     deltas = np.max(np.abs(np.diff(states, axis=0)), axis=(1, 2))
-    window = min(cfg.convergence_window, deltas.size)
+    below = deltas < cfg.convergence_tol
+    window = cfg.convergence_window
+    if below.size < window:
+        if np.all(below):
+            return ConvergenceVerdict(True, float(traj.times[-1]),
+                                      states[-1].copy())
+        return ConvergenceVerdict(False, None, None)
     run_length = 0
-    for idx, below in enumerate(deltas < cfg.convergence_tol):
-        run_length = run_length + 1 if below else 0
+    for idx, flag in enumerate(below):
+        run_length = run_length + 1 if flag else 0
         if run_length >= window:
             return ConvergenceVerdict(True, float(traj.times[idx + 1]),
                                       states[idx + 1].copy())

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -331,20 +332,33 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "phase_portrait", counted)
         assert self._sweep(tmp_path / "one", "0.6,1.2,1.5") == 0
-        assert calls == [6]
+        assert calls == [3]
         # room for the two starts (3 x 2 shares each) of two gains
         monkeypatch.setattr(game, "LATTICE_BYTE_BUDGET", 2 * 2 * 3 * 2 * 8)
         assert self._sweep(tmp_path / "two", "0.6,1.2,1.5") == 0
-        assert calls == [6, 4, 2]
+        assert calls == [3, 2, 1]
         assert ((tmp_path / "one" / "sweep.csv").read_bytes()
                 == (tmp_path / "two" / "sweep.csv").read_bytes())
 
     @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
     def test_bad_gain_exits_1(self, tmp_path, capsys, value):
         assert self._sweep(tmp_path / "sweep", f"1.2,{value}") == 1
-        assert ("average subsidy d must be >= 0"
-                in capsys.readouterr().err)
+        assert "gains must be finite values >= 0" in capsys.readouterr().err
         assert not (tmp_path / "sweep" / "sweep.csv").exists()
+
+    def test_many_gains_at_stride_1_keep_only_final_states(self, tmp_path):
+        # the default stride records every step, but sweep reads only each
+        # final state: merging 24 gains must not hold 24 gains' steps
+        argv = ["sweep", "--scenario", SCENARIO, "--policy", POLICY_BOUNDARY,
+                "--d-values", ",".join(["0.05"] * 24), "--dt", "0.05",
+                "--t-max", "100", "--grid", "3", "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestAgents:

@@ -49,6 +49,16 @@ class TestSubsidyWeights:
             field_controlled(threepop, make_state([[0.0, 1.0]] * 3),
                              policy_boundary)
 
+    def test_domain_violation_names_the_first_targeted_action(self):
+        # two targeted actions at or below the threshold: the first is named,
+        # though the second has the smaller share
+        scenario = Scenario(payoffs=np.stack([np.eye(3)] * 2),
+                            shares=np.array([0.5, 0.5]))
+        policy = ControlPolicy(y_star=np.array([0.5, 0.5, 0.0]), d=1.0)
+        with pytest.raises(SimplexDomainError, match="targeted action 0"):
+            field_controlled(scenario, make_state([[1e-13, 0.0, 1 - 1e-13]]
+                                                  * 2), policy)
+
     def test_per_agent_amount(self, policy_boundary):
         y = np.array([0.5, 0.5])
         assert per_agent_subsidy(policy_boundary, y, 0) == pytest.approx(2.4)

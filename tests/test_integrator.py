@@ -72,6 +72,13 @@ class TestStep:
         with pytest.raises(StepError):
             rk4_step(field, x, 0.01)
 
+    def test_step_error_names_the_raw_minimum(self):
+        # the failed step drifts off sum 1; the message quotes the coordinate
+        # that failed, not its renormalized value
+        field = lambda s: np.array([[-1e6, 0.0]])
+        with pytest.raises(StepError, match=r"min coordinate \S*-9999\.5"):
+            rk4_step(field, np.array([[0.5, 0.5]]), 0.01)
+
 
 class TestSimulate:
     def test_boundary_target_run(self, threepop, policy_boundary):
@@ -271,9 +278,9 @@ class TestPortrait:
         starts = five_start_states()
         cfg = IntegrationConfig(dt=0.05, record_stride=13)
         gains = [0.0, 0.6, 1.2]
-        merged = phase_portrait(threepop, policy_boundary,
-                                starts * len(gains), cfg,
-                                gains=np.repeat(gains, len(starts)))
+        merged = phase_portrait(threepop, policy_boundary, starts, cfg,
+                                gains=gains)
+        assert len(merged) == len(gains) * len(starts)
         for g, d in enumerate(gains):
             policy = (ControlPolicy.off(2) if d == 0.0 else
                       ControlPolicy(y_star=policy_boundary.y_star, d=d))
@@ -284,9 +291,9 @@ class TestPortrait:
                 assert np.array_equal(outcome.states, single.states)
 
     @pytest.mark.parametrize("gains", [[1.2, -0.1], [1.2, np.nan],
-                                       [1.2, np.inf], [1.2]])
+                                       [1.2, np.inf], [[1.2]]])
     def test_bad_gains_are_refused(self, threepop, policy_boundary, gains):
-        with pytest.raises(ValueError, match="gains must be 2 finite"):
+        with pytest.raises(ValueError, match="gains must be finite values"):
             phase_portrait(threepop, policy_boundary, five_start_states()[:2],
                            IntegrationConfig(), gains=gains)
 
