@@ -182,8 +182,7 @@ def _build_manifest(args: argparse.Namespace, command: str) -> dict[str, Any]:
     sampling = dict(manifest.get("sampling") or {})
     for arg_key, cfg_key in (("grid_per_dim", "grid_per_dim"),
                              ("samples", "random_samples"),
-                             ("ascent_iters", "ascent_iters"),
-                             ("matching_samples", "matching_samples")):
+                             ("ascent_iters", "ascent_iters")):
         value = getattr(args, arg_key, None)
         if value is not None:
             sampling[cfg_key] = value
@@ -493,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--grid-per-dim", dest="grid_per_dim", type=int)
     ver.add_argument("--samples", type=int, help="random sample count")
     ver.add_argument("--ascent-iters", dest="ascent_iters", type=int)
-    ver.add_argument("--matching-samples", dest="matching_samples", type=int)
 
     swp = subs.add_parser("sweep", help="convergence fraction per subsidy level")
     _add_common(swp)

@@ -43,6 +43,7 @@ __all__ = [
     "batch_field",
     "field_controlled",
     "field_uncontrolled",
+    "output_payoffs",
     "per_agent_subsidy",
     "region_bounds",
     "subsidy_weight",
@@ -172,6 +173,29 @@ def field_controlled(scenario: Scenario, x: np.ndarray,
     return deriv[0]
 
 
+def output_payoffs(scenario: Scenario, x: np.ndarray,
+                   y: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Aggregate output y = Σ_k v^k x^k and action payoffs F = A^k y.
+
+    ``x`` holds states member axis last, shape (m, n, B); y has shape
+    (n, B) and F shape (m, n, B).  A given ``y``, shape (n, B) or (n, 1),
+    is used in place of the aggregate of ``x``.  Both sums run over the
+    small axes in a fixed order, as elementwise operations along the batch
+    (no einsum, tensordot or BLAS), so a member's bits do not depend on the
+    rest of its batch.
+    """
+    shares, payoffs = scenario.shares, scenario.payoffs
+    if y is None:
+        y = shares[0] * x[0]
+        for k in range(1, shares.shape[0]):
+            y += shares[k] * x[k]
+    F = payoffs[:, :, 0, None] * y[0]
+    for j in range(1, y.shape[0]):
+        F += payoffs[:, :, j, None] * y[j]
+    return y, F
+
+
 def batch_field(scenario: Scenario, states: np.ndarray,
                 policy: ControlPolicy, gains: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -179,8 +203,8 @@ def batch_field(scenario: Scenario, states: np.ndarray,
 
     F = A^k y + d·f(y) folds the subsidy into the payoffs.  Every sum runs
     over the small m and n axes in a fixed order, as elementwise operations
-    along the batch (no einsum, tensordot or BLAS), so a member's bits do
-    not depend on the rest of its batch.  ``gains``, shape (B,), gives
+    along the batch (see :func:`output_payoffs`), so a member's bits do not
+    depend on the rest of its batch.  ``gains``, shape (B,), gives
     each member its own gain in place of ``policy.d``.  A member with gain
     0 gets exactly the uncontrolled field and is not domain-checked.
 
@@ -190,16 +214,10 @@ def batch_field(scenario: Scenario, states: np.ndarray,
     below DOMAIN_THRESHOLD.
     """
     states = np.asarray(states, dtype=float)
-    m, n = states.shape[1:]
+    n = states.shape[2]
     # member axis last: every operation below runs along the batch
     x = np.ascontiguousarray(states.transpose(1, 2, 0))      # (m, n, B)
-    shares, payoffs = scenario.shares, scenario.payoffs
-    y = shares[0] * x[0]                                     # (n, B)
-    for k in range(1, m):
-        y += shares[k] * x[k]
-    F = payoffs[:, :, 0, None] * y[0]                        # (m, n, B)
-    for j in range(1, n):
-        F += payoffs[:, :, j, None] * y[j]
+    y, F = output_payoffs(scenario, x)
     gains = policy.d if gains is None else gains
     controlled = np.asarray(gains) > 0.0
     ok = np.ones(states.shape[0], dtype=bool)

@@ -22,16 +22,20 @@ Off the matching set (states already producing y_star) the rate is negative
 iff d exceeds the state's critical subsidy -advantage / mismatch.  The
 sufficient condition for global stabilization is therefore: a unique target
 equilibrium, non-negative advantage on the matching set, and d above the
-supremum of the critical subsidy.  That supremum has no closed form, so it
-is *estimated* (grid + Dirichlet sampling + coordinate ascent, with the
-argmax reported so users can escalate resolution), never certified; the
-recommendation inflates the estimate by a safety margin.
+supremum of the critical subsidy.  The first is exact enumeration; on the
+matching set the advantage is linear, so its minimum is one exact LP.  The
+supremum has no closed form, so it is *estimated* (grid + Dirichlet
+sampling + coordinate ascent, with the argmax reported so users can
+escalate resolution), never certified; the recommendation inflates the
+estimate by a safety margin.
 
 Terminology used throughout: the *matching set* is the polytope of state
 combinations whose aggregate output equals y_star exactly.
 
-SciPy is imported inside the three functions that solve an LP or take a null
-space, so commands that never reach them do not pay for loading it.
+SciPy is imported only inside the two functions that solve an LP,
+:func:`min_advantage_on_matching_set` and ``_combo_solutions_lp`` (the
+enumeration for games with three or more actions), so commands that never
+reach them do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .dynamics import ControlPolicy, field_controlled, field_uncontrolled
+from .dynamics import (ControlPolicy, field_controlled, field_uncontrolled,
+                       output_payoffs)
 from .game import (CARRIER_THRESHOLD, Scenario, aggregate_output, carrier,
                    check_lattice_budget, lattice_product, simplex_lattice)
 
@@ -77,6 +82,10 @@ EQUILIBRIUM_TOL = 1e-9
 # Safety inflation applied to the estimated supremum before recommending.
 RECOMMEND_MARGIN = 0.1
 RECOMMEND_FLOOR = 1e-3
+
+# Rows of the sample pool evaluated per call, so the bound's memory does
+# not grow with the pool.
+CHUNK_ROWS = 16_384
 
 
 class InapplicableError(RuntimeError):
@@ -187,14 +196,28 @@ def lyapunov_value(x: np.ndarray, eq: TargetEquilibrium,
 
 
 def _advantage_batch(states: np.ndarray, eq: TargetEquilibrium,
-                     scenario: Scenario,
-                     outputs: np.ndarray | None = None) -> np.ndarray:
-    """Payoff advantage of the target profile at each state of a (B, m, n) batch."""
-    if outputs is None:
-        outputs = np.einsum("k,bki->bi", scenario.shares, states)
-    action_payoffs = np.tensordot(outputs, scenario.payoffs, axes=([1], [2]))
-    diff = eq.state[None, :, :] - states
-    return np.einsum("k,bki,bki->b", scenario.shares, diff, action_payoffs)
+                     scenario: Scenario, at_target: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Payoff advantage of the target profile at each state of a (B, m, n)
+    batch, and the outputs, shape (B, n).
+
+    ``at_target`` evaluates the payoffs at y_star instead of each state's
+    own output, as on the matching set.  The sums run in a fixed order
+    along the batch, so a state's bits do not depend on its batch.
+    """
+    states = np.asarray(states, dtype=float)
+    x = np.ascontiguousarray(states.transpose(1, 2, 0))      # (m, n, B)
+    y, F = output_payoffs(
+        scenario, x, eq.target_output[:, None] if at_target else None)
+    diff = eq.state[:, :, None] - x
+    m, n = eq.state.shape
+    per_pop = diff[:, 0] * F[:, 0]
+    for i in range(1, n):
+        per_pop += diff[:, i] * F[:, i]
+    advantage = scenario.shares[0] * per_pop[0]
+    for k in range(1, m):
+        advantage += scenario.shares[k] * per_pop[k]
+    return advantage, y.T
 
 
 def _mismatch_batch(outputs: np.ndarray, y_star: np.ndarray) -> np.ndarray:
@@ -209,9 +232,9 @@ def _mismatch_batch(outputs: np.ndarray, y_star: np.ndarray) -> np.ndarray:
 def lyapunov_rate(x: np.ndarray, eq: TargetEquilibrium, scenario: Scenario,
                   d: float) -> LyapunovRate:
     """Analytic certificate rate split into its advantage and mismatch parts."""
-    x = np.asarray(x, dtype=float)[None]
-    y = np.einsum("k,bki->bi", scenario.shares, x)
-    advantage = float(_advantage_batch(x, eq, scenario, y)[0])
+    advantage, y = _advantage_batch(np.asarray(x, dtype=float)[None], eq,
+                                    scenario)
+    advantage = float(advantage[0])
     mismatch = float(_mismatch_batch(y, eq.target_output)[0])
     return LyapunovRate(advantage=advantage, mismatch=mismatch,
                         rate=-advantage - d * mismatch)
@@ -252,8 +275,7 @@ class LyapunovObserver:
         return _values_batch(states, self._weights, self._log_star)
 
     def series(self, states: np.ndarray, d: float) -> dict[str, np.ndarray]:
-        outputs = np.einsum("k,tki->ti", self.scenario.shares, states)
-        advantage = _advantage_batch(states, self.eq, self.scenario, outputs)
+        advantage, outputs = _advantage_batch(states, self.eq, self.scenario)
         mismatch = _mismatch_batch(outputs, self.eq.target_output)
         return {
             "V": self.values(states),
@@ -265,7 +287,7 @@ class LyapunovObserver:
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Resolution knobs for the supremum estimate and matching-set scan."""
+    """Resolution knobs for the supremum estimate."""
 
     grid_per_dim: int = 15
     random_samples: int = 20_000
@@ -274,8 +296,6 @@ class SamplingConfig:
     tube_radius: float = 1e-6
     boundary_margin: float = 1e-6
     ascent_candidates: int = 10
-    matching_samples: int = 2_000
-    matching_burn_in: int = 1_000
 
 
 @dataclass(frozen=True)
@@ -298,14 +318,13 @@ def _dbar_batch(states: np.ndarray, eq: TargetEquilibrium, scenario: Scenario,
     outputs with a targeted share below the boundary margin, or mismatch
     numerically zero.
     """
-    outputs = np.einsum("k,bki->bi", scenario.shares, states)
+    advantage, outputs = _advantage_batch(states, eq, scenario)
     y_star = eq.target_output
     carried = y_star > 0.0
     off_tube = np.max(np.abs(outputs - y_star[None, :]), axis=1) >= tube_radius
     in_domain = np.all(outputs[:, carried] >= boundary_margin, axis=1)
     mismatch = _mismatch_batch(outputs, y_star)
     valid = off_tube & in_domain & (mismatch > MISMATCH_FLOOR)
-    advantage = _advantage_batch(states, eq, scenario, outputs)
     with np.errstate(divide="ignore", invalid="ignore"):
         dbar = -advantage / mismatch
     dbar = np.where(valid, dbar, -np.inf)
@@ -340,59 +359,92 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
         np.ones(scenario.n_actions),
         size=(sampling.random_samples, scenario.n_populations),
     )
-    pool = np.concatenate([grid, random_states])
-    dbar, valid = _dbar_batch(pool, eq, scenario,
-                              sampling.tube_radius, sampling.boundary_margin)
-    if not np.any(valid):
+    dbar = np.concatenate([
+        _dbar_batch(part[start:start + CHUNK_ROWS], eq, scenario,
+                    sampling.tube_radius, sampling.boundary_margin)[0]
+        for part in (grid, random_states)
+        for start in range(0, part.shape[0], CHUNK_ROWS)])
+    # a valid state's dbar is finite: its mismatch exceeds MISMATCH_FLOOR
+    if not np.any(dbar > -np.inf):
         raise InapplicableError(
             "no admissible states found outside the matching set; "
             "increase sampling resolution", reason="sampling_exhausted",
         )
     order = np.argsort(dbar)[::-1]
-    seeds = pool[order[:sampling.ascent_candidates]]
 
-    def evaluate(state: np.ndarray) -> float:
-        value, ok = _dbar_batch(state[None], eq, scenario,
-                                sampling.tube_radius, sampling.boundary_margin)
-        return float(value[0]) if ok[0] else -np.inf
+    def pool_state(index: int) -> np.ndarray:
+        if index < grid.shape[0]:
+            return grid[index]
+        return random_states[index - grid.shape[0]]
 
-    n_evals = 0
+    seeds = np.array([pool_state(index)
+                      for index in order[:sampling.ascent_candidates]])
+    value, state, n_evals = _lockstep_ascent(
+        seeds.reshape(-1, scenario.n_populations, scenario.n_actions),
+        eq, scenario, sampling)
     best_value = float(dbar[order[0]])
-    best_state = pool[order[0]].copy()
-    m, n = scenario.n_populations, scenario.n_actions
-    for seed_state in seeds:
-        current = seed_state.copy()
-        current_value = evaluate(current)
-        n_evals += 1
-        step = 0.25
-        for _ in range(sampling.ascent_iters):
-            improved = False
-            for k in range(m):
-                for i in range(n):
-                    for j in range(n):
-                        if i == j or current[k, j] <= 0.0:
-                            continue
-                        moved = min(step, current[k, j])
-                        candidate = current.copy()
-                        candidate[k, j] -= moved
-                        candidate[k, i] += moved
-                        value = evaluate(candidate)
-                        n_evals += 1
-                        if value > current_value:
-                            current = candidate
-                            current_value = value
-                            improved = True
-            if not improved:
-                step *= 0.5
-                if step < 1e-7:
-                    break
-        if current_value > best_value:
-            best_value = current_value
-            best_state = current
+    best_state = pool_state(order[0]).copy()
+    # seeds in seed order; a later one replaces the best only if greater
+    for seed_value, seed_state in zip(value, state):
+        if seed_value > best_value:
+            best_value = float(seed_value)
+            best_state = seed_state
     return BoundEstimate(value=best_value, argmax=best_state,
                          n_grid=grid.shape[0],
                          n_random=random_states.shape[0],
                          n_ascent_evals=n_evals)
+
+
+def _lockstep_ascent(seeds: np.ndarray, eq: TargetEquilibrium,
+                     scenario: Scenario, sampling: SamplingConfig
+                     ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Coordinate ascent of the critical subsidy from each seed state.
+
+    Each seed climbs on its own: at every (iteration, k, i, j) move
+    position it tries moving ``min(step, x[k, j])`` of population k's mass
+    from action j to action i and keeps the move if it strictly raises its
+    value; a sweep without a kept move halves its step, and a step below
+    1e-7 stops it.  All seeds pass the move positions together, one
+    :func:`_dbar_batch` call per position over the seeds that try it;
+    since a state's value does not depend on its batch, every seed ends
+    exactly where it would climbing alone.  Returns the final values and
+    states and the number of states evaluated.
+    """
+    def evaluate(states: np.ndarray) -> np.ndarray:
+        return _dbar_batch(states, eq, scenario, sampling.tube_radius,
+                           sampling.boundary_margin)[0]
+
+    current = seeds.copy()
+    current_value = evaluate(current)
+    n_evals = current.shape[0]
+    step = np.full(current.shape[0], 0.25)
+    active = np.ones(current.shape[0], dtype=bool)
+    m, n = scenario.n_populations, scenario.n_actions
+    moves = [(k, i, j) for k in range(m) for i in range(n) for j in range(n)
+             if i != j]
+    for _ in range(sampling.ascent_iters):
+        if not active.any():
+            break
+        improved = np.zeros(current.shape[0], dtype=bool)
+        for k, i, j in moves:
+            tried = np.flatnonzero(active & (current[:, k, j] > 0.0))
+            if tried.size == 0:
+                continue
+            candidate = current[tried]
+            moved = np.minimum(step[tried], candidate[:, k, j])
+            candidate[:, k, j] -= moved
+            candidate[:, k, i] += moved
+            value = evaluate(candidate)
+            n_evals += tried.size
+            better = value > current_value[tried]
+            kept = tried[better]
+            current[kept] = candidate[better]
+            current_value[kept] = value[better]
+            improved[kept] = True
+        stalled = active & ~improved
+        step[stalled] *= 0.5
+        active &= ~(stalled & (step < 1e-7))
+    return current_value, current, n_evals
 
 
 # ---------------------------------------------------------------------------
@@ -403,144 +455,50 @@ def _matching_system(scenario: Scenario,
                      y_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Equality system E z = b over flattened states: aggregates + row sums."""
     m, n = scenario.n_populations, scenario.n_actions
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = np.zeros(m * n)
-        for k in range(m):
-            row[k * n + i] = scenario.shares[k]
-        rows.append(row)
-        rhs.append(y_star[i])
-    for k in range(m):
-        row = np.zeros(m * n)
-        row[k * n: (k + 1) * n] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    return np.array(rows), np.array(rhs)
+    aggregates = np.kron(scenario.shares[None, :], np.eye(n))
+    row_sums = np.kron(np.eye(m), np.ones((1, n)))
+    return (np.vstack([aggregates, row_sums]),
+            np.concatenate([y_star, np.ones(m)]))
 
 
-def _matching_feasible_point(scenario: Scenario,
-                             y_star: np.ndarray) -> np.ndarray:
-    """A maximally interior point of the matching set, via a Chebyshev-style LP."""
+@dataclass(frozen=True)
+class MatchingSetSummary:
+    """Minimum of the payoff advantage over the matching set, and a state
+    of the matching set where it is attained."""
+
+    min_advantage: float
+    witness: np.ndarray
+
+
+def min_advantage_on_matching_set(eq: TargetEquilibrium,
+                                  scenario: Scenario) -> MatchingSetSummary:
+    """Minimum payoff advantage over states that already produce the target.
+
+    On the matching set the output is pinned to y_star, so the advantage
+    F1 = sum_k v^k (x_star^k - x^k) . A^k y_star is linear in the state, and
+    its minimum is one exact LP over the matching system.  The advantage is
+    then evaluated at the LP's vertex (the witness), so the verdict rests on
+    this package's arithmetic, not on the solver's objective.  Raises
+    :class:`InapplicableError` when the target output is unreachable.
+    """
     from scipy.optimize import linprog
-    m, n = scenario.n_populations, scenario.n_actions
+    y_star = eq.target_output
     eq_mat, eq_rhs = _matching_system(scenario, y_star)
-    n_vars = m * n
-    # variables: z (n_vars) then slack t; maximize t s.t. z_ki >= t
-    c = np.zeros(n_vars + 1)
-    c[-1] = -1.0
-    a_eq = np.hstack([eq_mat, np.zeros((eq_mat.shape[0], 1))])
-    a_ub = np.hstack([-np.eye(n_vars), np.ones((n_vars, 1))])
-    b_ub = np.zeros(n_vars)
-    bounds = [(0.0, 1.0)] * n_vars + [(0.0, 1.0)]
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=eq_rhs,
-                     bounds=bounds, method="highs")
+    cost = -(scenario.shares[:, None] * (scenario.payoffs @ y_star))
+    result = linprog(cost.reshape(-1), A_eq=eq_mat, b_eq=eq_rhs,
+                     bounds=(0.0, None), method="highs")
     if not result.success:
         raise InapplicableError(
             f"target output {y_star} is unreachable for these population "
             "shares (matching set empty)", reason="matching_set_empty",
         )
-    return result.x[:-1].reshape(m, n)
-
-
-def _matching_vertices(scenario: Scenario, y_star: np.ndarray) -> np.ndarray:
-    """Exact vertex enumeration of the matching set for two-action games.
-
-    With n = 2 the polytope is a hyperplane section of the unit box in the
-    per-population first-action shares w: sum_k v^k w_k = y_star_1.  Its
-    vertices fix all but one coordinate at a bound.
-    """
-    if scenario.n_actions != 2:
-        raise ValueError("vertex enumeration implemented for n = 2 only")
-    m = scenario.n_populations
-    shares = scenario.shares
-    target = y_star[0]
-    vertices: list[tuple[float, ...]] = []
-    seen = set()
-    for free in range(m):
-        others = [k for k in range(m) if k != free]
-        for bits in product((0.0, 1.0), repeat=m - 1):
-            partial = sum(shares[k] * w for k, w in zip(others, bits))
-            w_free = (target - partial) / shares[free]
-            if -1e-12 <= w_free <= 1.0 + 1e-12:
-                w = np.zeros(m)
-                for k, val in zip(others, bits):
-                    w[k] = val
-                w[free] = min(1.0, max(0.0, w_free))
-                key = tuple(np.round(w, 12))
-                if key not in seen:
-                    seen.add(key)
-                    vertices.append(w)
-    if not vertices:
-        return np.zeros((0, m, 2))
-    w_arr = np.array(vertices)
-    return np.stack([w_arr, 1.0 - w_arr], axis=2)
-
-
-@dataclass(frozen=True)
-class MatchingSetSummary:
-    """Result of scanning the matching set for the advantage minimum."""
-
-    min_advantage: float
-    witness: np.ndarray
-    n_samples: int
-    n_vertices: int
-
-
-def min_advantage_on_matching_set(eq: TargetEquilibrium, scenario: Scenario,
-                                  samples: int = 2_000, seed: int = 0,
-                                  burn_in: int = 1_000) -> MatchingSetSummary:
-    """Minimum payoff advantage over states that already produce the target.
-
-    On the matching set the output is pinned to y_star, so the advantage is
-    linear in the state and its minimum sits at a vertex; for two-action
-    games with up to four populations the vertices are enumerated exactly,
-    and a hit-and-run chain from a maximally interior point covers the rest
-    (and higher-dimensional cases).  Raises :class:`InapplicableError` when
-    the target output is unreachable.
-    """
-    from scipy.linalg import null_space
-    y_star = eq.target_output
-    start = _matching_feasible_point(scenario, y_star)
     m, n = scenario.n_populations, scenario.n_actions
-    eq_mat, _ = _matching_system(scenario, y_star)
-    basis = null_space(eq_mat)
-    rng = np.random.default_rng(seed)
-    chain_points = [start.reshape(-1)]
-    if basis.shape[1] > 0:
-        z = start.reshape(-1).copy()
-        total = burn_in + samples
-        for it in range(total):
-            direction = basis @ rng.standard_normal(basis.shape[1])
-            norm = np.linalg.norm(direction)
-            if norm < 1e-14:
-                continue
-            direction /= norm
-            positive = direction > 1e-14
-            negative = direction < -1e-14
-            upper = np.min(-z[negative] / direction[negative]) if np.any(negative) else 0.0
-            lower = np.max(-z[positive] / direction[positive]) if np.any(positive) else 0.0
-            if upper - lower < 1e-14:
-                continue
-            z = z + rng.uniform(lower, upper) * direction
-            z = np.clip(z, 0.0, None)
-            if it >= burn_in:
-                chain_points.append(z.copy())
-    states = np.array(chain_points).reshape(-1, m, n)
-    if n == 2 and m <= 4:
-        vertices = _matching_vertices(scenario, y_star)
-    else:
-        vertices = np.zeros((0, m, n))
-    candidates = np.concatenate([states, vertices]) if vertices.size else states
-    outputs = np.tile(y_star, (candidates.shape[0], 1))
-    advantage = _advantage_batch(candidates, eq, scenario, outputs)
-    best = int(np.argmin(advantage))
-    return MatchingSetSummary(
-        min_advantage=float(advantage[best]),
-        witness=candidates[best],
-        n_samples=states.shape[0],
-        n_vertices=vertices.shape[0],
-    )
+    # + 0.0 turns the solver's -0.0 entries into 0.0 for report.json
+    witness = result.x.reshape(m, n) + 0.0
+    advantage, _ = _advantage_batch(witness[None], eq, scenario,
+                                    at_target=True)
+    return MatchingSetSummary(min_advantage=float(advantage[0]),
+                              witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -627,26 +585,10 @@ def _combo_solutions_lp(scenario: Scenario, y_star: np.ndarray,
     """General-n fallback: linear-programming feasibility plus extent probing."""
     from scipy.optimize import linprog
     m, n = scenario.n_populations, scenario.n_actions
-    var_index: dict[tuple[int, int], int] = {}
-    for k, sup in enumerate(supports):
-        for i in sup:
-            var_index[(k, i)] = len(var_index)
-    n_vars = len(var_index)
-    rows, rhs = [], []
-    for i in range(n):
-        row = np.zeros(n_vars)
-        for k in range(m):
-            if (k, i) in var_index:
-                row[var_index[(k, i)]] = scenario.shares[k]
-        rows.append(row)
-        rhs.append(y_star[i])
-    for k in range(m):
-        row = np.zeros(n_vars)
-        for i in supports[k]:
-            row[var_index[(k, i)]] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    a_eq, b_eq = np.array(rows), np.array(rhs)
+    columns = [k * n + i for k, sup in enumerate(supports) for i in sup]
+    eq_mat, b_eq = _matching_system(scenario, y_star)
+    a_eq = eq_mat[:, columns]
+    n_vars = len(columns)
     bounds = [(0.0, 1.0)] * n_vars
     base = linprog(np.zeros(n_vars), A_eq=a_eq, b_eq=b_eq, bounds=bounds,
                    method="highs")
@@ -654,10 +596,9 @@ def _combo_solutions_lp(scenario: Scenario, y_star: np.ndarray,
         return [], False
 
     def to_state(z: np.ndarray) -> np.ndarray:
-        state = np.zeros((m, n))
-        for (k, i), idx in var_index.items():
-            state[k, i] = z[idx]
-        return state
+        state = np.zeros(m * n)
+        state[columns] = z
+        return state.reshape(m, n)
 
     is_point = True
     for idx in range(n_vars):
@@ -794,9 +735,7 @@ def recommend_subsidy(scenario: Scenario, y_star: np.ndarray,
         report.reason = "multiple_target_equilibria"
         return report
     eq = equilibria[0]
-    matching = min_advantage_on_matching_set(
-        eq, scenario, samples=sampling.matching_samples,
-        seed=sampling.seed, burn_in=sampling.matching_burn_in)
+    matching = min_advantage_on_matching_set(eq, scenario)
     bound = estimate_subsidy_bound(eq, scenario, sampling)
     report.min_advantage = matching.min_advantage
     report.min_advantage_witness = matching.witness
@@ -806,8 +745,6 @@ def recommend_subsidy(scenario: Scenario, y_star: np.ndarray,
         "grid": bound.n_grid,
         "random": bound.n_random,
         "ascent_evals": bound.n_ascent_evals,
-        "matching_samples": matching.n_samples,
-        "matching_vertices": matching.n_vertices,
     }
     if matching.min_advantage < -EQUILIBRIUM_TOL:
         report.reason = "advantage_negative_on_matching_set"

@@ -94,3 +94,29 @@ def random_policy(rng: np.random.Generator, scenario: Scenario,
         y_star /= y_star.sum()
     d = float(rng.uniform(*d_range))
     return ControlPolicy(y_star=y_star, d=d)
+
+
+# 1-based trials of recipe_game whose advantage is negative on the matching
+# set, with its exact minimum; a 3,000-step hit-and-run chain over the set
+# found only positive values there (+0.147, +0.043, +0.023)
+RECIPE_REFUSED = {30: -0.10274, 38: -0.01435, 42: -0.07320}
+
+
+def recipe_game(trial: int) -> tuple[Scenario, np.ndarray]:
+    """Trial ``trial`` of a seeded stream of random games and targets.
+
+    Each trial draws m in [3, 7), n in [2, 4), payoffs U(-1, 1), Dirichlet
+    shares and a pure profile whose aggregate is the target; a trial whose
+    target has a share above 0.999 counts but is not used.
+    """
+    rng = np.random.default_rng(7)
+    for _ in range(trial):
+        m = rng.integers(3, 7)
+        n = rng.integers(2, 4)
+        payoffs = rng.uniform(-1.0, 1.0, (m, n, n))
+        shares = rng.dirichlet(np.ones(m))
+        profile = rng.integers(0, n, m)
+    y_star = np.zeros(n)
+    np.add.at(y_star, profile, shares)
+    assert y_star.max() <= 0.999
+    return Scenario(payoffs=payoffs, shares=shares), y_star

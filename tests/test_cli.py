@@ -17,7 +17,8 @@ from replicator_ctl import (ControlPolicy, IntegrationConfig, Scenario,
 from replicator_ctl import cli, game
 from replicator_ctl.cli import main
 from replicator_ctl.stability import unique_target_equilibrium
-from conftest import THREEPOP_PAYOFFS, THREEPOP_SHARES
+from conftest import (RECIPE_REFUSED, THREEPOP_PAYOFFS, THREEPOP_SHARES,
+                      recipe_game)
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO = str(REPO / "examples" / "threepop.json")
@@ -198,6 +199,46 @@ class TestVerify:
         report = read_json(out / "report.json")
         assert not report["applicable"]
         assert report["reason"] == "no_target_equilibrium"
+
+    def test_negative_advantage_on_matching_set_exits_3(self, tmp_path,
+                                                         capsys):
+        scen, y_star = recipe_game(42)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scen.to_dict()))
+        out = tmp_path / "verify"
+        code = main(["verify", "--scenario", str(scenario),
+                     "--y-star", ",".join(map(repr, y_star.tolist())),
+                     "--d", "1", "--grid-per-dim", "2", "--samples", "500",
+                     "--out", str(out)])
+        assert code == 3
+        assert "advantage_negative_on_matching_set" in capsys.readouterr().err
+        report = read_json(out / "report.json")
+        assert not report["applicable"] and report["unique"]
+        assert report["reason"] == "advantage_negative_on_matching_set"
+        assert report["min_advantage"] == pytest.approx(RECIPE_REFUSED[42],
+                                                        abs=1e-5)
+        assert report["recommended_subsidy"] is None
+        assert sorted(report["sample_counts"]) == ["ascent_evals", "grid",
+                                                   "random"]
+
+    def test_matching_samples_setting_is_refused(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert main(["verify", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--out", str(first),
+                     "--grid-per-dim", "5", "--samples", "500"]) == 0
+        manifest = read_json(first / "manifest.json")
+        manifest["sampling"]["matching_samples"] = 2000
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["verify", "--manifest", str(path),
+                     "--out", str(tmp_path / "second")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: sampling config: ")
+        assert "matching_samples" in err
+        assert main(["verify", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--out", str(first),
+                     "--matching-samples", "2000"]) == 1
 
     def test_oversized_lattice_exits_1(self, tmp_path):
         # a random (4,3) game at the default 15 points per edge asks for

@@ -4,6 +4,7 @@ equilibrium enumeration, and report assembly."""
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from replicator_ctl.stability import (
     unique_target_equilibrium,
 )
 from replicator_ctl.stability import _dbar_batch, _grid_states, _mismatch_batch
-from conftest import random_scenario, random_state, z_state
+from conftest import (RECIPE_REFUSED, random_scenario, random_state,
+                      recipe_game, z_state)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,89 @@ def eq_boundary(threepop):
 @pytest.fixture(scope="module")
 def eq_interior(threepop):
     return unique_target_equilibrium(threepop, np.array([0.8, 0.2]))
+
+
+def two_action_oracle(scen: Scenario, eq: TargetEquilibrium) -> float:
+    """Advantage minimum on a two-action matching set by its vertices.
+
+    The matching set is the section sum_k v^k w_k = y_star_1 of the box of
+    first-action shares w in [0, 1]^m; each vertex fixes all but one share
+    at a bound.
+    """
+    m = scen.n_populations
+    payoffs_at_target = scen.payoffs @ eq.target_output
+    best = np.inf
+    for free in range(m):
+        for bits in product((0.0, 1.0), repeat=m - 1):
+            w = np.insert(np.array(bits), free, 0.0)
+            w[free] = (eq.target_output[0] - scen.shares @ w) / scen.shares[free]
+            if not -1e-12 <= w[free] <= 1.0 + 1e-12:
+                continue
+            x = np.stack([w, 1.0 - w], axis=1)
+            advantage = np.sum(scen.shares[:, None] * (eq.state - x)
+                               * payoffs_at_target)
+            best = min(best, advantage)
+    return best
+
+
+def assert_on_matching_set(x: np.ndarray, scen: Scenario,
+                           y_star: np.ndarray) -> None:
+    np.testing.assert_allclose(aggregate_output(x, scen), y_star, atol=1e-9,
+                               rtol=0.0)
+    np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-12, rtol=0.0)
+    assert x.min() >= 0.0
+
+
+def sequential_bound(eq: TargetEquilibrium, scen: Scenario,
+                     sampling: SamplingConfig):
+    """Reference bound: the whole pool in one batch, then the coordinate
+    ascent one seed and one candidate state at a time.  Returns the value,
+    argmax, ascent evaluations and the sampled maximum."""
+    def evaluate(state):
+        value, ok = _dbar_batch(state[None], eq, scen, sampling.tube_radius,
+                                sampling.boundary_margin)
+        return float(value[0]) if ok[0] else -np.inf
+
+    rng = np.random.default_rng(sampling.seed)
+    pool = np.concatenate([
+        _grid_states(scen, sampling.grid_per_dim),
+        rng.dirichlet(np.ones(scen.n_actions),
+                      size=(sampling.random_samples, scen.n_populations))])
+    dbar, _ = _dbar_batch(pool, eq, scen, sampling.tube_radius,
+                          sampling.boundary_margin)
+    order = np.argsort(dbar)[::-1]
+    best_value, best_state = float(dbar[order[0]]), pool[order[0]].copy()
+    sampled = best_value
+    n_evals = 0
+    m, n = scen.n_populations, scen.n_actions
+    for seed_state in pool[order[:sampling.ascent_candidates]]:
+        current = seed_state.copy()
+        current_value = evaluate(current)
+        n_evals += 1
+        step = 0.25
+        for _ in range(sampling.ascent_iters):
+            improved = False
+            for k in range(m):
+                for i in range(n):
+                    for j in range(n):
+                        if i == j or current[k, j] <= 0.0:
+                            continue
+                        moved = min(step, current[k, j])
+                        candidate = current.copy()
+                        candidate[k, j] -= moved
+                        candidate[k, i] += moved
+                        value = evaluate(candidate)
+                        n_evals += 1
+                        if value > current_value:
+                            current, current_value = candidate, value
+                            improved = True
+            if not improved:
+                step *= 0.5
+                if step < 1e-7:
+                    break
+        if current_value > best_value:
+            best_value, best_state = current_value, current
+    return best_value, best_state, n_evals, sampled
 
 
 def ess_scenario():
@@ -210,14 +295,14 @@ class TestBoundEstimate:
         assert estimate.value <= 0.0
 
     def test_random_3x3_vertex_bound_is_pinned(self):
-        # value and argmax as the lattice built from per-state Python lists
-        # gave them, bit for bit
+        # value and argmax bit for bit, with every contraction summed in a
+        # fixed order (the einsum contraction gave 2.954995396511278)
         scen = random_scenario(np.random.default_rng(2024), m=3, n=3)
         eq = unique_target_equilibrium(scen, np.array([1.0, 0.0, 0.0]))
         estimate = estimate_subsidy_bound(
             eq, scen, SamplingConfig(grid_per_dim=10, random_samples=2_000,
                                      seed=7))
-        assert repr(estimate.value) == "2.954995396511278"
+        assert repr(estimate.value) == "2.9549953965112774"
         assert estimate.argmax.tolist() == [
             [1.0, 0.0, 0.0],
             [0.9999975893232558, 0.0, 2.4106767442244603e-06],
@@ -225,12 +310,84 @@ class TestBoundEstimate:
         ]
         assert (estimate.n_grid, estimate.n_ascent_evals) == (166_375, 2_691)
 
+    @pytest.mark.parametrize("case", ["random_3x3", "boundary", "interior",
+                                      "flat"])
+    @pytest.mark.parametrize("candidates", [10, 0])
+    def test_lockstep_ascent_equals_one_seed_at_a_time(self, threepop, case,
+                                                       candidates):
+        if case == "random_3x3":
+            scen = random_scenario(np.random.default_rng(2024), m=3, n=3)
+            eq = unique_target_equilibrium(scen, np.array([1.0, 0.0, 0.0]))
+            cfg = SamplingConfig(grid_per_dim=10, random_samples=2_000, seed=7,
+                                 ascent_candidates=candidates)
+        elif case == "flat":
+            # zero payoffs: every state ties, so only a strict > keeps a
+            # seed from accepting every move
+            scen = Scenario(payoffs=np.zeros((3, 2, 2)),
+                            shares=threepop.shares)
+            eq = TargetEquilibrium(state=z_state((0.5, 0.5, 0.5)),
+                                   target_output=np.array([0.5, 0.5]),
+                                   carriers=((0, 1),) * 3)
+            cfg = SamplingConfig(grid_per_dim=5, random_samples=100,
+                                 ascent_candidates=candidates)
+        else:
+            scen = threepop
+            target = [1.0, 0.0] if case == "boundary" else [0.8, 0.2]
+            eq = unique_target_equilibrium(scen, np.array(target))
+            cfg = SamplingConfig(seed=3, ascent_candidates=candidates)
+        estimate = estimate_subsidy_bound(eq, scen, cfg)
+        value, argmax, n_evals, sampled = sequential_bound(eq, scen, cfg)
+        assert repr(estimate.value) == repr(value)
+        assert np.array_equal(estimate.argmax, argmax)
+        assert estimate.n_ascent_evals == n_evals
+        if candidates == 0:
+            assert n_evals == 0 and estimate.value == sampled
+        else:
+            assert n_evals > 0 and estimate.value >= sampled
+
     def test_estimate_is_deterministic(self, threepop, eq_boundary):
         cfg = SamplingConfig(grid_per_dim=7, random_samples=2_000, seed=11)
         first = estimate_subsidy_bound(eq_boundary, threepop, cfg)
         second = estimate_subsidy_bound(eq_boundary, threepop, cfg)
         assert first.value == second.value
         assert np.array_equal(first.argmax, second.argmax)
+
+
+class TestBatchIndependence:
+    @staticmethod
+    def game(m: int, n: int):
+        rng = np.random.default_rng(1000 * m + n)
+        scen = random_scenario(rng, m=m, n=n)
+        target_state = random_state(rng, scen)
+        eq = TargetEquilibrium(
+            state=target_state,
+            target_output=aggregate_output(target_state, scen),
+            carriers=(tuple(range(n)),) * m)
+        states = np.array([random_state(rng, scen) for _ in range(300)])
+        return scen, eq, states
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (3, 4)])
+    def test_critical_subsidy_rows_equal_alone_and_in_a_batch(self, m, n):
+        scen, eq, states = self.game(m, n)
+        batch, batch_ok = _dbar_batch(states, eq, scen, 1e-6, 1e-6)
+        alone = [_dbar_batch(state[None], eq, scen, 1e-6, 1e-6)
+                 for state in states]
+        assert np.array_equal(np.concatenate([v for v, _ in alone]), batch)
+        assert np.array_equal(np.concatenate([ok for _, ok in alone]),
+                              batch_ok)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (3, 4)])
+    def test_observer_rows_equal_alone_and_in_a_batch(self, m, n):
+        scen, eq, states = self.game(m, n)
+        observer = LyapunovObserver(eq, scen)
+        batch = observer.series(states, d=1.3)
+        for idx in range(states.shape[0]):
+            alone = observer.series(states[idx:idx + 1], d=1.3)
+            for key in ("F1", "F2", "Vdot"):
+                assert np.array_equal(alone[key], batch[key][idx:idx + 1])
+            rate = lyapunov_rate(states[idx], eq, scen, 1.3)
+            assert rate.advantage == batch["F1"][idx]
+            assert rate.rate == batch["Vdot"][idx]
 
 
 class TestMatchingSet:
@@ -242,16 +399,15 @@ class TestMatchingSet:
 
     def test_interior_target_advantage_non_negative(self, threepop,
                                                     eq_interior):
-        summary = min_advantage_on_matching_set(eq_interior, threepop,
-                                                samples=3000, seed=1)
+        summary = min_advantage_on_matching_set(eq_interior, threepop)
         assert summary.min_advantage >= -1e-9
-        assert summary.n_vertices >= 2
+        assert summary.min_advantage == pytest.approx(
+            two_action_oracle(threepop, eq_interior), abs=1e-12)
 
     def test_witness_lies_on_matching_set(self, threepop, eq_interior):
-        summary = min_advantage_on_matching_set(eq_interior, threepop, seed=2)
-        y = aggregate_output(summary.witness, threepop)
-        np.testing.assert_allclose(y, eq_interior.target_output, atol=1e-9)
-        assert summary.witness.min() >= -1e-12
+        summary = min_advantage_on_matching_set(eq_interior, threepop)
+        assert_on_matching_set(summary.witness, threepop,
+                               eq_interior.target_output)
 
     def test_lopsided_target_scans_without_error(self, threepop):
         eq_states = find_target_equilibria(threepop, np.array([1.0, 0.0]))
@@ -260,10 +416,40 @@ class TestMatchingSet:
             target_output=np.array([0.99, 0.01]),
             carriers=eq_states[0].carriers,
         )
-        summary = min_advantage_on_matching_set(lopsided, threepop,
-                                                samples=500)
+        summary = min_advantage_on_matching_set(lopsided, threepop)
         assert np.isfinite(summary.min_advantage)
-        assert summary.n_samples >= 1
+        assert_on_matching_set(summary.witness, threepop,
+                               lopsided.target_output)
+        assert summary.min_advantage == pytest.approx(
+            two_action_oracle(threepop, lopsided), abs=1e-12)
+
+    def test_two_action_minimum_equals_the_vertex_oracle(self):
+        rng = np.random.default_rng(211)
+        for m in (2, 3, 4, 5, 6) * 4:
+            scen = random_scenario(rng, m=m, n=2)
+            state = random_state(rng, scen)
+            y_star = aggregate_output(state, scen)
+            eq = TargetEquilibrium(state=state, target_output=y_star,
+                                   carriers=((0, 1),) * m)
+            summary = min_advantage_on_matching_set(eq, scen)
+            assert_on_matching_set(summary.witness, scen, y_star)
+            assert summary.min_advantage == pytest.approx(
+                two_action_oracle(scen, eq), abs=1e-12)
+
+    @pytest.mark.parametrize("trial", RECIPE_REFUSED)
+    def test_negative_advantage_games_are_refused(self, trial):
+        scen, y_star = recipe_game(trial)
+        found = find_target_equilibria(scen, y_star)
+        assert len(found) == 1 and not found[0].continuum_vertex
+        summary = min_advantage_on_matching_set(found[0], scen)
+        assert summary.min_advantage == pytest.approx(
+            RECIPE_REFUSED[trial], abs=1e-5)
+        assert_on_matching_set(summary.witness, scen, y_star)
+        report = recommend_subsidy(
+            scen, y_star, SamplingConfig(grid_per_dim=2, random_samples=500))
+        assert not report.applicable
+        assert report.reason == "advantage_negative_on_matching_set"
+        assert report.recommended_subsidy is None
 
 
 class TestEquilibriumEnumeration:
