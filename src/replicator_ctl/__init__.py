@@ -28,16 +28,12 @@ from .dynamics import (
     SimplexDomainError,
     field_controlled,
     field_uncontrolled,
-    per_agent_subsidy,
     region_bounds,
-    subsidy_weight,
 )
 from .integrate import (
-    ConvergenceVerdict,
     IntegrationConfig,
     IntegrationError,
     Trajectory,
-    detect_convergence,
     interior_grid,
     phase_portrait,
     rk4_step,
@@ -49,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ControlPolicy",
-    "ConvergenceVerdict",
     "IntegrationConfig",
     "IntegrationError",
     "RegionBounds",
@@ -61,19 +56,16 @@ __all__ = [
     "aggregate_output",
     "average_payoff",
     "carrier",
-    "detect_convergence",
     "expected_payoff",
     "field_controlled",
     "field_uncontrolled",
     "interior_grid",
     "local_shift",
     "make_state",
-    "per_agent_subsidy",
     "phase_portrait",
     "region_bounds",
     "rk4_step",
     "scenario_digest",
     "simulate",
-    "subsidy_weight",
     "write_trajectory_csv",
 ]

@@ -10,7 +10,11 @@ to the population shares) and a current action each.  Per round:
 * each agent independently, with probability ``revision_prob``, samples a
   uniformly random member of its own population and imitates that member's
   action with probability proportional to the positive gap in subsidy-
-  augmented expected payoffs, normalized by (a_max - a_min + d).
+  augmented expected payoffs, normalized by (a_max - a_min + d).  Those
+  payoffs are A^k y_hat + d * f(y_hat), from
+  :func:`~replicator_ctl.dynamics.output_payoffs` and
+  :func:`~replicator_ctl.dynamics.subsidy_weights`, the same definitions
+  the continuum field uses.
 
 Proportional imitation with expected payoffs is the standard protocol whose
 mean field is the replicator equation; the expected one-round drift equals
@@ -37,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ControlPolicy
-from .game import CARRIER_THRESHOLD, Scenario
+from .dynamics import ControlPolicy, output_payoffs, subsidy_weights
+from .game import CARRIER_THRESHOLD, Scenario, aggregate_output
 
 __all__ = [
     "AgentPopulation",
@@ -200,15 +204,15 @@ def round_time_step(scenario: Scenario, policy: ControlPolicy,
     return revision_prob / (scenario.payoff_max - scenario.payoff_min + policy.d)
 
 
-def _payoff_table(scenario: Scenario, policy: ControlPolicy,
-                  y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expected subsidy-augmented payoff per (population, action), and the
-    subsidy row alone."""
-    subsidy = np.zeros(scenario.n_actions)
-    if policy.d > 0.0:
-        payable = (policy.y_star > 0.0) & (y_hat > 0.0)
-        subsidy[payable] = policy.d * policy.y_star[payable] / y_hat[payable]
-    return scenario.payoffs @ y_hat + subsidy[None, :], subsidy
+def _controlled_payoffs(scenario: Scenario, policy: ControlPolicy,
+                        y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The controlled payoff A^k y + d·f(y) per (population, action), folded
+    as :func:`~replicator_ctl.dynamics.batch_field` folds it, and the
+    subsidy row d·f(y) alone."""
+    _, table = output_payoffs(scenario, None, y)
+    f, _ = subsidy_weights(y, policy.y_star)
+    table -= (0.0 - policy.d) * f
+    return table, policy.d * f
 
 
 def run_round(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
@@ -221,7 +225,7 @@ def run_round(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
     """
     stats = _stats(pop, policy)
     y_hat = stats.empirical_output
-    table, subsidy = _payoff_table(scenario, policy, y_hat)
+    table, subsidy = _controlled_payoffs(scenario, policy, y_hat)
     normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
 
     rng = pop.rng
@@ -276,8 +280,8 @@ def expected_drift(scenario: Scenario, policy: ControlPolicy, x: np.ndarray,
     ``round_time_step(...) * field_controlled(...)`` exactly.
     """
     x = np.asarray(x, dtype=float)
-    y = scenario.shares @ x
-    table, _ = _payoff_table(scenario, policy, y)
+    table, _ = _controlled_payoffs(scenario, policy,
+                                   aggregate_output(x, scenario))
     normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
     drift = np.zeros_like(x)
     for k in range(scenario.n_populations):
@@ -292,8 +296,8 @@ def mean_field_scale(scenario: Scenario, policy: ControlPolicy,
                      x: np.ndarray) -> float:
     """Largest normalized payoff gap at a state; clipping binds iff > 1."""
     x = np.asarray(x, dtype=float)
-    y = scenario.shares @ x
-    table, _ = _payoff_table(scenario, policy, y)
+    table, _ = _controlled_payoffs(scenario, policy,
+                                   aggregate_output(x, scenario))
     normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
     return float((table.max(axis=1) - table.min(axis=1)).max() / normalizer)
 

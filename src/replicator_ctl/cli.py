@@ -44,8 +44,7 @@ from .agents import (
     write_rounds_csv,
 )
 from .dynamics import ControlPolicy
-from .game import (Scenario, ScenarioError, check_lattice_budget,
-                   scenario_digest)
+from .game import Scenario, ScenarioError, scenario_digest
 from .integrate import (
     IntegrationConfig,
     IntegrationError,
@@ -335,9 +334,6 @@ def _cmd_verify(manifest: dict[str, Any]) -> int:
         sampling = SamplingConfig(**sampling_spec)
     except TypeError as exc:
         raise ScenarioError(f"sampling config: {exc}") from exc
-    # refuse an oversized lattice before the equilibrium search runs
-    check_lattice_budget(scenario.n_populations, scenario.n_actions,
-                         sampling.grid_per_dim)
     _echo_manifest(manifest)
     prov = _provenance(manifest, scenario)
     out = manifest["out"]
@@ -397,7 +393,7 @@ def _cmd_sweep(manifest: dict[str, Any]) -> int:
 
 
 def _cmd_agents(manifest: dict[str, Any]) -> int:
-    scenario, policy, cfg = _resolve(manifest)
+    scenario, policy, _ = _resolve(manifest)
     agent_cfg = manifest.get("agents") or {}
     n_agents = int(agent_cfg.get("n_agents", 0))
     rounds = int(agent_cfg.get("rounds", 0))
@@ -425,8 +421,7 @@ def _cmd_agents(manifest: dict[str, Any]) -> int:
     horizon = rounds * dt_round
     ode_cfg = IntegrationConfig(dt=dt_round, t_max=horizon + 1e-12,
                                 convergence_window=10 ** 9,
-                                record_stride=1,
-                                interior_floor=cfg.interior_floor)
+                                record_stride=1)
     reference = simulate(scenario, policy, x0, ode_cfg)
     empirical = np.array([s.empirical_output for s in series])
     length = min(empirical.shape[0], reference.outputs.shape[0])

@@ -19,7 +19,13 @@ payoff-independent feedback term:
 
 f is only defined on states whose output keeps every targeted action alive
 (y_i > 0 wherever y_star_i > 0); leaving that set mid-integration is a step
-failure, not a model state, and raises :class:`SimplexDomainError`.
+failure, not a model state: `batch_field` flags the member and
+`field_controlled` raises :class:`SimplexDomainError`.
+
+The payoffs A^k y (`output_payoffs`, on the output of
+`game.aggregate_output`) and the weights f (`subsidy_weights`) are defined
+here once; the field, the certificate in `stability` and the finite agents
+all use these two.
 
 `region_bounds` packages the payoff extremes and the per-action floors
 M_i = d * y_star_i / (a_max - a_min + d): whenever a targeted aggregate
@@ -44,9 +50,8 @@ __all__ = [
     "field_controlled",
     "field_uncontrolled",
     "output_payoffs",
-    "per_agent_subsidy",
     "region_bounds",
-    "subsidy_weight",
+    "subsidy_weights",
 ]
 
 # A targeted aggregate share at or below this is treated as outside the
@@ -128,25 +133,22 @@ def region_bounds(scenario: Scenario, policy: ControlPolicy) -> RegionBounds:
     return RegionBounds(a_max=a_max, a_min=a_min, floors=floors, epsilon=epsilon)
 
 
-def subsidy_weight(y: np.ndarray, y_star: np.ndarray, i: int) -> float:
-    """Subsidy weight f_i(y): y_star_i / y_i for targeted actions, else 0."""
-    if y_star[i] <= 0.0:
-        return 0.0
-    if y[i] <= DOMAIN_THRESHOLD:
-        raise SimplexDomainError(
-            f"targeted action {i} has aggregate share {y[i]!r}; "
-            "subsidy weight undefined"
-        )
-    return float(y_star[i] / y[i])
+def subsidy_weights(y: np.ndarray, y_star: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Subsidy weights f_i(y) = y_star_i / y_i over outputs of shape (n, *batch).
 
-
-def per_agent_subsidy(policy: ControlPolicy, y: np.ndarray, i: int) -> float:
-    """Continuous-limit subsidy paid to each agent playing action i: d * f_i(y).
-
-    The finite-population simulator realizes the same amount as
-    (total pot * y_star_i) / (head count on action i).
+    f is 0 for untargeted actions.  A share at or below DOMAIN_THRESHOLD
+    is divided by 1 instead, so no warning is raised, and ``ok``, shape
+    (*batch), is False for a member where such a share is targeted: f is
+    undefined there.  Per agent on action i the subsidy is d * f_i(y).
     """
-    return policy.d * subsidy_weight(y, policy.y_star, i)
+    y_star = y_star.reshape(y_star.shape + (1,) * (y.ndim - 1))
+    ok = np.ones(y.shape[1:], dtype=bool)
+    low = y <= DOMAIN_THRESHOLD
+    if low.any():
+        ok = ~np.any(low & (y_star > 0.0), axis=0)
+        y = np.where(low, 1.0, y)
+    return y_star / y, ok
 
 
 def field_uncontrolled(scenario: Scenario, x: np.ndarray) -> np.ndarray:
@@ -173,26 +175,24 @@ def field_controlled(scenario: Scenario, x: np.ndarray,
     return deriv[0]
 
 
-def output_payoffs(scenario: Scenario, x: np.ndarray,
+def output_payoffs(scenario: Scenario, x: np.ndarray | None,
                    y: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate output y = Σ_k v^k x^k and action payoffs F = A^k y.
 
-    ``x`` holds states member axis last, shape (m, n, B); y has shape
-    (n, B) and F shape (m, n, B).  A given ``y``, shape (n, B) or (n, 1),
-    is used in place of the aggregate of ``x``.  Both sums run over the
-    small axes in a fixed order, as elementwise operations along the batch
-    (no einsum, tensordot or BLAS), so a member's bits do not depend on the
-    rest of its batch.
+    ``x`` holds states batch axes last, shape (m, n, *batch); y has shape
+    (n, *batch) and F shape (m, n, *batch).  A given ``y`` is used in
+    place of the aggregate of ``x``, which may then be None.  Both sums
+    run over the small axes in a fixed order, as elementwise operations
+    along the batch (no einsum, tensordot or BLAS), so a member's bits do
+    not depend on the rest of its batch.
     """
-    shares, payoffs = scenario.shares, scenario.payoffs
     if y is None:
-        y = shares[0] * x[0]
-        for k in range(1, shares.shape[0]):
-            y += shares[k] * x[k]
-    F = payoffs[:, :, 0, None] * y[0]
+        y = aggregate_output(x, scenario)
+    payoffs = scenario.payoffs[(...,) + (None,) * (y.ndim - 1)]
+    F = payoffs[:, :, 0] * y[0]
     for j in range(1, y.shape[0]):
-        F += payoffs[:, :, j, None] * y[j]
+        F += payoffs[:, :, j] * y[j]
     return y, F
 
 
@@ -201,12 +201,13 @@ def batch_field(scenario: Scenario, states: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The replicator field x ∘ (F − ⟨x, F⟩) over states of shape (B, m, n).
 
-    F = A^k y + d·f(y) folds the subsidy into the payoffs.  Every sum runs
-    over the small m and n axes in a fixed order, as elementwise operations
-    along the batch (see :func:`output_payoffs`), so a member's bits do not
-    depend on the rest of its batch.  ``gains``, shape (B,), gives
-    each member its own gain in place of ``policy.d``.  A member with gain
-    0 gets exactly the uncontrolled field and is not domain-checked.
+    F = A^k y + d·f(y) folds the subsidy into the payoffs, with A^k y from
+    :func:`output_payoffs` and f from :func:`subsidy_weights`.  Every sum
+    runs over the small m and n axes in a fixed order, as elementwise
+    operations along the batch, so a member's bits do not depend on the
+    rest of its batch.  ``gains``, shape (B,), gives each member its own
+    gain in place of ``policy.d``.  A member with gain 0 gets exactly the
+    uncontrolled field and is not domain-checked.
 
     Returns the derivatives, shape (B, m, n), and ``ok``, shape (B,):
     False, with the member's derivative NaN instead of an exception, where
@@ -222,15 +223,11 @@ def batch_field(scenario: Scenario, states: np.ndarray,
     controlled = np.asarray(gains) > 0.0
     ok = np.ones(states.shape[0], dtype=bool)
     if controlled.any():
-        y_star = policy.y_star[:, None]
-        low = y <= DOMAIN_THRESHOLD
-        if low.any():
-            # such a share divides by 1 instead and its member is flagged,
-            # so no warning is raised for it
-            ok = ~(controlled & np.any(low & (y_star > 0.0), axis=0))
-            y = np.where(low, 1.0, y)
+        f, in_domain = subsidy_weights(y, policy.y_star)
+        if not in_domain.all():
+            ok = ~controlled | in_domain
         # F - (0 - d)·f is F + d·f, and F to the bit (a -0.0 too) at d = 0
-        F -= (0.0 - gains) * (y_star / y)
+        F -= (0.0 - gains) * f
     avg = x[:, 0] * F[:, 0]                                  # (m, B)
     for i in range(1, n):
         avg += x[:, i] * F[:, i]

@@ -229,10 +229,18 @@ def make_state(rows: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
 def aggregate_output(x: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Population-weighted action shares y_i = sum_k v^k x[k, i].
 
-    This is the only quantity the controller observes; it is a convex
+    ``x`` has shape (m, n, *batch) and y shape (n, *batch).  The sum runs
+    over the populations in a fixed order, elementwise along the batch (no
+    BLAS), so a member's bits do not depend on the rest of its batch.  This
+    is the only quantity the controller observes; it is a convex
     combination of simplex rows and therefore itself a simplex point.
     """
-    return scenario.shares @ np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    shares = scenario.shares
+    y = shares[0] * x[0]
+    for k in range(1, shares.shape[0]):
+        y += shares[k] * x[k]
+    return y
 
 
 def expected_payoff(scenario: Scenario, k: int, i: int, y: np.ndarray) -> float:

@@ -8,8 +8,8 @@ or step leaving the admissible set): the offending step is re-taken as
 2^j substeps of dt / 2^j, halving up to 20 times before giving up, so the
 time grid itself never changes.
 
-Rows are renormalized to sum 1 only when drift exceeds ``renorm_tol``;
-coordinates in [-1e-12, 0) are clamped to 0 first, anything more negative
+Rows are renormalized to sum 1 only when drift exceeds ``RENORM_TOL``;
+coordinates in [-NEG_TOL, 0) are clamped to 0 first, anything more negative
 fails the step.
 
 `simulate` integrates one initial state; `phase_portrait` integrates a
@@ -17,7 +17,7 @@ whole batch at once, optionally with a gain per start, and returns results
 in input order.  Every operation runs elementwise along the batch, so a
 trajectory's bits depend only on (scenario, policy, x0, config), never on
 the rest of its batch.  Convergence is declared online when the max-norm
-state change per step stays below ``convergence_tol`` for
+state change per step stays below ``CONVERGENCE_TOL`` for
 ``convergence_window`` consecutive steps.
 
 Trajectory CSV layout (one row per recorded step)::
@@ -37,23 +37,37 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import ControlPolicy, batch_field
-from .game import (Scenario, check_lattice_budget, lattice_product,
-                   simplex_lattice)
+from .game import (Scenario, aggregate_output, check_lattice_budget,
+                   lattice_product, simplex_lattice)
 
 __all__ = [
-    "ConvergenceVerdict",
     "IntegrationConfig",
     "IntegrationError",
     "LyapunovStats",
     "StepError",
     "Trajectory",
-    "detect_convergence",
     "interior_grid",
     "phase_portrait",
     "rk4_step",
     "simulate",
     "write_trajectory_csv",
 ]
+
+# Row-sum drift above this is renormalized away after a step.
+RENORM_TOL = 1e-12
+
+# A coordinate below -NEG_TOL after a step fails it; one in [-NEG_TOL, 0)
+# is round-off and is clamped to 0.
+NEG_TOL = 1e-12
+
+# Max-norm change per step below which a step counts towards convergence.
+CONVERGENCE_TOL = 1e-9
+
+# Smallest share an initial state may have.
+INTERIOR_FLOOR = 1e-6
+
+# A failed step is re-taken as 2^j substeps for j up to this.
+MAX_HALVINGS = 20
 
 
 class StepError(RuntimeError):
@@ -66,24 +80,18 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Step size, horizon, and the tolerances of the stepping loop."""
+    """Step size, horizon, convergence window and recording stride."""
 
     dt: float = 0.01
     t_max: float = 200.0
-    renorm_tol: float = 1e-12
-    convergence_tol: float = 1e-9
     convergence_window: int = 100
     record_stride: int = 1
-    interior_floor: float = 1e-6
-    max_halvings: int = 20
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if self.t_max <= self.dt:
             raise ValueError("t_max must exceed dt")
-        if min(self.renorm_tol, self.convergence_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
         if self.convergence_window < 1 or self.record_stride < 1:
             raise ValueError("window and stride must be >= 1")
 
@@ -125,21 +133,13 @@ class Trajectory:
         return self.outputs[-1]
 
 
-@dataclass(frozen=True)
-class ConvergenceVerdict:
-    converged: bool
-    time: float | None
-    limit_state: np.ndarray | None
-
-
 def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-              dt: float, renorm_tol: float,
-              neg_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+              dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 step of a (B, m, n) stack, in any memory layout.
 
     Round-off negatives are clamped and drifted rows renormalized (row sums
     add the actions in order).  The mask is True where the member is
-    admissible: finite, no coordinate below -neg_tol.  NaN and inf act as
+    admissible: finite, no coordinate below -NEG_TOL.  NaN and inf act as
     in-band failure markers, so no floating-point warning is raised.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -148,13 +148,13 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         k3 = rhs(x + (0.5 * dt) * k2)
         k4 = rhs(x + dt * k3)
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        above = x_new >= -neg_tol
+        above = x_new >= -NEG_TOL
         ok = (above & (x_new < np.inf)).reshape(len(x_new), -1).all(1)
         fixed = np.where((x_new < 0.0) & above, 0.0, x_new)
         sums = fixed[..., 0]
         for i in range(1, x_new.shape[-1]):
             sums = sums + fixed[..., i]
-        drift = np.abs(sums - 1.0) > renorm_tol
+        drift = np.abs(sums - 1.0) > RENORM_TOL
         if drift.any():
             fixed = np.where(drift[..., None], fixed / sums[..., None], fixed)
         if not ok.all():  # a failed member keeps its raw RK4 result
@@ -163,7 +163,7 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 def rk4_step(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-             dt: float, renorm_tol: float = 1e-12) -> np.ndarray:
+             dt: float) -> np.ndarray:
     """One RK4 step of an arbitrary state -> derivative callable.
 
     Raises :class:`StepError` if the step lands outside the admissible set
@@ -171,15 +171,14 @@ def rk4_step(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     by the field itself propagate unchanged.  Callers recover by halving dt.
     """
     x = np.asarray(x, dtype=float)
-    fixed, ok = _rk4_step(lambda batch: field(batch[0])[None], x[None], dt,
-                          renorm_tol)
+    fixed, ok = _rk4_step(lambda batch: field(batch[0])[None], x[None], dt)
     if not ok[0]:
         raise StepError(f"step of size {dt!r} produced an inadmissible state "
                         f"(min coordinate {np.nanmin(fixed)!r})")
     return fixed[0]
 
 
-def _check_interior(x0: np.ndarray, scenario: Scenario, floor: float,
+def _check_interior(x0: np.ndarray, scenario: Scenario,
                     label: str) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     m, n = scenario.n_populations, scenario.n_actions
@@ -189,10 +188,10 @@ def _check_interior(x0: np.ndarray, scenario: Scenario, floor: float,
             and np.all(np.abs(x0.sum(axis=1) - 1.0) <= 1e-9)):
         raise ValueError(f"{label}: rows must be finite and sum to 1, got "
                          f"{x0.tolist()}")
-    if x0.min() < floor:
+    if x0.min() < INTERIOR_FLOOR:
         raise ValueError(
             f"{label}: initial states must be interior "
-            f"(every share >= {floor}), got minimum {x0.min()!r}"
+            f"(every share >= {INTERIOR_FLOOR}), got minimum {x0.min()!r}"
         )
     return x0
 
@@ -232,11 +231,11 @@ class _BatchRun:
         return _rk4_step(
             lambda batch: batch_field(self.scenario, batch, self.policy,
                                       gains)[0],
-            x, dt, self.cfg.renorm_tol)
+            x, dt)
 
     def _retry(self, x: np.ndarray, gains: np.ndarray) -> np.ndarray | None:
         """Re-take a (1, m, n) step as 2^j substeps of dt / 2^j, else None."""
-        for level in range(self.cfg.max_halvings + 1):
+        for level in range(MAX_HALVINGS + 1):
             current = x
             for _ in range(1 << level):
                 current, ok = self._step(current, gains,
@@ -267,7 +266,7 @@ class _BatchRun:
                     member = int(ids[local])
                     self.failures[member] = IntegrationError(
                         f"trajectory {member}: step failed at t="
-                        f"{step * cfg.dt:.6g} after {cfg.max_halvings} "
+                        f"{step * cfg.dt:.6g} after {MAX_HALVINGS} "
                         f"halvings of dt={cfg.dt}")
                 else:
                     fixed[local] = retried
@@ -276,7 +275,7 @@ class _BatchRun:
             with np.errstate(invalid="ignore"):
                 delta = np.abs(fixed - x).reshape(ids.size, -1).max(axis=1)
             # a failed member's counter resets, so a full window implies ok
-            counters = np.where((delta < cfg.convergence_tol) & ok,
+            counters = np.where((delta < CONVERGENCE_TOL) & ok,
                                 counters + 1, 0)
             just_converged = counters >= cfg.convergence_window
 
@@ -344,7 +343,8 @@ class _BatchRun:
         if member in self.failures:
             return self.failures[member]
         times = self.cfg.dt * steps.astype(float)
-        outputs = np.einsum("k,tki->ti", self.scenario.shares, states)
+        outputs = aggregate_output(states.transpose(1, 2, 0),
+                                   self.scenario).T
         observables = None
         lyap = None
         if self.observer is not None:
@@ -370,7 +370,7 @@ def simulate(scenario: Scenario, policy: ControlPolicy, x0: np.ndarray,
     :class:`IntegrationError` if stepping fails repeatedly, ValueError if
     the initial state is not interior.
     """
-    x0 = _check_interior(x0, scenario, cfg.interior_floor, "x0")
+    x0 = _check_interior(x0, scenario, "x0")
     outcome = _BatchRun(scenario, policy, x0[None], cfg, observer).results()[0]
     if isinstance(outcome, IntegrationError):
         raise outcome
@@ -396,8 +396,7 @@ def phase_portrait(scenario: Scenario, policy: ControlPolicy,
     """
     states0 = np.array(grid, dtype=float)
     for idx in range(len(states0)):
-        _check_interior(states0[idx], scenario, cfg.interior_floor,
-                        f"grid[{idx}]")
+        _check_interior(states0[idx], scenario, f"grid[{idx}]")
     if gains is not None:
         gains = np.array(gains, dtype=float)
         if gains.ndim != 1 or not np.all((gains >= 0.0) & (gains < np.inf)):
@@ -408,35 +407,6 @@ def phase_portrait(scenario: Scenario, policy: ControlPolicy,
         return []
     return _BatchRun(scenario, policy, states0, cfg, observer,
                      gains).results()
-
-
-def detect_convergence(traj: Trajectory,
-                       cfg: IntegrationConfig) -> ConvergenceVerdict:
-    """Scan a recorded trajectory for a settled tail.
-
-    Converged when the max-norm change between consecutive recorded rows
-    stays below ``convergence_tol`` for ``convergence_window`` consecutive
-    rows (or for the whole trajectory if it is shorter than the window).
-    Exact for trajectories recorded at stride 1.
-    """
-    states = traj.states
-    if states.shape[0] < 2:
-        return ConvergenceVerdict(False, None, None)
-    deltas = np.max(np.abs(np.diff(states, axis=0)), axis=(1, 2))
-    below = deltas < cfg.convergence_tol
-    window = cfg.convergence_window
-    if below.size < window:
-        if np.all(below):
-            return ConvergenceVerdict(True, float(traj.times[-1]),
-                                      states[-1].copy())
-        return ConvergenceVerdict(False, None, None)
-    run_length = 0
-    for idx, flag in enumerate(below):
-        run_length = run_length + 1 if flag else 0
-        if run_length >= window:
-            return ConvergenceVerdict(True, float(traj.times[idx + 1]),
-                                      states[idx + 1].copy())
-    return ConvergenceVerdict(False, None, None)
 
 
 def interior_grid(scenario: Scenario, per_dim: int,

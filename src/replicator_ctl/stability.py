@@ -47,7 +47,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .dynamics import (ControlPolicy, field_controlled, field_uncontrolled,
-                       output_payoffs)
+                       output_payoffs, subsidy_weights)
 from .game import (CARRIER_THRESHOLD, Scenario, aggregate_output, carrier,
                    check_lattice_budget, lattice_product, simplex_lattice)
 
@@ -86,6 +86,11 @@ RECOMMEND_FLOOR = 1e-3
 # Rows of the sample pool evaluated per call, so the bound's memory does
 # not grow with the pool.
 CHUNK_ROWS = 16_384
+
+# The bound excludes states whose output lies within TUBE_RADIUS of the
+# target (max norm) or has a targeted share below BOUNDARY_MARGIN.
+TUBE_RADIUS = 1e-6
+BOUNDARY_MARGIN = 1e-6
 
 
 class InapplicableError(RuntimeError):
@@ -221,12 +226,14 @@ def _advantage_batch(states: np.ndarray, eq: TargetEquilibrium,
 
 
 def _mismatch_batch(outputs: np.ndarray, y_star: np.ndarray) -> np.ndarray:
-    """Jensen-positive output penalty for each output row of a (B, n) batch."""
-    carried = y_star > 0.0
-    ys = y_star[carried]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (ys[None, :] - outputs[:, carried]) * ys[None, :] / outputs[:, carried]
-    return terms.sum(axis=1)
+    """Jensen-positive output penalty sum_i (y_star_i - y_i) f_i(y) over the
+    targeted actions, in order, for each output row of a (B, n) batch;
+    +inf where f is undefined."""
+    f, ok = subsidy_weights(outputs.T, y_star)
+    mismatch = np.zeros(outputs.shape[0])
+    for i in np.flatnonzero(y_star > 0.0):
+        mismatch += (y_star[i] - outputs[:, i]) * f[i]
+    return np.where(ok, mismatch, np.inf)
 
 
 def lyapunov_rate(x: np.ndarray, eq: TargetEquilibrium, scenario: Scenario,
@@ -293,8 +300,6 @@ class SamplingConfig:
     random_samples: int = 20_000
     ascent_iters: int = 60
     seed: int = 0
-    tube_radius: float = 1e-6
-    boundary_margin: float = 1e-6
     ascent_candidates: int = 10
 
 
@@ -309,20 +314,18 @@ class BoundEstimate:
     n_ascent_evals: int
 
 
-def _dbar_batch(states: np.ndarray, eq: TargetEquilibrium, scenario: Scenario,
-                tube_radius: float, boundary_margin: float
+def _dbar_batch(states: np.ndarray, eq: TargetEquilibrium, scenario: Scenario
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Critical subsidy over a batch, with a validity mask.
 
-    Invalid members: outputs inside the exclusion tube around the target,
-    outputs with a targeted share below the boundary margin, or mismatch
-    numerically zero.
+    Invalid members: outputs within TUBE_RADIUS of the target, outputs with
+    a targeted share below BOUNDARY_MARGIN, or mismatch numerically zero.
     """
     advantage, outputs = _advantage_batch(states, eq, scenario)
     y_star = eq.target_output
     carried = y_star > 0.0
-    off_tube = np.max(np.abs(outputs - y_star[None, :]), axis=1) >= tube_radius
-    in_domain = np.all(outputs[:, carried] >= boundary_margin, axis=1)
+    off_tube = np.max(np.abs(outputs - y_star[None, :]), axis=1) >= TUBE_RADIUS
+    in_domain = np.all(outputs[:, carried] >= BOUNDARY_MARGIN, axis=1)
     mismatch = _mismatch_batch(outputs, y_star)
     valid = off_tube & in_domain & (mismatch > MISMATCH_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -346,8 +349,8 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
     Three phases: a uniform lattice on the product of simplices, uniform
     Dirichlet samples, and deterministic coordinate ascent from the best
     candidates (pairwise mass transfers within a population, shrinking step).
-    States within ``tube_radius`` of the target output or within
-    ``boundary_margin`` of a targeted-share zero are excluded; ascent may
+    States within TUBE_RADIUS of the target output or within
+    BOUNDARY_MARGIN of a targeted-share zero are excluded; ascent may
     approach the tube from outside, probing the limit.
 
     This is an estimate from below of the true supremum, never an
@@ -360,8 +363,7 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
         size=(sampling.random_samples, scenario.n_populations),
     )
     dbar = np.concatenate([
-        _dbar_batch(part[start:start + CHUNK_ROWS], eq, scenario,
-                    sampling.tube_radius, sampling.boundary_margin)[0]
+        _dbar_batch(part[start:start + CHUNK_ROWS], eq, scenario)[0]
         for part in (grid, random_states)
         for start in range(0, part.shape[0], CHUNK_ROWS)])
     # a valid state's dbar is finite: its mismatch exceeds MISMATCH_FLOOR
@@ -411,8 +413,7 @@ def _lockstep_ascent(seeds: np.ndarray, eq: TargetEquilibrium,
     states and the number of states evaluated.
     """
     def evaluate(states: np.ndarray) -> np.ndarray:
-        return _dbar_batch(states, eq, scenario, sampling.tube_radius,
-                           sampling.boundary_margin)[0]
+        return _dbar_batch(states, eq, scenario)[0]
 
     current = seeds.copy()
     current_value = evaluate(current)
@@ -484,7 +485,8 @@ def min_advantage_on_matching_set(eq: TargetEquilibrium,
     from scipy.optimize import linprog
     y_star = eq.target_output
     eq_mat, eq_rhs = _matching_system(scenario, y_star)
-    cost = -(scenario.shares[:, None] * (scenario.payoffs @ y_star))
+    _, payoffs_at_target = output_payoffs(scenario, None, y_star)
+    cost = -(scenario.shares[:, None] * payoffs_at_target)
     result = linprog(cost.reshape(-1), A_eq=eq_mat, b_eq=eq_rhs,
                      bounds=(0.0, None), method="highs")
     if not result.success:
@@ -505,14 +507,13 @@ def min_advantage_on_matching_set(eq: TargetEquilibrium,
 # target equilibrium enumeration
 # ---------------------------------------------------------------------------
 
-def _payoff_classes(scenario: Scenario, k: int, y_star: np.ndarray,
-                    tol: float) -> list[tuple[int, ...]]:
-    """Partition population k's actions into equal-payoff groups at y_star.
+def _payoff_classes(values: np.ndarray, tol: float) -> list[tuple[int, ...]]:
+    """Partition a population's actions into equal-payoff groups, given its
+    payoffs ``values`` at y_star.
 
     Any mixture supported inside one group is a rest point of that
     population's dynamics when the output is held at y_star.
     """
-    values = scenario.payoffs[k] @ y_star
     order = np.argsort(values, kind="stable")
     classes: list[list[int]] = []
     for idx in order:
@@ -626,8 +627,8 @@ def find_target_equilibria(scenario: Scenario, y_star: np.ndarray,
     no solutions at all.
     """
     y_star = np.asarray(y_star, dtype=float)
-    per_pop = [_payoff_classes(scenario, k, y_star, tol)
-               for k in range(scenario.n_populations)]
+    _, payoffs_at_target = output_payoffs(scenario, None, y_star)
+    per_pop = [_payoff_classes(values, tol) for values in payoffs_at_target]
     results: list[TargetEquilibrium] = []
     seen: set[tuple] = set()
     for combo in product(*per_pop):
@@ -736,9 +737,13 @@ def recommend_subsidy(scenario: Scenario, y_star: np.ndarray,
         return report
     eq = equilibria[0]
     matching = min_advantage_on_matching_set(eq, scenario)
-    bound = estimate_subsidy_bound(eq, scenario, sampling)
     report.min_advantage = matching.min_advantage
     report.min_advantage_witness = matching.witness
+    if matching.min_advantage < -EQUILIBRIUM_TOL:
+        # refused without a bound, so no lattice is built for it
+        report.reason = "advantage_negative_on_matching_set"
+        return report
+    bound = estimate_subsidy_bound(eq, scenario, sampling)
     report.subsidy_bound = bound.value
     report.bound_argmax = bound.argmax
     report.sample_counts = {
@@ -746,9 +751,6 @@ def recommend_subsidy(scenario: Scenario, y_star: np.ndarray,
         "random": bound.n_random,
         "ascent_evals": bound.n_ascent_evals,
     }
-    if matching.min_advantage < -EQUILIBRIUM_TOL:
-        report.reason = "advantage_negative_on_matching_set"
-        return report
     report.applicable = True
     report.recommended_subsidy = (
         max(0.0, bound.value) * (1.0 + RECOMMEND_MARGIN) + RECOMMEND_FLOOR

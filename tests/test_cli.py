@@ -73,6 +73,25 @@ class TestSimulate:
         assert header[1].startswith("# seed:")
         assert header[2].startswith("# scenario_sha256:")
 
+    @pytest.mark.parametrize("field", ["renorm_tol", "convergence_tol",
+                                       "interior_floor", "max_halvings"])
+    def test_removed_integration_field_is_refused(self, tmp_path, capsys,
+                                                  field):
+        first = tmp_path / "first"
+        assert main(["simulate", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5",
+                     "--t-max", "1", "--out", str(first)]) == 0
+        manifest = read_json(first / "manifest.json")
+        manifest["integration"][field] = 1e-6
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["simulate", "--manifest", str(path),
+                     "--out", str(tmp_path / "second")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: integration config: ")
+        assert field in err
+
     def test_malformed_scenario_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"populations": [ {"share": 0.2, }visible')
@@ -218,8 +237,21 @@ class TestVerify:
         assert report["min_advantage"] == pytest.approx(RECIPE_REFUSED[42],
                                                         abs=1e-5)
         assert report["recommended_subsidy"] is None
-        assert sorted(report["sample_counts"]) == ["ascent_evals", "grid",
-                                                   "random"]
+        # refused before any bound is estimated
+        assert report["sample_counts"] == {}
+        assert report["subsidy_bound"] is None
+
+    def test_refusal_needs_no_lattice(self, tmp_path, capsys):
+        # five populations at the default 15 points per edge would ask for
+        # 120**5 lattice states; the matching-set LP refuses the game first
+        scen, y_star = recipe_game(42)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scen.to_dict()))
+        code = main(["verify", "--scenario", str(scenario),
+                     "--y-star", ",".join(map(repr, y_star.tolist())),
+                     "--d", "1", "--out", str(tmp_path / "verify")])
+        assert code == 3
+        assert "advantage_negative_on_matching_set" in capsys.readouterr().err
 
     def test_matching_samples_setting_is_refused(self, tmp_path, capsys):
         first = tmp_path / "first"
@@ -239,6 +271,24 @@ class TestVerify:
         assert main(["verify", "--scenario", SCENARIO,
                      "--policy", POLICY_BOUNDARY, "--out", str(first),
                      "--matching-samples", "2000"]) == 1
+
+    @pytest.mark.parametrize("field", ["tube_radius", "boundary_margin"])
+    def test_removed_sampling_field_is_refused(self, tmp_path, capsys,
+                                               field):
+        first = tmp_path / "first"
+        assert main(["verify", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--out", str(first),
+                     "--grid-per-dim", "5", "--samples", "500"]) == 0
+        manifest = read_json(first / "manifest.json")
+        manifest["sampling"][field] = 1e-6
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["verify", "--manifest", str(path),
+                     "--out", str(tmp_path / "second")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: sampling config: ")
+        assert field in err
 
     def test_oversized_lattice_exits_1(self, tmp_path):
         # a random (4,3) game at the default 15 points per edge asks for

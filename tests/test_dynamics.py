@@ -1,5 +1,6 @@
-"""Vector fields, subsidy weights, region bounds, and the field-level
-properties: tangency, shift invariance, growth floors, rest-point retention."""
+"""Vector fields, subsidy weights and their one definition across the
+package, region bounds, and the field-level properties: tangency, shift
+invariance, growth floors, rest-point retention."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import pytest
 
 from replicator_ctl import (
     ControlPolicy,
+    IntegrationConfig,
     Scenario,
     SimplexDomainError,
     aggregate_output,
@@ -17,34 +19,40 @@ from replicator_ctl import (
     field_uncontrolled,
     local_shift,
     make_state,
-    per_agent_subsidy,
+    phase_portrait,
     region_bounds,
-    subsidy_weight,
 )
-from replicator_ctl.dynamics import batch_field
+from replicator_ctl.agents import _controlled_payoffs
+from replicator_ctl.dynamics import batch_field, output_payoffs, subsidy_weights
+from replicator_ctl.stability import _mismatch_batch
 from conftest import random_policy, random_scenario, random_state, z_state
 
 
 class TestSubsidyWeights:
     def test_ratio(self, policy_boundary):
-        y = np.array([0.5, 0.5])
-        assert subsidy_weight(y, policy_boundary.y_star, 0) == pytest.approx(2.0)
+        f, ok = subsidy_weights(np.array([0.5, 0.5]), policy_boundary.y_star)
+        assert f[0] == pytest.approx(2.0)
+        assert ok
 
     def test_untargeted_action_gets_zero(self, policy_boundary):
-        for y1 in (0.1, 0.5, 1.0):
-            y = np.array([y1, 1 - y1])
-            assert subsidy_weight(y, policy_boundary.y_star, 1) == 0.0
+        # an untargeted share of 0 is divided by 1, and does not flag
+        y = np.array([[0.1, 0.5, 1.0], [0.9, 0.5, 0.0]])
+        f, ok = subsidy_weights(y, policy_boundary.y_star)
+        np.testing.assert_array_equal(f[1], 0.0)
+        assert ok.all()
 
     def test_on_target_weight_is_one(self, policy_interior):
         y = policy_interior.y_star
-        assert subsidy_weight(y, y, 0) == pytest.approx(1.0)
-        assert subsidy_weight(y, y, 1) == pytest.approx(1.0)
+        f, _ = subsidy_weights(y, y)
+        np.testing.assert_allclose(f, [1.0, 1.0])
 
     def test_domain_violation_raises(self, threepop, policy_boundary):
-        y = np.array([0.0, 1.0])
-        with pytest.raises(SimplexDomainError):
-            subsidy_weight(y, policy_boundary.y_star, 0)
-        # the state whose aggregate output is y
+        # f flags a targeted share of 0 and divides it by 1 ...
+        y = np.array([[0.0, 0.5], [1.0, 0.5]])
+        f, ok = subsidy_weights(y, policy_boundary.y_star)
+        np.testing.assert_array_equal(ok, [False, True])
+        np.testing.assert_array_equal(f[:, 0], [1.0, 0.0])
+        # ... and the field raises at the state whose aggregate output is it
         with pytest.raises(SimplexDomainError, match="targeted action 0"):
             field_controlled(threepop, make_state([[0.0, 1.0]] * 3),
                              policy_boundary)
@@ -60,15 +68,73 @@ class TestSubsidyWeights:
                                                   * 2), policy)
 
     def test_per_agent_amount(self, policy_boundary):
-        y = np.array([0.5, 0.5])
-        assert per_agent_subsidy(policy_boundary, y, 0) == pytest.approx(2.4)
-        assert per_agent_subsidy(policy_boundary, y, 1) == 0.0
+        # the continuum subsidy per agent on action i is d * f_i(y)
+        f, _ = subsidy_weights(np.array([0.5, 0.5]), policy_boundary.y_star)
+        assert policy_boundary.d * f[0] == pytest.approx(2.4)
+        assert policy_boundary.d * f[1] == 0.0
 
     def test_per_agent_on_target_equals_d(self, policy_interior):
-        y = policy_interior.y_star
-        for i in range(2):
-            assert per_agent_subsidy(policy_interior, y, i) == pytest.approx(
-                policy_interior.d)
+        f, _ = subsidy_weights(policy_interior.y_star, policy_interior.y_star)
+        np.testing.assert_allclose(policy_interior.d * f, policy_interior.d)
+
+
+class TestOneDefinition:
+    """The field, the certificate and the agents share y, A^k y and f."""
+
+    @staticmethod
+    def batch(m: int, n: int):
+        rng = np.random.default_rng(10 * m + n)
+        scen = random_scenario(rng, m=m, n=n)
+        policy = random_policy(rng, scen, boundary_target=True)
+        states = np.array([random_state(rng, scen, interior=0.01)
+                           for _ in range(200)])
+        x = states.transpose(1, 2, 0)
+        y, F = output_payoffs(scen, x)
+        return scen, policy, states, x, y, F
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 2)])
+    def test_field_certificate_and_agents_use_one_weight(self, m, n):
+        scen, policy, states, x, y, F = self.batch(m, n)
+        f, ok = subsidy_weights(y, policy.y_star)
+        assert ok.all()
+        # the kernel: replicator field on F + d·f, folded as it folds it
+        G = F - (0.0 - policy.d) * f
+        avg = x[:, 0] * G[:, 0]
+        for i in range(1, n):
+            avg += x[:, i] * G[:, i]
+        expected = ((G - avg[:, None]) * x).transpose(2, 0, 1)
+        assert np.array_equal(batch_field(scen, states, policy)[0], expected)
+        # the certificate's mismatch, summed over targeted actions in order
+        mismatch = np.zeros(states.shape[0])
+        for i in np.flatnonzero(policy.y_star > 0.0):
+            mismatch += (policy.y_star[i] - y[i]) * f[i]
+        assert np.array_equal(_mismatch_batch(y.T, policy.y_star), mismatch)
+        # the agents' subsidy row, one output at a time
+        for b in range(states.shape[0]):
+            _, row = _controlled_payoffs(scen, policy, y[:, b])
+            assert np.array_equal(row, policy.d * f[:, b])
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 2)])
+    def test_agents_table_is_the_controlled_payoff(self, m, n):
+        scen, policy, states, x, y, F = self.batch(m, n)
+        f, _ = subsidy_weights(y, policy.y_star)
+        for b in range(states.shape[0]):
+            table, _ = _controlled_payoffs(scen, policy, y[:, b])
+            assert np.array_equal(table, F[..., b] + policy.d * f[:, b])
+            # d = 0: exactly A^k y
+            table, row = _controlled_payoffs(scen, ControlPolicy.off(n),
+                                             y[:, b])
+            assert np.array_equal(table, F[..., b])
+            assert not row.any()
+
+    def test_trajectory_outputs_are_the_aggregate_of_each_row(
+            self, threepop, policy_boundary):
+        starts = [z_state(z) for z in ((0.5, 0.5, 0.5), (0.1, 0.9, 0.3),
+                                       (0.7, 0.2, 0.05))]
+        for traj in phase_portrait(threepop, policy_boundary, starts,
+                                   IntegrationConfig(t_max=20.0)):
+            for state, y in zip(traj.states, traj.outputs):
+                assert np.array_equal(aggregate_output(state, threepop), y)
 
 
 class TestPolicy:

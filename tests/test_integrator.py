@@ -12,7 +12,6 @@ from replicator_ctl import (
     IntegrationError,
     Scenario,
     aggregate_output,
-    detect_convergence,
     field_controlled,
     interior_grid,
     make_state,
@@ -186,31 +185,26 @@ class TestInvariantRegion:
 
 
 class TestConvergenceDetection:
-    def test_constant_trajectory(self, threepop):
-        states = np.tile(z_state((0.4, 0.4, 0.4))[None], (5, 1, 1))
-        traj = Trajectory(times=np.arange(5.0), states=states,
-                          outputs=np.einsum("k,tki->ti", threepop.shares,
-                                            states))
-        verdict = detect_convergence(traj, IntegrationConfig())
-        assert verdict.converged
-        np.testing.assert_array_equal(verdict.limit_state, states[-1])
-
     def test_interior_target_runs_converge(self, threepop, policy_interior):
         cfg = IntegrationConfig()
         for start in five_start_states():
             traj = simulate(threepop, policy_interior, start, cfg)
-            verdict = detect_convergence(traj, cfg)
-            assert verdict.converged
-            np.testing.assert_allclose(verdict.limit_state[:, 0], [0, 1, 1],
+            assert traj.converged
+            assert traj.times[-1] < cfg.t_max
+            np.testing.assert_allclose(traj.final_state[:, 0], [0, 1, 1],
                                        atol=1e-3)
 
-    def test_drifting_trajectory_is_not_converged(self, threepop):
-        z = np.linspace(0.2, 0.8, 400)
-        states = np.stack([np.stack([z, 1 - z], axis=1)] * 3, axis=1)
-        traj = Trajectory(times=np.arange(400.0), states=states,
-                          outputs=np.einsum("k,tki->ti", threepop.shares,
-                                            states))
-        assert not detect_convergence(traj, IntegrationConfig()).converged
+    def test_unsettled_run_is_not_converged(self, threepop, policy_interior):
+        # a settled run converges when its window fills, and does not when
+        # the horizon ends the window one step short
+        cfg = IntegrationConfig()
+        start = z_state((0.5, 0.5, 0.5))
+        settled = simulate(threepop, policy_interior, start, cfg)
+        assert settled.converged
+        steps = round(settled.times[-1] / cfg.dt)
+        short = simulate(threepop, policy_interior, start,
+                         IntegrationConfig(t_max=(steps - 1) * cfg.dt))
+        assert not short.converged
 
 
 class TestPortrait:
@@ -229,7 +223,7 @@ class TestPortrait:
         starts[3] = z_state((0.5, 0.0, 0.5))
         starts[4] = 2.0 * starts[4]  # also bad; the first bad start is named
         with pytest.raises(ValueError) as alone:
-            _check_interior(starts[3], threepop, 1e-6, "grid[3]")
+            _check_interior(starts[3], threepop, "grid[3]")
         with pytest.raises(ValueError) as info:
             phase_portrait(threepop, ControlPolicy.off(2), starts,
                            IntegrationConfig(dt=0.1, t_max=1.0))
