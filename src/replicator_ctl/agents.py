@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ControlPolicy, output_payoffs, subsidy_weights
-from .game import CARRIER_THRESHOLD, Scenario, aggregate_output
+from .game import (CARRIER_THRESHOLD, SUM_TOLERANCE, Scenario,
+                   aggregate_output)
 
 __all__ = [
     "AgentPopulation",
@@ -152,6 +153,10 @@ def init_agents(scenario: Scenario, x0: np.ndarray, n_agents: int,
     m, n = scenario.n_populations, scenario.n_actions
     if x0.shape != (m, n):
         raise ValueError(f"x0 must have shape ({m}, {n}), got {x0.shape}")
+    if not (np.all(x0 >= 0.0)
+            and np.all(np.abs(x0.sum(axis=1) - 1.0) <= SUM_TOLERANCE)):
+        raise ValueError(f"x0 rows must be non-negative and sum to 1, got "
+                         f"{x0.tolist()}")
     sizes = population_sizes(scenario, n_agents)
     if np.any(sizes < 1):
         raise ValueError(f"population sizes {sizes} cannot host agents")
@@ -262,7 +267,11 @@ def run(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
         rounds: int, revision_prob: float = 0.05,
         sampled_matches: bool = False) -> list[RoundStats]:
     """Run a number of rounds; returns rounds + 1 snapshots (initial state
-    included).  Deterministic for a given population seed."""
+    included).  Deterministic for a given population seed.  Raises
+    ValueError unless 0 < revision_prob <= 1."""
+    if not 0.0 < revision_prob <= 1.0:
+        raise ValueError(f"revision_prob must be in (0, 1], got "
+                         f"{revision_prob!r}")
     series = []
     for _ in range(rounds):
         series.append(run_round(pop, scenario, policy, revision_prob,

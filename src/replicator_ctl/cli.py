@@ -15,7 +15,10 @@ output file names the artifact version, the seed, and the scenario hash.
 
 Scenario schema:  ``{"populations": [{"share": v, "payoff": [[...], ...]},
 ...]}``.  Policy schema: ``{"d": gain, "y_star": [shares...]}``; omitting
-the policy (or setting d to 0) runs the uncontrolled dynamics.
+the policy, or d, or setting d to 0 runs the uncontrolled dynamics.
+``verify`` needs only the target output (``--y-star`` or a policy file);
+``sweep`` takes its gains from ``--d-values`` and ignores ``--d`` and
+``--record-stride``.
 
 Initial states are given as ``--x0``: either m comma-separated first-action
 shares (two-action games), or m semicolon-separated rows of n shares.
@@ -44,7 +47,7 @@ from .agents import (
     write_rounds_csv,
 )
 from .dynamics import ControlPolicy
-from .game import Scenario, ScenarioError, scenario_digest
+from .game import Scenario, ScenarioError, check_count, scenario_digest
 from .integrate import (
     IntegrationConfig,
     IntegrationError,
@@ -121,94 +124,104 @@ def _parse_x0(text: str, m: int, n: int) -> np.ndarray:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+    """Comma-separated floats; an empty string is the empty list."""
+    text = text.strip()
+    return [float(v) for v in text.split(",")] if text else []
 
 
-def _load_manifest(path: str) -> dict[str, Any]:
+def _load_json(path: str, flag: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"--manifest {path}: {exc}") from exc
+        raise ScenarioError(f"{flag} {path}: {exc}") from exc
+
+
+_ALL = ("simulate", "portrait", "verify", "sweep", "agents")
+_STEPPED = ("simulate", "portrait", "sweep")
+
+# Every flag once: the flag, the commands that take it, the manifest section
+# its value is stored under, keyed by its argparse dest ("" for the top
+# level, "policy" for the merge of --policy, --d and --y-star in this order,
+# None for --manifest, the base that the other flags override), and its
+# argparse options.
+FLAGS: list[tuple[str, tuple[str, ...], str | None, dict[str, Any]]] = [
+    ("--scenario", _ALL, "", {"help": "scenario JSON file"}),
+    ("--out", _ALL, "", {"help": "output directory"}),
+    ("--seed", _ALL, "", {"type": int, "help": "RNG seed (default 0)"}),
+    ("--manifest", _ALL, None,
+     {"help": "re-run from an echoed manifest.json"}),
+    ("--policy", _ALL, "policy",
+     {"help": "policy JSON file (y_star and optional d)"}),
+    ("--d", _ALL, "policy", {"type": float, "help": (
+        "average subsidy per agent (default 0, control off); "
+        "sweep ignores it")}),
+    ("--y-star", _ALL, "policy",
+     {"type": _parse_floats, "help": "target output, comma separated"}),
+    ("--x0", ("simulate", "portrait", "sweep", "agents"), "",
+     {"action": "append", "help": "initial state (repeatable in portrait "
+                                  "and sweep)"}),
+    ("--grid", ("portrait", "sweep"), "",
+     {"type": int, "help": "interior grid points per dim"}),
+    ("--dt", _STEPPED, "integration", {"type": float}),
+    ("--t-max", _STEPPED, "integration", {"type": float}),
+    ("--record-stride", _STEPPED, "integration",
+     {"type": int, "help": "record every k-th step; sweep ignores it"}),
+    ("--grid-per-dim", ("verify",), "sampling", {"type": int}),
+    ("--samples", ("verify",), "sampling",
+     {"dest": "random_samples", "metavar": "SAMPLES", "type": int,
+      "help": "random sample count"}),
+    ("--ascent-iters", ("verify",), "sampling", {"type": int}),
+    ("--d-values", ("sweep",), "",
+     {"type": _parse_floats, "help": "comma-separated subsidy levels"}),
+    ("--n-agents", ("agents",), "agents", {"type": int}),
+    ("--rounds", ("agents",), "agents", {"type": int}),
+    ("--revision-prob", ("agents",), "agents", {"type": float}),
+    ("--sampled-matches", ("agents",), "agents",
+     {"action": "store_true", "default": None}),
+]
 
 
 def _build_manifest(args: argparse.Namespace, command: str) -> dict[str, Any]:
-    """Resolve CLI arguments (plus any --manifest base) into one manifest."""
-    manifest: dict[str, Any] = {}
-    if getattr(args, "manifest", None):
-        manifest = _load_manifest(args.manifest)
-        if manifest.get("command") not in (None, command):
-            raise ScenarioError(
-                f"manifest was written for {manifest.get('command')!r}, "
-                f"not {command!r}"
-            )
+    """Resolve CLI arguments (plus any --manifest base) into one manifest.
+
+    A flag that is given, and not empty, overrides the base.
+    """
+    manifest = _load_json(args.manifest, "--manifest") if args.manifest else {}
+    if manifest.get("command") not in (None, command):
+        raise ScenarioError(
+            f"manifest was written for {manifest.get('command')!r}, "
+            f"not {command!r}"
+        )
     manifest["version"] = __version__
     manifest["command"] = command
-    if getattr(args, "scenario", None):
-        manifest["scenario"] = args.scenario
-    if "scenario" not in manifest:
-        raise ScenarioError("--scenario is required")
-    if getattr(args, "out", None):
-        manifest["out"] = args.out
-    if "out" not in manifest:
-        raise ScenarioError("--out is required")
-    if getattr(args, "seed", None) is not None:
-        manifest["seed"] = args.seed
-    manifest.setdefault("seed", 0)
-
+    for section in ("integration", "sampling", "agents"):
+        manifest[section] = dict(manifest.get(section) or {})
     policy = manifest.get("policy")
-    if getattr(args, "policy", None):
-        try:
-            with open(args.policy, "r", encoding="utf-8") as handle:
-                policy = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ScenarioError(f"--policy {args.policy}: {exc}") from exc
-    if getattr(args, "d", None) is not None:
-        policy = dict(policy or {})
-        policy["d"] = args.d
-    if getattr(args, "y_star", None):
-        policy = dict(policy or {})
-        policy["y_star"] = _parse_floats(args.y_star)
+    for flag, _, section, options in FLAGS:
+        key = options.get("dest", flag[2:].replace("-", "_"))
+        value = getattr(args, key, None)
+        if section is None or value in (None, ""):
+            continue
+        if section == "policy":
+            policy = (_load_json(value, flag) if key == "policy"
+                      else {**(policy or {}), key: value})
+        elif section:
+            manifest[section][key] = value
+        else:
+            manifest[key] = value
     manifest["policy"] = policy
-
-    integration = dict(manifest.get("integration") or {})
-    for key in ("dt", "t_max", "record_stride"):
-        value = getattr(args, key, None)
-        if value is not None:
-            integration[key] = value
-    manifest["integration"] = integration
-
-    sampling = dict(manifest.get("sampling") or {})
-    for arg_key, cfg_key in (("grid_per_dim", "grid_per_dim"),
-                             ("samples", "random_samples"),
-                             ("ascent_iters", "ascent_iters")):
-        value = getattr(args, arg_key, None)
-        if value is not None:
-            sampling[cfg_key] = value
-    manifest["sampling"] = sampling
-
-    agent_cfg = dict(manifest.get("agents") or {})
-    for key in ("n_agents", "rounds", "revision_prob"):
-        value = getattr(args, key, None)
-        if value is not None:
-            agent_cfg[key] = value
-    if getattr(args, "sampled_matches", False):
-        agent_cfg["sampled_matches"] = True
-    manifest["agents"] = agent_cfg
-
-    if getattr(args, "x0", None):
-        manifest["x0"] = args.x0
-    if getattr(args, "grid", None) is not None:
-        manifest["grid"] = args.grid
-    if getattr(args, "d_values", None) is not None:
-        text = args.d_values.strip()
-        manifest["d_values"] = _parse_floats(text) if text else []
+    for key in ("scenario", "out"):
+        if key not in manifest:
+            raise ScenarioError(f"--{key} is required")
+    manifest.setdefault("seed", 0)
     return manifest
 
 
 def _resolve(manifest: dict[str, Any]):
     """Load scenario/policy/config objects named by a manifest."""
     scenario = Scenario.from_file(manifest["scenario"])
+    check_count("seed", manifest["seed"])
     policy_spec = manifest.get("policy")
     if policy_spec is None:
         policy = ControlPolicy.off(scenario.n_actions)
@@ -237,12 +250,10 @@ def _echo_manifest(manifest: dict[str, Any]) -> None:
     _write_json(os.path.join(manifest["out"], "manifest.json"), manifest)
 
 
-def _initial_states(manifest: dict[str, Any], scenario: Scenario,
-                    cfg: IntegrationConfig) -> list[np.ndarray]:
+def _initial_states(manifest: dict[str, Any],
+                    scenario: Scenario) -> list[np.ndarray]:
     m, n = scenario.n_populations, scenario.n_actions
-    states: list[np.ndarray] = []
-    for text in manifest.get("x0") or []:
-        states.append(_parse_x0(text, m, n))
+    states = [_parse_x0(text, m, n) for text in manifest.get("x0") or []]
     if manifest.get("grid"):
         states.extend(interior_grid(scenario, int(manifest["grid"])))
     if not states:
@@ -250,15 +261,22 @@ def _initial_states(manifest: dict[str, Any], scenario: Scenario,
     return states
 
 
+def _single_start(manifest: dict[str, Any], scenario: Scenario) -> np.ndarray:
+    if not manifest.get("x0"):
+        raise ScenarioError(f"{manifest['command']} needs exactly one --x0")
+    return _parse_x0(manifest["x0"][0], scenario.n_populations,
+                     scenario.n_actions)
+
+
 def _observer_for(scenario: Scenario, policy: ControlPolicy):
-    """Attach a Lyapunov observer when the policy has a usable target."""
+    """A Lyapunov observer when the policy has a usable target, else None."""
     if policy.d <= 0.0:
-        return None, None
+        return None
     try:
         eq = unique_target_equilibrium(scenario, policy.y_star)
     except InapplicableError:
-        return None, None
-    return LyapunovObserver(eq, scenario), eq
+        return None
+    return LyapunovObserver(eq, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +285,8 @@ def _observer_for(scenario: Scenario, policy: ControlPolicy):
 
 def _cmd_simulate(manifest: dict[str, Any]) -> int:
     scenario, policy, cfg = _resolve(manifest)
-    if not manifest.get("x0"):
-        raise ScenarioError("simulate needs exactly one --x0")
-    x0 = _parse_x0(manifest["x0"][0], scenario.n_populations,
-                   scenario.n_actions)
-    observer, _ = _observer_for(scenario, policy)
+    x0 = _single_start(manifest, scenario)
+    observer = _observer_for(scenario, policy)
     _echo_manifest(manifest)
     traj = simulate(scenario, policy, x0, cfg, observer=observer)
     prov = _provenance(manifest, scenario)
@@ -293,8 +308,8 @@ def _cmd_simulate(manifest: dict[str, Any]) -> int:
 
 def _cmd_portrait(manifest: dict[str, Any]) -> int:
     scenario, policy, cfg = _resolve(manifest)
-    states = _initial_states(manifest, scenario, cfg)
-    observer, _ = _observer_for(scenario, policy)
+    states = _initial_states(manifest, scenario)
+    observer = _observer_for(scenario, policy)
     _echo_manifest(manifest)
     results = phase_portrait(scenario, policy, states, cfg, observer=observer)
     prov = _provenance(manifest, scenario)
@@ -329,10 +344,10 @@ def _cmd_verify(manifest: dict[str, Any]) -> int:
     if manifest.get("policy") is None:
         raise ScenarioError("verify needs a target output (--policy/--y-star)")
     sampling_spec = dict(manifest.get("sampling") or {})
-    sampling_spec.setdefault("seed", int(manifest.get("seed", 0)))
+    sampling_spec.setdefault("seed", manifest["seed"])
     try:
         sampling = SamplingConfig(**sampling_spec)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"sampling config: {exc}") from exc
     _echo_manifest(manifest)
     prov = _provenance(manifest, scenario)
@@ -365,7 +380,7 @@ def _cmd_sweep(manifest: dict[str, Any]) -> int:
     if manifest.get("policy") is None:
         raise ScenarioError("sweep needs a target output (--policy/--y-star)")
     eq = unique_target_equilibrium(scenario, policy.y_star)
-    states = np.array(_initial_states(manifest, scenario, cfg))
+    states = np.array(_initial_states(manifest, scenario))
     _echo_manifest(manifest)
     prov = _provenance(manifest, scenario)
     # every gain in one batch, split only to fit the lattice byte budget;
@@ -401,28 +416,24 @@ def _cmd_agents(manifest: dict[str, Any]) -> int:
         raise ScenarioError("agents needs --n-agents and --rounds")
     revision_prob = float(agent_cfg.get("revision_prob", 0.05))
     sampled_matches = bool(agent_cfg.get("sampled_matches", False))
-    if not manifest.get("x0"):
-        raise ScenarioError("agents needs exactly one --x0")
-    x0 = _parse_x0(manifest["x0"][0], scenario.n_populations,
-                   scenario.n_actions)
+    x0 = _single_start(manifest, scenario)
     _echo_manifest(manifest)
     prov = _provenance(manifest, scenario)
     out = manifest["out"]
-    try:
-        pop = init_agents(scenario, x0, n_agents,
-                          seed=int(manifest.get("seed", 0)))
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    series = run_rounds(pop, scenario, policy, rounds,
-                        revision_prob, sampled_matches)
-    write_rounds_csv(series, os.path.join(out, "rounds.csv"), prov)
-
+    pop = init_agents(scenario, x0, n_agents, seed=manifest["seed"])
+    # checked before any round: revision_prob and a start that empties a
+    # targeted group (exit 4) by the first snapshot, then a start off the
+    # interior by the mean-field reference
+    run_rounds(pop, scenario, policy, 0, revision_prob)
     dt_round = round_time_step(scenario, policy, revision_prob)
     horizon = rounds * dt_round
     ode_cfg = IntegrationConfig(dt=dt_round, t_max=horizon + 1e-12,
                                 convergence_window=10 ** 9,
                                 record_stride=1)
     reference = simulate(scenario, policy, x0, ode_cfg)
+    series = run_rounds(pop, scenario, policy, rounds,
+                        revision_prob, sampled_matches)
+    write_rounds_csv(series, os.path.join(out, "rounds.csv"), prov)
     empirical = np.array([s.empirical_output for s in series])
     length = min(empirical.shape[0], reference.outputs.shape[0])
     deviation = np.abs(empirical[:length] - reference.outputs[:length])
@@ -440,24 +451,13 @@ def _cmd_agents(manifest: dict[str, Any]) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "portrait": _cmd_portrait,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-    "agents": _cmd_agents,
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "integrate one trajectory"),
+    "portrait": (_cmd_portrait, "integrate a batch of starts"),
+    "verify": (_cmd_verify, "stabilization report for a target"),
+    "sweep": (_cmd_sweep, "convergence fraction per subsidy level"),
+    "agents": (_cmd_agents, "finite-population run"),
 }
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scenario", help="scenario JSON file")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    sub.add_argument("--manifest", help="re-run from an echoed manifest.json")
-    sub.add_argument("--policy", help="policy JSON file (d, y_star)")
-    sub.add_argument("--d", type=float, help="average subsidy per agent")
-    sub.add_argument("--y-star", dest="y_star",
-                     help="target output, comma separated")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,46 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"replicator-ctl {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="integrate one trajectory")
-    _add_common(sim)
-    sim.add_argument("--x0", action="append", help="initial state")
-    sim.add_argument("--dt", type=float)
-    sim.add_argument("--t-max", dest="t_max", type=float)
-    sim.add_argument("--record-stride", dest="record_stride", type=int)
-
-    por = subs.add_parser("portrait", help="integrate a batch of starts")
-    _add_common(por)
-    por.add_argument("--x0", action="append", help="initial state (repeatable)")
-    por.add_argument("--grid", type=int, help="interior grid points per dim")
-    por.add_argument("--dt", type=float)
-    por.add_argument("--t-max", dest="t_max", type=float)
-    por.add_argument("--record-stride", dest="record_stride", type=int)
-
-    ver = subs.add_parser("verify", help="stabilization report for a target")
-    _add_common(ver)
-    ver.add_argument("--grid-per-dim", dest="grid_per_dim", type=int)
-    ver.add_argument("--samples", type=int, help="random sample count")
-    ver.add_argument("--ascent-iters", dest="ascent_iters", type=int)
-
-    swp = subs.add_parser("sweep", help="convergence fraction per subsidy level")
-    _add_common(swp)
-    swp.add_argument("--d-values", dest="d_values",
-                     help="comma-separated subsidy levels")
-    swp.add_argument("--x0", action="append")
-    swp.add_argument("--grid", type=int)
-    swp.add_argument("--dt", type=float)
-    swp.add_argument("--t-max", dest="t_max", type=float)
-    swp.add_argument("--record-stride", dest="record_stride", type=int)
-
-    agt = subs.add_parser("agents", help="finite-population run")
-    _add_common(agt)
-    agt.add_argument("--x0", action="append")
-    agt.add_argument("--n-agents", dest="n_agents", type=int)
-    agt.add_argument("--rounds", type=int)
-    agt.add_argument("--revision-prob", dest="revision_prob", type=float)
-    agt.add_argument("--sampled-matches", dest="sampled_matches",
-                     action="store_true")
+    for command, (_, help_text) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for flag, commands, _, options in FLAGS:
+            if command in commands:
+                sub.add_argument(flag, **options)
     return parser
 
 
@@ -517,7 +482,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         manifest = _build_manifest(args, args.command)
-        return _HANDLERS[args.command](manifest)
+        return _COMMANDS[args.command][0](manifest)
     except (ScenarioError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

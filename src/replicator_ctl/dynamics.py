@@ -96,9 +96,11 @@ class ControlPolicy:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ControlPolicy":
-        if not isinstance(raw, dict) or "d" not in raw or "y_star" not in raw:
-            raise ValueError('policy must be an object with "d" and "y_star"')
-        return cls(y_star=np.asarray(raw["y_star"], dtype=float), d=float(raw["d"]))
+        """A policy from ``{"y_star": [...], "d": gain}``; no "d" means 0."""
+        if not isinstance(raw, dict) or "y_star" not in raw:
+            raise ValueError('policy must be an object with "y_star"')
+        return cls(y_star=np.asarray(raw["y_star"], dtype=float),
+                   d=float(raw.get("d", 0.0)))
 
     def to_dict(self) -> dict:
         return {"d": self.d, "y_star": self.y_star.tolist()}

@@ -39,6 +39,7 @@ __all__ = [
     "aggregate_output",
     "average_payoff",
     "carrier",
+    "check_count",
     "check_lattice_budget",
     "check_simplex",
     "expected_payoff",
@@ -219,6 +220,13 @@ def check_simplex(z: np.ndarray, *, sum_tol: float = SUM_TOLERANCE,
     total = z.sum()
     if abs(total - 1.0) > sum_tol:
         raise ValueError(f"shares sum to {total!r}, expected 1 within {sum_tol}")
+
+
+def check_count(name: str, value: Any) -> None:
+    """Raise ValueError unless value is an integer >= 0 (a bool is not)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 0):
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def make_state(rows: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:

@@ -88,10 +88,11 @@ class IntegrationConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if self.t_max <= self.dt:
-            raise ValueError("t_max must exceed dt")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not self.dt < self.t_max < np.inf:
+            raise ValueError(f"t_max must be finite and exceed dt, got "
+                             f"{self.t_max!r}")
         if self.convergence_window < 1 or self.record_stride < 1:
             raise ValueError("window and stride must be >= 1")
 
@@ -234,8 +235,9 @@ class _BatchRun:
             x, dt)
 
     def _retry(self, x: np.ndarray, gains: np.ndarray) -> np.ndarray | None:
-        """Re-take a (1, m, n) step as 2^j substeps of dt / 2^j, else None."""
-        for level in range(MAX_HALVINGS + 1):
+        """Re-take a failed (1, m, n) step as 2^j substeps of dt / 2^j for
+        j = 1..MAX_HALVINGS, else None (j = 0 is the step that failed)."""
+        for level in range(1, MAX_HALVINGS + 1):
             current = x
             for _ in range(1 << level):
                 current, ok = self._step(current, gains,

@@ -40,7 +40,7 @@ reach them do not pay for loading it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Any, Sequence
 
@@ -49,7 +49,8 @@ import numpy as np
 from .dynamics import (ControlPolicy, field_controlled, field_uncontrolled,
                        output_payoffs, subsidy_weights)
 from .game import (CARRIER_THRESHOLD, Scenario, aggregate_output, carrier,
-                   check_lattice_budget, lattice_product, simplex_lattice)
+                   check_count, check_lattice_budget, lattice_product,
+                   simplex_lattice)
 
 __all__ = [
     "AtTargetOutputError",
@@ -294,13 +295,17 @@ class LyapunovObserver:
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Resolution knobs for the supremum estimate."""
+    """Resolution knobs for the supremum estimate, each an integer >= 0."""
 
     grid_per_dim: int = 15
     random_samples: int = 20_000
     ascent_iters: int = 60
     seed: int = 0
     ascent_candidates: int = 10
+
+    def __post_init__(self) -> None:
+        for item in fields(self):
+            check_count(item.name, getattr(self, item.name))
 
 
 @dataclass(frozen=True)

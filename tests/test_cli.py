@@ -21,6 +21,10 @@ from conftest import (RECIPE_REFUSED, THREEPOP_PAYOFFS, THREEPOP_SHARES,
                       recipe_game)
 
 REPO = Path(__file__).resolve().parent.parent
+# the benchmark's workloads, imported from perfbench/ as its own tests do
+sys.path.insert(0, str(REPO / "perfbench"))
+import workloads  # noqa: E402
+
 SCENARIO = str(REPO / "examples" / "threepop.json")
 POLICY_BOUNDARY = str(REPO / "examples" / "policy_boundary.json")
 POLICY_INTERIOR = str(REPO / "examples" / "policy_interior.json")
@@ -122,6 +126,32 @@ class TestSimulate:
         assert ((out_zero / "trajectory.csv").read_bytes()
                 == (out_none / "trajectory.csv").read_bytes())
 
+    def test_target_without_gain_is_control_off(self, tmp_path):
+        outputs = []
+        for name, gain in (("none", []), ("zero", ["--d", "0"])):
+            out = tmp_path / name
+            assert main(["simulate", "--scenario", SCENARIO,
+                         "--y-star", "1,0", *gain, "--x0", "0.3,0.4,0.5",
+                         "--t-max", "20", "--out", str(out)]) == 0
+            outputs.append([(out / f).read_bytes()
+                            for f in ("trajectory.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-max", "inf"), ("--t-max", "nan"), ("--dt", "nan"),
+        ("--dt", "inf")])
+    def test_non_finite_step_or_horizon_exits_1(self, tmp_path, capsys,
+                                                flag, value):
+        for command in ("portrait", "simulate"):
+            out = tmp_path / command
+            assert main([command, "--scenario", SCENARIO,
+                         "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5",
+                         flag, value, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("input error: integration config: ")
+            assert "finite" in err
+            assert not out.exists()
+
     def test_missing_scenario_exits_1(self, tmp_path, capsys):
         missing = str(tmp_path / "nonexistent.json")
         code = main(["simulate", "--scenario", missing,
@@ -208,6 +238,54 @@ class TestVerify:
         assert report["subsidy_bound"] < 1.5
         state = np.array(report["equilibria"][0]["state"])
         np.testing.assert_allclose(state[:, 0], [0, 1, 1])
+
+    def test_target_without_gain_same_report(self, tmp_path):
+        reports = []
+        for name, target in (("policy", ["--policy", POLICY_BOUNDARY]),
+                             ("target", ["--y-star", "1,0"])):
+            out = tmp_path / name
+            assert main(["verify", "--scenario", SCENARIO, *target,
+                         "--grid-per-dim", "5", "--samples", "500",
+                         "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("edit, flags, message", [
+        ({"sampling": {"seed": 1.5}}, [],
+         "sampling config: seed must be an integer >= 0, got 1.5"),
+        ({"sampling": {"ascent_candidates": -3}}, [],
+         "sampling config: ascent_candidates must be an integer >= 0, "
+         "got -3"),
+        ({}, ["--ascent-iters", "-5"],
+         "sampling config: ascent_iters must be an integer >= 0, got -5"),
+        ({}, ["--samples", "-5"],
+         "sampling config: random_samples must be an integer >= 0, got -5"),
+        # checked for every command, which all echo it as provenance
+        ({"seed": 1.5}, [], "seed must be an integer >= 0, got 1.5"),
+    ])
+    def test_bad_sampling_setting_exits_1(self, tmp_path, capsys,
+                                          monkeypatch, edit, flags, message):
+        first = tmp_path / "first"
+        assert main(["verify", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--out", str(first),
+                     "--grid-per-dim", "5", "--samples", "500"]) == 0
+        manifest = read_json(first / "manifest.json")
+        for key, value in edit.items():
+            if isinstance(value, dict):
+                manifest[key].update(value)
+            else:
+                manifest[key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        # refused before the equilibrium search
+        searched = []
+        monkeypatch.setattr(cli, "recommend_subsidy",
+                            lambda *args: searched.append(args))
+        capsys.readouterr()
+        assert main(["verify", "--manifest", str(path), *flags,
+                     "--out", str(tmp_path / "second")]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert searched == []
 
     def test_unreachable_target_exits_3(self, tmp_path, capsys):
         out = tmp_path / "verify"
@@ -338,6 +416,18 @@ class TestSweep:
         assert table[0.0][0] < 1.0
         assert table[1.2][0] == 1.0
         assert table[1.2][1] <= 1e-3
+
+    def test_target_without_gain_same_table(self, tmp_path):
+        tables = []
+        for name, target in (("policy", ["--policy", POLICY_BOUNDARY]),
+                             ("target", ["--y-star", "1,0"])):
+            out = tmp_path / name
+            assert main(["sweep", "--scenario", SCENARIO, *target,
+                         "--d-values", "0.6,1.2", "--grid", "2",
+                         "--x0", "0.2,0.4,0.6", "--dt", "0.05",
+                         "--t-max", "40", "--out", str(out)]) == 0
+            tables.append((out / "sweep.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_oversized_grid_exits_1(self, tmp_path, capsys):
         code = main(["sweep", "--scenario", SCENARIO,
@@ -474,6 +564,29 @@ class TestAgents:
         assert code == 4
         assert "no agents" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, names", [
+        (["--x0", "1,0.5,0.5"], "x0"),
+        (["--x0", "1.5,0.5,0.5"], "x0"),
+        (["--x0", "nan,0.5,0.5"], "x0"),
+        (["--x0", "0.6,0.6;0.5,0.5;0.5,0.5"], "x0"),
+        (["--x0", "0.5,0.5,0.5", "--revision-prob", "0"], "revision_prob"),
+        (["--x0", "0.5,0.5,0.5", "--revision-prob", "-0.1"],
+         "revision_prob"),
+        (["--x0", "0.5,0.5,0.5", "--revision-prob", "1.5"],
+         "revision_prob"),
+    ])
+    def test_bad_start_or_revision_prob_runs_no_round(self, tmp_path, capsys,
+                                                      extra, names):
+        out = tmp_path / "o"
+        code = main(["agents", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, *extra, "--n-agents", "500",
+                     "--rounds", "10", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert names in err
+        assert not (out / "rounds.csv").exists()
+
     def test_too_few_agents_exits_1(self, tmp_path, capsys):
         code = main(["agents", "--scenario", SCENARIO,
                      "--policy", POLICY_BOUNDARY,
@@ -516,6 +629,26 @@ class TestManifestRoundTrip:
         assert manifest["scenario"] == SCENARIO
         assert manifest["policy"]["d"] == 1.2
         assert manifest["x0"] == ["0.5,0.5,0.5"]
+
+
+class TestBenchmarkCommandLines:
+    """Every command line of the benchmark parses into its manifest."""
+
+    @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+    def test_workload_argv_builds_its_manifest(self, tmp_path, name):
+        case = workloads.WORKLOADS[name].prepare(1, tmp_path)
+        args = cli.build_parser().parse_args(
+            [*case.argv, "--out", str(tmp_path / "out")])
+        manifest = cli._build_manifest(args, args.command)
+        assert manifest["command"] == case.argv[0]
+        passed = [token for token in case.argv if token.startswith("--")]
+        for flag, _, section, options in cli.FLAGS:
+            key = options.get("dest", flag[2:].replace("-", "_"))
+            if flag in passed and section not in (None, "policy"):
+                held = manifest[section] if section else manifest
+                assert held[key] == getattr(args, key), flag
+        policy = case.argv[case.argv.index("--policy") + 1]
+        assert manifest["policy"] == read_json(Path(policy))
 
 
 # Runs main(argv[1:]) in a fresh interpreter limited to 2 GB of address space.

@@ -21,6 +21,7 @@ from replicator_ctl import (
     simulate,
     write_trajectory_csv,
 )
+from replicator_ctl import integrate
 from replicator_ctl.integrate import (StepError, Trajectory, _BatchRun,
                                       _check_interior)
 from conftest import (
@@ -134,6 +135,36 @@ class TestSimulate:
         b = simulate(threepop, policy_boundary, z_state((0.37, 0.21, 0.55)))
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.states, b.states)
+
+    def test_retry_starts_at_half_step(self, monkeypatch):
+        # one step fails and is re-taken as two half steps: 15 steps of 4
+        # stages, then 2 x 4 stages, and not the failed full step again
+        payoff = np.array([[0.0, 60.0], [0.0, 0.0]])
+        scen = Scenario(payoffs=np.stack([payoff, payoff]),
+                        shares=np.array([0.5, 0.5]))
+        policy = ControlPolicy.off(2)
+        real = integrate.batch_field
+        members = []
+
+        def counted(scenario, states, *args):
+            members.append(states.shape[0])
+            return real(scenario, states, *args)
+
+        monkeypatch.setattr(integrate, "batch_field", counted)
+        traj = simulate(scen, policy, make_state([[0.99, 0.01], [0.5, 0.5]]),
+                        IntegrationConfig(dt=0.2, t_max=3.0))
+        assert sum(members) == 15 * 4 + 2 * 4
+
+        def step(x, dt):
+            return integrate._rk4_step(
+                lambda batch: real(scen, batch, policy, np.zeros(1))[0],
+                x[None], dt)
+
+        failed = [k for k in range(15) if not step(traj.states[k], 0.2)[1][0]]
+        assert len(failed) == 1
+        half, _ = step(traj.states[failed[0]], 0.1)
+        assert np.array_equal(step(half[0], 0.1)[0][0],
+                              traj.states[failed[0] + 1])
 
     def test_unrecoverable_step_failure(self):
         # payoff spread so extreme that even 20 halvings cannot take a step
