@@ -1,20 +1,32 @@
 """Finite-population Monte Carlo realization of the controlled dynamics.
 
-Discrete agents hold fixed population memberships (head counts proportional
-to the population shares) and a current action each.  Per round:
+N agents hold fixed population memberships (head counts proportional to
+the population shares) and a current action each.  The controller sees
+only the action profile, and agents of one population who play the same
+action are interchangeable, so the chain's whole state is ``counts``, the
+(m, n) head count of each action in each population.  Per round:
 
-* the controller observes the empirical action counts p_i, funds the pot
-  D = d * N, and pays every agent on a targeted action i the equal split
-  D * y_star_i / p_i — identical to the continuum per-agent subsidy
+* the controller observes the action counts p_i = Σ_k counts[k, i], funds
+  the pot D = d * N, and pays every agent on a targeted action i the equal
+  split D * y_star_i / p_i — identical to the continuum per-agent subsidy
   d * y_star_i / y_hat_i;
 * each agent independently, with probability ``revision_prob``, samples a
-  uniformly random member of its own population and imitates that member's
-  action with probability proportional to the positive gap in subsidy-
-  augmented expected payoffs, normalized by (a_max - a_min + d).  Those
-  payoffs are A^k y_hat + d * f(y_hat), from
+  uniformly random member of its own population (itself included) and,
+  when that peer plays j and it plays i, imitates with probability
+  q[k, i, j] = clip((F[k, j] - F[k, i]) / (a_max - a_min + d), 0, 1).  The
+  payoffs F = A^k y_hat + d * f(y_hat) come from
   :func:`~replicator_ctl.dynamics.output_payoffs` and
   :func:`~replicator_ctl.dynamics.subsidy_weights`, the same definitions
   the continuum field uses.
+
+Every revision reads the start-of-round snapshot, so an agent of
+population k on action i moves to j with probability
+pi[k, i, j] = revision_prob * (counts[k, j] / N_k) * q[k, i, j], or stays,
+independently of every other agent.  The counts[k, i] agents that share
+(k, i) therefore split multinomially over the n moves and staying, and one
+``rng.multinomial(counts, [pi, 1 - Σ_j pi])`` draw samples the whole round
+with the same law as revising agent by agent.  A round takes O(m n^2) time
+and memory (n times that with sampled matches), whatever N is.
 
 Proportional imitation with expected payoffs is the standard protocol whose
 mean field is the replicator equation; the expected one-round drift equals
@@ -22,22 +34,24 @@ mean field is the replicator equation; the expected one-round drift equals
 wherever the imitation probabilities stay interior (the normalizer bounds
 them by 1 only while subsidy weights stay moderate; near the output
 boundary the probability is clipped at 1).  One round therefore advances
-mean-field time by :func:`round_time_step`.
+mean-field time by :func:`round_time_step`.  Each snapshot records the
+round's largest unclipped normalized gap; above 1 the clip bound.
 
 A ``sampled_matches`` variant replaces each reviser's expected game payoff
-with the payoff against one sampled opponent action (same opponent for the
-agent/peer comparison); it adds variance but keeps the drift.
+with the payoff against one opponent action l drawn from y_hat (the same
+opponent for the agent/peer comparison), so q becomes the mixture
+Σ_l y_hat_l * clip((A^k[j, l] + s_j - A^k[i, l] - s_i) / norm, 0, 1) with
+s = d * f(y_hat); it adds variance but keeps the drift.
 
-Rounds are strictly sequential (each mutates the population); independent
-replicas with different seeds can run concurrently.  Revisions within a
-round read the start-of-round snapshot.
+Rounds are strictly sequential (each mutates the counts); independent
+replicas with different seeds can run concurrently.
 
 Round-series CSV layout: ``round, y_1..y_n, p_1..p_n, total_subsidy``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,55 +81,48 @@ class EmptyActionGroupError(RuntimeError):
 
 @dataclass(eq=False)
 class AgentPopulation:
-    """Mutable agent roster: memberships never change, actions do.
+    """Mutable head counts: ``counts[k, i]`` agents of population k play i.
 
-    Agents are stored population-contiguously; ``block_starts[k]`` indexes
-    the first agent of population k.  The per-action head counts are kept
-    alongside ``actions`` and updated exactly by :func:`run_round`.
+    Memberships never change, so every row of ``counts`` sums to its
+    ``pop_sizes`` entry; :func:`run_round` updates ``counts`` in place.
     """
 
-    membership: np.ndarray
-    actions: np.ndarray
+    counts: np.ndarray
     pop_sizes: np.ndarray
-    block_starts: np.ndarray
     n_actions: int
     seed: int
     rng: np.random.Generator = field(repr=False, default=None)
-    counts: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.counts = np.bincount(self.actions, minlength=self.n_actions)
 
     @property
     def n_agents(self) -> int:
-        return self.membership.shape[0]
+        return int(self.pop_sizes.sum())
 
     def action_counts(self) -> np.ndarray:
-        return self.counts.copy()
+        return self.counts.sum(axis=0)
 
     def empirical_output(self) -> np.ndarray:
         return self.action_counts() / self.n_agents
 
     def empirical_state(self) -> np.ndarray:
         """Per-population action shares, shape (m, n)."""
-        m = self.pop_sizes.shape[0]
-        state = np.zeros((m, self.n_actions))
-        for k in range(m):
-            block = self.actions[self.block_starts[k]:
-                                 self.block_starts[k] + self.pop_sizes[k]]
-            state[k] = np.bincount(block, minlength=self.n_actions)
-        return state / self.pop_sizes[:, None]
+        return self.counts / self.pop_sizes[:, None]
 
 
 @dataclass(frozen=True)
 class RoundStats:
     """Snapshot of one round boundary: counts, output, and the payments
-    the controller makes at that state."""
+    the controller makes at that state.
+
+    ``imitation_gap`` is the largest unclipped normalized payoff gap of the
+    revision made from this snapshot (0 where none follows); above 1 the
+    imitation-probability clip binds.
+    """
 
     empirical_output: np.ndarray
     action_counts: np.ndarray
     total_subsidy: float
     per_agent_subsidy: np.ndarray
+    imitation_gap: float = 0.0
 
 
 def population_sizes(scenario: Scenario, n_agents: int) -> np.ndarray:
@@ -137,7 +144,7 @@ def _largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
 
 def init_agents(scenario: Scenario, x0: np.ndarray, n_agents: int,
                 seed: int = 0) -> AgentPopulation:
-    """Discretize an initial state into agents.
+    """Discretize an initial state into per-population head counts.
 
     Per-population action counts are the largest-remainder rounding of
     x0[k] times the population head count, so empirical shares start within
@@ -160,25 +167,18 @@ def init_agents(scenario: Scenario, x0: np.ndarray, n_agents: int,
     sizes = population_sizes(scenario, n_agents)
     if np.any(sizes < 1):
         raise ValueError(f"population sizes {sizes} cannot host agents")
-    membership = np.repeat(np.arange(m), sizes)
-    actions = np.empty(n_agents, dtype=int)
-    block_starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    counts = np.empty((m, n), dtype=np.int64)
     for k in range(m):
-        counts = _largest_remainder(x0[k], int(sizes[k]))
-        unrepresented = (x0[k] > CARRIER_THRESHOLD) & (counts == 0)
+        counts[k] = _largest_remainder(x0[k], int(sizes[k]))
+        unrepresented = (x0[k] > CARRIER_THRESHOLD) & (counts[k] == 0)
         if np.any(unrepresented):
             raise ValueError(
                 f"{n_agents} agents are too few to represent the initial "
                 f"shares of population {k} (action "
                 f"{int(np.flatnonzero(unrepresented)[0])} rounds to zero)"
             )
-        block = np.repeat(np.arange(n), counts)
-        actions[block_starts[k]: block_starts[k] + sizes[k]] = block
-    return AgentPopulation(
-        membership=membership, actions=actions, pop_sizes=sizes,
-        block_starts=block_starts, n_actions=n, seed=seed,
-        rng=np.random.default_rng(seed),
-    )
+    return AgentPopulation(counts=counts, pop_sizes=sizes, n_actions=n,
+                           seed=seed, rng=np.random.default_rng(seed))
 
 
 def _stats(pop: AgentPopulation, policy: ControlPolicy) -> RoundStats:
@@ -220,47 +220,43 @@ def _controlled_payoffs(scenario: Scenario, policy: ControlPolicy,
     return table, policy.d * f
 
 
+def _payoff_gaps(scenario: Scenario, policy: ControlPolicy, y: np.ndarray,
+                 sampled_matches: bool = False) -> np.ndarray:
+    """Normalized controlled-payoff gaps (F[k, j] - F[k, i]) / norm at the
+    output y, indexed [k, i, j]: what an i-player sees a j-player gain.
+    With sampled matches, the gaps against each opponent action l,
+    indexed [k, i, j, l]."""
+    table, subsidy = _controlled_payoffs(scenario, policy, y)
+    if sampled_matches:
+        # table[k, i, l]: action i against opponent action l, subsidy included
+        table = scenario.payoffs + subsidy[:, None]
+    normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
+    return (table[:, None] - table[:, :, None]) / normalizer
+
+
 def run_round(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
               revision_prob: float = 0.05,
               sampled_matches: bool = False) -> RoundStats:
-    """Pay subsidies at the current state, then apply one revision sweep.
+    """Pay subsidies at the current state, then draw every revision at once.
 
-    Returns the pre-revision snapshot (the payments actually made).  Raises
+    Returns the pre-revision snapshot (the payments actually made), with
+    the round's largest unclipped normalized gap.  Raises
     :class:`EmptyActionGroupError` when a targeted action group is empty.
     """
     stats = _stats(pop, policy)
     y_hat = stats.empirical_output
-    table, subsidy = _controlled_payoffs(scenario, policy, y_hat)
-    normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
-
-    rng = pop.rng
-    n = pop.n_agents
-    revising = np.flatnonzero(rng.random(n) < revision_prob)
-    if revising.size == 0:
-        return stats
-    # fancy indexing copies, so both reads see the start-of-round actions
-    members = pop.membership[revising]
-    own_actions = pop.actions[revising]
-    peer_offsets = rng.integers(0, pop.pop_sizes[members])
-    peers = pop.block_starts[members] + peer_offsets
-    peer_actions = pop.actions[peers]
+    gaps = _payoff_gaps(scenario, policy, y_hat, sampled_matches)
+    switch = np.clip(gaps, 0.0, 1.0)
     if sampled_matches:
-        opponents = rng.choice(pop.n_actions, size=revising.size, p=y_hat)
-        own_pay = (scenario.payoffs[members, own_actions, opponents]
-                   + subsidy[own_actions])
-        peer_pay = (scenario.payoffs[members, peer_actions, opponents]
-                    + subsidy[peer_actions])
-    else:
-        own_pay = table[members, own_actions]
-        peer_pay = table[members, peer_actions]
-    prob = np.clip((peer_pay - own_pay) / normalizer, 0.0, 1.0)
-    switching = rng.random(revising.size) < prob
-    new_actions = peer_actions[switching]
-    pop.actions[revising[switching]] = new_actions
-    pop.counts += (np.bincount(new_actions, minlength=pop.n_actions)
-                   - np.bincount(own_actions[switching],
-                                 minlength=pop.n_actions))
-    return stats
+        # the weights y_hat can sum to 1 + 1 ulp
+        switch = np.minimum(switch @ y_hat, 1.0)
+    # the peer is a uniform member of the reviser's own population
+    moves = revision_prob * pop.empirical_state()[:, None, :] * switch
+    stay = np.maximum(1.0 - moves.sum(axis=2, keepdims=True), 0.0)
+    drawn = pop.rng.multinomial(
+        pop.counts, np.concatenate([moves, stay], axis=2))[..., :-1]
+    pop.counts += drawn.sum(axis=1) - drawn.sum(axis=2)
+    return replace(stats, imitation_gap=float(gaps.max()))
 
 
 def run(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
@@ -289,26 +285,20 @@ def expected_drift(scenario: Scenario, policy: ControlPolicy, x: np.ndarray,
     ``round_time_step(...) * field_controlled(...)`` exactly.
     """
     x = np.asarray(x, dtype=float)
-    table, _ = _controlled_payoffs(scenario, policy,
-                                   aggregate_output(x, scenario))
-    normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
-    drift = np.zeros_like(x)
-    for k in range(scenario.n_populations):
-        gaps = (table[k][:, None] - table[k][None, :]) / normalizer
-        switch = np.clip(gaps, 0.0, 1.0)
-        net = switch - switch.T
-        drift[k] = revision_prob * x[k] * (net @ x[k])
-    return drift
+    switch = np.clip(
+        _payoff_gaps(scenario, policy, aggregate_output(x, scenario)),
+        0.0, 1.0)
+    # inflow j -> i minus outflow i -> j, per unit of x_i x_j
+    net = switch.swapaxes(1, 2) - switch
+    return revision_prob * x * (net @ x[:, :, None])[:, :, 0]
 
 
 def mean_field_scale(scenario: Scenario, policy: ControlPolicy,
                      x: np.ndarray) -> float:
     """Largest normalized payoff gap at a state; clipping binds iff > 1."""
     x = np.asarray(x, dtype=float)
-    table, _ = _controlled_payoffs(scenario, policy,
-                                   aggregate_output(x, scenario))
-    normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
-    return float((table.max(axis=1) - table.min(axis=1)).max() / normalizer)
+    return float(_payoff_gaps(scenario, policy,
+                              aggregate_output(x, scenario)).max())
 
 
 def write_rounds_csv(series: list[RoundStats], path: str,

@@ -410,9 +410,11 @@ def _cmd_sweep(manifest: dict[str, Any]) -> int:
 def _cmd_agents(manifest: dict[str, Any]) -> int:
     scenario, policy, _ = _resolve(manifest)
     agent_cfg = manifest.get("agents") or {}
-    n_agents = int(agent_cfg.get("n_agents", 0))
-    rounds = int(agent_cfg.get("rounds", 0))
-    if n_agents <= 0 or rounds <= 0:
+    n_agents = agent_cfg.get("n_agents", 0)
+    rounds = agent_cfg.get("rounds", 0)
+    check_count("n_agents", n_agents)
+    check_count("rounds", rounds)
+    if n_agents == 0 or rounds == 0:
         raise ScenarioError("agents needs --n-agents and --rounds")
     revision_prob = float(agent_cfg.get("revision_prob", 0.05))
     sampled_matches = bool(agent_cfg.get("sampled_matches", False))
@@ -445,6 +447,7 @@ def _cmd_agents(manifest: dict[str, Any]) -> int:
         "mean_field_dt_per_round": dt_round,
         "horizon_t": horizon,
         "sup_output_deviation": float(deviation.max()),
+        "max_imitation_gap": max(s.imitation_gap for s in series),
         "final_empirical_output": series[-1].empirical_output,
         "final_ode_output": reference.outputs[length - 1],
     })

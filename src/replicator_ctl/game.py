@@ -215,10 +215,12 @@ def check_simplex(z: np.ndarray, *, sum_tol: float = SUM_TOLERANCE,
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError(f"expected a 1-d share vector, got shape {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"non-finite share in {z.tolist()}")
     if np.any(z < -coord_tol):
         raise ValueError(f"negative share {z.min()!r} below -{coord_tol}")
     total = z.sum()
-    if abs(total - 1.0) > sum_tol:
+    if not abs(total - 1.0) <= sum_tol:
         raise ValueError(f"shares sum to {total!r}, expected 1 within {sum_tol}")
 
 

@@ -37,8 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import ControlPolicy, batch_field
-from .game import (Scenario, aggregate_output, check_lattice_budget,
-                   lattice_product, simplex_lattice)
+from .game import (Scenario, aggregate_output, check_count,
+                   check_lattice_budget, lattice_product, simplex_lattice)
 
 __all__ = [
     "IntegrationConfig",
@@ -93,6 +93,8 @@ class IntegrationConfig:
         if not self.dt < self.t_max < np.inf:
             raise ValueError(f"t_max must be finite and exceed dt, got "
                              f"{self.t_max!r}")
+        check_count("convergence_window", self.convergence_window)
+        check_count("record_stride", self.record_stride)
         if self.convergence_window < 1 or self.record_stride < 1:
             raise ValueError("window and stride must be >= 1")
 

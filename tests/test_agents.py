@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from replicator_ctl import ControlPolicy, field_controlled, make_state
+from replicator_ctl import (ControlPolicy, Scenario, field_controlled,
+                            make_state)
 from replicator_ctl.agents import (
     EmptyActionGroupError,
     expected_drift,
@@ -32,7 +33,7 @@ class TestInitialization:
 
     def test_vertex_start_all_play_it(self, threepop):
         pop = init_agents(threepop, make_state([[1, 0]] * 3), 500, seed=0)
-        assert np.all(pop.actions == 0)
+        assert np.all(pop.counts[:, 1] == 0)
 
     def test_empirical_shares_within_rounding(self, threepop):
         rng = np.random.default_rng(107)
@@ -111,24 +112,24 @@ class TestProtocol:
 
     def test_membership_is_fixed(self, threepop, policy_boundary):
         pop = init_agents(threepop, z_state((0.5, 0.5, 0.5)), 1000, seed=6)
-        membership = pop.membership.copy()
         run(pop, threepop, policy_boundary, rounds=100)
-        np.testing.assert_array_equal(pop.membership, membership)
+        np.testing.assert_array_equal(pop.counts.sum(axis=1), pop.pop_sizes)
         np.testing.assert_array_equal(pop.pop_sizes, [200, 300, 500])
 
     @pytest.mark.parametrize("sampled_matches", [False, True])
     def test_kept_counts_equal_a_recount(self, threepop, policy_boundary,
                                          sampled_matches):
         pop = init_agents(threepop, z_state((0.3, 0.6, 0.4)), 3000, seed=8)
-        initial = np.bincount(pop.actions, minlength=2)
+        initial = pop.counts.sum(axis=0)
         series = []
         for _ in range(200):
             series.append(run_round(pop, threepop, policy_boundary,
                                     revision_prob=0.2,
                                     sampled_matches=sampled_matches))
+            np.testing.assert_array_equal(pop.counts.sum(axis=1),
+                                          pop.pop_sizes)
             np.testing.assert_array_equal(pop.action_counts(),
-                                          np.bincount(pop.actions,
-                                                      minlength=2))
+                                          pop.counts.sum(axis=0))
         # a snapshot holds its own counts, not a view of the live ones
         np.testing.assert_array_equal(series[0].action_counts, initial)
         assert not np.array_equal(pop.action_counts(), initial)
@@ -139,6 +140,99 @@ class TestProtocol:
         series = run(pop, threepop, policy_boundary, rounds=2000,
                      sampled_matches=True)
         assert series[-1].empirical_output[0] > 0.9
+
+
+def _switch_probs(scenario, policy, counts, revision_prob, sampled_matches):
+    """pi[k, i, j], the chance that one agent of population k moves i -> j
+    in a round, from the protocol written out term by term."""
+    m, n = counts.shape
+    y = counts.sum(axis=0) / counts.sum()
+    subsidy = [policy.d * policy.y_star[i] / y[i] if policy.y_star[i] > 0
+               else 0.0 for i in range(n)]
+    norm = scenario.payoff_max - scenario.payoff_min + policy.d
+    pay = scenario.payoffs
+    pi = np.zeros((m, n, n))
+    for k in range(m):
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue  # imitating one's own action changes nothing
+                if sampled_matches:
+                    q = sum(y[l] * min(max((pay[k, j, l] + subsidy[j]
+                                            - pay[k, i, l] - subsidy[i])
+                                           / norm, 0.0), 1.0)
+                            for l in range(n))
+                else:
+                    gap = (pay[k, j] @ y + subsidy[j]
+                           - pay[k, i] @ y - subsidy[i]) / norm
+                    q = min(max(gap, 0.0), 1.0)
+                pi[k, i, j] = (revision_prob * counts[k, j] / counts[k].sum()
+                               * min(q, 1.0))
+    return pi
+
+
+class TestCountChainLaw:
+    """One round of the count chain has the per-agent protocol's law: each
+    agent of (k, i) moves to j with chance pi[k, i, j], independently."""
+
+    REPLICAS = 4000
+
+    def _cases(self, threepop, policy_boundary):
+        rng = np.random.default_rng(113)
+        # shares that split N exactly, so the chain's output is the
+        # continuum output expected_drift reads
+        three = Scenario(payoffs=random_scenario(rng, m=2, n=3).payoffs,
+                         shares=[0.4, 0.6])
+        return {
+            "interior": (threepop, policy_boundary,
+                         z_state((0.7, 0.4, 0.8)), 300, 0.3),
+            "clipped": (threepop, policy_boundary,
+                        z_state((0.3, 0.3, 0.3)), 300, 0.3),
+            # every agent revises, so the moves out of one action are
+            # visibly a multinomial, not independent binomials
+            "three_actions": (three, random_policy(rng, three, (0.5, 2.0)),
+                              make_state([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]),
+                              200, 1.0),
+        }
+
+    @pytest.mark.parametrize("sampled_matches", [False, True])
+    @pytest.mark.parametrize("case", ["interior", "clipped", "three_actions"])
+    def test_one_round_mean_and_variance(self, threepop, policy_boundary,
+                                         case, sampled_matches):
+        scen, policy, x0, n_agents, revision_prob = self._cases(
+            threepop, policy_boundary)[case]
+        pop = init_agents(scen, x0, n_agents, seed=17)
+        start, x = pop.counts.copy(), pop.empirical_state()
+        scale = mean_field_scale(scen, policy, x)
+        if case != "three_actions":
+            assert (scale > 1.0) == (case == "clipped")
+        changes = np.empty((self.REPLICAS,) + start.shape)
+        for r in range(self.REPLICAS):
+            pop.counts = start.copy()
+            run_round(pop, scen, policy, revision_prob,
+                      sampled_matches=sampled_matches)
+            changes[r] = pop.counts - start
+        pi = _switch_probs(scen, policy, start, revision_prob,
+                           sampled_matches)
+        # the moves into j from each i != j are independent binomials, and
+        # the moves out of j one binomial of their summed chance
+        out_prob = pi.sum(axis=2)
+        mean = np.einsum("ki,kij->kj", start, pi) - start * out_prob
+        var = (np.einsum("ki,kij->kj", start, pi * (1.0 - pi))
+               + start * out_prob * (1.0 - out_prob))
+        if not sampled_matches:
+            drift = (expected_drift(scen, policy, x, revision_prob)
+                     * pop.pop_sizes[:, None])
+            np.testing.assert_allclose(mean, drift, rtol=1e-9, atol=1e-9)
+            mean = drift
+        root = np.sqrt(self.REPLICAS)
+        sample_mean = changes.mean(axis=0)
+        assert np.all(np.abs(sample_mean - mean)
+                      <= 5.0 * changes.std(axis=0) / root)
+        spread = (changes - sample_mean) ** 2
+        assert np.all(np.abs(changes.var(axis=0, ddof=1) - var)
+                      <= 5.0 * spread.std(axis=0) / root)
+        assert np.all(var > 0.0)
 
 
 class TestMeanField:

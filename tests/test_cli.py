@@ -15,10 +15,11 @@ import pytest
 from replicator_ctl import (ControlPolicy, IntegrationConfig, Scenario,
                             interior_grid, phase_portrait, scenario_digest)
 from replicator_ctl import cli, game
+from replicator_ctl.agents import mean_field_scale
 from replicator_ctl.cli import main
 from replicator_ctl.stability import unique_target_equilibrium
 from conftest import (RECIPE_REFUSED, THREEPOP_PAYOFFS, THREEPOP_SHARES,
-                      recipe_game)
+                      recipe_game, z_state)
 
 REPO = Path(__file__).resolve().parent.parent
 # the benchmark's workloads, imported from perfbench/ as its own tests do
@@ -151,6 +152,15 @@ class TestSimulate:
             assert err.startswith("input error: integration config: ")
             assert "finite" in err
             assert not out.exists()
+
+    def test_non_finite_target_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", SCENARIO, "--y-star", "nan,1",
+                     "--d", "1", "--x0", "0.5,0.5,0.5",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: policy: non-finite share")
+        assert not out.exists()
 
     def test_missing_scenario_exits_1(self, tmp_path, capsys):
         missing = str(tmp_path / "nonexistent.json")
@@ -595,6 +605,44 @@ class TestAgents:
         assert code == 1
         assert "need at least 100 agents" in capsys.readouterr().err
 
+    def test_max_imitation_gap_and_rerun(self, tmp_path, threepop,
+                                         policy_boundary):
+        first = tmp_path / "first"
+        assert main(["agents", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5",
+                     "--n-agents", "1000", "--rounds", "50", "--seed", "3",
+                     "--out", str(first)]) == 0
+        summary = read_json(first / "summary.json")
+        # the gap is largest at the start, where it is the state's
+        # mean-field scale (4.4 / 4.2): the clip binds there
+        assert summary["max_imitation_gap"] == pytest.approx(22 / 21,
+                                                             rel=1e-12)
+        assert summary["max_imitation_gap"] == pytest.approx(
+            mean_field_scale(threepop, policy_boundary,
+                             z_state((0.5, 0.5, 0.5))), rel=1e-12)
+        second = tmp_path / "second"
+        assert main(["agents", "--manifest", str(first / "manifest.json"),
+                     "--out", str(second)]) == 0
+        for name in ("rounds.csv", "summary.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_ten_million_agents_in_bounded_memory(self, tmp_path):
+        # the state is the (m, n) count table: nothing grows with N
+        argv = ["agents", "--scenario", SCENARIO, "--policy", POLICY_BOUNDARY,
+                "--x0", "0.5,0.5,0.5", "--rounds", "50"]
+        # a small run first, so the modules the first run imports (about
+        # 0.8 MB, numpy.random among them) are not counted
+        assert main([*argv, "--n-agents", "1000",
+                     "--out", str(tmp_path / "small")]) == 0
+        argv += ["--n-agents", "10000000", "--out", str(tmp_path / "big")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_large_run_nearly_reaches_target(self, tmp_path):
         out = tmp_path / "big"
         code = main(["agents", "--scenario", SCENARIO,
@@ -607,6 +655,32 @@ class TestAgents:
 
 
 class TestManifestRoundTrip:
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("simulate", "integration", "record_stride", 2.5),
+        ("agents", "agents", "rounds", 10.7),
+        ("agents", "agents", "n_agents", 1000.5),
+    ])
+    def test_fractional_count_exits_1(self, tmp_path, capsys, command,
+                                      section, key, value):
+        first = tmp_path / "first"
+        extra = (["--t-max", "1"] if command == "simulate"
+                 else ["--n-agents", "200", "--rounds", "5"])
+        assert main([command, "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5",
+                     *extra, "--out", str(first)]) == 0
+        manifest = read_json(first / "manifest.json")
+        manifest[section][key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "second"
+        assert main([command, "--manifest", str(path),
+                     "--out", str(second)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert f"{key} must be an integer >= 0, got {value!r}" in err
+        assert not second.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         first = tmp_path / "first"
         assert main(["simulate", "--scenario", SCENARIO,
