@@ -416,8 +416,16 @@ def _cmd_agents(manifest: dict[str, Any]) -> int:
     check_count("rounds", rounds)
     if n_agents == 0 or rounds == 0:
         raise ScenarioError("agents needs --n-agents and --rounds")
-    revision_prob = float(agent_cfg.get("revision_prob", 0.05))
-    sampled_matches = bool(agent_cfg.get("sampled_matches", False))
+    revision_prob = agent_cfg.get("revision_prob", 0.05)
+    if (isinstance(revision_prob, bool)
+            or not isinstance(revision_prob, (int, float))):
+        raise ValueError(
+            f"revision_prob must be a real number, got {revision_prob!r}")
+    revision_prob = float(revision_prob)
+    sampled_matches = agent_cfg.get("sampled_matches", False)
+    if not isinstance(sampled_matches, bool):
+        raise ValueError(
+            f"sampled_matches must be true or false, got {sampled_matches!r}")
     x0 = _single_start(manifest, scenario)
     _echo_manifest(manifest)
     prov = _provenance(manifest, scenario)

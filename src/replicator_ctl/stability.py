@@ -32,10 +32,11 @@ estimate by a safety margin.
 Terminology used throughout: the *matching set* is the polytope of state
 combinations whose aggregate output equals y_star exactly.
 
-SciPy is imported only inside the two functions that solve an LP,
-:func:`min_advantage_on_matching_set` and ``_combo_solutions_lp`` (the
-enumeration for games with three or more actions), so commands that never
-reach them do not pay for loading it.
+Both linear programs, the matching-set minimum
+(:func:`min_advantage_on_matching_set`) and the extent probes of the
+enumeration for games with three or more actions (``_combo_solutions_lp``),
+are solved by ``_lp_min``, a dense two-phase simplex with Bland's rule; the
+programs have at most m*n variables and m+n rows.
 """
 
 from __future__ import annotations
@@ -457,14 +458,105 @@ def _lockstep_ascent(seeds: np.ndarray, eq: TargetEquilibrium,
 # matching-set (polytope of states aggregating to the target) machinery
 # ---------------------------------------------------------------------------
 
+# Simplex tolerances: tableau entries within LP_TOL of zero count as zero
+# and ratios within LP_TOL of the least as tied, and a phase-1 residual
+# above LP_FEASIBILITY_TOL means the system has no non-negative solution.
+LP_TOL = 1e-12
+LP_FEASIBILITY_TOL = 1e-9
+
+
+def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """Make column ``col`` basic in ``row`` by Gauss-Jordan elimination.
+
+    Basic values within LP_TOL of zero are set to zero, so that rounding
+    noise on a degenerate row does not spread through later pivots.
+    """
+    tab[row] /= tab[row, col]
+    others = np.arange(tab.shape[0]) != row
+    tab[others] -= np.outer(tab[others, col], tab[row])
+    values = tab[:-1, -1]
+    values[np.abs(values) <= LP_TOL] = 0.0
+    basis[row] = col
+
+
+def _simplex(tab: np.ndarray, basis: list[int], n_cols: int) -> None:
+    """Pivot the tableau ``tab`` (constraint rows, then the reduced-cost
+    row; last column the right-hand side) to optimality with Bland's rule:
+    the lowest-index improving column among the first ``n_cols`` enters,
+    and the lowest basis index leaves among the rows tied in the ratio
+    test.  Bland's rule cannot cycle, so no iteration cap is needed."""
+    while True:
+        improving = np.flatnonzero(tab[-1, :n_cols] < -LP_TOL)
+        if improving.size == 0:
+            return
+        col = improving[0]
+        rows = np.flatnonzero(tab[:-1, col] > LP_TOL)
+        if rows.size == 0:
+            raise ValueError("linear program is unbounded")
+        ratios = np.maximum(tab[rows, -1], 0.0) / tab[rows, col]
+        tied = rows[ratios <= ratios.min() + LP_TOL]
+        _pivot(tab, basis, min(tied, key=lambda r: basis[r]), col)
+
+
+def _lp_min(cost: np.ndarray, a_eq: np.ndarray,
+            b_eq: np.ndarray) -> np.ndarray | None:
+    """A minimizer of ``cost . z`` subject to ``a_eq z = b_eq``, ``z >= 0``,
+    or None when that system has no solution.  The program must be
+    bounded, as the matching system is: every share lies in [0, 1].
+
+    Dense two-phase tableau simplex.  Phase 1 minimizes the sum of one
+    artificial variable per row; a row whose artificial cannot be pivoted
+    out afterwards is a combination of the others and is dropped.
+    """
+    a_eq = np.asarray(a_eq, dtype=float)
+    b_eq = np.asarray(b_eq, dtype=float)
+    sign = np.where(b_eq < 0.0, -1.0, 1.0)
+    n_rows, n_cols = a_eq.shape
+    tab = np.zeros((n_rows + 1, n_cols + n_rows + 1))
+    tab[:-1, :n_cols] = sign[:, None] * a_eq
+    tab[:-1, n_cols:-1] = np.eye(n_rows)
+    tab[:-1, -1] = sign * b_eq
+    # phase-1 reduced costs: the artificials' sum less every row
+    tab[-1] = -tab[:-1].sum(axis=0)
+    tab[-1, n_cols:-1] = 0.0
+    basis = list(range(n_cols, n_cols + n_rows))
+    _simplex(tab, basis, n_cols)
+    if -tab[-1, -1] > LP_FEASIBILITY_TOL:
+        return None
+    keep = []
+    for row in range(n_rows):
+        if basis[row] >= n_cols:
+            pivots = np.flatnonzero(np.abs(tab[row, :n_cols]) > LP_TOL)
+            if pivots.size == 0:
+                continue
+            _pivot(tab, basis, row, pivots[0])
+        keep.append(row)
+    basis = [basis[row] for row in keep]
+    tab = np.vstack([tab[keep][:, list(range(n_cols)) + [-1]],
+                     np.append(cost, 0.0)])
+    for row, col in enumerate(basis):
+        tab[-1] -= tab[-1, col] * tab[row]
+    _simplex(tab, basis, n_cols)
+    z = np.zeros(n_cols)
+    z[basis] = np.maximum(tab[:-1, -1], 0.0)
+    return z
+
+
 def _matching_system(scenario: Scenario,
                      y_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equality system E z = b over flattened states: aggregates + row sums."""
+    """Equality system E z = b over flattened states: row sums, then
+    aggregates.
+
+    The row sums come first, so their artificials have the lower basis
+    indices: the simplex breaks ratio ties toward those, and so reads a
+    pure population's share 1 off its row sum, not off a rounded
+    aggregate.
+    """
     m, n = scenario.n_populations, scenario.n_actions
     aggregates = np.kron(scenario.shares[None, :], np.eye(n))
     row_sums = np.kron(np.eye(m), np.ones((1, n)))
-    return (np.vstack([aggregates, row_sums]),
-            np.concatenate([y_star, np.ones(m)]))
+    return (np.vstack([row_sums, aggregates]),
+            np.concatenate([np.ones(m), y_star]))
 
 
 @dataclass(frozen=True)
@@ -487,21 +579,19 @@ def min_advantage_on_matching_set(eq: TargetEquilibrium,
     this package's arithmetic, not on the solver's objective.  Raises
     :class:`InapplicableError` when the target output is unreachable.
     """
-    from scipy.optimize import linprog
     y_star = eq.target_output
     eq_mat, eq_rhs = _matching_system(scenario, y_star)
     _, payoffs_at_target = output_payoffs(scenario, None, y_star)
     cost = -(scenario.shares[:, None] * payoffs_at_target)
-    result = linprog(cost.reshape(-1), A_eq=eq_mat, b_eq=eq_rhs,
-                     bounds=(0.0, None), method="highs")
-    if not result.success:
+    vertex = _lp_min(cost.reshape(-1), eq_mat, eq_rhs)
+    if vertex is None:
         raise InapplicableError(
             f"target output {y_star} is unreachable for these population "
             "shares (matching set empty)", reason="matching_set_empty",
         )
     m, n = scenario.n_populations, scenario.n_actions
     # + 0.0 turns the solver's -0.0 entries into 0.0 for report.json
-    witness = result.x.reshape(m, n) + 0.0
+    witness = vertex.reshape(m, n) + 0.0
     advantage, _ = _advantage_batch(witness[None], eq, scenario,
                                     at_target=True)
     return MatchingSetSummary(min_advantage=float(advantage[0]),
@@ -588,34 +678,26 @@ def _combo_solutions(scenario: Scenario, y_star: np.ndarray,
 def _combo_solutions_lp(scenario: Scenario, y_star: np.ndarray,
                         supports: Sequence[tuple[int, ...]],
                         tol: float) -> tuple[list[np.ndarray], bool]:
-    """General-n fallback: linear-programming feasibility plus extent probing."""
-    from scipy.optimize import linprog
+    """General-n fallback: linear-programming feasibility plus extent probing.
+
+    Each used share is at most 1 because its population's row sums to 1, so
+    the restricted matching system needs no upper bounds.
+    """
     m, n = scenario.n_populations, scenario.n_actions
     columns = [k * n + i for k, sup in enumerate(supports) for i in sup]
     eq_mat, b_eq = _matching_system(scenario, y_star)
     a_eq = eq_mat[:, columns]
     n_vars = len(columns)
-    bounds = [(0.0, 1.0)] * n_vars
-    base = linprog(np.zeros(n_vars), A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                   method="highs")
-    if not base.success:
+    base = _lp_min(np.zeros(n_vars), a_eq, b_eq)
+    if base is None:
         return [], False
-
-    def to_state(z: np.ndarray) -> np.ndarray:
-        state = np.zeros(m * n)
-        state[columns] = z
-        return state.reshape(m, n)
-
-    is_point = True
-    for idx in range(n_vars):
-        c = np.zeros(n_vars)
-        c[idx] = 1.0
-        lo = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-        hi = linprog(-c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-        if lo.success and hi.success and (hi.x[idx] - lo.x[idx]) > tol:
-            is_point = False
-            break
-    return [to_state(base.x)], not is_point
+    state = np.zeros(m * n)
+    state[columns] = base
+    # a continuum when some used share has a range wider than tol; phase 1
+    # does not see the cost, so every probe is feasible as the base was
+    continuum = any(_lp_min(-c, a_eq, b_eq) @ c - _lp_min(c, a_eq, b_eq) @ c
+                    > tol for c in np.eye(n_vars))
+    return [state.reshape(m, n)], continuum
 
 
 def find_target_equilibria(scenario: Scenario, y_star: np.ndarray,

@@ -120,3 +120,35 @@ def recipe_game(trial: int) -> tuple[Scenario, np.ndarray]:
     np.add.at(y_star, profile, shares)
     assert y_star.max() <= 0.999
     return Scenario(payoffs=payoffs, shares=shares), y_star
+
+
+# (3, 3) games whose payoffs tie at the target output, so that equilibrium
+# enumeration solves restricted systems with three actions
+TIED_SHARES = np.array([0.2, 0.3, 0.5])
+
+
+def tied_everywhere_game() -> tuple[Scenario, np.ndarray]:
+    """Actions 0 and 1 earn the same at y* = (0.5, 0.5, 0) in every
+    population, so every mix of them that aggregates to y* is a target
+    equilibrium: a continuum."""
+    payoffs = np.array([
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+        [[2.0, 0.0, 1.0], [1.0, 1.0, 3.0], [0.0, 0.0, 2.0]],
+        [[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [3.0, 3.0, 0.0]],
+    ])
+    return (Scenario(payoffs=payoffs, shares=TIED_SHARES),
+            np.array([0.5, 0.5, 0.0]))
+
+
+def tied_once_game() -> tuple[Scenario, np.ndarray, np.ndarray]:
+    """Only population 0 ties (actions 0 and 1) at y* = (0.38, 0.12, 0.5);
+    the others have distinct payoffs, and the restricted system pins the
+    single target equilibrium x* returned third."""
+    payoffs = np.array([
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+        [[3.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]],
+    ])
+    state = np.array([[0.4, 0.6, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    return (Scenario(payoffs=payoffs, shares=TIED_SHARES),
+            TIED_SHARES @ state, state)

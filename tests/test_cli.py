@@ -19,7 +19,8 @@ from replicator_ctl.agents import mean_field_scale
 from replicator_ctl.cli import main
 from replicator_ctl.stability import unique_target_equilibrium
 from conftest import (RECIPE_REFUSED, THREEPOP_PAYOFFS, THREEPOP_SHARES,
-                      recipe_game, z_state)
+                      recipe_game, tied_everywhere_game, tied_once_game,
+                      z_state)
 
 REPO = Path(__file__).resolve().parent.parent
 # the benchmark's workloads, imported from perfbench/ as its own tests do
@@ -681,6 +682,45 @@ class TestManifestRoundTrip:
         assert f"{key} must be an integer >= 0, got {value!r}" in err
         assert not second.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("sampled_matches", "false", "must be true or false"),
+        ("sampled_matches", 1, "must be true or false"),
+        ("revision_prob", "0.1", "must be a real number"),
+        ("revision_prob", True, "must be a real number"),
+    ])
+    def test_mistyped_agent_setting_exits_1(self, tmp_path, capsys, key,
+                                            value, message):
+        first = tmp_path / "first"
+        assert main(["agents", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5",
+                     "--n-agents", "200", "--rounds", "5",
+                     "--out", str(first)]) == 0
+        manifest = read_json(first / "manifest.json")
+        manifest["agents"][key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "second"
+        assert main(["agents", "--manifest", str(path),
+                     "--out", str(second)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert f"{key} {message}, got {value!r}" in err
+        assert not second.exists()
+
+    def test_agents_rerun_is_byte_identical(self, tmp_path):
+        first = tmp_path / "first"
+        assert main(["agents", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5",
+                     "--n-agents", "300", "--rounds", "20",
+                     "--revision-prob", "0.1", "--sampled-matches",
+                     "--out", str(first)]) == 0
+        second = tmp_path / "second"
+        assert main(["agents", "--manifest", str(first / "manifest.json"),
+                     "--out", str(second)]) == 0
+        for name in ("rounds.csv", "summary.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         first = tmp_path / "first"
         assert main(["simulate", "--scenario", SCENARIO,
@@ -734,46 +774,56 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-# Runs in a fresh interpreter: argv[1] is a JSON list of (label, argv) runs
-# that must leave SciPy unloaded, argv[2] the argv of a verify run that
-# must load it.
+# Runs in a fresh interpreter: argv[1] is a JSON list of (label, argv,
+# exit code) runs, none of which may load SciPy.
 IMPORT_GUARD = """
 import json, sys
 from replicator_ctl.cli import main
 assert "scipy" not in sys.modules, "import replicator_ctl.cli"
-for label, argv in json.loads(sys.argv[1]):
-    assert main(argv) == 0, label
+for label, argv, code in json.loads(sys.argv[1]):
+    assert main(argv) == code, label
     assert "scipy" not in sys.modules, label
-assert main(json.loads(sys.argv[2])) == 0, "verify"
-assert "scipy" in sys.modules, "verify"
 """
 
 
 class TestImportGuard:
-    def test_scipy_is_loaded_only_by_verify(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         common = ["--scenario", SCENARIO, "--policy", POLICY_BOUNDARY]
+        sampling = ["--grid-per-dim", "5", "--samples", "200"]
         runs = [
             ("simulate", ["simulate", *common, "--x0", "0.5,0.5,0.5",
-                          "--t-max", "2", "--out", str(tmp_path / "sim")]),
+                          "--t-max", "2", "--out", str(tmp_path / "sim")], 0),
             ("portrait", ["portrait", *common, "--x0", "0.2,0.4,0.6",
                           "--x0", "0.8,0.6,0.4", "--t-max", "2",
-                          "--out", str(tmp_path / "por")]),
+                          "--out", str(tmp_path / "por")], 0),
             ("sweep", ["sweep", *common, "--d-values", "0,1.2",
                        "--grid", "2", "--t-max", "2",
-                       "--out", str(tmp_path / "swp")]),
+                       "--out", str(tmp_path / "swp")], 0),
             ("agents", ["agents", *common, "--x0", "0.5,0.5,0.5",
                         "--n-agents", "200", "--rounds", "5",
-                        "--out", str(tmp_path / "agt")]),
+                        "--out", str(tmp_path / "agt")], 0),
+            ("verify", ["verify", *common, *sampling,
+                        "--out", str(tmp_path / "ver")], 0),
         ]
-        verify = ["verify", *common, "--grid-per-dim", "5",
-                  "--samples", "200", "--out", str(tmp_path / "ver")]
+        # three-action games with tied payoffs at the target: verify's
+        # equilibrium enumeration solves restricted systems for them
+        for name, (scen, y_star, *_), code in [
+                ("tied-once", tied_once_game(), 0),
+                ("tied", tied_everywhere_game(), cli.EXIT_INAPPLICABLE)]:
+            scenario = tmp_path / f"{name}.json"
+            scenario.write_text(json.dumps(scen.to_dict()))
+            runs.append((f"verify {name}", [
+                "verify", "--scenario", str(scenario), "--y-star",
+                ",".join(map(repr, y_star.tolist())), *sampling,
+                "--out", str(tmp_path / name)], code))
         src = str(REPO / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_GUARD, json.dumps(runs),
-             json.dumps(verify)],
+            [sys.executable, "-c", IMPORT_GUARD, json.dumps(runs)],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "ver" / "report.json").exists()
+        assert read_json(tmp_path / "tied-once" / "report.json")["applicable"]
+        assert read_json(tmp_path / "tied" / "report.json")["reason"] == \
+            "multiple_target_equilibria"

@@ -4,7 +4,7 @@ equilibrium enumeration, and report assembly."""
 from __future__ import annotations
 
 import json
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -35,9 +35,11 @@ from replicator_ctl.stability import (
     recommend_subsidy,
     unique_target_equilibrium,
 )
-from replicator_ctl.stability import _dbar_batch, _grid_states, _mismatch_batch
+from replicator_ctl.stability import (_dbar_batch, _grid_states, _lp_min,
+                                     _matching_system, _mismatch_batch)
 from conftest import (RECIPE_REFUSED, random_scenario, random_state,
-                      recipe_game, z_state)
+                      recipe_game, tied_everywhere_game, tied_once_game,
+                      z_state)
 
 
 @pytest.fixture(scope="module")
@@ -434,6 +436,22 @@ class TestMatchingSet:
             assert summary.min_advantage == pytest.approx(
                 two_action_oracle(scen, eq), abs=1e-12)
 
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (3, 4)])
+    def test_vertex_target_witness_is_exact(self, m, n):
+        # the matching set of a vertex target is one pure state; the LP
+        # must return it bit for bit, as report.json records it
+        rng = np.random.default_rng(700 + 10 * m + n)
+        for _ in range(20):
+            scen = random_scenario(rng, m=m, n=n)
+            target = int(rng.integers(n))
+            state = np.zeros((m, n))
+            state[:, target] = 1.0
+            eq = TargetEquilibrium(state=state, target_output=np.eye(n)[target],
+                                   carriers=((target,),) * m)
+            summary = min_advantage_on_matching_set(eq, scen)
+            assert summary.witness.tolist() == state.tolist()
+            assert summary.min_advantage == 0.0
+
     @pytest.mark.parametrize("trial", RECIPE_REFUSED)
     def test_negative_advantage_games_are_refused(self, trial):
         scen, y_star = recipe_game(trial)
@@ -448,6 +466,78 @@ class TestMatchingSet:
         assert not report.applicable
         assert report.reason == "advantage_negative_on_matching_set"
         assert report.recommended_subsidy is None
+
+
+def brute_force_lp_min(cost: np.ndarray, a_eq: np.ndarray,
+                       b_eq: np.ndarray, rank: int) -> float:
+    """Least cost over every basic feasible solution: each set of ``rank``
+    columns whose square system, on the first ``rank`` rows, solves all
+    rows with a non-negative solution."""
+    best = np.inf
+    for basis in combinations(range(a_eq.shape[1]), rank):
+        square = a_eq[:rank, basis]
+        if abs(np.linalg.det(square)) < 1e-12:
+            continue
+        z = np.zeros(a_eq.shape[1])
+        z[list(basis)] = np.linalg.solve(square, b_eq[:rank])
+        if z.min() >= -1e-12 and np.allclose(a_eq @ z, b_eq, rtol=0.0,
+                                             atol=1e-12):
+            best = min(best, float(cost @ z))
+    return best
+
+
+def random_matching_lp(rng: np.random.Generator, m: int, n: int):
+    """A matching system for a random game and a random reachable target,
+    with some state entries zeroed so that degenerate vertices occur, and
+    a random cost."""
+    scen = random_scenario(rng, m=m, n=n)
+    state = random_state(rng, scen) * (rng.uniform(size=(m, n)) < 0.7)
+    state[state.sum(axis=1) == 0.0, 0] = 1.0
+    state /= state.sum(axis=1, keepdims=True)
+    a_eq, b_eq = _matching_system(scen, aggregate_output(state, scen))
+    return rng.normal(size=m * n), a_eq, b_eq
+
+
+class TestSimplex:
+    SIZES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4)]
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_minimum_equals_the_basis_enumeration(self, m, n):
+        rng = np.random.default_rng(500 + 10 * m + n)
+        for _ in range(34):
+            cost, a_eq, b_eq = random_matching_lp(rng, m, n)
+            z = _lp_min(cost, a_eq, b_eq)
+            assert z.min() >= 0.0
+            np.testing.assert_allclose(a_eq @ z, b_eq, rtol=0.0, atol=1e-12)
+            # the matching system has rank m + n - 1: the aggregate rows
+            # sum to the shares times the row-sum rows
+            oracle = brute_force_lp_min(cost, a_eq, b_eq, m + n - 1)
+            assert cost @ z == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_duplicated_row_solves_the_same(self, m, n):
+        rng = np.random.default_rng(600 + 10 * m + n)
+        for _ in range(10):
+            cost, a_eq, b_eq = random_matching_lp(rng, m, n)
+            row = int(rng.integers(a_eq.shape[0]))
+            z = _lp_min(cost, a_eq, b_eq)
+            twice = _lp_min(cost, np.vstack([a_eq, a_eq[row]]),
+                            np.append(b_eq, b_eq[row]))
+            np.testing.assert_allclose(a_eq @ twice, b_eq, rtol=0.0,
+                                       atol=1e-12)
+            assert cost @ twice == pytest.approx(cost @ z, abs=1e-12)
+
+    def test_infeasible_system_returns_none(self, threepop):
+        a_eq, b_eq = _matching_system(threepop, np.array([0.5, 0.5]))
+        cost = np.arange(6.0)
+        # every population on action 0 cannot give y = (0.5, 0.5)
+        assert _lp_min(cost[::2], a_eq[:, ::2], b_eq) is None
+        # nor can any state give an output summing to 1.4
+        assert _lp_min(cost, a_eq, _matching_system(
+            threepop, np.array([0.7, 0.7]))[1]) is None
+        # z = 0 solves a zero right-hand side, the only solution here
+        assert _lp_min(cost[::2], a_eq[:, ::2], 0.0 * b_eq).tolist() == \
+            [0.0, 0.0, 0.0]
 
 
 class TestEquilibriumEnumeration:
@@ -485,6 +575,26 @@ class TestEquilibriumEnumeration:
         found = find_target_equilibria(scen, np.array([0.55, 0.45]))
         assert any(eq.continuum_vertex for eq in found)
         assert len(found) >= 3
+
+    def test_three_action_ties_everywhere_are_a_continuum(self):
+        scen, y_star = tied_everywhere_game()
+        found = find_target_equilibria(scen, y_star)
+        assert len(found) == 1 and found[0].continuum_vertex
+        assert_on_matching_set(found[0].state, scen, y_star)
+        assert np.all(found[0].state[:, 2] == 0.0)
+        assert np.max(np.abs(field_uncontrolled(scen, found[0].state))) < 1e-9
+        with pytest.raises(InapplicableError, match="exactly one"):
+            unique_target_equilibrium(scen, y_star)
+
+    def test_three_action_tie_in_one_population_pins_a_point(self):
+        scen, y_star, state = tied_once_game()
+        found = find_target_equilibria(scen, y_star)
+        assert len(found) == 1 and not found[0].continuum_vertex
+        np.testing.assert_allclose(found[0].state, state, atol=1e-12,
+                                   rtol=0.0)
+        assert found[0].carriers == ((0, 1), (0,), (2,))
+        assert unique_target_equilibrium(scen, y_star).carriers == \
+            found[0].carriers
 
     def test_returned_points_rest_under_any_gain(self):
         rng = np.random.default_rng(101)
