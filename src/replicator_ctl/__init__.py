@@ -15,11 +15,7 @@ from .game import (
     Scenario,
     ScenarioError,
     aggregate_output,
-    average_payoff,
     carrier,
-    expected_payoff,
-    local_shift,
-    make_state,
     scenario_digest,
 )
 from .dynamics import (
@@ -36,7 +32,6 @@ from .integrate import (
     Trajectory,
     interior_grid,
     phase_portrait,
-    rk4_step,
     simulate,
     write_trajectory_csv,
 )
@@ -54,17 +49,12 @@ __all__ = [
     "Trajectory",
     "__version__",
     "aggregate_output",
-    "average_payoff",
     "carrier",
-    "expected_payoff",
     "field_controlled",
     "field_uncontrolled",
     "interior_grid",
-    "local_shift",
-    "make_state",
     "phase_portrait",
     "region_bounds",
-    "rk4_step",
     "scenario_digest",
     "simulate",
     "write_trajectory_csv",

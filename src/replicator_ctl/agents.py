@@ -293,14 +293,6 @@ def expected_drift(scenario: Scenario, policy: ControlPolicy, x: np.ndarray,
     return revision_prob * x * (net @ x[:, :, None])[:, :, 0]
 
 
-def mean_field_scale(scenario: Scenario, policy: ControlPolicy,
-                     x: np.ndarray) -> float:
-    """Largest normalized payoff gap at a state; clipping binds iff > 1."""
-    x = np.asarray(x, dtype=float)
-    return float(_payoff_gaps(scenario, policy,
-                              aggregate_output(x, scenario)).max())
-
-
 def write_rounds_csv(series: list[RoundStats], path: str,
                      provenance: dict[str, str] | None = None) -> None:
     """Write a round series as CSV: round, y_1..y_n, p_1..p_n, total_subsidy."""

@@ -47,7 +47,8 @@ from .agents import (
     write_rounds_csv,
 )
 from .dynamics import ControlPolicy
-from .game import Scenario, ScenarioError, check_count, scenario_digest
+from .game import (Scenario, ScenarioError, check_count, check_real,
+                   scenario_digest)
 from .integrate import (
     IntegrationConfig,
     IntegrationError,
@@ -417,10 +418,7 @@ def _cmd_agents(manifest: dict[str, Any]) -> int:
     if n_agents == 0 or rounds == 0:
         raise ScenarioError("agents needs --n-agents and --rounds")
     revision_prob = agent_cfg.get("revision_prob", 0.05)
-    if (isinstance(revision_prob, bool)
-            or not isinstance(revision_prob, (int, float))):
-        raise ValueError(
-            f"revision_prob must be a real number, got {revision_prob!r}")
+    check_real("revision_prob", revision_prob)
     revision_prob = float(revision_prob)
     sampled_matches = agent_cfg.get("sampled_matches", False)
     if not isinstance(sampled_matches, bool):

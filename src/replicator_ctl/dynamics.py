@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Scenario, aggregate_output, carrier, check_simplex
+from .game import (Scenario, aggregate_output, carrier, check_real,
+                   check_simplex)
 
 __all__ = [
     "DOMAIN_THRESHOLD",
@@ -99,8 +100,11 @@ class ControlPolicy:
         """A policy from ``{"y_star": [...], "d": gain}``; no "d" means 0."""
         if not isinstance(raw, dict) or "y_star" not in raw:
             raise ValueError('policy must be an object with "y_star"')
-        return cls(y_star=np.asarray(raw["y_star"], dtype=float),
-                   d=float(raw.get("d", 0.0)))
+        d = raw.get("d", 0.0)
+        check_real("d", d)
+        for entry in np.asarray(raw["y_star"], dtype=object).flat:
+            check_real("y_star entry", entry)
+        return cls(y_star=np.asarray(raw["y_star"], dtype=float), d=float(d))
 
     def to_dict(self) -> dict:
         return {"d": self.d, "y_star": self.y_star.tolist()}

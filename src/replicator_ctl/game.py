@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -37,15 +37,12 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "aggregate_output",
-    "average_payoff",
     "carrier",
     "check_count",
     "check_lattice_budget",
+    "check_real",
     "check_simplex",
-    "expected_payoff",
     "lattice_product",
-    "local_shift",
-    "make_state",
     "scenario_digest",
     "simplex_lattice",
 ]
@@ -159,13 +156,13 @@ class Scenario:
                     f'populations[{idx}] must have "share" and "payoff" fields'
                 )
             try:
-                shares.append(float(pop["share"]))
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(f"populations[{idx}].share: {exc}") from exc
-            try:
-                matrix = np.asarray(pop["payoff"], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(f"populations[{idx}].payoff: {exc}") from exc
+                check_real(f"populations[{idx}].share", pop["share"])
+                for entry in np.asarray(pop["payoff"], dtype=object).flat:
+                    check_real(f"populations[{idx}].payoff entry", entry)
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from exc
+            shares.append(float(pop["share"]))
+            matrix = np.asarray(pop["payoff"], dtype=float)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 raise ScenarioError(
                     f"populations[{idx}].payoff must be square, got {matrix.shape}"
@@ -231,9 +228,12 @@ def check_count(name: str, value: Any) -> None:
         raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
-def make_state(rows: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
-    """Stack per-population share rows into an (m, n) state array."""
-    return np.array(rows, dtype=float)
+def check_real(name: str, value: Any) -> None:
+    """Raise ValueError unless value is a real number (a bool or a string
+    is not)."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def aggregate_output(x: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -251,30 +251,6 @@ def aggregate_output(x: np.ndarray, scenario: Scenario) -> np.ndarray:
     for k in range(1, shares.shape[0]):
         y += shares[k] * x[k]
     return y
-
-
-def expected_payoff(scenario: Scenario, k: int, i: int, y: np.ndarray) -> float:
-    """Expected payoff of action i in population k against output y: e_i^T A^k y."""
-    return float(scenario.payoffs[k, i] @ y)
-
-
-def average_payoff(scenario: Scenario, k: int, xk: np.ndarray, y: np.ndarray) -> float:
-    """Mean payoff in population k at mixture xk against output y: xk^T A^k y."""
-    return float(xk @ scenario.payoffs[k] @ y)
-
-
-def local_shift(scenario: Scenario, k: int, j: int, b: float) -> Scenario:
-    """Return a copy with constant b added to column j of population k's matrix.
-
-    Payoff differences within a population are unchanged by such a shift
-    (both the action payoff and the population average pick up b * y_j), so
-    the induced dynamics are identical; this operation exists to test that.
-    """
-    if not np.isfinite(b):
-        raise ValueError(f"shift must be finite, got {b!r}")
-    payoffs = scenario.payoffs.copy()
-    payoffs[k, :, j] += b
-    return Scenario(payoffs=payoffs, shares=scenario.shares)
 
 
 def carrier(z: np.ndarray, *, threshold: float = CARRIER_THRESHOLD) -> np.ndarray:

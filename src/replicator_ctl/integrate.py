@@ -38,17 +38,16 @@ import numpy as np
 
 from .dynamics import ControlPolicy, batch_field
 from .game import (Scenario, aggregate_output, check_count,
-                   check_lattice_budget, lattice_product, simplex_lattice)
+                   check_lattice_budget, check_real, lattice_product,
+                   simplex_lattice)
 
 __all__ = [
     "IntegrationConfig",
     "IntegrationError",
     "LyapunovStats",
-    "StepError",
     "Trajectory",
     "interior_grid",
     "phase_portrait",
-    "rk4_step",
     "simulate",
     "write_trajectory_csv",
 ]
@@ -70,10 +69,6 @@ INTERIOR_FLOOR = 1e-6
 MAX_HALVINGS = 20
 
 
-class StepError(RuntimeError):
-    """A single integration step produced an inadmissible state."""
-
-
 class IntegrationError(RuntimeError):
     """A trajectory could not be continued (repeated step failure)."""
 
@@ -88,6 +83,8 @@ class IntegrationConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
+        check_real("dt", self.dt)
+        check_real("t_max", self.t_max)
         if not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not self.dt < self.t_max < np.inf:
@@ -163,22 +160,6 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         if not ok.all():  # a failed member keeps its raw RK4 result
             fixed[~ok] = x_new[~ok]
     return fixed, ok
-
-
-def rk4_step(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-             dt: float) -> np.ndarray:
-    """One RK4 step of an arbitrary state -> derivative callable.
-
-    Raises :class:`StepError` if the step lands outside the admissible set
-    (coordinates below -1e-12 or non-finite values); domain errors raised
-    by the field itself propagate unchanged.  Callers recover by halving dt.
-    """
-    x = np.asarray(x, dtype=float)
-    fixed, ok = _rk4_step(lambda batch: field(batch[0])[None], x[None], dt)
-    if not ok[0]:
-        raise StepError(f"step of size {dt!r} produced an inadmissible state "
-                        f"(min coordinate {np.nanmin(fixed)!r})")
-    return fixed[0]
 
 
 def _check_interior(x0: np.ndarray, scenario: Scenario,

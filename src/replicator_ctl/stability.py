@@ -33,9 +33,9 @@ Terminology used throughout: the *matching set* is the polytope of state
 combinations whose aggregate output equals y_star exactly.
 
 Both linear programs, the matching-set minimum
-(:func:`min_advantage_on_matching_set`) and the extent probes of the
-enumeration for games with three or more actions (``_combo_solutions_lp``),
-are solved by ``_lp_min``, a dense two-phase simplex with Bland's rule; the
+(:func:`min_advantage_on_matching_set`) and the feasibility and extent
+probes of target-equilibrium enumeration (``_combo_solutions``), are
+solved by ``_lp_min``, a dense two-phase simplex with Bland's rule; the
 programs have at most m*n variables and m+n rows.
 """
 
@@ -47,8 +47,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .dynamics import (ControlPolicy, field_controlled, field_uncontrolled,
-                       output_payoffs, subsidy_weights)
+from .dynamics import field_uncontrolled, output_payoffs, subsidy_weights
 from .game import (CARRIER_THRESHOLD, Scenario, aggregate_output, carrier,
                    check_count, check_lattice_budget, lattice_product,
                    simplex_lattice)
@@ -64,7 +63,6 @@ __all__ = [
     "StabilityReport",
     "TargetEquilibrium",
     "critical_subsidy",
-    "equilibrium_jacobian",
     "estimate_subsidy_bound",
     "find_target_equilibria",
     "lyapunov_rate",
@@ -112,9 +110,8 @@ class TargetEquilibrium:
     """A rest point of the uncontrolled dynamics aggregating to the target.
 
     ``carriers[k]`` lists the actions population k actually uses; the
-    certificate only sums over those.  ``continuum_vertex`` marks points
-    returned as the vertex description of a positive-dimensional solution
-    set.
+    certificate only sums over those.  ``continuum_vertex`` marks a point
+    returned as the representative of a positive-dimensional solution set.
     """
 
     state: np.ndarray
@@ -620,113 +617,76 @@ def _payoff_classes(values: np.ndarray, tol: float) -> list[tuple[int, ...]]:
 
 
 def _combo_solutions(scenario: Scenario, y_star: np.ndarray,
-                     supports: Sequence[tuple[int, ...]],
-                     tol: float) -> tuple[list[np.ndarray], bool]:
-    """Solve for matching-set states restricted to the given per-population
-    supports; returns (solution points, is_continuum)."""
+                     supports: Sequence[tuple[int, ...]]
+                     ) -> tuple[np.ndarray | None, bool]:
+    """A matching-set state restricted to the given per-population supports,
+    or None, and whether the restricted set is a continuum.
+
+    Linear-programming feasibility plus extent probing.  Each used share is
+    at most 1 because its population's row sums to 1, so the restricted
+    matching system needs no upper bounds.
+    """
     m, n = scenario.n_populations, scenario.n_actions
     # infeasible outright if a targeted action is supported by nobody
     supported = set()
     for sup in supports:
         supported.update(sup)
     for i in range(n):
-        if y_star[i] > tol and i not in supported:
-            return [], False
+        if y_star[i] > EQUILIBRIUM_TOL and i not in supported:
+            return None, False
     if all(len(sup) == 1 for sup in supports):
         state = np.zeros((m, n))
         for k, sup in enumerate(supports):
             state[k, sup[0]] = 1.0
         y = aggregate_output(state, scenario)
-        if np.max(np.abs(y - y_star)) <= tol:
-            return [state], False
-        return [], False
-    if n == 2:
-        free = [k for k in range(m) if len(supports[k]) == 2]
-        pinned = {k: supports[k][0] for k in range(m) if len(supports[k]) == 1}
-        base = sum(scenario.shares[k] for k, act in pinned.items() if act == 0)
-        residual = y_star[0] - base
-        shares = scenario.shares
-        vertices: list[np.ndarray] = []
-        seen = set()
-        for anchor in free:
-            others = [k for k in free if k != anchor]
-            for bits in product((0.0, 1.0), repeat=len(others)):
-                partial = sum(shares[k] * w for k, w in zip(others, bits))
-                w_anchor = (residual - partial) / shares[anchor]
-                if -1e-12 <= w_anchor <= 1.0 + 1e-12:
-                    w = {k: val for k, val in zip(others, bits)}
-                    w[anchor] = min(1.0, max(0.0, w_anchor))
-                    state = np.zeros((m, 2))
-                    for k in range(m):
-                        share1 = (1.0 if pinned.get(k) == 0 else
-                                  0.0 if k in pinned else w[k])
-                        state[k, 0] = share1
-                        state[k, 1] = 1.0 - share1
-                    key = tuple(np.round(state[:, 0], 12))
-                    if key not in seen:
-                        seen.add(key)
-                        vertices.append(state)
-        if not vertices:
-            return [], False
-        if len(vertices) == 1:
-            return vertices, False
-        distinct = any(np.max(np.abs(v - vertices[0])) > tol for v in vertices[1:])
-        return vertices, distinct
-    return _combo_solutions_lp(scenario, y_star, supports, tol)
-
-
-def _combo_solutions_lp(scenario: Scenario, y_star: np.ndarray,
-                        supports: Sequence[tuple[int, ...]],
-                        tol: float) -> tuple[list[np.ndarray], bool]:
-    """General-n fallback: linear-programming feasibility plus extent probing.
-
-    Each used share is at most 1 because its population's row sums to 1, so
-    the restricted matching system needs no upper bounds.
-    """
-    m, n = scenario.n_populations, scenario.n_actions
+        if np.max(np.abs(y - y_star)) <= EQUILIBRIUM_TOL:
+            return state, False
+        return None, False
     columns = [k * n + i for k, sup in enumerate(supports) for i in sup]
     eq_mat, b_eq = _matching_system(scenario, y_star)
     a_eq = eq_mat[:, columns]
     n_vars = len(columns)
     base = _lp_min(np.zeros(n_vars), a_eq, b_eq)
     if base is None:
-        return [], False
+        return None, False
     state = np.zeros(m * n)
     state[columns] = base
-    # a continuum when some used share has a range wider than tol; phase 1
-    # does not see the cost, so every probe is feasible as the base was
+    # a continuum when some used share has a range wider than the
+    # tolerance; phase 1 does not see the cost, so every probe is feasible
+    # as the base was
     continuum = any(_lp_min(-c, a_eq, b_eq) @ c - _lp_min(c, a_eq, b_eq) @ c
-                    > tol for c in np.eye(n_vars))
-    return [state.reshape(m, n)], continuum
+                    > EQUILIBRIUM_TOL for c in np.eye(n_vars))
+    return state.reshape(m, n), continuum
 
 
-def find_target_equilibria(scenario: Scenario, y_star: np.ndarray,
-                           tol: float = EQUILIBRIUM_TOL
-                           ) -> list[TargetEquilibrium]:
+def find_target_equilibria(scenario: Scenario,
+                           y_star: np.ndarray) -> list[TargetEquilibrium]:
     """All rest points of the uncontrolled dynamics aggregating to y_star.
 
     Holding the output at y_star, each population's rest condition forces
     equal payoffs across its used actions, so candidates are mixtures inside
     equal-payoff action groups; combinations are kept when their aggregate
-    hits y_star.  Positive-dimensional solution sets are returned through
-    their vertices (two-action games) or a representative point, each marked
+    hits y_star.  A positive-dimensional solution set is returned as one
+    representative point per combination of groups, marked
     ``continuum_vertex``.  Raises :class:`InapplicableError` when there are
     no solutions at all.
     """
     y_star = np.asarray(y_star, dtype=float)
     _, payoffs_at_target = output_payoffs(scenario, None, y_star)
-    per_pop = [_payoff_classes(values, tol) for values in payoffs_at_target]
+    per_pop = [_payoff_classes(values, EQUILIBRIUM_TOL)
+               for values in payoffs_at_target]
     results: list[TargetEquilibrium] = []
     seen: set[tuple] = set()
     for combo in product(*per_pop):
-        points, continuum = _combo_solutions(scenario, y_star, combo, tol)
-        for point in points:
-            key = tuple(np.round(point.reshape(-1), 10))
-            if key in seen:
-                continue
-            seen.add(key)
-            results.append(TargetEquilibrium.from_state(
-                scenario, point, y_star, continuum_vertex=continuum, tol=1e-7))
+        point, continuum = _combo_solutions(scenario, y_star, combo)
+        if point is None:
+            continue
+        key = tuple(np.round(point.reshape(-1), 10))
+        if key in seen:
+            continue
+        seen.add(key)
+        results.append(TargetEquilibrium.from_state(
+            scenario, point, y_star, continuum_vertex=continuum, tol=1e-7))
     if not results:
         raise InapplicableError(
             f"no uncontrolled rest point aggregates to {y_star}; "
@@ -843,29 +803,3 @@ def recommend_subsidy(scenario: Scenario, y_star: np.ndarray,
         max(0.0, bound.value) * (1.0 + RECOMMEND_MARGIN) + RECOMMEND_FLOOR
     )
     return report
-
-
-def equilibrium_jacobian(scenario: Scenario, policy: ControlPolicy,
-                         state: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Numerical Jacobian of the reduced two-action dynamics at a state.
-
-    Two-action games are coordinatized by the per-population first-action
-    shares; central differences on that reduced field give an (m, m)
-    matrix whose eigenvalues classify local stability.  Diagnostic helper
-    only (used to confirm which uncontrolled rest points attract).
-    """
-    if scenario.n_actions != 2:
-        raise ValueError("reduced Jacobian implemented for n = 2 only")
-    m = scenario.n_populations
-
-    def reduced(z: np.ndarray) -> np.ndarray:
-        x = np.stack([z, 1.0 - z], axis=1)
-        return field_controlled(scenario, x, policy)[:, 0]
-
-    z0 = np.asarray(state, dtype=float)[:, 0]
-    jac = np.zeros((m, m))
-    for col in range(m):
-        bump = np.zeros(m)
-        bump[col] = h
-        jac[:, col] = (reduced(z0 + bump) - reduced(z0 - bump)) / (2.0 * h)
-    return jac

@@ -1,11 +1,15 @@
-"""Shared fixtures: the three-population worked example and random generators."""
+"""Shared fixtures: the three-population worked example, random generators,
+and reference helpers that the tests check the package against."""
 
 from __future__ import annotations
+
+from itertools import product
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from replicator_ctl import ControlPolicy, Scenario, make_state
+from replicator_ctl import ControlPolicy, Scenario, field_controlled
 
 # the bundled three-population, two-action example used throughout
 THREEPOP_PAYOFFS = np.array(
@@ -49,6 +53,130 @@ def policy_boundary() -> ControlPolicy:
 @pytest.fixture(scope="session")
 def policy_interior() -> ControlPolicy:
     return ControlPolicy(y_star=np.array([0.8, 0.2]), d=1.5)
+
+
+def make_state(rows: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+    """Stack per-population share rows into an (m, n) state array."""
+    return np.array(rows, dtype=float)
+
+
+def expected_payoff(scenario: Scenario, k: int, i: int, y: np.ndarray) -> float:
+    """Expected payoff of action i in population k against output y: e_i^T A^k y."""
+    return float(scenario.payoffs[k, i] @ y)
+
+
+def average_payoff(scenario: Scenario, k: int, xk: np.ndarray, y: np.ndarray) -> float:
+    """Mean payoff in population k at mixture xk against output y: xk^T A^k y."""
+    return float(xk @ scenario.payoffs[k] @ y)
+
+
+def local_shift(scenario: Scenario, k: int, j: int, b: float) -> Scenario:
+    """Return a copy with constant b added to column j of population k's matrix.
+
+    Payoff differences within a population are unchanged by such a shift
+    (both the action payoff and the population average pick up b * y_j), so
+    the induced dynamics are identical.
+    """
+    if not np.isfinite(b):
+        raise ValueError(f"shift must be finite, got {b!r}")
+    payoffs = scenario.payoffs.copy()
+    payoffs[k, :, j] += b
+    return Scenario(payoffs=payoffs, shares=scenario.shares)
+
+
+def equilibrium_jacobian(scenario: Scenario, policy: ControlPolicy,
+                         state: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Numerical Jacobian of the reduced two-action dynamics at a state.
+
+    Two-action games are coordinatized by the per-population first-action
+    shares; central differences on that reduced field give an (m, m)
+    matrix whose eigenvalues classify local stability.
+    """
+    if scenario.n_actions != 2:
+        raise ValueError("reduced Jacobian implemented for n = 2 only")
+    m = scenario.n_populations
+
+    def reduced(z: np.ndarray) -> np.ndarray:
+        x = np.stack([z, 1.0 - z], axis=1)
+        return field_controlled(scenario, x, policy)[:, 0]
+
+    z0 = np.asarray(state, dtype=float)[:, 0]
+    jac = np.zeros((m, m))
+    for col in range(m):
+        bump = np.zeros(m)
+        bump[col] = h
+        jac[:, col] = (reduced(z0 + bump) - reduced(z0 - bump)) / (2.0 * h)
+    return jac
+
+
+def two_action_vertices(scenario: Scenario, y_star: np.ndarray,
+                        supports: Sequence[tuple[int, ...]],
+                        tol: float = 1e-9) -> tuple[list[np.ndarray], bool]:
+    """Vertices of a two-action matching set restricted to per-population
+    supports, and whether they are distinct (a continuum).
+
+    In first-action shares w the restricted set is the section
+    sum_k v^k w_k = y_star_0 of a box; each vertex fixes all free shares
+    but one, the anchor, at a bound and solves for the anchor.
+    """
+    m = scenario.n_populations
+    shares = scenario.shares
+    free = [k for k in range(m) if len(supports[k]) == 2]
+    pinned = {k: supports[k][0] for k in range(m) if len(supports[k]) == 1}
+    if y_star[0] > tol and all(pinned.get(k) == 1 for k in range(m)):
+        return [], False
+    if y_star[1] > tol and all(pinned.get(k) == 0 for k in range(m)):
+        return [], False
+    residual = y_star[0] - sum(shares[k] for k, a in pinned.items() if a == 0)
+    if not free:
+        return ([np.array([[1.0 - a, float(a)] for a in pinned.values()])]
+                if abs(residual) <= tol else []), False
+    vertices: list[np.ndarray] = []
+    seen = set()
+    for anchor in free:
+        others = [k for k in free if k != anchor]
+        for bits in product((0.0, 1.0), repeat=len(others)):
+            w_anchor = (residual - sum(shares[k] * w for k, w
+                                       in zip(others, bits))) / shares[anchor]
+            if not -1e-12 <= w_anchor <= 1.0 + 1e-12:
+                continue
+            w = dict(zip(others, bits))
+            w[anchor] = min(1.0, max(0.0, w_anchor))
+            first = np.array([1.0 if pinned.get(k) == 0 else
+                              0.0 if k in pinned else w[k] for k in range(m)])
+            key = tuple(np.round(first, 12))
+            if key not in seen:
+                seen.add(key)
+                vertices.append(np.stack([first, 1.0 - first], axis=1))
+    distinct = any(np.max(np.abs(v - vertices[0])) > tol
+                   for v in vertices[1:])
+    return vertices, distinct
+
+
+def two_action_verdict(scenario: Scenario, y_star: np.ndarray,
+                       tol: float = 1e-9) -> tuple[str, np.ndarray | None]:
+    """The target-equilibrium verdict of a two-action game by vertex
+    enumeration: ("unique", state), ("multiple_target_equilibria", None)
+    or ("no_target_equilibrium", None).
+
+    Each population's candidate supports are its actions taken singly,
+    or both together when they earn the same at y_star.
+    """
+    gaps = scenario.payoffs[:, 0] @ y_star - scenario.payoffs[:, 1] @ y_star
+    per_pop = [[(0, 1)] if abs(gap) <= tol else [(0,), (1,)] for gap in gaps]
+    points: dict[tuple, np.ndarray] = {}
+    continuum = False
+    for supports in product(*per_pop):
+        vertices, distinct = two_action_vertices(scenario, y_star, supports,
+                                                 tol)
+        continuum |= distinct
+        for state in vertices:
+            points.setdefault(tuple(np.round(state.reshape(-1), 10)), state)
+    if not points:
+        return "no_target_equilibrium", None
+    if continuum or len(points) > 1:
+        return "multiple_target_equilibria", None
+    return "unique", next(iter(points.values()))
 
 
 def z_state(z: tuple[float, ...] | np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from replicator_ctl import (
     field_controlled,
     field_uncontrolled,
     interior_grid,
-    local_shift,
     phase_portrait,
     region_bounds,
     simulate,
@@ -40,6 +39,7 @@ from replicator_ctl.stability import (
 from conftest import (
     FIVE_STARTS,
     five_start_states,
+    local_shift,
     random_policy,
     random_scenario,
     random_state,

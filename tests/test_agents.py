@@ -6,19 +6,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from replicator_ctl import (ControlPolicy, Scenario, field_controlled,
-                            make_state)
+from replicator_ctl import (ControlPolicy, Scenario, aggregate_output,
+                            field_controlled)
 from replicator_ctl.agents import (
     EmptyActionGroupError,
+    _payoff_gaps,
     expected_drift,
     init_agents,
-    mean_field_scale,
     population_sizes,
     round_time_step,
     run,
     run_round,
 )
-from conftest import random_policy, random_scenario, random_state, z_state
+from conftest import (make_state, random_policy, random_scenario,
+                      random_state, z_state)
 
 
 class TestInitialization:
@@ -203,7 +204,7 @@ class TestCountChainLaw:
             threepop, policy_boundary)[case]
         pop = init_agents(scen, x0, n_agents, seed=17)
         start, x = pop.counts.copy(), pop.empirical_state()
-        scale = mean_field_scale(scen, policy, x)
+        scale = _payoff_gaps(scen, policy, aggregate_output(x, scen)).max()
         if case != "three_actions":
             assert (scale > 1.0) == (case == "clipped")
         changes = np.empty((self.REPLICAS,) + start.shape)
@@ -246,7 +247,8 @@ class TestMeanField:
             scen = random_scenario(rng)
             policy = random_policy(rng, scen, d_range=(0.2, 2.0))
             x = random_state(rng, scen, interior=0.02)
-            if mean_field_scale(scen, policy, x) > 1.0:
+            if _payoff_gaps(scen, policy,
+                            aggregate_output(x, scen)).max() > 1.0:
                 continue
             drift = expected_drift(scen, policy, x, revision_prob=0.05)
             dt = round_time_step(scen, policy, revision_prob=0.05)

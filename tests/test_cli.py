@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from replicator_ctl import (ControlPolicy, IntegrationConfig, Scenario,
-                            interior_grid, phase_portrait, scenario_digest)
+                            aggregate_output, interior_grid, phase_portrait,
+                            scenario_digest)
 from replicator_ctl import cli, game
-from replicator_ctl.agents import mean_field_scale
+from replicator_ctl.agents import _payoff_gaps
 from replicator_ctl.cli import main
 from replicator_ctl.stability import unique_target_equilibrium
 from conftest import (RECIPE_REFUSED, THREEPOP_PAYOFFS, THREEPOP_SHARES,
@@ -114,6 +115,55 @@ class TestSimulate:
                      "--x0", "0.5,0.5", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "payoff" in capsys.readouterr().err
+
+    @staticmethod
+    def _simulate_json(tmp_path, policy, integration, population=None):
+        """Exit code of simulate with a policy file and a manifest, on the
+        bundled game with its first population replaced by ``population``."""
+        scenario = read_json(Path(SCENARIO))
+        if population is not None:
+            scenario["populations"][0] = population
+        paths = {name: tmp_path / f"{name}.json"
+                 for name in ("scenario", "policy", "manifest")}
+        paths["scenario"].write_text(json.dumps(scenario))
+        paths["policy"].write_text(json.dumps(policy))
+        paths["manifest"].write_text(json.dumps({
+            "command": "simulate", "scenario": str(paths["scenario"]),
+            "integration": integration, "x0": ["0.5,0.5,0.5"]}))
+        return main(["simulate", "--manifest", str(paths["manifest"]),
+                     "--policy", str(paths["policy"]),
+                     "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("policy, integration, population, message", [
+        ({"d": "1.5", "y_star": ["1", "0"]}, {}, None,
+         "policy: d must be a real number, got '1.5'"),
+        ({"d": True, "y_star": [1, 0]}, {}, None,
+         "policy: d must be a real number, got True"),
+        ({"d": 1.5, "y_star": ["1", "0"]}, {}, None,
+         "policy: y_star entry must be a real number, got '1'"),
+        ({"y_star": [1, 0]}, {"dt": True, "t_max": 3}, None,
+         "integration config: dt must be a real number, got True"),
+        ({"y_star": [1, 0]}, {"t_max": "3"}, None,
+         "integration config: t_max must be a real number, got '3'"),
+        ({"y_star": [1, 0]}, {}, {"share": "0.2", "payoff": [[2, 1], [3, 4]]},
+         "populations[0].share must be a real number, got '0.2'"),
+        ({"y_star": [1, 0]}, {}, {"share": 0.2, "payoff": [[2, 1], [True, 4]]},
+         "populations[0].payoff entry must be a real number, got True"),
+    ])
+    def test_string_or_bool_number_exits_1(self, tmp_path, capsys, policy,
+                                           integration, population, message):
+        assert self._simulate_json(tmp_path, policy, integration,
+                                   population) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_json_integers_are_numbers(self, tmp_path):
+        assert self._simulate_json(tmp_path, {"d": 1, "y_star": [1, 0]},
+                                   {"dt": 1, "t_max": 3},
+                                   {"share": 0.2,
+                                    "payoff": [[2, 1], [3, 4]]}) == 0
 
     def test_zero_gain_equals_no_policy(self, tmp_path):
         out_zero = tmp_path / "zero"
@@ -307,6 +357,23 @@ class TestVerify:
         report = read_json(out / "report.json")
         assert not report["applicable"]
         assert report["reason"] == "no_target_equilibrium"
+
+    def test_two_action_continuum_exits_3(self, tmp_path, capsys):
+        # populations 2 and 3 flat: a segment of target equilibria
+        flat = [[1.0, 1.0], [1.0, 1.0]]
+        scen = Scenario(payoffs=np.array([THREEPOP_PAYOFFS[0], flat, flat]),
+                        shares=THREEPOP_SHARES)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scen.to_dict()))
+        out = tmp_path / "verify"
+        code = main(["verify", "--scenario", str(scenario),
+                     "--y-star", "0.55,0.45", "--out", str(out)])
+        assert code == 3
+        report = read_json(out / "report.json")
+        assert report["reason"] == "multiple_target_equilibria"
+        assert not report["applicable"] and not report["unique"]
+        assert report["equilibria"]
+        assert all(eq["continuum_vertex"] for eq in report["equilibria"])
 
     def test_negative_advantage_on_matching_set_exits_3(self, tmp_path,
                                                          capsys):
@@ -618,9 +685,9 @@ class TestAgents:
         # mean-field scale (4.4 / 4.2): the clip binds there
         assert summary["max_imitation_gap"] == pytest.approx(22 / 21,
                                                              rel=1e-12)
+        start = aggregate_output(z_state((0.5, 0.5, 0.5)), threepop)
         assert summary["max_imitation_gap"] == pytest.approx(
-            mean_field_scale(threepop, policy_boundary,
-                             z_state((0.5, 0.5, 0.5))), rel=1e-12)
+            _payoff_gaps(threepop, policy_boundary, start).max(), rel=1e-12)
         second = tmp_path / "second"
         assert main(["agents", "--manifest", str(first / "manifest.json"),
                      "--out", str(second)]) == 0

@@ -13,19 +13,17 @@ from replicator_ctl import (
     Scenario,
     SimplexDomainError,
     aggregate_output,
-    average_payoff,
-    expected_payoff,
     field_controlled,
     field_uncontrolled,
-    local_shift,
-    make_state,
     phase_portrait,
     region_bounds,
 )
 from replicator_ctl.agents import _controlled_payoffs
 from replicator_ctl.dynamics import batch_field, output_payoffs, subsidy_weights
 from replicator_ctl.stability import _mismatch_batch
-from conftest import random_policy, random_scenario, random_state, z_state
+from conftest import (average_payoff, expected_payoff, local_shift,
+                      make_state, random_policy, random_scenario,
+                      random_state, z_state)
 
 
 class TestSubsidyWeights:

@@ -12,17 +12,15 @@ from replicator_ctl import (
     Scenario,
     ScenarioError,
     aggregate_output,
-    average_payoff,
     carrier,
-    expected_payoff,
-    local_shift,
-    make_state,
     scenario_digest,
 )
 from replicator_ctl.game import LATTICE_BYTE_BUDGET, check_lattice_budget
 from replicator_ctl.integrate import interior_grid
 from replicator_ctl.stability import _grid_states
-from conftest import THREEPOP_PAYOFFS, THREEPOP_SHARES, random_scenario, random_state
+from conftest import (THREEPOP_PAYOFFS, THREEPOP_SHARES, average_payoff,
+                      expected_payoff, local_shift, make_state,
+                      random_scenario, random_state)
 
 
 def threepop_dict():

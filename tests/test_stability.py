@@ -13,11 +13,8 @@ from replicator_ctl import (
     ControlPolicy,
     Scenario,
     aggregate_output,
-    average_payoff,
-    expected_payoff,
     field_controlled,
     field_uncontrolled,
-    make_state,
 )
 from replicator_ctl.stability import (
     AtTargetOutputError,
@@ -26,7 +23,6 @@ from replicator_ctl.stability import (
     SamplingConfig,
     TargetEquilibrium,
     critical_subsidy,
-    equilibrium_jacobian,
     estimate_subsidy_bound,
     find_target_equilibria,
     lyapunov_rate,
@@ -37,9 +33,10 @@ from replicator_ctl.stability import (
 )
 from replicator_ctl.stability import (_dbar_batch, _grid_states, _lp_min,
                                      _matching_system, _mismatch_batch)
-from conftest import (RECIPE_REFUSED, random_scenario, random_state,
-                      recipe_game, tied_everywhere_game, tied_once_game,
-                      z_state)
+from conftest import (RECIPE_REFUSED, average_payoff, equilibrium_jacobian,
+                      expected_payoff, make_state, random_scenario,
+                      random_state, recipe_game, tied_everywhere_game,
+                      tied_once_game, two_action_verdict, z_state)
 
 
 @pytest.fixture(scope="module")
@@ -568,13 +565,60 @@ class TestEquilibriumEnumeration:
         with pytest.raises(InapplicableError, match="exactly one"):
             unique_target_equilibrium(scen, np.array([0.5, 0.5]))
 
-    def test_continuum_reported_via_vertices(self, threepop):
+    def test_continuum_reported_by_flagged_points(self, threepop):
+        # one representative per payoff-class combination, every one flagged
         flat = np.array([[1.0, 1.0], [1.0, 1.0]])
         scen = Scenario(payoffs=np.stack([threepop.payoffs[0], flat, flat]),
                         shares=threepop.shares)
-        found = find_target_equilibria(scen, np.array([0.55, 0.45]))
-        assert any(eq.continuum_vertex for eq in found)
-        assert len(found) >= 3
+        y_star = np.array([0.55, 0.45])
+        found = find_target_equilibria(scen, y_star)
+        assert found and all(eq.continuum_vertex for eq in found)
+        for eq in found:
+            assert_on_matching_set(eq.state, scen, y_star)
+        with pytest.raises(InapplicableError, match="exactly one"):
+            unique_target_equilibrium(scen, y_star)
+
+    def test_two_action_verdicts_match_the_vertex_oracle(self):
+        # seeded two-action games: integer or real payoffs, one or two flat
+        # populations in a third of them, pure or mixed reachable targets
+        rng = np.random.default_rng(2024)
+        seen = {"unique": 0, "mixed_unique": 0, "continuum": 0,
+                "multiple_target_equilibria": 0, "no_target_equilibrium": 0}
+        for trial in range(300):
+            m = int(rng.integers(2, 6))
+            if trial % 3 == 2:
+                payoffs = rng.uniform(-1.0, 1.0, (m, 2, 2))
+            else:
+                payoffs = rng.integers(-2, 3, (m, 2, 2)).astype(float)
+            flat = int(rng.integers(m))
+            if trial % 3 == 0:
+                for k in {flat, (flat + 1) % m} if trial % 6 == 0 else {flat}:
+                    payoffs[k] = payoffs[k, 0, 0]
+            shares = (rng.dirichlet(np.ones(m)) + 0.05) / (1.0 + 0.05 * m)
+            first = rng.integers(0, 2, m).astype(float)
+            if trial % 2:
+                first[flat] = rng.choice([0.25, 0.5, rng.uniform()])
+            scen = Scenario(payoffs=payoffs, shares=shares)
+            y_star = aggregate_output(np.stack([first, 1.0 - first], axis=1),
+                                      scen)
+            expected, state = two_action_verdict(scen, y_star)
+            try:
+                found = find_target_equilibria(scen, y_star)
+            except InapplicableError as exc:
+                assert exc.reason == expected
+                seen[expected] += 1
+                continue
+            if len(found) > 1 or found[0].continuum_vertex:
+                assert expected == "multiple_target_equilibria"
+                seen[expected] += 1
+                seen["continuum"] += any(eq.continuum_vertex for eq in found)
+                continue
+            assert expected == "unique"
+            np.testing.assert_allclose(found[0].state, state, atol=1e-12,
+                                       rtol=0.0)
+            seen["unique"] += 1
+            seen["mixed_unique"] += bool(np.any((state > 0.0) & (state < 1.0)))
+        assert min(seen.values()) >= 20, seen
 
     def test_three_action_ties_everywhere_are_a_continuum(self):
         scen, y_star = tied_everywhere_game()
