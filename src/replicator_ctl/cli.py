@@ -100,6 +100,8 @@ def _write_json(path: str, payload: dict[str, Any]) -> None:
 
 
 def _parse_x0(text: str, m: int, n: int) -> np.ndarray:
+    if not isinstance(text, str):
+        raise ScenarioError(f"--x0 {text!r}: expected a string of shares")
     try:
         if ";" in text:
             rows = [[float(v) for v in row.split(",")]
@@ -255,8 +257,11 @@ def _initial_states(manifest: dict[str, Any],
                     scenario: Scenario) -> list[np.ndarray]:
     m, n = scenario.n_populations, scenario.n_actions
     states = [_parse_x0(text, m, n) for text in manifest.get("x0") or []]
-    if manifest.get("grid"):
-        states.extend(interior_grid(scenario, int(manifest["grid"])))
+    grid = manifest.get("grid")
+    if grid is not None:
+        check_count("grid", grid)
+    if grid:
+        states.extend(interior_grid(scenario, grid))
     if not states:
         raise ScenarioError("no initial states: pass --x0 and/or --grid")
     return states
@@ -378,6 +383,10 @@ def _cmd_sweep(manifest: dict[str, Any]) -> int:
     d_values = manifest.get("d_values")
     if d_values is None:
         raise ScenarioError("sweep needs --d-values")
+    if not isinstance(d_values, list):
+        raise ScenarioError(f"d_values must be a list, got {d_values!r}")
+    for value in d_values:
+        check_real("d_values entry", value)
     if manifest.get("policy") is None:
         raise ScenarioError("sweep needs a target output (--policy/--y-star)")
     eq = unique_target_equilibrium(scenario, policy.y_star)

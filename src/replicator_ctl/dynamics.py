@@ -25,7 +25,9 @@ failure, not a model state: `batch_field` flags the member and
 The payoffs A^k y (`output_payoffs`, on the output of
 `game.aggregate_output`) and the weights f (`subsidy_weights`) are defined
 here once; the field, the certificate in `stability` and the finite agents
-all use these two.
+all use these two.  `scalar_field` carries the same field for one state on
+Python floats, with `batch_field`'s operations in the same order, so the
+same bits.
 
 `region_bounds` packages the payoff extremes and the per-action floors
 M_i = d * y_star_i / (a_max - a_min + d): whenever a targeted aggregate
@@ -35,7 +37,9 @@ is what makes the epsilon-floored state set forward-invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -52,6 +56,7 @@ __all__ = [
     "field_uncontrolled",
     "output_payoffs",
     "region_bounds",
+    "scalar_field",
     "subsidy_weights",
 ]
 
@@ -159,8 +164,7 @@ def subsidy_weights(y: np.ndarray, y_star: np.ndarray
 
 def field_uncontrolled(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     """Replicator derivative without control; rows sum to zero."""
-    off = ControlPolicy.off(scenario.n_actions)
-    return batch_field(scenario, np.asarray(x, dtype=float)[None], off)[0][0]
+    return field_controlled(scenario, x, ControlPolicy.off(scenario.n_actions))
 
 
 def field_controlled(scenario: Scenario, x: np.ndarray,
@@ -168,17 +172,72 @@ def field_controlled(scenario: Scenario, x: np.ndarray,
     """Replicator derivative with the subsidy feedback term.
 
     With d = 0 this returns exactly the uncontrolled field (the feedback
-    term is skipped, so no domain restriction applies either).
+    term is skipped, so no domain restriction applies either).  The value
+    is that of :func:`scalar_field`, so the same bits as a row of
+    :func:`batch_field`.
     """
     x = np.asarray(x, dtype=float)
-    deriv, ok = batch_field(scenario, x[None], policy)
-    if not ok[0]:
+    deriv, ok = scalar_field(scenario, policy.y_star)(x.tolist(), policy.d)
+    if not ok:
         y = aggregate_output(x, scenario)
         i = int(np.flatnonzero((policy.y_star > 0.0)
                                & (y <= DOMAIN_THRESHOLD))[0])
         raise SimplexDomainError(f"targeted action {i} has aggregate share "
                                  f"{y[i]!r}; subsidy weight undefined")
-    return deriv[0]
+    return np.array(deriv)
+
+
+def scalar_field(scenario: Scenario, y_star: np.ndarray
+                 ) -> Callable[[list[list[float]], float],
+                               tuple[list[list[float]], bool]]:
+    """The field of :func:`batch_field` for one member, on Python floats.
+
+    Returns ``field(x, d)``: ``x`` is one state as an (m, n) nested list of
+    floats and ``d`` its gain.  It gives the derivative as a nested list,
+    and ``ok``, False (with every entry NaN) where d > 0 and a targeted
+    aggregate share is at or below DOMAIN_THRESHOLD.  Every sum runs in
+    batch_field's order, and Python floats are IEEE doubles while numpy
+    fuses no multiply-add, so the result has batch_field's bits.  It skips
+    numpy's per-call overhead, which dominates a call on one state.
+    """
+    payoffs = scenario.payoffs.tolist()
+    shares = scenario.shares.tolist()
+    targets = np.asarray(y_star, dtype=float).tolist()
+    m, n = len(shares), len(targets)
+    later = list(zip(shares[1:], range(1, m)))
+    rest = range(1, n)
+    zeros = [0.0] * n
+
+    def field(x: list[list[float]], d: float
+              ) -> tuple[list[list[float]], bool]:
+        y = [shares[0] * v for v in x[0]]
+        for share, k in later:
+            y = [total + share * v for total, v in zip(y, x[k])]
+        push = zeros  # F - 0.0 keeps F's bits, as batch_field's skip does
+        if d > 0.0:
+            gain = 0.0 - d
+            push = []
+            for target, level in zip(targets, y):
+                if level <= DOMAIN_THRESHOLD:
+                    if target > 0.0:
+                        return [[math.nan] * n for _ in range(m)], False
+                    level = 1.0
+                push.append(gain * (target / level))
+        deriv = []
+        for matrix, row in zip(payoffs, x):
+            F = []
+            for entries, p in zip(matrix, push):
+                total = entries[0] * y[0]
+                for j in rest:
+                    total += entries[j] * y[j]
+                F.append(total - p)
+            avg = row[0] * F[0]
+            for i in rest:
+                avg += row[i] * F[i]
+            deriv.append([(f - avg) * v for f, v in zip(F, row)])
+        return deriv, True
+
+    return field
 
 
 def output_payoffs(scenario: Scenario, x: np.ndarray | None,
@@ -219,6 +278,10 @@ def batch_field(scenario: Scenario, states: np.ndarray,
     False, with the member's derivative NaN instead of an exception, where
     a member with a positive gain has a targeted aggregate share at or
     below DOMAIN_THRESHOLD.
+
+    :func:`scalar_field` is the second carrier of this one field: it runs
+    the same operations in the same order on Python floats for a single
+    state, and gives the same bits.
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[2]

@@ -16,9 +16,13 @@ fails the step.
 whole batch at once, optionally with a gain per start, and returns results
 in input order.  Every operation runs elementwise along the batch, so a
 trajectory's bits depend only on (scenario, policy, x0, config), never on
-the rest of its batch.  Convergence is declared online when the max-norm
-state change per step stays below ``CONVERGENCE_TOL`` for
-``convergence_window`` consecutive steps.
+the rest of its batch.  A one-member batch (`simulate`, the last member of
+a shrinking portrait, a halving retry) steps on Python floats instead, with
+:func:`~replicator_ctl.dynamics.scalar_field`: the same operations in the
+same order, so the same bits, without numpy's per-call overhead.
+Convergence is declared online when the max-norm state change per step
+stays below ``CONVERGENCE_TOL`` for ``convergence_window`` consecutive
+steps.
 
 Trajectory CSV layout (one row per recorded step)::
 
@@ -31,12 +35,13 @@ observer was attached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import ControlPolicy, batch_field
+from .dynamics import ControlPolicy, batch_field, scalar_field
 from .game import (Scenario, aggregate_output, check_count,
                    check_lattice_budget, check_real, lattice_product,
                    simplex_lattice)
@@ -162,6 +167,46 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return fixed, ok
 
 
+def _stage(x: list[list[float]], h: float,
+           slope: list[list[float]]) -> list[list[float]]:
+    return [[a + h * b for a, b in zip(row, rates)]
+            for row, rates in zip(x, slope)]
+
+
+def _rk4_scalar(field: Callable, x: list[list[float]], d: float,
+                dt: float) -> tuple[list[list[float]], bool]:
+    """:func:`_rk4_step` of one member on nested Python float lists.
+
+    ``field(x, d)`` is a :func:`~replicator_ctl.dynamics.scalar_field`.
+    Every operation runs in _rk4_step's order, so the bits are the same.
+    Where numpy would divide by zero (a row that clamps to all zeros) the
+    entries are the NaN that 0/0 gives, and no exception is raised.
+    """
+    half = 0.5 * dt
+    k1 = field(x, d)[0]
+    k2 = field(_stage(x, half, k1), d)[0]
+    k3 = field(_stage(x, half, k2), d)[0]
+    k4 = field(_stage(x, dt, k3), d)[0]
+    sixth = dt / 6.0
+    x_new = [[a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+              for a, p, q, r, s in zip(*rows)]
+             for rows in zip(x, k1, k2, k3, k4)]
+    if not all(-NEG_TOL <= v < math.inf for row in x_new for v in row):
+        return x_new, False  # a failed member keeps its raw RK4 result
+    fixed = []
+    for row in x_new:
+        row = [0.0 if v < 0.0 else v for v in row]
+        total = row[0]
+        for v in row[1:]:
+            total += v
+        if abs(total - 1.0) > RENORM_TOL:
+            # a row of zeros: numpy's 0/0 gives NaN, and so does 0 * inf
+            row = ([v / total for v in row] if total
+                   else [v * math.inf for v in row])
+        fixed.append(row)
+    return fixed, True
+
+
 def _check_interior(x0: np.ndarray, scenario: Scenario,
                     label: str) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
@@ -202,6 +247,7 @@ class _BatchRun:
         self.observer = observer
         self.gains = (np.full(states0.shape[0], policy.d) if gains is None
                       else gains)
+        self.field = scalar_field(scenario, policy.y_star)
         self.n_members = states0.shape[0]
         self.records: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.converged = np.zeros(self.n_members, dtype=bool)
@@ -212,6 +258,10 @@ class _BatchRun:
 
     def _step(self, x: np.ndarray, gains: np.ndarray,
               dt: float) -> tuple[np.ndarray, np.ndarray]:
+        if len(x) == 1:  # one member: the same bits on Python floats
+            fixed, ok = _rk4_scalar(self.field, x[0].tolist(),
+                                    float(gains[0]), dt)
+            return np.array([fixed]), np.array([ok])
         return _rk4_step(
             lambda batch: batch_field(self.scenario, batch, self.policy,
                                       gains)[0],

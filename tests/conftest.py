@@ -70,6 +70,16 @@ def average_payoff(scenario: Scenario, k: int, xk: np.ndarray, y: np.ndarray) ->
     return float(xk @ scenario.payoffs[k] @ y)
 
 
+def assert_same_bits(got, expected: np.ndarray) -> None:
+    """Same NaN positions, and every other entry bit for bit (so a -0.0
+    must match a -0.0)."""
+    got = np.array(got, dtype=float)
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    finite = ~np.isnan(expected)
+    assert np.array_equal(got[finite].view(np.uint64),
+                          expected[finite].view(np.uint64))
+
+
 def local_shift(scenario: Scenario, k: int, j: int, b: float) -> Scenario:
     """Return a copy with constant b added to column j of population k's matrix.
 

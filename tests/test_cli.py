@@ -775,6 +775,50 @@ class TestManifestRoundTrip:
         assert f"{key} {message}, got {value!r}" in err
         assert not second.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("grid", 2.7, "grid must be an integer >= 0, got 2.7"),
+        ("grid", "2", "grid must be an integer >= 0, got '2'"),
+        ("d_values", ["0", "1.2"],
+         "d_values entry must be a real number, got '0'"),
+        ("d_values", "0,1.2", "d_values must be a list, got '0,1.2'"),
+    ])
+    def test_mistyped_sweep_setting_exits_1(self, tmp_path, capsys, key,
+                                            value, message):
+        first = tmp_path / "first"
+        assert main(["sweep", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--d-values", "0,1.2",
+                     "--grid", "2", "--t-max", "1",
+                     "--out", str(first)]) == 0
+        manifest = read_json(first / "manifest.json")
+        manifest[key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "second"
+        assert main(["sweep", "--manifest", str(path),
+                     "--out", str(second)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert message in err
+        assert not second.exists()
+
+    def test_non_string_start_exits_1(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert main(["simulate", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5",
+                     "--t-max", "1", "--out", str(first)]) == 0
+        manifest = read_json(first / "manifest.json")
+        manifest["x0"] = [0.5]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "second"
+        assert main(["simulate", "--manifest", str(path),
+                     "--out", str(second)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --x0 0.5: expected a string")
+        assert not second.exists()
+
     def test_agents_rerun_is_byte_identical(self, tmp_path):
         first = tmp_path / "first"
         assert main(["agents", "--scenario", SCENARIO,

@@ -19,11 +19,12 @@ from replicator_ctl import (
     region_bounds,
 )
 from replicator_ctl.agents import _controlled_payoffs
-from replicator_ctl.dynamics import batch_field, output_payoffs, subsidy_weights
+from replicator_ctl.dynamics import (batch_field, output_payoffs,
+                                     scalar_field, subsidy_weights)
 from replicator_ctl.stability import _mismatch_batch
-from conftest import (average_payoff, expected_payoff, local_shift,
-                      make_state, random_policy, random_scenario,
-                      random_state, z_state)
+from conftest import (assert_same_bits, average_payoff, expected_payoff,
+                      local_shift, make_state, random_policy,
+                      random_scenario, random_state, z_state)
 
 
 class TestSubsidyWeights:
@@ -276,6 +277,40 @@ class TestControlledField:
         assert ok.tolist() == [True, False]
         assert np.all(np.isfinite(batch[0]))
         assert np.all(np.isnan(batch[1]))
+
+
+class TestScalarCarrier:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_scalar_field_is_the_batch_row(self, m, n):
+        # same bits, signs of zero and NaN positions included, as the one
+        # member of a batch_field call, at d = 0 and d > 0, for vertex and
+        # interior targets, on interior, boundary and out-of-domain states
+        rng = np.random.default_rng(100 + 10 * m + n)
+        domain_failures = 0
+        for trial in range(12):
+            scen = random_scenario(rng, m=m, n=n)
+            policy = random_policy(rng, scen, boundary_target=trial % 2 == 0)
+            if trial % 4 == 0:
+                y_star = np.zeros(n)
+                y_star[int(rng.integers(n))] = 1.0
+                policy = ControlPolicy(y_star=y_star, d=policy.d)
+            field = scalar_field(scen, policy.y_star)
+            for kind in range(4):
+                x = random_state(rng, scen, interior=0.01 * (kind == 0))
+                if kind == 2:  # every population off the first action
+                    x[:, 0] = 0.0
+                    x /= x.sum(axis=1, keepdims=True)
+                if kind == 3:  # signed zeros must come out signed alike
+                    x[0] = -0.0
+                for d in (0.0, policy.d):
+                    expected, ok = batch_field(scen, x[None], policy,
+                                               np.array([d]))
+                    got, got_ok = field(x.tolist(), d)
+                    assert got_ok == ok[0]
+                    assert_same_bits(got, expected[0])
+                    domain_failures += not ok[0]
+        assert domain_failures > 0
 
 
 class TestShiftInvariance:

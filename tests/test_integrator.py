@@ -20,10 +20,13 @@ from replicator_ctl import (
     write_trajectory_csv,
 )
 from replicator_ctl import integrate
+from replicator_ctl.dynamics import batch_field, scalar_field
 from replicator_ctl.integrate import Trajectory, _BatchRun, _check_interior
+from replicator_ctl.stability import LyapunovObserver, unique_target_equilibrium
 from conftest import (
     FIVE_STARTS,
     UNCONTROLLED_ATTRACTORS,
+    assert_same_bits,
     five_start_states,
     make_state,
     random_policy,
@@ -148,19 +151,30 @@ class TestSimulate:
 
     def test_retry_starts_at_half_step(self, monkeypatch):
         # one step fails and is re-taken as two half steps: 15 steps of 4
-        # stages, then 2 x 4 stages, and not the failed full step again
+        # stages, then 2 x 4 stages, and not the failed full step again;
+        # evaluations are counted in whichever field kernel runs
         payoff = np.array([[0.0, 60.0], [0.0, 0.0]])
         scen = Scenario(payoffs=np.stack([payoff, payoff]),
                         shares=np.array([0.5, 0.5]))
         policy = ControlPolicy.off(2)
         real = integrate.batch_field
+        real_scalar = integrate.scalar_field
         members = []
 
         def counted(scenario, states, *args):
             members.append(states.shape[0])
             return real(scenario, states, *args)
 
+        def counted_scalar(scenario, y_star):
+            field = real_scalar(scenario, y_star)
+
+            def one(x, d):
+                members.append(1)
+                return field(x, d)
+            return one
+
         monkeypatch.setattr(integrate, "batch_field", counted)
+        monkeypatch.setattr(integrate, "scalar_field", counted_scalar)
         traj = simulate(scen, policy, make_state([[0.99, 0.01], [0.5, 0.5]]),
                         IntegrationConfig(dt=0.2, t_max=3.0))
         assert sum(members) == 15 * 4 + 2 * 4
@@ -185,6 +199,139 @@ class TestSimulate:
             simulate(scen, ControlPolicy.off(2),
                      make_state([[0.5, 0.5], [0.5, 0.5]]),
                      IntegrationConfig(dt=0.1, t_max=1.0))
+
+
+class TestOneMemberPath:
+    """A one-member batch steps on Python floats with the batch kernel's
+    bits: the scalar RK4 step against _rk4_step, and a trajectory alone
+    against the same start inside a batch."""
+
+    @staticmethod
+    def batch_step(scen, policy, x, d, dt):
+        fixed, ok = integrate._rk4_step(
+            lambda batch: batch_field(scen, batch, policy, np.array([d]))[0],
+            np.asarray(x, dtype=float)[None], dt)
+        return fixed[0], bool(ok[0])
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_scalar_step_is_the_batch_step(self, m, n):
+        rng = np.random.default_rng(200 + 10 * m + n)
+        failed = 0
+        for trial in range(6):
+            scen = random_scenario(rng, m=m, n=n)
+            policy = random_policy(rng, scen, boundary_target=trial % 2 == 0)
+            field = scalar_field(scen, policy.y_star)
+            for d in (0.0, policy.d):
+                for dt in (0.01, 0.5, 5.0):
+                    x = random_state(rng, scen, interior=0.001)
+                    expected, ok = self.batch_step(scen, policy, x, d, dt)
+                    got, got_ok = integrate._rk4_scalar(field, x.tolist(),
+                                                        d, dt)
+                    assert got_ok == ok
+                    assert_same_bits(got, expected)
+                    failed += not ok
+        assert failed > 0
+
+    def test_drifted_rows_renormalize_as_the_batch_does(self):
+        # constant rates that do not sum to zero move every row off sum 1
+        rng = np.random.default_rng(83)
+        for _ in range(50):
+            x = 0.5 * rng.dirichlet(np.ones(4), size=3) + 0.125
+            rates = rng.uniform(-1.0, 1.0, size=(3, 4)).tolist()
+            expected, ok = rk4_step(lambda s: np.array(rates), x, 0.01)
+            got, got_ok = integrate._rk4_scalar(lambda s, d: (rates, True),
+                                                x.tolist(), 0.0, 0.01)
+            assert ok and got_ok
+            assert_same_bits(got, expected)
+
+    def test_row_clamped_to_zero_gives_numpy_nan(self):
+        # every entry of the first row lands in [-NEG_TOL, 0): the step is
+        # admissible, and the row's renormalization is 0/0 in numpy
+        x = make_state([[0.5, 0.5], [0.5, 0.5]])
+        rates = [[-0.5 - 4e-13, -0.5 - 4e-13], [0.0, 0.0]]
+        expected, ok = rk4_step(lambda s: np.array(rates), x, 1.0)
+        assert ok and np.all(np.isnan(expected[0]))
+        got, got_ok = integrate._rk4_scalar(lambda s, d: (rates, True),
+                                            x.tolist(), 0.0, 1.0)
+        assert got_ok
+        assert_same_bits(got, expected)
+
+    def test_simulate_equals_its_place_in_a_batch(self):
+        rng = np.random.default_rng(79)
+        cfg = IntegrationConfig(dt=0.05, t_max=4.0, convergence_window=20,
+                                record_stride=3)
+        for m, n in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 4)):
+            scen = random_scenario(rng, m=m, n=n)
+            for policy in (ControlPolicy.off(n),
+                           random_policy(rng, scen, d_range=(0.5, 3.0)),
+                           random_policy(rng, scen, d_range=(0.5, 3.0),
+                                         boundary_target=True)):
+                starts = [random_state(rng, scen, interior=0.01)
+                          for _ in range(4)]
+                alone = simulate(scen, policy, starts[2], cfg)
+                inside = phase_portrait(scen, policy, starts, cfg)[2]
+                assert np.array_equal(inside.times, alone.times)
+                assert np.array_equal(inside.states, alone.states)
+                assert inside.converged == alone.converged
+
+    def test_observer_sees_the_same_trajectory(self, threepop,
+                                               policy_boundary):
+        observer = LyapunovObserver(
+            unique_target_equilibrium(threepop, policy_boundary.y_star),
+            threepop)
+        cfg = IntegrationConfig(dt=0.05, t_max=20.0, record_stride=4)
+        starts = [z_state((0.2, 0.3, 0.4)), z_state((0.7, 0.1, 0.5))]
+        alone = simulate(threepop, policy_boundary, starts[1], cfg,
+                         observer=observer)
+        inside = phase_portrait(threepop, policy_boundary, starts, cfg,
+                                observer=observer)[1]
+        assert np.array_equal(inside.states, alone.states)
+        assert inside.lyapunov == alone.lyapunov
+        for key, column in alone.observables.items():
+            assert np.array_equal(inside.observables[key], column)
+
+    def test_halvings_match_in_a_batch(self):
+        # the start of test_retry_starts_at_half_step fails one full step,
+        # which is re-taken in halves on its own in both runs
+        payoff = np.array([[0.0, 60.0], [0.0, 0.0]])
+        scen = Scenario(payoffs=np.stack([payoff, payoff]),
+                        shares=np.array([0.5, 0.5]))
+        policy = ControlPolicy.off(2)
+        cfg = IntegrationConfig(dt=0.2, t_max=3.0)
+        start = make_state([[0.99, 0.01], [0.5, 0.5]])
+        alone = simulate(scen, policy, start, cfg)
+        assert not all(rk4_step(lambda s: field_controlled(scen, s, policy),
+                                alone.states[k], 0.2)[1] for k in range(15))
+        batch = [make_state([[0.3, 0.7], [0.6, 0.4]]), start,
+                 make_state([[0.5, 0.5], [0.2, 0.8]])]
+        inside = phase_portrait(scen, policy, batch, cfg)[1]
+        assert np.array_equal(inside.times, alone.times)
+        assert np.array_equal(inside.states, alone.states)
+
+    def test_domain_failure_is_the_same_error(self):
+        # action 1 loses 1e12 against everything and is the target: every
+        # first stage, down to dt / 2^20, leaves the controlled field's
+        # domain, so the step fails with NaN and cannot be recovered
+        payoff = np.array([[-1e12, -1e12], [0.0, 0.0]])
+        scen = Scenario(payoffs=np.stack([payoff, payoff]),
+                        shares=np.array([0.5, 0.5]))
+        policy = ControlPolicy(y_star=np.array([1.0, 0.0]), d=1.0)
+        cfg = IntegrationConfig(dt=0.1, t_max=1.0)
+        start = make_state([[0.5, 0.5], [0.5, 0.5]])
+        field = scalar_field(scen, policy.y_star)
+        rates, ok = field(start.tolist(), policy.d)
+        half = cfg.dt / 2 ** (integrate.MAX_HALVINGS + 1)
+        assert ok and not field(integrate._stage(start.tolist(), half, rates),
+                                policy.d)[1]
+        with pytest.raises(IntegrationError) as alone:
+            simulate(scen, policy, start, cfg)
+        batch = [make_state([[0.4, 0.6], [0.6, 0.4]]), start]
+        inside = phase_portrait(scen, policy, batch, cfg)
+        assert all(isinstance(r, IntegrationError) for r in inside)
+        # the same step fails; the messages differ only in the member
+        assert str(inside[1]).replace("trajectory 1", "trajectory 0") \
+            == str(alone.value)
 
 
 class TestInvariantRegion:
