@@ -56,14 +56,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import ControlPolicy, output_payoffs, subsidy_weights
-from .game import (CARRIER_THRESHOLD, SUM_TOLERANCE, Scenario,
-                   aggregate_output)
+from .game import CARRIER_THRESHOLD, SUM_TOLERANCE, Scenario
 
 __all__ = [
     "AgentPopulation",
     "EmptyActionGroupError",
     "RoundStats",
-    "expected_drift",
     "init_agents",
     "population_sizes",
     "round_time_step",
@@ -274,23 +272,6 @@ def run(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
                                 sampled_matches))
     series.append(_stats(pop, policy))
     return series
-
-
-def expected_drift(scenario: Scenario, policy: ControlPolicy, x: np.ndarray,
-                   revision_prob: float = 0.05) -> np.ndarray:
-    """Analytic expected one-round change of the per-population shares.
-
-    Computed from the imitation protocol itself (including the probability
-    clip), at the continuum state x.  Where no clip binds this equals
-    ``round_time_step(...) * field_controlled(...)`` exactly.
-    """
-    x = np.asarray(x, dtype=float)
-    switch = np.clip(
-        _payoff_gaps(scenario, policy, aggregate_output(x, scenario)),
-        0.0, 1.0)
-    # inflow j -> i minus outflow i -> j, per unit of x_i x_j
-    net = switch.swapaxes(1, 2) - switch
-    return revision_prob * x * (net @ x[:, :, None])[:, :, 0]
 
 
 def write_rounds_csv(series: list[RoundStats], path: str,

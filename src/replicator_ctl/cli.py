@@ -253,10 +253,17 @@ def _echo_manifest(manifest: dict[str, Any]) -> None:
     _write_json(os.path.join(manifest["out"], "manifest.json"), manifest)
 
 
+def _starts(manifest: dict[str, Any]) -> list[Any]:
+    starts = manifest.get("x0") or []
+    if not isinstance(starts, list):  # a string would parse char by char
+        raise ScenarioError(f"x0 must be a list of strings, got {starts!r}")
+    return starts
+
+
 def _initial_states(manifest: dict[str, Any],
                     scenario: Scenario) -> list[np.ndarray]:
     m, n = scenario.n_populations, scenario.n_actions
-    states = [_parse_x0(text, m, n) for text in manifest.get("x0") or []]
+    states = [_parse_x0(text, m, n) for text in _starts(manifest)]
     grid = manifest.get("grid")
     if grid is not None:
         check_count("grid", grid)
@@ -268,10 +275,10 @@ def _initial_states(manifest: dict[str, Any],
 
 
 def _single_start(manifest: dict[str, Any], scenario: Scenario) -> np.ndarray:
-    if not manifest.get("x0"):
+    starts = _starts(manifest)
+    if not starts:
         raise ScenarioError(f"{manifest['command']} needs exactly one --x0")
-    return _parse_x0(manifest["x0"][0], scenario.n_populations,
-                     scenario.n_actions)
+    return _parse_x0(starts[0], scenario.n_populations, scenario.n_actions)
 
 
 def _observer_for(scenario: Scenario, policy: ControlPolicy):

@@ -23,11 +23,13 @@ failure, not a model state: `batch_field` flags the member and
 `field_controlled` raises :class:`SimplexDomainError`.
 
 The payoffs A^k y (`output_payoffs`, on the output of
-`game.aggregate_output`) and the weights f (`subsidy_weights`) are defined
-here once; the field, the certificate in `stability` and the finite agents
-all use these two.  `scalar_field` carries the same field for one state on
-Python floats, with `batch_field`'s operations in the same order, so the
-same bits.
+`game.aggregate_output`, both sums by `game.weighted_sum`) and the weights
+f (`subsidy_weights`) are defined here once; the field, the certificate in
+`stability` and the finite agents all use these.  `batch_field` takes
+its constants from a `BatchKernel` built once per run, and states laid
+out (m, n, B), member last.  `scalar_field` carries the same field for
+one state on Python floats, with `batch_field`'s operations in the same
+order, so the same bits.
 
 `region_bounds` packages the payoff extremes and the per-action floors
 M_i = d * y_star_i / (a_max - a_min + d): whenever a targeted aggregate
@@ -44,10 +46,11 @@ from typing import Callable
 import numpy as np
 
 from .game import (Scenario, aggregate_output, carrier, check_real,
-                   check_simplex)
+                   check_simplex, weighted_sum)
 
 __all__ = [
     "DOMAIN_THRESHOLD",
+    "BatchKernel",
     "ControlPolicy",
     "RegionBounds",
     "SimplexDomainError",
@@ -154,12 +157,19 @@ def subsidy_weights(y: np.ndarray, y_star: np.ndarray
     undefined there.  Per agent on action i the subsidy is d * f_i(y).
     """
     y_star = y_star.reshape(y_star.shape + (1,) * (y.ndim - 1))
-    ok = np.ones(y.shape[1:], dtype=bool)
+    f, ok = _weights(y, y_star)
+    return f, np.ones(y.shape[1:], dtype=bool) if ok is None else ok
+
+
+def _weights(y: np.ndarray, y_star: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`subsidy_weights` for a ``y_star`` shaped to broadcast against
+    ``y``; ``ok`` is None where no share is low, so none is out of domain."""
     low = y <= DOMAIN_THRESHOLD
-    if low.any():
-        ok = ~np.any(low & (y_star > 0.0), axis=0)
-        y = np.where(low, 1.0, y)
-    return y_star / y, ok
+    if not low.any():
+        return y_star / y, None
+    return (y_star / np.where(low, 1.0, y),
+            ~np.any(low & (y_star > 0.0), axis=0))
 
 
 def field_uncontrolled(scenario: Scenario, x: np.ndarray) -> np.ndarray:
@@ -248,61 +258,73 @@ def output_payoffs(scenario: Scenario, x: np.ndarray | None,
     ``x`` holds states batch axes last, shape (m, n, *batch); y has shape
     (n, *batch) and F shape (m, n, *batch).  A given ``y`` is used in
     place of the aggregate of ``x``, which may then be None.  Both sums
-    run over the small axes in a fixed order, as elementwise operations
-    along the batch (no einsum, tensordot or BLAS), so a member's bits do
-    not depend on the rest of its batch.
+    are :func:`~replicator_ctl.game.weighted_sum`: over the small axes in
+    a fixed order, elementwise along the batch (no einsum, tensordot or
+    BLAS), so a member's bits do not depend on the rest of its batch.
     """
     if y is None:
         y = aggregate_output(x, scenario)
-    payoffs = scenario.payoffs[(...,) + (None,) * (y.ndim - 1)]
-    F = payoffs[:, :, 0] * y[0]
-    for j in range(1, y.shape[0]):
-        F += payoffs[:, :, j] * y[j]
-    return y, F
+    # entry j of the columns is A^k[:, j] for every k, batch axes appended
+    columns = scenario.payoffs.transpose(2, 0, 1)
+    return y, weighted_sum(columns[(...,) + (None,) * (y.ndim - 1)], y)
 
 
-def batch_field(scenario: Scenario, states: np.ndarray,
-                policy: ControlPolicy, gains: np.ndarray | None = None
+class BatchKernel:
+    """What :func:`batch_field` needs of one run: the payoff columns,
+    shares and target column, built once, and each member's gain, of
+    shape (B,), with what depends on it, rebuilt by :meth:`take`."""
+
+    def __init__(self, scenario: Scenario, y_star: np.ndarray,
+                 gains: np.ndarray):
+        self.shares = scenario.shares.tolist()
+        self.columns = list(scenario.payoffs.transpose(2, 0, 1)[..., None])
+        self.y_star = np.asarray(y_star, dtype=float)[:, None]
+        self.gains = np.asarray(gains, dtype=float)
+        self.take(slice(None))
+
+    def take(self, members: np.ndarray | slice) -> None:
+        """Keep only ``members`` (an index or mask along the batch)."""
+        self.gains = gains = self.gains[members]
+        # F - (0 - d)·f is F + d·f, and F to the bit (a -0.0 too) at d = 0
+        self.push = 0.0 - gains
+        self.controlled = gains > 0.0
+        self.any_controlled = bool(self.controlled.any())
+        self.all_ok = np.ones(gains.shape, dtype=bool)
+        self.all_ok.setflags(write=False)
+
+
+def batch_field(kernel: BatchKernel, states: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The replicator field x ∘ (F − ⟨x, F⟩) over states of shape (B, m, n).
 
-    F = A^k y + d·f(y) folds the subsidy into the payoffs, with A^k y from
-    :func:`output_payoffs` and f from :func:`subsidy_weights`.  Every sum
-    runs over the small m and n axes in a fixed order, as elementwise
-    operations along the batch, so a member's bits do not depend on the
-    rest of its batch.  ``gains``, shape (B,), gives each member its own
-    gain in place of ``policy.d``.  A member with gain 0 gets exactly the
+    F = A^k y + d·f(y) folds the subsidy into the payoffs, with y and A^k y
+    summed as in :func:`output_payoffs` and f as in :func:`subsidy_weights`.
+    Every sum runs over the small m and n axes in a fixed order,
+    elementwise along the batch, so a member's bits depend neither on the
+    rest of its batch nor on the memory layout; ``states`` is best a view of
+    a C-contiguous (m, n, B) array.  A member with gain 0 gets exactly the
     uncontrolled field and is not domain-checked.
 
-    Returns the derivatives, shape (B, m, n), and ``ok``, shape (B,):
-    False, with the member's derivative NaN instead of an exception, where
-    a member with a positive gain has a targeted aggregate share at or
-    below DOMAIN_THRESHOLD.
+    Returns the derivatives, a (B, m, n) view of an (m, n, B) array, and
+    ``ok``, shape (B,): False, with the member's derivative NaN, where a
+    member with a positive gain has a targeted aggregate share at or below
+    DOMAIN_THRESHOLD.
 
     :func:`scalar_field` is the second carrier of this one field: it runs
     the same operations in the same order on Python floats for a single
     state, and gives the same bits.
     """
-    states = np.asarray(states, dtype=float)
-    n = states.shape[2]
-    # member axis last: every operation below runs along the batch
-    x = np.ascontiguousarray(states.transpose(1, 2, 0))      # (m, n, B)
-    y, F = output_payoffs(scenario, x)
-    gains = policy.d if gains is None else gains
-    controlled = np.asarray(gains) > 0.0
-    ok = np.ones(states.shape[0], dtype=bool)
-    if controlled.any():
-        f, in_domain = subsidy_weights(y, policy.y_star)
-        if not in_domain.all():
-            ok = ~controlled | in_domain
-        # F - (0 - d)·f is F + d·f, and F to the bit (a -0.0 too) at d = 0
-        F -= (0.0 - gains) * f
-    avg = x[:, 0] * F[:, 0]                                  # (m, B)
-    for i in range(1, n):
-        avg += x[:, i] * F[:, i]
-    F -= avg[:, None]
+    x = states.transpose(1, 2, 0)                             # (m, n, B)
+    y = weighted_sum(kernel.shares, x)
+    F = weighted_sum(kernel.columns, y)
+    ok = kernel.all_ok
+    if kernel.any_controlled:
+        f, in_domain = _weights(y, kernel.y_star)
+        F -= kernel.push * f
+        if in_domain is not None:
+            ok = ~kernel.controlled | in_domain
+    F -= weighted_sum(x.swapaxes(0, 1), F.swapaxes(0, 1))[:, None]
     F *= x
-    deriv = F.transpose(2, 0, 1)
-    if not ok.all():
-        deriv[~ok] = np.nan
-    return deriv, ok
+    if ok is not kernel.all_ok:
+        F[..., ~ok] = np.nan
+    return F.transpose(2, 0, 1), ok

@@ -45,6 +45,7 @@ __all__ = [
     "lattice_product",
     "scenario_digest",
     "simplex_lattice",
+    "weighted_sum",
 ]
 
 # Strict-positivity threshold for carrier membership; absorbs integration
@@ -245,12 +246,17 @@ def aggregate_output(x: np.ndarray, scenario: Scenario) -> np.ndarray:
     is the only quantity the controller observes; it is a convex
     combination of simplex rows and therefore itself a simplex point.
     """
-    x = np.asarray(x, dtype=float)
-    shares = scenario.shares
-    y = shares[0] * x[0]
-    for k in range(1, shares.shape[0]):
-        y += shares[k] * x[k]
-    return y
+    return weighted_sum(scenario.shares, np.asarray(x, dtype=float))
+
+
+def weighted_sum(weights: Any, terms: Any) -> np.ndarray:
+    """Sum of weights[k] * terms[k] over k in index order, elementwise
+    along the other axes (no BLAS), so an entry's bits do not depend on
+    the rest of the array: the one contraction behind y, A^k y, <x, F>."""
+    total = weights[0] * terms[0]
+    for k in range(1, len(weights)):
+        total += weights[k] * terms[k]
+    return total
 
 
 def carrier(z: np.ndarray, *, threshold: float = CARRIER_THRESHOLD) -> np.ndarray:

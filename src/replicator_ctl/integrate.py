@@ -16,8 +16,10 @@ fails the step.
 whole batch at once, optionally with a gain per start, and returns results
 in input order.  Every operation runs elementwise along the batch, so a
 trajectory's bits depend only on (scenario, policy, x0, config), never on
-the rest of its batch.  A one-member batch (`simulate`, the last member of
-a shrinking portrait, a halving retry) steps on Python floats instead, with
+the rest of its batch, which steps as one C-contiguous (m, n, B) array on
+a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run.  A
+one-member batch (`simulate`, the last member of a shrinking portrait, a
+halving retry) steps on Python floats instead, with
 :func:`~replicator_ctl.dynamics.scalar_field`: the same operations in the
 same order, so the same bits, without numpy's per-call overhead.
 Convergence is declared online when the max-norm state change per step
@@ -41,7 +43,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import ControlPolicy, batch_field, scalar_field
+from .dynamics import (BatchKernel, ControlPolicy, batch_field,
+                       scalar_field)
 from .game import (Scenario, aggregate_output, check_count,
                    check_lattice_budget, check_real, lattice_product,
                    simplex_lattice)
@@ -140,11 +143,13 @@ class Trajectory:
 
 def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
               dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 step of a (B, m, n) stack, in any memory layout.
+    """One RK4 step of states laid out (m, n, B), member last, by ``rhs``.
 
-    Round-off negatives are clamped and drifted rows renormalized (row sums
-    add the actions in order).  The mask is True where the member is
-    admissible: finite, no coordinate below -NEG_TOL.  NaN and inf act as
+    ((k1 + 2·k2) + 2·k3) + k4 builds up in one buffer.  Round-off negatives
+    are clamped and drifted rows renormalized (row sums add the actions in
+    order), each only when some member needs it.  The mask, shape (B,), is
+    True where the member is admissible: finite, no coordinate below
+    -NEG_TOL; a failed member keeps its raw RK4 result.  NaN and inf act as
     in-band failure markers, so no floating-point warning is raised.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -152,19 +157,24 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         k2 = rhs(x + (0.5 * dt) * k1)
         k3 = rhs(x + (0.5 * dt) * k2)
         k4 = rhs(x + dt * k3)
-        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        above = x_new >= -NEG_TOL
-        ok = (above & (x_new < np.inf)).reshape(len(x_new), -1).all(1)
-        fixed = np.where((x_new < 0.0) & above, 0.0, x_new)
-        sums = fixed[..., 0]
-        for i in range(1, x_new.shape[-1]):
-            sums = sums + fixed[..., i]
+        x_new = k1 + 2.0 * k2
+        x_new += 2.0 * k3
+        x_new += k4
+        x_new *= dt / 6.0
+        x_new += x
+        flat = x_new.reshape(-1, x_new.shape[2])
+        lowest = flat.min(axis=0)
+        ok = (lowest >= -NEG_TOL) & (flat.max(axis=0) < np.inf)
+        if (lowest < 0.0).any():
+            np.copyto(x_new, 0.0, where=(x_new < 0.0) & ok)
+        sums = x_new[:, 0] + x_new[:, 1]
+        for i in range(2, x_new.shape[1]):
+            sums += x_new[:, i]
         drift = np.abs(sums - 1.0) > RENORM_TOL
         if drift.any():
-            fixed = np.where(drift[..., None], fixed / sums[..., None], fixed)
-        if not ok.all():  # a failed member keeps its raw RK4 result
-            fixed[~ok] = x_new[~ok]
-    return fixed, ok
+            np.divide(x_new, sums[:, None], out=x_new,
+                      where=(drift & ok)[:, None])
+    return x_new, ok
 
 
 def _stage(x: list[list[float]], h: float,
@@ -225,17 +235,12 @@ def _check_interior(x0: np.ndarray, scenario: Scenario,
     return x0
 
 
-def _member_last(states: np.ndarray) -> np.ndarray:
-    """A (B, m, n) view of a copy laid out (m, n, B) in memory."""
-    return np.ascontiguousarray(states.transpose(1, 2, 0)).transpose(2, 0, 1)
-
-
 class _BatchRun:
     """Shared stepping loop for simulate and phase_portrait.
 
     ``gains`` holds one gain per member; by default each is ``policy.d``.
-    The states are kept member-last, so that each step's elementwise
-    operations and per-member reductions run along the batch.
+    The states are one C-contiguous (m, n, B) array, member last, so that
+    every operation of a step runs along the batch on contiguous memory.
     """
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
@@ -256,47 +261,46 @@ class _BatchRun:
         self.lyap_final = np.full(self.n_members, np.nan)
         self._run(states0)
 
-    def _step(self, x: np.ndarray, gains: np.ndarray,
+    def _step(self, x: np.ndarray, kernel: BatchKernel,
               dt: float) -> tuple[np.ndarray, np.ndarray]:
-        if len(x) == 1:  # one member: the same bits on Python floats
-            fixed, ok = _rk4_scalar(self.field, x[0].tolist(),
-                                    float(gains[0]), dt)
-            return np.array([fixed]), np.array([ok])
-        return _rk4_step(
-            lambda batch: batch_field(self.scenario, batch, self.policy,
-                                      gains)[0],
-            x, dt)
+        if x.shape[2] == 1:  # one member: the same bits on Python floats
+            fixed, ok = _rk4_scalar(self.field, x[..., 0].tolist(),
+                                    float(kernel.gains[0]), dt)
+            return np.array(fixed)[..., None].copy(), np.array([ok])
+        return _rk4_step(lambda x: batch_field(
+            kernel, x.transpose(2, 0, 1))[0].transpose(1, 2, 0), x, dt)
 
-    def _retry(self, x: np.ndarray, gains: np.ndarray) -> np.ndarray | None:
-        """Re-take a failed (1, m, n) step as 2^j substeps of dt / 2^j for
+    def _retry(self, x: list[list[float]],
+               d: float) -> list[list[float]] | None:
+        """Re-take one member's failed step as 2^j substeps of dt / 2^j for
         j = 1..MAX_HALVINGS, else None (j = 0 is the step that failed)."""
         for level in range(1, MAX_HALVINGS + 1):
             current = x
             for _ in range(1 << level):
-                current, ok = self._step(current, gains,
-                                         self.cfg.dt / (1 << level))
-                if not ok[0]:
+                current, ok = _rk4_scalar(self.field, current, d,
+                                          self.cfg.dt / (1 << level))
+                if not ok:
                     break
             else:
-                return current[0]
+                return current
         return None
 
     def _run(self, states0: np.ndarray) -> None:
         cfg = self.cfg
         ids = np.arange(self.n_members)
-        gains = self.gains
-        x = _member_last(states0)
+        kernel = BatchKernel(self.scenario, self.policy.y_star, self.gains)
+        x = np.ascontiguousarray(states0.transpose(1, 2, 0))
         counters = np.zeros(self.n_members, dtype=int)
         if self.observer is not None:
             v_prev = self.observer.values(states0)
-        self.records.append((0, ids, states0.copy()))
+        self.records.append((0, ids, x))
         n_steps = cfg.n_steps
         for step in range(1, n_steps + 1):
-            fixed, ok = self._step(x, gains, cfg.dt)
+            fixed, ok = self._step(x, kernel, cfg.dt)
             all_ok = ok.all()
             for local in [] if all_ok else np.flatnonzero(~ok):
-                retried = self._retry(x[local:local + 1],
-                                      gains[local:local + 1])
+                retried = self._retry(x[..., local].tolist(),
+                                      float(kernel.gains[local]))
                 if retried is None:
                     member = int(ids[local])
                     self.failures[member] = IntegrationError(
@@ -304,18 +308,19 @@ class _BatchRun:
                         f"{step * cfg.dt:.6g} after {MAX_HALVINGS} "
                         f"halvings of dt={cfg.dt}")
                 else:
-                    fixed[local] = retried
+                    fixed[..., local] = retried
                     ok[local] = True
             all_ok = all_ok or ok.all()
             with np.errstate(invalid="ignore"):
-                delta = np.abs(fixed - x).reshape(ids.size, -1).max(axis=1)
+                delta = np.abs(fixed - x).reshape(-1, ids.size).max(axis=0)
             # a failed member's counter resets, so a full window implies ok
             counters = np.where((delta < CONVERGENCE_TOL) & ok,
                                 counters + 1, 0)
             just_converged = counters >= cfg.convergence_window
 
             if self.observer is not None:
-                v_new = self.observer.values(np.ascontiguousarray(fixed))
+                v_new = self.observer.values(
+                    np.ascontiguousarray(fixed.transpose(2, 0, 1)))
                 if not all_ok:
                     v_new = np.where(ok, v_new, np.nan)
                 both = np.isfinite(v_new) & np.isfinite(v_prev)
@@ -329,7 +334,7 @@ class _BatchRun:
             if record_now and all_ok:
                 self.records.append((step, ids, fixed))
             elif keep.any():
-                self.records.append((step, ids[keep], fixed[keep]))
+                self.records.append((step, ids[keep], fixed[..., keep]))
 
             ending = just_converged if all_ok else just_converged | ~ok
             if ending.any():
@@ -339,9 +344,9 @@ class _BatchRun:
                     self.lyap_final[ids[done]] = v_prev[done]
                 active = ~ending
                 ids = ids[active]
-                fixed = _member_last(fixed[active])
+                fixed = np.ascontiguousarray(fixed[..., active])
                 counters = counters[active]
-                gains = gains[active]
+                kernel.take(active)
                 if self.observer is not None:
                     v_prev = v_prev[active]
                 if ids.size == 0:
@@ -365,9 +370,9 @@ class _BatchRun:
                           [ids.size for _, ids, _ in self.records])
         ids = np.concatenate([ids for _, ids, _ in self.records])
         order = np.argsort(ids, kind="stable")
-        grouped = np.concatenate([block for *_, block in self.records])
+        grouped = np.concatenate([block for *_, block in self.records], axis=2)
         self.records = []
-        grouped = grouped[order]
+        grouped = grouped.transpose(2, 0, 1)[order]
         steps = steps[order]
         bounds = np.searchsorted(ids[order], np.arange(self.n_members + 1))
         return [self._trajectory(member, steps[lo:hi], grouped[lo:hi])

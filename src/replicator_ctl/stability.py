@@ -50,7 +50,7 @@ import numpy as np
 from .dynamics import field_uncontrolled, output_payoffs, subsidy_weights
 from .game import (CARRIER_THRESHOLD, Scenario, aggregate_output, carrier,
                    check_count, check_lattice_budget, lattice_product,
-                   simplex_lattice)
+                   simplex_lattice, weighted_sum)
 
 __all__ = [
     "AtTargetOutputError",
@@ -66,7 +66,6 @@ __all__ = [
     "estimate_subsidy_bound",
     "find_target_equilibria",
     "lyapunov_rate",
-    "lyapunov_value",
     "min_advantage_on_matching_set",
     "recommend_subsidy",
     "unique_target_equilibrium",
@@ -188,17 +187,6 @@ def _values_batch(states: np.ndarray, weights: np.ndarray,
     return np.where(np.isnan(values), np.inf, values)
 
 
-def lyapunov_value(x: np.ndarray, eq: TargetEquilibrium,
-                   scenario: Scenario) -> float:
-    """Certificate value at one state; +inf if a carried share has hit zero.
-
-    Non-negative everywhere it is finite, and zero exactly at the target
-    state.
-    """
-    weights, log_star = _carrier_weights(eq, scenario)
-    return float(_values_batch(np.asarray(x, dtype=float), weights, log_star))
-
-
 def _advantage_batch(states: np.ndarray, eq: TargetEquilibrium,
                      scenario: Scenario, at_target: bool = False
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -214,14 +202,8 @@ def _advantage_batch(states: np.ndarray, eq: TargetEquilibrium,
     y, F = output_payoffs(
         scenario, x, eq.target_output[:, None] if at_target else None)
     diff = eq.state[:, :, None] - x
-    m, n = eq.state.shape
-    per_pop = diff[:, 0] * F[:, 0]
-    for i in range(1, n):
-        per_pop += diff[:, i] * F[:, i]
-    advantage = scenario.shares[0] * per_pop[0]
-    for k in range(1, m):
-        advantage += scenario.shares[k] * per_pop[k]
-    return advantage, y.T
+    per_pop = weighted_sum(diff.swapaxes(0, 1), F.swapaxes(0, 1))
+    return weighted_sum(scenario.shares, per_pop), y.T
 
 
 def _mismatch_batch(outputs: np.ndarray, y_star: np.ndarray) -> np.ndarray:
@@ -415,11 +397,8 @@ def _lockstep_ascent(seeds: np.ndarray, eq: TargetEquilibrium,
     exactly where it would climbing alone.  Returns the final values and
     states and the number of states evaluated.
     """
-    def evaluate(states: np.ndarray) -> np.ndarray:
-        return _dbar_batch(states, eq, scenario)[0]
-
     current = seeds.copy()
-    current_value = evaluate(current)
+    current_value = _dbar_batch(current, eq, scenario)[0]
     n_evals = current.shape[0]
     step = np.full(current.shape[0], 0.25)
     active = np.ones(current.shape[0], dtype=bool)
@@ -438,7 +417,7 @@ def _lockstep_ascent(seeds: np.ndarray, eq: TargetEquilibrium,
             moved = np.minimum(step[tried], candidate[:, k, j])
             candidate[:, k, j] -= moved
             candidate[:, k, i] += moved
-            value = evaluate(candidate)
+            value = _dbar_batch(candidate, eq, scenario)[0]
             n_evals += tried.size
             better = value > current_value[tried]
             kept = tried[better]
@@ -628,12 +607,10 @@ def _combo_solutions(scenario: Scenario, y_star: np.ndarray,
     """
     m, n = scenario.n_populations, scenario.n_actions
     # infeasible outright if a targeted action is supported by nobody
-    supported = set()
-    for sup in supports:
-        supported.update(sup)
-    for i in range(n):
-        if y_star[i] > EQUILIBRIUM_TOL and i not in supported:
-            return None, False
+    supported = set().union(*supports)
+    if any(y_star[i] > EQUILIBRIUM_TOL and i not in supported
+           for i in range(n)):
+        return None, False
     if all(len(sup) == 1 for sup in supports):
         state = np.zeros((m, n))
         for k, sup in enumerate(supports):

@@ -10,6 +10,11 @@ import numpy as np
 import pytest
 
 from replicator_ctl import ControlPolicy, Scenario, field_controlled
+from replicator_ctl.agents import _payoff_gaps
+from replicator_ctl.dynamics import BatchKernel, batch_field
+from replicator_ctl.game import aggregate_output
+from replicator_ctl.stability import (TargetEquilibrium, _carrier_weights,
+                                      _values_batch)
 
 # the bundled three-population, two-action example used throughout
 THREEPOP_PAYOFFS = np.array(
@@ -78,6 +83,44 @@ def assert_same_bits(got, expected: np.ndarray) -> None:
     finite = ~np.isnan(expected)
     assert np.array_equal(got[finite].view(np.uint64),
                           expected[finite].view(np.uint64))
+
+
+def batch_field_of(scenario: Scenario, states: np.ndarray,
+                   policy: ControlPolicy, gains: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``batch_field`` of a (B, m, n) stack under ``policy``, or under a
+    gain per member in place of ``policy.d``."""
+    states = np.asarray(states, dtype=float)
+    gains = np.full(len(states), policy.d) if gains is None else gains
+    return batch_field(BatchKernel(scenario, policy.y_star, gains), states)
+
+
+def lyapunov_value(x: np.ndarray, eq: TargetEquilibrium,
+                   scenario: Scenario) -> float:
+    """Certificate value at one state; +inf if a carried share has hit zero.
+
+    Non-negative everywhere it is finite, and zero exactly at the target
+    state.
+    """
+    weights, log_star = _carrier_weights(eq, scenario)
+    return float(_values_batch(np.asarray(x, dtype=float), weights, log_star))
+
+
+def expected_drift(scenario: Scenario, policy: ControlPolicy, x: np.ndarray,
+                   revision_prob: float = 0.05) -> np.ndarray:
+    """Analytic expected one-round change of the per-population shares.
+
+    Computed from the imitation protocol itself (including the probability
+    clip), at the continuum state x.  Where no clip binds this equals
+    ``round_time_step(...) * field_controlled(...)`` exactly.
+    """
+    x = np.asarray(x, dtype=float)
+    switch = np.clip(
+        _payoff_gaps(scenario, policy, aggregate_output(x, scenario)),
+        0.0, 1.0)
+    # inflow j -> i minus outflow i -> j, per unit of x_i x_j
+    net = switch.swapaxes(1, 2) - switch
+    return revision_prob * x * (net @ x[:, :, None])[:, :, 0]
 
 
 def local_shift(scenario: Scenario, k: int, j: int, b: float) -> Scenario:

@@ -32,7 +32,6 @@ from replicator_ctl.stability import (
     estimate_subsidy_bound,
     find_target_equilibria,
     lyapunov_rate,
-    lyapunov_value,
     min_advantage_on_matching_set,
     _mismatch_batch,
 )
@@ -40,6 +39,7 @@ from conftest import (
     FIVE_STARTS,
     five_start_states,
     local_shift,
+    lyapunov_value,
     random_policy,
     random_scenario,
     random_state,

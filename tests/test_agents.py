@@ -11,15 +11,14 @@ from replicator_ctl import (ControlPolicy, Scenario, aggregate_output,
 from replicator_ctl.agents import (
     EmptyActionGroupError,
     _payoff_gaps,
-    expected_drift,
     init_agents,
     population_sizes,
     round_time_step,
     run,
     run_round,
 )
-from conftest import (make_state, random_policy, random_scenario,
-                      random_state, z_state)
+from conftest import (expected_drift, make_state, random_policy,
+                      random_scenario, random_state, z_state)
 
 
 class TestInitialization:

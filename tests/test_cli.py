@@ -819,6 +819,27 @@ class TestManifestRoundTrip:
         assert err.startswith("input error: --x0 0.5: expected a string")
         assert not second.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "portrait"])
+    def test_start_string_instead_of_list_exits_1(self, tmp_path, capsys,
+                                                  command):
+        # a string is refused whole, not read one character at a time
+        first = tmp_path / "first"
+        assert main([command, "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5",
+                     "--t-max", "1", "--out", str(first)]) == 0
+        manifest = read_json(first / "manifest.json")
+        manifest["x0"] = "0.2,0.4,0.6"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "second"
+        assert main([command, "--manifest", str(path),
+                     "--out", str(second)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: x0 must be a list of strings, "
+                              "got '0.2,0.4,0.6'")
+        assert not second.exists()
+
     def test_agents_rerun_is_byte_identical(self, tmp_path):
         first = tmp_path / "first"
         assert main(["agents", "--scenario", SCENARIO,

@@ -19,11 +19,11 @@ from replicator_ctl import (
     region_bounds,
 )
 from replicator_ctl.agents import _controlled_payoffs
-from replicator_ctl.dynamics import (batch_field, output_payoffs,
-                                     scalar_field, subsidy_weights)
+from replicator_ctl.dynamics import (output_payoffs, scalar_field,
+                                     subsidy_weights)
 from replicator_ctl.stability import _mismatch_batch
-from conftest import (assert_same_bits, average_payoff, expected_payoff,
-                      local_shift, make_state, random_policy,
+from conftest import (assert_same_bits, average_payoff, batch_field_of,
+                      expected_payoff, local_shift, make_state, random_policy,
                       random_scenario, random_state, z_state)
 
 
@@ -102,7 +102,8 @@ class TestOneDefinition:
         for i in range(1, n):
             avg += x[:, i] * G[:, i]
         expected = ((G - avg[:, None]) * x).transpose(2, 0, 1)
-        assert np.array_equal(batch_field(scen, states, policy)[0], expected)
+        assert np.array_equal(batch_field_of(scen, states, policy)[0],
+                              expected)
         # the certificate's mismatch, summed over targeted actions in order
         mismatch = np.zeros(states.shape[0])
         for i in np.flatnonzero(policy.y_star > 0.0):
@@ -217,7 +218,7 @@ class TestControlledField:
         policy = random_policy(rng, scen)
         states = np.array([random_state(rng, scen, interior=0.01)
                            for _ in range(40)])
-        batch, ok = batch_field(scen, states, policy)
+        batch, ok = batch_field_of(scen, states, policy)
         assert ok.all()
         for idx in range(states.shape[0]):
             np.testing.assert_allclose(
@@ -230,13 +231,13 @@ class TestControlledField:
         policy = random_policy(rng, scen)
         states = np.array([random_state(rng, scen, interior=0.01)
                            for _ in range(201)])
-        batch, _ = batch_field(scen, states, policy)
+        batch, _ = batch_field_of(scen, states, policy)
         for size in (1, 2, 7, 64):
-            part, _ = batch_field(scen, states[-size:], policy)
+            part, _ = batch_field_of(scen, states[-size:], policy)
             assert np.array_equal(part, batch[-size:])
         for idx in range(states.shape[0]):
-            assert np.array_equal(batch_field(scen, states[idx:idx + 1],
-                                              policy)[0][0], batch[idx])
+            assert np.array_equal(batch_field_of(scen, states[idx:idx + 1],
+                                                 policy)[0][0], batch[idx])
 
     @pytest.mark.filterwarnings("error")
     def test_gain_per_member(self, threepop, policy_boundary):
@@ -244,7 +245,7 @@ class TestControlledField:
         bad = z_state((0.0, 0.0, 0.0))
         states = np.array([good, good, bad, bad])
         gains = np.array([0.0, 0.6, 0.0, 0.6])
-        batch, ok = batch_field(threepop, states, policy_boundary, gains)
+        batch, ok = batch_field_of(threepop, states, policy_boundary, gains)
         # gain 0: the uncontrolled field, bit for bit, and no domain check
         assert ok.tolist() == [True, True, True, False]
         assert np.array_equal(batch[0], field_uncontrolled(threepop, good))
@@ -261,8 +262,8 @@ class TestControlledField:
                             [[1.0, 0.0], [0.0, 2.0]]])
         scen = Scenario(payoffs=payoffs, shares=np.array([0.4, 0.6]))
         x = make_state([[0.3, 0.7], [0.6, 0.4]])
-        batch, _ = batch_field(scen, np.array([x, x]), policy_boundary,
-                               np.array([0.0, 1.2]))
+        batch, _ = batch_field_of(scen, np.array([x, x]), policy_boundary,
+                                  np.array([0.0, 1.2]))
         base = field_uncontrolled(scen, x)
         assert np.signbit(base[0, 0])
         assert np.array_equal(np.signbit(batch[0]), np.signbit(base))
@@ -272,8 +273,8 @@ class TestControlledField:
     def test_batch_flags_domain_violations(self, threepop, policy_boundary):
         good = z_state((0.4, 0.5, 0.6))
         bad = z_state((0.0, 0.0, 0.0))
-        batch, ok = batch_field(threepop, np.array([good, bad]),
-                                policy_boundary)
+        batch, ok = batch_field_of(threepop, np.array([good, bad]),
+                                   policy_boundary)
         assert ok.tolist() == [True, False]
         assert np.all(np.isfinite(batch[0]))
         assert np.all(np.isnan(batch[1]))
@@ -304,8 +305,8 @@ class TestScalarCarrier:
                 if kind == 3:  # signed zeros must come out signed alike
                     x[0] = -0.0
                 for d in (0.0, policy.d):
-                    expected, ok = batch_field(scen, x[None], policy,
-                                               np.array([d]))
+                    expected, ok = batch_field_of(scen, x[None], policy,
+                                                  np.array([d]))
                     got, got_ok = field(x.tolist(), d)
                     assert got_ok == ok[0]
                     assert_same_bits(got, expected[0])

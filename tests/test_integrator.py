@@ -3,6 +3,8 @@ convergence detection, batch portraits, determinism, and CSV export."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from replicator_ctl import (
     write_trajectory_csv,
 )
 from replicator_ctl import integrate
-from replicator_ctl.dynamics import batch_field, scalar_field
+from replicator_ctl.dynamics import BatchKernel, batch_field, scalar_field
 from replicator_ctl.integrate import Trajectory, _BatchRun, _check_interior
 from replicator_ctl.stability import LyapunovObserver, unique_target_equilibrium
 from conftest import (
@@ -37,11 +39,22 @@ from conftest import (
 
 
 def rk4_step(field, x, dt):
-    """One RK4 step of a single state by the integrator's batch kernel;
+    """One RK4 step of a single state by the integrator's batch step;
     returns the new state and whether it is admissible."""
-    fixed, ok = integrate._rk4_step(lambda batch: field(batch[0])[None],
-                                    np.asarray(x, dtype=float)[None], dt)
-    return fixed[0], bool(ok[0])
+    fixed, ok = integrate._rk4_step(lambda x: field(x[..., 0])[..., None],
+                                    np.asarray(x, dtype=float)[..., None], dt)
+    return fixed[..., 0], bool(ok[0])
+
+
+def kernel_step(scenario, y_star, states, gains, dt):
+    """One RK4 step of a (B, m, n) stack on the batch kernel, as a batch
+    run takes it; returns the new (B, m, n) states and the mask."""
+    kernel = BatchKernel(scenario, y_star, gains)
+    fixed, ok = integrate._rk4_step(
+        lambda x: batch_field(kernel, x.transpose(2, 0, 1))[0]
+        .transpose(1, 2, 0),
+        np.ascontiguousarray(np.transpose(states, (1, 2, 0))), dt)
+    return fixed.transpose(2, 0, 1), ok
 
 
 class TestStep:
@@ -161,9 +174,9 @@ class TestSimulate:
         real_scalar = integrate.scalar_field
         members = []
 
-        def counted(scenario, states, *args):
+        def counted(kernel, states):
             members.append(states.shape[0])
-            return real(scenario, states, *args)
+            return real(kernel, states)
 
         def counted_scalar(scenario, y_star):
             field = real_scalar(scenario, y_star)
@@ -180,9 +193,7 @@ class TestSimulate:
         assert sum(members) == 15 * 4 + 2 * 4
 
         def step(x, dt):
-            return integrate._rk4_step(
-                lambda batch: real(scen, batch, policy, np.zeros(1))[0],
-                x[None], dt)
+            return kernel_step(scen, policy.y_star, x[None], np.zeros(1), dt)
 
         failed = [k for k in range(15) if not step(traj.states[k], 0.2)[1][0]]
         assert len(failed) == 1
@@ -208,9 +219,8 @@ class TestOneMemberPath:
 
     @staticmethod
     def batch_step(scen, policy, x, d, dt):
-        fixed, ok = integrate._rk4_step(
-            lambda batch: batch_field(scen, batch, policy, np.array([d]))[0],
-            np.asarray(x, dtype=float)[None], dt)
+        fixed, ok = kernel_step(scen, policy.y_star, x[None], np.array([d]),
+                                dt)
         return fixed[0], bool(ok[0])
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -332,6 +342,128 @@ class TestOneMemberPath:
         # the same step fails; the messages differ only in the member
         assert str(inside[1]).replace("trajectory 1", "trajectory 0") \
             == str(alone.value)
+
+
+class TestBatchBits:
+    """A start has the same bits alone, on the scalar path, as inside
+    batches of 2, 3, 17 and 133 on the batch kernel, whatever the gains,
+    halvings, domain failures and compactions of the rest of its batch."""
+
+    SIZES = (2, 3, 17, 133)
+
+    @staticmethod
+    def same_outcome(got, expected):
+        if isinstance(expected, IntegrationError):
+            assert isinstance(got, IntegrationError)
+            # the messages differ only in the member index
+            assert str(got).split(":", 1)[1] == str(expected).split(":", 1)[1]
+            return
+        assert np.array_equal(got.times.view(np.uint64),
+                              expected.times.view(np.uint64))
+        assert_same_bits(got.states, expected.states)
+        assert got.converged == expected.converged
+
+    def test_alone_equals_inside_batches(self, monkeypatch):
+        seen = {"domain": 0, "halved": 0, "converged": 0, "failed": 0}
+        real_field = integrate.scalar_field
+        real_step = integrate._rk4_scalar
+        cfg = IntegrationConfig(dt=0.2, t_max=1.2, convergence_window=3)
+
+        def counted_field(scenario, y_star):
+            field = real_field(scenario, y_star)
+
+            def one(x, d):
+                rates, ok = field(x, d)
+                seen["domain"] += not ok
+                return rates, ok
+            return one
+
+        def counted_step(field, x, d, dt):
+            seen["halved"] += dt < cfg.dt
+            return real_step(field, x, d, dt)
+
+        monkeypatch.setattr(integrate, "scalar_field", counted_field)
+        monkeypatch.setattr(integrate, "_rk4_scalar", counted_step)
+        for case in range(6):
+            rng = np.random.default_rng(500 + case)
+            m, n = ((2, 2), (9, 9))[case] if case < 2 else \
+                rng.integers(2, 10, size=2).tolist()
+            scen = random_scenario(rng, m=m, n=n,
+                                   payoff_scale=(5.0, 40.0, 150.0)[case % 3])
+            y_star = (np.eye(n)[int(rng.integers(n))] if case % 2
+                      else rng.dirichlet(np.ones(n)))
+            policy = ControlPolicy(y_star=y_star, d=rng.uniform(0.5, 3.0))
+            gains = [0.0, policy.d, 4.0 * policy.d]
+            # near-boundary starts under every gain, and a vertex that is a
+            # rest point at gain 0 and outside the domain at a positive gain
+            probes = [(random_state(rng, scen, interior=0.0005), gains[i % 3])
+                      for i in range(6)]
+            vertex = np.zeros((m, n))
+            vertex[:, int(np.argmin(y_star))] = 1.0
+            probes += [(vertex, 0.0), (vertex, policy.d)]
+            alone = [_BatchRun(scen, policy, x[None], cfg,
+                               gains=np.array([d])).results()[0]
+                     for x, d in probes]
+            seen["converged"] += sum(getattr(a, "converged", False)
+                                     for a in alone)
+            seen["failed"] += sum(isinstance(a, IntegrationError)
+                                  for a in alone)
+            for size, chosen in zip(self.SIZES,
+                                    ([6, 0], [7, 1, 2], range(8), range(8))):
+                states = [random_state(rng, scen, interior=0.01)
+                          for _ in range(size)]
+                member_gains = rng.choice(gains, size=size)
+                places = rng.permutation(size)[:len(chosen)]
+                for place, probe in zip(places, chosen):
+                    states[place], member_gains[place] = probes[probe]
+                inside = _BatchRun(scen, policy, np.array(states), cfg,
+                                   gains=member_gains).results()
+                for place, probe in zip(places, chosen):
+                    self.same_outcome(inside[place], alone[probe])
+        assert min(seen.values()) > 0, seen
+
+    def test_batched_step_raises_no_warning(self, threepop, policy_boundary):
+        # one step of six members: in range; outside the domain (NaN);
+        # a clamped entry and a drifted row; a row clamped to zeros, which
+        # renormalizes to 0/0; below -NEG_TOL; overflowing to inf
+        good = z_state((0.4, 0.5, 0.6))
+        states = np.array([good, z_state((0.0, 0.0, 0.0))] + [good] * 4)
+        kernel = BatchKernel(threepop, policy_boundary.y_star,
+                             np.full(6, 1.2))
+        rates = np.array([
+            [[-0.4 - 4e-13, 0.3], [0.01, -0.01], [0.0, 0.0]],
+            [[-0.4 - 4e-13, -0.6 - 4e-13], [0.0, 0.0], [0.0, 0.0]],
+            [[-1.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+            [[1e308, -1e308], [0.0, 0.0], [0.0, 0.0]],
+        ]).transpose(1, 2, 0)
+
+        def rhs(x):
+            deriv = batch_field(kernel, x.transpose(2, 0, 1))[0]
+            deriv = deriv.transpose(1, 2, 0).copy()
+            deriv[..., 2:] = rates
+            return deriv
+
+        x = np.ascontiguousarray(states.transpose(1, 2, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fixed, ok = integrate._rk4_step(rhs, x, 1.0)
+            # the game of test_domain_failure_is_the_same_error, whose
+            # controlled steps leave the domain down to dt / 2^20
+            payoff = np.array([[-1e12, -1e12], [0.0, 0.0]])
+            outcomes = phase_portrait(
+                Scenario(payoffs=np.stack([payoff, payoff]),
+                         shares=np.array([0.5, 0.5])),
+                ControlPolicy(y_star=np.array([1.0, 0.0]), d=1.0),
+                [make_state([[0.5, 0.5], [0.5, 0.5]]),
+                 make_state([[0.4, 0.6], [0.6, 0.4]])],
+                IntegrationConfig(dt=0.1, t_max=1.0), gains=[0.0, 1.0])
+        fixed = fixed.transpose(2, 0, 1)
+        assert ok.tolist() == [True, False, True, True, False, False]
+        assert np.all(np.isnan(fixed[1]))
+        assert fixed[2, 0, 0] == 0.0 and fixed[2, 0].sum() == 1.0
+        assert np.all(np.isnan(fixed[3, 0]))
+        assert not np.isfinite(fixed[5]).all()
+        assert all(isinstance(r, IntegrationError) for r in outcomes)
 
 
 class TestInvariantRegion:
@@ -508,7 +640,7 @@ class TestPortrait:
                 pos = np.flatnonzero(ids == member)
                 if pos.size:
                     steps.append(step)
-                    rows.append(block[pos[0]])
+                    rows.append(block[..., pos[0]])  # blocks are (m, n, k)
             final_steps.append(steps[-1])
             states = np.array(rows)
             assert outcome.converged

@@ -26,7 +26,6 @@ from replicator_ctl.stability import (
     estimate_subsidy_bound,
     find_target_equilibria,
     lyapunov_rate,
-    lyapunov_value,
     min_advantage_on_matching_set,
     recommend_subsidy,
     unique_target_equilibrium,
@@ -34,9 +33,10 @@ from replicator_ctl.stability import (
 from replicator_ctl.stability import (_dbar_batch, _grid_states, _lp_min,
                                      _matching_system, _mismatch_batch)
 from conftest import (RECIPE_REFUSED, average_payoff, equilibrium_jacobian,
-                      expected_payoff, make_state, random_scenario,
-                      random_state, recipe_game, tied_everywhere_game,
-                      tied_once_game, two_action_verdict, z_state)
+                      expected_payoff, lyapunov_value, make_state,
+                      random_scenario, random_state, recipe_game,
+                      tied_everywhere_game, tied_once_game,
+                      two_action_verdict, z_state)
 
 
 @pytest.fixture(scope="module")
