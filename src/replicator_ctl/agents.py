@@ -14,10 +14,10 @@ action are interchangeable, so the chain's whole state is ``counts``, the
   uniformly random member of its own population (itself included) and,
   when that peer plays j and it plays i, imitates with probability
   q[k, i, j] = clip((F[k, j] - F[k, i]) / (a_max - a_min + d), 0, 1).  The
-  payoffs F = A^k y_hat + d * f(y_hat) come from
+  payoffs F = A^k y_hat + d * f(y_hat) are summed and weighted as
   :func:`~replicator_ctl.dynamics.output_payoffs` and
-  :func:`~replicator_ctl.dynamics.subsidy_weights`, the same definitions
-  the continuum field uses.
+  :func:`~replicator_ctl.dynamics.subsidy_weights` do, the same
+  definitions the continuum field uses.
 
 Every revision reads the start-of-round snapshot, so an agent of
 population k on action i moves to j with probability
@@ -26,7 +26,9 @@ independently of every other agent.  The counts[k, i] agents that share
 (k, i) therefore split multinomially over the n moves and staying, and one
 ``rng.multinomial(counts, [pi, 1 - Σ_j pi])`` draw samples the whole round
 with the same law as revising agent by agent.  A round takes O(m n^2) time
-and memory (n times that with sampled matches), whatever N is.
+and memory (n times that with sampled matches), whatever N is.  :func:`run`
+builds what every round reads once: N, the pot, the targeted actions, the
+payoff columns, the normalizer and the population sizes.
 
 Proportional imitation with expected payoffs is the standard protocol whose
 mean field is the replicator equation; the expected one-round drift equals
@@ -51,12 +53,12 @@ Round-series CSV layout: ``round, y_1..y_n, p_1..p_n, total_subsidy``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ControlPolicy, output_payoffs, subsidy_weights
-from .game import CARRIER_THRESHOLD, SUM_TOLERANCE, Scenario
+from .dynamics import ControlPolicy, _weights
+from .game import CARRIER_THRESHOLD, SUM_TOLERANCE, Scenario, weighted_sum
 
 __all__ = [
     "AgentPopulation",
@@ -100,10 +102,6 @@ class AgentPopulation:
 
     def empirical_output(self) -> np.ndarray:
         return self.action_counts() / self.n_agents
-
-    def empirical_state(self) -> np.ndarray:
-        """Per-population action shares, shape (m, n)."""
-        return self.counts / self.pop_sizes[:, None]
 
 
 @dataclass(frozen=True)
@@ -179,26 +177,58 @@ def init_agents(scenario: Scenario, x0: np.ndarray, n_agents: int,
                            seed=seed, rng=np.random.default_rng(seed))
 
 
-def _stats(pop: AgentPopulation, policy: ControlPolicy) -> RoundStats:
-    counts = pop.action_counts()
-    n = pop.n_agents
-    targeted = policy.y_star > 0.0
-    empty = targeted & (counts == 0)
-    if np.any(empty) and policy.d > 0.0:
-        raise EmptyActionGroupError(
-            f"targeted action {int(np.flatnonzero(empty)[0])} has no agents; "
-            "the equal split is undefined"
-        )
-    total = policy.d * n
-    per_agent = np.zeros(pop.n_actions)
-    payable = targeted & (counts > 0)
-    per_agent[payable] = total * policy.y_star[payable] / counts[payable]
-    return RoundStats(
-        empirical_output=counts / n,
-        action_counts=counts,
-        total_subsidy=total,
-        per_agent_subsidy=per_agent,
-    )
+class _RoundConstants:
+    """What every round of a run reads, built once: N, the pot d·N, the
+    targeted actions and their pots, the payoff columns A^k[:, j], the
+    normalizer and the population sizes as a column."""
+
+    def __init__(self, scenario: Scenario, policy: ControlPolicy,
+                 pop_sizes: np.ndarray):
+        self.policy, self.payoffs = policy, scenario.payoffs
+        self.n_agents = int(pop_sizes.sum())
+        self.sizes = pop_sizes[:, None]
+        self.total = policy.d * self.n_agents
+        self.targeted = np.flatnonzero(policy.y_star > 0.0)
+        self.pots = self.total * policy.y_star[self.targeted]
+        self.columns = list(scenario.payoffs.transpose(2, 0, 1))
+        self.normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
+
+    def stats(self, counts: np.ndarray, y: np.ndarray,
+              gap: float = 0.0) -> RoundStats:
+        """The snapshot at action counts ``counts`` and output ``y``; raises
+        :class:`EmptyActionGroupError` where a targeted group is empty."""
+        per_agent = np.zeros(counts.shape)
+        if self.policy.d > 0.0:
+            held = counts[self.targeted]
+            if not held.all():
+                raise EmptyActionGroupError(
+                    f"targeted action {int(self.targeted[held == 0][0])} "
+                    "has no agents; the equal split is undefined")
+            per_agent[self.targeted] = self.pots / held
+        return RoundStats(empirical_output=y, action_counts=counts,
+                          total_subsidy=self.total,
+                          per_agent_subsidy=per_agent, imitation_gap=gap)
+
+    def payoffs_at(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The controlled payoff A^k y + d·f(y) per (population, action),
+        folded as :func:`~replicator_ctl.dynamics.batch_field` folds it
+        (with output_payoffs' sum and subsidy_weights' f), and the subsidy
+        row d·f(y) alone."""
+        table = weighted_sum(self.columns, y)
+        f, _ = _weights(y, self.policy.y_star)
+        table -= (0.0 - self.policy.d) * f
+        return table, self.policy.d * f
+
+    def gaps(self, y: np.ndarray, sampled_matches: bool = False) -> np.ndarray:
+        """Normalized controlled-payoff gaps (F[k, j] - F[k, i]) / norm at
+        the output y, indexed [k, i, j]: what an i-player sees a j-player
+        gain.  With sampled matches, the gaps against each opponent action
+        l, indexed [k, i, j, l]."""
+        table, subsidy = self.payoffs_at(y)
+        if sampled_matches:
+            # table[k, i, l]: action i against opponent l, subsidy included
+            table = self.payoffs + subsidy[:, None]
+        return (table[:, None] - table[:, :, None]) / self.normalizer
 
 
 def round_time_step(scenario: Scenario, policy: ControlPolicy,
@@ -207,54 +237,33 @@ def round_time_step(scenario: Scenario, policy: ControlPolicy,
     return revision_prob / (scenario.payoff_max - scenario.payoff_min + policy.d)
 
 
-def _controlled_payoffs(scenario: Scenario, policy: ControlPolicy,
-                        y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The controlled payoff A^k y + d·f(y) per (population, action), folded
-    as :func:`~replicator_ctl.dynamics.batch_field` folds it, and the
-    subsidy row d·f(y) alone."""
-    _, table = output_payoffs(scenario, None, y)
-    f, _ = subsidy_weights(y, policy.y_star)
-    table -= (0.0 - policy.d) * f
-    return table, policy.d * f
-
-
-def _payoff_gaps(scenario: Scenario, policy: ControlPolicy, y: np.ndarray,
-                 sampled_matches: bool = False) -> np.ndarray:
-    """Normalized controlled-payoff gaps (F[k, j] - F[k, i]) / norm at the
-    output y, indexed [k, i, j]: what an i-player sees a j-player gain.
-    With sampled matches, the gaps against each opponent action l,
-    indexed [k, i, j, l]."""
-    table, subsidy = _controlled_payoffs(scenario, policy, y)
-    if sampled_matches:
-        # table[k, i, l]: action i against opponent action l, subsidy included
-        table = scenario.payoffs + subsidy[:, None]
-    normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
-    return (table[:, None] - table[:, :, None]) / normalizer
-
-
 def run_round(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
-              revision_prob: float = 0.05,
-              sampled_matches: bool = False) -> RoundStats:
+              revision_prob: float = 0.05, sampled_matches: bool = False,
+              constants: _RoundConstants | None = None) -> RoundStats:
     """Pay subsidies at the current state, then draw every revision at once.
 
     Returns the pre-revision snapshot (the payments actually made), with
     the round's largest unclipped normalized gap.  Raises
     :class:`EmptyActionGroupError` when a targeted action group is empty.
+    ``constants`` are the run's, built here when not given.
     """
-    stats = _stats(pop, policy)
-    y_hat = stats.empirical_output
-    gaps = _payoff_gaps(scenario, policy, y_hat, sampled_matches)
+    if constants is None:
+        constants = _RoundConstants(scenario, policy, pop.pop_sizes)
+    counts = pop.counts.sum(axis=0)
+    y_hat = counts / constants.n_agents
+    gaps = constants.gaps(y_hat, sampled_matches)
+    stats = constants.stats(counts, y_hat, float(gaps.max()))
     switch = np.clip(gaps, 0.0, 1.0)
     if sampled_matches:
         # the weights y_hat can sum to 1 + 1 ulp
         switch = np.minimum(switch @ y_hat, 1.0)
     # the peer is a uniform member of the reviser's own population
-    moves = revision_prob * pop.empirical_state()[:, None, :] * switch
+    moves = revision_prob * (pop.counts / constants.sizes)[:, None, :] * switch
     stay = np.maximum(1.0 - moves.sum(axis=2, keepdims=True), 0.0)
     drawn = pop.rng.multinomial(
         pop.counts, np.concatenate([moves, stay], axis=2))[..., :-1]
     pop.counts += drawn.sum(axis=1) - drawn.sum(axis=2)
-    return replace(stats, imitation_gap=float(gaps.max()))
+    return stats
 
 
 def run(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
@@ -266,11 +275,13 @@ def run(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
     if not 0.0 < revision_prob <= 1.0:
         raise ValueError(f"revision_prob must be in (0, 1], got "
                          f"{revision_prob!r}")
+    constants = _RoundConstants(scenario, policy, pop.pop_sizes)
     series = []
     for _ in range(rounds):
         series.append(run_round(pop, scenario, policy, revision_prob,
-                                sampled_matches))
-    series.append(_stats(pop, policy))
+                                sampled_matches, constants))
+    counts = pop.action_counts()
+    series.append(constants.stats(counts, counts / constants.n_agents))
     return series
 
 

@@ -18,10 +18,11 @@ in input order.  Every operation runs elementwise along the batch, so a
 trajectory's bits depend only on (scenario, policy, x0, config), never on
 the rest of its batch, which steps as one C-contiguous (m, n, B) array on
 a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run.  A
-one-member batch (`simulate`, the last member of a shrinking portrait, a
-halving retry) steps on Python floats instead, with
-:func:`~replicator_ctl.dynamics.scalar_field`: the same operations in the
-same order, so the same bits, without numpy's per-call overhead.
+member that steps alone (`simulate`, the last member of a shrinking
+portrait, a halving retry) steps on a flat list of Python floats instead,
+with :func:`~replicator_ctl.dynamics.scalar_field` generated at most once
+per run: the same operations in the same order, so the same bits, without
+numpy's per-call overhead; above ``SCALAR_MAX_TERMS`` it stays on numpy.
 Convergence is declared online when the max-norm state change per step
 stays below ``CONVERGENCE_TOL`` for ``convergence_window`` consecutive
 steps.
@@ -39,6 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,6 +78,10 @@ INTERIOR_FLOOR = 1e-6
 
 # A failed step is re-taken as 2^j substeps for j up to this.
 MAX_HALVINGS = 20
+
+# A member stepping alone does so on Python floats while m·n² is at most
+# this, else on the batch kernel.
+SCALAR_MAX_TERMS = 1500
 
 
 class IntegrationError(RuntimeError):
@@ -177,15 +184,17 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return x_new, ok
 
 
-def _stage(x: list[list[float]], h: float,
-           slope: list[list[float]]) -> list[list[float]]:
-    return [[a + h * b for a, b in zip(row, rates)]
-            for row, rates in zip(x, slope)]
+def _kernel_step(kernel: BatchKernel, x: np.ndarray,
+                 dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rk4_step` of (m, n, B) states on the batch kernel."""
+    return _rk4_step(lambda x: batch_field(
+        kernel, x.transpose(2, 0, 1))[0].transpose(1, 2, 0), x, dt)
 
 
-def _rk4_scalar(field: Callable, x: list[list[float]], d: float,
-                dt: float) -> tuple[list[list[float]], bool]:
-    """:func:`_rk4_step` of one member on nested Python float lists.
+def _rk4_scalar(field: Callable, x: list[float], d: float, dt: float,
+                n: int) -> tuple[list[float], bool]:
+    """:func:`_rk4_step` of one member on a flat list of its m·n floats,
+    ``n`` to a population.
 
     ``field(x, d)`` is a :func:`~replicator_ctl.dynamics.scalar_field`.
     Every operation runs in _rk4_step's order, so the bits are the same.
@@ -194,26 +203,22 @@ def _rk4_scalar(field: Callable, x: list[list[float]], d: float,
     """
     half = 0.5 * dt
     k1 = field(x, d)[0]
-    k2 = field(_stage(x, half, k1), d)[0]
-    k3 = field(_stage(x, half, k2), d)[0]
-    k4 = field(_stage(x, dt, k3), d)[0]
+    k2 = field([a + half * b for a, b in zip(x, k1)], d)[0]
+    k3 = field([a + half * b for a, b in zip(x, k2)], d)[0]
+    k4 = field([a + dt * b for a, b in zip(x, k3)], d)[0]
     sixth = dt / 6.0
-    x_new = [[a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
-              for a, p, q, r, s in zip(*rows)]
-             for rows in zip(x, k1, k2, k3, k4)]
-    if not all(-NEG_TOL <= v < math.inf for row in x_new for v in row):
+    x_new = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+             for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+    if not all(-NEG_TOL <= v < math.inf for v in x_new):
         return x_new, False  # a failed member keeps its raw RK4 result
-    fixed = []
-    for row in x_new:
-        row = [0.0 if v < 0.0 else v for v in row]
-        total = row[0]
-        for v in row[1:]:
-            total += v
+    fixed = [0.0 if v < 0.0 else v for v in x_new]
+    for lo in range(0, len(fixed), n):
+        row = fixed[lo:lo + n]
+        total = reduce(add, row)  # left to right, as numpy adds columns
         if abs(total - 1.0) > RENORM_TOL:
             # a row of zeros: numpy's 0/0 gives NaN, and so does 0 * inf
-            row = ([v / total for v in row] if total
-                   else [v * math.inf for v in row])
-        fixed.append(row)
+            fixed[lo:lo + n] = ([v / total for v in row] if total
+                                else [v * math.inf for v in row])
     return fixed, True
 
 
@@ -241,6 +246,8 @@ class _BatchRun:
     ``gains`` holds one gain per member; by default each is ``policy.d``.
     The states are one C-contiguous (m, n, B) array, member last, so that
     every operation of a step runs along the batch on contiguous memory.
+    A lone member (the last one left, or a retry) steps on Python floats
+    up to SCALAR_MAX_TERMS, its field generated at the first such step.
     """
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
@@ -252,7 +259,9 @@ class _BatchRun:
         self.observer = observer
         self.gains = (np.full(states0.shape[0], policy.d) if gains is None
                       else gains)
-        self.field = scalar_field(scenario, policy.y_star)
+        m, n = self.shape = (scenario.n_populations, scenario.n_actions)
+        self.scalar = m * n * n <= SCALAR_MAX_TERMS
+        self.field = None
         self.n_members = states0.shape[0]
         self.records: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.converged = np.zeros(self.n_members, dtype=bool)
@@ -261,29 +270,45 @@ class _BatchRun:
         self.lyap_final = np.full(self.n_members, np.nan)
         self._run(states0)
 
-    def _step(self, x: np.ndarray, kernel: BatchKernel,
-              dt: float) -> tuple[np.ndarray, np.ndarray]:
-        if x.shape[2] == 1:  # one member: the same bits on Python floats
-            fixed, ok = _rk4_scalar(self.field, x[..., 0].tolist(),
-                                    float(kernel.gains[0]), dt)
-            return np.array(fixed)[..., None].copy(), np.array([ok])
-        return _rk4_step(lambda x: batch_field(
-            kernel, x.transpose(2, 0, 1))[0].transpose(1, 2, 0), x, dt)
+    def _alone(self, d: float) -> Callable:
+        """``step(x, dt) -> (x, ok)``: one RK4 step of a lone member with
+        gain d, on a flat list of floats if ``self.scalar``, else on an
+        (m, n, 1) array and the batch kernel."""
+        if not self.scalar:
+            kernel = BatchKernel(self.scenario, self.policy.y_star, [d])
+            return lambda x, dt: _kernel_step(kernel, x, dt)
+        if self.field is None:
+            self.field = scalar_field(self.scenario, self.policy.y_star)
+        field, n = self.field, self.shape[1]
+        return lambda x, dt: _rk4_scalar(field, x, d, dt, n)
 
-    def _retry(self, x: list[list[float]],
-               d: float) -> list[list[float]] | None:
-        """Re-take one member's failed step as 2^j substeps of dt / 2^j for
-        j = 1..MAX_HALVINGS, else None (j = 0 is the step that failed)."""
+    def _retry(self, x, d: float, member: int, step: int):
+        """Re-take member's failed step from x as 2^j substeps of dt / 2^j
+        for j = 1..MAX_HALVINGS (j = 0 is the step that failed); if none
+        succeeds, record the member's failure and return None."""
+        alone = self._alone(d)
         for level in range(1, MAX_HALVINGS + 1):
             current = x
             for _ in range(1 << level):
-                current, ok = _rk4_scalar(self.field, current, d,
-                                          self.cfg.dt / (1 << level))
+                current, ok = alone(current, self.cfg.dt / (1 << level))
                 if not ok:
                     break
             else:
                 return current
+        self.failures[member] = IntegrationError(
+            f"trajectory {member}: step failed at t={step * self.cfg.dt:.6g} "
+            f"after {MAX_HALVINGS} halvings of dt={self.cfg.dt}")
         return None
+
+    def _observe(self, states: np.ndarray, ids: np.ndarray, ok: np.ndarray,
+                 v_prev: np.ndarray) -> np.ndarray:
+        """The observer's values at ``states`` (B, m, n), NaN where not ok,
+        folded into each member's largest step increase."""
+        v_new = np.where(ok, self.observer.values(states), np.nan)
+        both = np.isfinite(v_new) & np.isfinite(v_prev)
+        inc = np.where(both, v_new - v_prev, -np.inf)
+        self.lyap_max_inc[ids] = np.maximum(self.lyap_max_inc[ids], inc)
+        return v_new
 
     def _run(self, states0: np.ndarray) -> None:
         cfg = self.cfg
@@ -295,20 +320,41 @@ class _BatchRun:
             v_prev = self.observer.values(states0)
         self.records.append((0, ids, x))
         n_steps = cfg.n_steps
+        alone = None  # a lone member's step, its state then a flat list
         for step in range(1, n_steps + 1):
-            fixed, ok = self._step(x, kernel, cfg.dt)
+            if alone is None and ids.size == 1 and self.scalar:
+                d = float(kernel.gains[0])
+                alone = self._alone(d)
+                x, count = x.ravel().tolist(), int(counters[0])
+            if alone is not None:
+                fixed, ok = alone(x, cfg.dt)
+                if not ok:
+                    fixed = self._retry(x, d, int(ids[0]), step)
+                    if fixed is None:
+                        break
+                # a NaN fails the comparison, as it fails numpy's max-norm
+                count = (count + 1 if all(abs(a - b) < CONVERGENCE_TOL
+                                          for a, b in zip(fixed, x)) else 0)
+                x, block = fixed, np.array(fixed)  # a record is one array
+                if self.observer is not None:
+                    v_prev = self._observe(block.reshape((1,) + self.shape),
+                                           ids, True, v_prev)
+                done = count >= cfg.convergence_window
+                if done or step % cfg.record_stride == 0 or step == n_steps:
+                    self.records.append((step, ids, block))
+                if done:
+                    self.converged[ids] = True
+                    break
+                continue
+            fixed, ok = _kernel_step(kernel, x, cfg.dt)
             all_ok = ok.all()
             for local in [] if all_ok else np.flatnonzero(~ok):
-                retried = self._retry(x[..., local].tolist(),
-                                      float(kernel.gains[local]))
-                if retried is None:
-                    member = int(ids[local])
-                    self.failures[member] = IntegrationError(
-                        f"trajectory {member}: step failed at t="
-                        f"{step * cfg.dt:.6g} after {MAX_HALVINGS} "
-                        f"halvings of dt={cfg.dt}")
-                else:
-                    fixed[..., local] = retried
+                start = x[..., local]
+                retried = self._retry(
+                    start.ravel().tolist() if self.scalar else start[..., None],
+                    float(kernel.gains[local]), int(ids[local]), step)
+                if retried is not None:
+                    fixed[..., local] = np.reshape(retried, self.shape)
                     ok[local] = True
             all_ok = all_ok or ok.all()
             with np.errstate(invalid="ignore"):
@@ -319,15 +365,9 @@ class _BatchRun:
             just_converged = counters >= cfg.convergence_window
 
             if self.observer is not None:
-                v_new = self.observer.values(
-                    np.ascontiguousarray(fixed.transpose(2, 0, 1)))
-                if not all_ok:
-                    v_new = np.where(ok, v_new, np.nan)
-                both = np.isfinite(v_new) & np.isfinite(v_prev)
-                inc = np.where(both, v_new - v_prev, -np.inf)
-                self.lyap_max_inc[ids] = np.maximum(self.lyap_max_inc[ids],
-                                                    inc)
-                v_prev = v_new
+                v_prev = self._observe(
+                    np.ascontiguousarray(fixed.transpose(2, 0, 1)), ids, ok,
+                    v_prev)
 
             record_now = (step % cfg.record_stride == 0) or (step == n_steps)
             keep = ok if record_now else just_converged
@@ -353,7 +393,7 @@ class _BatchRun:
                     break
             x = fixed
 
-        # members that ran to the horizon
+        # members still in the run: at the horizon, or a lone member
         if self.observer is not None:
             self.lyap_final[ids] = v_prev
 
@@ -370,9 +410,11 @@ class _BatchRun:
                           [ids.size for _, ids, _ in self.records])
         ids = np.concatenate([ids for _, ids, _ in self.records])
         order = np.argsort(ids, kind="stable")
-        grouped = np.concatenate([block for *_, block in self.records], axis=2)
+        # a lone member's blocks are flat (m·n,), the batch's (m, n, k)
+        grouped = np.concatenate([block.reshape(math.prod(self.shape), -1)
+                                  for *_, block in self.records], axis=1)
         self.records = []
-        grouped = grouped.transpose(2, 0, 1)[order]
+        grouped = grouped.T.reshape((-1,) + self.shape)[order]
         steps = steps[order]
         bounds = np.searchsorted(ids[order], np.arange(self.n_members + 1))
         return [self._trajectory(member, steps[lo:hi], grouped[lo:hi])

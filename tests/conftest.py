@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from replicator_ctl import ControlPolicy, Scenario, field_controlled
-from replicator_ctl.agents import _payoff_gaps
+from replicator_ctl.agents import _RoundConstants, population_sizes
 from replicator_ctl.dynamics import BatchKernel, batch_field
 from replicator_ctl.game import aggregate_output
 from replicator_ctl.stability import (TargetEquilibrium, _carrier_weights,
@@ -106,6 +106,13 @@ def lyapunov_value(x: np.ndarray, eq: TargetEquilibrium,
     return float(_values_batch(np.asarray(x, dtype=float), weights, log_star))
 
 
+def round_constants(scenario: Scenario,
+                    policy: ControlPolicy) -> _RoundConstants:
+    """The agents' round constants of a run of 1,000 agents; the payoffs
+    and gaps they give do not depend on the head counts."""
+    return _RoundConstants(scenario, policy, population_sizes(scenario, 1000))
+
+
 def expected_drift(scenario: Scenario, policy: ControlPolicy, x: np.ndarray,
                    revision_prob: float = 0.05) -> np.ndarray:
     """Analytic expected one-round change of the per-population shares.
@@ -116,7 +123,7 @@ def expected_drift(scenario: Scenario, policy: ControlPolicy, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     switch = np.clip(
-        _payoff_gaps(scenario, policy, aggregate_output(x, scenario)),
+        round_constants(scenario, policy).gaps(aggregate_output(x, scenario)),
         0.0, 1.0)
     # inflow j -> i minus outflow i -> j, per unit of x_i x_j
     net = switch.swapaxes(1, 2) - switch

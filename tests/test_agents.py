@@ -10,7 +10,6 @@ from replicator_ctl import (ControlPolicy, Scenario, aggregate_output,
                             field_controlled)
 from replicator_ctl.agents import (
     EmptyActionGroupError,
-    _payoff_gaps,
     init_agents,
     population_sizes,
     round_time_step,
@@ -18,7 +17,7 @@ from replicator_ctl.agents import (
     run_round,
 )
 from conftest import (expected_drift, make_state, random_policy,
-                      random_scenario, random_state, z_state)
+                      random_scenario, random_state, round_constants, z_state)
 
 
 class TestInitialization:
@@ -41,7 +40,7 @@ class TestInitialization:
             x0 = random_state(rng, threepop, interior=0.02)
             n_agents = int(rng.integers(300, 5000))
             pop = init_agents(threepop, x0, n_agents, seed=1)
-            state = pop.empirical_state()
+            state = pop.counts / pop.pop_sizes[:, None]
             assert np.max(np.abs(state - x0)) <= 1.0 / pop.pop_sizes.min()
             y_hat = pop.empirical_output()
             assert abs(y_hat.sum() - 1.0) < 1e-12
@@ -134,6 +133,30 @@ class TestProtocol:
         np.testing.assert_array_equal(series[0].action_counts, initial)
         assert not np.array_equal(pop.action_counts(), initial)
 
+    # head counts after rounds 1, 10, 100 and 1,000 from the start, policy,
+    # seed and 10^5 agents of the agents-mc benchmark workload
+    PINNED_COUNTS = {
+        False: {1: [[10024, 9976], [15158, 14842], [25562, 24438]],
+                10: [[10204, 9796], [16297, 13703], [31042, 18958]],
+                100: [[10814, 9186], [26190, 3810], [49397, 603]],
+                1000: [[17271, 2729], [30000, 0], [50000, 0]]},
+        True: {1: [[10038, 9962], [15136, 14864], [25662, 24338]],
+               10: [[10172, 9828], [16244, 13756], [31044, 18956]],
+               100: [[10825, 9175], [26274, 3726], [49428, 572]],
+               1000: [[17286, 2714], [30000, 0], [50000, 0]]},
+    }
+
+    @pytest.mark.parametrize("sampled_matches", [False, True])
+    def test_counts_are_pinned(self, threepop, policy_boundary,
+                               sampled_matches):
+        pop = init_agents(threepop, z_state((0.5, 0.5, 0.5)), 10 ** 5, seed=1)
+        done = 0
+        for rounds, expected in self.PINNED_COUNTS[sampled_matches].items():
+            run(pop, threepop, policy_boundary, rounds - done,
+                sampled_matches=sampled_matches)
+            done = rounds
+            assert pop.counts.tolist() == expected
+
     def test_sampled_match_variant_runs_and_tracks(self, threepop,
                                                    policy_boundary):
         pop = init_agents(threepop, z_state((0.5, 0.5, 0.5)), 4000, seed=7)
@@ -202,8 +225,9 @@ class TestCountChainLaw:
         scen, policy, x0, n_agents, revision_prob = self._cases(
             threepop, policy_boundary)[case]
         pop = init_agents(scen, x0, n_agents, seed=17)
-        start, x = pop.counts.copy(), pop.empirical_state()
-        scale = _payoff_gaps(scen, policy, aggregate_output(x, scen)).max()
+        start, x = pop.counts.copy(), pop.counts / pop.pop_sizes[:, None]
+        scale = round_constants(scen, policy).gaps(
+            aggregate_output(x, scen)).max()
         if case != "three_actions":
             assert (scale > 1.0) == (case == "clipped")
         changes = np.empty((self.REPLICAS,) + start.shape)
@@ -246,8 +270,8 @@ class TestMeanField:
             scen = random_scenario(rng)
             policy = random_policy(rng, scen, d_range=(0.2, 2.0))
             x = random_state(rng, scen, interior=0.02)
-            if _payoff_gaps(scen, policy,
-                            aggregate_output(x, scen)).max() > 1.0:
+            if round_constants(scen, policy).gaps(
+                    aggregate_output(x, scen)).max() > 1.0:
                 continue
             drift = expected_drift(scen, policy, x, revision_prob=0.05)
             dt = round_time_step(scen, policy, revision_prob=0.05)

@@ -16,12 +16,11 @@ from replicator_ctl import (ControlPolicy, IntegrationConfig, Scenario,
                             aggregate_output, interior_grid, phase_portrait,
                             scenario_digest)
 from replicator_ctl import cli, game
-from replicator_ctl.agents import _payoff_gaps
 from replicator_ctl.cli import main
 from replicator_ctl.stability import unique_target_equilibrium
 from conftest import (RECIPE_REFUSED, THREEPOP_PAYOFFS, THREEPOP_SHARES,
-                      recipe_game, tied_everywhere_game, tied_once_game,
-                      z_state)
+                      recipe_game, round_constants, tied_everywhere_game,
+                      tied_once_game, z_state)
 
 REPO = Path(__file__).resolve().parent.parent
 # the benchmark's workloads, imported from perfbench/ as its own tests do
@@ -687,7 +686,8 @@ class TestAgents:
                                                              rel=1e-12)
         start = aggregate_output(z_state((0.5, 0.5, 0.5)), threepop)
         assert summary["max_imitation_gap"] == pytest.approx(
-            _payoff_gaps(threepop, policy_boundary, start).max(), rel=1e-12)
+            round_constants(threepop, policy_boundary).gaps(start).max(),
+            rel=1e-12)
         second = tmp_path / "second"
         assert main(["agents", "--manifest", str(first / "manifest.json"),
                      "--out", str(second)]) == 0

@@ -4,6 +4,8 @@ invariance, growth floors, rest-point retention."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,13 +20,13 @@ from replicator_ctl import (
     phase_portrait,
     region_bounds,
 )
-from replicator_ctl.agents import _controlled_payoffs
 from replicator_ctl.dynamics import (output_payoffs, scalar_field,
                                      subsidy_weights)
 from replicator_ctl.stability import _mismatch_batch
 from conftest import (assert_same_bits, average_payoff, batch_field_of,
                       expected_payoff, local_shift, make_state, random_policy,
-                      random_scenario, random_state, z_state)
+                      random_scenario, random_state, round_constants,
+                      z_state)
 
 
 class TestSubsidyWeights:
@@ -111,7 +113,7 @@ class TestOneDefinition:
         assert np.array_equal(_mismatch_batch(y.T, policy.y_star), mismatch)
         # the agents' subsidy row, one output at a time
         for b in range(states.shape[0]):
-            _, row = _controlled_payoffs(scen, policy, y[:, b])
+            _, row = round_constants(scen, policy).payoffs_at(y[:, b])
             assert np.array_equal(row, policy.d * f[:, b])
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 2)])
@@ -119,11 +121,11 @@ class TestOneDefinition:
         scen, policy, states, x, y, F = self.batch(m, n)
         f, _ = subsidy_weights(y, policy.y_star)
         for b in range(states.shape[0]):
-            table, _ = _controlled_payoffs(scen, policy, y[:, b])
+            table, _ = round_constants(scen, policy).payoffs_at(y[:, b])
             assert np.array_equal(table, F[..., b] + policy.d * f[:, b])
             # d = 0: exactly A^k y
-            table, row = _controlled_payoffs(scen, ControlPolicy.off(n),
-                                             y[:, b])
+            table, row = round_constants(
+                scen, ControlPolicy.off(n)).payoffs_at(y[:, b])
             assert np.array_equal(table, F[..., b])
             assert not row.any()
 
@@ -201,6 +203,14 @@ class TestControlledField:
         x = make_state([[0.0, 1.0]] * 3)
         with pytest.raises(SimplexDomainError):
             field_controlled(threepop, x, policy_boundary)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 3), (2, 2), (6,)])
+    def test_wrong_shape_is_refused(self, threepop, policy_boundary, shape):
+        message = re.escape(f"expected shape (3, 2), got {shape}")
+        for field in (lambda x: field_controlled(threepop, x, policy_boundary),
+                      lambda x: field_uncontrolled(threepop, x)):
+            with pytest.raises(ValueError, match=message):
+                field(np.full(shape, 0.5))
 
     def test_tangency(self):
         rng = np.random.default_rng(29)
@@ -281,8 +291,10 @@ class TestControlledField:
 
 
 class TestScalarCarrier:
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    # m·n² on both sides of integrate.SCALAR_MAX_TERMS (1,500)
+    @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4)
+                                     for n in (2, 3, 4)]
+                             + [(9, 12), (12, 12)])
     def test_scalar_field_is_the_batch_row(self, m, n):
         # same bits, signs of zero and NaN positions included, as the one
         # member of a batch_field call, at d = 0 and d > 0, for vertex and
@@ -307,9 +319,9 @@ class TestScalarCarrier:
                 for d in (0.0, policy.d):
                     expected, ok = batch_field_of(scen, x[None], policy,
                                                   np.array([d]))
-                    got, got_ok = field(x.tolist(), d)
+                    got, got_ok = field(x.ravel().tolist(), d)
                     assert got_ok == ok[0]
-                    assert_same_bits(got, expected[0])
+                    assert_same_bits(np.reshape(got, (m, n)), expected[0])
                     domain_failures += not ok[0]
         assert domain_failures > 0
 

@@ -21,7 +21,8 @@ from replicator_ctl import (
     simulate,
     write_trajectory_csv,
 )
-from replicator_ctl import integrate
+from replicator_ctl import dynamics, integrate
+from replicator_ctl.agents import round_time_step
 from replicator_ctl.dynamics import BatchKernel, batch_field, scalar_field
 from replicator_ctl.integrate import Trajectory, _BatchRun, _check_interior
 from replicator_ctl.stability import LyapunovObserver, unique_target_equilibrium
@@ -162,6 +163,25 @@ class TestSimulate:
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.states, b.states)
 
+    def test_agents_reference_final_state_is_pinned(self, threepop,
+                                                    policy_boundary):
+        # the mean-field reference of the agents-mc benchmark workload: one
+        # member, 1,000 steps, no convergence stop
+        dt = round_time_step(threepop, policy_boundary)
+        cfg = IntegrationConfig(dt=dt, t_max=1000 * dt + 1e-12,
+                                convergence_window=10 ** 9, record_stride=1)
+        traj = simulate(threepop, policy_boundary, z_state((0.5, 0.5, 0.5)),
+                        cfg)
+        assert traj.times.size == 1001
+        assert [[v.hex() for v in row] for row in traj.states[500].tolist()] \
+            == [["0x1.66b94e899eab9p-1", "0x1.328d62ecc2a8dp-2"],
+                ["0x1.fffe7cbe3bb4ap-1", "0x1.8341c44b7542dp-17"],
+                ["0x1.ffffffefddc75p-1", "0x1.02238ac46f08fp-29"]]
+        assert [[v.hex() for v in row] for row in traj.final_state.tolist()] \
+            == [["0x1.baa516dd3ff19p-1", "0x1.156ba48b0039bp-3"],
+                ["0x1.ffffffff97f51p-1", "0x1.a02bd95149de2p-35"],
+                ["0x1.ffffffffffff6p-1", "0x1.0dde4b07c475ep-57"]]
+
     def test_retry_starts_at_half_step(self, monkeypatch):
         # one step fails and is re-taken as two half steps: 15 steps of 4
         # stages, then 2 x 4 stages, and not the failed full step again;
@@ -223,8 +243,10 @@ class TestOneMemberPath:
                                 dt)
         return fixed[0], bool(ok[0])
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    # m·n² on both sides of SCALAR_MAX_TERMS (1,500)
+    @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4)
+                                     for n in (2, 3, 4)]
+                             + [(9, 12), (12, 12)])
     def test_scalar_step_is_the_batch_step(self, m, n):
         rng = np.random.default_rng(200 + 10 * m + n)
         failed = 0
@@ -236,10 +258,10 @@ class TestOneMemberPath:
                 for dt in (0.01, 0.5, 5.0):
                     x = random_state(rng, scen, interior=0.001)
                     expected, ok = self.batch_step(scen, policy, x, d, dt)
-                    got, got_ok = integrate._rk4_scalar(field, x.tolist(),
-                                                        d, dt)
+                    got, got_ok = integrate._rk4_scalar(
+                        field, x.ravel().tolist(), d, dt, n)
                     assert got_ok == ok
-                    assert_same_bits(got, expected)
+                    assert_same_bits(np.reshape(got, (m, n)), expected)
                     failed += not ok
         assert failed > 0
 
@@ -248,12 +270,13 @@ class TestOneMemberPath:
         rng = np.random.default_rng(83)
         for _ in range(50):
             x = 0.5 * rng.dirichlet(np.ones(4), size=3) + 0.125
-            rates = rng.uniform(-1.0, 1.0, size=(3, 4)).tolist()
-            expected, ok = rk4_step(lambda s: np.array(rates), x, 0.01)
-            got, got_ok = integrate._rk4_scalar(lambda s, d: (rates, True),
-                                                x.tolist(), 0.0, 0.01)
+            rates = rng.uniform(-1.0, 1.0, size=(3, 4))
+            expected, ok = rk4_step(lambda s: rates, x, 0.01)
+            got, got_ok = integrate._rk4_scalar(
+                lambda s, d: (rates.ravel().tolist(), True),
+                x.ravel().tolist(), 0.0, 0.01, 4)
             assert ok and got_ok
-            assert_same_bits(got, expected)
+            assert_same_bits(np.reshape(got, (3, 4)), expected)
 
     def test_row_clamped_to_zero_gives_numpy_nan(self):
         # every entry of the first row lands in [-NEG_TOL, 0): the step is
@@ -262,16 +285,20 @@ class TestOneMemberPath:
         rates = [[-0.5 - 4e-13, -0.5 - 4e-13], [0.0, 0.0]]
         expected, ok = rk4_step(lambda s: np.array(rates), x, 1.0)
         assert ok and np.all(np.isnan(expected[0]))
-        got, got_ok = integrate._rk4_scalar(lambda s, d: (rates, True),
-                                            x.tolist(), 0.0, 1.0)
+        got, got_ok = integrate._rk4_scalar(
+            lambda s, d: (sum(rates, []), True), x.ravel().tolist(), 0.0,
+            1.0, 2)
         assert got_ok
-        assert_same_bits(got, expected)
+        assert_same_bits(np.reshape(got, (2, 2)), expected)
 
     def test_simulate_equals_its_place_in_a_batch(self):
         rng = np.random.default_rng(79)
         cfg = IntegrationConfig(dt=0.05, t_max=4.0, convergence_window=20,
                                 record_stride=3)
-        for m, n in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 4)):
+        # a lone member steps on Python floats up to (9, 12), and on the
+        # batch kernel at (12, 12), above SCALAR_MAX_TERMS
+        for m, n in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 4), (9, 12),
+                     (12, 12)):
             scen = random_scenario(rng, m=m, n=n)
             for policy in (ControlPolicy.off(n),
                            random_policy(rng, scen, d_range=(0.5, 3.0)),
@@ -300,6 +327,72 @@ class TestOneMemberPath:
         assert inside.lyapunov == alone.lyapunov
         for key, column in alone.observables.items():
             assert np.array_equal(inside.observables[key], column)
+
+    def test_field_is_generated_once_and_only_for_a_lone_member(
+            self, monkeypatch, threepop, policy_boundary):
+        generated = []
+        real = integrate.scalar_field
+
+        def counted(scenario, y_star):
+            generated.append(scenario.n_populations * scenario.n_actions ** 2)
+            return real(scenario, y_star)
+
+        monkeypatch.setattr(integrate, "scalar_field", counted)
+        monkeypatch.setattr(dynamics, "scalar_field", counted)
+        # a sweep-style batch never has a lone member, and field_controlled
+        # evaluates on the batch kernel
+        cfg = IntegrationConfig(dt=0.05, t_max=5.0)
+        phase_portrait(threepop, policy_boundary, five_start_states(), cfg,
+                       gains=[0.6, 1.2])
+        field_controlled(threepop, z_state((0.2, 0.5, 0.7)), policy_boundary)
+        assert generated == []
+        # members that converge one after another leave one stepping alone
+        cfg = IntegrationConfig(dt=0.05, convergence_window=20)
+        outcomes = phase_portrait(threepop, policy_boundary,
+                                  five_start_states(), cfg)
+        assert len({traj.times.size for traj in outcomes}) == 5
+        assert generated == [12]
+        # halving retries inside a batch, then a lone run that retries
+        payoff = np.array([[0.0, 60.0], [0.0, 0.0]])
+        scen = Scenario(payoffs=np.stack([payoff, payoff]),
+                        shares=np.array([0.5, 0.5]))
+        start = make_state([[0.99, 0.01], [0.5, 0.5]])
+        cfg = IntegrationConfig(dt=0.2, t_max=3.0)
+        phase_portrait(scen, ControlPolicy.off(2),
+                       [make_state([[0.3, 0.7], [0.6, 0.4]]), start], cfg)
+        simulate(scen, ControlPolicy.off(2), start, cfg)
+        assert generated == [12, 8, 8]
+        # above SCALAR_MAX_TERMS a lone member steps on the batch kernel
+        rng = np.random.default_rng(7)
+        scen = random_scenario(rng, m=12, n=12)
+        assert 12 * 12 ** 2 > integrate.SCALAR_MAX_TERMS
+        simulate(scen, random_policy(rng, scen),
+                 random_state(rng, scen, interior=0.01),
+                 IntegrationConfig(dt=0.05, t_max=1.0))
+        assert generated == [12, 8, 8]
+
+    def test_both_routes_of_a_lone_member_agree(self, monkeypatch):
+        # at (12, 12), above SCALAR_MAX_TERMS, a lone member and its halving
+        # retries step on the batch kernel; forced onto Python floats, the
+        # same run has the same bits
+        rng = np.random.default_rng(3)
+        scen = random_scenario(rng, m=12, n=12, payoff_scale=150.0)
+        policy = random_policy(rng, scen, d_range=(0.5, 3.0))
+        x0 = random_state(rng, scen, interior=0.0005)
+        cfg = IntegrationConfig(dt=0.2, t_max=1.2)
+        retried = []
+        real = _BatchRun._retry
+
+        def counted(run, x, d, member, step):
+            retried.append(run.scalar)
+            return real(run, x, d, member, step)
+
+        monkeypatch.setattr(_BatchRun, "_retry", counted)
+        on_numpy = simulate(scen, policy, x0, cfg)
+        monkeypatch.setattr(integrate, "SCALAR_MAX_TERMS", 10 ** 9)
+        on_floats = simulate(scen, policy, x0, cfg)
+        assert True in retried and False in retried
+        assert_same_bits(on_floats.states, on_numpy.states)
 
     def test_halvings_match_in_a_batch(self):
         # the start of test_retry_starts_at_half_step fails one full step,
@@ -330,10 +423,10 @@ class TestOneMemberPath:
         cfg = IntegrationConfig(dt=0.1, t_max=1.0)
         start = make_state([[0.5, 0.5], [0.5, 0.5]])
         field = scalar_field(scen, policy.y_star)
-        rates, ok = field(start.tolist(), policy.d)
+        rates, ok = field(start.ravel().tolist(), policy.d)
         half = cfg.dt / 2 ** (integrate.MAX_HALVINGS + 1)
-        assert ok and not field(integrate._stage(start.tolist(), half, rates),
-                                policy.d)[1]
+        stage = start.ravel() + half * np.array(rates)
+        assert ok and not field(stage.tolist(), policy.d)[1]
         with pytest.raises(IntegrationError) as alone:
             simulate(scen, policy, start, cfg)
         batch = [make_state([[0.4, 0.6], [0.6, 0.4]]), start]
@@ -378,9 +471,9 @@ class TestBatchBits:
                 return rates, ok
             return one
 
-        def counted_step(field, x, d, dt):
+        def counted_step(field, x, d, dt, n):
             seen["halved"] += dt < cfg.dt
-            return real_step(field, x, d, dt)
+            return real_step(field, x, d, dt, n)
 
         monkeypatch.setattr(integrate, "scalar_field", counted_field)
         monkeypatch.setattr(integrate, "_rk4_scalar", counted_step)
@@ -640,7 +733,8 @@ class TestPortrait:
                 pos = np.flatnonzero(ids == member)
                 if pos.size:
                     steps.append(step)
-                    rows.append(block[..., pos[0]])  # blocks are (m, n, k)
+                    # blocks are (m, n, k), or flat (m·n,) for a lone member
+                    rows.append(block.reshape(3, 2, -1)[..., pos[0]])
             final_steps.append(steps[-1])
             states = np.array(rows)
             assert outcome.converged
