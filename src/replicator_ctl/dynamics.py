@@ -218,10 +218,10 @@ def scalar_field(scenario: Scenario, y_star: np.ndarray
     shares = scenario.shares.tolist()
     payoffs = scenario.payoffs.tolist()
     targets = np.asarray(y_star, dtype=float).tolist()
-    x = [[f"x{k}_{i}" for i in range(n)] for k in range(m)]
+    xs = [[f"x{k}_{i}" for i in range(n)] for k in range(m)]
     lines = ["def field(x, d):",
-             f"    {', '.join(name for row in x for name in row)}, = x"]
-    lines += [f"    y{i} = " + " + ".join(f"{shares[k]!r} * {x[k][i]}"
+             f"    {', '.join(name for row in xs for name in row)}, = x"]
+    lines += [f"    y{i} = " + " + ".join(f"{shares[k]!r} * {xs[k][i]}"
                                           for k in range(m))
               for i in range(n)]
     lines += ["    if d > 0.0:", "        g = 0.0 - d"]
@@ -242,9 +242,9 @@ def scalar_field(scenario: Scenario, y_star: np.ndarray
             f"{payoffs[k][i][j]!r} * y{j}" for j in range(n)) + f" - p{i}"
             for i in range(n)]
         lines.append(f"    a{k} = " + " + ".join(
-            f"{x[k][i]} * F{k}_{i}" for i in range(n)))
+            f"{xs[k][i]} * F{k}_{i}" for i in range(n)))
     lines.append("    return [" + ", ".join(
-        f"(F{k}_{i} - a{k}) * {x[k][i]}" for k in range(m)
+        f"(F{k}_{i} - a{k}) * {xs[k][i]}" for k in range(m)
         for i in range(n)) + "], True")
     namespace = {"NAN": math.nan}
     exec(compile("\n".join(lines), f"<replicator field {m}x{n}>", "exec"),
