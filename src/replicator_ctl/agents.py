@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ControlPolicy, _weights
+from .dynamics import ControlPolicy, payoff_columns, subsidy_weights
 from .game import CARRIER_THRESHOLD, SUM_TOLERANCE, Scenario, weighted_sum
 
 __all__ = [
@@ -178,9 +178,7 @@ def init_agents(scenario: Scenario, x0: np.ndarray, n_agents: int,
 
 
 class _RoundConstants:
-    """What every round of a run reads, built once: N, the pot d·N, the
-    targeted actions and their pots, the payoff columns A^k[:, j], the
-    normalizer and the population sizes as a column."""
+    """What every round of a run reads, built once by :func:`run`."""
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
                  pop_sizes: np.ndarray):
@@ -190,7 +188,7 @@ class _RoundConstants:
         self.total = policy.d * self.n_agents
         self.targeted = np.flatnonzero(policy.y_star > 0.0)
         self.pots = self.total * policy.y_star[self.targeted]
-        self.columns = list(scenario.payoffs.transpose(2, 0, 1))
+        self.columns = payoff_columns(scenario)
         self.normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
 
     def stats(self, counts: np.ndarray, y: np.ndarray,
@@ -215,7 +213,7 @@ class _RoundConstants:
         (with output_payoffs' sum and subsidy_weights' f), and the subsidy
         row d·f(y) alone."""
         table = weighted_sum(self.columns, y)
-        f, _ = _weights(y, self.policy.y_star)
+        f, _ = subsidy_weights(y, self.policy.y_star)
         table -= (0.0 - self.policy.d) * f
         return table, self.policy.d * f
 
@@ -239,16 +237,15 @@ def round_time_step(scenario: Scenario, policy: ControlPolicy,
 
 def run_round(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
               revision_prob: float = 0.05, sampled_matches: bool = False,
-              constants: _RoundConstants | None = None) -> RoundStats:
+              *, _constants: _RoundConstants | None = None) -> RoundStats:
     """Pay subsidies at the current state, then draw every revision at once.
 
     Returns the pre-revision snapshot (the payments actually made), with
     the round's largest unclipped normalized gap.  Raises
     :class:`EmptyActionGroupError` when a targeted action group is empty.
-    ``constants`` are the run's, built here when not given.
+    ``_constants`` are what :func:`run` built once for these arguments.
     """
-    if constants is None:
-        constants = _RoundConstants(scenario, policy, pop.pop_sizes)
+    constants = _constants or _RoundConstants(scenario, policy, pop.pop_sizes)
     counts = pop.counts.sum(axis=0)
     y_hat = counts / constants.n_agents
     gaps = constants.gaps(y_hat, sampled_matches)
@@ -279,7 +276,7 @@ def run(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
     series = []
     for _ in range(rounds):
         series.append(run_round(pop, scenario, policy, revision_prob,
-                                sampled_matches, constants))
+                                sampled_matches, _constants=constants))
     counts = pop.action_counts()
     series.append(constants.stats(counts, counts / constants.n_agents))
     return series

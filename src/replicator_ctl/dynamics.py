@@ -22,13 +22,14 @@ f is only defined on states whose output keeps every targeted action alive
 failure, not a model state: `batch_field` flags the member and
 `field_controlled` raises :class:`SimplexDomainError`.
 
-The payoffs A^k y (`output_payoffs`, on the output of
-`game.aggregate_output`, both sums by `game.weighted_sum`) and the weights
-f (`subsidy_weights`) are defined here once; the field, the certificate in
-`stability` and the finite agents all use these.  `batch_field` takes
-its constants from a `BatchKernel` built once per run, and states laid
-out (m, n, B), member last.  `scalar_field` generates the same field for
-one state as straight-line Python, in the same order, so the same bits.
+The payoffs A^k y (`output_payoffs`: `game.weighted_sum` of
+`game.aggregate_output` and of the columns of `payoff_columns`) and the
+weights f (`subsidy_weights`) are defined here once; the field, the
+certificate in `stability` and the finite agents all use these.
+`batch_field` takes its constants from a `BatchKernel` built once per run,
+and states laid out (m, n, B), member last.  `scalar_field` generates the
+same field for one state as straight-line Python, in the same order, so
+the same bits; the integrator generates it at most once per run.
 
 `region_bounds` packages the payoff extremes and the per-action floors
 M_i = d * y_star_i / (a_max - a_min + d): whenever a targeted aggregate
@@ -57,6 +58,7 @@ __all__ = [
     "field_controlled",
     "field_uncontrolled",
     "output_payoffs",
+    "payoff_columns",
     "region_bounds",
     "scalar_field",
     "subsidy_weights",
@@ -186,9 +188,9 @@ def field_controlled(scenario: Scenario, x: np.ndarray,
     ``x`` has the scenario's shape (m, n).
     """
     x = np.asarray(x, dtype=float)
-    m, n = scenario.n_populations, scenario.n_actions
-    if x.shape != (m, n):
-        raise ValueError(f"state: expected shape ({m}, {n}), got {x.shape}")
+    if x.shape != scenario.payoffs.shape[:2]:
+        raise ValueError(f"state: expected shape {scenario.payoffs.shape[:2]}"
+                         f", got {x.shape}")
     kernel = BatchKernel(scenario, policy.y_star, np.array([policy.d]))
     deriv, ok = batch_field(kernel, x[None])
     if not ok[0]:
@@ -266,9 +268,14 @@ def output_payoffs(scenario: Scenario, x: np.ndarray | None,
     """
     if y is None:
         y = aggregate_output(x, scenario)
-    # entry j of the columns is A^k[:, j] for every k, batch axes appended
+    return y, weighted_sum(payoff_columns(scenario, y.ndim - 1), y)
+
+
+def payoff_columns(scenario: Scenario, batch_axes: int = 0) -> list:
+    """The terms that, weighted by y, sum to A^k y: entry j is A^k[:, j]
+    for every k, shape (m, n) with ``batch_axes`` unit axes appended."""
     columns = scenario.payoffs.transpose(2, 0, 1)
-    return y, weighted_sum(columns[(...,) + (None,) * (y.ndim - 1)], y)
+    return list(columns[(...,) + (None,) * batch_axes])
 
 
 class BatchKernel:
@@ -279,7 +286,7 @@ class BatchKernel:
     def __init__(self, scenario: Scenario, y_star: np.ndarray,
                  gains: np.ndarray):
         self.shares = scenario.shares.tolist()
-        self.columns = list(scenario.payoffs.transpose(2, 0, 1)[..., None])
+        self.columns = payoff_columns(scenario, 1)
         self.y_star = np.asarray(y_star, dtype=float)[:, None]
         self.gains = np.asarray(gains, dtype=float)
         self.take(slice(None))

@@ -18,11 +18,10 @@ in input order.  Every operation runs elementwise along the batch, so a
 trajectory's bits depend only on (scenario, policy, x0, config), never on
 the rest of its batch, which steps as one C-contiguous (m, n, B) array on
 a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run.  A
-member that steps alone (`simulate`, the last member of a shrinking
-portrait, a halving retry) steps on a flat list of Python floats instead,
-with :func:`~replicator_ctl.dynamics.scalar_field` generated at most once
-per run: the same operations in the same order, so the same bits, without
-numpy's per-call overhead; above ``SCALAR_MAX_TERMS`` it stays on numpy.
+lone member (`simulate`, the last of a shrinking portrait, a halving
+retry) steps on a flat list of Python floats instead, on a
+:func:`~replicator_ctl.dynamics.scalar_field` generated at most once per
+run: the same operations in the same order, so the same bits.
 Convergence is declared online when the max-norm state change per step
 stays below ``CONVERGENCE_TOL`` for ``convergence_window`` consecutive
 steps.
@@ -78,10 +77,6 @@ INTERIOR_FLOOR = 1e-6
 
 # A failed step is re-taken as 2^j substeps for j up to this.
 MAX_HALVINGS = 20
-
-# A member stepping alone does so on Python floats while m·n² is at most
-# this, else on the batch kernel.
-SCALAR_MAX_TERMS = 1500
 
 
 class IntegrationError(RuntimeError):
@@ -184,13 +179,6 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return x_new, ok
 
 
-def _kernel_step(kernel: BatchKernel, x: np.ndarray,
-                 dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_rk4_step` of (m, n, B) states on the batch kernel."""
-    return _rk4_step(lambda x: batch_field(
-        kernel, x.transpose(2, 0, 1))[0].transpose(1, 2, 0), x, dt)
-
-
 def _rk4_scalar(field: Callable, x: list[float], d: float, dt: float,
                 n: int) -> tuple[list[float], bool]:
     """:func:`_rk4_step` of one member on a flat list of its m·n floats,
@@ -246,8 +234,6 @@ class _BatchRun:
     ``gains`` holds one gain per member; by default each is ``policy.d``.
     The states are one C-contiguous (m, n, B) array, member last, so that
     every operation of a step runs along the batch on contiguous memory.
-    A lone member (the last one left, or a retry) steps on Python floats
-    up to SCALAR_MAX_TERMS, its field generated at the first such step.
     """
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
@@ -259,8 +245,7 @@ class _BatchRun:
         self.observer = observer
         self.gains = (np.full(states0.shape[0], policy.d) if gains is None
                       else gains)
-        m, n = self.shape = (scenario.n_populations, scenario.n_actions)
-        self.scalar = m * n * n <= SCALAR_MAX_TERMS
+        self.shape = (scenario.n_populations, scenario.n_actions)
         self.field = None
         self.n_members = states0.shape[0]
         self.records: list[tuple[int, np.ndarray, np.ndarray]] = []
@@ -270,27 +255,24 @@ class _BatchRun:
         self.lyap_final = np.full(self.n_members, np.nan)
         self._run(states0)
 
-    def _alone(self, d: float) -> Callable:
-        """``step(x, dt) -> (x, ok)``: one RK4 step of a lone member with
-        gain d, on a flat list of floats if ``self.scalar``, else on an
-        (m, n, 1) array and the batch kernel."""
-        if not self.scalar:
-            kernel = BatchKernel(self.scenario, self.policy.y_star, [d])
-            return lambda x, dt: _kernel_step(kernel, x, dt)
+    def _scalar_step(self, x: list[float], d: float,
+                     dt: float) -> tuple[list[float], bool]:
+        """:func:`_rk4_scalar` of a lone member with gain d; the field is
+        generated at the run's first such step."""
         if self.field is None:
             self.field = scalar_field(self.scenario, self.policy.y_star)
-        field, n = self.field, self.shape[1]
-        return lambda x, dt: _rk4_scalar(field, x, d, dt, n)
+        return _rk4_scalar(self.field, x, d, dt, self.shape[1])
 
-    def _retry(self, x, d: float, member: int, step: int):
+    def _retry(self, x: list[float], d: float, member: int,
+               step: int) -> list[float] | None:
         """Re-take member's failed step from x as 2^j substeps of dt / 2^j
         for j = 1..MAX_HALVINGS (j = 0 is the step that failed); if none
         succeeds, record the member's failure and return None."""
-        alone = self._alone(d)
         for level in range(1, MAX_HALVINGS + 1):
             current = x
             for _ in range(1 << level):
-                current, ok = alone(current, self.cfg.dt / (1 << level))
+                current, ok = self._scalar_step(current, d,
+                                                self.cfg.dt / (1 << level))
                 if not ok:
                     break
             else:
@@ -302,8 +284,8 @@ class _BatchRun:
 
     def _observe(self, states: np.ndarray, ids: np.ndarray, ok: np.ndarray,
                  v_prev: np.ndarray) -> np.ndarray:
-        """The observer's values at ``states`` (B, m, n), NaN where not ok,
-        folded into each member's largest step increase."""
+        """V at ``states`` (B, m, n), NaN where not ok; folds the step's
+        increase into each member's largest."""
         v_new = np.where(ok, self.observer.values(states), np.nan)
         both = np.isfinite(v_new) & np.isfinite(v_prev)
         inc = np.where(both, v_new - v_prev, -np.inf)
@@ -320,16 +302,15 @@ class _BatchRun:
             v_prev = self.observer.values(states0)
         self.records.append((0, ids, x))
         n_steps = cfg.n_steps
-        alone = None  # a lone member's step, its state then a flat list
+        lone = None  # the last member's id; its state is then a flat list
         for step in range(1, n_steps + 1):
-            if alone is None and ids.size == 1 and self.scalar:
-                d = float(kernel.gains[0])
-                alone = self._alone(d)
+            if lone is None and ids.size == 1:
+                lone, d = int(ids[0]), float(kernel.gains[0])
                 x, count = x.ravel().tolist(), int(counters[0])
-            if alone is not None:
-                fixed, ok = alone(x, cfg.dt)
+            if lone is not None:
+                fixed, ok = self._scalar_step(x, d, cfg.dt)
                 if not ok:
-                    fixed = self._retry(x, d, int(ids[0]), step)
+                    fixed = self._retry(x, d, lone, step)
                     if fixed is None:
                         break
                 # a NaN fails the comparison, as it fails numpy's max-norm
@@ -346,13 +327,13 @@ class _BatchRun:
                     self.converged[ids] = True
                     break
                 continue
-            fixed, ok = _kernel_step(kernel, x, cfg.dt)
+            fixed, ok = _rk4_step(lambda x: batch_field(
+                kernel, x.transpose(2, 0, 1))[0].transpose(1, 2, 0), x, cfg.dt)
             all_ok = ok.all()
             for local in [] if all_ok else np.flatnonzero(~ok):
-                start = x[..., local]
-                retried = self._retry(
-                    start.ravel().tolist() if self.scalar else start[..., None],
-                    float(kernel.gains[local]), int(ids[local]), step)
+                retried = self._retry(x[..., local].ravel().tolist(),
+                                      float(kernel.gains[local]),
+                                      int(ids[local]), step)
                 if retried is not None:
                     fixed[..., local] = np.reshape(retried, self.shape)
                     ok[local] = True

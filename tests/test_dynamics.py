@@ -291,7 +291,7 @@ class TestControlledField:
 
 
 class TestScalarCarrier:
-    # m·n² on both sides of integrate.SCALAR_MAX_TERMS (1,500)
+    # two larger shapes too, where the generated field is long
     @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4)
                                      for n in (2, 3, 4)]
                              + [(9, 12), (12, 12)])

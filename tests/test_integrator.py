@@ -243,7 +243,7 @@ class TestOneMemberPath:
                                 dt)
         return fixed[0], bool(ok[0])
 
-    # m·n² on both sides of SCALAR_MAX_TERMS (1,500)
+    # two larger shapes too, where the generated field is long
     @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4)
                                      for n in (2, 3, 4)]
                              + [(9, 12), (12, 12)])
@@ -295,8 +295,6 @@ class TestOneMemberPath:
         rng = np.random.default_rng(79)
         cfg = IntegrationConfig(dt=0.05, t_max=4.0, convergence_window=20,
                                 record_stride=3)
-        # a lone member steps on Python floats up to (9, 12), and on the
-        # batch kernel at (12, 12), above SCALAR_MAX_TERMS
         for m, n in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 4), (9, 12),
                      (12, 12)):
             scen = random_scenario(rng, m=m, n=n)
@@ -362,37 +360,6 @@ class TestOneMemberPath:
                        [make_state([[0.3, 0.7], [0.6, 0.4]]), start], cfg)
         simulate(scen, ControlPolicy.off(2), start, cfg)
         assert generated == [12, 8, 8]
-        # above SCALAR_MAX_TERMS a lone member steps on the batch kernel
-        rng = np.random.default_rng(7)
-        scen = random_scenario(rng, m=12, n=12)
-        assert 12 * 12 ** 2 > integrate.SCALAR_MAX_TERMS
-        simulate(scen, random_policy(rng, scen),
-                 random_state(rng, scen, interior=0.01),
-                 IntegrationConfig(dt=0.05, t_max=1.0))
-        assert generated == [12, 8, 8]
-
-    def test_both_routes_of_a_lone_member_agree(self, monkeypatch):
-        # at (12, 12), above SCALAR_MAX_TERMS, a lone member and its halving
-        # retries step on the batch kernel; forced onto Python floats, the
-        # same run has the same bits
-        rng = np.random.default_rng(3)
-        scen = random_scenario(rng, m=12, n=12, payoff_scale=150.0)
-        policy = random_policy(rng, scen, d_range=(0.5, 3.0))
-        x0 = random_state(rng, scen, interior=0.0005)
-        cfg = IntegrationConfig(dt=0.2, t_max=1.2)
-        retried = []
-        real = _BatchRun._retry
-
-        def counted(run, x, d, member, step):
-            retried.append(run.scalar)
-            return real(run, x, d, member, step)
-
-        monkeypatch.setattr(_BatchRun, "_retry", counted)
-        on_numpy = simulate(scen, policy, x0, cfg)
-        monkeypatch.setattr(integrate, "SCALAR_MAX_TERMS", 10 ** 9)
-        on_floats = simulate(scen, policy, x0, cfg)
-        assert True in retried and False in retried
-        assert_same_bits(on_floats.states, on_numpy.states)
 
     def test_halvings_match_in_a_batch(self):
         # the start of test_retry_starts_at_half_step fails one full step,
