@@ -73,6 +73,7 @@ __all__ = [
 ]
 
 MIN_AGENTS = 100
+REVISION_PROB = 0.05  # default chance that an agent revises in a round
 
 
 class EmptyActionGroupError(RuntimeError):
@@ -89,8 +90,6 @@ class AgentPopulation:
 
     counts: np.ndarray
     pop_sizes: np.ndarray
-    n_actions: int
-    seed: int
     rng: np.random.Generator = field(repr=False, default=None)
 
     @property
@@ -173,8 +172,8 @@ def init_agents(scenario: Scenario, x0: np.ndarray, n_agents: int,
                 f"shares of population {k} (action "
                 f"{int(np.flatnonzero(unrepresented)[0])} rounds to zero)"
             )
-    return AgentPopulation(counts=counts, pop_sizes=sizes, n_actions=n,
-                           seed=seed, rng=np.random.default_rng(seed))
+    return AgentPopulation(counts=counts, pop_sizes=sizes,
+                           rng=np.random.default_rng(seed))
 
 
 class _RoundConstants:
@@ -230,13 +229,14 @@ class _RoundConstants:
 
 
 def round_time_step(scenario: Scenario, policy: ControlPolicy,
-                    revision_prob: float = 0.05) -> float:
+                    revision_prob: float = REVISION_PROB) -> float:
     """Mean-field time advanced per round by the imitation protocol."""
     return revision_prob / (scenario.payoff_max - scenario.payoff_min + policy.d)
 
 
 def run_round(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
-              revision_prob: float = 0.05, sampled_matches: bool = False,
+              revision_prob: float = REVISION_PROB,
+              sampled_matches: bool = False,
               *, _constants: _RoundConstants | None = None) -> RoundStats:
     """Pay subsidies at the current state, then draw every revision at once.
 
@@ -264,7 +264,7 @@ def run_round(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
 
 
 def run(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
-        rounds: int, revision_prob: float = 0.05,
+        rounds: int, revision_prob: float = REVISION_PROB,
         sampled_matches: bool = False) -> list[RoundStats]:
     """Run a number of rounds; returns rounds + 1 snapshots (initial state
     included).  Deterministic for a given population seed.  Raises

@@ -38,7 +38,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import __version__, game
+from . import __version__, agents, game
 from .agents import (
     EmptyActionGroupError,
     init_agents,
@@ -433,7 +433,7 @@ def _cmd_agents(manifest: dict[str, Any]) -> int:
     check_count("rounds", rounds)
     if n_agents == 0 or rounds == 0:
         raise ScenarioError("agents needs --n-agents and --rounds")
-    revision_prob = agent_cfg.get("revision_prob", 0.05)
+    revision_prob = agent_cfg.get("revision_prob", agents.REVISION_PROB)
     check_real("revision_prob", revision_prob)
     revision_prob = float(revision_prob)
     sampled_matches = agent_cfg.get("sampled_matches", False)

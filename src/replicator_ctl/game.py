@@ -207,19 +207,20 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def check_simplex(z: np.ndarray, *, sum_tol: float = SUM_TOLERANCE,
-                  coord_tol: float = COORD_TOLERANCE) -> None:
+def check_simplex(z: np.ndarray) -> None:
     """Raise ValueError unless z is a simplex point within tolerance."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError(f"expected a 1-d share vector, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError(f"non-finite share in {z.tolist()}")
-    if np.any(z < -coord_tol):
-        raise ValueError(f"negative share {z.min()!r} below -{coord_tol}")
+    if np.any(z < -COORD_TOLERANCE):
+        raise ValueError(
+            f"negative share {z.min()!r} below -{COORD_TOLERANCE}")
     total = z.sum()
-    if not abs(total - 1.0) <= sum_tol:
-        raise ValueError(f"shares sum to {total!r}, expected 1 within {sum_tol}")
+    if not abs(total - 1.0) <= SUM_TOLERANCE:
+        raise ValueError(
+            f"shares sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
 
 
 def check_count(name: str, value: Any) -> None:
@@ -259,9 +260,9 @@ def weighted_sum(weights: Any, terms: Any) -> np.ndarray:
     return total
 
 
-def carrier(z: np.ndarray, *, threshold: float = CARRIER_THRESHOLD) -> np.ndarray:
+def carrier(z: np.ndarray) -> np.ndarray:
     """Indices of strictly positive shares (above the round-off threshold)."""
-    return np.flatnonzero(np.asarray(z, dtype=float) > threshold)
+    return np.flatnonzero(np.asarray(z, dtype=float) > CARRIER_THRESHOLD)
 
 
 def check_lattice_budget(n_populations: int, n_actions: int,

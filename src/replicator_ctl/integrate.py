@@ -21,7 +21,8 @@ a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run.  A
 lone member (`simulate`, the last of a shrinking portrait, a halving
 retry) steps on a flat list of Python floats instead, on a
 :func:`~replicator_ctl.dynamics.scalar_field` generated at most once per
-run: the same operations in the same order, so the same bits.
+run: the same operations in the same order, so the same bits.  An
+attached Lyapunov observer reads each step's array as it is.
 Convergence is declared online when the max-norm state change per step
 stays below ``CONVERGENCE_TOL`` for ``convergence_window`` consecutive
 steps.
@@ -112,7 +113,7 @@ class IntegrationConfig:
 
 @dataclass(frozen=True)
 class LyapunovStats:
-    """Online per-trajectory summary from an attached Lyapunov observer."""
+    """Per-trajectory summary from an attached Lyapunov observer."""
 
     max_step_increase: float
     final_value: float
@@ -234,6 +235,8 @@ class _BatchRun:
     ``gains`` holds one gain per member; by default each is ``policy.d``.
     The states are one C-contiguous (m, n, B) array, member last, so that
     every operation of a step runs along the batch on contiguous memory.
+    An attached observer reads each step's array (a lone member's as
+    (m, n, 1)); the final V is the last entry of the recorded V column.
     """
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
@@ -252,7 +255,6 @@ class _BatchRun:
         self.converged = np.zeros(self.n_members, dtype=bool)
         self.failures: dict[int, IntegrationError] = {}
         self.lyap_max_inc = np.full(self.n_members, -np.inf)
-        self.lyap_final = np.full(self.n_members, np.nan)
         self._run(states0)
 
     def _scalar_step(self, x: list[float], d: float,
@@ -284,7 +286,7 @@ class _BatchRun:
 
     def _observe(self, states: np.ndarray, ids: np.ndarray, ok: np.ndarray,
                  v_prev: np.ndarray) -> np.ndarray:
-        """V at ``states`` (B, m, n), NaN where not ok; folds the step's
+        """V at ``states`` (m, n, B), NaN where not ok; folds the step's
         increase into each member's largest."""
         v_new = np.where(ok, self.observer.values(states), np.nan)
         both = np.isfinite(v_new) & np.isfinite(v_prev)
@@ -299,7 +301,7 @@ class _BatchRun:
         x = np.ascontiguousarray(states0.transpose(1, 2, 0))
         counters = np.zeros(self.n_members, dtype=int)
         if self.observer is not None:
-            v_prev = self.observer.values(states0)
+            v_prev = self.observer.values(x)
         self.records.append((0, ids, x))
         n_steps = cfg.n_steps
         lone = None  # the last member's id; its state is then a flat list
@@ -318,7 +320,7 @@ class _BatchRun:
                                           for a, b in zip(fixed, x)) else 0)
                 x, block = fixed, np.array(fixed)  # a record is one array
                 if self.observer is not None:
-                    v_prev = self._observe(block.reshape((1,) + self.shape),
+                    v_prev = self._observe(block.reshape(self.shape + (1,)),
                                            ids, True, v_prev)
                 done = count >= cfg.convergence_window
                 if done or step % cfg.record_stride == 0 or step == n_steps:
@@ -346,9 +348,7 @@ class _BatchRun:
             just_converged = counters >= cfg.convergence_window
 
             if self.observer is not None:
-                v_prev = self._observe(
-                    np.ascontiguousarray(fixed.transpose(2, 0, 1)), ids, ok,
-                    v_prev)
+                v_prev = self._observe(fixed, ids, ok, v_prev)
 
             record_now = (step % cfg.record_stride == 0) or (step == n_steps)
             keep = ok if record_now else just_converged
@@ -360,9 +360,6 @@ class _BatchRun:
             ending = just_converged if all_ok else just_converged | ~ok
             if ending.any():
                 self.converged[ids[just_converged]] = True
-                if self.observer is not None:
-                    done = ending & ok
-                    self.lyap_final[ids[done]] = v_prev[done]
                 active = ~ending
                 ids = ids[active]
                 fixed = np.ascontiguousarray(fixed[..., active])
@@ -373,10 +370,6 @@ class _BatchRun:
                 if ids.size == 0:
                     break
             x = fixed
-
-        # members still in the run: at the horizon, or a lone member
-        if self.observer is not None:
-            self.lyap_final[ids] = v_prev
 
     def results(self) -> list["Trajectory | IntegrationError"]:
         """Every member's outcome, in member order.
@@ -406,16 +399,16 @@ class _BatchRun:
         if member in self.failures:
             return self.failures[member]
         times = self.cfg.dt * steps.astype(float)
-        outputs = aggregate_output(states.transpose(1, 2, 0),
-                                   self.scenario).T
+        x = states.transpose(1, 2, 0)
+        outputs = aggregate_output(x, self.scenario).T
         observables = None
         lyap = None
         if self.observer is not None:
-            observables = self.observer.series(states, self.gains[member])
+            observables = self.observer.series(x, self.gains[member])
             max_inc = self.lyap_max_inc[member]
             lyap = LyapunovStats(
                 max_step_increase=float(max_inc) if np.isfinite(max_inc) else 0.0,
-                final_value=float(self.lyap_final[member]),
+                final_value=float(observables["V"][-1]),
             )
         return Trajectory(
             times=times, states=states, outputs=outputs,

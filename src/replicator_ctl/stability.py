@@ -32,6 +32,10 @@ estimate by a safety margin.
 Terminology used throughout: the *matching set* is the polytope of state
 combinations whose aggregate output equals y_star exactly.
 
+The certificate terms take batches laid out (m, n, B), member last, as
+the integrator steps them, and sum in a fixed order along the batch, so a
+state's values are the same alone and in any batch.
+
 Both linear programs, the matching-set minimum
 (:func:`min_advantage_on_matching_set`) and the feasibility and extent
 probes of target-equilibrium enumeration (``_combo_solutions``), are
@@ -57,7 +61,6 @@ __all__ = [
     "BoundEstimate",
     "InapplicableError",
     "LyapunovObserver",
-    "LyapunovRate",
     "MatchingSetSummary",
     "SamplingConfig",
     "StabilityReport",
@@ -65,7 +68,6 @@ __all__ = [
     "critical_subsidy",
     "estimate_subsidy_bound",
     "find_target_equilibria",
-    "lyapunov_rate",
     "min_advantage_on_matching_set",
     "recommend_subsidy",
     "unique_target_equilibrium",
@@ -128,8 +130,7 @@ class TargetEquilibrium:
 
     @classmethod
     def from_state(cls, scenario: Scenario, state: np.ndarray,
-                   y_star: np.ndarray | None = None, *,
-                   continuum_vertex: bool = False,
+                   y_star: np.ndarray, *, continuum_vertex: bool = False,
                    tol: float = EQUILIBRIUM_TOL) -> "TargetEquilibrium":
         """Validate and wrap a candidate state.
 
@@ -138,8 +139,6 @@ class TargetEquilibrium:
         """
         state = np.asarray(state, dtype=float)
         y = aggregate_output(state, scenario)
-        if y_star is None:
-            y_star = y
         residual = np.max(np.abs(y - y_star))
         if residual > tol:
             raise ValueError(
@@ -157,75 +156,32 @@ class TargetEquilibrium:
                    carriers=carriers, continuum_vertex=continuum_vertex)
 
 
-@dataclass(frozen=True)
-class LyapunovRate:
-    """The two rate components and their total: rate = -advantage - d*mismatch."""
-
-    advantage: float
-    mismatch: float
-    rate: float
-
-
-def _carrier_weights(eq: TargetEquilibrium,
-                     scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Per-entry certificate weights v^k * x_star[k, i] and masked log x_star."""
-    weights = scenario.shares[:, None] * eq.state
-    mask = eq.state > CARRIER_THRESHOLD
-    weights = np.where(mask, weights, 0.0)
-    with np.errstate(divide="ignore"):
-        log_star = np.where(mask, np.log(np.where(mask, eq.state, 1.0)), 0.0)
-    return weights, log_star
-
-
-def _values_batch(states: np.ndarray, weights: np.ndarray,
-                  log_star: np.ndarray) -> np.ndarray:
-    """Certificate values over a (..., m, n) stack; +inf where undefined."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(states)
-        terms = np.where(weights > 0.0, weights * (logs - log_star), 0.0)
-    values = -terms.sum(axis=(-2, -1)) + 0.0
-    return np.where(np.isnan(values), np.inf, values)
-
-
 def _advantage_batch(states: np.ndarray, eq: TargetEquilibrium,
                      scenario: Scenario, at_target: bool = False
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Payoff advantage of the target profile at each state of a (B, m, n)
-    batch, and the outputs, shape (B, n).
+    """Payoff advantage of the target profile at each state of an (m, n, B)
+    batch, and the outputs, shape (n, B).
 
     ``at_target`` evaluates the payoffs at y_star instead of each state's
     own output, as on the matching set.  The sums run in a fixed order
     along the batch, so a state's bits do not depend on its batch.
     """
-    states = np.asarray(states, dtype=float)
-    x = np.ascontiguousarray(states.transpose(1, 2, 0))      # (m, n, B)
     y, F = output_payoffs(
-        scenario, x, eq.target_output[:, None] if at_target else None)
-    diff = eq.state[:, :, None] - x
+        scenario, states, eq.target_output[:, None] if at_target else None)
+    diff = eq.state[:, :, None] - states
     per_pop = weighted_sum(diff.swapaxes(0, 1), F.swapaxes(0, 1))
-    return weighted_sum(scenario.shares, per_pop), y.T
+    return weighted_sum(scenario.shares, per_pop), y
 
 
 def _mismatch_batch(outputs: np.ndarray, y_star: np.ndarray) -> np.ndarray:
     """Jensen-positive output penalty sum_i (y_star_i - y_i) f_i(y) over the
-    targeted actions, in order, for each output row of a (B, n) batch;
+    targeted actions, in order, for each output column of an (n, B) batch;
     +inf where f is undefined."""
-    f, ok = subsidy_weights(outputs.T, y_star)
-    mismatch = np.zeros(outputs.shape[0])
-    for i in np.flatnonzero(y_star > 0.0):
-        mismatch += (y_star[i] - outputs[:, i]) * f[i]
+    f, ok = subsidy_weights(outputs, y_star)
+    targeted = np.flatnonzero(y_star > 0.0)
+    mismatch = weighted_sum(y_star[targeted, None] - outputs[targeted],
+                            f[targeted])
     return np.where(ok, mismatch, np.inf)
-
-
-def lyapunov_rate(x: np.ndarray, eq: TargetEquilibrium, scenario: Scenario,
-                  d: float) -> LyapunovRate:
-    """Analytic certificate rate split into its advantage and mismatch parts."""
-    advantage, y = _advantage_batch(np.asarray(x, dtype=float)[None], eq,
-                                    scenario)
-    advantage = float(advantage[0])
-    mismatch = float(_mismatch_batch(y, eq.target_output)[0])
-    return LyapunovRate(advantage=advantage, mismatch=mismatch,
-                        rate=-advantage - d * mismatch)
 
 
 def critical_subsidy(x: np.ndarray, eq: TargetEquilibrium,
@@ -237,30 +193,39 @@ def critical_subsidy(x: np.ndarray, eq: TargetEquilibrium,
     :class:`AtTargetOutputError` and the state must be treated as part of
     the matching set.
     """
-    terms = lyapunov_rate(x, eq, scenario, 0.0)
-    if terms.mismatch < MISMATCH_FLOOR:
+    advantage, y = _advantage_batch(np.asarray(x, dtype=float)[..., None],
+                                    eq, scenario)
+    mismatch = float(_mismatch_batch(y, eq.target_output)[0])
+    if mismatch < MISMATCH_FLOOR:
         raise AtTargetOutputError(
-            f"output mismatch {terms.mismatch!r} below {MISMATCH_FLOOR}; "
+            f"output mismatch {mismatch!r} below {MISMATCH_FLOOR}; "
             "state is effectively on the matching set"
         )
-    return -terms.advantage / terms.mismatch
+    return -float(advantage[0]) / mismatch
 
 
 class LyapunovObserver:
     """Attachable observer computing V, Vdot, F1 (advantage), F2 (mismatch).
 
-    Instances are consumed by the integrator: ``values`` is called once per
-    step for online monotonicity tracking, ``series`` once per trajectory
-    for the recorded observable columns.
+    Instances are consumed by the integrator, on its (m, n, B) arrays:
+    ``values`` is called once per step for online monotonicity tracking,
+    ``series`` once per trajectory for the recorded observable columns.
     """
 
     def __init__(self, eq: TargetEquilibrium, scenario: Scenario):
         self.eq = eq
         self.scenario = scenario
-        self._weights, self._log_star = _carrier_weights(eq, scenario)
+        # the carried entries (k, i) in row order, their weights v^k x*[k, i]
+        self._carried = np.nonzero(eq.state > CARRIER_THRESHOLD)
+        self._weights = (scenario.shares[:, None] * eq.state)[self._carried]
+        self._log_star = np.log(eq.state[self._carried])[:, None]
 
     def values(self, states: np.ndarray) -> np.ndarray:
-        return _values_batch(states, self._weights, self._log_star)
+        """V per member; +inf where a carried share is not positive."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(states[self._carried]) - self._log_star
+            values = -weighted_sum(self._weights, logs) + 0.0
+        return np.where(np.isnan(values), np.inf, values)
 
     def series(self, states: np.ndarray, d: float) -> dict[str, np.ndarray]:
         advantage, outputs = _advantage_batch(states, self.eq, self.scenario)
@@ -301,7 +266,7 @@ class BoundEstimate:
 
 def _dbar_batch(states: np.ndarray, eq: TargetEquilibrium, scenario: Scenario
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Critical subsidy over a batch, with a validity mask.
+    """Critical subsidy over an (m, n, B) batch, with a validity mask.
 
     Invalid members: outputs within TUBE_RADIUS of the target, outputs with
     a targeted share below BOUNDARY_MARGIN, or mismatch numerically zero.
@@ -309,8 +274,8 @@ def _dbar_batch(states: np.ndarray, eq: TargetEquilibrium, scenario: Scenario
     advantage, outputs = _advantage_batch(states, eq, scenario)
     y_star = eq.target_output
     carried = y_star > 0.0
-    off_tube = np.max(np.abs(outputs - y_star[None, :]), axis=1) >= TUBE_RADIUS
-    in_domain = np.all(outputs[:, carried] >= BOUNDARY_MARGIN, axis=1)
+    off_tube = np.max(np.abs(outputs - y_star[:, None]), axis=0) >= TUBE_RADIUS
+    in_domain = np.all(outputs[carried] >= BOUNDARY_MARGIN, axis=0)
     mismatch = _mismatch_batch(outputs, y_star)
     valid = off_tube & in_domain & (mismatch > MISMATCH_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -348,7 +313,9 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
         size=(sampling.random_samples, scenario.n_populations),
     )
     dbar = np.concatenate([
-        _dbar_batch(part[start:start + CHUNK_ROWS], eq, scenario)[0]
+        _dbar_batch(np.ascontiguousarray(
+            part[start:start + CHUNK_ROWS].transpose(1, 2, 0)), eq,
+            scenario)[0]
         for part in (grid, random_states)
         for start in range(0, part.shape[0], CHUNK_ROWS)])
     # a valid state's dbar is finite: its mismatch exceeds MISMATCH_FLOOR
@@ -397,37 +364,37 @@ def _lockstep_ascent(seeds: np.ndarray, eq: TargetEquilibrium,
     exactly where it would climbing alone.  Returns the final values and
     states and the number of states evaluated.
     """
-    current = seeds.copy()
+    current = np.ascontiguousarray(seeds.transpose(1, 2, 0))
     current_value = _dbar_batch(current, eq, scenario)[0]
-    n_evals = current.shape[0]
-    step = np.full(current.shape[0], 0.25)
-    active = np.ones(current.shape[0], dtype=bool)
+    n_evals = current.shape[2]
+    step = np.full(n_evals, 0.25)
+    active = np.ones(n_evals, dtype=bool)
     m, n = scenario.n_populations, scenario.n_actions
     moves = [(k, i, j) for k in range(m) for i in range(n) for j in range(n)
              if i != j]
     for _ in range(sampling.ascent_iters):
         if not active.any():
             break
-        improved = np.zeros(current.shape[0], dtype=bool)
+        improved = np.zeros(active.size, dtype=bool)
         for k, i, j in moves:
-            tried = np.flatnonzero(active & (current[:, k, j] > 0.0))
+            tried = np.flatnonzero(active & (current[k, j] > 0.0))
             if tried.size == 0:
                 continue
-            candidate = current[tried]
-            moved = np.minimum(step[tried], candidate[:, k, j])
-            candidate[:, k, j] -= moved
-            candidate[:, k, i] += moved
+            candidate = current[..., tried]
+            moved = np.minimum(step[tried], candidate[k, j])
+            candidate[k, j] -= moved
+            candidate[k, i] += moved
             value = _dbar_batch(candidate, eq, scenario)[0]
             n_evals += tried.size
             better = value > current_value[tried]
             kept = tried[better]
-            current[kept] = candidate[better]
+            current[..., kept] = candidate[..., better]
             current_value[kept] = value[better]
             improved[kept] = True
         stalled = active & ~improved
         step[stalled] *= 0.5
         active &= ~(stalled & (step < 1e-7))
-    return current_value, current, n_evals
+    return current_value, current.transpose(2, 0, 1), n_evals
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +535,7 @@ def min_advantage_on_matching_set(eq: TargetEquilibrium,
     m, n = scenario.n_populations, scenario.n_actions
     # + 0.0 turns the solver's -0.0 entries into 0.0 for report.json
     witness = vertex.reshape(m, n) + 0.0
-    advantage, _ = _advantage_batch(witness[None], eq, scenario,
+    advantage, _ = _advantage_batch(witness[..., None], eq, scenario,
                                     at_target=True)
     return MatchingSetSummary(min_advantage=float(advantage[0]),
                               witness=witness)
@@ -578,9 +545,11 @@ def min_advantage_on_matching_set(eq: TargetEquilibrium,
 # target equilibrium enumeration
 # ---------------------------------------------------------------------------
 
-def _payoff_classes(values: np.ndarray, tol: float) -> list[tuple[int, ...]]:
+def _payoff_classes(values: np.ndarray, tol: float,
+                    targeted: np.ndarray) -> list[tuple[int, ...]]:
     """Partition a population's actions into equal-payoff groups, given its
-    payoffs ``values`` at y_star.
+    payoffs ``values`` at y_star, and keep the targeted actions of each
+    group that has any.
 
     Any mixture supported inside one group is a rest point of that
     population's dynamics when the output is held at y_star.
@@ -592,7 +561,8 @@ def _payoff_classes(values: np.ndarray, tol: float) -> list[tuple[int, ...]]:
             classes[-1].append(int(idx))
         else:
             classes.append([int(idx)])
-    return [tuple(sorted(cls)) for cls in classes]
+    groups = (tuple(i for i in sorted(cls) if targeted[i]) for cls in classes)
+    return [group for group in groups if group]
 
 
 def _combo_solutions(scenario: Scenario, y_star: np.ndarray,
@@ -643,14 +613,16 @@ def find_target_equilibria(scenario: Scenario,
     Holding the output at y_star, each population's rest condition forces
     equal payoffs across its used actions, so candidates are mixtures inside
     equal-payoff action groups; combinations are kept when their aggregate
-    hits y_star.  A positive-dimensional solution set is returned as one
-    representative point per combination of groups, marked
+    hits y_star.  Every v^k > 0, so no population uses an action with
+    y_star_i = 0: the groups keep only targeted actions, and a vertex
+    target has one combination.  A positive-dimensional solution set is
+    returned as one representative point per combination of groups, marked
     ``continuum_vertex``.  Raises :class:`InapplicableError` when there are
     no solutions at all.
     """
     y_star = np.asarray(y_star, dtype=float)
     _, payoffs_at_target = output_payoffs(scenario, None, y_star)
-    per_pop = [_payoff_classes(values, EQUILIBRIUM_TOL)
+    per_pop = [_payoff_classes(values, EQUILIBRIUM_TOL, y_star > 0.0)
                for values in payoffs_at_target]
     results: list[TargetEquilibrium] = []
     seen: set[tuple] = set()

@@ -13,8 +13,7 @@ from replicator_ctl import ControlPolicy, Scenario, field_controlled
 from replicator_ctl.agents import _RoundConstants, population_sizes
 from replicator_ctl.dynamics import BatchKernel, batch_field
 from replicator_ctl.game import aggregate_output
-from replicator_ctl.stability import (TargetEquilibrium, _carrier_weights,
-                                      _values_batch)
+from replicator_ctl.stability import LyapunovObserver, TargetEquilibrium
 
 # the bundled three-population, two-action example used throughout
 THREEPOP_PAYOFFS = np.array(
@@ -97,13 +96,29 @@ def batch_field_of(scenario: Scenario, states: np.ndarray,
 
 def lyapunov_value(x: np.ndarray, eq: TargetEquilibrium,
                    scenario: Scenario) -> float:
-    """Certificate value at one state; +inf if a carried share has hit zero.
+    """Certificate value at one state, from the formula
+    V(x) = -sum_k v^k sum_{i: x*[k, i] > 0} x*[k, i] log(x[k, i] / x*[k, i]);
+    +inf if a carried share is not positive.
 
     Non-negative everywhere it is finite, and zero exactly at the target
     state.
     """
-    weights, log_star = _carrier_weights(eq, scenario)
-    return float(_values_batch(np.asarray(x, dtype=float), weights, log_star))
+    x = np.asarray(x, dtype=float)
+    carried = eq.state > 1e-12
+    if not np.all(x[carried] > 0.0):
+        return np.inf
+    star = eq.state[carried]
+    weights = np.broadcast_to(scenario.shares[:, None], x.shape)[carried]
+    return float(-np.sum(weights * star * np.log(x[carried] / star)))
+
+
+def certificate_terms(x: np.ndarray, eq: TargetEquilibrium,
+                      scenario: Scenario, d: float) -> dict[str, float]:
+    """The observer's V, Vdot, F1 and F2 at one (m, n) state, as a batch of
+    one laid out (m, n, 1)."""
+    series = LyapunovObserver(eq, scenario).series(
+        np.asarray(x, dtype=float)[..., None], d)
+    return {key: float(column[0]) for key, column in series.items()}
 
 
 def round_constants(scenario: Scenario,

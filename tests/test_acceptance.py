@@ -31,12 +31,12 @@ from replicator_ctl.stability import (
     SamplingConfig,
     estimate_subsidy_bound,
     find_target_equilibria,
-    lyapunov_rate,
     min_advantage_on_matching_set,
     _mismatch_batch,
 )
 from conftest import (
     FIVE_STARTS,
+    certificate_terms,
     five_start_states,
     local_shift,
     lyapunov_value,
@@ -241,7 +241,7 @@ def test_criterion_6_property_suite(threepop, policy_boundary,
     states = rng.dirichlet(np.ones(2), size=(10_000, 3))
     outputs = np.einsum("k,bki->bi", threepop.shares, states)
     keep = outputs[:, y_star > 0].min(axis=1) > 1e-12
-    mismatch = _mismatch_batch(outputs[keep], y_star)
+    mismatch = _mismatch_batch(outputs[keep].T, y_star)
     deviations = np.max(np.abs(outputs[keep] - y_star), axis=1)
     jensen_ok = (np.all(mismatch >= -1e-12)
                  and np.all(deviations[mismatch < 1e-12] < 1e-6))
@@ -255,7 +255,8 @@ def test_criterion_6_property_suite(threepop, policy_boundary,
         flow = field_controlled(threepop, x, policy_boundary)
         fd = (lyapunov_value(x + h * flow, eq, threepop)
               - lyapunov_value(x - h * flow, eq, threepop)) / (2.0 * h)
-        analytic = lyapunov_rate(x, eq, threepop, policy_boundary.d).rate
+        analytic = certificate_terms(x, eq, threepop,
+                                     policy_boundary.d)["Vdot"]
         if abs(fd - analytic) > 1e-4 * max(1.0, abs(analytic)):
             fd_ok = False
             break

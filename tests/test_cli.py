@@ -19,8 +19,8 @@ from replicator_ctl import cli, game
 from replicator_ctl.cli import main
 from replicator_ctl.stability import unique_target_equilibrium
 from conftest import (RECIPE_REFUSED, THREEPOP_PAYOFFS, THREEPOP_SHARES,
-                      recipe_game, round_constants, tied_everywhere_game,
-                      tied_once_game, z_state)
+                      random_scenario, recipe_game, round_constants,
+                      tied_everywhere_game, tied_once_game, z_state)
 
 REPO = Path(__file__).resolve().parent.parent
 # the benchmark's workloads, imported from perfbench/ as its own tests do
@@ -78,6 +78,22 @@ class TestSimulate:
         assert header[0].startswith("# artifact: replicator-ctl")
         assert header[1].startswith("# seed:")
         assert header[2].startswith("# scenario_sha256:")
+
+    def test_vertex_target_on_a_large_game_gets_an_observer(self, tmp_path):
+        # its target equilibrium is found at once, so the run has V columns
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(
+            random_scenario(np.random.default_rng(40), m=10, n=10).to_dict()))
+        out = tmp_path / "run"
+        code = main(["simulate", "--scenario", str(scenario),
+                     "--y-star", ",".join(["1"] + ["0"] * 9), "--d", "1.5",
+                     "--x0", ";".join([",".join(["0.1"] * 10)] * 10),
+                     "--dt", "0.05", "--t-max", "1", "--out", str(out)])
+        assert code == 0
+        table = (out / "trajectory.csv").read_text().splitlines()
+        assert table[3].endswith(",V,Vdot,F1,F2")
+        assert len(table) == 4 + 21
+        assert np.isfinite(read_json(out / "summary.json")["final_V"])
 
     @pytest.mark.parametrize("field", ["renorm_tol", "convergence_tol",
                                        "interior_floor", "max_halvings"])

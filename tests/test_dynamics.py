@@ -110,7 +110,7 @@ class TestOneDefinition:
         mismatch = np.zeros(states.shape[0])
         for i in np.flatnonzero(policy.y_star > 0.0):
             mismatch += (policy.y_star[i] - y[i]) * f[i]
-        assert np.array_equal(_mismatch_batch(y.T, policy.y_star), mismatch)
+        assert np.array_equal(_mismatch_batch(y, policy.y_star), mismatch)
         # the agents' subsidy row, one output at a time
         for b in range(states.shape[0]):
             _, row = round_constants(scen, policy).payoffs_at(y[:, b])

@@ -326,6 +326,29 @@ class TestOneMemberPath:
         for key, column in alone.observables.items():
             assert np.array_equal(inside.observables[key], column)
 
+    def test_final_value_is_the_last_recorded_value(self, threepop,
+                                                    policy_boundary):
+        observer = LyapunovObserver(
+            unique_target_equilibrium(threepop, policy_boundary.y_star),
+            threepop)
+        seen = set()
+        # under gain 1.2 no start converges by t = 20; under 3.0 the starts
+        # converge one by one, and the last steps alone from t = 14.5: it
+        # reaches the horizon t = 15 alone, or converges alone by t = 20
+        for gains, t_max in (([1.2, 3.0], 20.0), ([3.0], 15.0), ([3.0], 20.0)):
+            cfg = IntegrationConfig(dt=0.05, t_max=t_max, record_stride=7)
+            results = phase_portrait(threepop, policy_boundary,
+                                     five_start_states(), cfg,
+                                     observer=observer, gains=gains)
+            ends = [float(traj.times[-1]) for traj in results]
+            for idx, traj in enumerate(results):
+                assert_same_bits([traj.lyapunov.final_value],
+                                 traj.observables["V"][-1:])
+                lone = ends[idx] > max(ends[:idx] + ends[idx + 1:])
+                seen.add((lone, traj.converged))
+        assert seen == {(False, True), (False, False), (True, True),
+                        (True, False)}
+
     def test_field_is_generated_once_and_only_for_a_lone_member(
             self, monkeypatch, threepop, policy_boundary):
         generated = []

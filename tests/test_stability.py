@@ -4,6 +4,7 @@ equilibrium enumeration, and report assembly."""
 from __future__ import annotations
 
 import json
+import time
 from itertools import combinations, product
 
 import numpy as np
@@ -25,16 +26,16 @@ from replicator_ctl.stability import (
     critical_subsidy,
     estimate_subsidy_bound,
     find_target_equilibria,
-    lyapunov_rate,
     min_advantage_on_matching_set,
     recommend_subsidy,
     unique_target_equilibrium,
 )
-from replicator_ctl.stability import (_dbar_batch, _grid_states, _lp_min,
-                                     _matching_system, _mismatch_batch)
-from conftest import (RECIPE_REFUSED, average_payoff, equilibrium_jacobian,
-                      expected_payoff, lyapunov_value, make_state,
-                      random_scenario, random_state, recipe_game,
+from replicator_ctl.stability import (MISMATCH_FLOOR, _dbar_batch,
+                                     _grid_states, _lp_min, _matching_system,
+                                     _mismatch_batch)
+from conftest import (RECIPE_REFUSED, average_payoff, certificate_terms,
+                      equilibrium_jacobian, expected_payoff, lyapunov_value,
+                      make_state, random_scenario, random_state, recipe_game,
                       tied_everywhere_game, tied_once_game,
                       two_action_verdict, z_state)
 
@@ -86,7 +87,7 @@ def sequential_bound(eq: TargetEquilibrium, scen: Scenario,
     ascent one seed and one candidate state at a time.  Returns the value,
     argmax, ascent evaluations and the sampled maximum."""
     def evaluate(state):
-        value, ok = _dbar_batch(state[None], eq, scen)
+        value, ok = _dbar_batch(state[..., None], eq, scen)
         return float(value[0]) if ok[0] else -np.inf
 
     rng = np.random.default_rng(sampling.seed)
@@ -94,7 +95,7 @@ def sequential_bound(eq: TargetEquilibrium, scen: Scenario,
         _grid_states(scen, sampling.grid_per_dim),
         rng.dirichlet(np.ones(scen.n_actions),
                       size=(sampling.random_samples, scen.n_populations))])
-    dbar, _ = _dbar_batch(pool, eq, scen)
+    dbar, _ = _dbar_batch(pool.transpose(1, 2, 0), eq, scen)
     order = np.argsort(dbar)[::-1]
     best_value, best_state = float(dbar[order[0]]), pool[order[0]].copy()
     sampled = best_value
@@ -141,13 +142,18 @@ def ess_scenario():
     return scen, eq
 
 
+def observer_value(x: np.ndarray, eq: TargetEquilibrium,
+                   scen: Scenario) -> float:
+    return certificate_terms(x, eq, scen, 0.0)["V"]
+
+
 class TestCertificateValue:
     def test_zero_at_target(self, threepop, eq_boundary):
-        assert lyapunov_value(eq_boundary.state, eq_boundary, threepop) == 0.0
+        assert observer_value(eq_boundary.state, eq_boundary, threepop) == 0.0
 
     def test_worked_example(self, threepop, eq_boundary):
         x = make_state([[0.5, 0.5]] * 3)
-        assert lyapunov_value(x, eq_boundary, threepop) == pytest.approx(
+        assert observer_value(x, eq_boundary, threepop) == pytest.approx(
             np.log(2.0))
 
     def test_positive_away_from_target(self, threepop, eq_interior):
@@ -156,33 +162,56 @@ class TestCertificateValue:
             x = random_state(rng, threepop, interior=0.001)
             if np.max(np.abs(x - eq_interior.state)) < 1e-9:
                 continue
-            assert lyapunov_value(x, eq_interior, threepop) > 0.0
+            assert observer_value(x, eq_interior, threepop) > 0.0
 
     def test_infinite_sentinel_on_dead_carried_share(self, threepop,
                                                      eq_boundary):
         x = make_state([[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
-        assert lyapunov_value(x, eq_boundary, threepop) == np.inf
+        assert observer_value(x, eq_boundary, threepop) == np.inf
+        # an uncarried share may be zero: population 1 sits on action 0
+        x = make_state([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+        assert observer_value(x, eq_boundary, threepop) < np.inf
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (4, 4), (6, 5)])
+    def test_batch_matches_the_formula(self, m, n):
+        rng = np.random.default_rng(7 * m + n)
+        scen = random_scenario(rng, m=m, n=n)
+        # a target state with one dead action per population, so the sum
+        # runs over the carried entries only
+        star = random_state(rng, scen)
+        star[np.arange(m), rng.integers(0, n, size=m)] = 0.0
+        star /= star.sum(axis=1, keepdims=True)
+        eq = TargetEquilibrium(state=star,
+                               target_output=aggregate_output(star, scen),
+                               carriers=tuple(tuple(np.flatnonzero(row))
+                                              for row in star))
+        states = np.array([random_state(rng, scen) for _ in range(400)])
+        states[:20, 0, 0] = 0.0     # dead carried or uncarried shares
+        got = LyapunovObserver(eq, scen).values(states.transpose(1, 2, 0))
+        want = [lyapunov_value(x, eq, scen) for x in states]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestRateDecomposition:
     def test_worked_example(self, threepop, eq_boundary):
         x = make_state([[0.5, 0.5]] * 3)
-        terms = lyapunov_rate(x, eq_boundary, threepop, d=1.2)
-        assert terms.advantage == pytest.approx(0.15)
-        assert terms.mismatch == pytest.approx(1.0)
-        assert terms.rate == pytest.approx(-1.35)
+        terms = certificate_terms(x, eq_boundary, threepop, d=1.2)
+        assert terms["F1"] == pytest.approx(0.15)
+        assert terms["F2"] == pytest.approx(1.0)
+        assert terms["Vdot"] == pytest.approx(-1.35)
 
     def test_mismatch_vanishes_on_target_output(self, threepop, eq_interior):
         # any profile aggregating to the target zeroes the mismatch exactly
         x = make_state([eq_interior.target_output] * 3)
-        terms = lyapunov_rate(x, eq_interior, threepop, d=2.0)
-        assert terms.mismatch == 0.0
+        terms = certificate_terms(x, eq_interior, threepop, d=2.0)
+        assert terms["F2"] == 0.0
 
     def test_zero_at_target_state(self, threepop, eq_boundary):
-        terms = lyapunov_rate(eq_boundary.state, eq_boundary, threepop, d=1.2)
-        assert terms.advantage == pytest.approx(0.0, abs=1e-12)
-        assert terms.mismatch == pytest.approx(0.0, abs=1e-12)
-        assert terms.rate == pytest.approx(0.0, abs=1e-12)
+        terms = certificate_terms(eq_boundary.state, eq_boundary, threepop,
+                                  d=1.2)
+        assert terms["F1"] == pytest.approx(0.0, abs=1e-12)
+        assert terms["F2"] == pytest.approx(0.0, abs=1e-12)
+        assert terms["Vdot"] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("target,d", [([1.0, 0.0], 1.2),
                                           ([0.8, 0.2], 1.5)])
@@ -198,7 +227,7 @@ class TestRateDecomposition:
             forward = lyapunov_value(x + h * flow, eq, threepop)
             backward = lyapunov_value(x - h * flow, eq, threepop)
             fd = (forward - backward) / (2.0 * h)
-            analytic = lyapunov_rate(x, eq, threepop, d).rate
+            analytic = certificate_terms(x, eq, threepop, d)["Vdot"]
             assert fd == pytest.approx(analytic,
                                        rel=1e-4, abs=1e-4 * max(1.0, abs(analytic)))
 
@@ -214,7 +243,7 @@ class TestMismatchPositivity:
         outputs = np.einsum("k,bki->bi", threepop.shares, states)
         keep = outputs[:, eq_interior.target_output > 0].min(axis=1) > 1e-12
         outputs = outputs[keep]
-        mismatch = _mismatch_batch(outputs, eq_interior.target_output)
+        mismatch = _mismatch_batch(outputs.T, eq_interior.target_output)
         assert np.all(mismatch >= -1e-12)
         tiny = mismatch < 1e-12
         deviation = np.max(np.abs(outputs - eq_interior.target_output), axis=1)
@@ -228,7 +257,7 @@ class TestMismatchPositivity:
             outputs = np.clip(outputs, 1e-3, None)
             outputs /= outputs.sum(axis=1, keepdims=True)
             carried = target > 0
-            direct = _mismatch_batch(outputs, target)
+            direct = _mismatch_batch(outputs.T, target)
             alt = (target[carried] ** 2 / outputs[:, carried]).sum(axis=1) - 1.0
             np.testing.assert_allclose(direct, alt, atol=1e-12)
 
@@ -242,13 +271,13 @@ class TestCriticalSubsidy:
         rng = np.random.default_rng(97)
         for _ in range(200):
             x = random_state(rng, threepop, interior=0.01)
-            terms = lyapunov_rate(x, eq_boundary, threepop, 0.0)
-            if terms.mismatch < 1e-9:
+            terms = certificate_terms(x, eq_boundary, threepop, 0.0)
+            if terms["F2"] < 1e-9:
                 continue
             value = critical_subsidy(x, eq_boundary, threepop)
-            if terms.advantage > 0:
+            if terms["F1"] > 0:
                 assert value < 0
-            elif terms.advantage < 0:
+            elif terms["F1"] < 0:
                 assert value > 0
 
     def test_at_target_output_raises(self, threepop, eq_interior):
@@ -265,7 +294,8 @@ class TestBoundEstimate:
         # the all-second-action state for population 1 alone scores 1.12,
         # and the supremum is known to sit below 1.2
         assert 1.0 < estimate.value < 1.2
-        _, ok = _dbar_batch(estimate.argmax[None], eq_boundary, threepop)
+        _, ok = _dbar_batch(estimate.argmax[..., None], eq_boundary,
+                            threepop)
         assert ok[0]
 
     def test_interior_target_under_published_threshold(self, threepop,
@@ -273,7 +303,7 @@ class TestBoundEstimate:
         estimate = estimate_subsidy_bound(eq_interior, threepop,
                                           SamplingConfig(seed=3))
         witness = z_state((0.0, 0.0, 1.0))
-        witness_value, valid = _dbar_batch(witness[None], eq_interior,
+        witness_value, valid = _dbar_batch(witness[..., None], eq_interior,
                                            threepop)
         assert valid[0]
         assert estimate.value >= witness_value[0] - 1e-9
@@ -283,7 +313,7 @@ class TestBoundEstimate:
         scen, eq = ess_scenario()
         # brute-force reference over a dense lattice
         grid = _grid_states(scen, 31)
-        values, valid = _dbar_batch(grid, eq, scen)
+        values, valid = _dbar_batch(grid.transpose(1, 2, 0), eq, scen)
         assert values[valid].max() <= 0.0
         estimate = estimate_subsidy_bound(
             eq, scen, SamplingConfig(grid_per_dim=15, random_samples=20_000,
@@ -366,8 +396,8 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (3, 4)])
     def test_critical_subsidy_rows_equal_alone_and_in_a_batch(self, m, n):
         scen, eq, states = self.game(m, n)
-        batch, batch_ok = _dbar_batch(states, eq, scen)
-        alone = [_dbar_batch(state[None], eq, scen)
+        batch, batch_ok = _dbar_batch(states.transpose(1, 2, 0), eq, scen)
+        alone = [_dbar_batch(state[..., None], eq, scen)
                  for state in states]
         assert np.array_equal(np.concatenate([v for v, _ in alone]), batch)
         assert np.array_equal(np.concatenate([ok for _, ok in alone]),
@@ -377,14 +407,14 @@ class TestBatchIndependence:
     def test_observer_rows_equal_alone_and_in_a_batch(self, m, n):
         scen, eq, states = self.game(m, n)
         observer = LyapunovObserver(eq, scen)
-        batch = observer.series(states, d=1.3)
+        batch = observer.series(states.transpose(1, 2, 0), d=1.3)
         for idx in range(states.shape[0]):
-            alone = observer.series(states[idx:idx + 1], d=1.3)
-            for key in ("F1", "F2", "Vdot"):
+            alone = observer.series(states[idx][..., None], d=1.3)
+            for key in ("V", "F1", "F2", "Vdot"):
                 assert np.array_equal(alone[key], batch[key][idx:idx + 1])
-            rate = lyapunov_rate(states[idx], eq, scen, 1.3)
-            assert rate.advantage == batch["F1"][idx]
-            assert rate.rate == batch["Vdot"][idx]
+            if batch["F2"][idx] >= MISMATCH_FLOOR:
+                assert (critical_subsidy(states[idx], eq, scen)
+                        == -batch["F1"][idx] / batch["F2"][idx])
 
 
 class TestMatchingSet:
@@ -552,6 +582,18 @@ class TestEquilibriumEnumeration:
     def test_unreachable_target_raises(self, threepop):
         with pytest.raises(InapplicableError, match="no uncontrolled"):
             find_target_equilibria(threepop, np.array([0.6, 0.4]))
+
+    def test_vertex_target_on_a_large_game_is_one_combination(self):
+        # a generic (10,10) game has ten payoff groups per population, and
+        # their 10^10 combinations never finish; no population can use an
+        # untargeted action, so only action 0's groups are combined
+        scen = random_scenario(np.random.default_rng(40), m=10, n=10)
+        y_star = np.eye(10)[0]
+        begin = time.perf_counter()
+        eq = unique_target_equilibrium(scen, y_star)
+        assert time.perf_counter() - begin < 1.0
+        assert np.array_equal(eq.state, np.tile(y_star, (10, 1)))
+        assert eq.carriers == ((0,),) * 10
 
     def test_two_isolated_solutions(self, threepop):
         flat = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -731,12 +773,40 @@ class TestObserver:
         rng = np.random.default_rng(103)
         states = np.array([random_state(rng, threepop, interior=0.01)
                            for _ in range(20)])
-        series = observer.series(states, d=1.2)
+        series = observer.series(states.transpose(1, 2, 0), d=1.2)
         assert set(series) == {"V", "Vdot", "F1", "F2"}
+        star, target = eq_boundary.state, eq_boundary.target_output
         for idx in range(20):
-            terms = lyapunov_rate(states[idx], eq_boundary, threepop, 1.2)
-            assert series["F1"][idx] == pytest.approx(terms.advantage)
-            assert series["F2"][idx] == pytest.approx(terms.mismatch)
-            assert series["Vdot"][idx] == pytest.approx(terms.rate)
+            # F1 = sum_k v^k (x*^k - x^k) . A^k y and F2 = sum_i
+            # (y*_i - y_i) y*_i / y_i over the targeted actions
+            x = states[idx]
+            y = threepop.shares @ x
+            advantage = sum(v * (s - r) @ (a @ y) for v, s, r, a in
+                            zip(threepop.shares, star, x, threepop.payoffs))
+            mismatch = sum((target[i] - y[i]) * target[i] / y[i]
+                           for i in np.flatnonzero(target > 0.0))
+            assert series["F1"][idx] == pytest.approx(advantage)
+            assert series["F2"][idx] == pytest.approx(mismatch)
+            assert series["Vdot"][idx] == pytest.approx(
+                -advantage - 1.2 * mismatch)
             assert series["V"][idx] == pytest.approx(
-                lyapunov_value(states[idx], eq_boundary, threepop))
+                lyapunov_value(x, eq_boundary, threepop))
+
+    @pytest.mark.parametrize("target,pinned", [
+        ([1.0, 0.0], ["0x1.a7194115a0a46p-1", "0x1.b543f16723acfp-2",
+                      "0x1.3abf7b3da9880p+0", "0x1.22aea23ba5edcp+0",
+                      "0x1.770184f606a34p-1", "0x1.03df897607e36p-1"]),
+        ([0.8, 0.2], ["0x1.72cd1b5cb43a4p-1", "0x1.fb7cfbc5cff53p-2",
+                      "0x1.33a0e3ab2d986p+0", "0x1.fcabf6adb5006p-1",
+                      "0x1.54a0cb110dd88p-1", "0x1.98193a9815104p-2"]),
+    ])
+    def test_values_are_pinned(self, threepop, target, pinned):
+        # V sums its carried entries in row order, one population at a
+        # time; another order changes these bits
+        rng = np.random.default_rng(2)
+        states = np.array([random_state(rng, threepop, interior=0.01)
+                           for _ in range(6)])
+        observer = LyapunovObserver(
+            unique_target_equilibrium(threepop, np.array(target)), threepop)
+        values = observer.values(states.transpose(1, 2, 0))
+        assert [value.hex() for value in values.tolist()] == pinned
