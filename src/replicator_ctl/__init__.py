@@ -3,7 +3,8 @@
 Library layout:
 
 * :mod:`replicator_ctl.game` — scenarios, payoffs, output aggregation.
-* :mod:`replicator_ctl.dynamics` — the two vector fields and region bounds.
+* :mod:`replicator_ctl.dynamics` — the controlled field (the uncontrolled
+  one at d = 0) and the subsidy weights.
 * :mod:`replicator_ctl.integrate` — fixed-step RK4, trajectories, portraits.
 * :mod:`replicator_ctl.stability` — Lyapunov machinery, gain-bound
   estimation, target-equilibrium enumeration, stabilization reports.
@@ -20,11 +21,9 @@ from .game import (
 )
 from .dynamics import (
     ControlPolicy,
-    RegionBounds,
     SimplexDomainError,
     field_controlled,
     field_uncontrolled,
-    region_bounds,
 )
 from .integrate import (
     IntegrationConfig,
@@ -42,7 +41,6 @@ __all__ = [
     "ControlPolicy",
     "IntegrationConfig",
     "IntegrationError",
-    "RegionBounds",
     "Scenario",
     "ScenarioError",
     "SimplexDomainError",
@@ -54,7 +52,6 @@ __all__ = [
     "field_uncontrolled",
     "interior_grid",
     "phase_portrait",
-    "region_bounds",
     "scenario_digest",
     "simulate",
     "write_trajectory_csv",

@@ -99,9 +99,6 @@ class AgentPopulation:
     def action_counts(self) -> np.ndarray:
         return self.counts.sum(axis=0)
 
-    def empirical_output(self) -> np.ndarray:
-        return self.action_counts() / self.n_agents
-
 
 @dataclass(frozen=True)
 class RoundStats:

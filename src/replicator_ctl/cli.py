@@ -233,6 +233,10 @@ def _resolve(manifest: dict[str, Any]):
             policy = ControlPolicy.from_dict(policy_spec)
         except ValueError as exc:
             raise ScenarioError(f"policy: {exc}") from exc
+        if policy.y_star.size != scenario.n_actions:
+            raise ScenarioError(
+                f"policy: y_star has {policy.y_star.size} entries, the "
+                f"scenario has {scenario.n_actions} actions")
     try:
         cfg = IntegrationConfig(**(manifest.get("integration") or {}))
     except (TypeError, ValueError) as exc:
@@ -312,9 +316,9 @@ def _cmd_simulate(manifest: dict[str, Any]) -> int:
         "limit_state": traj.final_state,
         "final_output": traj.final_output,
     }
-    if traj.lyapunov is not None:
-        summary["final_V"] = traj.lyapunov.final_value
-        summary["max_V_step_increase"] = traj.lyapunov.max_step_increase
+    if traj.observables is not None:
+        summary["final_V"] = float(traj.observables["V"][-1])
+        summary["max_V_step_increase"] = traj.max_V_step_increase
     _write_json(os.path.join(out, "summary.json"), summary)
     return EXIT_OK
 

@@ -30,11 +30,6 @@ certificate in `stability` and the finite agents all use these.
 and states laid out (m, n, B), member last.  `scalar_field` generates the
 same field for one state as straight-line Python, in the same order, so
 the same bits; the integrator generates it at most once per run.
-
-`region_bounds` packages the payoff extremes and the per-action floors
-M_i = d * y_star_i / (a_max - a_min + d): whenever a targeted aggregate
-share sits below its floor, its net growth rate is strictly positive, which
-is what makes the epsilon-floored state set forward-invariant.
 """
 
 from __future__ import annotations
@@ -45,21 +40,19 @@ from typing import Callable
 
 import numpy as np
 
-from .game import (Scenario, aggregate_output, carrier, check_real,
-                   check_simplex, weighted_sum)
+from .game import (Scenario, aggregate_output, check_real, check_simplex,
+                   weighted_sum)
 
 __all__ = [
     "DOMAIN_THRESHOLD",
     "BatchKernel",
     "ControlPolicy",
-    "RegionBounds",
     "SimplexDomainError",
     "batch_field",
     "field_controlled",
     "field_uncontrolled",
     "output_payoffs",
     "payoff_columns",
-    "region_bounds",
     "scalar_field",
     "subsidy_weights",
 ]
@@ -68,10 +61,6 @@ __all__ = [
 # controlled field's domain.  Trajectories started in the interior never
 # reach it (the M_i floors repel), so hitting it means the step size failed.
 DOMAIN_THRESHOLD = 1e-12
-
-# Fraction of the smallest M_i floor used for the invariant-region margin;
-# any value in (0, 1) works, the midpoint leaves slack for discretization.
-EPSILON_FACTOR = 0.5
 
 
 class SimplexDomainError(ValueError):
@@ -115,57 +104,18 @@ class ControlPolicy:
             check_real("y_star entry", entry)
         return cls(y_star=np.asarray(raw["y_star"], dtype=float), d=float(d))
 
-    def to_dict(self) -> dict:
-        return {"d": self.d, "y_star": self.y_star.tolist()}
-
-
-@dataclass(frozen=True)
-class RegionBounds:
-    """Payoff extremes and invariant-region floors for one (scenario, policy).
-
-    floors[i] is the aggregate-share level below which action i's aggregate
-    share is strictly increasing (zero for untargeted actions); epsilon is
-    the invariant-region margin, strictly below every targeted floor.
-    """
-
-    a_max: float
-    a_min: float
-    floors: np.ndarray
-    epsilon: float
-
-
-def region_bounds(scenario: Scenario, policy: ControlPolicy) -> RegionBounds:
-    """Compute a_max, a_min, the per-action floors M_i, and the margin epsilon."""
-    if policy.d <= 0.0:
-        raise ValueError("region bounds require a positive subsidy d")
-    a_max = scenario.payoff_max
-    a_min = scenario.payoff_min
-    floors = policy.d * policy.y_star / (a_max - a_min + policy.d)
-    carried = carrier(policy.y_star)
-    epsilon = EPSILON_FACTOR * float(floors[carried].min())
-    floors = floors.copy()
-    floors.setflags(write=False)
-    return RegionBounds(a_max=a_max, a_min=a_min, floors=floors, epsilon=epsilon)
-
 
 def subsidy_weights(y: np.ndarray, y_star: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
     """Subsidy weights f_i(y) = y_star_i / y_i over outputs of shape (n, *batch).
 
-    f is 0 for untargeted actions.  A share at or below DOMAIN_THRESHOLD
-    is divided by 1 instead, so no warning is raised, and ``ok``, shape
-    (*batch), is False for a member where such a share is targeted: f is
-    undefined there.  Per agent on action i the subsidy is d * f_i(y).
+    ``y_star`` broadcasts against ``y``: (n,) for one output, (n, 1) for
+    columns.  f is 0 for untargeted actions.  A share at or below
+    DOMAIN_THRESHOLD is divided by 1 instead, so no warning is raised;
+    ``ok``, shape (*batch), is then False for a member where such a share
+    is targeted (f is undefined there), and None where no share is low.
+    Per agent on action i the subsidy is d * f_i(y).
     """
-    y_star = y_star.reshape(y_star.shape + (1,) * (y.ndim - 1))
-    f, ok = _weights(y, y_star)
-    return f, np.ones(y.shape[1:], dtype=bool) if ok is None else ok
-
-
-def _weights(y: np.ndarray, y_star: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`subsidy_weights` for a ``y_star`` shaped to broadcast against
-    ``y``; ``ok`` is None where no share is low, so none is out of domain."""
     low = y <= DOMAIN_THRESHOLD
     if not low.any():
         return y_star / y, None
@@ -328,7 +278,7 @@ def batch_field(kernel: BatchKernel, states: np.ndarray
     F = weighted_sum(kernel.columns, y)
     ok = kernel.all_ok
     if kernel.any_controlled:
-        f, in_domain = _weights(y, kernel.y_star)
+        f, in_domain = subsidy_weights(y, kernel.y_star)
         F -= kernel.push * f
         if in_domain is not None:
             ok = ~kernel.controlled | in_domain

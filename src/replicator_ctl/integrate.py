@@ -55,7 +55,6 @@ from .game import (Scenario, aggregate_output, check_count,
 __all__ = [
     "IntegrationConfig",
     "IntegrationError",
-    "LyapunovStats",
     "Trajectory",
     "interior_grid",
     "phase_portrait",
@@ -73,8 +72,9 @@ NEG_TOL = 1e-12
 # Max-norm change per step below which a step counts towards convergence.
 CONVERGENCE_TOL = 1e-9
 
-# Smallest share an initial state may have.
+# Smallest share an initial state may have, and an interior_grid state has.
 INTERIOR_FLOOR = 1e-6
+INTERIOR_GRID_FLOOR = 0.01
 
 # A failed step is re-taken as 2^j substeps for j up to this.
 MAX_HALVINGS = 20
@@ -111,21 +111,14 @@ class IntegrationConfig:
         return max(1, int(np.ceil(self.t_max / self.dt - 1e-9)))
 
 
-@dataclass(frozen=True)
-class LyapunovStats:
-    """Per-trajectory summary from an attached Lyapunov observer."""
-
-    max_step_increase: float
-    final_value: float
-
-
 @dataclass
 class Trajectory:
     """Recorded integration output on the uniform time grid.
 
     ``observables`` holds per-row arrays keyed "V", "Vdot", "F1", "F2" when
-    an observer was attached; ``lyapunov`` is the online summary computed at
-    full step resolution regardless of the recording stride.
+    an observer was attached; ``max_V_step_increase`` is then the largest
+    rise of V over one step at full step resolution, whatever the recording
+    stride (0.0 if no step has V finite at both ends), else None.
     """
 
     times: np.ndarray
@@ -133,7 +126,7 @@ class Trajectory:
     outputs: np.ndarray
     converged: bool = False
     observables: dict[str, np.ndarray] | None = None
-    lyapunov: LyapunovStats | None = None
+    max_V_step_increase: float | None = None
 
     @property
     def final_state(self) -> np.ndarray:
@@ -401,19 +394,15 @@ class _BatchRun:
         times = self.cfg.dt * steps.astype(float)
         x = states.transpose(1, 2, 0)
         outputs = aggregate_output(x, self.scenario).T
-        observables = None
-        lyap = None
+        observables = max_inc = None
         if self.observer is not None:
             observables = self.observer.series(x, self.gains[member])
             max_inc = self.lyap_max_inc[member]
-            lyap = LyapunovStats(
-                max_step_increase=float(max_inc) if np.isfinite(max_inc) else 0.0,
-                final_value=float(observables["V"][-1]),
-            )
+            max_inc = float(max_inc) if np.isfinite(max_inc) else 0.0
         return Trajectory(
             times=times, states=states, outputs=outputs,
             converged=bool(self.converged[member]),
-            observables=observables, lyapunov=lyap,
+            observables=observables, max_V_step_increase=max_inc,
         )
 
 
@@ -465,20 +454,19 @@ def phase_portrait(scenario: Scenario, policy: ControlPolicy,
                      gains).results()
 
 
-def interior_grid(scenario: Scenario, per_dim: int,
-                  floor: float = 0.01) -> np.ndarray:
+def interior_grid(scenario: Scenario, per_dim: int) -> np.ndarray:
     """Uniform interior grid of initial states, per_dim points per simplex edge.
 
     Lattice points are blended toward the barycenter just enough to push
-    every share up to ``floor`` (for two actions this is exactly
-    linspace(floor, 1 - floor, per_dim) on the first action's share).
+    every share up to INTERIOR_GRID_FLOOR (for two actions this is exactly
+    linspace(0.01, 0.99, per_dim) on the first action's share).
     Returns an array of shape (L ** m, m, n), L the lattice size, built by
     indexing the blended lattice in ``itertools.product`` order; a grid over
     LATTICE_BYTE_BUDGET raises ValueError before anything is allocated.
     """
     n = scenario.n_actions
     check_lattice_budget(scenario.n_populations, n, per_dim)
-    blend = floor * n
+    blend = INTERIOR_GRID_FLOOR * n
     lattice = (1.0 - blend) * simplex_lattice(n, per_dim) + blend / n
     return lattice_product(lattice, scenario.n_populations)
 

@@ -77,8 +77,10 @@ __all__ = [
 # the critical subsidy is undefined there.
 MISMATCH_FLOOR = 1e-12
 
-# Equality tolerances for equilibrium enumeration and verification.
+# Equality tolerances for equilibrium enumeration and verification; a
+# target equilibrium's output miss and drift are checked to REST_POINT_TOL.
 EQUILIBRIUM_TOL = 1e-9
+REST_POINT_TOL = 1e-7
 
 # Safety inflation applied to the estimated supremum before recommending.
 RECOMMEND_MARGIN = 0.1
@@ -130,23 +132,24 @@ class TargetEquilibrium:
 
     @classmethod
     def from_state(cls, scenario: Scenario, state: np.ndarray,
-                   y_star: np.ndarray, *, continuum_vertex: bool = False,
-                   tol: float = EQUILIBRIUM_TOL) -> "TargetEquilibrium":
+                   y_star: np.ndarray, *, continuum_vertex: bool = False
+                   ) -> "TargetEquilibrium":
         """Validate and wrap a candidate state.
 
-        Checks both defining properties: the state is a rest point of the
-        uncontrolled field, and its aggregate output matches y_star.
+        Checks both defining properties, each to REST_POINT_TOL: the state
+        is a rest point of the uncontrolled field, and its aggregate output
+        matches y_star.
         """
         state = np.asarray(state, dtype=float)
         y = aggregate_output(state, scenario)
         residual = np.max(np.abs(y - y_star))
-        if residual > tol:
+        if residual > REST_POINT_TOL:
             raise ValueError(
                 f"aggregate output {y} differs from target {y_star} "
                 f"by {residual!r}"
             )
         drift = np.max(np.abs(field_uncontrolled(scenario, state)))
-        if drift > tol:
+        if drift > REST_POINT_TOL:
             raise ValueError(
                 f"state is not a rest point (max drift {drift!r})"
             )
@@ -177,11 +180,11 @@ def _mismatch_batch(outputs: np.ndarray, y_star: np.ndarray) -> np.ndarray:
     """Jensen-positive output penalty sum_i (y_star_i - y_i) f_i(y) over the
     targeted actions, in order, for each output column of an (n, B) batch;
     +inf where f is undefined."""
-    f, ok = subsidy_weights(outputs, y_star)
+    f, ok = subsidy_weights(outputs, y_star[:, None])
     targeted = np.flatnonzero(y_star > 0.0)
     mismatch = weighted_sum(y_star[targeted, None] - outputs[targeted],
                             f[targeted])
-    return np.where(ok, mismatch, np.inf)
+    return mismatch if ok is None else np.where(ok, mismatch, np.inf)
 
 
 def critical_subsidy(x: np.ndarray, eq: TargetEquilibrium,
@@ -617,25 +620,20 @@ def find_target_equilibria(scenario: Scenario,
     y_star_i = 0: the groups keep only targeted actions, and a vertex
     target has one combination.  A positive-dimensional solution set is
     returned as one representative point per combination of groups, marked
-    ``continuum_vertex``.  Raises :class:`InapplicableError` when there are
-    no solutions at all.
+    ``continuum_vertex``.  The groups partition each population's actions
+    and every row sums to 1, so no two combinations give the same point.
+    Raises :class:`InapplicableError` when there are no solutions at all.
     """
     y_star = np.asarray(y_star, dtype=float)
     _, payoffs_at_target = output_payoffs(scenario, None, y_star)
     per_pop = [_payoff_classes(values, EQUILIBRIUM_TOL, y_star > 0.0)
                for values in payoffs_at_target]
     results: list[TargetEquilibrium] = []
-    seen: set[tuple] = set()
     for combo in product(*per_pop):
         point, continuum = _combo_solutions(scenario, y_star, combo)
-        if point is None:
-            continue
-        key = tuple(np.round(point.reshape(-1), 10))
-        if key in seen:
-            continue
-        seen.add(key)
-        results.append(TargetEquilibrium.from_state(
-            scenario, point, y_star, continuum_vertex=continuum, tol=1e-7))
+        if point is not None:
+            results.append(TargetEquilibrium.from_state(
+                scenario, point, y_star, continuum_vertex=continuum))
     if not results:
         raise InapplicableError(
             f"no uncontrolled rest point aggregates to {y_star}; "

@@ -12,7 +12,7 @@ import pytest
 from replicator_ctl import ControlPolicy, Scenario, field_controlled
 from replicator_ctl.agents import _RoundConstants, population_sizes
 from replicator_ctl.dynamics import BatchKernel, batch_field
-from replicator_ctl.game import aggregate_output
+from replicator_ctl.game import aggregate_output, carrier
 from replicator_ctl.stability import LyapunovObserver, TargetEquilibrium
 
 # the bundled three-population, two-action example used throughout
@@ -110,6 +110,23 @@ def lyapunov_value(x: np.ndarray, eq: TargetEquilibrium,
     star = eq.state[carried]
     weights = np.broadcast_to(scenario.shares[:, None], x.shape)[carried]
     return float(-np.sum(weights * star * np.log(x[carried] / star)))
+
+
+def region_floors(scenario: Scenario,
+                  policy: ControlPolicy) -> tuple[np.ndarray, float]:
+    """The invariant-region floors M_i = d * y_star_i / (a_max - a_min + d)
+    per action, zero for untargeted ones, and the margin epsilon, half the
+    smallest targeted floor.
+
+    Whenever a targeted aggregate share sits below its floor its net growth
+    rate is strictly positive, which makes the epsilon-floored state set
+    forward-invariant.  Needs d > 0.
+    """
+    if policy.d <= 0.0:
+        raise ValueError("region floors require a positive subsidy d")
+    floors = policy.d * policy.y_star / (
+        scenario.payoff_max - scenario.payoff_min + policy.d)
+    return floors, 0.5 * float(floors[carrier(policy.y_star)].min())
 
 
 def certificate_terms(x: np.ndarray, eq: TargetEquilibrium,

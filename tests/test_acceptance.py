@@ -22,7 +22,6 @@ from replicator_ctl import (
     field_uncontrolled,
     interior_grid,
     phase_portrait,
-    region_bounds,
     simulate,
 )
 from replicator_ctl.agents import init_agents, round_time_step, run
@@ -43,6 +42,7 @@ from conftest import (
     random_policy,
     random_scenario,
     random_state,
+    region_floors,
     z_state,
 )
 
@@ -188,11 +188,11 @@ def test_criterion_6_property_suite(threepop, policy_boundary,
     while checked < 1000:
         scen = random_scenario(rng)
         policy = random_policy(rng, scen)
-        bounds = region_bounds(scen, policy)
+        floors, _ = region_floors(scen, policy)
         carried = np.flatnonzero(policy.y_star > 0)
         i = int(rng.choice(carried))
         x = random_state(rng, scen, interior=0.001)
-        squeeze = rng.uniform(0.05, 0.99) * bounds.floors[i]
+        squeeze = rng.uniform(0.05, 0.99) * floors[i]
         for k in range(scen.n_populations):
             others = x[k].sum() - x[k, i]
             x[k] *= (1.0 - squeeze) / others
@@ -209,18 +209,17 @@ def test_criterion_6_property_suite(threepop, policy_boundary,
     # invariant-region confinement for trajectories started inside it
     confinement_ok = True
     for policy in (policy_boundary, policy_interior):
-        bounds = region_bounds(threepop, policy)
+        _, epsilon = region_floors(threepop, policy)
         carried = policy.y_star > 0
         accepted = 0
         while accepted < 5:
             x0 = random_state(rng, threepop, interior=0.01)
-            if np.any(aggregate_output(x0, threepop)[carried]
-                      < bounds.epsilon):
+            if np.any(aggregate_output(x0, threepop)[carried] < epsilon):
                 continue
             accepted += 1
             traj = simulate(threepop, policy, x0,
                             IntegrationConfig(t_max=50.0))
-            if traj.outputs[:, carried].min() < bounds.epsilon - 1e-12:
+            if traj.outputs[:, carried].min() < epsilon - 1e-12:
                 confinement_ok = False
 
     # rest points of the base dynamics stay at rest for d in {0.5, 1, 10}
@@ -282,9 +281,8 @@ def test_criterion_7_certificate_monotonicity(run_boundary, run_interior):
     for bundle in (run_boundary, run_interior):
         tol = 1e-6 * bundle.dt
         for traj in bundle.trajectories:
-            worst_increase = max(worst_increase,
-                                 traj.lyapunov.max_step_increase)
-            worst_final = max(worst_final, traj.lyapunov.final_value)
+            worst_increase = max(worst_increase, traj.max_V_step_increase)
+            worst_final = max(worst_final, traj.observables["V"][-1])
     report(7, f"certificate never rises per step (worst increase "
               f"{worst_increase:.1e} < {1e-6 * run_boundary.dt:.0e}) and ends "
               f"below 1e-6 (worst final {worst_final:.1e})",

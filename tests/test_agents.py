@@ -42,7 +42,7 @@ class TestInitialization:
             pop = init_agents(threepop, x0, n_agents, seed=1)
             state = pop.counts / pop.pop_sizes[:, None]
             assert np.max(np.abs(state - x0)) <= 1.0 / pop.pop_sizes.min()
-            y_hat = pop.empirical_output()
+            y_hat = pop.action_counts() / pop.n_agents
             assert abs(y_hat.sum() - 1.0) < 1e-12
 
     def test_too_few_agents_rejected(self, threepop):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -891,6 +892,95 @@ class TestManifestRoundTrip:
         assert manifest["scenario"] == SCENARIO
         assert manifest["policy"]["d"] == 1.2
         assert manifest["x0"] == ["0.5,0.5,0.5"]
+
+
+# what each command needs besides a target to run on the bundled game
+COMMAND_ARGS = {
+    "simulate": ["--x0", "0.5,0.5,0.5"],
+    "portrait": ["--x0", "0.5,0.5,0.5"],
+    "verify": [],
+    "sweep": ["--x0", "0.5,0.5,0.5", "--d-values", "1"],
+    "agents": ["--x0", "0.5,0.5,0.5", "--n-agents", "1000", "--rounds", "5"],
+}
+
+
+class TestTargetLength:
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    @pytest.mark.parametrize("y_star", ["1", "0.5,0.3,0.2"])
+    @pytest.mark.parametrize("d", ["0", "1"])
+    def test_wrong_length_target_exits_1_unwritten(self, tmp_path, capsys,
+                                                   command, y_star, d):
+        out = tmp_path / "run"
+        assert main([command, "--scenario", SCENARIO, "--y-star", y_star,
+                     "--d", d, *COMMAND_ARGS[command],
+                     "--out", str(out)]) == 1
+        entries = len(y_star.split(","))
+        assert capsys.readouterr().err == (
+            f"input error: policy: y_star has {entries} entries, the "
+            "scenario has 2 actions\n")
+        assert not out.exists()
+
+
+def output_digest(out: Path) -> str:
+    """sha256 over the sorted (path, sha256) of every file a run wrote but
+    manifest.json, which holds the paths it was given."""
+    lines = sorted(
+        f"{path.relative_to(out).as_posix()} "
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+        for path in out.rglob("*")
+        if path.is_file() and path.name != "manifest.json")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+# Every command on the bundled game, with the digest of its output files.
+# A change that alters an output updates its digest and says why.
+PINNED_RUNS = {
+    "simulate-boundary": (
+        ["simulate", "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5"],
+        "580762f10e330f6bba3d5431d940f59e"
+        "c286c77b0a2fbc19fd64fdb7290da9e7"),
+    "simulate-interior": (
+        ["simulate", "--policy", POLICY_INTERIOR, "--x0", "0.5,0.5,0.5"],
+        "d47129dd70a75ed7ff00e8c1bbf4ef5c"
+        "e80fb03f7c8d189989131b61ca0734b4"),
+    "portrait": (
+        ["portrait", "--policy", POLICY_BOUNDARY, "--grid", "3",
+         "--dt", "0.05"],
+        "49014425024602f5ece67baaacb8eb8c"
+        "14d49109b53adccf26c207bee5e4221b"),
+    "sweep": (
+        ["sweep", "--policy", POLICY_BOUNDARY, "--grid", "3",
+         "--d-values", "0,0.5,1.2", "--dt", "0.05"],
+        "f4f0de044b4ebe20cdf388f9e5333d91"
+        "0ce4b90a5583b9175972211c47faa8be"),
+    "verify-boundary": (
+        ["verify", "--policy", POLICY_BOUNDARY, "--grid-per-dim", "10"],
+        "0ab146fe9a2c6317663134dd85ed4774"
+        "0dca28fac5cc23e699c9117c01dcd3d6"),
+    "verify-interior": (
+        ["verify", "--policy", POLICY_INTERIOR, "--grid-per-dim", "10"],
+        "3f73188b7794fc3ecc914ecc12f9b2ea"
+        "d025258d63237ee85fe70b2aa4d4c3ac"),
+    "agents-expected": (
+        ["agents", "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5",
+         "--n-agents", "20000", "--rounds", "300"],
+        "5ccd5b0a2ab35009f2755ecf93dc2f9a"
+        "0dd92a4ed1e97013b235265741168fff"),
+    "agents-sampled": (
+        ["agents", "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5",
+         "--n-agents", "20000", "--rounds", "300", "--sampled-matches"],
+        "a2b175b7a8242dc4ee23188a55cbc222"
+        "05db751fb43a4fe31c20ccab87177af8"),
+}
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("name", list(PINNED_RUNS))
+    def test_outputs_match_their_pinned_digest(self, tmp_path, name):
+        argv, digest = PINNED_RUNS[name]
+        out = tmp_path / name
+        assert main([*argv, "--scenario", SCENARIO, "--out", str(out)]) == 0
+        assert output_digest(out) == digest
 
 
 class TestBenchmarkCommandLines:

@@ -1,6 +1,6 @@
 """Vector fields, subsidy weights and their one definition across the
-package, region bounds, and the field-level properties: tangency, shift
-invariance, growth floors, rest-point retention."""
+package, the invariant-region floors, and the field-level properties:
+tangency, shift invariance, growth floors, rest-point retention."""
 
 from __future__ import annotations
 
@@ -18,27 +18,26 @@ from replicator_ctl import (
     field_controlled,
     field_uncontrolled,
     phase_portrait,
-    region_bounds,
 )
 from replicator_ctl.dynamics import (output_payoffs, scalar_field,
                                      subsidy_weights)
 from replicator_ctl.stability import _mismatch_batch
 from conftest import (assert_same_bits, average_payoff, batch_field_of,
                       expected_payoff, local_shift, make_state, random_policy,
-                      random_scenario, random_state, round_constants,
-                      z_state)
+                      random_scenario, random_state, region_floors,
+                      round_constants, z_state)
 
 
 class TestSubsidyWeights:
     def test_ratio(self, policy_boundary):
         f, ok = subsidy_weights(np.array([0.5, 0.5]), policy_boundary.y_star)
         assert f[0] == pytest.approx(2.0)
-        assert ok
+        assert ok is None  # no share is low
 
     def test_untargeted_action_gets_zero(self, policy_boundary):
         # an untargeted share of 0 is divided by 1, and does not flag
         y = np.array([[0.1, 0.5, 1.0], [0.9, 0.5, 0.0]])
-        f, ok = subsidy_weights(y, policy_boundary.y_star)
+        f, ok = subsidy_weights(y, policy_boundary.y_star[:, None])
         np.testing.assert_array_equal(f[1], 0.0)
         assert ok.all()
 
@@ -50,7 +49,7 @@ class TestSubsidyWeights:
     def test_domain_violation_raises(self, threepop, policy_boundary):
         # f flags a targeted share of 0 and divides it by 1 ...
         y = np.array([[0.0, 0.5], [1.0, 0.5]])
-        f, ok = subsidy_weights(y, policy_boundary.y_star)
+        f, ok = subsidy_weights(y, policy_boundary.y_star[:, None])
         np.testing.assert_array_equal(ok, [False, True])
         np.testing.assert_array_equal(f[:, 0], [1.0, 0.0])
         # ... and the field raises at the state whose aggregate output is it
@@ -96,8 +95,8 @@ class TestOneDefinition:
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 2)])
     def test_field_certificate_and_agents_use_one_weight(self, m, n):
         scen, policy, states, x, y, F = self.batch(m, n)
-        f, ok = subsidy_weights(y, policy.y_star)
-        assert ok.all()
+        f, ok = subsidy_weights(y, policy.y_star[:, None])
+        assert ok is None
         # the kernel: replicator field on F + d·f, folded as it folds it
         G = F - (0.0 - policy.d) * f
         avg = x[:, 0] * G[:, 0]
@@ -119,7 +118,7 @@ class TestOneDefinition:
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 2)])
     def test_agents_table_is_the_controlled_payoff(self, m, n):
         scen, policy, states, x, y, F = self.batch(m, n)
-        f, _ = subsidy_weights(y, policy.y_star)
+        f, _ = subsidy_weights(y, policy.y_star[:, None])
         for b in range(states.shape[0]):
             table, _ = round_constants(scen, policy).payoffs_at(y[:, b])
             assert np.array_equal(table, F[..., b] + policy.d * f[:, b])
@@ -346,37 +345,40 @@ class TestShiftInvariance:
 
 
 class TestRegionBounds:
+    """The floors oracle that the growth-floor and confinement tests use,
+    pinned to the paper's worked example and limits."""
+
     def test_worked_example_floor(self, threepop, policy_boundary):
-        bounds = region_bounds(threepop, policy_boundary)
-        assert bounds.a_max == 4.0
-        assert bounds.a_min == 1.0
-        assert bounds.floors[0] == pytest.approx(1.2 / 4.2)
-        assert bounds.floors[1] == 0.0
+        assert threepop.payoff_max == 4.0
+        assert threepop.payoff_min == 1.0
+        floors, _ = region_floors(threepop, policy_boundary)
+        assert floors[0] == pytest.approx(1.2 / 4.2)
+        assert floors[1] == 0.0
 
     def test_untargeted_floor_is_zero(self, threepop):
         policy = ControlPolicy(y_star=np.array([0.0, 1.0]), d=2.0)
-        bounds = region_bounds(threepop, policy)
-        assert bounds.floors[0] == 0.0
+        floors, _ = region_floors(threepop, policy)
+        assert floors[0] == 0.0
 
     def test_large_gain_limit(self, threepop):
         policy = ControlPolicy(y_star=np.array([0.8, 0.2]), d=1e9)
-        bounds = region_bounds(threepop, policy)
-        np.testing.assert_allclose(bounds.floors, [0.8, 0.2], rtol=1e-8)
+        floors, _ = region_floors(threepop, policy)
+        np.testing.assert_allclose(floors, [0.8, 0.2], rtol=1e-8)
 
     def test_floor_never_exceeds_target(self):
         rng = np.random.default_rng(41)
         for _ in range(300):
             scen = random_scenario(rng)
             policy = random_policy(rng, scen)
-            bounds = region_bounds(scen, policy)
-            assert bounds.a_min <= bounds.a_max
-            assert np.all(bounds.floors <= policy.y_star + 1e-15)
+            floors, epsilon = region_floors(scen, policy)
+            assert scen.payoff_min <= scen.payoff_max
+            assert np.all(floors <= policy.y_star + 1e-15)
             carried = policy.y_star > 0
-            assert 0.0 < bounds.epsilon < bounds.floors[carried].min()
+            assert 0.0 < epsilon < floors[carried].min()
 
     def test_requires_positive_gain(self, threepop):
         with pytest.raises(ValueError):
-            region_bounds(threepop, ControlPolicy.off(2))
+            region_floors(threepop, ControlPolicy.off(2))
 
 
 class TestPayoffBounds:
@@ -405,10 +407,10 @@ class TestGrowthFloors:
         while checked < 1000:
             scen = random_scenario(rng)
             policy = random_policy(rng, scen)
-            bounds = region_bounds(scen, policy)
+            floors, _ = region_floors(scen, policy)
             carried = np.flatnonzero(policy.y_star > 0)
             i = int(rng.choice(carried))
-            floor = bounds.floors[i]
+            floor = floors[i]
             x = random_state(rng, scen, interior=0.001)
             # squeeze coordinate i of every row below the floor
             targets = rng.uniform(0.05 * floor, 0.99 * floor,

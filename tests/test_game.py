@@ -16,7 +16,7 @@ from replicator_ctl import (
     scenario_digest,
 )
 from replicator_ctl.game import LATTICE_BYTE_BUDGET, check_lattice_budget
-from replicator_ctl.integrate import interior_grid
+from replicator_ctl.integrate import INTERIOR_GRID_FLOOR, interior_grid
 from replicator_ctl.stability import _grid_states
 from conftest import (THREEPOP_PAYOFFS, THREEPOP_SHARES, average_payoff,
                       expected_payoff, local_shift, make_state,
@@ -227,15 +227,14 @@ class TestLattice:
         expected = reference_product(reference_lattice(n, per_dim), m)
         np.testing.assert_array_equal(_grid_states(scen, per_dim), expected)
 
-    @pytest.mark.parametrize("floor", [0.01, 0.02])
+    @pytest.mark.parametrize("floor", [INTERIOR_GRID_FLOOR])
     @pytest.mark.parametrize("m,n,per_dim", LATTICE_CASES)
     def test_interior_grid_equals_reference(self, m, n, per_dim, floor):
         scen = random_scenario(np.random.default_rng(per_dim), m=m, n=n)
         blend = floor * n
         lattice = (1.0 - blend) * reference_lattice(n, per_dim) + blend / n
         expected = reference_product(lattice, m)
-        np.testing.assert_array_equal(interior_grid(scen, per_dim, floor),
-                                      expected)
+        np.testing.assert_array_equal(interior_grid(scen, per_dim), expected)
 
     @pytest.mark.parametrize("build", [_grid_states, interior_grid])
     def test_oversized_grid_is_refused_unallocated(self, build):

@@ -17,7 +17,6 @@ from replicator_ctl import (
     field_controlled,
     interior_grid,
     phase_portrait,
-    region_bounds,
     simulate,
     write_trajectory_csv,
 )
@@ -35,6 +34,7 @@ from conftest import (
     random_policy,
     random_scenario,
     random_state,
+    region_floors,
     z_state,
 )
 
@@ -322,7 +322,7 @@ class TestOneMemberPath:
         inside = phase_portrait(threepop, policy_boundary, starts, cfg,
                                 observer=observer)[1]
         assert np.array_equal(inside.states, alone.states)
-        assert inside.lyapunov == alone.lyapunov
+        assert inside.max_V_step_increase == alone.max_V_step_increase
         for key, column in alone.observables.items():
             assert np.array_equal(inside.observables[key], column)
 
@@ -342,7 +342,7 @@ class TestOneMemberPath:
                                      observer=observer, gains=gains)
             ends = [float(traj.times[-1]) for traj in results]
             for idx, traj in enumerate(results):
-                assert_same_bits([traj.lyapunov.final_value],
+                assert_same_bits(observer.values(traj.final_state[..., None]),
                                  traj.observables["V"][-1:])
                 lone = ends[idx] > max(ends[:idx] + ends[idx + 1:])
                 seen.add((lone, traj.converged))
@@ -557,19 +557,19 @@ class TestInvariantRegion:
         # epsilon never drop below it
         rng = np.random.default_rng(61)
         for policy in (policy_boundary, policy_interior):
-            bounds = region_bounds(threepop, policy)
+            _, epsilon = region_floors(threepop, policy)
             carried = policy.y_star > 0
             accepted = 0
             while accepted < 4:
                 x0 = random_state(rng, threepop, interior=0.01)
                 y0 = aggregate_output(x0, threepop)
-                if np.any(y0[carried] < bounds.epsilon):
+                if np.any(y0[carried] < epsilon):
                     continue
                 accepted += 1
                 traj = simulate(threepop, policy, x0,
                                 IntegrationConfig(t_max=50.0))
                 margins = traj.outputs[:, carried]
-                assert margins.min() >= bounds.epsilon - 1e-12
+                assert margins.min() >= epsilon - 1e-12
 
     def test_random_scenarios_margin(self):
         rng = np.random.default_rng(67)
@@ -577,13 +577,13 @@ class TestInvariantRegion:
         while done < 3:
             scen = random_scenario(rng, m=2, n=2)
             policy = random_policy(rng, scen, d_range=(0.5, 3.0))
-            bounds = region_bounds(scen, policy)
+            _, epsilon = region_floors(scen, policy)
             carried = policy.y_star > 0
             x0 = random_state(rng, scen, interior=0.01)
-            if np.any(aggregate_output(x0, scen)[carried] < bounds.epsilon):
+            if np.any(aggregate_output(x0, scen)[carried] < epsilon):
                 continue
             traj = simulate(scen, policy, x0, IntegrationConfig(t_max=30.0))
-            assert traj.outputs[:, carried].min() >= bounds.epsilon - 1e-12
+            assert traj.outputs[:, carried].min() >= epsilon - 1e-12
             done += 1
 
 
@@ -760,10 +760,10 @@ class TestGrid:
     def test_three_action_grid(self):
         rng = np.random.default_rng(71)
         scen = random_scenario(rng, m=2, n=3)
-        grid = interior_grid(scen, 4, floor=0.02)
+        grid = interior_grid(scen, 4)
         lattice_size = 10  # compositions of 3 into 3 parts
         assert grid.shape == (lattice_size ** 2, 2, 3)
-        assert grid.min() >= 0.02 - 1e-12
+        assert grid.min() == pytest.approx(integrate.INTERIOR_GRID_FLOOR)
 
 
 class TestConfig:
