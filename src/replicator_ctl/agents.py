@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ControlPolicy, payoff_columns, subsidy_weights
-from .game import CARRIER_THRESHOLD, SUM_TOLERANCE, Scenario, weighted_sum
+from .game import CARRIER_THRESHOLD, Scenario, check_simplex, weighted_sum
 
 __all__ = [
     "AgentPopulation",
@@ -140,22 +140,17 @@ def init_agents(scenario: Scenario, x0: np.ndarray, n_agents: int,
 
     Per-population action counts are the largest-remainder rounding of
     x0[k] times the population head count, so empirical shares start within
-    1/N of x0.  Raises ValueError when N < 100 or when some positive share
-    would round to zero agents (the carrier cannot be represented).
+    1/N of x0.  Raises ValueError when N < 100, when x0 is not a state
+    (floor 0), or when some positive share would round to zero agents (the
+    carrier cannot be represented).
     """
-    x0 = np.asarray(x0, dtype=float)
     if n_agents < MIN_AGENTS:
         raise ValueError(
             f"need at least {MIN_AGENTS} agents to represent shares, "
             f"got {n_agents}"
         )
     m, n = scenario.n_populations, scenario.n_actions
-    if x0.shape != (m, n):
-        raise ValueError(f"x0 must have shape ({m}, {n}), got {x0.shape}")
-    if not (np.all(x0 >= 0.0)
-            and np.all(np.abs(x0.sum(axis=1) - 1.0) <= SUM_TOLERANCE)):
-        raise ValueError(f"x0 rows must be non-negative and sum to 1, got "
-                         f"{x0.tolist()}")
+    x0 = check_simplex(x0, "x0", (m, n), 0.0)
     sizes = population_sizes(scenario, n_agents)
     if np.any(sizes < 1):
         raise ValueError(f"population sizes {sizes} cannot host agents")

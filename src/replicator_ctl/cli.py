@@ -20,8 +20,9 @@ the policy, or d, or setting d to 0 runs the uncontrolled dynamics.
 ``sweep`` takes its gains from ``--d-values`` and ignores ``--d`` and
 ``--record-stride``.
 
-Initial states are given as ``--x0``: either m comma-separated first-action
-shares (two-action games), or m semicolon-separated rows of n shares.
+Each ``--x0`` start is m comma-separated first-action shares (two-action
+games) or m semicolon-separated rows of n shares, each row summing to 1
+and every share at least 1e-6; no file is written for a refused start.
 
 Exit codes: 0 success, 1 input error, 2 numeric failure, 3 stabilization
 condition inapplicable, 4 finite-population assumption violated.
@@ -50,6 +51,7 @@ from .dynamics import ControlPolicy
 from .game import (Scenario, ScenarioError, check_count, check_real,
                    scenario_digest)
 from .integrate import (
+    INTERIOR_FLOOR,
     IntegrationConfig,
     IntegrationError,
     Trajectory,
@@ -99,31 +101,18 @@ def _write_json(path: str, payload: dict[str, Any]) -> None:
         handle.write("\n")
 
 
-def _parse_x0(text: str, m: int, n: int) -> np.ndarray:
+def _parse_x0(text: str, shape: tuple[int, int], floor: float) -> np.ndarray:
+    label = f"--x0 {text!r}"
     if not isinstance(text, str):
-        raise ScenarioError(f"--x0 {text!r}: expected a string of shares")
+        raise ScenarioError(f"{label}: expected a string of shares")
     try:
-        if ";" in text:
-            rows = [[float(v) for v in row.split(",")]
-                    for row in text.split(";")]
-            state = np.array(rows, dtype=float)
-        else:
-            values = np.array([float(v) for v in text.split(",")])
-            if values.shape == (m * n,):
-                state = values.reshape(m, n)
-            elif values.shape == (m,) and n == 2:
-                state = np.stack([values, 1.0 - values], axis=1)
-            else:
-                raise ValueError(
-                    f"expected {m} first-action shares or {m}x{n} values"
-                )
+        rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
+        if ";" not in text and shape[1] == 2:  # first-action shares
+            rows = [[v, 1.0 - v] for v in rows[0]]
+        state = np.array(rows, dtype=float)
     except ValueError as exc:
-        raise ScenarioError(f"--x0 {text!r}: {exc}") from exc
-    if state.shape != (m, n):
-        raise ScenarioError(
-            f"--x0 {text!r}: expected shape ({m}, {n}), got {state.shape}"
-        )
-    return state
+        raise ScenarioError(f"{label}: {exc}") from exc
+    return game.check_simplex(state, label, shape, floor)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -266,8 +255,8 @@ def _starts(manifest: dict[str, Any]) -> list[Any]:
 
 def _initial_states(manifest: dict[str, Any],
                     scenario: Scenario) -> list[np.ndarray]:
-    m, n = scenario.n_populations, scenario.n_actions
-    states = [_parse_x0(text, m, n) for text in _starts(manifest)]
+    states = [_parse_x0(text, scenario.payoffs.shape[:2], INTERIOR_FLOOR)
+              for text in _starts(manifest)]
     grid = manifest.get("grid")
     if grid is not None:
         check_count("grid", grid)
@@ -278,11 +267,12 @@ def _initial_states(manifest: dict[str, Any],
     return states
 
 
-def _single_start(manifest: dict[str, Any], scenario: Scenario) -> np.ndarray:
+def _single_start(manifest: dict[str, Any], scenario: Scenario,
+                  floor: float) -> np.ndarray:
     starts = _starts(manifest)
     if not starts:
         raise ScenarioError(f"{manifest['command']} needs exactly one --x0")
-    return _parse_x0(starts[0], scenario.n_populations, scenario.n_actions)
+    return _parse_x0(starts[0], scenario.payoffs.shape[:2], floor)
 
 
 def _observer_for(scenario: Scenario, policy: ControlPolicy):
@@ -291,7 +281,9 @@ def _observer_for(scenario: Scenario, policy: ControlPolicy):
         return None
     try:
         eq = unique_target_equilibrium(scenario, policy.y_star)
-    except InapplicableError:
+    except InapplicableError as exc:
+        print(f"certificate dropped ({exc.reason}): no V columns are written",
+              file=sys.stderr)
         return None
     return LyapunovObserver(eq, scenario)
 
@@ -302,7 +294,7 @@ def _observer_for(scenario: Scenario, policy: ControlPolicy):
 
 def _cmd_simulate(manifest: dict[str, Any]) -> int:
     scenario, policy, cfg = _resolve(manifest)
-    x0 = _single_start(manifest, scenario)
+    x0 = _single_start(manifest, scenario, INTERIOR_FLOOR)
     observer = _observer_for(scenario, policy)
     _echo_manifest(manifest)
     traj = simulate(scenario, policy, x0, cfg, observer=observer)
@@ -444,14 +436,10 @@ def _cmd_agents(manifest: dict[str, Any]) -> int:
     if not isinstance(sampled_matches, bool):
         raise ValueError(
             f"sampled_matches must be true or false, got {sampled_matches!r}")
-    x0 = _single_start(manifest, scenario)
-    _echo_manifest(manifest)
-    prov = _provenance(manifest, scenario)
-    out = manifest["out"]
+    x0 = _single_start(manifest, scenario, 0.0)
     pop = init_agents(scenario, x0, n_agents, seed=manifest["seed"])
-    # checked before any round: revision_prob and a start that empties a
-    # targeted group (exit 4) by the first snapshot, then a start off the
-    # interior by the mean-field reference
+    # checked before anything is written: revision_prob, a start emptying
+    # a targeted group (exit 4), a start off the interior (the reference)
     run_rounds(pop, scenario, policy, 0, revision_prob)
     dt_round = round_time_step(scenario, policy, revision_prob)
     horizon = rounds * dt_round
@@ -459,6 +447,9 @@ def _cmd_agents(manifest: dict[str, Any]) -> int:
                                 convergence_window=10 ** 9,
                                 record_stride=1)
     reference = simulate(scenario, policy, x0, ode_cfg)
+    _echo_manifest(manifest)
+    prov = _provenance(manifest, scenario)
+    out = manifest["out"]
     series = run_rounds(pop, scenario, policy, rounds,
                         revision_prob, sampled_matches)
     write_rounds_csv(series, os.path.join(out, "rounds.csv"), prov)

@@ -40,8 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from .game import (Scenario, aggregate_output, check_real, check_simplex,
-                   weighted_sum)
+from .game import (COORD_TOLERANCE, Scenario, aggregate_output, check_real,
+                   check_simplex, weighted_sum)
 
 __all__ = [
     "DOMAIN_THRESHOLD",
@@ -79,11 +79,11 @@ class ControlPolicy:
     d: float
 
     def __post_init__(self) -> None:
-        y_star = np.asarray(self.y_star, dtype=float)
-        check_simplex(y_star)
+        y_star = check_simplex(self.y_star, "target y_star",
+                               (np.size(self.y_star),),
+                               -COORD_TOLERANCE).copy()
         if not np.isfinite(self.d) or self.d < 0.0:
             raise ValueError(f"average subsidy d must be >= 0, got {self.d!r}")
-        y_star = y_star.copy()
         y_star.setflags(write=False)
         object.__setattr__(self, "y_star", y_star)
         object.__setattr__(self, "d", float(self.d))
@@ -148,7 +148,7 @@ def field_controlled(scenario: Scenario, x: np.ndarray,
         i = int(np.flatnonzero((policy.y_star > 0.0)
                                & (y <= DOMAIN_THRESHOLD))[0])
         raise SimplexDomainError(f"targeted action {i} has aggregate share "
-                                 f"{y[i]!r}; subsidy weight undefined")
+                                 f"{float(y[i])}; subsidy weight undefined")
     return deriv[0]
 
 

@@ -15,6 +15,10 @@ States live on products of probability simplices:
 * a state combination ``x`` stacks the m rows into an (m, n) array,
 * the output ``y = sum_k v^k x^k`` is again a simplex point.
 
+:func:`check_simplex` is the one test of such points; its floor is
+-COORD_TOLERANCE for a target, ``integrate.INTERIOR_FLOOR`` for an
+integration start and 0 for an agent start.
+
 All types are immutable after construction and all operations are pure,
 so they can be evaluated concurrently without synchronization.
 """
@@ -52,8 +56,7 @@ __all__ = [
 # round-off so carrier sets cannot flicker from noise.
 CARRIER_THRESHOLD = 1e-12
 
-# Simplex membership: row sums within SUM_TOLERANCE of 1, coordinates no
-# lower than -COORD_TOLERANCE.
+# Rows sum to 1 within SUM_TOLERANCE; a target's floor is -COORD_TOLERANCE.
 SUM_TOLERANCE = 1e-9
 COORD_TOLERANCE = 1e-12
 
@@ -112,7 +115,7 @@ class Scenario:
             )
         if abs(shares.sum() - 1.0) > SHARE_SUM_TOLERANCE:
             raise ScenarioError(
-                f"population shares must sum to 1, got {shares.sum()!r}"
+                f"population shares must sum to 1, got {float(shares.sum())}"
             )
         payoffs = payoffs.copy()
         shares = shares.copy()
@@ -207,20 +210,25 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def check_simplex(z: np.ndarray) -> None:
-    """Raise ValueError unless z is a simplex point within tolerance."""
+def check_simplex(z: Any, label: str, shape: tuple[int, ...],
+                  floor: float) -> np.ndarray:
+    """``z`` as a float array; ValueError naming ``label`` unless it has
+    ``shape``, finite shares none below ``floor``, and rows (last axis)
+    summing to 1 within SUM_TOLERANCE."""
     z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise ValueError(f"expected a 1-d share vector, got shape {z.shape}")
+    if z.shape != shape:
+        raise ValueError(f"{label}: expected shape {shape}, got {z.shape}")
+    if z.size == 0:
+        raise ValueError(f"{label} is empty")
     if not np.all(np.isfinite(z)):
-        raise ValueError(f"non-finite share in {z.tolist()}")
-    if np.any(z < -COORD_TOLERANCE):
-        raise ValueError(
-            f"negative share {z.min()!r} below -{COORD_TOLERANCE}")
-    total = z.sum()
-    if not abs(total - 1.0) <= SUM_TOLERANCE:
-        raise ValueError(
-            f"shares sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
+        raise ValueError(f"{label}: non-finite share in {z.tolist()}")
+    if z.min() < floor:
+        raise ValueError(f"{label}: share {float(z.min())} is below {floor}")
+    for total in z.sum(axis=-1).ravel().tolist():
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            raise ValueError(f"{label}: shares sum to {total}, expected 1 "
+                             f"within {SUM_TOLERANCE}")
+    return z
 
 
 def check_count(name: str, value: Any) -> None:

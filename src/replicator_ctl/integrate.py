@@ -49,8 +49,8 @@ import numpy as np
 from .dynamics import (BatchKernel, ControlPolicy, batch_field,
                        scalar_field)
 from .game import (Scenario, aggregate_output, check_count,
-                   check_lattice_budget, check_real, lattice_product,
-                   simplex_lattice)
+                   check_lattice_budget, check_real, check_simplex,
+                   lattice_product, simplex_lattice)
 
 __all__ = [
     "IntegrationConfig",
@@ -206,20 +206,8 @@ def _rk4_scalar(field: Callable, x: list[float], d: float, dt: float,
 
 def _check_interior(x0: np.ndarray, scenario: Scenario,
                     label: str) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float)
-    m, n = scenario.n_populations, scenario.n_actions
-    if x0.shape != (m, n):
-        raise ValueError(f"{label}: expected shape ({m}, {n}), got {x0.shape}")
-    if not (np.all(np.isfinite(x0))
-            and np.all(np.abs(x0.sum(axis=1) - 1.0) <= 1e-9)):
-        raise ValueError(f"{label}: rows must be finite and sum to 1, got "
-                         f"{x0.tolist()}")
-    if x0.min() < INTERIOR_FLOOR:
-        raise ValueError(
-            f"{label}: initial states must be interior "
-            f"(every share >= {INTERIOR_FLOOR}), got minimum {x0.min()!r}"
-        )
-    return x0
+    return check_simplex(x0, label, scenario.payoffs.shape[:2],
+                         INTERIOR_FLOOR)
 
 
 class _BatchRun:

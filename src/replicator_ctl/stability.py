@@ -46,7 +46,6 @@ programs have at most m*n variables and m+n rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from itertools import product
 from typing import Any, Sequence
 
 import numpy as np
@@ -146,12 +145,12 @@ class TargetEquilibrium:
         if residual > REST_POINT_TOL:
             raise ValueError(
                 f"aggregate output {y} differs from target {y_star} "
-                f"by {residual!r}"
+                f"by {float(residual)}"
             )
         drift = np.max(np.abs(field_uncontrolled(scenario, state)))
         if drift > REST_POINT_TOL:
             raise ValueError(
-                f"state is not a rest point (max drift {drift!r})"
+                f"state is not a rest point (max drift {float(drift)})"
             )
         carriers = tuple(tuple(int(i) for i in carrier(state[k]))
                          for k in range(scenario.n_populations))
@@ -579,11 +578,6 @@ def _combo_solutions(scenario: Scenario, y_star: np.ndarray,
     matching system needs no upper bounds.
     """
     m, n = scenario.n_populations, scenario.n_actions
-    # infeasible outright if a targeted action is supported by nobody
-    supported = set().union(*supports)
-    if any(y_star[i] > EQUILIBRIUM_TOL and i not in supported
-           for i in range(n)):
-        return None, False
     if all(len(sup) == 1 for sup in supports):
         state = np.zeros((m, n))
         for k, sup in enumerate(supports):
@@ -628,12 +622,27 @@ def find_target_equilibria(scenario: Scenario,
     _, payoffs_at_target = output_payoffs(scenario, None, y_star)
     per_pop = [_payoff_classes(values, EQUILIBRIUM_TOL, y_star > 0.0)
                for values in payoffs_at_target]
+    limit = (y_star + EQUILIBRIUM_TOL).tolist()
+    shares = scenario.shares.tolist()
     results: list[TargetEquilibrium] = []
-    for combo in product(*per_pop):
-        point, continuum = _combo_solutions(scenario, y_star, combo)
-        if point is not None:
-            results.append(TargetEquilibrium.from_state(
-                scenario, point, y_star, continuum_vertex=continuum))
+    # depth first in itertools.product order: (groups so far, load)
+    stack = [((), [0.0] * len(limit))]
+    while stack:
+        combo, load = stack.pop()
+        k = len(combo)
+        if k == len(per_pop):
+            point, continuum = _combo_solutions(scenario, y_star, combo)
+            if point is not None:
+                results.append(TargetEquilibrium.from_state(
+                    scenario, point, y_star, continuum_vertex=continuum))
+            continue
+        for group in reversed(per_pop[k]):  # the first group pops first
+            child = load.copy()
+            if len(group) == 1:  # all of population k plays group[0]
+                child[group[0]] += shares[k]
+                if child[group[0]] > limit[group[0]]:
+                    continue
+            stack.append((combo + (group,), child))
     if not results:
         raise InapplicableError(
             f"no uncontrolled rest point aggregates to {y_star}; "

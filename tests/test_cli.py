@@ -96,6 +96,30 @@ class TestSimulate:
         assert len(table) == 4 + 21
         assert np.isfinite(read_json(out / "summary.json")["final_V"])
 
+    @pytest.mark.parametrize("command", ["simulate", "portrait"])
+    def test_dropped_certificate_is_said(self, tmp_path, capsys, command):
+        # populations 2 and 3 flat: a segment of target equilibria, so the
+        # run has no certificate and writes no V columns
+        flat = [[1.0, 1.0], [1.0, 1.0]]
+        scen = Scenario(payoffs=np.array([THREEPOP_PAYOFFS[0], flat, flat]),
+                        shares=THREEPOP_SHARES)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scen.to_dict()))
+        out = tmp_path / "run"
+        assert main([command, "--scenario", str(scenario),
+                     "--y-star", "0.55,0.45", "--d", "1",
+                     "--x0", "0.5,0.5,0.5", "--t-max", "5",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "certificate dropped (multiple_target_equilibria): no V columns "
+            "are written\n")
+        if command == "simulate":
+            table = out / "trajectory.csv"
+            assert "final_V" not in read_json(out / "summary.json")
+        else:
+            table = out / "trajectories" / "traj_000.csv"
+        assert table.read_text().splitlines()[3].endswith(",y_1,y_2")
+
     @pytest.mark.parametrize("field", ["renorm_tol", "convergence_tol",
                                        "interior_floor", "max_halvings"])
     def test_removed_integration_field_is_refused(self, tmp_path, capsys,
@@ -226,7 +250,8 @@ class TestSimulate:
                      "--d", "1", "--x0", "0.5,0.5,0.5",
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("input error: policy: non-finite share")
+        assert err == ("input error: policy: target y_star: non-finite share "
+                       "in [nan, 1.0]\n")
         assert not out.exists()
 
     def test_missing_scenario_exits_1(self, tmp_path, capsys):
@@ -284,12 +309,14 @@ class TestPortrait:
                      "--x0", "0.2,0.4,0.6", "--x0", f"0.5,{bad},0.5",
                      "--out", str(out)])
         assert code == 1
-        assert "grid[1]: rows must be finite" in capsys.readouterr().err
-        assert not (out / "index.json").exists()
+        assert capsys.readouterr().err.startswith(
+            f"input error: --x0 '0.5,{bad},0.5': non-finite share in ")
+        assert not out.exists()
         code = main(["simulate", "--scenario", SCENARIO,
                      "--x0", f"{bad},0.5,0.5", "--out", str(tmp_path / "s")])
         assert code == 1
-        assert "x0: rows must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"input error: --x0 '{bad},0.5,0.5': non-finite share in ")
 
 
 class TestVerify:
@@ -919,6 +946,137 @@ class TestTargetLength:
             f"input error: policy: y_star has {entries} entries, the "
             "scenario has 2 actions\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_empty_target_exits_1_unwritten(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        assert main([command, "--scenario", SCENARIO, "--y-star", "",
+                     "--d", "1", *COMMAND_ARGS[command],
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "input error: policy: target y_star is empty\n")
+        assert not out.exists()
+
+
+# a NaN, a negative share, a row summing to 1.1, a share below the
+# interior floor and a share that is not a number
+BAD_STARTS = ["0.5,nan,0.5", "1.5,0.5,0.5", "0.6,0.5;0.5,0.5;0.5,0.5",
+              "0.5,0.0000001,0.5", "0.5,x,0.5"]
+
+
+class TestRefusedStart:
+    """A refused start leaves no file, not even manifest.json."""
+
+    @pytest.mark.parametrize("command", ["simulate", "portrait", "sweep"])
+    @pytest.mark.parametrize("x0", BAD_STARTS)
+    def test_bad_start_exits_1_unwritten(self, tmp_path, capsys, command,
+                                         x0):
+        out = tmp_path / "run"
+        gains = ["--d-values", "1"] if command == "sweep" else []
+        assert main([command, "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--x0", x0, *gains,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: --x0 {x0!r}: ")
+        assert "np." not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, code", [
+        *((["--x0", x0], 1) for x0 in BAD_STARTS),
+        (["--x0", "0.5,0.5,0.5", "--n-agents", "50"], 1),
+        (["--x0", "0.5,0.5,0.5", "--revision-prob", "2"], 1),
+        (["--x0", "0,0,0"], 4),  # empties the targeted group
+    ])
+    def test_refused_agents_run_is_unwritten(self, tmp_path, capsys, extra,
+                                             code):
+        out = tmp_path / "run"
+        assert main(["agents", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--n-agents", "500",
+                     "--rounds", "10", *extra, "--out", str(out)]) == code
+        assert "np." not in capsys.readouterr().err
+        assert not out.exists()
+
+
+# payoffs of +-1e300 overflow the first step from any start off the
+# symmetric one
+HUGE_PAYOFF = [[1e300, -1e300], [-1e300, 1e300]]
+START = ["--x0", "0.5,0.5,0.5"]
+
+# Exits that the other tests do not reach: the command line (with "{tmp}"
+# for the test's directory, "{huge}" for a scenario with HUGE_PAYOFF), the
+# exit code, and the text that stderr starts with, or else that a file of
+# the run holds.
+REFUSALS = {
+    "simulate-step-fails": (
+        ["simulate", "--scenario", "{huge}", "--x0", "0.3,0.5,0.6"], 2, None,
+        "integration failure: trajectory 0: step failed at t=0.01"),
+    "portrait-step-fails": (
+        ["portrait", "--scenario", "{huge}", "--x0", "0.3,0.5,0.6"], 2,
+        "index.json",
+        '"error": "trajectory 0: step failed at t=0.01 after 20 halvings'),
+    "sweep-unreachable-target": (
+        ["sweep", "--scenario", SCENARIO, "--y-star", "0.6,0.4",
+         "--d-values", "1", *START], 3, None,
+        "stabilization condition inapplicable: no uncontrolled rest point"),
+    "policy-unreadable": (
+        ["simulate", "--scenario", SCENARIO, "--policy", "{tmp}/none.json",
+         *START], 1, None, "input error: --policy {tmp}/none.json: "),
+    "manifest-unreadable": (
+        ["simulate", "--manifest", "{tmp}/none.json"], 1, None,
+        "input error: --manifest {tmp}/none.json: "),
+    "manifest-of-verify": (
+        ["simulate", "--manifest", "{tmp}/verify.json"], 1, None,
+        "input error: manifest was written for 'verify', not 'simulate'\n"),
+    "portrait-without-start": (
+        ["portrait", "--scenario", SCENARIO], 1, None,
+        "input error: no initial states: pass --x0 and/or --grid\n"),
+    "simulate-without-start": (
+        ["simulate", "--scenario", SCENARIO], 1, None,
+        "input error: simulate needs exactly one --x0\n"),
+    "sweep-without-gains": (
+        ["sweep", "--scenario", SCENARIO, "--policy", POLICY_BOUNDARY,
+         *START], 1, None, "input error: sweep needs --d-values\n"),
+    "sweep-without-target": (
+        ["sweep", "--scenario", SCENARIO, "--d-values", "1", *START], 1,
+        None, "input error: sweep needs a target output "
+              "(--policy/--y-star)\n"),
+    "verify-without-target": (
+        ["verify", "--scenario", SCENARIO], 1, None,
+        "input error: verify needs a target output (--policy/--y-star)\n"),
+    "agents-without-count": (
+        ["agents", "--scenario", SCENARIO, "--policy", POLICY_BOUNDARY,
+         *START, "--rounds", "5"], 1, None,
+        "input error: agents needs --n-agents and --rounds\n"),
+    "agents-without-rounds": (
+        ["agents", "--scenario", SCENARIO, "--policy", POLICY_BOUNDARY,
+         *START, "--n-agents", "500"], 1, None,
+        "input error: agents needs --n-agents and --rounds\n"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("name", list(REFUSALS))
+    def test_exit_code_and_message(self, tmp_path, capsys, name):
+        argv, code, written, text = REFUSALS[name]
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"populations": [
+            {"share": share, "payoff": HUGE_PAYOFF}
+            for share in THREEPOP_SHARES.tolist()]}))
+        (tmp_path / "verify.json").write_text(json.dumps(
+            {"command": "verify", "scenario": SCENARIO}))
+        out = tmp_path / "out"
+        fill = {"tmp": tmp_path, "huge": huge}
+        assert main([token.format(**fill) for token in argv]
+                    + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        text = text.format(**fill)
+        if written is None:
+            assert err.startswith(text)
+        else:
+            assert err == ""
+            assert text in (out / written).read_text()
+        # only a run that failed while stepping has written anything
+        assert out.exists() == (code == cli.EXIT_NUMERIC)
 
 
 def output_digest(out: Path) -> str:

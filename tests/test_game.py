@@ -9,15 +9,18 @@ import numpy as np
 import pytest
 
 from replicator_ctl import (
+    ControlPolicy,
     Scenario,
     ScenarioError,
     aggregate_output,
     carrier,
+    field_controlled,
     scenario_digest,
 )
-from replicator_ctl.game import LATTICE_BYTE_BUDGET, check_lattice_budget
+from replicator_ctl.game import (LATTICE_BYTE_BUDGET, check_lattice_budget,
+                                 check_simplex)
 from replicator_ctl.integrate import INTERIOR_GRID_FLOOR, interior_grid
-from replicator_ctl.stability import _grid_states
+from replicator_ctl.stability import TargetEquilibrium, _grid_states
 from conftest import (THREEPOP_PAYOFFS, THREEPOP_SHARES, average_payoff,
                       expected_payoff, local_shift, make_state,
                       random_scenario, random_state)
@@ -83,6 +86,47 @@ class TestValidation:
     def test_digest_is_stable(self, threepop):
         again = Scenario.from_dict(threepop_dict())
         assert scenario_digest(threepop) == scenario_digest(again)
+
+    @pytest.mark.parametrize("z, shape, floor, message", [
+        ([0.5, 0.5], (3,), 0.0, "z: expected shape (3,), got (2,)"),
+        ([], (0,), 0.0, "z is empty"),
+        ([[0.5, np.inf], [0.5, 0.5]], (2, 2), 0.0,
+         "z: non-finite share in [[0.5, inf], [0.5, 0.5]]"),
+        ([1.5, -0.5], (2,), -1e-12, "z: share -0.5 is below -1e-12"),
+        ([[0.5, 0.5], [0.7, 0.4]], (2, 2), 1e-6,
+         "z: shares sum to 1.1, expected 1 within 1e-09"),
+    ])
+    def test_share_vector_refusals(self, z, shape, floor, message):
+        with pytest.raises(ValueError) as info:
+            check_simplex(z, "z", shape, floor)
+        assert str(info.value) == message
+
+    def test_share_vector_at_its_floor_passes(self):
+        z = check_simplex([[1e-6, 1.0 - 1e-6]] * 2, "z", (2, 2), 1e-6)
+        assert z.dtype == float and z.shape == (2, 2)
+
+    @pytest.mark.parametrize("refuse, message", [
+        (lambda: Scenario(payoffs=THREEPOP_PAYOFFS[:2], shares=[0.5, 0.4]),
+         "population shares must sum to 1, got 0.9"),
+        (lambda: field_controlled(
+            Scenario(payoffs=THREEPOP_PAYOFFS, shares=THREEPOP_SHARES),
+            make_state([[0, 1]] * 3),
+            ControlPolicy(np.array([1.0, 0.0]), 1.0)),
+         "targeted action 0 has aggregate share 0.0; subsidy weight "
+         "undefined"),
+        (lambda: TargetEquilibrium.from_state(
+            Scenario(payoffs=THREEPOP_PAYOFFS, shares=THREEPOP_SHARES),
+            make_state([[0, 1]] * 3), np.array([1.0, 0.0])),
+         "aggregate output [0. 1.] differs from target [1. 0.] by 1.0"),
+        (lambda: TargetEquilibrium.from_state(
+            Scenario(payoffs=THREEPOP_PAYOFFS, shares=THREEPOP_SHARES),
+            make_state([[0.5, 0.5]] * 3), np.array([0.5, 0.5])),
+         "state is not a rest point (max drift 0.5)"),
+    ])
+    def test_refusal_prints_python_floats(self, refuse, message):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert str(info.value) == message
 
 
 class TestAggregation:

@@ -136,7 +136,8 @@ class TestSimulate:
 
     def test_rejects_non_interior_start(self, threepop, policy_boundary):
         x0 = make_state([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ValueError, match="interior"):
+        with pytest.raises(ValueError,
+                           match=r"^x0: share 0\.0 is below 1e-06$"):
             simulate(threepop, policy_boundary, x0)
 
     def test_simplex_preserved_along_trajectory(self, threepop,
@@ -631,8 +632,7 @@ class TestPortrait:
             phase_portrait(threepop, ControlPolicy.off(2), starts,
                            IntegrationConfig(dt=0.1, t_max=1.0))
         assert str(info.value) == str(alone.value)
-        assert str(info.value).startswith(
-            "grid[3]: initial states must be interior (every share >= 1e-06)")
+        assert str(info.value) == "grid[3]: share 0.0 is below 1e-06"
 
     def test_empty_grid(self, threepop):
         assert phase_portrait(threepop, ControlPolicy.off(2), [],
@@ -699,11 +699,11 @@ class TestPortrait:
         starts = five_start_states()
         starts[2] = z_state((0.5, bad, 0.5))
         starts[4] = z_state((bad, 0.5, 0.5))
-        with pytest.raises(ValueError, match=r"^grid\[2\]: rows must be "
-                                             "finite and sum to 1"):
+        with pytest.raises(ValueError,
+                           match=r"^grid\[2\]: non-finite share in "):
             phase_portrait(threepop, ControlPolicy.off(2), starts,
                            IntegrationConfig(dt=0.1, t_max=1.0))
-        with pytest.raises(ValueError, match=r"^x0: rows must be finite"):
+        with pytest.raises(ValueError, match=r"^x0: non-finite share in "):
             simulate(threepop, ControlPolicy.off(2), starts[4])
 
     def test_reassembly_matches_per_member_scan(self, threepop,

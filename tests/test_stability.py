@@ -30,9 +30,11 @@ from replicator_ctl.stability import (
     recommend_subsidy,
     unique_target_equilibrium,
 )
-from replicator_ctl.stability import (MISMATCH_FLOOR, _dbar_batch,
+from replicator_ctl.dynamics import output_payoffs
+from replicator_ctl.stability import (EQUILIBRIUM_TOL, MISMATCH_FLOOR,
+                                     _combo_solutions, _dbar_batch,
                                      _grid_states, _lp_min, _matching_system,
-                                     _mismatch_batch)
+                                     _mismatch_batch, _payoff_classes)
 from conftest import (RECIPE_REFUSED, average_payoff, certificate_terms,
                       equilibrium_jacobian, expected_payoff, lyapunov_value,
                       make_state, random_scenario, random_state, recipe_game,
@@ -594,6 +596,51 @@ class TestEquilibriumEnumeration:
         assert time.perf_counter() - begin < 1.0
         assert np.array_equal(eq.state, np.tile(y_star, (10, 1)))
         assert eq.carriers == ((0,),) * 10
+
+    def test_every_action_pure_target_is_pruned(self):
+        # every population plays one action of its own payoff group, so the
+        # full product has 5^8 = 390,625 group combinations (4 s to try
+        # them all); a group of one action loads its population's share
+        m, n = 8, 5
+        scen = random_scenario(np.random.default_rng(5), m=m, n=n)
+        pure = np.eye(n)[np.arange(m) % n]
+        begin = time.perf_counter()
+        found = find_target_equilibria(scen, aggregate_output(pure, scen))
+        assert time.perf_counter() - begin < 1.0
+        assert [eq.state.tobytes() for eq in found] == [pure.tobytes()]
+
+    def test_vertex_target_on_many_populations(self):
+        # one level of the search per population: 2,000 levels need no
+        # recursion
+        m = 2000
+        scen = Scenario(payoffs=np.tile([[1.0, 0.0], [0.0, 1.0]], (m, 1, 1)),
+                        shares=np.full(m, 1.0 / m))
+        y_star = np.array([1.0, 0.0])
+        found = find_target_equilibria(scen, y_star)
+        assert len(found) == 1
+        assert np.array_equal(found[0].state, np.tile(y_star, (m, 1)))
+
+    def test_pruned_search_equals_every_combination(self):
+        # the reference: every combination of payoff groups, in
+        # itertools.product order, each solved by _combo_solutions
+        rng = np.random.default_rng(77)
+        for trial in range(120):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+            scen = random_scenario(rng, m=m, n=n)
+            if trial % 2:  # integer payoffs: ties and continua
+                scen = Scenario(payoffs=np.round(scen.payoffs / 2.5),
+                                shares=scen.shares)
+            y_star = aggregate_output(np.eye(n)[rng.integers(0, n, m)], scen)
+            _, at_target = output_payoffs(scen, None, y_star)
+            groups = [_payoff_classes(values, EQUILIBRIUM_TOL, y_star > 0.0)
+                      for values in at_target]
+            expected = [
+                (point.tobytes(), continuum) for point, continuum in
+                (_combo_solutions(scen, y_star, combo)
+                 for combo in product(*groups)) if point is not None]
+            found = find_target_equilibria(scen, y_star)
+            assert [(eq.state.tobytes(), eq.continuum_vertex)
+                    for eq in found] == expected
 
     def test_two_isolated_solutions(self, threepop):
         flat = np.array([[1.0, 1.0], [1.0, 1.0]])
