@@ -203,7 +203,7 @@ class _RoundConstants:
         folded as :func:`~replicator_ctl.dynamics.batch_field` folds it
         (with output_payoffs' sum and subsidy_weights' f), and the subsidy
         row d·f(y) alone."""
-        table = weighted_sum(self.columns, y)
+        table = weighted_sum(self.columns, y[:, None, None])
         f, _ = subsidy_weights(y, self.policy.y_star)
         table -= (0.0 - self.policy.d) * f
         return table, self.policy.d * f

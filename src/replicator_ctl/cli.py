@@ -101,18 +101,20 @@ def _write_json(path: str, payload: dict[str, Any]) -> None:
         handle.write("\n")
 
 
-def _parse_x0(text: str, shape: tuple[int, int], floor: float) -> np.ndarray:
+def _parse_x0(text: str, shape: tuple[int, int]) -> np.ndarray:
     label = f"--x0 {text!r}"
     if not isinstance(text, str):
         raise ScenarioError(f"{label}: expected a string of shares")
     try:
         rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
-        if ";" not in text and shape[1] == 2:  # first-action shares
-            rows = [[v, 1.0 - v] for v in rows[0]]
-        state = np.array(rows, dtype=float)
     except ValueError as exc:
         raise ScenarioError(f"{label}: {exc}") from exc
-    return game.check_simplex(state, label, shape, floor)
+    if ";" not in text and shape[1] == 2:  # first-action shares
+        rows = [[v, 1.0 - v] for v in rows[0]]
+    if len({len(row) for row in rows}) > 1:
+        raise ScenarioError(f"{label}: rows differ in length "
+                            f"({', '.join(str(len(row)) for row in rows)})")
+    return game.check_simplex(np.array(rows), label, shape, INTERIOR_FLOOR)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -255,7 +257,7 @@ def _starts(manifest: dict[str, Any]) -> list[Any]:
 
 def _initial_states(manifest: dict[str, Any],
                     scenario: Scenario) -> list[np.ndarray]:
-    states = [_parse_x0(text, scenario.payoffs.shape[:2], INTERIOR_FLOOR)
+    states = [_parse_x0(text, scenario.payoffs.shape[:2])
               for text in _starts(manifest)]
     grid = manifest.get("grid")
     if grid is not None:
@@ -267,12 +269,13 @@ def _initial_states(manifest: dict[str, Any],
     return states
 
 
-def _single_start(manifest: dict[str, Any], scenario: Scenario,
-                  floor: float) -> np.ndarray:
+def _single_start(manifest: dict[str, Any], scenario: Scenario) -> np.ndarray:
     starts = _starts(manifest)
-    if not starts:
-        raise ScenarioError(f"{manifest['command']} needs exactly one --x0")
-    return _parse_x0(starts[0], scenario.payoffs.shape[:2], floor)
+    if len(starts) != 1:
+        given = ", ".join(f"--x0 {text!r}" for text in starts)
+        raise ScenarioError(f"{manifest['command']} needs exactly one --x0"
+                            + (f", got {len(starts)}: {given}" if starts else ""))
+    return _parse_x0(starts[0], scenario.payoffs.shape[:2])
 
 
 def _observer_for(scenario: Scenario, policy: ControlPolicy):
@@ -294,7 +297,7 @@ def _observer_for(scenario: Scenario, policy: ControlPolicy):
 
 def _cmd_simulate(manifest: dict[str, Any]) -> int:
     scenario, policy, cfg = _resolve(manifest)
-    x0 = _single_start(manifest, scenario, INTERIOR_FLOOR)
+    x0 = _single_start(manifest, scenario)
     observer = _observer_for(scenario, policy)
     _echo_manifest(manifest)
     traj = simulate(scenario, policy, x0, cfg, observer=observer)
@@ -436,10 +439,9 @@ def _cmd_agents(manifest: dict[str, Any]) -> int:
     if not isinstance(sampled_matches, bool):
         raise ValueError(
             f"sampled_matches must be true or false, got {sampled_matches!r}")
-    x0 = _single_start(manifest, scenario, 0.0)
+    x0 = _single_start(manifest, scenario)
     pop = init_agents(scenario, x0, n_agents, seed=manifest["seed"])
-    # checked before anything is written: revision_prob, a start emptying
-    # a targeted group (exit 4), a start off the interior (the reference)
+    # refuses a bad revision_prob before anything is written
     run_rounds(pop, scenario, policy, 0, revision_prob)
     dt_round = round_time_step(scenario, policy, revision_prob)
     horizon = rounds * dt_round

@@ -113,12 +113,12 @@ def subsidy_weights(y: np.ndarray, y_star: np.ndarray
     columns.  f is 0 for untargeted actions.  A share at or below
     DOMAIN_THRESHOLD is divided by 1 instead, so no warning is raised;
     ``ok``, shape (*batch), is then False for a member where such a share
-    is targeted (f is undefined there), and None where no share is low.
-    Per agent on action i the subsidy is d * f_i(y).
+    is targeted (f is undefined there), and None when every share is above
+    it.  Per agent on action i the subsidy is d * f_i(y).
     """
-    low = y <= DOMAIN_THRESHOLD
-    if not low.any():
+    if np.minimum.reduce(y, axis=None, initial=np.inf) > DOMAIN_THRESHOLD:
         return y_star / y, None
+    low = y <= DOMAIN_THRESHOLD
     return (y_star / np.where(low, 1.0, y),
             ~np.any(low & (y_star > 0.0), axis=0))
 
@@ -212,40 +212,48 @@ def output_payoffs(scenario: Scenario, x: np.ndarray | None,
     ``x`` holds states batch axes last, shape (m, n, *batch); y has shape
     (n, *batch) and F shape (m, n, *batch).  A given ``y`` is used in
     place of the aggregate of ``x``, which may then be None.  Both sums
-    are :func:`~replicator_ctl.game.weighted_sum`: over the small axes in
-    a fixed order, elementwise along the batch (no einsum, tensordot or
-    BLAS), so a member's bits do not depend on the rest of its batch.
+    are :func:`~replicator_ctl.game.weighted_sum`, so a member's bits do
+    not depend on the rest of its batch.
     """
     if y is None:
         y = aggregate_output(x, scenario)
-    return y, weighted_sum(payoff_columns(scenario, y.ndim - 1), y)
+    return y, weighted_sum(payoff_columns(scenario, y.ndim - 1),
+                           y[:, None, None])
 
 
-def payoff_columns(scenario: Scenario, batch_axes: int = 0) -> list:
-    """The terms that, weighted by y, sum to A^k y: entry j is A^k[:, j]
-    for every k, shape (m, n) with ``batch_axes`` unit axes appended."""
-    columns = scenario.payoffs.transpose(2, 0, 1)
-    return list(columns[(...,) + (None,) * batch_axes])
+def payoff_columns(scenario: Scenario, batch_axes: int = 0) -> np.ndarray:
+    """The terms that, weighted by y, sum to A^k y, stacked C-contiguous:
+    entry j is A^k[:, j] for every k, shape (n, m, n) with ``batch_axes``
+    unit axes appended, so it broadcasts against ``y[:, None, None]``."""
+    columns = np.ascontiguousarray(scenario.payoffs.transpose(2, 0, 1))
+    return columns[(...,) + (None,) * batch_axes]
 
 
 class BatchKernel:
-    """What :func:`batch_field` needs of one run: the payoff columns,
-    shares and target column, built once, and each member's gain, of
-    shape (B,), with what depends on it, rebuilt by :meth:`take`."""
+    """What :func:`batch_field` needs of one run: the shares, payoff
+    columns and target spread over the batch, (m, n, B), (n, m, n, B) and
+    (n, B), so that numpy runs each product as one loop, and each member's
+    gain, (B,), with what depends on it; :meth:`take` cuts them down."""
 
     def __init__(self, scenario: Scenario, y_star: np.ndarray,
                  gains: np.ndarray):
-        self.shares = scenario.shares.tolist()
-        self.columns = payoff_columns(scenario, 1)
-        self.y_star = np.asarray(y_star, dtype=float)[:, None]
+        m, n = scenario.n_populations, scenario.n_actions
         self.gains = np.asarray(gains, dtype=float)
+        # F - (0 - d)·f is F + d·f, and F to the bit (a -0.0 too) at d = 0
+        self.shares, self.columns, self.y_star, self.push = (
+            np.broadcast_to(c, shape + self.gains.shape) for c, shape in (
+                (scenario.shares[:, None, None], (m, n)),
+                (payoff_columns(scenario, 1), (n, m, n)),
+                (np.asarray(y_star, dtype=float)[:, None], (n,)),
+                (0.0 - self.gains, (n,))))
         self.take(slice(None))
 
     def take(self, members: np.ndarray | slice) -> None:
         """Keep only ``members`` (an index or mask along the batch)."""
         self.gains = gains = self.gains[members]
-        # F - (0 - d)·f is F + d·f, and F to the bit (a -0.0 too) at d = 0
-        self.push = 0.0 - gains
+        self.shares, self.columns, self.y_star, self.push = (
+            np.ascontiguousarray(c[..., members]) for c in (
+                self.shares, self.columns, self.y_star, self.push))
         self.controlled = gains > 0.0
         self.any_controlled = bool(self.controlled.any())
         self.all_ok = np.ones(gains.shape, dtype=bool)
@@ -258,11 +266,12 @@ def batch_field(kernel: BatchKernel, states: np.ndarray
 
     F = A^k y + d·f(y) folds the subsidy into the payoffs, with y and A^k y
     summed as in :func:`output_payoffs` and f as in :func:`subsidy_weights`.
-    Every sum runs over the small m and n axes in a fixed order,
-    elementwise along the batch, so a member's bits depend neither on the
-    rest of its batch nor on the memory layout; ``states`` is best a view of
-    a C-contiguous (m, n, B) array.  A member with gain 0 gets exactly the
-    uncontrolled field and is not domain-checked.
+    Each of the three sums (y, A^k y, ⟨x, F⟩) is one product and then adds
+    over the small m or n axis in a fixed order, elementwise along the
+    batch (m + 2n ufunc calls in all), so a member's bits depend neither on
+    the rest of its batch nor on the memory layout; ``states`` is best a
+    view of a C-contiguous (m, n, B) array.  A member with gain 0 gets
+    exactly the uncontrolled field and is not domain-checked.
 
     Returns the derivatives, a (B, m, n) view of an (m, n, B) array, and
     ``ok``, shape (B,): False, with the member's derivative NaN, where a
@@ -275,7 +284,7 @@ def batch_field(kernel: BatchKernel, states: np.ndarray
     """
     x = states.transpose(1, 2, 0)                             # (m, n, B)
     y = weighted_sum(kernel.shares, x)
-    F = weighted_sum(kernel.columns, y)
+    F = weighted_sum(kernel.columns, y[:, None, None])
     ok = kernel.all_ok
     if kernel.any_controlled:
         f, in_domain = subsidy_weights(y, kernel.y_star)

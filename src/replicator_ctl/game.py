@@ -17,7 +17,7 @@ States live on products of probability simplices:
 
 :func:`check_simplex` is the one test of such points; its floor is
 -COORD_TOLERANCE for a target, ``integrate.INTERIOR_FLOOR`` for an
-integration start and 0 for an agent start.
+integration or command-line start and 0 for ``agents.init_agents``.
 
 All types are immutable after construction and all operations are pure,
 so they can be evaluated concurrently without synchronization.
@@ -117,12 +117,10 @@ class Scenario:
             raise ScenarioError(
                 f"population shares must sum to 1, got {float(shares.sum())}"
             )
-        payoffs = payoffs.copy()
-        shares = shares.copy()
-        payoffs.setflags(write=False)
-        shares.setflags(write=False)
-        object.__setattr__(self, "payoffs", payoffs)
-        object.__setattr__(self, "shares", shares)
+        for name, value in (("payoffs", payoffs), ("shares", shares)):
+            value = value.copy()
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_populations(self) -> int:
@@ -247,24 +245,27 @@ def check_real(name: str, value: Any) -> None:
 
 
 def aggregate_output(x: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Population-weighted action shares y_i = sum_k v^k x[k, i].
-
-    ``x`` has shape (m, n, *batch) and y shape (n, *batch).  The sum runs
-    over the populations in a fixed order, elementwise along the batch (no
-    BLAS), so a member's bits do not depend on the rest of its batch.  This
-    is the only quantity the controller observes; it is a convex
-    combination of simplex rows and therefore itself a simplex point.
-    """
-    return weighted_sum(scenario.shares, np.asarray(x, dtype=float))
+    """Population-weighted action shares y_i = sum_k v^k x[k, i], a
+    :func:`weighted_sum` of ``x``, shape (m, n, *batch), into (n, *batch).
+    This is the only quantity the controller observes; it is a convex
+    combination of simplex rows and therefore itself a simplex point."""
+    x = np.asarray(x, dtype=float)
+    return weighted_sum(scenario.shares.reshape(-1, *[1] * (x.ndim - 1)), x)
 
 
-def weighted_sum(weights: Any, terms: Any) -> np.ndarray:
-    """Sum of weights[k] * terms[k] over k in index order, elementwise
-    along the other axes (no BLAS), so an entry's bits do not depend on
-    the rest of the array: the one contraction behind y, A^k y, <x, F>."""
-    total = weights[0] * terms[0]
-    for k in range(1, len(weights)):
-        total += weights[k] * terms[k]
+def weighted_sum(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Sum of weights[k] * terms[k] over the leading axis, the contraction
+    behind y, A^k y and <x, F>: one multiply of the arrays as they
+    broadcast, then the products added in index order, p[0] + p[1], then
+    += p[2], ..., elementwise along the other axes (no BLAS, and no
+    reduction ufunc, whose inner loops may reorder the adds), so an entry's
+    bits do not depend on the rest of the array."""
+    products = np.multiply(weights, terms)
+    if len(products) == 1:
+        return products[0]
+    total = products[0] + products[1]
+    for k in range(2, len(products)):
+        total += products[k]
     return total
 
 

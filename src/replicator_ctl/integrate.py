@@ -137,39 +137,43 @@ class Trajectory:
         return self.outputs[-1]
 
 
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
               dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 step of states laid out (m, n, B), member last, by ``rhs``.
 
-    ((k1 + 2·k2) + 2·k3) + k4 builds up in one buffer.  Round-off negatives
-    are clamped and drifted rows renormalized (row sums add the actions in
-    order), each only when some member needs it.  The mask, shape (B,), is
-    True where the member is admissible: finite, no coordinate below
-    -NEG_TOL; a failed member keeps its raw RK4 result.  NaN and inf act as
-    in-band failure markers, so no floating-point warning is raised.
+    The stage inputs x + h·k share one buffer, never one that ``rhs``
+    returned; ((k1 + 2·k2) + 2·k3) + k4 builds up in another.  Round-off
+    negatives are clamped and drifted rows renormalized (row sums add the
+    actions in order), each only when some member needs it.  The mask,
+    shape (B,), is True where the member is admissible: finite, no
+    coordinate below -NEG_TOL; a failed member keeps its raw RK4 result.
+    NaN and inf are in-band failure markers: no warning is raised.
     """
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        k1 = rhs(x)
-        k2 = rhs(x + (0.5 * dt) * k1)
-        k3 = rhs(x + (0.5 * dt) * k2)
-        k4 = rhs(x + dt * k3)
-        x_new = k1 + 2.0 * k2
-        x_new += 2.0 * k3
-        x_new += k4
-        x_new *= dt / 6.0
-        x_new += x
-        flat = x_new.reshape(-1, x_new.shape[2])
-        lowest = flat.min(axis=0)
-        ok = (lowest >= -NEG_TOL) & (flat.max(axis=0) < np.inf)
-        if (lowest < 0.0).any():
-            np.copyto(x_new, 0.0, where=(x_new < 0.0) & ok)
-        sums = x_new[:, 0] + x_new[:, 1]
-        for i in range(2, x_new.shape[1]):
-            sums += x_new[:, i]
-        drift = np.abs(sums - 1.0) > RENORM_TOL
-        if drift.any():
-            np.divide(x_new, sums[:, None], out=x_new,
-                      where=(drift & ok)[:, None])
+    stage, k = np.empty_like(x), [rhs(x)]
+    for h in (0.5 * dt, 0.5 * dt, dt):
+        np.multiply(k[-1], h, out=stage)
+        stage += x
+        k.append(rhs(stage))
+    k1, k2, k3, k4 = k
+    x_new = k1 + 2.0 * k2
+    x_new += 2.0 * k3
+    x_new += k4
+    x_new *= dt / 6.0
+    x_new += x
+    flat = x_new.reshape(-1, x_new.shape[2])
+    # ufunc reductions, not ndarray methods; fmin/fmax skip a failed NaN
+    lowest = np.minimum.reduce(flat, axis=0)
+    ok = (lowest >= -NEG_TOL) & (np.maximum.reduce(flat, axis=0) < np.inf)
+    if np.fmin.reduce(lowest) < 0.0:
+        np.copyto(x_new, 0.0, where=(x_new < 0.0) & ok)
+    sums = x_new[:, 0] + x_new[:, 1]
+    for i in range(2, x_new.shape[1]):
+        sums += x_new[:, i]
+    deviation = np.abs(sums - 1.0)
+    if np.fmax.reduce(deviation, axis=None) > RENORM_TOL:
+        np.divide(x_new, sums[:, None], out=x_new,
+                  where=((deviation > RENORM_TOL) & ok)[:, None])
     return x_new, ok
 
 
@@ -312,7 +316,7 @@ class _BatchRun:
                 continue
             fixed, ok = _rk4_step(lambda x: batch_field(
                 kernel, x.transpose(2, 0, 1))[0].transpose(1, 2, 0), x, cfg.dt)
-            all_ok = ok.all()
+            all_ok = np.logical_and.reduce(ok)
             for local in [] if all_ok else np.flatnonzero(~ok):
                 retried = self._retry(x[..., local].ravel().tolist(),
                                       float(kernel.gains[local]),
@@ -320,9 +324,9 @@ class _BatchRun:
                 if retried is not None:
                     fixed[..., local] = np.reshape(retried, self.shape)
                     ok[local] = True
-            all_ok = all_ok or ok.all()
-            with np.errstate(invalid="ignore"):
-                delta = np.abs(fixed - x).reshape(-1, ids.size).max(axis=0)
+            all_ok = all_ok or np.logical_and.reduce(ok)
+            delta = np.abs(fixed - x)  # x holds no inf: no inf - inf to silence
+            delta = np.maximum.reduce(delta.reshape(-1, ids.size), axis=0)
             # a failed member's counter resets, so a full window implies ok
             counters = np.where((delta < CONVERGENCE_TOL) & ok,
                                 counters + 1, 0)
@@ -335,11 +339,11 @@ class _BatchRun:
             keep = ok if record_now else just_converged
             if record_now and all_ok:
                 self.records.append((step, ids, fixed))
-            elif keep.any():
+            elif np.logical_or.reduce(keep):
                 self.records.append((step, ids[keep], fixed[..., keep]))
 
             ending = just_converged if all_ok else just_converged | ~ok
-            if ending.any():
+            if np.logical_or.reduce(ending):
                 self.converged[ids[just_converged]] = True
                 active = ~ending
                 ids = ids[active]

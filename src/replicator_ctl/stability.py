@@ -86,8 +86,8 @@ RECOMMEND_MARGIN = 0.1
 RECOMMEND_FLOOR = 1e-3
 
 # Rows of the sample pool evaluated per call, so the bound's memory does
-# not grow with the pool.
-CHUNK_ROWS = 16_384
+# not grow with the pool; each call holds an (n, m, n, CHUNK_ROWS) product.
+CHUNK_ROWS = 8_192
 
 # The bound excludes states whose output lies within TUBE_RADIUS of the
 # target (max norm) or has a targeted share below BOUNDARY_MARGIN.
@@ -122,12 +122,10 @@ class TargetEquilibrium:
     continuum_vertex: bool = False
 
     def __post_init__(self) -> None:
-        state = np.asarray(self.state, dtype=float).copy()
-        target = np.asarray(self.target_output, dtype=float).copy()
-        state.setflags(write=False)
-        target.setflags(write=False)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "target_output", target)
+        for name in ("state", "target_output"):
+            value = np.asarray(getattr(self, name), dtype=float).copy()
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_state(cls, scenario: Scenario, state: np.ndarray,
@@ -172,7 +170,7 @@ def _advantage_batch(states: np.ndarray, eq: TargetEquilibrium,
         scenario, states, eq.target_output[:, None] if at_target else None)
     diff = eq.state[:, :, None] - states
     per_pop = weighted_sum(diff.swapaxes(0, 1), F.swapaxes(0, 1))
-    return weighted_sum(scenario.shares, per_pop), y
+    return weighted_sum(scenario.shares[:, None], per_pop), y
 
 
 def _mismatch_batch(outputs: np.ndarray, y_star: np.ndarray) -> np.ndarray:
@@ -219,7 +217,8 @@ class LyapunovObserver:
         self.scenario = scenario
         # the carried entries (k, i) in row order, their weights v^k x*[k, i]
         self._carried = np.nonzero(eq.state > CARRIER_THRESHOLD)
-        self._weights = (scenario.shares[:, None] * eq.state)[self._carried]
+        self._weights = (scenario.shares[:, None] * eq.state)[
+            self._carried + (None,)]
         self._log_star = np.log(eq.state[self._carried])[:, None]
 
     def values(self, states: np.ndarray) -> np.ndarray:

@@ -678,10 +678,17 @@ class TestAgents:
         assert outputs[0] == outputs[1]
 
     def test_empty_targeted_group_exits_4(self, tmp_path, capsys):
-        code = main(["agents", "--scenario", SCENARIO,
-                     "--policy", POLICY_BOUNDARY,
-                     "--x0", "0,0,0", "--n-agents", "500",
-                     "--rounds", "10", "--out", str(tmp_path / "o")])
+        # an interior start has agents on every action; here a strictly
+        # dominated targeted action, barely subsidized, dies out mid-run
+        dominated = [[0.0, 0.0], [1.0, 1.0]]
+        scenario = tmp_path / "dominated.json"
+        scenario.write_text(json.dumps(Scenario(
+            payoffs=np.array([dominated, dominated]),
+            shares=np.array([0.5, 0.5])).to_dict()))
+        code = main(["agents", "--scenario", str(scenario),
+                     "--y-star", "0.5,0.5", "--d", "0.001",
+                     "--x0", "0.02,0.02", "--n-agents", "500",
+                     "--rounds", "1000", "--out", str(tmp_path / "o")])
         assert code == 4
         assert "no agents" in capsys.readouterr().err
 
@@ -985,7 +992,7 @@ class TestRefusedStart:
         *((["--x0", x0], 1) for x0 in BAD_STARTS),
         (["--x0", "0.5,0.5,0.5", "--n-agents", "50"], 1),
         (["--x0", "0.5,0.5,0.5", "--revision-prob", "2"], 1),
-        (["--x0", "0,0,0"], 4),  # empties the targeted group
+        (["--x0", "0,0,0"], 1),  # would empty the targeted group
     ])
     def test_refused_agents_run_is_unwritten(self, tmp_path, capsys, extra,
                                              code):
@@ -994,6 +1001,42 @@ class TestRefusedStart:
                      "--policy", POLICY_BOUNDARY, "--n-agents", "500",
                      "--rounds", "10", *extra, "--out", str(out)]) == code
         assert "np." not in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOneStartText:
+    """A start that ``simulate`` or ``agents`` cannot use is refused with
+    exit 1 before anything is written, by a message that names the --x0
+    text and no numpy internals."""
+
+    AGENTS = ["--n-agents", "500", "--rounds", "5"]
+
+    @pytest.mark.parametrize("command, starts, message", [
+        *((command, ["0.5,0.5,0.5", "nan,0.5,0.5"],
+           f"{command} needs exactly one --x0, got 2: --x0 '0.5,0.5,0.5', "
+           "--x0 'nan,0.5,0.5'") for command in ("simulate", "agents")),
+        # simulate has always parsed its start at the interior floor
+        ("agents", ["1,0.5,0.5"],
+         "--x0 '1,0.5,0.5': share 0.0 is below 1e-06"),
+        *((command, ["0.5,0.5;0.5"],
+           "--x0 '0.5,0.5;0.5': rows differ in length (2, 1)")
+          for command in ("simulate", "agents")),
+        ("simulate", ["0.5,0.5;0.4,0.6,0.0;0.5,0.5"],
+         "--x0 '0.5,0.5;0.4,0.6,0.0;0.5,0.5': rows differ in length "
+         "(2, 3, 2)"),
+    ], ids=["simulate-two", "agents-two", "agents-boundary", "simulate-ragged",
+            "agents-ragged", "simulate-ragged-middle"])
+    def test_refused_with_its_text(self, tmp_path, capsys, command, starts,
+                                   message):
+        out = tmp_path / "run"
+        extra = self.AGENTS if command == "agents" else ["--t-max", "1"]
+        x0 = [arg for text in starts for arg in ("--x0", text)]
+        assert main([command, "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, *x0, *extra,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"input error: {message}\n"
+        assert "np." not in err
         assert not out.exists()
 
 

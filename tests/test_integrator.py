@@ -634,6 +634,27 @@ class TestPortrait:
         assert str(info.value) == str(alone.value)
         assert str(info.value) == "grid[3]: share 0.0 is below 1e-06"
 
+    def test_batch_field_calling_convention(self, threepop, policy_boundary,
+                                            monkeypatch):
+        # what perfbench's trace reads: each call's states are (B, m, n),
+        # and the leading sizes add up to four stages per batch
+        # member-step; every start is there twice, so no member steps alone
+        real, members = integrate.batch_field, []
+
+        def recorded(kernel, states):
+            assert states.ndim == 3 and states.shape[1:] == (3, 2)
+            members.append(states.shape[0])
+            return real(kernel, states)
+
+        monkeypatch.setattr(integrate, "batch_field", recorded)
+        grid = interior_grid(threepop, 3)
+        results = phase_portrait(threepop, policy_boundary,
+                                 np.concatenate([grid, grid]),
+                                 IntegrationConfig(dt=0.1, t_max=200.0))
+        member_steps = sum(len(traj.times) - 1 for traj in results)
+        assert len({len(traj.times) for traj in results}) > 1
+        assert sum(members) == 4 * member_steps
+
     def test_empty_grid(self, threepop):
         assert phase_portrait(threepop, ControlPolicy.off(2), [],
                               IntegrationConfig()) == []
