@@ -32,7 +32,6 @@ from .integrate import (
     interior_grid,
     phase_portrait,
     simulate,
-    write_trajectory_csv,
 )
 
 __version__ = "0.1.0"
@@ -54,5 +53,4 @@ __all__ = [
     "phase_portrait",
     "scenario_digest",
     "simulate",
-    "write_trajectory_csv",
 ]

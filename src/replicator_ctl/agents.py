@@ -47,8 +47,6 @@ s = d * f(y_hat); it adds variance but keeps the drift.
 
 Rounds are strictly sequential (each mutates the counts); independent
 replicas with different seeds can run concurrently.
-
-Round-series CSV layout: ``round, y_1..y_n, p_1..p_n, total_subsidy``.
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ __all__ = [
     "round_time_step",
     "run",
     "run_round",
-    "write_rounds_csv",
 ]
 
 MIN_AGENTS = 100
@@ -272,21 +269,3 @@ def run(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
     counts = pop.action_counts()
     series.append(constants.stats(counts, counts / constants.n_agents))
     return series
-
-
-def write_rounds_csv(series: list[RoundStats], path: str,
-                     provenance: dict[str, str] | None = None) -> None:
-    """Write a round series as CSV: round, y_1..y_n, p_1..p_n, total_subsidy."""
-    n = series[0].empirical_output.shape[0]
-    columns = (["round"] + [f"y_{i + 1}" for i in range(n)]
-               + [f"p_{i + 1}" for i in range(n)] + ["total_subsidy"])
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for key, value in (provenance or {}).items():
-            handle.write(f"# {key}: {value}\n")
-        handle.write(",".join(columns) + "\n")
-        for idx, stats in enumerate(series):
-            cells = [str(idx)]
-            cells += [repr(float(v)) for v in stats.empirical_output]
-            cells += [str(int(c)) for c in stats.action_counts]
-            cells.append(repr(float(stats.total_subsidy)))
-            handle.write(",".join(cells) + "\n")

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 simulate   one trajectory -> trajectory.csv + summary.json
-portrait   batch of initial states -> trajectories/*.csv + index.json
+portrait   batch of initial states -> trajectories/traj_###.csv + index.json
 verify     stabilization report for a target output -> report.json
 sweep      convergence fraction across subsidy levels -> sweep.csv
 agents     finite-population run -> rounds.csv + summary.json
@@ -12,6 +12,17 @@ Every run echoes a ``manifest.json`` into the output directory; re-running
 with ``--manifest`` reproduces the data files byte for byte (outputs carry
 no timestamps, floats are written in shortest round-trip form).  Every
 output file names the artifact version, the seed, and the scenario hash.
+This module writes every file.  A CSV file opens with one ``# key: value``
+line per provenance entry, then a header row of its columns:
+
+trajectory.csv, traj_###.csv  t, x1_1..x{m}_{n}, y_1..y_n[, V, Vdot, F1, F2]
+rounds.csv                    round, y_1..y_n, p_1..p_n, total_subsidy
+sweep.csv                     d, fraction_converged, max_final_distance
+
+A trajectory row is a recorded step: ``x{k}_{i}`` is the share of action
+i in population k, y the aggregate output, and V, Vdot, F1, F2 appear when
+a Lyapunov observer is attached.  A rounds row is a round boundary: the
+empirical output y, the head count p of each action, the subsidy paid.
 
 Scenario schema:  ``{"populations": [{"share": v, "payoff": [[...], ...]},
 ...]}``.  Policy schema: ``{"d": gain, "y_star": [shares...]}``; omitting
@@ -35,7 +46,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -45,7 +56,6 @@ from .agents import (
     init_agents,
     round_time_step,
     run as run_rounds,
-    write_rounds_csv,
 )
 from .dynamics import ControlPolicy
 from .game import (Scenario, ScenarioError, check_count, check_real,
@@ -58,7 +68,6 @@ from .integrate import (
     interior_grid,
     phase_portrait,
     simulate,
-    write_trajectory_csv,
 )
 from .stability import (
     InapplicableError,
@@ -99,6 +108,45 @@ def _write_json(path: str, payload: dict[str, Any]) -> None:
         json.dump(payload, handle, indent=2, sort_keys=True,
                   default=_json_default)
         handle.write("\n")
+
+
+def _write_csv(path: str, provenance: dict[str, str], columns: list[str],
+               rows: Iterable[Sequence[float | int]]) -> None:
+    """The provenance comments, the header, and one line per row, each cell
+    the ``repr`` of a Python float or int: the shortest text that parses
+    back to the same value."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(f"# {key}: {value}\n"
+                          for key, value in provenance.items())
+        handle.write(",".join(columns) + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def write_trajectory_csv(traj: Trajectory, path: str,
+                         provenance: dict[str, str]) -> None:
+    """One recorded trajectory, a row per recorded step."""
+    n_rows, n_pops, n_actions = traj.states.shape
+    columns = ["t", *(f"x{k + 1}_{i + 1}" for k in range(n_pops)
+                      for i in range(n_actions)),
+               *(f"y_{i + 1}" for i in range(n_actions))]
+    blocks = [traj.times[:, None], traj.states.reshape(n_rows, -1),
+              traj.outputs]
+    if traj.observables is not None:
+        columns += ["V", "Vdot", "F1", "F2"]
+        blocks += [traj.observables[key][:, None] for key in columns[-4:]]
+    _write_csv(path, provenance, columns, np.hstack(blocks).tolist())
+
+
+def write_rounds_csv(series: list[agents.RoundStats], path: str,
+                     provenance: dict[str, str]) -> None:
+    """A round series, a row per round boundary."""
+    n = series[0].empirical_output.shape[0]
+    columns = ["round", *(f"y_{i + 1}" for i in range(n)),
+               *(f"p_{i + 1}" for i in range(n)), "total_subsidy"]
+    _write_csv(path, provenance, columns, (
+        [idx, *stats.empirical_output.tolist(),
+         *stats.action_counts.tolist(), float(stats.total_subsidy)]
+        for idx, stats in enumerate(series)))
 
 
 def _parse_x0(text: str, shape: tuple[int, int]) -> np.ndarray:
@@ -361,25 +409,24 @@ def _cmd_verify(manifest: dict[str, Any]) -> int:
         sampling = SamplingConfig(**sampling_spec)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"sampling config: {exc}") from exc
-    _echo_manifest(manifest)
-    prov = _provenance(manifest, scenario)
-    out = manifest["out"]
     try:
         report = recommend_subsidy(scenario, policy.y_star, sampling)
     except InapplicableError as exc:
-        _write_json(os.path.join(out, "report.json"), {
-            "provenance": prov,
-            "applicable": False,
-            "reason": exc.reason,
-            "detail": str(exc),
-        })
-        print(f"stabilization condition inapplicable: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    payload = report.to_dict()
-    payload["provenance"] = prov
-    _write_json(os.path.join(out, "report.json"), payload)
-    if not report.applicable:
-        print(f"no recommendation: {report.reason}", file=sys.stderr)
+        payload = {"applicable": False, "reason": exc.reason,
+                   "detail": str(exc)}
+        refusal = f"stabilization condition inapplicable: {exc}"
+    else:
+        payload = {**vars(report), "equilibria": [
+            {"state": eq.state, "carriers": eq.carriers,
+             "continuum_vertex": eq.continuum_vertex}
+            for eq in report.equilibria]}
+        refusal = (None if report.applicable
+                   else f"no recommendation: {report.reason}")
+    _echo_manifest(manifest)
+    payload["provenance"] = _provenance(manifest, scenario)
+    _write_json(os.path.join(manifest["out"], "report.json"), payload)
+    if refusal:
+        print(refusal, file=sys.stderr)
         return EXIT_INAPPLICABLE
     return EXIT_OK
 
@@ -397,8 +444,6 @@ def _cmd_sweep(manifest: dict[str, Any]) -> int:
         raise ScenarioError("sweep needs a target output (--policy/--y-star)")
     eq = unique_target_equilibrium(scenario, policy.y_star)
     states = np.array(_initial_states(manifest, scenario))
-    _echo_manifest(manifest)
-    prov = _provenance(manifest, scenario)
     # every gain in one batch, split only to fit the lattice byte budget;
     # record just the first and final states, the only ones read here
     cfg = dataclasses.replace(cfg, record_stride=cfg.n_steps)
@@ -413,13 +458,10 @@ def _cmd_sweep(manifest: dict[str, Any]) -> int:
     rows = [(float(d), float(np.mean(dist <= ENDPOINT_TOL)), float(dist.max()))
             for d, dist in zip(d_values, np.reshape(distances,
                                                     (-1, len(states))))]
-    path = os.path.join(manifest["out"], "sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for key, value in prov.items():
-            handle.write(f"# {key}: {value}\n")
-        handle.write("d,fraction_converged,max_final_distance\n")
-        for d, fraction, dist in rows:
-            handle.write(f"{d!r},{fraction!r},{dist!r}\n")
+    _echo_manifest(manifest)
+    _write_csv(os.path.join(manifest["out"], "sweep.csv"),
+               _provenance(manifest, scenario),
+               ["d", "fraction_converged", "max_final_distance"], rows)
     return EXIT_OK
 
 

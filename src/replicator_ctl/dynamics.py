@@ -246,13 +246,13 @@ class BatchKernel:
                 (payoff_columns(scenario, 1), (n, m, n)),
                 (np.asarray(y_star, dtype=float)[:, None], (n,)),
                 (0.0 - self.gains, (n,))))
-        self.take(slice(None))
+        self.take(np.ones(self.gains.shape, dtype=bool))
 
-    def take(self, members: np.ndarray | slice) -> None:
-        """Keep only ``members`` (an index or mask along the batch)."""
+    def take(self, members: np.ndarray) -> None:
+        """Keep only ``members`` (a mask along the batch), C-contiguous."""
         self.gains = gains = self.gains[members]
         self.shares, self.columns, self.y_star, self.push = (
-            np.ascontiguousarray(c[..., members]) for c in (
+            np.compress(members, c, axis=-1) for c in (
                 self.shares, self.columns, self.y_star, self.push))
         self.controlled = gains > 0.0
         self.any_controlled = bool(self.controlled.any())

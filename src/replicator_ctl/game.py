@@ -46,6 +46,7 @@ __all__ = [
     "check_lattice_budget",
     "check_real",
     "check_simplex",
+    "check_state_budget",
     "lattice_product",
     "scenario_digest",
     "simplex_lattice",
@@ -274,19 +275,27 @@ def carrier(z: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.asarray(z, dtype=float) > CARRIER_THRESHOLD)
 
 
+def check_state_budget(count: int, n_populations: int, n_actions: int,
+                       source: str) -> None:
+    """Raise ValueError unless ``count`` float64 states of shape
+    (n_populations, n_actions), made by ``source``, fit the budget."""
+    nbytes = count * n_populations * n_actions * 8
+    if nbytes > LATTICE_BYTE_BUDGET:
+        raise ValueError(
+            f"{source} give {count:,} states "
+            f"({nbytes:,} bytes) for {n_populations} populations of {n_actions} "
+            f"actions, over the budget of {LATTICE_BYTE_BUDGET:,} bytes"
+        )
+
+
 def check_lattice_budget(n_populations: int, n_actions: int,
                          per_dim: int) -> None:
     """Raise ValueError, allocating nothing, unless the product lattice fits."""
     if per_dim < 2:
         raise ValueError(f"per_dim must be >= 2, got {per_dim}")
-    count = math.comb(per_dim + n_actions - 2, n_actions - 1) ** n_populations
-    nbytes = count * n_populations * n_actions * 8
-    if nbytes > LATTICE_BYTE_BUDGET:
-        raise ValueError(
-            f"{per_dim} points per simplex edge give {count:,} states "
-            f"({nbytes:,} bytes) for {n_populations} populations of {n_actions} "
-            f"actions, over the budget of {LATTICE_BYTE_BUDGET:,} bytes"
-        )
+    check_state_budget(
+        math.comb(per_dim + n_actions - 2, n_actions - 1) ** n_populations,
+        n_populations, n_actions, f"{per_dim} points per simplex edge")
 
 
 def simplex_lattice(n_actions: int, per_dim: int) -> np.ndarray:

@@ -26,14 +26,6 @@ attached Lyapunov observer reads each step's array as it is.
 Convergence is declared online when the max-norm state change per step
 stays below ``CONVERGENCE_TOL`` for ``convergence_window`` consecutive
 steps.
-
-Trajectory CSV layout (one row per recorded step)::
-
-    t, x1_1, ..., x{m}_{n}, y_1, ..., y_n [, V, Vdot, F1, F2]
-
-where ``x{k}_{i}`` is the share of action i in population k, the y columns
-are the aggregate output, and the optional block appears when a Lyapunov
-observer was attached.
 """
 
 from __future__ import annotations
@@ -59,7 +51,6 @@ __all__ = [
     "interior_grid",
     "phase_portrait",
     "simulate",
-    "write_trajectory_csv",
 ]
 
 # Row-sum drift above this is renormalized away after a step.
@@ -347,7 +338,7 @@ class _BatchRun:
                 self.converged[ids[just_converged]] = True
                 active = ~ending
                 ids = ids[active]
-                fixed = np.ascontiguousarray(fixed[..., active])
+                fixed = np.compress(active, fixed, axis=-1)
                 counters = counters[active]
                 kernel.take(active)
                 if self.observer is not None:
@@ -461,29 +452,3 @@ def interior_grid(scenario: Scenario, per_dim: int) -> np.ndarray:
     blend = INTERIOR_GRID_FLOOR * n
     lattice = (1.0 - blend) * simplex_lattice(n, per_dim) + blend / n
     return lattice_product(lattice, scenario.n_populations)
-
-
-def write_trajectory_csv(traj: Trajectory, path: str,
-                         provenance: dict[str, str] | None = None) -> None:
-    """Write one recorded trajectory as CSV (see module docstring for layout).
-
-    Each value is written as the shortest string that parses back to the
-    same float (``repr``).
-    """
-    n_rows, n_pops, n_actions = traj.states.shape
-    columns = ["t"]
-    columns += [f"x{k + 1}_{i + 1}" for k in range(n_pops)
-                for i in range(n_actions)]
-    columns += [f"y_{i + 1}" for i in range(n_actions)]
-    blocks = [traj.times[:, None], traj.states.reshape(n_rows, -1),
-              traj.outputs]
-    if traj.observables is not None:
-        observable_keys = ["V", "Vdot", "F1", "F2"]
-        columns += observable_keys
-        blocks += [traj.observables[key][:, None] for key in observable_keys]
-    table = np.hstack(blocks).tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for key, value in (provenance or {}).items():
-            handle.write(f"# {key}: {value}\n")
-        handle.write(",".join(columns) + "\n")
-        handle.writelines(",".join(map(repr, row)) + "\n" for row in table)

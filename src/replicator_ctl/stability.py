@@ -46,14 +46,14 @@ programs have at most m*n variables and m+n rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dynamics import field_uncontrolled, output_payoffs, subsidy_weights
 from .game import (CARRIER_THRESHOLD, Scenario, aggregate_output, carrier,
-                   check_count, check_lattice_budget, lattice_product,
-                   simplex_lattice, weighted_sum)
+                   check_count, check_lattice_budget, check_state_budget,
+                   lattice_product, simplex_lattice, weighted_sum)
 
 __all__ = [
     "AtTargetOutputError",
@@ -231,9 +231,11 @@ class LyapunovObserver:
     def series(self, states: np.ndarray, d: float) -> dict[str, np.ndarray]:
         advantage, outputs = _advantage_batch(states, self.eq, self.scenario)
         mismatch = _mismatch_batch(outputs, self.eq.target_output)
+        # at d = 0 the subsidy term vanishes, also where F2 is infinite
+        subsidized = (d != 0.0) | np.isfinite(mismatch)
         return {
             "V": self.values(states),
-            "Vdot": -advantage - d * mismatch,
+            "Vdot": -advantage - d * np.where(subsidized, mismatch, 0.0),
             "F1": advantage,
             "F2": mismatch,
         }
@@ -306,13 +308,16 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
 
     This is an estimate from below of the true supremum, never an
     overestimate; escalate the resolution via ``sampling`` if in doubt.
+    A sample pool or lattice over LATTICE_BYTE_BUDGET raises ValueError
+    before either is allocated.
     """
+    m, n = scenario.n_populations, scenario.n_actions
+    check_state_budget(sampling.random_samples, m, n,
+                       f"{sampling.random_samples:,} random samples")
     rng = np.random.default_rng(sampling.seed)
     grid = _grid_states(scenario, sampling.grid_per_dim)
-    random_states = rng.dirichlet(
-        np.ones(scenario.n_actions),
-        size=(sampling.random_samples, scenario.n_populations),
-    )
+    random_states = rng.dirichlet(np.ones(n),
+                                  size=(sampling.random_samples, m))
     dbar = np.concatenate([
         _dbar_batch(np.ascontiguousarray(
             part[start:start + CHUNK_ROWS].transpose(1, 2, 0)), eq,
@@ -335,8 +340,7 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
     seeds = np.array([pool_state(index)
                       for index in order[:sampling.ascent_candidates]])
     value, state, n_evals = _lockstep_ascent(
-        seeds.reshape(-1, scenario.n_populations, scenario.n_actions),
-        eq, scenario, sampling)
+        seeds.reshape(-1, m, n), eq, scenario, sampling)
     best_value = float(dbar[order[0]])
     best_state = pool_state(order[0]).copy()
     # seeds in seed order; a later one replaces the best only if greater
@@ -685,32 +689,6 @@ class StabilityReport:
     recommended_subsidy: float | None
     sample_counts: dict[str, int] = field(default_factory=dict)
     seed: int = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        def arr(value):
-            return None if value is None else np.asarray(value).tolist()
-
-        return {
-            "target_output": arr(self.target_output),
-            "equilibria": [
-                {
-                    "state": eq.state.tolist(),
-                    "carriers": [list(c) for c in eq.carriers],
-                    "continuum_vertex": eq.continuum_vertex,
-                }
-                for eq in self.equilibria
-            ],
-            "unique": self.unique,
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "subsidy_bound": self.subsidy_bound,
-            "bound_argmax": arr(self.bound_argmax),
-            "min_advantage": self.min_advantage,
-            "min_advantage_witness": arr(self.min_advantage_witness),
-            "recommended_subsidy": self.recommended_subsidy,
-            "sample_counts": dict(self.sample_counts),
-            "seed": self.seed,
-        }
 
 
 def recommend_subsidy(scenario: Scenario, y_star: np.ndarray,

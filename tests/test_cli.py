@@ -391,6 +391,50 @@ class TestVerify:
         assert capsys.readouterr().err == f"input error: {message}\n"
         assert searched == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid-per-dim", "1"], "per_dim must be >= 2, got 1"),
+        (["--grid-per-dim", "400"],
+         "400 points per simplex edge give 64,000,000 states (3,072,000,000 "
+         "bytes) for 3 populations of 2 actions, over the budget of "
+         "300,000,000 bytes"),
+        # one sample over the budget: 6,250,001 · 3 · 2 · 8 bytes
+        (["--samples", "6250001"],
+         "6,250,001 random samples give 6,250,001 states (300,000,048 "
+         "bytes) for 3 populations of 2 actions, over the budget of "
+         "300,000,000 bytes"),
+    ], ids=["grid-1", "grid-400", "samples-over-budget"])
+    def test_refused_resolution_exits_1_unwritten(self, tmp_path, capsys,
+                                                  flags, message):
+        out = tmp_path / "verify"
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--scenario", SCENARIO,
+                         "--policy", POLICY_BOUNDARY, *flags,
+                         "--out", str(out)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert peak < 20_000_000  # refused before the pool is drawn
+        assert not out.exists()
+
+    def test_report_keys(self, tmp_path):
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--grid-per-dim", "5",
+                     "--samples", "500", "--out", str(out)]) == 0
+        report = read_json(out / "report.json")
+        assert sorted(report) == [
+            "applicable", "bound_argmax", "equilibria", "min_advantage",
+            "min_advantage_witness", "provenance", "reason",
+            "recommended_subsidy", "sample_counts", "seed", "subsidy_bound",
+            "target_output", "unique"]
+        assert sorted(report["equilibria"][0]) == [
+            "carriers", "continuum_vertex", "state"]
+        assert report["equilibria"][0]["carriers"] == [[0], [0], [0]]
+        assert sorted(report["sample_counts"]) == [
+            "ascent_evals", "grid", "random"]
+
     def test_unreachable_target_exits_3(self, tmp_path, capsys):
         out = tmp_path / "verify"
         code = main(["verify", "--scenario", SCENARIO,
@@ -646,7 +690,7 @@ class TestSweep:
     def test_bad_gain_exits_1(self, tmp_path, capsys, value):
         assert self._sweep(tmp_path / "sweep", f"1.2,{value}") == 1
         assert "gains must be finite values >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "sweep" / "sweep.csv").exists()
+        assert not (tmp_path / "sweep").exists()
 
     def test_many_gains_at_stride_1_keep_only_final_states(self, tmp_path):
         # the default stride records every step, but sweep reads only each

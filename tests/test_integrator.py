@@ -18,10 +18,10 @@ from replicator_ctl import (
     interior_grid,
     phase_portrait,
     simulate,
-    write_trajectory_csv,
 )
 from replicator_ctl import dynamics, integrate
 from replicator_ctl.agents import round_time_step
+from replicator_ctl.cli import write_trajectory_csv
 from replicator_ctl.dynamics import BatchKernel, batch_field, scalar_field
 from replicator_ctl.integrate import Trajectory, _BatchRun, _check_interior
 from replicator_ctl.stability import LyapunovObserver, unique_target_equilibrium
@@ -820,7 +820,7 @@ class TestCsvExport:
         traj = Trajectory(times=values, states=states, outputs=states[:, 0],
                           observables=observables)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, str(path))
+        write_trajectory_csv(traj, str(path), {})
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x1_1,x1_2,y_1,y_2,V,Vdot,F1,F2"
         expected = np.column_stack([values, values, values[::-1], values,

@@ -3,8 +3,8 @@ equilibrium enumeration, and report assembly."""
 
 from __future__ import annotations
 
-import json
 import time
+import warnings
 from itertools import combinations, product
 
 import numpy as np
@@ -35,8 +35,9 @@ from replicator_ctl.stability import (EQUILIBRIUM_TOL, MISMATCH_FLOOR,
                                      _combo_solutions, _dbar_batch,
                                      _grid_states, _lp_min, _matching_system,
                                      _mismatch_batch, _payoff_classes)
-from conftest import (RECIPE_REFUSED, average_payoff, certificate_terms,
-                      equilibrium_jacobian, expected_payoff, lyapunov_value,
+from conftest import (RECIPE_REFUSED, assert_same_bits, average_payoff,
+                      certificate_terms, equilibrium_jacobian,
+                      expected_payoff, lyapunov_value,
                       make_state, random_scenario, random_state, recipe_game,
                       tied_everywhere_game, tied_once_game,
                       two_action_verdict, z_state)
@@ -770,8 +771,6 @@ class TestRecommendation:
         assert report.subsidy_bound < 1.2
         assert report.min_advantage >= -1e-9
         assert report.recommended_subsidy > max(0.0, report.subsidy_bound)
-        payload = json.dumps(report.to_dict())
-        assert "recommended_subsidy" in payload
 
     def test_interior_target_report(self, threepop):
         report = recommend_subsidy(threepop, np.array([0.8, 0.2]),
@@ -838,6 +837,25 @@ class TestObserver:
                 -advantage - 1.2 * mismatch)
             assert series["V"][idx] == pytest.approx(
                 lyapunov_value(x, eq_boundary, threepop))
+
+    def test_zero_gain_rate_where_mismatch_is_infinite(self, threepop,
+                                                       eq_boundary):
+        # a targeted output share of 0 makes F2 infinite; at d = 0 there is
+        # no subsidy term, so Vdot is -F1 there, and -F1 - 0·F2 elsewhere
+        rng = np.random.default_rng(104)
+        states = np.array([random_state(rng, threepop, interior=0.01)
+                           for _ in range(6)])
+        states[::2] = [[0.0, 1.0]] * 3
+        observer = LyapunovObserver(eq_boundary, threepop)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = observer.series(states.transpose(1, 2, 0), 0.0)
+        infinite = np.isinf(series["F2"])
+        assert infinite.tolist() == [True, False] * 3
+        assert_same_bits(series["Vdot"][infinite], -series["F1"][infinite])
+        finite = ~infinite
+        assert_same_bits(series["Vdot"][finite],
+                         -series["F1"][finite] - 0.0 * series["F2"][finite])
 
     @pytest.mark.parametrize("target,pinned", [
         ([1.0, 0.0], ["0x1.a7194115a0a46p-1", "0x1.b543f16723acfp-2",
