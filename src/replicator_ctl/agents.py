@@ -14,10 +14,10 @@ action are interchangeable, so the chain's whole state is ``counts``, the
   uniformly random member of its own population (itself included) and,
   when that peer plays j and it plays i, imitates with probability
   q[k, i, j] = clip((F[k, j] - F[k, i]) / (a_max - a_min + d), 0, 1).  The
-  payoffs F = A^k y_hat + d * f(y_hat) are summed and weighted as
-  :func:`~replicator_ctl.dynamics.output_payoffs` and
-  :func:`~replicator_ctl.dynamics.subsidy_weights` do, the same
-  definitions the continuum field uses.
+  payoffs F = A^k y_hat + d * f(y_hat) are
+  :func:`~replicator_ctl.dynamics.controlled_payoffs` of a one-member
+  :class:`~replicator_ctl.dynamics.BatchKernel`, the function that gives
+  the continuum field its payoffs.
 
 Every revision reads the start-of-round snapshot, so an agent of
 population k on action i moves to j with probability
@@ -28,7 +28,7 @@ independently of every other agent.  The counts[k, i] agents that share
 with the same law as revising agent by agent.  A round takes O(m n^2) time
 and memory (n times that with sampled matches), whatever N is.  :func:`run`
 builds what every round reads once: N, the pot, the targeted actions, the
-payoff columns, the normalizer and the population sizes.
+field's kernel, the normalizer and the population sizes.
 
 Proportional imitation with expected payoffs is the standard protocol whose
 mean field is the replicator equation; the expected one-round drift equals
@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ControlPolicy, payoff_columns, subsidy_weights
-from .game import CARRIER_THRESHOLD, Scenario, check_simplex, weighted_sum
+from .dynamics import BatchKernel, ControlPolicy, controlled_payoffs
+from .game import CARRIER_THRESHOLD, Scenario, check_simplex
 
 __all__ = [
     "AgentPopulation",
@@ -176,7 +176,7 @@ class _RoundConstants:
         self.total = policy.d * self.n_agents
         self.targeted = np.flatnonzero(policy.y_star > 0.0)
         self.pots = self.total * policy.y_star[self.targeted]
-        self.columns = payoff_columns(scenario)
+        self.kernel = BatchKernel(scenario, policy.y_star, [policy.d])
         self.normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
 
     def stats(self, counts: np.ndarray, y: np.ndarray,
@@ -195,25 +195,16 @@ class _RoundConstants:
                           total_subsidy=self.total,
                           per_agent_subsidy=per_agent, imitation_gap=gap)
 
-    def payoffs_at(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The controlled payoff A^k y + d·f(y) per (population, action),
-        folded as :func:`~replicator_ctl.dynamics.batch_field` folds it
-        (with output_payoffs' sum and subsidy_weights' f), and the subsidy
-        row d·f(y) alone."""
-        table = weighted_sum(self.columns, y[:, None, None])
-        f, _ = subsidy_weights(y, self.policy.y_star)
-        table -= (0.0 - self.policy.d) * f
-        return table, self.policy.d * f
-
     def gaps(self, y: np.ndarray, sampled_matches: bool = False) -> np.ndarray:
         """Normalized controlled-payoff gaps (F[k, j] - F[k, i]) / norm at
         the output y, indexed [k, i, j]: what an i-player sees a j-player
         gain.  With sampled matches, the gaps against each opponent action
         l, indexed [k, i, j, l]."""
-        table, subsidy = self.payoffs_at(y)
+        table, f, _ = controlled_payoffs(self.kernel, y[:, None])
+        table = table[..., 0]
         if sampled_matches:
-            # table[k, i, l]: action i against opponent l, subsidy included
-            table = self.payoffs + subsidy[:, None]
+            # table[k, i, l]: action i against opponent l, plus d·f_i
+            table = self.payoffs + (0.0 if f is None else self.policy.d * f)
         return (table[:, None] - table[:, :, None]) / self.normalizer
 
 

@@ -256,6 +256,10 @@ def _build_manifest(args: argparse.Namespace, command: str) -> dict[str, Any]:
     for key in ("scenario", "out"):
         if key not in manifest:
             raise ScenarioError(f"--{key} is required")
+        # open() would take an integer for a file descriptor
+        if not isinstance(manifest[key], str):
+            raise ScenarioError(
+                f"{key} must be a path string, got {manifest[key]!r}")
     manifest.setdefault("seed", 0)
     return manifest
 
@@ -403,14 +407,17 @@ def _cmd_verify(manifest: dict[str, Any]) -> int:
     scenario, policy, _ = _resolve(manifest)
     if manifest.get("policy") is None:
         raise ScenarioError("verify needs a target output (--policy/--y-star)")
-    sampling_spec = dict(manifest.get("sampling") or {})
-    sampling_spec.setdefault("seed", manifest["seed"])
+    spec = manifest.get("sampling") or {}
+    if "seed" in spec:
+        raise ScenarioError("sampling config: seed must be the run's --seed, "
+                            "not a sampling setting")
     try:
-        sampling = SamplingConfig(**sampling_spec)
+        sampling = SamplingConfig(**spec)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"sampling config: {exc}") from exc
     try:
-        report = recommend_subsidy(scenario, policy.y_star, sampling)
+        report = recommend_subsidy(scenario, policy.y_star, sampling,
+                                   manifest["seed"])
     except InapplicableError as exc:
         payload = {"applicable": False, "reason": exc.reason,
                    "detail": str(exc)}
@@ -434,7 +441,7 @@ def _cmd_verify(manifest: dict[str, Any]) -> int:
 def _cmd_sweep(manifest: dict[str, Any]) -> int:
     scenario, policy, cfg = _resolve(manifest)
     d_values = manifest.get("d_values")
-    if d_values is None:
+    if d_values in (None, []):
         raise ScenarioError("sweep needs --d-values")
     if not isinstance(d_values, list):
         raise ScenarioError(f"d_values must be a list, got {d_values!r}")
@@ -547,7 +554,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         manifest = _build_manifest(args, args.command)
         return _COMMANDS[args.command][0](manifest)
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, OSError) as exc:
+        # an OSError here is an unusable --out: its text names the path
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except IntegrationError as exc:

@@ -23,13 +23,14 @@ failure, not a model state: `batch_field` flags the member and
 `field_controlled` raises :class:`SimplexDomainError`.
 
 The payoffs A^k y (`output_payoffs`: `game.weighted_sum` of
-`game.aggregate_output` and of the columns of `payoff_columns`) and the
-weights f (`subsidy_weights`) are defined here once; the field, the
-certificate in `stability` and the finite agents all use these.
-`batch_field` takes its constants from a `BatchKernel` built once per run,
-and states laid out (m, n, B), member last.  `scalar_field` generates the
-same field for one state as straight-line Python, in the same order, so
-the same bits; the integrator generates it at most once per run.
+`game.aggregate_output` and of the columns of `payoff_columns`), the
+weights f (`subsidy_weights`) and the controlled payoffs F = A^k y + d·f(y)
+(`controlled_payoffs`, over a `BatchKernel` built once per run) are defined
+here once; the field `batch_field` (states laid out (m, n, B), member last),
+the certificate in `stability` and the finite agents all use these.
+`scalar_field` generates the same field for one state as straight-line
+Python, in the same order, so the same bits; the integrator generates it at
+most once per run.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ __all__ = [
     "ControlPolicy",
     "SimplexDomainError",
     "batch_field",
+    "controlled_payoffs",
     "field_controlled",
     "field_uncontrolled",
     "output_payoffs",
-    "payoff_columns",
     "scalar_field",
     "subsidy_weights",
 ]
@@ -162,7 +163,8 @@ def scalar_field(scenario: Scenario, y_star: np.ndarray
     aggregate share is at or below DOMAIN_THRESHOLD.  It is generated as
     straight-line Python, one local per share, y_i, F[k][i], avg_k and
     output entry, constants as literals, and every sum an explicit ``+``
-    chain in batch_field's order (never ``sum``, which may compensate); as
+    chain in batch_field's order (never ``sum``, which may compensate),
+    the subsidy folded into F as :func:`controlled_payoffs` folds it; as
     numpy fuses no multiply-add, it has batch_field's bits.  Generating
     takes about 0.2 ms at (m, n) = (3, 2) and grows with m·n².
     """
@@ -221,7 +223,7 @@ def output_payoffs(scenario: Scenario, x: np.ndarray | None,
                            y[:, None, None])
 
 
-def payoff_columns(scenario: Scenario, batch_axes: int = 0) -> np.ndarray:
+def payoff_columns(scenario: Scenario, batch_axes: int) -> np.ndarray:
     """The terms that, weighted by y, sum to A^k y, stacked C-contiguous:
     entry j is A^k[:, j] for every k, shape (n, m, n) with ``batch_axes``
     unit axes appended, so it broadcasts against ``y[:, None, None]``."""
@@ -230,7 +232,7 @@ def payoff_columns(scenario: Scenario, batch_axes: int = 0) -> np.ndarray:
 
 
 class BatchKernel:
-    """What :func:`batch_field` needs of one run: the shares, payoff
+    """What :func:`controlled_payoffs` needs of one run: the shares, payoff
     columns and target spread over the batch, (m, n, B), (n, m, n, B) and
     (n, B), so that numpy runs each product as one loop, and each member's
     gain, (B,), with what depends on it; :meth:`take` cuts them down."""
@@ -239,7 +241,6 @@ class BatchKernel:
                  gains: np.ndarray):
         m, n = scenario.n_populations, scenario.n_actions
         self.gains = np.asarray(gains, dtype=float)
-        # F - (0 - d)·f is F + d·f, and F to the bit (a -0.0 too) at d = 0
         self.shares, self.columns, self.y_star, self.push = (
             np.broadcast_to(c, shape + self.gains.shape) for c, shape in (
                 (scenario.shares[:, None, None], (m, n)),
@@ -260,37 +261,42 @@ class BatchKernel:
         self.all_ok.setflags(write=False)
 
 
-def batch_field(kernel: BatchKernel, states: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The replicator field x ∘ (F − ⟨x, F⟩) over states of shape (B, m, n).
-
-    F = A^k y + d·f(y) folds the subsidy into the payoffs, with y and A^k y
-    summed as in :func:`output_payoffs` and f as in :func:`subsidy_weights`.
-    Each of the three sums (y, A^k y, ⟨x, F⟩) is one product and then adds
-    over the small m or n axis in a fixed order, elementwise along the
-    batch (m + 2n ufunc calls in all), so a member's bits depend neither on
-    the rest of its batch nor on the memory layout; ``states`` is best a
-    view of a C-contiguous (m, n, B) array.  A member with gain 0 gets
-    exactly the uncontrolled field and is not domain-checked.
-
-    Returns the derivatives, a (B, m, n) view of an (m, n, B) array, and
-    ``ok``, shape (B,): False, with the member's derivative NaN, where a
-    member with a positive gain has a targeted aggregate share at or below
-    DOMAIN_THRESHOLD.
-
-    :func:`scalar_field` generates this one field for a single state as
-    straight-line Python, the same operations in the same order on Python
-    floats, and gives the same bits.
-    """
-    x = states.transpose(1, 2, 0)                             # (m, n, B)
-    y = weighted_sum(kernel.shares, x)
+def controlled_payoffs(kernel: BatchKernel, y: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """F = A^k y + d·f(y) at outputs y of shape (n, B), folded as
+    F − (0 − d)·f: F + d·f, and F to the bit (a −0.0 too) at d = 0.  Returns
+    F, (m, n, B); f, (n, B), or None where no gain is positive and the fold
+    is skipped; and ``ok``, (B,), False for a member with a positive gain
+    and a targeted share at or below DOMAIN_THRESHOLD."""
     F = weighted_sum(kernel.columns, y[:, None, None])
-    ok = kernel.all_ok
+    f, ok = None, kernel.all_ok
     if kernel.any_controlled:
         f, in_domain = subsidy_weights(y, kernel.y_star)
         F -= kernel.push * f
         if in_domain is not None:
             ok = ~kernel.controlled | in_domain
+    return F, f, ok
+
+
+def batch_field(kernel: BatchKernel, states: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The replicator field x ∘ (F − ⟨x, F⟩) over states of shape (B, m, n).
+
+    F is :func:`controlled_payoffs` at the outputs y.  Each of the three
+    sums (y, A^k y, ⟨x, F⟩) is one product and then adds over the small m
+    or n axis in a fixed order, elementwise along the batch (m + 2n ufunc
+    calls in all), so a member's bits depend neither on the rest of its
+    batch nor on the memory layout; ``states`` is best a view of a
+    C-contiguous (m, n, B) array.  A member with gain 0 gets exactly the
+    uncontrolled field and is not domain-checked.
+
+    Returns the derivatives, a (B, m, n) view of an (m, n, B) array, and
+    ``ok``, shape (B,): False, with the member's derivative NaN, where a
+    member with a positive gain has a targeted aggregate share at or below
+    DOMAIN_THRESHOLD.
+    """
+    x = states.transpose(1, 2, 0)                             # (m, n, B)
+    F, _, ok = controlled_payoffs(kernel, weighted_sum(kernel.shares, x))
     F -= weighted_sum(x.swapaxes(0, 1), F.swapaxes(0, 1))[:, None]
     F *= x
     if ok is not kernel.all_ok:

@@ -248,7 +248,6 @@ class SamplingConfig:
     grid_per_dim: int = 15
     random_samples: int = 20_000
     ascent_iters: int = 60
-    seed: int = 0
     ascent_candidates: int = 10
 
     def __post_init__(self) -> None:
@@ -295,13 +294,14 @@ def _grid_states(scenario: Scenario, per_dim: int) -> np.ndarray:
 
 
 def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
-                           sampling: SamplingConfig = SamplingConfig()
-                           ) -> BoundEstimate:
+                           sampling: SamplingConfig = SamplingConfig(),
+                           seed: int = 0) -> BoundEstimate:
     """Estimate sup of the critical subsidy over the admissible states.
 
     Three phases: a uniform lattice on the product of simplices, uniform
-    Dirichlet samples, and deterministic coordinate ascent from the best
-    candidates (pairwise mass transfers within a population, shrinking step).
+    Dirichlet samples drawn with ``seed``, and deterministic coordinate
+    ascent from the best candidates (pairwise mass transfers within a
+    population, shrinking step).
     States within TUBE_RADIUS of the target output or within
     BOUNDARY_MARGIN of a targeted-share zero are excluded; ascent may
     approach the tube from outside, probing the limit.
@@ -314,7 +314,7 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
     m, n = scenario.n_populations, scenario.n_actions
     check_state_budget(sampling.random_samples, m, n,
                        f"{sampling.random_samples:,} random samples")
-    rng = np.random.default_rng(sampling.seed)
+    rng = np.random.default_rng(seed)
     grid = _grid_states(scenario, sampling.grid_per_dim)
     random_states = rng.dirichlet(np.ones(n),
                                   size=(sampling.random_samples, m))
@@ -692,15 +692,15 @@ class StabilityReport:
 
 
 def recommend_subsidy(scenario: Scenario, y_star: np.ndarray,
-                      sampling: SamplingConfig = SamplingConfig()
-                      ) -> StabilityReport:
+                      sampling: SamplingConfig = SamplingConfig(),
+                      seed: int = 0) -> StabilityReport:
     """Full stabilization check for a target output.
 
     Produces a recommendation ``max(0, bound) * (1 + margin) + floor`` only
     when the target equilibrium is unique and the advantage is non-negative
     on the matching set; otherwise the report carries a refusal reason.
     Raises :class:`InapplicableError` if the target admits no equilibrium
-    at all or is unreachable.
+    at all or is unreachable.  ``seed`` draws the bound's samples.
     """
     y_star = np.asarray(y_star, dtype=float)
     equilibria = find_target_equilibria(scenario, y_star)
@@ -710,7 +710,7 @@ def recommend_subsidy(scenario: Scenario, y_star: np.ndarray,
         applicable=False, reason=None, subsidy_bound=None, bound_argmax=None,
         min_advantage=None, min_advantage_witness=None,
         recommended_subsidy=None,
-        sample_counts={}, seed=sampling.seed,
+        sample_counts={}, seed=seed,
     )
     if not unique:
         report.reason = "multiple_target_equilibria"
@@ -723,7 +723,7 @@ def recommend_subsidy(scenario: Scenario, y_star: np.ndarray,
         # refused without a bound, so no lattice is built for it
         report.reason = "advantage_negative_on_matching_set"
         return report
-    bound = estimate_subsidy_bound(eq, scenario, sampling)
+    bound = estimate_subsidy_bound(eq, scenario, sampling, seed)
     report.subsidy_bound = bound.value
     report.bound_argmax = bound.argmax
     report.sample_counts = {

@@ -131,7 +131,7 @@ def test_criterion_3_interior_target_global_convergence(run_interior):
 def test_criterion_4_gain_bound_reproduction(threepop):
     begin = time.perf_counter()
     sampling = SamplingConfig(grid_per_dim=21, random_samples=100_000,
-                              ascent_iters=80, seed=0)
+                              ascent_iters=80)
     outcomes = {}
     for label, target, threshold in (("boundary", [1.0, 0.0], 1.2),
                                      ("interior", [0.8, 0.2], 1.5)):

@@ -355,8 +355,10 @@ class TestVerify:
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("edit, flags, message", [
-        ({"sampling": {"seed": 1.5}}, [],
-         "sampling config: seed must be an integer >= 0, got 1.5"),
+        # the run's seed is the only seed: the pool takes no seed of its own
+        ({"sampling": {"seed": 7}}, [],
+         "sampling config: seed must be the run's --seed, not a sampling "
+         "setting"),
         ({"sampling": {"ascent_candidates": -3}}, [],
          "sampling config: ascent_candidates must be an integer >= 0, "
          "got -3"),
@@ -390,6 +392,23 @@ class TestVerify:
                      "--out", str(tmp_path / "second")]) == 1
         assert capsys.readouterr().err == f"input error: {message}\n"
         assert searched == []
+        assert not (tmp_path / "second").exists()
+
+    def test_report_seed_is_the_run_seed(self, tmp_path):
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--out", str(out),
+                     "--grid-per-dim", "5", "--samples", "500",
+                     "--seed", "7"]) == 0
+        report = read_json(out / "report.json")
+        assert report["seed"] == 7
+        assert report["provenance"]["seed"] == "7"
+        # the seed draws the pool: another seed, another bound
+        other = tmp_path / "other"
+        assert main(["verify", "--manifest", str(out / "manifest.json"),
+                     "--seed", "8", "--out", str(other)]) == 0
+        assert (read_json(other / "report.json")["subsidy_bound"]
+                != report["subsidy_bound"])
 
     @pytest.mark.parametrize("flags, message", [
         (["--grid-per-dim", "1"], "per_dim must be >= 2, got 1"),
@@ -603,15 +622,24 @@ class TestSweep:
         assert "8,000,000 states" in err
         assert "budget of 300,000,000 bytes" in err
 
-    def test_empty_d_list_gives_empty_table(self, tmp_path):
-        out = tmp_path / "sweep"
-        code = main(["sweep", "--scenario", SCENARIO,
-                     "--policy", POLICY_BOUNDARY,
-                     "--d-values", "", "--grid", "3", "--out", str(out)])
-        assert code == 0
-        lines = [line for line in (out / "sweep.csv").read_text().splitlines()
-                 if line and not line.startswith("#")]
-        assert lines == ["d,fraction_converged,max_final_distance"]
+    def test_empty_d_list_exits_1_unwritten(self, tmp_path, capsys):
+        # an empty list is no gains, refused as a missing --d-values is
+        argv = ["sweep", "--scenario", SCENARIO, "--policy", POLICY_BOUNDARY,
+                "--grid", "3"]
+        first = tmp_path / "first"
+        assert main([*argv, "--d-values", "1.2", "--out", str(first)]) == 0
+        manifest = read_json(first / "manifest.json")
+        manifest["d_values"] = []
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for rerun in ([*argv, "--d-values", ""], ["sweep", "--manifest",
+                                                   str(path)]):
+            out = tmp_path / "sweep"
+            assert main([*rerun, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "input error: sweep needs --d-values\n")
+            assert not out.exists()
 
     def test_gain_just_above_recommendation_wins_everywhere(self, tmp_path):
         ver = tmp_path / "verify"
@@ -935,6 +963,26 @@ class TestManifestRoundTrip:
                               "got '0.2,0.4,0.6'")
         assert not second.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        # an integer would be opened as a file descriptor
+        ("scenario", 10 ** 6), ("scenario", [SCENARIO]),
+        ("out", 5), ("out", None)])
+    def test_non_string_path_exits_1(self, tmp_path, capsys, monkeypatch,
+                                     key, value):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "simulate",
+                                    "scenario": SCENARIO,
+                                    "out": str(tmp_path / "out"),
+                                    "x0": ["0.5,0.5,0.5"], key: value}))
+        # refused before the scenario is opened
+        opened = []
+        monkeypatch.setattr(Scenario, "from_file", opened.append)
+        assert main(["simulate", "--manifest", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"input error: {key} must be a path string, got {value!r}\n")
+        assert opened == []
+        assert not (tmp_path / "out").exists()
+
     def test_agents_rerun_is_byte_identical(self, tmp_path):
         first = tmp_path / "first"
         assert main(["agents", "--scenario", SCENARIO,
@@ -1139,6 +1187,27 @@ REFUSALS = {
          *START, "--n-agents", "500"], 1, None,
         "input error: agents needs --n-agents and --rounds\n"),
 }
+
+
+class TestUnusableOut:
+    @pytest.mark.parametrize("command, below", [("simulate", False),
+                                                ("verify", True)])
+    def test_file_as_out_exits_1(self, tmp_path, capsys, command, below):
+        # --out is an existing file, or a directory beneath one
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x" if below else blocker
+        args = (["--x0", "0.5,0.5,0.5", "--t-max", "1"]
+                if command == "simulate"
+                else ["--grid-per-dim", "5", "--samples", "500"])
+        assert main([command, "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, *args,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert str(out) in err
+        assert err.count("\n") == 1
+        assert blocker.read_text() == ""
 
 
 class TestRefusals:

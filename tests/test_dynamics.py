@@ -19,8 +19,8 @@ from replicator_ctl import (
     field_uncontrolled,
     phase_portrait,
 )
-from replicator_ctl.dynamics import (output_payoffs, scalar_field,
-                                     subsidy_weights)
+from replicator_ctl.dynamics import (controlled_payoffs, output_payoffs,
+                                     scalar_field, subsidy_weights)
 from replicator_ctl.stability import _mismatch_batch
 from conftest import (assert_same_bits, average_payoff, batch_field_of,
                       expected_payoff, local_shift, make_state, random_policy,
@@ -110,23 +110,40 @@ class TestOneDefinition:
         for i in np.flatnonzero(policy.y_star > 0.0):
             mismatch += (policy.y_star[i] - y[i]) * f[i]
         assert np.array_equal(_mismatch_batch(y, policy.y_star), mismatch)
-        # the agents' subsidy row, one output at a time
+        # the agents' weights, from the kernel their rounds read, one
+        # output at a time; their sampled-match subsidy row is d·f
+        constants = round_constants(scen, policy)
         for b in range(states.shape[0]):
-            _, row = round_constants(scen, policy).payoffs_at(y[:, b])
-            assert np.array_equal(row, policy.d * f[:, b])
+            _, weights, _ = controlled_payoffs(constants.kernel, y[:, b, None])
+            assert np.array_equal(weights[:, 0], f[:, b])
+            row = scen.payoffs + (policy.d * f[:, b])[:, None]
+            assert np.array_equal(
+                constants.gaps(y[:, b], sampled_matches=True),
+                (row[:, None] - row[:, :, None]) / constants.normalizer)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 2)])
     def test_agents_table_is_the_controlled_payoff(self, m, n):
         scen, policy, states, x, y, F = self.batch(m, n)
         f, _ = subsidy_weights(y, policy.y_star[:, None])
+        constants = round_constants(scen, policy)
+        off = round_constants(scen, ControlPolicy.off(n))
         for b in range(states.shape[0]):
-            table, _ = round_constants(scen, policy).payoffs_at(y[:, b])
-            assert np.array_equal(table, F[..., b] + policy.d * f[:, b])
-            # d = 0: exactly A^k y
-            table, row = round_constants(
-                scen, ControlPolicy.off(n)).payoffs_at(y[:, b])
-            assert np.array_equal(table, F[..., b])
-            assert not row.any()
+            table, _, _ = controlled_payoffs(constants.kernel, y[:, b, None])
+            assert np.array_equal(table[..., 0],
+                                  F[..., b] + policy.d * f[:, b])
+            # the gaps the agents imitate by are the table's differences
+            table = table[..., 0]
+            assert np.array_equal(
+                constants.gaps(y[:, b]),
+                (table[:, None] - table[:, :, None]) / constants.normalizer)
+            # d = 0: exactly A^k y, and no subsidy row
+            table, weights, _ = controlled_payoffs(off.kernel, y[:, b, None])
+            assert np.array_equal(table[..., 0], F[..., b])
+            assert weights is None
+            assert np.array_equal(
+                off.gaps(y[:, b], sampled_matches=True),
+                (scen.payoffs[:, None] - scen.payoffs[:, :, None])
+                / off.normalizer)
 
     def test_trajectory_outputs_are_the_aggregate_of_each_row(
             self, threepop, policy_boundary):

@@ -85,7 +85,7 @@ def assert_on_matching_set(x: np.ndarray, scen: Scenario,
 
 
 def sequential_bound(eq: TargetEquilibrium, scen: Scenario,
-                     sampling: SamplingConfig):
+                     sampling: SamplingConfig, seed: int):
     """Reference bound: the whole pool in one batch, then the coordinate
     ascent one seed and one candidate state at a time.  Returns the value,
     argmax, ascent evaluations and the sampled maximum."""
@@ -93,7 +93,7 @@ def sequential_bound(eq: TargetEquilibrium, scen: Scenario,
         value, ok = _dbar_batch(state[..., None], eq, scen)
         return float(value[0]) if ok[0] else -np.inf
 
-    rng = np.random.default_rng(sampling.seed)
+    rng = np.random.default_rng(seed)
     pool = np.concatenate([
         _grid_states(scen, sampling.grid_per_dim),
         rng.dirichlet(np.ones(scen.n_actions),
@@ -293,7 +293,7 @@ class TestBoundEstimate:
     def test_boundary_target_under_published_threshold(self, threepop,
                                                        eq_boundary):
         estimate = estimate_subsidy_bound(eq_boundary, threepop,
-                                          SamplingConfig(seed=3))
+                                          SamplingConfig(), seed=3)
         # the all-second-action state for population 1 alone scores 1.12,
         # and the supremum is known to sit below 1.2
         assert 1.0 < estimate.value < 1.2
@@ -304,7 +304,7 @@ class TestBoundEstimate:
     def test_interior_target_under_published_threshold(self, threepop,
                                                        eq_interior):
         estimate = estimate_subsidy_bound(eq_interior, threepop,
-                                          SamplingConfig(seed=3))
+                                          SamplingConfig(), seed=3)
         witness = z_state((0.0, 0.0, 1.0))
         witness_value, valid = _dbar_batch(witness[..., None], eq_interior,
                                            threepop)
@@ -319,8 +319,8 @@ class TestBoundEstimate:
         values, valid = _dbar_batch(grid.transpose(1, 2, 0), eq, scen)
         assert values[valid].max() <= 0.0
         estimate = estimate_subsidy_bound(
-            eq, scen, SamplingConfig(grid_per_dim=15, random_samples=20_000,
-                                     seed=5))
+            eq, scen, SamplingConfig(grid_per_dim=15, random_samples=20_000),
+            seed=5)
         assert estimate.value <= 0.0
 
     def test_random_3x3_vertex_bound_is_pinned(self):
@@ -330,8 +330,8 @@ class TestBoundEstimate:
         scen = random_scenario(np.random.default_rng(2024), m=3, n=3)
         eq = unique_target_equilibrium(scen, np.array([1.0, 0.0, 0.0]))
         estimate = estimate_subsidy_bound(
-            eq, scen, SamplingConfig(grid_per_dim=10, random_samples=2_000,
-                                     seed=7))
+            eq, scen, SamplingConfig(grid_per_dim=10, random_samples=2_000),
+            seed=7)
         assert repr(estimate.value) == "2.954995396511277"
         assert estimate.argmax.tolist() == [
             [1.0, 0.0, 0.0],
@@ -348,8 +348,8 @@ class TestBoundEstimate:
         if case == "random_3x3":
             scen = random_scenario(np.random.default_rng(2024), m=3, n=3)
             eq = unique_target_equilibrium(scen, np.array([1.0, 0.0, 0.0]))
-            cfg = SamplingConfig(grid_per_dim=10, random_samples=2_000, seed=7,
-                                 ascent_candidates=candidates)
+            cfg, seed = SamplingConfig(grid_per_dim=10, random_samples=2_000,
+                                       ascent_candidates=candidates), 7
         elif case == "flat":
             # zero payoffs: every state ties, so only a strict > keeps a
             # seed from accepting every move
@@ -358,15 +358,16 @@ class TestBoundEstimate:
             eq = TargetEquilibrium(state=z_state((0.5, 0.5, 0.5)),
                                    target_output=np.array([0.5, 0.5]),
                                    carriers=((0, 1),) * 3)
-            cfg = SamplingConfig(grid_per_dim=5, random_samples=100,
-                                 ascent_candidates=candidates)
+            cfg, seed = SamplingConfig(grid_per_dim=5, random_samples=100,
+                                       ascent_candidates=candidates), 0
         else:
             scen = threepop
             target = [1.0, 0.0] if case == "boundary" else [0.8, 0.2]
             eq = unique_target_equilibrium(scen, np.array(target))
-            cfg = SamplingConfig(seed=3, ascent_candidates=candidates)
-        estimate = estimate_subsidy_bound(eq, scen, cfg)
-        value, argmax, n_evals, sampled = sequential_bound(eq, scen, cfg)
+            cfg, seed = SamplingConfig(ascent_candidates=candidates), 3
+        estimate = estimate_subsidy_bound(eq, scen, cfg, seed)
+        value, argmax, n_evals, sampled = sequential_bound(eq, scen, cfg,
+                                                           seed)
         assert repr(estimate.value) == repr(value)
         assert np.array_equal(estimate.argmax, argmax)
         assert estimate.n_ascent_evals == n_evals
@@ -376,9 +377,9 @@ class TestBoundEstimate:
             assert n_evals > 0 and estimate.value >= sampled
 
     def test_estimate_is_deterministic(self, threepop, eq_boundary):
-        cfg = SamplingConfig(grid_per_dim=7, random_samples=2_000, seed=11)
-        first = estimate_subsidy_bound(eq_boundary, threepop, cfg)
-        second = estimate_subsidy_bound(eq_boundary, threepop, cfg)
+        cfg = SamplingConfig(grid_per_dim=7, random_samples=2_000)
+        first = estimate_subsidy_bound(eq_boundary, threepop, cfg, seed=11)
+        second = estimate_subsidy_bound(eq_boundary, threepop, cfg, seed=11)
         assert first.value == second.value
         assert np.array_equal(first.argmax, second.argmax)
 
@@ -766,7 +767,8 @@ class TestEquilibriumEnumeration:
 class TestRecommendation:
     def test_boundary_target_report(self, threepop):
         report = recommend_subsidy(threepop, np.array([1.0, 0.0]),
-                                   SamplingConfig(seed=7))
+                                   SamplingConfig(), seed=7)
+        assert report.seed == 7
         assert report.applicable and report.unique
         assert report.subsidy_bound < 1.2
         assert report.min_advantage >= -1e-9
@@ -774,7 +776,7 @@ class TestRecommendation:
 
     def test_interior_target_report(self, threepop):
         report = recommend_subsidy(threepop, np.array([0.8, 0.2]),
-                                   SamplingConfig(seed=7))
+                                   SamplingConfig(), seed=7)
         assert report.applicable
         assert report.subsidy_bound < 1.5
         assert report.min_advantage >= -1e-9
@@ -785,7 +787,7 @@ class TestRecommendation:
                         shares=np.array([0.2, 0.3, 0.5]))
         report = recommend_subsidy(
             scen, np.array([1.0, 0.0]),
-            SamplingConfig(grid_per_dim=9, random_samples=5_000, seed=1))
+            SamplingConfig(grid_per_dim=9, random_samples=5_000), seed=1)
         assert report.subsidy_bound <= 0.0
         assert report.recommended_subsidy == pytest.approx(1e-3, abs=0.0)
 
