@@ -150,7 +150,8 @@ def init_agents(scenario: Scenario, x0: np.ndarray, n_agents: int,
     x0 = check_simplex(x0, "x0", (m, n), 0.0)
     sizes = population_sizes(scenario, n_agents)
     if np.any(sizes < 1):
-        raise ValueError(f"population sizes {sizes} cannot host agents")
+        raise ValueError(
+            f"population sizes {sizes.tolist()} cannot host agents")
     counts = np.empty((m, n), dtype=np.int64)
     for k in range(m):
         counts[k] = _largest_remainder(x0[k], int(sizes[k]))

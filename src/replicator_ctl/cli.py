@@ -224,12 +224,24 @@ FLAGS: list[tuple[str, tuple[str, ...], str | None, dict[str, Any]]] = [
 ]
 
 
+def _check_object(name: str, value: Any) -> Any:
+    """``value`` if it is a JSON object or absent, else an input error."""
+    if value is not None and not isinstance(value, dict):
+        raise ScenarioError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def _build_manifest(args: argparse.Namespace, command: str) -> dict[str, Any]:
     """Resolve CLI arguments (plus any --manifest base) into one manifest.
 
     A flag that is given, and not empty, overrides the base.
     """
     manifest = _load_json(args.manifest, "--manifest") if args.manifest else {}
+    if not isinstance(manifest, dict):
+        raise ScenarioError(f"--manifest {args.manifest}: expected a JSON "
+                            f"object, got {type(manifest).__name__}")
+    for section in ("integration", "sampling", "agents", "policy"):
+        _check_object(section, manifest.get(section))
     if manifest.get("command") not in (None, command):
         raise ScenarioError(
             f"manifest was written for {manifest.get('command')!r}, "
@@ -246,8 +258,8 @@ def _build_manifest(args: argparse.Namespace, command: str) -> dict[str, Any]:
         if section is None or value in (None, ""):
             continue
         if section == "policy":
-            policy = (_load_json(value, flag) if key == "policy"
-                      else {**(policy or {}), key: value})
+            policy = (_check_object(f"{flag} {value}", _load_json(value, flag))
+                      if key == "policy" else {**(policy or {}), key: value})
         elif section:
             manifest[section][key] = value
         else:
@@ -260,6 +272,13 @@ def _build_manifest(args: argparse.Namespace, command: str) -> dict[str, Any]:
         if not isinstance(manifest[key], str):
             raise ScenarioError(
                 f"{key} must be a path string, got {manifest[key]!r}")
+    # refuse an --out that cannot become a directory before any work
+    existing = os.path.abspath(manifest["out"])
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ScenarioError(
+            f"--out {manifest['out']}: {existing} is not a directory")
     manifest.setdefault("seed", 0)
     return manifest
 

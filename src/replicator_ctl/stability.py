@@ -60,7 +60,6 @@ __all__ = [
     "BoundEstimate",
     "InapplicableError",
     "LyapunovObserver",
-    "MatchingSetSummary",
     "SamplingConfig",
     "StabilityReport",
     "TargetEquilibrium",
@@ -341,14 +340,12 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
                       for index in order[:sampling.ascent_candidates]])
     value, state, n_evals = _lockstep_ascent(
         seeds.reshape(-1, m, n), eq, scenario, sampling)
-    best_value = float(dbar[order[0]])
-    best_state = pool_state(order[0]).copy()
-    # seeds in seed order; a later one replaces the best only if greater
-    for seed_value, seed_state in zip(value, state):
-        if seed_value > best_value:
-            best_value = float(seed_value)
-            best_state = seed_state
-    return BoundEstimate(value=best_value, argmax=best_state,
+    if value.size == 0:  # no ascent seeds: the pool's best stands
+        value, state = dbar[order[:1]], pool_state(order[0])[None].copy()
+    # seed 0 is the pool's best and keeps only strictly better moves, so
+    # the first maximum over the seeds is also the best over the pool
+    best = int(np.argmax(value))
+    return BoundEstimate(value=float(value[best]), argmax=state[best],
                          n_grid=grid.shape[0],
                          n_random=random_states.shape[0],
                          n_ascent_evals=n_evals)
@@ -507,18 +504,10 @@ def _matching_system(scenario: Scenario,
             np.concatenate([np.ones(m), y_star]))
 
 
-@dataclass(frozen=True)
-class MatchingSetSummary:
-    """Minimum of the payoff advantage over the matching set, and a state
-    of the matching set where it is attained."""
-
-    min_advantage: float
-    witness: np.ndarray
-
-
-def min_advantage_on_matching_set(eq: TargetEquilibrium,
-                                  scenario: Scenario) -> MatchingSetSummary:
-    """Minimum payoff advantage over states that already produce the target.
+def min_advantage_on_matching_set(eq: TargetEquilibrium, scenario: Scenario
+                                  ) -> tuple[float, np.ndarray]:
+    """Minimum payoff advantage over states that already produce the target,
+    and a state of the matching set where it is attained (the witness).
 
     On the matching set the output is pinned to y_star, so the advantage
     F1 = sum_k v^k (x_star^k - x^k) . A^k y_star is linear in the state, and
@@ -542,8 +531,7 @@ def min_advantage_on_matching_set(eq: TargetEquilibrium,
     witness = vertex.reshape(m, n) + 0.0
     advantage, _ = _advantage_batch(witness[..., None], eq, scenario,
                                     at_target=True)
-    return MatchingSetSummary(min_advantage=float(advantage[0]),
-                              witness=witness)
+    return float(advantage[0]), witness
 
 
 # ---------------------------------------------------------------------------
@@ -675,18 +663,19 @@ def unique_target_equilibrium(scenario: Scenario,
 @dataclass
 class StabilityReport:
     """Everything the controller designer needs to pick a gain, or the
-    reason no recommendation can be made."""
+    reason no recommendation can be made; a check that stops early leaves
+    the later fields at their defaults."""
 
     target_output: np.ndarray
     equilibria: list[TargetEquilibrium]
     unique: bool
-    applicable: bool
-    reason: str | None
-    subsidy_bound: float | None
-    bound_argmax: np.ndarray | None
-    min_advantage: float | None
-    min_advantage_witness: np.ndarray | None
-    recommended_subsidy: float | None
+    applicable: bool = False
+    reason: str | None = None
+    subsidy_bound: float | None = None
+    bound_argmax: np.ndarray | None = None
+    min_advantage: float | None = None
+    min_advantage_witness: np.ndarray | None = None
+    recommended_subsidy: float | None = None
     sample_counts: dict[str, int] = field(default_factory=dict)
     seed: int = 0
 
@@ -705,21 +694,15 @@ def recommend_subsidy(scenario: Scenario, y_star: np.ndarray,
     y_star = np.asarray(y_star, dtype=float)
     equilibria = find_target_equilibria(scenario, y_star)
     unique = len(equilibria) == 1 and not equilibria[0].continuum_vertex
-    report = StabilityReport(
-        target_output=y_star, equilibria=equilibria, unique=unique,
-        applicable=False, reason=None, subsidy_bound=None, bound_argmax=None,
-        min_advantage=None, min_advantage_witness=None,
-        recommended_subsidy=None,
-        sample_counts={}, seed=seed,
-    )
+    report = StabilityReport(target_output=y_star, equilibria=equilibria,
+                             unique=unique, seed=seed)
     if not unique:
         report.reason = "multiple_target_equilibria"
         return report
     eq = equilibria[0]
-    matching = min_advantage_on_matching_set(eq, scenario)
-    report.min_advantage = matching.min_advantage
-    report.min_advantage_witness = matching.witness
-    if matching.min_advantage < -EQUILIBRIUM_TOL:
+    report.min_advantage, report.min_advantage_witness = (
+        min_advantage_on_matching_set(eq, scenario))
+    if report.min_advantage < -EQUILIBRIUM_TOL:
         # refused without a bound, so no lattice is built for it
         report.reason = "advantage_negative_on_matching_set"
         return report

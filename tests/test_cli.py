@@ -787,6 +787,22 @@ class TestAgents:
         assert names in err
         assert not (out / "rounds.csv").exists()
 
+    def test_population_without_agents_exits_1(self, tmp_path, capsys):
+        # 0.5 % of 100 agents rounds to no agent in the first population
+        payoff = [[1.0, 0.0], [0.0, 1.0]]
+        scenario = tmp_path / "tiny.json"
+        scenario.write_text(json.dumps(Scenario(
+            payoffs=np.array([payoff, payoff]),
+            shares=np.array([0.005, 0.995])).to_dict()))
+        out = tmp_path / "o"
+        code = main(["agents", "--scenario", str(scenario),
+                     "--x0", "0.5,0.5", "--n-agents", "100",
+                     "--rounds", "10", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "input error: population sizes [0, 100] cannot host agents\n")
+        assert not out.exists()
+
     def test_too_few_agents_exits_1(self, tmp_path, capsys):
         code = main(["agents", "--scenario", SCENARIO,
                      "--policy", POLICY_BOUNDARY,
@@ -980,6 +996,37 @@ class TestManifestRoundTrip:
         assert main(["simulate", "--manifest", str(path)]) == 1
         assert capsys.readouterr().err == (
             f"input error: {key} must be a path string, got {value!r}\n")
+        assert opened == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, shape, flags, message", [
+        ("simulate", "list", [],
+         "--manifest {tmp}/manifest.json: expected a JSON object, got list"),
+        ("verify", {"sampling": [1]}, [],
+         "sampling must be a JSON object, got [1]"),
+        ("agents", {"agents": 5}, [], "agents must be a JSON object, got 5"),
+        ("simulate", {"policy": [1]}, ["--d", "1"],
+         "policy must be a JSON object, got [1]"),
+        ("simulate", {"integration": "x"}, [],
+         "integration must be a JSON object, got 'x'"),
+        ("simulate", {}, ["--policy", "{tmp}/list.json", "--d", "1"],
+         "--policy {tmp}/list.json must be a JSON object, got [1]"),
+    ])
+    def test_wrong_shape_exits_1(self, tmp_path, capsys, monkeypatch,
+                                 command, shape, flags, message):
+        base = {"command": command, "scenario": SCENARIO,
+                "out": str(tmp_path / "out"), "x0": ["0.5,0.5,0.5"]}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([base] if shape == "list"
+                                   else {**base, **shape}))
+        (tmp_path / "list.json").write_text("[1]")
+        # refused before the scenario is opened
+        opened = []
+        monkeypatch.setattr(Scenario, "from_file", opened.append)
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        assert main([command, "--manifest", str(path), *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"input error: {message.format(tmp=tmp_path)}\n")
         assert opened == []
         assert not (tmp_path / "out").exists()
 
@@ -1190,24 +1237,30 @@ REFUSALS = {
 
 
 class TestUnusableOut:
-    @pytest.mark.parametrize("command, below", [("simulate", False),
-                                                ("verify", True)])
-    def test_file_as_out_exits_1(self, tmp_path, capsys, command, below):
-        # --out is an existing file, or a directory beneath one
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_file_as_out_exits_1(self, tmp_path, capsys, monkeypatch,
+                                 command, below):
+        # --out is an existing file, or a directory beneath one; either is
+        # refused before any work
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = blocker / "x" if below else blocker
-        args = (["--x0", "0.5,0.5,0.5", "--t-max", "1"]
-                if command == "simulate"
-                else ["--grid-per-dim", "5", "--samples", "500"])
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before --out was checked")
+
+        for name in ("simulate", "phase_portrait", "recommend_subsidy"):
+            monkeypatch.setattr(cli, name, no_work)
         assert main([command, "--scenario", SCENARIO,
-                     "--policy", POLICY_BOUNDARY, *args,
+                     "--policy", POLICY_BOUNDARY, *COMMAND_ARGS[command],
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error: ")
         assert str(out) in err
         assert err.count("\n") == 1
         assert blocker.read_text() == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
 class TestRefusals:

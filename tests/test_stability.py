@@ -423,21 +423,21 @@ class TestBatchIndependence:
 
 class TestMatchingSet:
     def test_boundary_target_is_single_point(self, threepop, eq_boundary):
-        summary = min_advantage_on_matching_set(eq_boundary, threepop)
-        assert summary.min_advantage == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(summary.witness, eq_boundary.state,
+        min_adv, witness = min_advantage_on_matching_set(eq_boundary, threepop)
+        assert min_adv == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(witness, eq_boundary.state,
                                    atol=1e-9)
 
     def test_interior_target_advantage_non_negative(self, threepop,
                                                     eq_interior):
-        summary = min_advantage_on_matching_set(eq_interior, threepop)
-        assert summary.min_advantage >= -1e-9
-        assert summary.min_advantage == pytest.approx(
+        min_adv, witness = min_advantage_on_matching_set(eq_interior, threepop)
+        assert min_adv >= -1e-9
+        assert min_adv == pytest.approx(
             two_action_oracle(threepop, eq_interior), abs=1e-12)
 
     def test_witness_lies_on_matching_set(self, threepop, eq_interior):
-        summary = min_advantage_on_matching_set(eq_interior, threepop)
-        assert_on_matching_set(summary.witness, threepop,
+        min_adv, witness = min_advantage_on_matching_set(eq_interior, threepop)
+        assert_on_matching_set(witness, threepop,
                                eq_interior.target_output)
 
     def test_lopsided_target_scans_without_error(self, threepop):
@@ -447,11 +447,11 @@ class TestMatchingSet:
             target_output=np.array([0.99, 0.01]),
             carriers=eq_states[0].carriers,
         )
-        summary = min_advantage_on_matching_set(lopsided, threepop)
-        assert np.isfinite(summary.min_advantage)
-        assert_on_matching_set(summary.witness, threepop,
+        min_adv, witness = min_advantage_on_matching_set(lopsided, threepop)
+        assert np.isfinite(min_adv)
+        assert_on_matching_set(witness, threepop,
                                lopsided.target_output)
-        assert summary.min_advantage == pytest.approx(
+        assert min_adv == pytest.approx(
             two_action_oracle(threepop, lopsided), abs=1e-12)
 
     def test_two_action_minimum_equals_the_vertex_oracle(self):
@@ -462,9 +462,9 @@ class TestMatchingSet:
             y_star = aggregate_output(state, scen)
             eq = TargetEquilibrium(state=state, target_output=y_star,
                                    carriers=((0, 1),) * m)
-            summary = min_advantage_on_matching_set(eq, scen)
-            assert_on_matching_set(summary.witness, scen, y_star)
-            assert summary.min_advantage == pytest.approx(
+            min_adv, witness = min_advantage_on_matching_set(eq, scen)
+            assert_on_matching_set(witness, scen, y_star)
+            assert min_adv == pytest.approx(
                 two_action_oracle(scen, eq), abs=1e-12)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (3, 4)])
@@ -479,19 +479,19 @@ class TestMatchingSet:
             state[:, target] = 1.0
             eq = TargetEquilibrium(state=state, target_output=np.eye(n)[target],
                                    carriers=((target,),) * m)
-            summary = min_advantage_on_matching_set(eq, scen)
-            assert summary.witness.tolist() == state.tolist()
-            assert summary.min_advantage == 0.0
+            min_adv, witness = min_advantage_on_matching_set(eq, scen)
+            assert witness.tolist() == state.tolist()
+            assert min_adv == 0.0
 
     @pytest.mark.parametrize("trial", RECIPE_REFUSED)
     def test_negative_advantage_games_are_refused(self, trial):
         scen, y_star = recipe_game(trial)
         found = find_target_equilibria(scen, y_star)
         assert len(found) == 1 and not found[0].continuum_vertex
-        summary = min_advantage_on_matching_set(found[0], scen)
-        assert summary.min_advantage == pytest.approx(
+        min_adv, witness = min_advantage_on_matching_set(found[0], scen)
+        assert min_adv == pytest.approx(
             RECIPE_REFUSED[trial], abs=1e-5)
-        assert_on_matching_set(summary.witness, scen, y_star)
+        assert_on_matching_set(witness, scen, y_star)
         report = recommend_subsidy(
             scen, y_star, SamplingConfig(grid_per_dim=2, random_samples=500))
         assert not report.applicable
