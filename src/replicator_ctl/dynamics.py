@@ -28,16 +28,14 @@ weights f (`subsidy_weights`) and the controlled payoffs F = A^k y + d·f(y)
 (`controlled_payoffs`, over a `BatchKernel` built once per run) are defined
 here once; the field `batch_field` (states laid out (m, n, B), member last),
 the certificate in `stability` and the finite agents all use these.
-`scalar_field` generates the same field for one state as straight-line
-Python, in the same order, so the same bits; the integrator generates it at
-most once per run.
+`field_lines` writes the same field for one state as straight-line Python
+statements, in the same order, so the same bits; the integrator inlines
+them in its generated float step, at most once per run.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -52,9 +50,9 @@ __all__ = [
     "batch_field",
     "controlled_payoffs",
     "field_controlled",
+    "field_lines",
     "field_uncontrolled",
     "output_payoffs",
-    "scalar_field",
     "subsidy_weights",
 ]
 
@@ -80,9 +78,11 @@ class ControlPolicy:
     d: float
 
     def __post_init__(self) -> None:
+        # an entry in [-COORD_TOLERANCE, 0] targets nothing: it is stored
+        # as +0.0, so that every field sees f_i = 0 there
         y_star = check_simplex(self.y_star, "target y_star",
-                               (np.size(self.y_star),),
-                               -COORD_TOLERANCE).copy()
+                               (np.size(self.y_star),), -COORD_TOLERANCE)
+        y_star = np.where(y_star > 0.0, y_star, 0.0)
         if not np.isfinite(self.d) or self.d < 0.0:
             raise ValueError(f"average subsidy d must be >= 0, got {self.d!r}")
         y_star.setflags(write=False)
@@ -153,57 +153,54 @@ def field_controlled(scenario: Scenario, x: np.ndarray,
     return deriv[0]
 
 
-def scalar_field(scenario: Scenario, y_star: np.ndarray
-                 ) -> Callable[[list[float], float], tuple[list[float], bool]]:
-    """The field of :func:`batch_field` for one member, on Python floats.
+def field_lines(scenario: Scenario, y_star: np.ndarray, state: str,
+                rate: str) -> list[str]:
+    """The field of :func:`batch_field` for one member, as straight-line
+    Python statements on floats.
 
-    Returns ``field(x, d)``: ``x`` is one state as a flat list of its m·n
-    shares and ``d`` its gain.  It gives the derivative as a flat list, and
-    ``ok``, False (with every entry NaN) where d > 0 and a targeted
-    aggregate share is at or below DOMAIN_THRESHOLD.  It is generated as
-    straight-line Python, one local per share, y_i, F[k][i], avg_k and
-    output entry, constants as literals, and every sum an explicit ``+``
-    chain in batch_field's order (never ``sum``, which may compensate),
-    the subsidy folded into F as :func:`controlled_payoffs` folds it; as
-    numpy fuses no multiply-add, it has batch_field's bits.  Generating
-    takes about 0.2 ms at (m, n) = (3, 2) and grows with m·n².
+    The statements read the member's m·n shares, row by row, from the
+    locals ``{state}0``, ``{state}1``, ... and its gain from ``d``, and
+    assign the derivative to ``{rate}0``, ``{rate}1``, ...; where d > 0
+    and a targeted aggregate share is at or below DOMAIN_THRESHOLD they
+    ``return FAILED`` instead.  They keep y_i, the subsidy term and avg_k
+    in locals of their own (``y``, ``g``, ``p`` and ``a`` names), and F[k][i]
+    in the rate it becomes; constants are literals, and every sum an
+    explicit ``+`` chain in batch_field's order (never ``sum``, which may
+    compensate), the subsidy folded into F as :func:`controlled_payoffs`
+    folds it.  As numpy fuses no multiply-add, they give batch_field's bits.
     """
     m, n = scenario.n_populations, scenario.n_actions
     shares = scenario.shares.tolist()
     payoffs = scenario.payoffs.tolist()
     targets = np.asarray(y_star, dtype=float).tolist()
-    xs = [[f"x{k}_{i}" for i in range(n)] for k in range(m)]
-    lines = ["def field(x, d):",
-             f"    {', '.join(name for row in xs for name in row)}, = x"]
-    lines += [f"    y{i} = " + " + ".join(f"{shares[k]!r} * {xs[k][i]}"
-                                          for k in range(m))
-              for i in range(n)]
-    lines += ["    if d > 0.0:", "        g = 0.0 - d"]
+    xs = [[f"{state}{k * n + i}" for i in range(n)] for k in range(m)]
+    lines = [f"y{i} = " + " + ".join(f"{shares[k]!r} * {xs[k][i]}"
+                                     for k in range(m))
+             for i in range(n)]
+    lines += ["if d > 0.0:", "    g = 0.0 - d"]
     for i, target in enumerate(targets):
         # F - (0 - d)·f is F + d·f; a low share is divided by 1 instead
         if target > 0.0:
-            lines += [f"        if y{i} <= {DOMAIN_THRESHOLD!r}:",
-                      f"            return [NAN] * {m * n}, False",
-                      f"        p{i} = g * ({target!r} / y{i})"]
+            lines += [f"    if y{i} <= {DOMAIN_THRESHOLD!r}:",
+                      "        return FAILED",
+                      f"    p{i} = g * ({target!r} / y{i})"]
         else:
-            lines.append(f"        p{i} = g * (0.0 / (1.0 if y{i} <= "
+            lines.append(f"    p{i} = g * (0.0 / (1.0 if y{i} <= "
                          f"{DOMAIN_THRESHOLD!r} else y{i}))")
     # F - 0.0 keeps F's bits, a -0.0 included, as batch_field's skip does
-    lines += ["    else:", "        " + " = ".join(
-        f"p{i}" for i in range(n)) + " = 0.0"]
+    lines += ["else:", "    " + " = ".join(f"p{i}" for i in range(n))
+              + " = 0.0"]
+    # F[k][i] is held in the local that its rate then replaces
+    fs = [[f"{rate}{k * n + i}" for i in range(n)] for k in range(m)]
     for k in range(m):
-        lines += [f"    F{k}_{i} = " + " + ".join(
+        lines += [f"{fs[k][i]} = " + " + ".join(
             f"{payoffs[k][i][j]!r} * y{j}" for j in range(n)) + f" - p{i}"
             for i in range(n)]
-        lines.append(f"    a{k} = " + " + ".join(
-            f"{xs[k][i]} * F{k}_{i}" for i in range(n)))
-    lines.append("    return [" + ", ".join(
-        f"(F{k}_{i} - a{k}) * {xs[k][i]}" for k in range(m)
-        for i in range(n)) + "], True")
-    namespace = {"NAN": math.nan}
-    exec(compile("\n".join(lines), f"<replicator field {m}x{n}>", "exec"),
-         namespace)
-    return namespace["field"]
+        lines.append(f"a{k} = " + " + ".join(
+            f"{xs[k][i]} * {fs[k][i]}" for i in range(n)))
+    lines += [f"{fs[k][i]} = ({fs[k][i]} - a{k}) * {xs[k][i]}"
+              for k in range(m) for i in range(n)]
+    return lines
 
 
 def output_payoffs(scenario: Scenario, x: np.ndarray | None,

@@ -17,12 +17,13 @@ whole batch at once, optionally with a gain per start, and returns results
 in input order.  Every operation runs elementwise along the batch, so a
 trajectory's bits depend only on (scenario, policy, x0, config), never on
 the rest of its batch, which steps as one C-contiguous (m, n, B) array on
-a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run.  A
-lone member (`simulate`, the last of a shrinking portrait, a halving
-retry) steps on a flat list of Python floats instead, on a
-:func:`~replicator_ctl.dynamics.scalar_field` generated at most once per
-run: the same operations in the same order, so the same bits.  An
-attached Lyapunov observer reads each step's array as it is.
+a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run.  Once
+the batch is small enough, B·m·n² <= FLOAT_WORK·(m + 2n), it leaves numpy
+for good: each member then steps as a flat list of Python floats on
+:func:`float_step`, generated at most once per run, with the same
+operations in the same order, so the same bits.  A halving retry takes
+the route that rule gives one member.  An attached Lyapunov observer
+reads each step's (m, n, B) array.
 Convergence is declared online when the max-norm state change per step
 stays below ``CONVERGENCE_TOL`` for ``convergence_window`` consecutive
 steps.
@@ -38,8 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import (BatchKernel, ControlPolicy, batch_field,
-                       scalar_field)
+from .dynamics import BatchKernel, ControlPolicy, batch_field, field_lines
 from .game import (Scenario, aggregate_output, check_count,
                    check_lattice_budget, check_real, check_simplex,
                    lattice_product, simplex_lattice)
@@ -69,6 +69,12 @@ INTERIOR_GRID_FLOOR = 0.01
 
 # A failed step is re-taken as 2^j substeps for j up to this.
 MAX_HALVINGS = 20
+
+# A batch of B members steps on floats once B·m·n² <= FLOAT_WORK·(m + 2n):
+# the float step's work grows with m·n² per member, the batch kernel's
+# with its m + 2n ufunc loops per step, whatever B.  Measured crossovers
+# from (3, 2) to (20, 20) lie between 29 and 54, most near 40.
+FLOAT_WORK = 40
 
 
 class IntegrationError(RuntimeError):
@@ -168,35 +174,93 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return x_new, ok
 
 
-def _rk4_scalar(field: Callable, x: list[float], d: float, dt: float,
-                n: int) -> tuple[list[float], bool]:
-    """:func:`_rk4_step` of one member on a flat list of its m·n floats,
-    ``n`` to a population.
+def float_step(scenario: Scenario, y_star: np.ndarray
+               ) -> Callable[[list[float], float, float],
+                             tuple[list[float], bool, bool]]:
+    """:func:`_rk4_step` of one member on Python floats, generated for the
+    scenario and target as straight-line code.
 
-    ``field(x, d)`` is a :func:`~replicator_ctl.dynamics.scalar_field`.
-    Every operation runs in _rk4_step's order, so the bits are the same.
-    Where numpy would divide by zero (a row that clamps to all zeros) the
-    entries are the NaN that 0/0 gives, and no exception is raised.
+    Returns ``step(x, d, dt) -> (x_new, ok, still)``: ``x`` is one state
+    as a flat list of its m·n shares, row by row, and ``d`` its gain.
+    The four stages inline :func:`~replicator_ctl.dynamics.field_lines`;
+    the combination, the admissibility test, the clamp, the row sums (left
+    to right) with renormalization, and ``still``, whether every share
+    moved by less than CONVERGENCE_TOL, each run in the batch step's
+    order, so the bits are the same.  A failed step (``ok`` False, and
+    ``still`` then False) keeps its raw RK4 result; one that leaves the
+    field's domain returns NaN for every share.  Where numpy divides a zero
+    row by its zero sum, the entries are the NaN that 0 · inf gives, and
+    nothing raises.
     """
-    half = 0.5 * dt
-    k1 = field(x, d)[0]
-    k2 = field([a + half * b for a, b in zip(x, k1)], d)[0]
-    k3 = field([a + half * b for a, b in zip(x, k2)], d)[0]
-    k4 = field([a + dt * b for a, b in zip(x, k3)], d)[0]
-    sixth = dt / 6.0
-    x_new = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
-             for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-    if not all(-NEG_TOL <= v < math.inf for v in x_new):
-        return x_new, False  # a failed member keeps its raw RK4 result
-    fixed = [0.0 if v < 0.0 else v for v in x_new]
-    for lo in range(0, len(fixed), n):
-        row = fixed[lo:lo + n]
+    size = scenario.n_populations * scenario.n_actions
+    return _compile_step(field_lines(scenario, y_star, "s", "k"), size,
+                         scenario.n_actions)
+
+
+def _compile_step(field: list[str], size: int, n: int) -> Callable:
+    """The step of :func:`float_step` around ``field``: statements that
+    set the rates k0, k1, ... at the stage input s0, s1, ... (``size``
+    shares, ``n`` to a row) and gain d, or ``return FAILED``."""
+    def each(template: str, sep: str = ", ") -> str:
+        return sep.join(template.format(i=i) for i in range(size))
+
+    # the field's statements once, in a loop over the four stages;
+    # ((k1 + 2·k2) + 2·k3) + k4 builds up from -0.0, which keeps k1's bits
+    body = [f"{each('x{i}')}, = {each('s{i}')}, = x",
+            each("c{i}", " = ") + " = -0.0", "h = 0.5 * dt",
+            "for b, a in ((1.0, h), (2.0, h), (2.0, dt), (1.0, None)):"]
+    body += ["    " + line for line in field]
+    body += ["    " + each("c{i} = c{i} + b * k{i}", "; "),
+             "    if a is None:", "        break",
+             "    " + each("s{i} = x{i} + a * k{i}", "; "),
+             "w = dt / 6.0",
+             each("c{i} = x{i} + w * c{i}", "; "),
+             f"z = [{each('c{i}')}]"]
+    # shares all >= 0 (a NaN or inf fails its row's sum) and every row
+    # summing to 1 within RENORM_TOL: nothing to clamp or renormalize
+    # (|v| < tol as -tol < v < tol: no call, and a NaN fails it too)
+    rows = " and ".join(
+        f"{-RENORM_TOL!r} <= "
+        f"{' + '.join(f'c{i}' for i in range(lo, lo + n))} - 1.0"
+        f" <= {RENORM_TOL!r}" for lo in range(0, size, n))
+    moved = f"{-CONVERGENCE_TOL!r} < c{{i}} - x{{i}} < {CONVERGENCE_TOL!r}"
+    body += [f"if 0.0 <= min(z) and {rows}:",
+             "    return z, True, " + each(moved, " and "),
+             "return settle(z, x, n)"]
+    source = "def step(x, d, dt):\n    " + "\n    ".join(
+        line for chunk in body for line in chunk.split("\n"))
+    namespace = {"settle": _settle, "n": n,
+                 "FAILED": ((math.nan,) * size, False, False)}
+    exec(compile(source, f"<replicator step {size // n}x{n}>", "exec"),
+         namespace)
+    return namespace["step"]
+
+
+def _settle(z: list[float], x: list[float], n: int
+            ) -> tuple[list[float], bool, bool]:
+    """The end of :func:`_rk4_step` for one member's raw RK4 result ``z``
+    from ``x``, ``n`` shares to a row, each part in the batch step's order:
+    the admissibility test, the clamp, the row sums (left to right) with
+    renormalization, and the convergence test."""
+    if not all(-NEG_TOL <= v < math.inf for v in z):
+        return z, False, False  # a failed member keeps its raw RK4 result
+    z = [0.0 if v < 0.0 else v for v in z]
+    for lo in range(0, len(z), n):
+        row = z[lo:lo + n]
         total = reduce(add, row)  # left to right, as numpy adds columns
         if abs(total - 1.0) > RENORM_TOL:
             # a row of zeros: numpy's 0/0 gives NaN, and so does 0 * inf
-            fixed[lo:lo + n] = ([v / total for v in row] if total
-                                else [v * math.inf for v in row])
-    return fixed, True
+            z[lo:lo + n] = ([v / total for v in row] if total
+                            else [v * math.inf for v in row])
+    # a NaN fails the comparison, as it fails numpy's max-norm
+    return z, True, all(abs(a - b) < CONVERGENCE_TOL for a, b in zip(z, x))
+
+
+def _kernel_rhs(kernel: BatchKernel) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`~replicator_ctl.dynamics.batch_field` of ``kernel`` on
+    states laid out (m, n, B), as :func:`_rk4_step` takes it."""
+    return lambda x: batch_field(kernel, x.transpose(2, 0, 1))[0].transpose(
+        1, 2, 0)
 
 
 def _check_interior(x0: np.ndarray, scenario: Scenario,
@@ -209,10 +273,13 @@ class _BatchRun:
     """Shared stepping loop for simulate and phase_portrait.
 
     ``gains`` holds one gain per member; by default each is ``policy.d``.
-    The states are one C-contiguous (m, n, B) array, member last, so that
-    every operation of a step runs along the batch on contiguous memory.
-    An attached observer reads each step's array (a lone member's as
-    (m, n, 1)); the final V is the last entry of the recorded V column.
+    The batch steps on the batch kernel as one C-contiguous (m, n, B)
+    array, member last, so that every operation of a step runs along the
+    batch on contiguous memory, until it is small enough for
+    :meth:`_fits`; from then on each member steps as a flat list of floats
+    on :func:`float_step`, generated at most once per run.  An attached
+    observer reads each step's (m, n, B) array; the final V is the last
+    entry of the recorded V column.
     """
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
@@ -225,7 +292,7 @@ class _BatchRun:
         self.gains = (np.full(states0.shape[0], policy.d) if gains is None
                       else gains)
         self.shape = (scenario.n_populations, scenario.n_actions)
-        self.field = None
+        self.stepper = None
         self.n_members = states0.shape[0]
         self.records: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.converged = np.zeros(self.n_members, dtype=bool)
@@ -233,24 +300,38 @@ class _BatchRun:
         self.lyap_max_inc = np.full(self.n_members, -np.inf)
         self._run(states0)
 
-    def _scalar_step(self, x: list[float], d: float,
-                     dt: float) -> tuple[list[float], bool]:
-        """:func:`_rk4_scalar` of a lone member with gain d; the field is
-        generated at the run's first such step."""
-        if self.field is None:
-            self.field = scalar_field(self.scenario, self.policy.y_star)
-        return _rk4_scalar(self.field, x, d, dt, self.shape[1])
+    def _fits(self, size: int) -> bool:
+        """Whether ``size`` members step on floats: the float step's m·n²
+        work per member against the batch kernel's m + 2n ufunc loops."""
+        m, n = self.shape
+        return size * m * n * n <= FLOAT_WORK * (m + 2 * n)
+
+    def _stepper(self) -> Callable:
+        """The run's :func:`float_step`, generated at its first use."""
+        if self.stepper is None:
+            self.stepper = float_step(self.scenario, self.policy.y_star)
+        return self.stepper
 
     def _retry(self, x: list[float], d: float, member: int,
                step: int) -> list[float] | None:
         """Re-take member's failed step from x as 2^j substeps of dt / 2^j
-        for j = 1..MAX_HALVINGS (j = 0 is the step that failed); if none
+        for j = 1..MAX_HALVINGS (j = 0 is the step that failed), on floats
+        where one member fits, else on a one-member kernel; if none
         succeeds, record the member's failure and return None."""
+        if self._fits(1):
+            take = self._stepper()
+        else:
+            rhs = _kernel_rhs(BatchKernel(self.scenario, self.policy.y_star,
+                                          np.array([d])))
+
+            def take(state, d, dt):
+                fixed, ok = _rk4_step(
+                    rhs, np.reshape(state, self.shape + (1,)), dt)
+                return fixed.ravel().tolist(), ok[0], None
         for level in range(1, MAX_HALVINGS + 1):
             current = x
             for _ in range(1 << level):
-                current, ok = self._scalar_step(current, d,
-                                                self.cfg.dt / (1 << level))
+                current, ok, _ = take(current, d, self.cfg.dt / (1 << level))
                 if not ok:
                     break
             else:
@@ -274,39 +355,17 @@ class _BatchRun:
         cfg = self.cfg
         ids = np.arange(self.n_members)
         kernel = BatchKernel(self.scenario, self.policy.y_star, self.gains)
+        rhs = _kernel_rhs(kernel)
         x = np.ascontiguousarray(states0.transpose(1, 2, 0))
         counters = np.zeros(self.n_members, dtype=int)
-        if self.observer is not None:
-            v_prev = self.observer.values(x)
+        v_prev = None if self.observer is None else self.observer.values(x)
         self.records.append((0, ids, x))
         n_steps = cfg.n_steps
-        lone = None  # the last member's id; its state is then a flat list
         for step in range(1, n_steps + 1):
-            if lone is None and ids.size == 1:
-                lone, d = int(ids[0]), float(kernel.gains[0])
-                x, count = x.ravel().tolist(), int(counters[0])
-            if lone is not None:
-                fixed, ok = self._scalar_step(x, d, cfg.dt)
-                if not ok:
-                    fixed = self._retry(x, d, lone, step)
-                    if fixed is None:
-                        break
-                # a NaN fails the comparison, as it fails numpy's max-norm
-                count = (count + 1 if all(abs(a - b) < CONVERGENCE_TOL
-                                          for a, b in zip(fixed, x)) else 0)
-                x, block = fixed, np.array(fixed)  # a record is one array
-                if self.observer is not None:
-                    v_prev = self._observe(block.reshape(self.shape + (1,)),
-                                           ids, True, v_prev)
-                done = count >= cfg.convergence_window
-                if done or step % cfg.record_stride == 0 or step == n_steps:
-                    self.records.append((step, ids, block))
-                if done:
-                    self.converged[ids] = True
-                    break
-                continue
-            fixed, ok = _rk4_step(lambda x: batch_field(
-                kernel, x.transpose(2, 0, 1))[0].transpose(1, 2, 0), x, cfg.dt)
+            if self._fits(ids.size):  # for good: the batch only shrinks
+                self._run_floats(step, ids, x, kernel.gains, counters, v_prev)
+                return
+            fixed, ok = _rk4_step(rhs, x, cfg.dt)
             all_ok = np.logical_and.reduce(ok)
             for local in [] if all_ok else np.flatnonzero(~ok):
                 retried = self._retry(x[..., local].ravel().tolist(),
@@ -347,6 +406,66 @@ class _BatchRun:
                     break
             x = fixed
 
+    def _run_floats(self, first: int, ids: np.ndarray, x: np.ndarray,
+                    gains: np.ndarray, counters: np.ndarray,
+                    v_prev: np.ndarray | None) -> None:
+        """Steps ``first`` to the end of :meth:`_run` with each member's
+        state a flat list stepped by :func:`float_step`, and the batch
+        loop's retries, convergence counts, observer, records and
+        compaction on lists, which at this size costs less than numpy."""
+        cfg, n_steps = self.cfg, self.cfg.n_steps
+        step_of = self._stepper()
+        states = x.reshape(-1, ids.size).T.tolist()
+        gains, counters = gains.tolist(), counters.tolist()
+        for step in range(first, n_steps + 1):
+            fixed, ok, still = map(list, zip(*[
+                step_of(state, d, cfg.dt) for state, d in zip(states, gains)]))
+            all_ok = all(ok)
+            for j in [] if all_ok else [j for j, good in enumerate(ok)
+                                        if not good]:
+                new = self._retry(states[j], gains[j], int(ids[j]), step)
+                if new is None:
+                    fixed[j] = states[j]  # finite; its V is masked
+                    continue
+                # a NaN fails the comparison, as in numpy's max-norm
+                fixed[j], ok[j], still[j] = new, True, all(
+                    abs(a - b) < CONVERGENCE_TOL
+                    for a, b in zip(new, states[j]))
+            all_ok = all_ok or all(ok)
+            counters = [count + 1 if moved_little else 0
+                        for count, moved_little in zip(counters, still)]
+            converged = [count >= cfg.convergence_window
+                         for count in counters]
+            block = None  # the step's (m, n, B) array, made when needed
+            if self.observer is not None:
+                block = np.array(fixed).T.reshape(self.shape + (-1,))
+                v_prev = self._observe(block, ids, np.array(ok), v_prev)
+
+            record_now = (step % cfg.record_stride == 0) or (step == n_steps)
+            keep = ok if record_now else converged
+            if record_now and all_ok:
+                if block is None:
+                    block = np.array(fixed).T.reshape(self.shape + (-1,))
+                self.records.append((step, ids, block))
+            elif any(keep):
+                kept = np.array([new for new, k in zip(fixed, keep) if k])
+                self.records.append((step, ids[np.array(keep)],
+                                     kept.T.reshape(self.shape + (-1,))))
+
+            if any(converged) or not all_ok:
+                self.converged[ids[np.array(converged)]] = True
+                active = [good and not done
+                          for good, done in zip(ok, converged)]
+                ids = ids[np.array(active)]
+                if ids.size == 0:
+                    break
+                fixed, gains, counters = (
+                    [v for v, kept in zip(values, active) if kept]
+                    for values in (fixed, gains, counters))
+                if self.observer is not None:
+                    v_prev = v_prev[np.array(active)]
+            states = fixed
+
     def results(self) -> list["Trajectory | IntegrationError"]:
         """Every member's outcome, in member order.
 
@@ -360,11 +479,10 @@ class _BatchRun:
                           [ids.size for _, ids, _ in self.records])
         ids = np.concatenate([ids for _, ids, _ in self.records])
         order = np.argsort(ids, kind="stable")
-        # a lone member's blocks are flat (m·n,), the batch's (m, n, k)
-        grouped = np.concatenate([block.reshape(math.prod(self.shape), -1)
-                                  for *_, block in self.records], axis=1)
+        grouped = np.concatenate([block for *_, block in self.records],
+                                 axis=2)
         self.records = []
-        grouped = grouped.T.reshape((-1,) + self.shape)[order]
+        grouped = grouped.transpose(2, 0, 1)[order]
         steps = steps[order]
         bounds = np.searchsorted(ids[order], np.arange(self.n_members + 1))
         return [self._trajectory(member, steps[lo:hi], grouped[lo:hi])

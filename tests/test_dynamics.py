@@ -4,6 +4,7 @@ tangency, shift invariance, growth floors, rest-point retention."""
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -18,9 +19,11 @@ from replicator_ctl import (
     field_controlled,
     field_uncontrolled,
     phase_portrait,
+    simulate,
 )
-from replicator_ctl.dynamics import (controlled_payoffs, output_payoffs,
-                                     scalar_field, subsidy_weights)
+from replicator_ctl import integrate
+from replicator_ctl.dynamics import (controlled_payoffs, field_lines,
+                                     output_payoffs, subsidy_weights)
 from replicator_ctl.stability import _mismatch_batch
 from conftest import (assert_same_bits, average_payoff, batch_field_of,
                       expected_payoff, local_shift, make_state, random_policy,
@@ -168,6 +171,28 @@ class TestPolicy:
         policy = ControlPolicy.off(3)
         assert policy.d == 0.0
 
+    def test_tiny_negative_target_entry_targets_nothing(self, threepop,
+                                                        monkeypatch):
+        # an entry in [-COORD_TOLERANCE, 0) is stored as +0.0, so the batch
+        # kernel pays it no subsidy, as the float step does: the field, and
+        # a start alone on floats or inside a batch on the kernel, agree
+        policy = ControlPolicy(y_star=np.array([1.0 + 1e-13, -1e-13]), d=1.2)
+        assert policy.y_star.tolist() == [1.0 + 1e-13, 0.0]
+        assert math.copysign(1.0, policy.y_star[1]) == 1.0
+        assert math.copysign(1.0, ControlPolicy(
+            y_star=np.array([1.0, -0.0]), d=1.2).y_star[1]) == 1.0
+        plain = ControlPolicy(y_star=np.array([1.0 + 1e-13, 0.0]), d=1.2)
+        x = z_state((0.3, 0.6, 0.2))
+        assert_same_bits(field_controlled(threepop, x, policy),
+                         field_controlled(threepop, x, plain))
+        cfg = IntegrationConfig(dt=0.05, t_max=5.0)
+        start = z_state((0.2, 0.5, 0.7))
+        alone = simulate(threepop, policy, start, cfg)
+        monkeypatch.setattr(integrate, "FLOAT_WORK", 0)
+        inside = phase_portrait(threepop, policy,
+                                [z_state((0.6, 0.4, 0.3)), start], cfg)[1]
+        assert_same_bits(inside.states, alone.states)
+
 
 class TestUncontrolledField:
     def test_worked_example_rates(self, threepop):
@@ -306,6 +331,19 @@ class TestControlledField:
         assert np.all(np.isnan(batch[1]))
 
 
+def generated_field(scenario: Scenario, y_star: np.ndarray):
+    """``field(x, d) -> (rates, ok)`` on a flat list of shares, made of the
+    statements of :func:`field_lines` as the float step inlines them."""
+    size = scenario.n_populations * scenario.n_actions
+    body = [", ".join(f"s{i}" for i in range(size)) + ", = x",
+            *field_lines(scenario, y_star, "s", "k"),
+            "return [" + ", ".join(f"k{i}" for i in range(size)) + "], True"]
+    namespace = {"FAILED": ([math.nan] * size, False)}
+    exec("def field(x, d):\n" + "\n".join("    " + line for line in body),
+         namespace)
+    return namespace["field"]
+
+
 class TestScalarCarrier:
     # two larger shapes too, where the generated field is long
     @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4)
@@ -324,7 +362,7 @@ class TestScalarCarrier:
                 y_star = np.zeros(n)
                 y_star[int(rng.integers(n))] = 1.0
                 policy = ControlPolicy(y_star=y_star, d=policy.d)
-            field = scalar_field(scen, policy.y_star)
+            field = generated_field(scen, policy.y_star)
             for kind in range(4):
                 x = random_state(rng, scen, interior=0.01 * (kind == 0))
                 if kind == 2:  # every population off the first action

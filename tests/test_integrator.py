@@ -13,6 +13,7 @@ from replicator_ctl import (
     IntegrationConfig,
     IntegrationError,
     Scenario,
+    SimplexDomainError,
     aggregate_output,
     field_controlled,
     interior_grid,
@@ -22,8 +23,9 @@ from replicator_ctl import (
 from replicator_ctl import dynamics, integrate
 from replicator_ctl.agents import round_time_step
 from replicator_ctl.cli import write_trajectory_csv
-from replicator_ctl.dynamics import BatchKernel, batch_field, scalar_field
-from replicator_ctl.integrate import Trajectory, _BatchRun, _check_interior
+from replicator_ctl.dynamics import BatchKernel, batch_field
+from replicator_ctl.integrate import (CONVERGENCE_TOL, Trajectory, _BatchRun,
+                                      _check_interior)
 from replicator_ctl.stability import LyapunovObserver, unique_target_equilibrium
 from conftest import (
     FIVE_STARTS,
@@ -186,32 +188,41 @@ class TestSimulate:
     def test_retry_starts_at_half_step(self, monkeypatch):
         # one step fails and is re-taken as two half steps: 15 steps of 4
         # stages, then 2 x 4 stages, and not the failed full step again;
-        # evaluations are counted in whichever field kernel runs
+        # evaluations are counted on the batch kernel, and on the float
+        # route as four to a step, and both routes give the same bits
         payoff = np.array([[0.0, 60.0], [0.0, 0.0]])
         scen = Scenario(payoffs=np.stack([payoff, payoff]),
                         shares=np.array([0.5, 0.5]))
         policy = ControlPolicy.off(2)
         real = integrate.batch_field
-        real_scalar = integrate.scalar_field
+        real_step = integrate.float_step
         members = []
 
         def counted(kernel, states):
             members.append(states.shape[0])
             return real(kernel, states)
 
-        def counted_scalar(scenario, y_star):
-            field = real_scalar(scenario, y_star)
+        def counted_step(scenario, y_star):
+            step = real_step(scenario, y_star)
 
-            def one(x, d):
-                members.append(1)
-                return field(x, d)
+            def one(x, d, dt):
+                members.append(4)
+                return step(x, d, dt)
             return one
 
         monkeypatch.setattr(integrate, "batch_field", counted)
-        monkeypatch.setattr(integrate, "scalar_field", counted_scalar)
-        traj = simulate(scen, policy, make_state([[0.99, 0.01], [0.5, 0.5]]),
-                        IntegrationConfig(dt=0.2, t_max=3.0))
-        assert sum(members) == 15 * 4 + 2 * 4
+        monkeypatch.setattr(integrate, "float_step", counted_step)
+        routes = []
+        for work, route in ((0, "kernel"), (10 ** 9, "float")):
+            monkeypatch.setattr(integrate, "FLOAT_WORK", work)
+            members.clear()
+            traj = simulate(scen, policy,
+                            make_state([[0.99, 0.01], [0.5, 0.5]]),
+                            IntegrationConfig(dt=0.2, t_max=3.0))
+            assert sum(members) == 15 * 4 + 2 * 4, route
+            routes.append(traj)
+        assert_same_bits(routes[0].states, routes[1].states)
+        monkeypatch.undo()
 
         def step(x, dt):
             return kernel_step(scen, policy.y_star, x[None], np.zeros(1), dt)
@@ -234,9 +245,9 @@ class TestSimulate:
 
 
 class TestOneMemberPath:
-    """A one-member batch steps on Python floats with the batch kernel's
-    bits: the scalar RK4 step against _rk4_step, and a trajectory alone
-    against the same start inside a batch."""
+    """A member stepping on floats has the batch kernel's bits: the float
+    RK4 step against _rk4_step, and a trajectory on floats against the
+    same start inside a batch on the kernel."""
 
     @staticmethod
     def batch_step(scen, policy, x, d, dt):
@@ -244,27 +255,39 @@ class TestOneMemberPath:
                                 dt)
         return fixed[0], bool(ok[0])
 
-    # two larger shapes too, where the generated field is long
+    # two larger shapes too, where the generated step is long
     @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4)
                                      for n in (2, 3, 4)]
                              + [(9, 12), (12, 12)])
     def test_scalar_step_is_the_batch_step(self, m, n):
         rng = np.random.default_rng(200 + 10 * m + n)
-        failed = 0
+        failed = still = 0
         for trial in range(6):
             scen = random_scenario(rng, m=m, n=n)
             policy = random_policy(rng, scen, boundary_target=trial % 2 == 0)
-            field = scalar_field(scen, policy.y_star)
+            step = integrate.float_step(scen, policy.y_star)
             for d in (0.0, policy.d):
-                for dt in (0.01, 0.5, 5.0):
+                for dt in (1e-9, 0.01, 0.5, 5.0):
                     x = random_state(rng, scen, interior=0.001)
                     expected, ok = self.batch_step(scen, policy, x, d, dt)
-                    got, got_ok = integrate._rk4_scalar(
-                        field, x.ravel().tolist(), d, dt, n)
+                    got, got_ok, got_still = step(x.ravel().tolist(), d, dt)
                     assert got_ok == ok
                     assert_same_bits(np.reshape(got, (m, n)), expected)
+                    # the batch loop's max-norm test, on an admissible step
+                    assert got_still == (
+                        ok and np.max(np.abs(expected - x)) < CONVERGENCE_TOL)
                     failed += not ok
-        assert failed > 0
+                    still += got_still
+        assert failed > 0 and still > 0
+
+    @staticmethod
+    def constant_step(rates):
+        """The float step around a field of constant rates."""
+        rates = np.asarray(rates, dtype=float)
+        return integrate._compile_step(
+            [f"k{i} = {rate!r}"
+             for i, rate in enumerate(rates.ravel().tolist())],
+            rates.size, rates.shape[1])
 
     def test_drifted_rows_renormalize_as_the_batch_does(self):
         # constant rates that do not sum to zero move every row off sum 1
@@ -273,9 +296,8 @@ class TestOneMemberPath:
             x = 0.5 * rng.dirichlet(np.ones(4), size=3) + 0.125
             rates = rng.uniform(-1.0, 1.0, size=(3, 4))
             expected, ok = rk4_step(lambda s: rates, x, 0.01)
-            got, got_ok = integrate._rk4_scalar(
-                lambda s, d: (rates.ravel().tolist(), True),
-                x.ravel().tolist(), 0.0, 0.01, 4)
+            got, got_ok, _ = self.constant_step(rates)(
+                x.ravel().tolist(), 0.0, 0.01)
             assert ok and got_ok
             assert_same_bits(np.reshape(got, (3, 4)), expected)
 
@@ -286,13 +308,13 @@ class TestOneMemberPath:
         rates = [[-0.5 - 4e-13, -0.5 - 4e-13], [0.0, 0.0]]
         expected, ok = rk4_step(lambda s: np.array(rates), x, 1.0)
         assert ok and np.all(np.isnan(expected[0]))
-        got, got_ok = integrate._rk4_scalar(
-            lambda s, d: (sum(rates, []), True), x.ravel().tolist(), 0.0,
-            1.0, 2)
-        assert got_ok
+        got, got_ok, still = self.constant_step(rates)(
+            x.ravel().tolist(), 0.0, 1.0)
+        assert got_ok and not still
         assert_same_bits(np.reshape(got, (2, 2)), expected)
 
-    def test_simulate_equals_its_place_in_a_batch(self):
+    def test_simulate_equals_its_place_in_a_batch(self, monkeypatch):
+        # alone on floats, inside a batch of four on the kernel
         rng = np.random.default_rng(79)
         cfg = IntegrationConfig(dt=0.05, t_max=4.0, convergence_window=20,
                                 record_stride=3)
@@ -305,14 +327,18 @@ class TestOneMemberPath:
                                          boundary_target=True)):
                 starts = [random_state(rng, scen, interior=0.01)
                           for _ in range(4)]
-                alone = simulate(scen, policy, starts[2], cfg)
-                inside = phase_portrait(scen, policy, starts, cfg)[2]
+                with monkeypatch.context() as patch:
+                    patch.setattr(integrate, "FLOAT_WORK", 10 ** 9)
+                    alone = simulate(scen, policy, starts[2], cfg)
+                with monkeypatch.context() as patch:
+                    patch.setattr(integrate, "FLOAT_WORK", 0)
+                    inside = phase_portrait(scen, policy, starts, cfg)[2]
                 assert np.array_equal(inside.times, alone.times)
                 assert np.array_equal(inside.states, alone.states)
                 assert inside.converged == alone.converged
 
     def test_observer_sees_the_same_trajectory(self, threepop,
-                                               policy_boundary):
+                                               policy_boundary, monkeypatch):
         observer = LyapunovObserver(
             unique_target_equilibrium(threepop, policy_boundary.y_star),
             threepop)
@@ -320,6 +346,7 @@ class TestOneMemberPath:
         starts = [z_state((0.2, 0.3, 0.4)), z_state((0.7, 0.1, 0.5))]
         alone = simulate(threepop, policy_boundary, starts[1], cfg,
                          observer=observer)
+        monkeypatch.setattr(integrate, "FLOAT_WORK", 0)  # on the kernel
         inside = phase_portrait(threepop, policy_boundary, starts, cfg,
                                 observer=observer)[1]
         assert np.array_equal(inside.states, alone.states)
@@ -353,41 +380,58 @@ class TestOneMemberPath:
     def test_field_is_generated_once_and_only_for_a_lone_member(
             self, monkeypatch, threepop, policy_boundary):
         generated = []
-        real = integrate.scalar_field
+        real = integrate.float_step
 
         def counted(scenario, y_star):
             generated.append(scenario.n_populations * scenario.n_actions ** 2)
             return real(scenario, y_star)
 
-        monkeypatch.setattr(integrate, "scalar_field", counted)
-        monkeypatch.setattr(dynamics, "scalar_field", counted)
-        # a sweep-style batch never has a lone member, and field_controlled
-        # evaluates on the batch kernel
-        cfg = IntegrationConfig(dt=0.05, t_max=5.0)
-        phase_portrait(threepop, policy_boundary, five_start_states(), cfg,
-                       gains=[0.6, 1.2])
-        field_controlled(threepop, z_state((0.2, 0.5, 0.7)), policy_boundary)
-        assert generated == []
-        # members that converge one after another leave one stepping alone
-        cfg = IntegrationConfig(dt=0.05, convergence_window=20)
-        outcomes = phase_portrait(threepop, policy_boundary,
-                                  five_start_states(), cfg)
-        assert len({traj.times.size for traj in outcomes}) == 5
-        assert generated == [12]
-        # halving retries inside a batch, then a lone run that retries
+        monkeypatch.setattr(integrate, "float_step", counted)
         payoff = np.array([[0.0, 60.0], [0.0, 0.0]])
         scen = Scenario(payoffs=np.stack([payoff, payoff]),
                         shares=np.array([0.5, 0.5]))
         start = make_state([[0.99, 0.01], [0.5, 0.5]])
-        cfg = IntegrationConfig(dt=0.2, t_max=3.0)
-        phase_portrait(scen, ControlPolicy.off(2),
-                       [make_state([[0.3, 0.7], [0.6, 0.4]]), start], cfg)
-        simulate(scen, ControlPolicy.off(2), start, cfg)
-        assert generated == [12, 8, 8]
 
-    def test_halvings_match_in_a_batch(self):
+        def sweep_style():
+            # never a lone member; field_controlled is on the batch kernel
+            cfg = IntegrationConfig(dt=0.05, t_max=5.0)
+            phase_portrait(threepop, policy_boundary, five_start_states(),
+                           cfg, gains=[0.6, 1.2])
+            field_controlled(threepop, z_state((0.2, 0.5, 0.7)),
+                             policy_boundary)
+
+        def converging():
+            # members that converge one after another leave one alone
+            cfg = IntegrationConfig(dt=0.05, convergence_window=20)
+            outcomes = phase_portrait(threepop, policy_boundary,
+                                      five_start_states(), cfg)
+            assert len({traj.times.size for traj in outcomes}) == 5
+
+        def retrying():
+            # halving retries inside a batch, then a lone run that retries
+            cfg = IntegrationConfig(dt=0.2, t_max=3.0)
+            phase_portrait(scen, ControlPolicy.off(2),
+                           [make_state([[0.3, 0.7], [0.6, 0.4]]), start], cfg)
+            simulate(scen, ControlPolicy.off(2), start, cfg)
+
+        # FLOAT_WORK 2 admits one member at (3, 2) (12 <= 2·7) and at
+        # (2, 2) (8 <= 2·6), never two: only a lone member or a retry steps
+        # on floats, and a run generates its step once; 0 admits none, and
+        # a huge FLOAT_WORK puts every run on floats from its first step
+        for work, expected in ((2, ([], [12], [12, 8, 8])),
+                               (0, ([], [], [])),
+                               (10 ** 9, ([12], [12, 12], [12, 12, 8, 8]))):
+            monkeypatch.setattr(integrate, "FLOAT_WORK", work)
+            generated.clear()
+            for run, want in zip((sweep_style, converging, retrying),
+                                 expected):
+                run()
+                assert generated == want, work
+
+    def test_halvings_match_in_a_batch(self, monkeypatch):
         # the start of test_retry_starts_at_half_step fails one full step,
-        # which is re-taken in halves on its own in both runs
+        # which is re-taken in halves on floats alone and on a one-member
+        # kernel inside a batch stepping on the kernel
         payoff = np.array([[0.0, 60.0], [0.0, 0.0]])
         scen = Scenario(payoffs=np.stack([payoff, payoff]),
                         shares=np.array([0.5, 0.5]))
@@ -399,11 +443,12 @@ class TestOneMemberPath:
                                 alone.states[k], 0.2)[1] for k in range(15))
         batch = [make_state([[0.3, 0.7], [0.6, 0.4]]), start,
                  make_state([[0.5, 0.5], [0.2, 0.8]])]
+        monkeypatch.setattr(integrate, "FLOAT_WORK", 0)
         inside = phase_portrait(scen, policy, batch, cfg)[1]
         assert np.array_equal(inside.times, alone.times)
         assert np.array_equal(inside.states, alone.states)
 
-    def test_domain_failure_is_the_same_error(self):
+    def test_domain_failure_is_the_same_error(self, monkeypatch):
         # action 1 loses 1e12 against everything and is the target: every
         # first stage, down to dt / 2^20, leaves the controlled field's
         # domain, so the step fails with NaN and cannot be recovered
@@ -413,25 +458,54 @@ class TestOneMemberPath:
         policy = ControlPolicy(y_star=np.array([1.0, 0.0]), d=1.0)
         cfg = IntegrationConfig(dt=0.1, t_max=1.0)
         start = make_state([[0.5, 0.5], [0.5, 0.5]])
-        field = scalar_field(scen, policy.y_star)
-        rates, ok = field(start.ravel().tolist(), policy.d)
         half = cfg.dt / 2 ** (integrate.MAX_HALVINGS + 1)
-        stage = start.ravel() + half * np.array(rates)
-        assert ok and not field(stage.tolist(), policy.d)[1]
+        stage = start + half * field_controlled(scen, start, policy)
+        with pytest.raises(SimplexDomainError):
+            field_controlled(scen, stage, policy)
+        fixed, ok, still = integrate.float_step(scen, policy.y_star)(
+            start.ravel().tolist(), policy.d, 2 * half)
+        assert not ok and not still and np.all(np.isnan(fixed))
         with pytest.raises(IntegrationError) as alone:
             simulate(scen, policy, start, cfg)
         batch = [make_state([[0.4, 0.6], [0.6, 0.4]]), start]
+        monkeypatch.setattr(integrate, "FLOAT_WORK", 0)
         inside = phase_portrait(scen, policy, batch, cfg)
         assert all(isinstance(r, IntegrationError) for r in inside)
         # the same step fails; the messages differ only in the member
         assert str(inside[1]).replace("trajectory 1", "trajectory 0") \
             == str(alone.value)
 
+    def test_large_lone_member_steps_on_the_kernel(self, monkeypatch):
+        # at (20, 20) one member's m·n² work is over FLOAT_WORK·(m + 2n):
+        # simulate steps on the batch kernel, generates no float step, and
+        # has the float route's bits
+        rng = np.random.default_rng(88)
+        scen = random_scenario(rng, m=20, n=20)
+        policy = random_policy(rng, scen, d_range=(0.5, 3.0))
+        start = random_state(rng, scen, interior=0.01)
+        cfg = IntegrationConfig(dt=0.05, t_max=0.5)
+        assert 20 * 20 ** 2 > integrate.FLOAT_WORK * (20 + 2 * 20)
+        real, generated = integrate.float_step, []
+
+        def counted(scenario, y_star):
+            generated.append(scenario.n_actions)
+            return real(scenario, y_star)
+
+        monkeypatch.setattr(integrate, "float_step", counted)
+        on_kernel = simulate(scen, policy, start, cfg)
+        assert generated == []
+        monkeypatch.setattr(integrate, "FLOAT_WORK", 10 ** 9)
+        on_floats = simulate(scen, policy, start, cfg)
+        assert generated == [20]
+        assert on_kernel.times.size == on_floats.times.size == 11
+        assert_same_bits(on_kernel.states, on_floats.states)
+
 
 class TestBatchBits:
-    """A start has the same bits alone, on the scalar path, as inside
-    batches of 2, 3, 17 and 133 on the batch kernel, whatever the gains,
-    halvings, domain failures and compactions of the rest of its batch."""
+    """A start has the same bits alone as inside batches of 2, 3, 17 and
+    133, whatever the gains, halvings, domain failures and compactions of
+    the rest of its batch, on the batch kernel, on floats, and moving from
+    the one to the other as its batch shrinks."""
 
     SIZES = (2, 3, 17, 133)
 
@@ -448,26 +522,39 @@ class TestBatchBits:
         assert got.converged == expected.converged
 
     def test_alone_equals_inside_batches(self, monkeypatch):
-        seen = {"domain": 0, "halved": 0, "converged": 0, "failed": 0}
-        real_field = integrate.scalar_field
-        real_step = integrate._rk4_scalar
         cfg = IntegrationConfig(dt=0.2, t_max=1.2, convergence_window=3)
+        seen = {route: {"domain": 0, "halved": 0, "converged": 0,
+                        "failed": 0} for route in ("kernel", "float")}
+        real_field = integrate.batch_field
+        real_rk4 = integrate._rk4_step
+        real_step = integrate.float_step
 
-        def counted_field(scenario, y_star):
-            field = real_field(scenario, y_star)
+        def counted_field(kernel, states):
+            rates, ok = real_field(kernel, states)
+            seen["kernel"]["domain"] += int(np.count_nonzero(~ok))
+            return rates, ok
 
-            def one(x, d):
-                rates, ok = field(x, d)
-                seen["domain"] += not ok
-                return rates, ok
+        def counted_rk4(rhs, x, dt):
+            seen["kernel"]["halved"] += dt < cfg.dt
+            return real_rk4(rhs, x, dt)
+
+        def counted_step(scenario, y_star):
+            step = real_step(scenario, y_star)
+            # what a step that leaves the field's domain returns
+            failed = step.__globals__["FAILED"]
+
+            def one(x, d, dt):
+                result = step(x, d, dt)
+                seen["float"]["domain"] += result is failed
+                seen["float"]["halved"] += dt < cfg.dt
+                return result
             return one
 
-        def counted_step(field, x, d, dt, n):
-            seen["halved"] += dt < cfg.dt
-            return real_step(field, x, d, dt, n)
-
-        monkeypatch.setattr(integrate, "scalar_field", counted_field)
-        monkeypatch.setattr(integrate, "_rk4_scalar", counted_step)
+        monkeypatch.setattr(integrate, "batch_field", counted_field)
+        monkeypatch.setattr(integrate, "_rk4_step", counted_rk4)
+        monkeypatch.setattr(integrate, "float_step", counted_step)
+        default_work = integrate.FLOAT_WORK
+        routes = {"kernel": 0, "float": 10 ** 9, "both": default_work}
         for case in range(6):
             rng = np.random.default_rng(500 + case)
             m, n = ((2, 2), (9, 9))[case] if case < 2 else \
@@ -485,13 +572,18 @@ class TestBatchBits:
             vertex = np.zeros((m, n))
             vertex[:, int(np.argmin(y_star))] = 1.0
             probes += [(vertex, 0.0), (vertex, policy.d)]
-            alone = [_BatchRun(scen, policy, x[None], cfg,
-                               gains=np.array([d])).results()[0]
-                     for x, d in probes]
-            seen["converged"] += sum(getattr(a, "converged", False)
-                                     for a in alone)
-            seen["failed"] += sum(isinstance(a, IntegrationError)
-                                  for a in alone)
+            alone = {}
+            for route in ("kernel", "float"):
+                monkeypatch.setattr(integrate, "FLOAT_WORK", routes[route])
+                alone[route] = [_BatchRun(scen, policy, x[None], cfg,
+                                          gains=np.array([d])).results()[0]
+                                for x, d in probes]
+                seen[route]["converged"] += sum(
+                    getattr(a, "converged", False) for a in alone[route])
+                seen[route]["failed"] += sum(
+                    isinstance(a, IntegrationError) for a in alone[route])
+            for on_kernel, on_floats in zip(alone["kernel"], alone["float"]):
+                self.same_outcome(on_floats, on_kernel)
             for size, chosen in zip(self.SIZES,
                                     ([6, 0], [7, 1, 2], range(8), range(8))):
                 states = [random_state(rng, scen, interior=0.01)
@@ -500,11 +592,14 @@ class TestBatchBits:
                 places = rng.permutation(size)[:len(chosen)]
                 for place, probe in zip(places, chosen):
                     states[place], member_gains[place] = probes[probe]
-                inside = _BatchRun(scen, policy, np.array(states), cfg,
-                                   gains=member_gains).results()
-                for place, probe in zip(places, chosen):
-                    self.same_outcome(inside[place], alone[probe])
-        assert min(seen.values()) > 0, seen
+                for work in routes.values():
+                    monkeypatch.setattr(integrate, "FLOAT_WORK", work)
+                    inside = _BatchRun(scen, policy, np.array(states), cfg,
+                                       gains=member_gains).results()
+                    for place, probe in zip(places, chosen):
+                        self.same_outcome(inside[place],
+                                          alone["kernel"][probe])
+        assert min(min(counts.values()) for counts in seen.values()) > 0, seen
 
     def test_batched_step_raises_no_warning(self, threepop, policy_boundary):
         # one step of six members: in range; outside the domain (NaN);
@@ -637,8 +732,8 @@ class TestPortrait:
     def test_batch_field_calling_convention(self, threepop, policy_boundary,
                                             monkeypatch):
         # what perfbench's trace reads: each call's states are (B, m, n),
-        # and the leading sizes add up to four stages per batch
-        # member-step; every start is there twice, so no member steps alone
+        # and the leading sizes add up to four stages per member-step of a
+        # batch kept on the kernel to its last member
         real, members = integrate.batch_field, []
 
         def recorded(kernel, states):
@@ -647,6 +742,7 @@ class TestPortrait:
             return real(kernel, states)
 
         monkeypatch.setattr(integrate, "batch_field", recorded)
+        monkeypatch.setattr(integrate, "FLOAT_WORK", 0)  # never on floats
         grid = interior_grid(threepop, 3)
         results = phase_portrait(threepop, policy_boundary,
                                  np.concatenate([grid, grid]),
