@@ -18,12 +18,13 @@ in input order.  Every operation runs elementwise along the batch, so a
 trajectory's bits depend only on (scenario, policy, x0, config), never on
 the rest of its batch, which steps as one C-contiguous (m, n, B) array on
 a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run.  Once
-the batch is small enough, B·m·n² <= FLOAT_WORK·(m + 2n), it leaves numpy
-for good: each member then steps as a flat list of Python floats on
-:func:`float_step`, generated at most once per run, with the same
-operations in the same order, so the same bits.  A halving retry takes
-the route that rule gives one member.  An attached Lyapunov observer
-reads each step's (m, n, B) array.
+the batch is small enough, B·m·n² <= FLOAT_WORK·(m + 2n), and the steps
+left repay the float step's generation, each member steps as a flat list
+of Python floats on :func:`float_step`, generated at most once per run,
+with the same operations in the same order, so the same bits; the step's
+(m, n, B) array is made from those lists, and one loop counts, observes,
+records and compacts on either route.  A halving retry always steps on
+floats.  An attached Lyapunov observer reads each step's (m, n, B) array.
 Convergence is declared online when the max-norm state change per step
 stays below ``CONVERGENCE_TOL`` for ``convergence_window`` consecutive
 steps.
@@ -73,8 +74,12 @@ MAX_HALVINGS = 20
 # A batch of B members steps on floats once B·m·n² <= FLOAT_WORK·(m + 2n):
 # the float step's work grows with m·n² per member, the batch kernel's
 # with its m + 2n ufunc loops per step, whatever B.  Measured crossovers
-# from (3, 2) to (20, 20) lie between 29 and 54, most near 40.
+# from (3, 2) to (20, 20) lie between 29 and 54, most near 40.  Before
+# the float step is generated, the steps left must also repay its
+# generation, which costs about FLOAT_GENERATION float member-steps
+# (measured: 65 to 130 from (3, 2) to (12, 12)).
 FLOAT_WORK = 40
+FLOAT_GENERATION = 100
 
 
 class IntegrationError(RuntimeError):
@@ -275,11 +280,10 @@ class _BatchRun:
     ``gains`` holds one gain per member; by default each is ``policy.d``.
     The batch steps on the batch kernel as one C-contiguous (m, n, B)
     array, member last, so that every operation of a step runs along the
-    batch on contiguous memory, until it is small enough for
-    :meth:`_fits`; from then on each member steps as a flat list of floats
-    on :func:`float_step`, generated at most once per run.  An attached
-    observer reads each step's (m, n, B) array; the final V is the last
-    entry of the recorded V column.
+    batch on contiguous memory, or, where :meth:`_fits`, each member as a
+    flat list of floats on :func:`float_step`, generated at most once per
+    run.  An attached observer reads each step's (m, n, B) array; the
+    final V is the last entry of the recorded V column.
     """
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
@@ -300,11 +304,15 @@ class _BatchRun:
         self.lyap_max_inc = np.full(self.n_members, -np.inf)
         self._run(states0)
 
-    def _fits(self, size: int) -> bool:
-        """Whether ``size`` members step on floats: the float step's m·n²
-        work per member against the batch kernel's m + 2n ufunc loops."""
+    def _fits(self, size: int, steps: int) -> bool:
+        """Whether ``size`` members step on floats, ``steps`` left: the
+        float step's m·n² work per member against the batch kernel's m + 2n
+        ufunc loops, the saving over the steps left also repaying the float
+        step's generation while it is not yet made."""
         m, n = self.shape
-        return size * m * n * n <= FLOAT_WORK * (m + 2 * n)
+        saving = FLOAT_WORK * (m + 2 * n) - size * m * n * n
+        owed = 0 if self.stepper is not None else FLOAT_GENERATION * m * n * n
+        return saving >= 0 and steps * saving >= owed
 
     def _stepper(self) -> Callable:
         """The run's :func:`float_step`, generated at its first use."""
@@ -312,22 +320,24 @@ class _BatchRun:
             self.stepper = float_step(self.scenario, self.policy.y_star)
         return self.stepper
 
+    def _float_rk4(self, x: np.ndarray, gains: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_rk4_step` of the batch ``x`` (m, n, B) member by member
+        on :func:`float_step`, with each member's stillness as well."""
+        take, dt = self._stepper(), self.cfg.dt
+        fixed, ok, still = zip(*[
+            take(state, d, dt) for state, d in
+            zip(x.reshape(-1, x.shape[2]).T.tolist(), gains.tolist())])
+        return (np.array(fixed).T.reshape(x.shape), np.array(ok),
+                np.array(still))
+
     def _retry(self, x: list[float], d: float, member: int,
                step: int) -> list[float] | None:
         """Re-take member's failed step from x as 2^j substeps of dt / 2^j
-        for j = 1..MAX_HALVINGS (j = 0 is the step that failed), on floats
-        where one member fits, else on a one-member kernel; if none
-        succeeds, record the member's failure and return None."""
-        if self._fits(1):
-            take = self._stepper()
-        else:
-            rhs = _kernel_rhs(BatchKernel(self.scenario, self.policy.y_star,
-                                          np.array([d])))
-
-            def take(state, d, dt):
-                fixed, ok = _rk4_step(
-                    rhs, np.reshape(state, self.shape + (1,)), dt)
-                return fixed.ravel().tolist(), ok[0], None
+        for j = 1..MAX_HALVINGS (j = 0 is the step that failed), on
+        floats; if none succeeds, record the member's failure and return
+        None."""
+        take = self._stepper()
         for level in range(1, MAX_HALVINGS + 1):
             current = x
             for _ in range(1 << level):
@@ -362,10 +372,11 @@ class _BatchRun:
         self.records.append((0, ids, x))
         n_steps = cfg.n_steps
         for step in range(1, n_steps + 1):
-            if self._fits(ids.size):  # for good: the batch only shrinks
-                self._run_floats(step, ids, x, kernel.gains, counters, v_prev)
-                return
-            fixed, ok = _rk4_step(rhs, x, cfg.dt)
+            if self._fits(ids.size, n_steps + 1 - step):
+                fixed, ok, still = self._float_rk4(x, kernel.gains)
+            else:
+                fixed, ok = _rk4_step(rhs, x, cfg.dt)
+                still = None
             all_ok = np.logical_and.reduce(ok)
             for local in [] if all_ok else np.flatnonzero(~ok):
                 retried = self._retry(x[..., local].ravel().tolist(),
@@ -373,13 +384,15 @@ class _BatchRun:
                                       int(ids[local]), step)
                 if retried is not None:
                     fixed[..., local] = np.reshape(retried, self.shape)
-                    ok[local] = True
+                    ok[local], still = True, None
             all_ok = all_ok or np.logical_and.reduce(ok)
-            delta = np.abs(fixed - x)  # x holds no inf: no inf - inf to silence
-            delta = np.maximum.reduce(delta.reshape(-1, ids.size), axis=0)
+            if still is None:
+                # x holds no inf: no inf - inf to silence
+                delta = np.abs(fixed - x).reshape(-1, ids.size)
+                still = (np.maximum.reduce(delta, axis=0)
+                         < CONVERGENCE_TOL) & ok
             # a failed member's counter resets, so a full window implies ok
-            counters = np.where((delta < CONVERGENCE_TOL) & ok,
-                                counters + 1, 0)
+            counters = np.where(still, counters + 1, 0)
             just_converged = counters >= cfg.convergence_window
 
             if self.observer is not None:
@@ -405,66 +418,6 @@ class _BatchRun:
                 if ids.size == 0:
                     break
             x = fixed
-
-    def _run_floats(self, first: int, ids: np.ndarray, x: np.ndarray,
-                    gains: np.ndarray, counters: np.ndarray,
-                    v_prev: np.ndarray | None) -> None:
-        """Steps ``first`` to the end of :meth:`_run` with each member's
-        state a flat list stepped by :func:`float_step`, and the batch
-        loop's retries, convergence counts, observer, records and
-        compaction on lists, which at this size costs less than numpy."""
-        cfg, n_steps = self.cfg, self.cfg.n_steps
-        step_of = self._stepper()
-        states = x.reshape(-1, ids.size).T.tolist()
-        gains, counters = gains.tolist(), counters.tolist()
-        for step in range(first, n_steps + 1):
-            fixed, ok, still = map(list, zip(*[
-                step_of(state, d, cfg.dt) for state, d in zip(states, gains)]))
-            all_ok = all(ok)
-            for j in [] if all_ok else [j for j, good in enumerate(ok)
-                                        if not good]:
-                new = self._retry(states[j], gains[j], int(ids[j]), step)
-                if new is None:
-                    fixed[j] = states[j]  # finite; its V is masked
-                    continue
-                # a NaN fails the comparison, as in numpy's max-norm
-                fixed[j], ok[j], still[j] = new, True, all(
-                    abs(a - b) < CONVERGENCE_TOL
-                    for a, b in zip(new, states[j]))
-            all_ok = all_ok or all(ok)
-            counters = [count + 1 if moved_little else 0
-                        for count, moved_little in zip(counters, still)]
-            converged = [count >= cfg.convergence_window
-                         for count in counters]
-            block = None  # the step's (m, n, B) array, made when needed
-            if self.observer is not None:
-                block = np.array(fixed).T.reshape(self.shape + (-1,))
-                v_prev = self._observe(block, ids, np.array(ok), v_prev)
-
-            record_now = (step % cfg.record_stride == 0) or (step == n_steps)
-            keep = ok if record_now else converged
-            if record_now and all_ok:
-                if block is None:
-                    block = np.array(fixed).T.reshape(self.shape + (-1,))
-                self.records.append((step, ids, block))
-            elif any(keep):
-                kept = np.array([new for new, k in zip(fixed, keep) if k])
-                self.records.append((step, ids[np.array(keep)],
-                                     kept.T.reshape(self.shape + (-1,))))
-
-            if any(converged) or not all_ok:
-                self.converged[ids[np.array(converged)]] = True
-                active = [good and not done
-                          for good, done in zip(ok, converged)]
-                ids = ids[np.array(active)]
-                if ids.size == 0:
-                    break
-                fixed, gains, counters = (
-                    [v for v, kept in zip(values, active) if kept]
-                    for values in (fixed, gains, counters))
-                if self.observer is not None:
-                    v_prev = v_prev[np.array(active)]
-            states = fixed
 
     def results(self) -> list["Trajectory | IntegrationError"]:
         """Every member's outcome, in member order.

@@ -416,10 +416,11 @@ class TestOneMemberPath:
 
         # FLOAT_WORK 2 admits one member at (3, 2) (12 <= 2·7) and at
         # (2, 2) (8 <= 2·6), never two: only a lone member or a retry steps
-        # on floats, and a run generates its step once; 0 admits none, and
-        # a huge FLOAT_WORK puts every run on floats from its first step
+        # on floats, and a run generates its step once; 0 admits only the
+        # retries, and a huge FLOAT_WORK puts every run on floats from its
+        # first step
         for work, expected in ((2, ([], [12], [12, 8, 8])),
-                               (0, ([], [], [])),
+                               (0, ([], [], [8, 8])),
                                (10 ** 9, ([12], [12, 12], [12, 12, 8, 8]))):
             monkeypatch.setattr(integrate, "FLOAT_WORK", work)
             generated.clear()
@@ -430,8 +431,8 @@ class TestOneMemberPath:
 
     def test_halvings_match_in_a_batch(self, monkeypatch):
         # the start of test_retry_starts_at_half_step fails one full step,
-        # which is re-taken in halves on floats alone and on a one-member
-        # kernel inside a batch stepping on the kernel
+        # which is re-taken in halves on floats, alone and inside a batch
+        # stepping on the kernel
         payoff = np.array([[0.0, 60.0], [0.0, 0.0]])
         scen = Scenario(payoffs=np.stack([payoff, payoff]),
                         shares=np.array([0.5, 0.5]))
@@ -500,6 +501,30 @@ class TestOneMemberPath:
         assert on_kernel.times.size == on_floats.times.size == 11
         assert_same_bits(on_kernel.states, on_floats.states)
 
+    def test_float_step_is_generated_once_the_steps_repay_it(
+            self, monkeypatch, threepop, policy_boundary):
+        # a lone member at (3, 2) saves 40·7 - 12 = 268 work a step on
+        # floats, against FLOAT_GENERATION·12 = 1,200 for the generation:
+        # a 4-step run stays on the kernel, a 5-step run steps on floats
+        assert integrate.FLOAT_WORK == 40
+        assert integrate.FLOAT_GENERATION == 100
+        real, generated = integrate.float_step, []
+
+        def counted(scenario, y_star):
+            generated.append(scenario.n_actions)
+            return real(scenario, y_star)
+
+        monkeypatch.setattr(integrate, "float_step", counted)
+        start = z_state((0.2, 0.3, 0.4))
+        short = simulate(threepop, policy_boundary, start,
+                         IntegrationConfig(dt=0.25, t_max=1.0))
+        assert generated == []
+        longer = simulate(threepop, policy_boundary, start,
+                          IntegrationConfig(dt=0.25, t_max=1.25))
+        assert generated == [2]
+        assert short.times.size == 5 and longer.times.size == 6
+        assert_same_bits(short.states, longer.states[:5])
+
 
 class TestBatchBits:
     """A start has the same bits alone as inside batches of 2, 3, 17 and
@@ -523,20 +548,25 @@ class TestBatchBits:
 
     def test_alone_equals_inside_batches(self, monkeypatch):
         cfg = IntegrationConfig(dt=0.2, t_max=1.2, convergence_window=3)
+        routes = {"kernel": 0, "float": 10 ** 9}
+        # per forced route; and the runs of the default FLOAT_WORK that
+        # step on both, the kernel first
         seen = {route: {"domain": 0, "halved": 0, "converged": 0,
-                        "failed": 0} for route in ("kernel", "float")}
+                        "failed": 0} for route in routes}
+        seen["default"] = {"handover": 0}
+        route, used = [None], set()  # the forced route; what a run used
         real_field = integrate.batch_field
-        real_rk4 = integrate._rk4_step
         real_step = integrate.float_step
+
+        def count(key, value):
+            if route[0] is not None:
+                seen[route[0]][key] += value
 
         def counted_field(kernel, states):
             rates, ok = real_field(kernel, states)
-            seen["kernel"]["domain"] += int(np.count_nonzero(~ok))
+            used.add("kernel")
+            count("domain", int(np.count_nonzero(~ok)))
             return rates, ok
-
-        def counted_rk4(rhs, x, dt):
-            seen["kernel"]["halved"] += dt < cfg.dt
-            return real_rk4(rhs, x, dt)
 
         def counted_step(scenario, y_star):
             step = real_step(scenario, y_star)
@@ -545,16 +575,17 @@ class TestBatchBits:
 
             def one(x, d, dt):
                 result = step(x, d, dt)
-                seen["float"]["domain"] += result is failed
-                seen["float"]["halved"] += dt < cfg.dt
+                # a halving retry steps on floats on either route
+                count("halved", dt < cfg.dt)
+                if dt == cfg.dt:
+                    used.add("float")
+                    count("domain", result is failed)
                 return result
             return one
 
         monkeypatch.setattr(integrate, "batch_field", counted_field)
-        monkeypatch.setattr(integrate, "_rk4_step", counted_rk4)
         monkeypatch.setattr(integrate, "float_step", counted_step)
         default_work = integrate.FLOAT_WORK
-        routes = {"kernel": 0, "float": 10 ** 9, "both": default_work}
         for case in range(6):
             rng = np.random.default_rng(500 + case)
             m, n = ((2, 2), (9, 9))[case] if case < 2 else \
@@ -573,15 +604,15 @@ class TestBatchBits:
             vertex[:, int(np.argmin(y_star))] = 1.0
             probes += [(vertex, 0.0), (vertex, policy.d)]
             alone = {}
-            for route in ("kernel", "float"):
-                monkeypatch.setattr(integrate, "FLOAT_WORK", routes[route])
-                alone[route] = [_BatchRun(scen, policy, x[None], cfg,
-                                          gains=np.array([d])).results()[0]
-                                for x, d in probes]
-                seen[route]["converged"] += sum(
-                    getattr(a, "converged", False) for a in alone[route])
-                seen[route]["failed"] += sum(
-                    isinstance(a, IntegrationError) for a in alone[route])
+            for route[0], work in routes.items():
+                monkeypatch.setattr(integrate, "FLOAT_WORK", work)
+                alone[route[0]] = [_BatchRun(scen, policy, x[None], cfg,
+                                             gains=np.array([d])).results()[0]
+                                   for x, d in probes]
+                count("converged", sum(getattr(a, "converged", False)
+                                       for a in alone[route[0]]))
+                count("failed", sum(isinstance(a, IntegrationError)
+                                    for a in alone[route[0]]))
             for on_kernel, on_floats in zip(alone["kernel"], alone["float"]):
                 self.same_outcome(on_floats, on_kernel)
             for size, chosen in zip(self.SIZES,
@@ -592,13 +623,21 @@ class TestBatchBits:
                 places = rng.permutation(size)[:len(chosen)]
                 for place, probe in zip(places, chosen):
                     states[place], member_gains[place] = probes[probe]
-                for work in routes.values():
+                # and the default FLOAT_WORK, which hands some batches from
+                # the kernel to floats; at 133 it repeats the kernel's pass
+                forced = list(routes.items())
+                for route[0], work in forced + [(None, default_work)] * (
+                        size < 133):
                     monkeypatch.setattr(integrate, "FLOAT_WORK", work)
+                    used.clear()
                     inside = _BatchRun(scen, policy, np.array(states), cfg,
                                        gains=member_gains).results()
                     for place, probe in zip(places, chosen):
                         self.same_outcome(inside[place],
                                           alone["kernel"][probe])
+                    if route[0] is None:
+                        seen["default"]["handover"] += used == {"kernel",
+                                                                "float"}
         assert min(min(counts.values()) for counts in seen.values()) > 0, seen
 
     def test_batched_step_raises_no_warning(self, threepop, policy_boundary):
