@@ -209,7 +209,8 @@ FLAGS: list[tuple[str, tuple[str, ...], str | None, dict[str, Any]]] = [
     ("--t-max", _STEPPED, "integration", {"type": float}),
     ("--record-stride", _STEPPED, "integration",
      {"type": int, "help": "record every k-th step; sweep ignores it"}),
-    ("--grid-per-dim", ("verify",), "sampling", {"type": int}),
+    ("--grid-per-dim", ("verify",), "sampling",
+     {"type": int, "help": "lattice points per simplex edge (default 15)"}),
     ("--samples", ("verify",), "sampling",
      {"dest": "random_samples", "metavar": "SAMPLES", "type": int,
       "help": "random sample count"}),

@@ -24,10 +24,10 @@ of Python floats on :func:`float_step`, generated at most once per run,
 with the same operations in the same order, so the same bits; the step's
 (m, n, B) array is made from those lists, and one loop counts, observes,
 records and compacts on either route.  A halving retry always steps on
-floats.  An attached Lyapunov observer reads each step's (m, n, B) array.
-Convergence is declared online when the max-norm state change per step
-stays below ``CONVERGENCE_TOL`` for ``convergence_window`` consecutive
-steps.
+floats.  At a recording stride above 1, an attached Lyapunov observer
+reads each step's (m, n, B) array.  Convergence is declared online when
+the max-norm state change per step stays below ``CONVERGENCE_TOL`` for
+``convergence_window`` consecutive steps.
 """
 
 from __future__ import annotations
@@ -282,8 +282,9 @@ class _BatchRun:
     array, member last, so that every operation of a step runs along the
     batch on contiguous memory, or, where :meth:`_fits`, each member as a
     flat list of floats on :func:`float_step`, generated at most once per
-    run.  An attached observer reads each step's (m, n, B) array; the
-    final V is the last entry of the recorded V column.
+    run.  An attached observer reads each step's (m, n, B) array at a
+    recording stride above 1; the final V, and at stride 1 the largest
+    rise of V, come from the recorded V column.
     """
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
@@ -368,7 +369,8 @@ class _BatchRun:
         rhs = _kernel_rhs(kernel)
         x = np.ascontiguousarray(states0.transpose(1, 2, 0))
         counters = np.zeros(self.n_members, dtype=int)
-        v_prev = None if self.observer is None else self.observer.values(x)
+        observe = self.observer is not None and cfg.record_stride > 1
+        v_prev = self.observer.values(x) if observe else None
         self.records.append((0, ids, x))
         n_steps = cfg.n_steps
         for step in range(1, n_steps + 1):
@@ -395,7 +397,7 @@ class _BatchRun:
             counters = np.where(still, counters + 1, 0)
             just_converged = counters >= cfg.convergence_window
 
-            if self.observer is not None:
+            if observe:
                 v_prev = self._observe(fixed, ids, ok, v_prev)
 
             record_now = (step % cfg.record_stride == 0) or (step == n_steps)
@@ -413,7 +415,7 @@ class _BatchRun:
                 fixed = np.compress(active, fixed, axis=-1)
                 counters = counters[active]
                 kernel.take(active)
-                if self.observer is not None:
+                if observe:
                     v_prev = v_prev[active]
                 if ids.size == 0:
                     break
@@ -451,7 +453,12 @@ class _BatchRun:
         observables = max_inc = None
         if self.observer is not None:
             observables = self.observer.series(x, self.gains[member])
-            max_inc = self.lyap_max_inc[member]
+            if self.cfg.record_stride == 1:  # V is recorded at every step
+                v = observables["V"]
+                both = np.isfinite(v[1:]) & np.isfinite(v[:-1])
+                max_inc = np.max(v[1:][both] - v[:-1][both], initial=-np.inf)
+            else:
+                max_inc = self.lyap_max_inc[member]
             max_inc = float(max_inc) if np.isfinite(max_inc) else 0.0
         return Trajectory(
             times=times, states=states, outputs=outputs,

@@ -84,8 +84,8 @@ REST_POINT_TOL = 1e-7
 RECOMMEND_MARGIN = 0.1
 RECOMMEND_FLOOR = 1e-3
 
-# Rows of the sample pool evaluated per call, so the bound's memory does
-# not grow with the pool; each call holds an (n, m, n, CHUNK_ROWS) product.
+# Pool rows, lattice or sampled, built and evaluated per call, so only the
+# values grow with the pool; each call holds an (n, m, n, CHUNK_ROWS) product.
 CHUNK_ROWS = 8_192
 
 # The bound excludes states whose output lies within TUBE_RADIUS of the
@@ -207,7 +207,7 @@ class LyapunovObserver:
     """Attachable observer computing V, Vdot, F1 (advantage), F2 (mismatch).
 
     Instances are consumed by the integrator, on its (m, n, B) arrays:
-    ``values`` is called once per step for online monotonicity tracking,
+    ``values`` once per step at stride > 1, for online monotonicity tracking,
     ``series`` once per trajectory for the recorded observable columns.
     """
 
@@ -285,11 +285,10 @@ def _dbar_batch(states: np.ndarray, eq: TargetEquilibrium, scenario: Scenario
     return dbar, valid
 
 
-def _grid_states(scenario: Scenario, per_dim: int) -> np.ndarray:
+def _grid_states(lattice: np.ndarray, n_populations: int, start: int,
+                 stop: int) -> np.ndarray:
     # its own name, so that perfbench's trace times the lattice build
-    check_lattice_budget(scenario.n_populations, scenario.n_actions, per_dim)
-    return lattice_product(simplex_lattice(scenario.n_actions, per_dim),
-                           scenario.n_populations)
+    return lattice_product(lattice, n_populations, start, stop)
 
 
 def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
@@ -308,21 +307,31 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
     This is an estimate from below of the true supremum, never an
     overestimate; escalate the resolution via ``sampling`` if in doubt.
     A sample pool or lattice over LATTICE_BYTE_BUDGET raises ValueError
-    before either is allocated.
+    before either is allocated; the lattice is built CHUNK_ROWS rows at a
+    time, never whole.
     """
     m, n = scenario.n_populations, scenario.n_actions
     check_state_budget(sampling.random_samples, m, n,
                        f"{sampling.random_samples:,} random samples")
+    check_lattice_budget(m, n, sampling.grid_per_dim)
+    lattice = simplex_lattice(n, sampling.grid_per_dim)
+    n_grid = lattice.shape[0] ** m
     rng = np.random.default_rng(seed)
-    grid = _grid_states(scenario, sampling.grid_per_dim)
     random_states = rng.dirichlet(np.ones(n),
                                   size=(sampling.random_samples, m))
-    dbar = np.concatenate([
-        _dbar_batch(np.ascontiguousarray(
-            part[start:start + CHUNK_ROWS].transpose(1, 2, 0)), eq,
-            scenario)[0]
-        for part in (grid, random_states)
-        for start in range(0, part.shape[0], CHUNK_ROWS)])
+
+    def pool(start: int, stop: int) -> np.ndarray:
+        """Pool rows [start, stop), all from the lattice or all sampled."""
+        if start < n_grid:
+            return _grid_states(lattice, m, start, stop)
+        return random_states[start - n_grid:stop - n_grid]
+
+    dbar = np.empty(n_grid + random_states.shape[0])
+    starts = [*range(0, n_grid, CHUNK_ROWS),
+              *range(n_grid, dbar.size, CHUNK_ROWS), dbar.size]
+    for start, stop in zip(starts, starts[1:]):
+        dbar[start:stop] = _dbar_batch(np.ascontiguousarray(
+            pool(start, stop).transpose(1, 2, 0)), eq, scenario)[0]
     # a valid state's dbar is finite: its mismatch exceeds MISMATCH_FLOOR
     if not np.any(dbar > -np.inf):
         raise InapplicableError(
@@ -330,24 +339,17 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
             "increase sampling resolution", reason="sampling_exhausted",
         )
     order = np.argsort(dbar)[::-1]
-
-    def pool_state(index: int) -> np.ndarray:
-        if index < grid.shape[0]:
-            return grid[index]
-        return random_states[index - grid.shape[0]]
-
-    seeds = np.array([pool_state(index)
+    seeds = np.array([pool(index, index + 1)[0]
                       for index in order[:sampling.ascent_candidates]])
     value, state, n_evals = _lockstep_ascent(
         seeds.reshape(-1, m, n), eq, scenario, sampling)
     if value.size == 0:  # no ascent seeds: the pool's best stands
-        value, state = dbar[order[:1]], pool_state(order[0])[None].copy()
+        value, state = dbar[order[:1]], pool(order[0], order[0] + 1).copy()
     # seed 0 is the pool's best and keeps only strictly better moves, so
     # the first maximum over the seeds is also the best over the pool
     best = int(np.argmax(value))
     return BoundEstimate(value=float(value[best]), argmax=state[best],
-                         n_grid=grid.shape[0],
-                         n_random=random_states.shape[0],
+                         n_grid=n_grid, n_random=random_states.shape[0],
                          n_ascent_evals=n_evals)
 
 

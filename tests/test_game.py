@@ -20,9 +20,11 @@ from replicator_ctl import (
     scenario_digest,
 )
 from replicator_ctl.game import (LATTICE_BYTE_BUDGET, check_lattice_budget,
-                                 check_simplex, weighted_sum)
+                                 check_simplex, lattice_product,
+                                 simplex_lattice, weighted_sum)
 from replicator_ctl.integrate import INTERIOR_GRID_FLOOR, interior_grid
-from replicator_ctl.stability import TargetEquilibrium, _grid_states
+from replicator_ctl.stability import (SamplingConfig, TargetEquilibrium,
+                                      estimate_subsidy_bound)
 from conftest import (THREEPOP_PAYOFFS, THREEPOP_SHARES, average_payoff,
                       expected_payoff, local_shift, make_state,
                       random_scenario, random_state)
@@ -286,15 +288,37 @@ def reference_product(lattice, n_populations):
                      product(range(lattice.shape[0]), repeat=n_populations)])
 
 
+def bound_on_lattice(scen, per_dim):
+    # the lattice is refused before the target is read: any target will do
+    m, n = scen.n_populations, scen.n_actions
+    eq = TargetEquilibrium(state=np.eye(n)[[0] * m],
+                           target_output=np.eye(n)[0], carriers=((0,),) * m)
+    return estimate_subsidy_bound(eq, scen,
+                                  SamplingConfig(grid_per_dim=per_dim))
+
+
 LATTICE_CASES = [(3, 2, 9), (2, 3, 4), (3, 3, 10), (2, 4, 5), (5, 2, 3)]
 
 
 class TestLattice:
     @pytest.mark.parametrize("m,n,per_dim", LATTICE_CASES)
     def test_grid_states_equal_reference(self, m, n, per_dim):
-        scen = random_scenario(np.random.default_rng(per_dim), m=m, n=n)
         expected = reference_product(reference_lattice(n, per_dim), m)
-        np.testing.assert_array_equal(_grid_states(scen, per_dim), expected)
+        np.testing.assert_array_equal(
+            lattice_product(simplex_lattice(n, per_dim), m), expected)
+
+    @pytest.mark.parametrize("m,n,per_dim", LATTICE_CASES)
+    def test_row_ranges_are_slices_of_the_product(self, m, n, per_dim):
+        lattice = simplex_lattice(n, per_dim)
+        whole = lattice_product(lattice, m)
+        size = whole.shape[0]
+        # empty, one row, first, inner, last partial, past the end, reversed
+        for start, stop in [(0, 0), (7, 7), (0, 1), (size - 1, size),
+                            (0, 100), (5, 37), (size - 30, size + 100),
+                            (size, size + 5), (9, 4)]:
+            rows = lattice_product(lattice, m, start, stop)
+            assert rows.shape == whole[start:stop].shape
+            np.testing.assert_array_equal(rows, whole[start:stop])
 
     @pytest.mark.parametrize("floor", [INTERIOR_GRID_FLOOR])
     @pytest.mark.parametrize("m,n,per_dim", LATTICE_CASES)
@@ -305,7 +329,9 @@ class TestLattice:
         expected = reference_product(lattice, m)
         np.testing.assert_array_equal(interior_grid(scen, per_dim), expected)
 
-    @pytest.mark.parametrize("build", [_grid_states, interior_grid])
+    @pytest.mark.parametrize("build", [
+        pytest.param(bound_on_lattice, id="estimate_subsidy_bound"),
+        interior_grid])
     def test_oversized_grid_is_refused_unallocated(self, build):
         # (2, 8) at 15 points: 116,280 lattice points; the full cube of
         # 15**7 candidate compositions alone would take 9.6 GB
@@ -327,7 +353,7 @@ class TestLattice:
         scen = random_scenario(np.random.default_rng(30), m=2, n=30)
         tracemalloc.start()
         try:
-            grid = _grid_states(scen, 2)
+            grid = lattice_product(simplex_lattice(30, 2), 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -377,6 +377,51 @@ class TestOneMemberPath:
         assert seen == {(False, True), (False, False), (True, True),
                         (True, False)}
 
+    def test_recorded_v_gives_the_largest_rise(self, threepop,
+                                               policy_boundary, monkeypatch):
+        # stride 3 observes V at every step, stride 1 reads the rises from
+        # the recorded V column: both see every step, so the bits agree
+        calls = {"values": 0, "series": 0}
+        values, series = LyapunovObserver.values, LyapunovObserver.series
+
+        def counted_values(self, states):
+            calls["values"] += 1
+            return values(self, states)
+
+        def counted_series(self, states, d):
+            calls["series"] += 1
+            return series(self, states, d)
+
+        monkeypatch.setattr(LyapunovObserver, "values", counted_values)
+        monkeypatch.setattr(LyapunovObserver, "series", counted_series)
+        rng = np.random.default_rng(4)
+        stiff = random_scenario(rng, m=3, n=3, payoff_scale=40.0)
+        vertex = np.array([1.0, 0.0, 0.0])
+        cases = [(threepop, policy_boundary, five_start_states()),
+                 (stiff, ControlPolicy(y_star=vertex, d=8.0),
+                  [random_state(rng, stiff, interior=0.01)
+                   for _ in range(5)])]
+        rises = []
+        for scen, policy, starts in cases:
+            observer = LyapunovObserver(
+                unique_target_equilibrium(scen, policy.y_star), scen)
+            by_stride = {}
+            for stride in (1, 3):
+                cfg = IntegrationConfig(dt=0.05, t_max=10.0,
+                                        record_stride=stride)
+                calls.update(values=0, series=0)
+                runs = phase_portrait(scen, policy, starts, cfg,
+                                      observer=observer)
+                runs.append(simulate(scen, policy, starts[0], cfg,
+                                     observer=observer))
+                if stride == 1:  # V comes only from the recorded columns
+                    assert calls == {"values": 6, "series": 6}
+                by_stride[stride] = [traj.max_V_step_increase
+                                     for traj in runs]
+            assert by_stride[1] == by_stride[3]
+            rises += by_stride[1]
+        assert max(rises) > 0.3
+
     def test_field_is_generated_once_and_only_for_a_lone_member(
             self, monkeypatch, threepop, policy_boundary):
         generated = []

@@ -4,6 +4,7 @@ equilibrium enumeration, and report assembly."""
 from __future__ import annotations
 
 import time
+import tracemalloc
 import warnings
 from itertools import combinations, product
 
@@ -30,11 +31,13 @@ from replicator_ctl.stability import (
     recommend_subsidy,
     unique_target_equilibrium,
 )
+from replicator_ctl import stability
 from replicator_ctl.dynamics import output_payoffs
 from replicator_ctl.stability import (EQUILIBRIUM_TOL, MISMATCH_FLOOR,
                                      _combo_solutions, _dbar_batch,
-                                     _grid_states, _lp_min, _matching_system,
+                                     _lp_min, _matching_system,
                                      _mismatch_batch, _payoff_classes)
+from replicator_ctl.game import lattice_product, simplex_lattice
 from conftest import (RECIPE_REFUSED, assert_same_bits, average_payoff,
                       certificate_terms, equilibrium_jacobian,
                       expected_payoff, lyapunov_value,
@@ -95,7 +98,8 @@ def sequential_bound(eq: TargetEquilibrium, scen: Scenario,
 
     rng = np.random.default_rng(seed)
     pool = np.concatenate([
-        _grid_states(scen, sampling.grid_per_dim),
+        lattice_product(simplex_lattice(scen.n_actions, sampling.grid_per_dim),
+                        scen.n_populations),
         rng.dirichlet(np.ones(scen.n_actions),
                       size=(sampling.random_samples, scen.n_populations))])
     dbar, _ = _dbar_batch(pool.transpose(1, 2, 0), eq, scen)
@@ -315,7 +319,8 @@ class TestBoundEstimate:
     def test_never_positive_when_advantage_everywhere(self):
         scen, eq = ess_scenario()
         # brute-force reference over a dense lattice
-        grid = _grid_states(scen, 31)
+        grid = lattice_product(simplex_lattice(scen.n_actions, 31),
+                               scen.n_populations)
         values, valid = _dbar_batch(grid.transpose(1, 2, 0), eq, scen)
         assert values[valid].max() <= 0.0
         estimate = estimate_subsidy_bound(
@@ -382,6 +387,34 @@ class TestBoundEstimate:
         second = estimate_subsidy_bound(eq_boundary, threepop, cfg, seed=11)
         assert first.value == second.value
         assert np.array_equal(first.argmax, second.argmax)
+
+    def test_chunking_changes_no_bit(self, monkeypatch):
+        # 166,375 lattice states and 2,000 samples: chunks of 1,000 split
+        # both, of 8,192 the lattice, and one larger than the lattice neither
+        scen = random_scenario(np.random.default_rng(2024), m=3, n=3)
+        eq = unique_target_equilibrium(scen, np.array([1.0, 0.0, 0.0]))
+        cfg = SamplingConfig(grid_per_dim=10, random_samples=2_000)
+        estimates = []
+        for rows in (1_000, 8_192, 200_000):
+            monkeypatch.setattr(stability, "CHUNK_ROWS", rows)
+            estimates.append(estimate_subsidy_bound(eq, scen, cfg, seed=7))
+        keys = [(repr(e.value), e.argmax.tobytes(), e.n_grid, e.n_random,
+                 e.n_ascent_evals) for e in estimates]
+        assert keys == [keys[0]] * 3
+
+    def test_lattice_is_never_built_whole(self):
+        # the default 15 points per edge at (3, 3): 1,728,000 lattice
+        # states, 124 MB built whole; the values alone take 14 MB
+        scen = random_scenario(np.random.default_rng(1), m=3, n=3)
+        eq = unique_target_equilibrium(scen, np.array([1.0, 0.0, 0.0]))
+        tracemalloc.start()
+        try:
+            estimate = estimate_subsidy_bound(eq, scen, SamplingConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate.n_grid == 1_728_000
+        assert peak < 40_000_000
 
 
 class TestBatchIndependence:
