@@ -253,8 +253,11 @@ def _build_manifest(args: argparse.Namespace, command: str) -> dict[str, Any]:
     for section in ("integration", "sampling", "agents"):
         manifest[section] = dict(manifest.get(section) or {})
     policy = manifest.get("policy")
+    known = {"": {"version", "command", "integration", "sampling", "agents",
+                  "policy"}}
     for flag, _, section, options in FLAGS:
         key = options.get("dest", flag[2:].replace("-", "_"))
+        known.setdefault(section, set()).add(key)
         value = getattr(args, key, None)
         if section is None or value in (None, ""):
             continue
@@ -266,6 +269,10 @@ def _build_manifest(args: argparse.Namespace, command: str) -> dict[str, Any]:
         else:
             manifest[key] = value
     manifest["policy"] = policy
+    for section in ("", "agents"):
+        held = manifest[section] if section else manifest
+        for key in sorted(set(held) - known[section]):
+            raise ScenarioError(f"{section or 'manifest'}: unknown key {key!r}")
     for key in ("scenario", "out"):
         if key not in manifest:
             raise ScenarioError(f"--{key} is required")

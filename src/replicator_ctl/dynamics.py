@@ -99,6 +99,8 @@ class ControlPolicy:
         """A policy from ``{"y_star": [...], "d": gain}``; no "d" means 0."""
         if not isinstance(raw, dict) or "y_star" not in raw:
             raise ValueError('policy must be an object with "y_star"')
+        for key in sorted(set(raw) - {"y_star", "d"}):
+            raise ValueError(f"unknown key {key!r}")
         d = raw.get("d", 0.0)
         check_real("d", d)
         for entry in np.asarray(raw["y_star"], dtype=object).flat:
@@ -179,14 +181,14 @@ def field_lines(scenario: Scenario, y_star: np.ndarray, state: str,
              for i in range(n)]
     lines += ["if d > 0.0:", "    g = 0.0 - d"]
     for i, target in enumerate(targets):
-        # F - (0 - d)·f is F + d·f; a low share is divided by 1 instead
+        # F - (0 - d)·f is F + d·f; an untargeted f_i is 0, so (0 - d)·f_i
+        # is -0.0 (a NaN y_i makes every F NaN through A^k y anyway)
         if target > 0.0:
             lines += [f"    if y{i} <= {DOMAIN_THRESHOLD!r}:",
                       "        return FAILED",
                       f"    p{i} = g * ({target!r} / y{i})"]
         else:
-            lines.append(f"    p{i} = g * (0.0 / (1.0 if y{i} <= "
-                         f"{DOMAIN_THRESHOLD!r} else y{i}))")
+            lines.append(f"    p{i} = -0.0")
     # F - 0.0 keeps F's bits, a -0.0 included, as batch_field's skip does
     lines += ["else:", "    " + " = ".join(f"p{i}" for i in range(n))
               + " = 0.0"]

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -145,12 +143,9 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     """One RK4 step of states laid out (m, n, B), member last, by ``rhs``.
 
     The stage inputs x + h·k share one buffer, never one that ``rhs``
-    returned; ((k1 + 2·k2) + 2·k3) + k4 builds up in another.  Round-off
-    negatives are clamped and drifted rows renormalized (row sums add the
-    actions in order), each only when some member needs it.  The mask,
-    shape (B,), is True where the member is admissible: finite, no
-    coordinate below -NEG_TOL; a failed member keeps its raw RK4 result.
-    NaN and inf are in-band failure markers: no warning is raised.
+    returned; ((k1 + 2·k2) + 2·k3) + k4 builds up in another, and
+    :func:`_settle_rows` ends the step.  NaN and inf are in-band failure
+    markers: no warning is raised.
     """
     stage, k = np.empty_like(x), [rhs(x)]
     for h in (0.5 * dt, 0.5 * dt, dt):
@@ -163,6 +158,16 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     x_new += k4
     x_new *= dt / 6.0
     x_new += x
+    return x_new, _settle_rows(x_new)
+
+
+def _settle_rows(x_new: np.ndarray) -> np.ndarray:
+    """The end of an RK4 step on its raw result ``x_new``, (m, n, B), in
+    place, under the caller's np.errstate: round-off negatives are clamped
+    and drifted rows renormalized (row sums add the actions in order; a
+    zero row gives numpy's 0/0, NaN), each only when some member needs it.
+    Returns the mask, shape (B,), True where the member is admissible:
+    finite, no coordinate below -NEG_TOL; a failed member is left as is."""
     flat = x_new.reshape(-1, x_new.shape[2])
     # ufunc reductions, not ndarray methods; fmin/fmax skip a failed NaN
     lowest = np.minimum.reduce(flat, axis=0)
@@ -176,7 +181,7 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     if np.fmax.reduce(deviation, axis=None) > RENORM_TOL:
         np.divide(x_new, sums[:, None], out=x_new,
                   where=((deviation > RENORM_TOL) & ok)[:, None])
-    return x_new, ok
+    return ok
 
 
 def float_step(scenario: Scenario, y_star: np.ndarray
@@ -187,15 +192,14 @@ def float_step(scenario: Scenario, y_star: np.ndarray
 
     Returns ``step(x, d, dt) -> (x_new, ok, still)``: ``x`` is one state
     as a flat list of its m·n shares, row by row, and ``d`` its gain.
-    The four stages inline :func:`~replicator_ctl.dynamics.field_lines`;
-    the combination, the admissibility test, the clamp, the row sums (left
-    to right) with renormalization, and ``still``, whether every share
-    moved by less than CONVERGENCE_TOL, each run in the batch step's
-    order, so the bits are the same.  A failed step (``ok`` False, and
-    ``still`` then False) keeps its raw RK4 result; one that leaves the
-    field's domain returns NaN for every share.  Where numpy divides a zero
-    row by its zero sum, the entries are the NaN that 0 · inf gives, and
-    nothing raises.
+    The four stages inline :func:`~replicator_ctl.dynamics.field_lines`
+    and the combination runs in the batch step's order, so the bits are
+    the same.  A result with every share >= 0 and every row summing to 1
+    within RENORM_TOL is returned as it is; any other is ended by the
+    batch step's own :func:`_settle_rows`.  ``still`` is whether every
+    share moved by less than CONVERGENCE_TOL.  A failed step (``ok``
+    False, and ``still`` then False) keeps its raw RK4 result; one that
+    leaves the field's domain returns NaN for every share.
     """
     size = scenario.n_populations * scenario.n_actions
     return _compile_step(field_lines(scenario, y_star, "s", "k"), size,
@@ -241,24 +245,17 @@ def _compile_step(field: list[str], size: int, n: int) -> Callable:
     return namespace["step"]
 
 
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _settle(z: list[float], x: list[float], n: int
             ) -> tuple[list[float], bool, bool]:
-    """The end of :func:`_rk4_step` for one member's raw RK4 result ``z``
-    from ``x``, ``n`` shares to a row, each part in the batch step's order:
-    the admissibility test, the clamp, the row sums (left to right) with
-    renormalization, and the convergence test."""
-    if not all(-NEG_TOL <= v < math.inf for v in z):
-        return z, False, False  # a failed member keeps its raw RK4 result
-    z = [0.0 if v < 0.0 else v for v in z]
-    for lo in range(0, len(z), n):
-        row = z[lo:lo + n]
-        total = reduce(add, row)  # left to right, as numpy adds columns
-        if abs(total - 1.0) > RENORM_TOL:
-            # a row of zeros: numpy's 0/0 gives NaN, and so does 0 * inf
-            z[lo:lo + n] = ([v / total for v in row] if total
-                            else [v * math.inf for v in row])
+    """:func:`_settle_rows` of one member's raw RK4 result ``z`` from
+    ``x``, ``n`` shares to a row, with the member's stillness."""
+    settled = np.array(z).reshape(-1, n, 1)
+    ok = bool(_settle_rows(settled)[0])
+    z = settled.ravel().tolist()
     # a NaN fails the comparison, as it fails numpy's max-norm
-    return z, True, all(abs(a - b) < CONVERGENCE_TOL for a, b in zip(z, x))
+    return z, ok, ok and all(abs(a - b) < CONVERGENCE_TOL
+                             for a, b in zip(z, x))
 
 
 def _kernel_rhs(kernel: BatchKernel) -> Callable[[np.ndarray], np.ndarray]:

@@ -338,7 +338,10 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
             "no admissible states found outside the matching set; "
             "increase sampling resolution", reason="sampling_exhausted",
         )
-    order = np.argsort(dbar)[::-1]
+    # seeds by value, highest first, and equal values by pool row
+    kth = dbar.size - min(max(1, sampling.ascent_candidates), dbar.size)
+    top = np.flatnonzero(dbar >= np.partition(dbar, kth)[kth])
+    order = top[np.lexsort((top, -dbar[top]))]
     seeds = np.array([pool(index, index + 1)[0]
                       for index in order[:sampling.ascent_candidates]])
     value, state, n_evals = _lockstep_ascent(

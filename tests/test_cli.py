@@ -503,6 +503,23 @@ class TestVerify:
         assert report["sample_counts"] == {}
         assert report["subsidy_bound"] is None
 
+    def test_no_admissible_sample_exits_3(self, tmp_path, capsys):
+        # every vertex pair leaves an action unused: no lattice state is
+        # admissible, and no random sample is drawn
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"populations": [
+            {"share": 0.5, "payoff": [[1, 1, 1], [1, 1, 1], [0, 0, 0]]},
+            {"share": 0.5,
+             "payoff": [[0, 0, 0], [0.5, 0.5, 0.5], [1, 1, 1]]}]}))
+        out = tmp_path / "out"
+        assert main(["verify", "--scenario", str(scenario), "--y-star",
+                     "0.25,0.25,0.5", "--grid-per-dim", "2", "--samples",
+                     "0", "--out", str(out)]) == cli.EXIT_INAPPLICABLE
+        report = read_json(out / "report.json")
+        assert (report["applicable"], report["reason"]) == (
+            False, "sampling_exhausted")
+        assert "no admissible states found" in capsys.readouterr().err
+
     def test_refusal_needs_no_lattice(self, tmp_path, capsys):
         # five populations at the default 15 points per edge would ask for
         # 120**5 lattice states; the matching-set LP refuses the game first
@@ -941,6 +958,31 @@ class TestManifestRoundTrip:
         assert message in err
         assert not second.exists()
 
+    @pytest.mark.parametrize("command, extra, edit, message", [
+        ("portrait", ["--grid", "2", "--t-max", "1"],
+         lambda manifest: manifest.update(grdi=3),
+         "manifest: unknown key 'grdi'"),
+        ("agents", ["--x0", "0.5,0.5,0.5", "--n-agents", "200",
+                    "--rounds", "5"],
+         lambda manifest: manifest["agents"].update(revison_prob=0.5),
+         "agents: unknown key 'revison_prob'"),
+    ], ids=["top-level", "agents"])
+    def test_unknown_manifest_key_exits_1(self, tmp_path, capsys, command,
+                                          extra, edit, message):
+        first = tmp_path / "first"
+        assert main([command, "--scenario", SCENARIO, "--policy",
+                     POLICY_BOUNDARY, *extra, "--out", str(first)]) == 0
+        manifest = read_json(first / "manifest.json")
+        edit(manifest)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "second"
+        assert main([command, "--manifest", str(path),
+                     "--out", str(second)]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not second.exists()
+
     def test_non_string_start_exits_1(self, tmp_path, capsys):
         first = tmp_path / "first"
         assert main(["simulate", "--scenario", SCENARIO,
@@ -1203,6 +1245,13 @@ REFUSALS = {
     "policy-unreadable": (
         ["simulate", "--scenario", SCENARIO, "--policy", "{tmp}/none.json",
          *START], 1, None, "input error: --policy {tmp}/none.json: "),
+    "policy-without-target": (
+        ["simulate", "--scenario", SCENARIO, "--policy",
+         "{tmp}/no_target.json", *START], 1, None,
+        'input error: policy: policy must be an object with "y_star"\n'),
+    "policy-unknown-key": (
+        ["simulate", "--scenario", SCENARIO, "--policy", "{tmp}/gain.json",
+         *START], 1, None, "input error: policy: unknown key 'gain'\n"),
     "manifest-unreadable": (
         ["simulate", "--manifest", "{tmp}/none.json"], 1, None,
         "input error: --manifest {tmp}/none.json: "),
@@ -1273,6 +1322,9 @@ class TestRefusals:
             for share in THREEPOP_SHARES.tolist()]}))
         (tmp_path / "verify.json").write_text(json.dumps(
             {"command": "verify", "scenario": SCENARIO}))
+        (tmp_path / "no_target.json").write_text(json.dumps({"d": 1}))
+        (tmp_path / "gain.json").write_text(json.dumps(
+            {"y_star": [1, 0], "gain": 1.2}))
         out = tmp_path / "out"
         fill = {"tmp": tmp_path, "huge": huge}
         assert main([token.format(**fill) for token in argv]

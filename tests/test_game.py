@@ -83,6 +83,26 @@ class TestValidation:
             Scenario(payoffs=np.ones((2, 1, 1)),
                      shares=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Scenario(payoffs=np.ones((2, 2, 3)),
+                          shares=np.array([0.5, 0.5])),
+         r"payoffs must be \(m, n, n\), got shape \(2, 2, 3\)"),
+        (lambda: Scenario(payoffs=np.ones((2, 2, 2)),
+                          shares=np.array([0.2, 0.3, 0.5])),
+         r"expected 2 population shares, got shape \(3,\)"),
+        (lambda: Scenario.from_dict([threepop_dict()]),
+         'scenario must be an object with a "populations" list'),
+        (lambda: Scenario.from_dict({"populations": []}),
+         '"populations" must be a non-empty list'),
+        (lambda: Scenario.from_dict({"populations": [
+            {"share": 0.5, "payoff": [[1, 2], [3, 4]]},
+            {"share": 0.5, "payoff": [[1, 2, 3], [4, 5, 6]]}]}),
+         r"populations\[1\].payoff must be square, got \(2, 3\)"),
+    ])
+    def test_malformed_scenario_refused(self, build, message):
+        with pytest.raises(ScenarioError, match=message):
+            build()
+
     def test_payoffs_are_immutable(self, threepop):
         with pytest.raises(ValueError):
             threepop.payoffs[0, 0, 0] = 99.0

@@ -103,7 +103,8 @@ def sequential_bound(eq: TargetEquilibrium, scen: Scenario,
         rng.dirichlet(np.ones(scen.n_actions),
                       size=(sampling.random_samples, scen.n_populations))])
     dbar, _ = _dbar_batch(pool.transpose(1, 2, 0), eq, scen)
-    order = np.argsort(dbar)[::-1]
+    # highest value first, equal values by pool row
+    order = np.lexsort((np.arange(dbar.size), -dbar))
     best_value, best_state = float(dbar[order[0]]), pool[order[0]].copy()
     sampled = best_value
     n_evals = 0
@@ -401,6 +402,33 @@ class TestBoundEstimate:
         keys = [(repr(e.value), e.argmax.tobytes(), e.n_grid, e.n_random,
                  e.n_ascent_evals) for e in estimates]
         assert keys == [keys[0]] * 3
+
+    @pytest.mark.parametrize("grid, candidates", [(5, 10), (2, 6)])
+    def test_tied_seeds_are_taken_in_pool_row_order(self, threepop,
+                                                    monkeypatch, grid,
+                                                    candidates):
+        # zero payoffs: every admissible state's value is -0.0.  On the
+        # 8 vertex states only 4 are admissible, so 2 of the 6 seeds are
+        # -inf rows, the lowest two
+        scen = Scenario(payoffs=np.zeros((3, 2, 2)), shares=threepop.shares)
+        eq = TargetEquilibrium(state=z_state((0.5, 0.5, 0.5)),
+                               target_output=np.array([0.5, 0.5]),
+                               carriers=((0, 1),) * 3)
+        cfg = SamplingConfig(grid_per_dim=grid, random_samples=0,
+                             ascent_candidates=candidates)
+        seeds, ascent = [], stability._lockstep_ascent
+        monkeypatch.setattr(stability, "_lockstep_ascent", lambda s, *rest:
+                            seeds.append(s) or ascent(s, *rest))
+        estimate = estimate_subsidy_bound(eq, scen, cfg)
+        pool = lattice_product(simplex_lattice(2, grid), 3)
+        dbar = _dbar_batch(pool.transpose(1, 2, 0), eq, scen)[0]
+        ranked = [row for value in sorted(set(dbar), reverse=True)
+                  for row in np.flatnonzero(dbar == value)]
+        admissible = np.count_nonzero(dbar > -np.inf)
+        assert set(dbar[dbar > -np.inf]) == {0.0}  # all tied
+        assert admissible > candidates if grid > 2 else admissible == 4
+        assert np.array_equal(seeds[0], pool[ranked[:candidates]])
+        assert np.array_equal(estimate.argmax, pool[ranked[0]])
 
     def test_lattice_is_never_built_whole(self):
         # the default 15 points per edge at (3, 3): 1,728,000 lattice
