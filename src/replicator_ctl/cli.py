@@ -521,9 +521,10 @@ def _cmd_agents(manifest: dict[str, Any]) -> int:
     run_rounds(pop, scenario, policy, 0, revision_prob)
     dt_round = round_time_step(scenario, policy, revision_prob)
     horizon = rounds * dt_round
-    ode_cfg = IntegrationConfig(dt=dt_round, t_max=horizon + 1e-12,
-                                convergence_window=10 ** 9,
-                                record_stride=1)
+    # a pad under n_steps' 1e-9 slack: rounds steps, one more at most
+    ode_cfg = IntegrationConfig(dt=dt_round,
+                                t_max=horizon + 1e-10 * dt_round,
+                                convergence_window=10 ** 9, record_stride=1)
     reference = simulate(scenario, policy, x0, ode_cfg)
     _echo_manifest(manifest)
     prov = _provenance(manifest, scenario)

@@ -101,6 +101,9 @@ class IntegrationConfig:
         if not self.dt < self.t_max < np.inf:
             raise ValueError(f"t_max must be finite and exceed dt, got "
                              f"{self.t_max!r}")
+        if not self.t_max / self.dt < np.inf:
+            raise ValueError(f"t_max / dt must be finite, got "
+                             f"{self.t_max!r} / {self.dt!r}")
         check_count("convergence_window", self.convergence_window)
         check_count("record_stride", self.record_stride)
         if self.convergence_window < 1 or self.record_stride < 1:
@@ -186,7 +189,7 @@ def _settle_rows(x_new: np.ndarray) -> np.ndarray:
 
 def float_step(scenario: Scenario, y_star: np.ndarray
                ) -> Callable[[list[float], float, float],
-                             tuple[list[float], bool, bool]]:
+                             tuple[list[float], bool | None, bool | None]]:
     """:func:`_rk4_step` of one member on Python floats, generated for the
     scenario and target as straight-line code.
 
@@ -195,11 +198,12 @@ def float_step(scenario: Scenario, y_star: np.ndarray
     The four stages inline :func:`~replicator_ctl.dynamics.field_lines`
     and the combination runs in the batch step's order, so the bits are
     the same.  A result with every share >= 0 and every row summing to 1
-    within RENORM_TOL is returned as it is; any other is ended by the
-    batch step's own :func:`_settle_rows`.  ``still`` is whether every
-    share moved by less than CONVERGENCE_TOL.  A failed step (``ok``
-    False, and ``still`` then False) keeps its raw RK4 result; one that
-    leaves the field's domain returns NaN for every share.
+    within RENORM_TOL is returned as it is, with ``ok`` True and ``still``
+    whether every share moved by less than CONVERGENCE_TOL.  Any other
+    raw RK4 result comes with ``ok`` and ``still`` None, for
+    :func:`_float_rk4` to end by the batch step's own :func:`_settle_rows`;
+    a step that leaves the field's domain returns NaN for every share,
+    ``ok`` and ``still`` False.
     """
     size = scenario.n_populations * scenario.n_actions
     return _compile_step(field_lines(scenario, y_star, "s", "k"), size,
@@ -209,7 +213,8 @@ def float_step(scenario: Scenario, y_star: np.ndarray
 def _compile_step(field: list[str], size: int, n: int) -> Callable:
     """The step of :func:`float_step` around ``field``: statements that
     set the rates k0, k1, ... at the stage input s0, s1, ... (``size``
-    shares, ``n`` to a row) and gain d, or ``return FAILED``."""
+    shares, ``n`` to a row) and gain d, or ``return FAILED``.  FAILED is
+    the only name the step reads: it calls nothing back."""
     def each(template: str, sep: str = ", ") -> str:
         return sep.join(template.format(i=i) for i in range(size))
 
@@ -235,27 +240,29 @@ def _compile_step(field: list[str], size: int, n: int) -> Callable:
     moved = f"{-CONVERGENCE_TOL!r} < c{{i}} - x{{i}} < {CONVERGENCE_TOL!r}"
     body += [f"if 0.0 <= min(z) and {rows}:",
              "    return z, True, " + each(moved, " and "),
-             "return settle(z, x, n)"]
+             "return z, None, None"]
     source = "def step(x, d, dt):\n    " + "\n    ".join(
         line for chunk in body for line in chunk.split("\n"))
-    namespace = {"settle": _settle, "n": n,
-                 "FAILED": ((math.nan,) * size, False, False)}
+    namespace = {"FAILED": ((math.nan,) * size, False, False)}
     exec(compile(source, f"<replicator step {size // n}x{n}>", "exec"),
          namespace)
     return namespace["step"]
 
 
-@np.errstate(invalid="ignore", divide="ignore", over="ignore")
-def _settle(z: list[float], x: list[float], n: int
-            ) -> tuple[list[float], bool, bool]:
-    """:func:`_settle_rows` of one member's raw RK4 result ``z`` from
-    ``x``, ``n`` shares to a row, with the member's stillness."""
-    settled = np.array(z).reshape(-1, n, 1)
-    ok = bool(_settle_rows(settled)[0])
-    z = settled.ravel().tolist()
-    # a NaN fails the comparison, as it fails numpy's max-norm
-    return z, ok, ok and all(abs(a - b) < CONVERGENCE_TOL
-                             for a, b in zip(z, x))
+def _float_rk4(step: Callable, x: np.ndarray, gains: np.ndarray, dt: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """:func:`_rk4_step` of the batch ``x`` (m, n, B) member by member on
+    ``step``, a :func:`float_step`, with the members' stillness when every
+    member took the step's fast path; else :func:`_settle_rows` ends the
+    step and the stillness is None."""
+    fixed, ok, still = zip(*[
+        step(state, d, dt) for state, d in
+        zip(x.reshape(-1, x.shape[2]).T.tolist(), gains.tolist())])
+    x_new = np.array(fixed).T.reshape(x.shape)
+    if all(ok):
+        return x_new, np.array(ok), np.array(still)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return x_new, _settle_rows(x_new), None
 
 
 def _kernel_rhs(kernel: BatchKernel) -> Callable[[np.ndarray], np.ndarray]:
@@ -277,9 +284,10 @@ class _BatchRun:
     ``gains`` holds one gain per member; by default each is ``policy.d``.
     The batch steps on the batch kernel as one C-contiguous (m, n, B)
     array, member last, so that every operation of a step runs along the
-    batch on contiguous memory, or, where :meth:`_fits`, each member as a
-    flat list of floats on :func:`float_step`, generated at most once per
-    run.  An attached observer reads each step's (m, n, B) array at a
+    batch on contiguous memory, or, where :meth:`_fits`, member by member
+    on :func:`_float_rk4`, its :func:`float_step` generated at most once
+    per run; a halving retry steps the member's (m, n, 1) slice on
+    :func:`_float_rk4`.  An attached observer reads each step's array at a
     recording stride above 1; the final V, and at stride 1 the largest
     rise of V, come from the recorded V column.
     """
@@ -318,29 +326,19 @@ class _BatchRun:
             self.stepper = float_step(self.scenario, self.policy.y_star)
         return self.stepper
 
-    def _float_rk4(self, x: np.ndarray, gains: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`_rk4_step` of the batch ``x`` (m, n, B) member by member
-        on :func:`float_step`, with each member's stillness as well."""
-        take, dt = self._stepper(), self.cfg.dt
-        fixed, ok, still = zip(*[
-            take(state, d, dt) for state, d in
-            zip(x.reshape(-1, x.shape[2]).T.tolist(), gains.tolist())])
-        return (np.array(fixed).T.reshape(x.shape), np.array(ok),
-                np.array(still))
-
-    def _retry(self, x: list[float], d: float, member: int,
-               step: int) -> list[float] | None:
-        """Re-take member's failed step from x as 2^j substeps of dt / 2^j
-        for j = 1..MAX_HALVINGS (j = 0 is the step that failed), on
-        floats; if none succeeds, record the member's failure and return
-        None."""
+    def _retry(self, x: np.ndarray, gains: np.ndarray, member: int,
+               step: int) -> np.ndarray | None:
+        """Re-take member's failed step from x, (m, n, 1) under its gain
+        ``gains`` (1,), as 2^j substeps of dt / 2^j for j = 1..MAX_HALVINGS
+        (j = 0 is the step that failed), on floats; if none succeeds,
+        record the member's failure and return None."""
         take = self._stepper()
         for level in range(1, MAX_HALVINGS + 1):
             current = x
             for _ in range(1 << level):
-                current, ok, _ = take(current, d, self.cfg.dt / (1 << level))
-                if not ok:
+                current, ok, _ = _float_rk4(take, current, gains,
+                                            self.cfg.dt / (1 << level))
+                if not ok[0]:
                     break
             else:
                 return current
@@ -372,17 +370,18 @@ class _BatchRun:
         n_steps = cfg.n_steps
         for step in range(1, n_steps + 1):
             if self._fits(ids.size, n_steps + 1 - step):
-                fixed, ok, still = self._float_rk4(x, kernel.gains)
+                fixed, ok, still = _float_rk4(self._stepper(), x,
+                                              kernel.gains, cfg.dt)
             else:
                 fixed, ok = _rk4_step(rhs, x, cfg.dt)
                 still = None
             all_ok = np.logical_and.reduce(ok)
             for local in [] if all_ok else np.flatnonzero(~ok):
-                retried = self._retry(x[..., local].ravel().tolist(),
-                                      float(kernel.gains[local]),
+                retried = self._retry(x[..., local:local + 1],
+                                      kernel.gains[local:local + 1],
                                       int(ids[local]), step)
                 if retried is not None:
-                    fixed[..., local] = np.reshape(retried, self.shape)
+                    fixed[..., local] = retried[..., 0]
                     ok[local], still = True, None
             all_ok = all_ok or np.logical_and.reduce(ok)
             if still is None:

@@ -804,6 +804,26 @@ class TestAgents:
         assert names in err
         assert not (out / "rounds.csv").exists()
 
+    @pytest.mark.parametrize("prob", ["1e-300", "1e-320"])
+    def test_tiny_revision_prob_steps_once_a_round(self, tmp_path,
+                                                   monkeypatch, prob):
+        # the mean-field reference takes one step a round, however small
+        # the probability makes its dt
+        steps, real = [], cli.simulate
+
+        def counted(scenario, policy, x0, cfg):
+            steps.append(cfg.n_steps)
+            return real(scenario, policy, x0, cfg)
+
+        monkeypatch.setattr(cli, "simulate", counted)
+        assert main(["agents", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5",
+                     "--n-agents", "1000", "--rounds", "5",
+                     "--revision-prob", prob, "--out", str(tmp_path)]) == 0
+        assert steps == [5]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["revision_prob"] == float(prob)
+
     def test_population_without_agents_exits_1(self, tmp_path, capsys):
         # 0.5 % of 100 agents rounds to no agent in the first population
         payoff = [[1.0, 0.0], [0.0, 1.0]]
@@ -1274,6 +1294,10 @@ REFUSALS = {
     "verify-without-target": (
         ["verify", "--scenario", SCENARIO], 1, None,
         "input error: verify needs a target output (--policy/--y-star)\n"),
+    "simulate-too-many-steps": (
+        ["simulate", "--scenario", SCENARIO, *START, "--dt", "1e-320"], 1,
+        None, "input error: integration config: t_max / dt must be finite, "
+              "got 200.0 / 1e-320\n"),
     "agents-without-count": (
         ["agents", "--scenario", SCENARIO, "--policy", POLICY_BOUNDARY,
          *START, "--rounds", "5"], 1, None,

@@ -255,6 +255,15 @@ class TestOneMemberPath:
                                 dt)
         return fixed[0], bool(ok[0])
 
+    @staticmethod
+    def float_route(step, x, d, dt):
+        """One member's step on _float_rk4: the new state, whether it is
+        admissible, and its stillness, None where the route settled it."""
+        fixed, ok, still = integrate._float_rk4(
+            step, np.asarray(x, dtype=float)[..., None], np.array([d]), dt)
+        return (fixed[..., 0], bool(ok[0]),
+                None if still is None else bool(still[0]))
+
     # two larger shapes too, where the generated step is long
     @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4)
                                      for n in (2, 3, 4)]
@@ -270,14 +279,16 @@ class TestOneMemberPath:
                 for dt in (1e-9, 0.01, 0.5, 5.0):
                     x = random_state(rng, scen, interior=0.001)
                     expected, ok = self.batch_step(scen, policy, x, d, dt)
-                    got, got_ok, got_still = step(x.ravel().tolist(), d, dt)
+                    got, got_ok, got_still = self.float_route(step, x, d, dt)
                     assert got_ok == ok
                     assert_same_bits(np.reshape(got, (m, n)), expected)
-                    # the batch loop's max-norm test, on an admissible step
-                    assert got_still == (
-                        ok and np.max(np.abs(expected - x)) < CONVERGENCE_TOL)
+                    # the batch loop's max-norm test, where the route
+                    # returns the stillness (the step's fast path)
+                    if got_still is not None:
+                        assert got_still == (ok and np.max(
+                            np.abs(expected - x)) < CONVERGENCE_TOL)
                     failed += not ok
-                    still += got_still
+                    still += bool(got_still)
         assert failed > 0 and still > 0
 
     @staticmethod
@@ -296,8 +307,8 @@ class TestOneMemberPath:
             x = 0.5 * rng.dirichlet(np.ones(4), size=3) + 0.125
             rates = rng.uniform(-1.0, 1.0, size=(3, 4))
             expected, ok = rk4_step(lambda s: rates, x, 0.01)
-            got, got_ok, _ = self.constant_step(rates)(
-                x.ravel().tolist(), 0.0, 0.01)
+            got, got_ok, _ = self.float_route(self.constant_step(rates), x,
+                                              0.0, 0.01)
             assert ok and got_ok
             assert_same_bits(np.reshape(got, (3, 4)), expected)
 
@@ -308,10 +319,42 @@ class TestOneMemberPath:
         rates = [[-0.5 - 4e-13, -0.5 - 4e-13], [0.0, 0.0]]
         expected, ok = rk4_step(lambda s: np.array(rates), x, 1.0)
         assert ok and np.all(np.isnan(expected[0]))
-        got, got_ok, still = self.constant_step(rates)(
-            x.ravel().tolist(), 0.0, 1.0)
+        got, got_ok, still = self.float_route(self.constant_step(rates), x,
+                                              0.0, 1.0)
         assert got_ok and not still
         assert_same_bits(np.reshape(got, (2, 2)), expected)
+
+    def test_mixed_batch_settles_as_each_member_alone(self, threepop,
+                                                      policy_boundary):
+        # a share of round-off below 0 stays in [-NEG_TOL, 0) and is
+        # clamped, a row off sum 1 by 1e-9 is renormalized, and the rest
+        # take the float step's fast path
+        starts = [z_state((0.3, 0.6, 0.2)),
+                  make_state([[0.4, 0.6], [-5e-13, 1.0 + 5e-13],
+                              [0.5, 0.5]]),
+                  make_state([[0.7, 0.3 + 1e-9], [0.2, 0.8], [0.6, 0.4]]),
+                  z_state((0.8, 0.1, 0.5))]
+        gains, dt = np.full(len(starts), policy_boundary.d), 0.05
+        step = integrate.float_step(threepop, policy_boundary.y_star)
+        raw = [step(x.ravel().tolist(), policy_boundary.d, dt)
+               for x in starts]
+        assert [ok for _, ok, _ in raw] == [True, None, None, True]
+        assert min(raw[1][0]) < 0.0 <= min(raw[2][0])
+        x = np.ascontiguousarray(np.transpose(starts, (1, 2, 0)))
+        fixed, ok, still = integrate._float_rk4(step, x, gains, dt)
+        assert still is None and ok.all()
+        assert fixed[1, 0, 1] == 0.0
+        assert abs(sum(raw[2][0][:2]) - 1.0) > 1e-12
+        assert abs(fixed[0, :, 2].sum() - 1.0) < 1e-15
+        expected, expected_ok = kernel_step(threepop, policy_boundary.y_star,
+                                            np.array(starts), gains, dt)
+        assert np.array_equal(ok, expected_ok)
+        assert_same_bits(fixed.transpose(2, 0, 1), expected)
+        for member, start in enumerate(starts):
+            alone, alone_ok, _ = self.float_route(step, start, gains[member],
+                                                  dt)
+            assert alone_ok == ok[member]
+            assert_same_bits(alone, fixed[..., member])
 
     def test_simulate_equals_its_place_in_a_batch(self, monkeypatch):
         # alone on floats, inside a batch of four on the kernel
