@@ -98,8 +98,6 @@ class _Parser(argparse.ArgumentParser):
 def _json_default(value: Any):
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
@@ -308,7 +306,7 @@ def _resolve(manifest: dict[str, Any]):
                 f"policy: y_star has {policy.y_star.size} entries, the "
                 f"scenario has {scenario.n_actions} actions")
     try:
-        cfg = IntegrationConfig(**(manifest.get("integration") or {}))
+        cfg = IntegrationConfig(**manifest["integration"])
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"integration config: {exc}") from exc
     return scenario, policy, cfg
@@ -434,7 +432,7 @@ def _cmd_verify(manifest: dict[str, Any]) -> int:
     scenario, policy, _ = _resolve(manifest)
     if manifest.get("policy") is None:
         raise ScenarioError("verify needs a target output (--policy/--y-star)")
-    spec = manifest.get("sampling") or {}
+    spec = manifest["sampling"]
     if "seed" in spec:
         raise ScenarioError("sampling config: seed must be the run's --seed, "
                             "not a sampling setting")
@@ -501,7 +499,7 @@ def _cmd_sweep(manifest: dict[str, Any]) -> int:
 
 def _cmd_agents(manifest: dict[str, Any]) -> int:
     scenario, policy, _ = _resolve(manifest)
-    agent_cfg = manifest.get("agents") or {}
+    agent_cfg = manifest["agents"]
     n_agents = agent_cfg.get("n_agents", 0)
     rounds = agent_cfg.get("rounds", 0)
     check_count("n_agents", n_agents)

@@ -155,16 +155,15 @@ def field_controlled(scenario: Scenario, x: np.ndarray,
     return deriv[0]
 
 
-def field_lines(scenario: Scenario, y_star: np.ndarray, state: str,
-                rate: str) -> list[str]:
+def field_lines(scenario: Scenario, y_star: np.ndarray) -> list[str]:
     """The field of :func:`batch_field` for one member, as straight-line
     Python statements on floats.
 
     The statements read the member's m·n shares, row by row, from the
-    locals ``{state}0``, ``{state}1``, ... and its gain from ``d``, and
-    assign the derivative to ``{rate}0``, ``{rate}1``, ...; where d > 0
-    and a targeted aggregate share is at or below DOMAIN_THRESHOLD they
-    ``return FAILED`` instead.  They keep y_i, the subsidy term and avg_k
+    locals ``s0``, ``s1``, ... and its gain from ``d``, and assign the
+    derivative to ``k0``, ``k1``, ...; where d > 0 and a targeted
+    aggregate share is at or below DOMAIN_THRESHOLD they ``return
+    FAILED`` instead.  They keep y_i, the subsidy term and avg_k
     in locals of their own (``y``, ``g``, ``p`` and ``a`` names), and F[k][i]
     in the rate it becomes; constants are literals, and every sum an
     explicit ``+`` chain in batch_field's order (never ``sum``, which may
@@ -175,7 +174,7 @@ def field_lines(scenario: Scenario, y_star: np.ndarray, state: str,
     shares = scenario.shares.tolist()
     payoffs = scenario.payoffs.tolist()
     targets = np.asarray(y_star, dtype=float).tolist()
-    xs = [[f"{state}{k * n + i}" for i in range(n)] for k in range(m)]
+    xs = [[f"s{k * n + i}" for i in range(n)] for k in range(m)]
     lines = [f"y{i} = " + " + ".join(f"{shares[k]!r} * {xs[k][i]}"
                                      for k in range(m))
              for i in range(n)]
@@ -193,7 +192,7 @@ def field_lines(scenario: Scenario, y_star: np.ndarray, state: str,
     lines += ["else:", "    " + " = ".join(f"p{i}" for i in range(n))
               + " = 0.0"]
     # F[k][i] is held in the local that its rate then replaces
-    fs = [[f"{rate}{k * n + i}" for i in range(n)] for k in range(m)]
+    fs = [[f"k{k * n + i}" for i in range(n)] for k in range(m)]
     for k in range(m):
         lines += [f"{fs[k][i]} = " + " + ".join(
             f"{payoffs[k][i][j]!r} * y{j}" for j in range(n)) + f" - p{i}"

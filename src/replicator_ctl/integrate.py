@@ -23,11 +23,11 @@ left repay the float step's generation, each member steps as a flat list
 of Python floats on :func:`float_step`, generated at most once per run,
 with the same operations in the same order, so the same bits; the step's
 (m, n, B) array is made from those lists, and one loop counts, observes,
-records and compacts on either route.  A halving retry always steps on
-floats.  At a recording stride above 1, an attached Lyapunov observer
-reads each step's (m, n, B) array.  Convergence is declared online when
-the max-norm state change per step stays below ``CONVERGENCE_TOL`` for
-``convergence_window`` consecutive steps.
+records and compacts on either route.  A step's failed members are
+re-taken together, always on floats.  At a recording stride above 1, an
+attached Lyapunov observer reads each step's (m, n, B) array.  Convergence
+is declared online when the max-norm state change per step stays below
+``CONVERGENCE_TOL`` for ``convergence_window`` consecutive steps.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class IntegrationConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(np.ceil(self.t_max / self.dt - 1e-9)))
+        return int(np.ceil(self.t_max / self.dt - 1e-9))
 
 
 @dataclass
@@ -206,7 +206,7 @@ def float_step(scenario: Scenario, y_star: np.ndarray
     ``ok`` and ``still`` False.
     """
     size = scenario.n_populations * scenario.n_actions
-    return _compile_step(field_lines(scenario, y_star, "s", "k"), size,
+    return _compile_step(field_lines(scenario, y_star), size,
                          scenario.n_actions)
 
 
@@ -286,7 +286,7 @@ class _BatchRun:
     array, member last, so that every operation of a step runs along the
     batch on contiguous memory, or, where :meth:`_fits`, member by member
     on :func:`_float_rk4`, its :func:`float_step` generated at most once
-    per run; a halving retry steps the member's (m, n, 1) slice on
+    per run; a step's failed members are re-taken together on
     :func:`_float_rk4`.  An attached observer reads each step's array at a
     recording stride above 1; the final V, and at stride 1 the largest
     rise of V, come from the recorded V column.
@@ -301,12 +301,11 @@ class _BatchRun:
         self.observer = observer
         self.gains = (np.full(states0.shape[0], policy.d) if gains is None
                       else gains)
-        self.shape = (scenario.n_populations, scenario.n_actions)
         self.stepper = None
         self.n_members = states0.shape[0]
         self.records: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.converged = np.zeros(self.n_members, dtype=bool)
-        self.failures: dict[int, IntegrationError] = {}
+        self.failed_at = np.zeros(self.n_members, dtype=int)  # 0: never
         self.lyap_max_inc = np.full(self.n_members, -np.inf)
         self._run(states0)
 
@@ -315,7 +314,7 @@ class _BatchRun:
         float step's m·n² work per member against the batch kernel's m + 2n
         ufunc loops, the saving over the steps left also repaying the float
         step's generation while it is not yet made."""
-        m, n = self.shape
+        m, n = self.scenario.n_populations, self.scenario.n_actions
         saving = FLOAT_WORK * (m + 2 * n) - size * m * n * n
         owed = 0 if self.stepper is not None else FLOAT_GENERATION * m * n * n
         return saving >= 0 and steps * saving >= owed
@@ -326,26 +325,27 @@ class _BatchRun:
             self.stepper = float_step(self.scenario, self.policy.y_star)
         return self.stepper
 
-    def _retry(self, x: np.ndarray, gains: np.ndarray, member: int,
-               step: int) -> np.ndarray | None:
-        """Re-take member's failed step from x, (m, n, 1) under its gain
-        ``gains`` (1,), as 2^j substeps of dt / 2^j for j = 1..MAX_HALVINGS
-        (j = 0 is the step that failed), on floats; if none succeeds,
-        record the member's failure and return None."""
-        take = self._stepper()
+    def _retry(self, x: np.ndarray, gains: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Re-take the failed members' step from x, (m, n, F), under their
+        ``gains`` (F,) as 2^j substeps of dt / 2^j, j = 1..MAX_HALVINGS, on
+        floats, the members not yet done together, each leaving a level at
+        its first failed substep; returns x, written where done, and done."""
+        take, done = self._stepper(), np.zeros(gains.size, dtype=bool)
         for level in range(1, MAX_HALVINGS + 1):
-            current = x
+            left = np.flatnonzero(~done)
+            current, g = x[..., left], gains[left]
             for _ in range(1 << level):
-                current, ok, _ = _float_rk4(take, current, gains,
+                current, ok, _ = _float_rk4(take, current, g,
                                             self.cfg.dt / (1 << level))
-                if not ok[0]:
-                    break
-            else:
-                return current
-        self.failures[member] = IntegrationError(
-            f"trajectory {member}: step failed at t={step * self.cfg.dt:.6g} "
-            f"after {MAX_HALVINGS} halvings of dt={self.cfg.dt}")
-        return None
+                if not np.logical_and.reduce(ok):
+                    left, current, g = left[ok], current[..., ok], g[ok]
+                    if left.size == 0:
+                        break
+            x[..., left], done[left] = current, True
+            if np.logical_and.reduce(done):
+                break
+        return x, done
 
     def _observe(self, states: np.ndarray, ids: np.ndarray, ok: np.ndarray,
                  v_prev: np.ndarray) -> np.ndarray:
@@ -373,17 +373,14 @@ class _BatchRun:
                 fixed, ok, still = _float_rk4(self._stepper(), x,
                                               kernel.gains, cfg.dt)
             else:
-                fixed, ok = _rk4_step(rhs, x, cfg.dt)
-                still = None
+                (fixed, ok), still = _rk4_step(rhs, x, cfg.dt), None
             all_ok = np.logical_and.reduce(ok)
-            for local in [] if all_ok else np.flatnonzero(~ok):
-                retried = self._retry(x[..., local:local + 1],
-                                      kernel.gains[local:local + 1],
-                                      int(ids[local]), step)
-                if retried is not None:
-                    fixed[..., local] = retried[..., 0]
-                    ok[local], still = True, None
-            all_ok = all_ok or np.logical_and.reduce(ok)
+            if not all_ok:  # so the float route left still None
+                failed = ~ok
+                fixed[..., failed], ok[failed] = self._retry(
+                    x[..., failed], kernel.gains[failed])
+                self.failed_at[ids[~ok]] = step
+                all_ok = np.logical_and.reduce(ok)
             if still is None:
                 # x holds no inf: no inf - inf to silence
                 delta = np.abs(fixed - x).reshape(-1, ids.size)
@@ -441,8 +438,11 @@ class _BatchRun:
 
     def _trajectory(self, member: int, steps: np.ndarray,
                     states: np.ndarray) -> "Trajectory | IntegrationError":
-        if member in self.failures:
-            return self.failures[member]
+        if self.failed_at[member]:
+            return IntegrationError(
+                f"trajectory {member}: step failed at "
+                f"t={self.failed_at[member] * self.cfg.dt:.6g} "
+                f"after {MAX_HALVINGS} halvings of dt={self.cfg.dt}")
         times = self.cfg.dt * steps.astype(float)
         x = states.transpose(1, 2, 0)
         outputs = aggregate_output(x, self.scenario).T

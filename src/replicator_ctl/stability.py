@@ -543,11 +543,11 @@ def min_advantage_on_matching_set(eq: TargetEquilibrium, scenario: Scenario
 # target equilibrium enumeration
 # ---------------------------------------------------------------------------
 
-def _payoff_classes(values: np.ndarray, tol: float,
-                    targeted: np.ndarray) -> list[tuple[int, ...]]:
-    """Partition a population's actions into equal-payoff groups, given its
-    payoffs ``values`` at y_star, and keep the targeted actions of each
-    group that has any.
+def _payoff_classes(values: np.ndarray, targeted: np.ndarray
+                    ) -> list[tuple[int, ...]]:
+    """Partition a population's actions into groups of payoffs equal within
+    EQUILIBRIUM_TOL, given its payoffs ``values`` at y_star, and keep the
+    targeted actions of each group that has any.
 
     Any mixture supported inside one group is a rest point of that
     population's dynamics when the output is held at y_star.
@@ -555,7 +555,8 @@ def _payoff_classes(values: np.ndarray, tol: float,
     order = np.argsort(values, kind="stable")
     classes: list[list[int]] = []
     for idx in order:
-        if classes and abs(values[idx] - values[classes[-1][-1]]) <= tol:
+        if classes and (abs(values[idx] - values[classes[-1][-1]])
+                        <= EQUILIBRIUM_TOL):
             classes[-1].append(int(idx))
         else:
             classes.append([int(idx)])
@@ -616,7 +617,7 @@ def find_target_equilibria(scenario: Scenario,
     """
     y_star = np.asarray(y_star, dtype=float)
     _, payoffs_at_target = output_payoffs(scenario, None, y_star)
-    per_pop = [_payoff_classes(values, EQUILIBRIUM_TOL, y_star > 0.0)
+    per_pop = [_payoff_classes(values, y_star > 0.0)
                for values in payoffs_at_target]
     limit = (y_star + EQUILIBRIUM_TOL).tolist()
     shares = scenario.shares.tolist()

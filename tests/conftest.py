@@ -9,8 +9,10 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from replicator_ctl import ControlPolicy, Scenario, field_controlled
-from replicator_ctl.agents import _RoundConstants, population_sizes
+from replicator_ctl import (ControlPolicy, IntegrationConfig, Scenario,
+                            Trajectory, field_controlled, simulate)
+from replicator_ctl.agents import (_RoundConstants, population_sizes,
+                                   round_time_step)
 from replicator_ctl.dynamics import BatchKernel, batch_field
 from replicator_ctl.game import aggregate_output, carrier
 from replicator_ctl.stability import LyapunovObserver, TargetEquilibrium
@@ -143,6 +145,18 @@ def round_constants(scenario: Scenario,
     """The agents' round constants of a run of 1,000 agents; the payoffs
     and gaps they give do not depend on the head counts."""
     return _RoundConstants(scenario, policy, population_sizes(scenario, 1000))
+
+
+def agents_reference(scenario: Scenario, policy: ControlPolicy,
+                     x0: np.ndarray, rounds: int) -> Trajectory:
+    """The agents command's mean-field reference at the default revision
+    probability: ``rounds`` steps of the round time step, the horizon
+    padded by 1e-10 of a step as the command pads it, every step recorded
+    and no convergence stop."""
+    dt = round_time_step(scenario, policy)
+    return simulate(scenario, policy, x0, IntegrationConfig(
+        dt=dt, t_max=rounds * dt + 1e-10 * dt, convergence_window=10 ** 9,
+        record_stride=1))
 
 
 def expected_drift(scenario: Scenario, policy: ControlPolicy, x: np.ndarray,

@@ -35,6 +35,7 @@ from replicator_ctl.stability import (
 )
 from conftest import (
     FIVE_STARTS,
+    agents_reference,
     certificate_terms,
     five_start_states,
     local_shift,
@@ -295,9 +296,7 @@ def test_criterion_8_mean_field_agreement(threepop, policy_boundary):
     x0 = z_state((0.5, 0.5, 0.5))
     dt = round_time_step(threepop, policy_boundary)
     rounds = int(np.ceil(50.0 / dt))
-    reference = simulate(threepop, policy_boundary, x0,
-                         IntegrationConfig(dt=dt, t_max=rounds * dt + 1e-12,
-                                           convergence_window=10 ** 9))
+    reference = agents_reference(threepop, policy_boundary, x0, rounds)
     deviations = []
     budget_ok = True
     for seed in range(10):

@@ -16,8 +16,9 @@ from replicator_ctl.agents import (
     run,
     run_round,
 )
-from conftest import (expected_drift, make_state, random_policy,
-                      random_scenario, random_state, round_constants, z_state)
+from conftest import (agents_reference, expected_drift, make_state,
+                      random_policy, random_scenario, random_state,
+                      round_constants, z_state)
 
 
 class TestInitialization:
@@ -294,11 +295,8 @@ class TestMeanField:
                                   n_agents, seed=seed)
                 series = run(pop, threepop, policy_boundary, rounds)
                 devs.append(np.array([s.empirical_output[0] for s in series]))
-            from replicator_ctl import IntegrationConfig, simulate
-            reference = simulate(
-                threepop, policy_boundary, z_state((0.5, 0.5, 0.5)),
-                IntegrationConfig(dt=dt, t_max=rounds * dt + 1e-12,
-                                  convergence_window=10 ** 9))
+            reference = agents_reference(threepop, policy_boundary,
+                                         z_state((0.5, 0.5, 0.5)), rounds)
             length = min(len(devs[0]), reference.outputs.shape[0])
             deviations[n_agents] = np.mean([
                 np.max(np.abs(dev[:length] - reference.outputs[:length, 0]))

@@ -336,7 +336,7 @@ def generated_field(scenario: Scenario, y_star: np.ndarray):
     statements of :func:`field_lines` as the float step inlines them."""
     size = scenario.n_populations * scenario.n_actions
     body = [", ".join(f"s{i}" for i in range(size)) + ", = x",
-            *field_lines(scenario, y_star, "s", "k"),
+            *field_lines(scenario, y_star),
             "return [" + ", ".join(f"k{i}" for i in range(size)) + "], True"]
     namespace = {"FAILED": ([math.nan] * size, False)}
     exec("def field(x, d):\n" + "\n".join("    " + line for line in body),

@@ -21,7 +21,6 @@ from replicator_ctl import (
     simulate,
 )
 from replicator_ctl import dynamics, integrate
-from replicator_ctl.agents import round_time_step
 from replicator_ctl.cli import write_trajectory_csv
 from replicator_ctl.dynamics import BatchKernel, batch_field
 from replicator_ctl.integrate import (CONVERGENCE_TOL, Trajectory, _BatchRun,
@@ -30,6 +29,7 @@ from replicator_ctl.stability import LyapunovObserver, unique_target_equilibrium
 from conftest import (
     FIVE_STARTS,
     UNCONTROLLED_ATTRACTORS,
+    agents_reference,
     assert_same_bits,
     five_start_states,
     make_state,
@@ -170,11 +170,8 @@ class TestSimulate:
                                                     policy_boundary):
         # the mean-field reference of the agents-mc benchmark workload: one
         # member, 1,000 steps, no convergence stop
-        dt = round_time_step(threepop, policy_boundary)
-        cfg = IntegrationConfig(dt=dt, t_max=1000 * dt + 1e-12,
-                                convergence_window=10 ** 9, record_stride=1)
-        traj = simulate(threepop, policy_boundary, z_state((0.5, 0.5, 0.5)),
-                        cfg)
+        traj = agents_reference(threepop, policy_boundary,
+                                z_state((0.5, 0.5, 0.5)), 1000)
         assert traj.times.size == 1001
         assert [[v.hex() for v in row] for row in traj.states[500].tolist()] \
             == [["0x1.66b94e899eab9p-1", "0x1.328d62ecc2a8dp-2"],
@@ -563,6 +560,62 @@ class TestOneMemberPath:
         # the same step fails; the messages differ only in the member
         assert str(inside[1]).replace("trajectory 1", "trajectory 0") \
             == str(alone.value)
+
+    def test_failed_members_are_retaken_together(self, monkeypatch):
+        # the game of test_domain_failure_is_the_same_error: under gain
+        # 1e12 the subsidy nearly balances action 0's loss near the target
+        # vertex, and the first step of three such starts fails and
+        # recovers at two, three and three halvings; the centre, and every
+        # start under gain 1, never recovers
+        payoff = np.array([[-1e12, -1e12], [0.0, 0.0]])
+        scen = Scenario(payoffs=np.stack([payoff, payoff]),
+                        shares=np.array([0.5, 0.5]))
+        policy = ControlPolicy(y_star=np.array([1.0, 0.0]), d=1.0)
+        dt = 0.1 / 2 ** 14
+        cfg = IntegrationConfig(dt=dt, t_max=2 * dt)
+        starts = [make_state([[1.0 - a, a], [1.0 - b, b]])
+                  for a, b in ((1e-6, 1e-6), (1e-6, 2e-6), (2e-6, 2e-6))]
+        starts.append(make_state([[0.5, 0.5], [0.5, 0.5]]))
+        real, calls = integrate._BatchRun._retry, []
+
+        def recorded(run, x, gains):
+            calls.append((x.copy(), gains.copy()))
+            retaken, done = real(run, x, gains)
+            calls[-1] += (retaken.copy(), done.copy())
+            return retaken, done
+
+        monkeypatch.setattr(integrate._BatchRun, "_retry", recorded)
+        outcomes = phase_portrait(scen, policy, starts, cfg,
+                                  gains=[1.0, 1e12])
+        # one call takes all eight members: the whole first step failed
+        x, gains, retaken, done = calls[0]
+        assert np.array_equal(x, np.stack(starts * 2, axis=-1))
+        assert np.array_equal(gains, [1.0] * 4 + [1e12] * 4)
+        step = integrate.float_step(scen, policy.y_star)
+
+        def alone(member):
+            # the member's own re-take: level by level, on one member
+            for level in range(1, integrate.MAX_HALVINGS + 1):
+                current = x[..., member:member + 1]
+                for _ in range(1 << level):
+                    current, ok, _ = integrate._float_rk4(
+                        step, current, gains[member:member + 1],
+                        dt / (1 << level))
+                    if not ok[0]:
+                        break
+                else:
+                    return level, current[..., 0]
+            return None, None
+
+        levels = [alone(member) for member in range(8)]
+        assert [level for level, _ in levels] == [None] * 4 + [2, 3, 3, None]
+        assert done.tolist() == [False] * 4 + [True, True, True, False]
+        for member in (4, 5, 6):
+            assert_same_bits(retaken[..., member], levels[member][1])
+        for member in (0, 1, 2, 3, 7):
+            assert str(outcomes[member]) == (
+                f"trajectory {member}: step failed at t=6.10352e-06 after 20 "
+                "halvings of dt=6.103515625e-06")
 
     def test_large_lone_member_steps_on_the_kernel(self, monkeypatch):
         # at (20, 20) one member's m·n² work is over FLOAT_WORK·(m + 2n):

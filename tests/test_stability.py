@@ -33,9 +33,8 @@ from replicator_ctl.stability import (
 )
 from replicator_ctl import stability
 from replicator_ctl.dynamics import output_payoffs
-from replicator_ctl.stability import (EQUILIBRIUM_TOL, MISMATCH_FLOOR,
-                                     _combo_solutions, _dbar_batch,
-                                     _lp_min, _matching_system,
+from replicator_ctl.stability import (MISMATCH_FLOOR, _combo_solutions,
+                                     _dbar_batch, _lp_min, _matching_system,
                                      _mismatch_batch, _payoff_classes)
 from replicator_ctl.game import lattice_product, simplex_lattice
 from conftest import (RECIPE_REFUSED, assert_same_bits, average_payoff,
@@ -695,7 +694,7 @@ class TestEquilibriumEnumeration:
                                 shares=scen.shares)
             y_star = aggregate_output(np.eye(n)[rng.integers(0, n, m)], scen)
             _, at_target = output_payoffs(scen, None, y_star)
-            groups = [_payoff_classes(values, EQUILIBRIUM_TOL, y_star > 0.0)
+            groups = [_payoff_classes(values, y_star > 0.0)
                       for values in at_target]
             expected = [
                 (point.tobytes(), continuum) for point, continuum in
