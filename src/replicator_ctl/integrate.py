@@ -23,8 +23,8 @@ left repay the float step's generation, each member steps as a flat list
 of Python floats on :func:`float_step`, generated at most once per run,
 with the same operations in the same order, so the same bits; the step's
 (m, n, B) array is made from those lists, and one loop counts, observes,
-records and compacts on either route.  A step's failed members are
-re-taken together, always on floats.  At a recording stride above 1, an
+records and compacts on either route.  A failed step's halving substeps
+take their route by the same rule.  At a recording stride above 1, an
 attached Lyapunov observer reads each step's (m, n, B) array.  Convergence
 is declared online when the max-norm state change per step stays below
 ``CONVERGENCE_TOL`` for ``convergence_window`` consecutive steps.
@@ -265,13 +265,6 @@ def _float_rk4(step: Callable, x: np.ndarray, gains: np.ndarray, dt: float
         return x_new, _settle_rows(x_new), None
 
 
-def _kernel_rhs(kernel: BatchKernel) -> Callable[[np.ndarray], np.ndarray]:
-    """:func:`~replicator_ctl.dynamics.batch_field` of ``kernel`` on
-    states laid out (m, n, B), as :func:`_rk4_step` takes it."""
-    return lambda x: batch_field(kernel, x.transpose(2, 0, 1))[0].transpose(
-        1, 2, 0)
-
-
 def _check_interior(x0: np.ndarray, scenario: Scenario,
                     label: str) -> np.ndarray:
     return check_simplex(x0, label, scenario.payoffs.shape[:2],
@@ -286,10 +279,10 @@ class _BatchRun:
     array, member last, so that every operation of a step runs along the
     batch on contiguous memory, or, where :meth:`_fits`, member by member
     on :func:`_float_rk4`, its :func:`float_step` generated at most once
-    per run; a step's failed members are re-taken together on
-    :func:`_float_rk4`.  An attached observer reads each step's array at a
-    recording stride above 1; the final V, and at stride 1 the largest
-    rise of V, come from the recorded V column.
+    per run, for full steps and halving retries alike.  An attached
+    observer reads each step's array at a recording stride above 1; the
+    final V, and at stride 1 the largest rise of V, come from the recorded
+    V column.
     """
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
@@ -319,29 +312,39 @@ class _BatchRun:
         owed = 0 if self.stepper is not None else FLOAT_GENERATION * m * n * n
         return saving >= 0 and steps * saving >= owed
 
-    def _stepper(self) -> Callable:
-        """The run's :func:`float_step`, generated at its first use."""
-        if self.stepper is None:
-            self.stepper = float_step(self.scenario, self.policy.y_star)
-        return self.stepper
+    def _step(self, kernel: BatchKernel, x: np.ndarray, dt: float,
+              steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """One RK4 step of x, (m, n, B), under ``kernel``'s gains, ``steps``
+        left, on :func:`_float_rk4` where :meth:`_fits`, its float step made
+        at its first use, else on the kernel: x_new, ok, still or None."""
+        if self._fits(x.shape[2], steps):
+            if self.stepper is None:
+                self.stepper = float_step(self.scenario, self.policy.y_star)
+            return _float_rk4(self.stepper, x, kernel.gains, dt)
+        return *_rk4_step(lambda s: batch_field(
+            kernel, s.transpose(2, 0, 1))[0].transpose(1, 2, 0), x, dt), None
 
     def _retry(self, x: np.ndarray, gains: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
         """Re-take the failed members' step from x, (m, n, F), under their
         ``gains`` (F,) as 2^j substeps of dt / 2^j, j = 1..MAX_HALVINGS, on
-        floats, the members not yet done together, each leaving a level at
-        its first failed substep; returns x, written where done, and done."""
-        take, done = self._stepper(), np.zeros(gains.size, dtype=bool)
+        :meth:`_step`, the members not yet done together, each leaving a
+        level at its first failed substep: x, written where done, and done."""
+        done = np.zeros(gains.size, dtype=bool)
         for level in range(1, MAX_HALVINGS + 1):
             left = np.flatnonzero(~done)
-            current, g = x[..., left], gains[left]
-            for _ in range(1 << level):
-                current, ok, _ = _float_rk4(take, current, g,
-                                            self.cfg.dt / (1 << level))
+            current, substeps = x[..., left], 1 << level
+            kernel = BatchKernel(self.scenario, self.policy.y_star,
+                                 gains[left])
+            for taken in range(substeps):
+                current, ok, _ = self._step(kernel, current,
+                                            self.cfg.dt / substeps,
+                                            substeps - taken)
                 if not np.logical_and.reduce(ok):
-                    left, current, g = left[ok], current[..., ok], g[ok]
+                    left, current = left[ok], current[..., ok]
                     if left.size == 0:
                         break
+                    kernel.take(ok)
             x[..., left], done[left] = current, True
             if np.logical_and.reduce(done):
                 break
@@ -361,7 +364,6 @@ class _BatchRun:
         cfg = self.cfg
         ids = np.arange(self.n_members)
         kernel = BatchKernel(self.scenario, self.policy.y_star, self.gains)
-        rhs = _kernel_rhs(kernel)
         x = np.ascontiguousarray(states0.transpose(1, 2, 0))
         counters = np.zeros(self.n_members, dtype=int)
         observe = self.observer is not None and cfg.record_stride > 1
@@ -369,11 +371,8 @@ class _BatchRun:
         self.records.append((0, ids, x))
         n_steps = cfg.n_steps
         for step in range(1, n_steps + 1):
-            if self._fits(ids.size, n_steps + 1 - step):
-                fixed, ok, still = _float_rk4(self._stepper(), x,
-                                              kernel.gains, cfg.dt)
-            else:
-                (fixed, ok), still = _rk4_step(rhs, x, cfg.dt), None
+            fixed, ok, still = self._step(kernel, x, cfg.dt,
+                                          n_steps + 1 - step)
             all_ok = np.logical_and.reduce(ok)
             if not all_ok:  # so the float route left still None
                 failed = ~ok

@@ -185,8 +185,9 @@ class TestSimulate:
     def test_retry_starts_at_half_step(self, monkeypatch):
         # one step fails and is re-taken as two half steps: 15 steps of 4
         # stages, then 2 x 4 stages, and not the failed full step again;
-        # evaluations are counted on the batch kernel, and on the float
-        # route as four to a step, and both routes give the same bits
+        # the retry takes the route of the full steps, and evaluations are
+        # counted on the batch kernel, and on the float route as four to a
+        # step, and both routes give the same bits
         payoff = np.array([[0.0, 60.0], [0.0, 0.0]])
         scen = Scenario(payoffs=np.stack([payoff, payoff]),
                         shares=np.array([0.5, 0.5]))
@@ -500,12 +501,14 @@ class TestOneMemberPath:
             simulate(scen, ControlPolicy.off(2), start, cfg)
 
         # FLOAT_WORK 2 admits one member at (3, 2) (12 <= 2·7) and at
-        # (2, 2) (8 <= 2·6), never two: only a lone member or a retry steps
-        # on floats, and a run generates its step once; 0 admits only the
-        # retries, and a huge FLOAT_WORK puts every run on floats from its
-        # first step
-        for work, expected in ((2, ([], [12], [12, 8, 8])),
-                               (0, ([], [], [8, 8])),
+        # (2, 2) (8 <= 2·6), never two: only a lone member steps on floats,
+        # and a run generates its step once; at (2, 2) a member saves
+        # 2·6 - 8 = 4 a step, too little over 15 steps or a retry's few
+        # substeps to repay the generation's 100·8, so the retries stay on
+        # the kernel, as everything does at 0; a huge FLOAT_WORK puts every
+        # run, its retries too, on floats from its first step
+        for work, expected in ((2, ([], [12], [12])),
+                               (0, ([], [], [])),
                                (10 ** 9, ([12], [12, 12], [12, 12, 8, 8]))):
             monkeypatch.setattr(integrate, "FLOAT_WORK", work)
             generated.clear()
@@ -516,8 +519,8 @@ class TestOneMemberPath:
 
     def test_halvings_match_in_a_batch(self, monkeypatch):
         # the start of test_retry_starts_at_half_step fails one full step,
-        # which is re-taken in halves on floats, alone and inside a batch
-        # stepping on the kernel
+        # which is re-taken in halves with the same bits, alone and inside
+        # a batch stepping on the kernel
         payoff = np.array([[0.0, 60.0], [0.0, 0.0]])
         scen = Scenario(payoffs=np.stack([payoff, payoff]),
                         shares=np.array([0.5, 0.5]))
@@ -642,6 +645,36 @@ class TestOneMemberPath:
         assert on_kernel.times.size == on_floats.times.size == 11
         assert_same_bits(on_kernel.states, on_floats.states)
 
+    def test_large_retries_step_on_the_kernel(self, monkeypatch):
+        # at (20, 20) a stiff batch fails steps, and its halving retries
+        # take the route that the full steps take: on the kernel, with no
+        # float step generated, and with the float route's bits
+        rng = np.random.default_rng(8)
+        scen = random_scenario(rng, m=20, n=20, payoff_scale=150)
+        policy = random_policy(rng, scen)
+        starts = [random_state(rng, scen, interior=0.01) for _ in range(3)]
+        cfg = IntegrationConfig(dt=0.2, t_max=0.4)
+        real_retry, retries = integrate._BatchRun._retry, []
+        real_step, generated = integrate.float_step, []
+
+        def recorded(run, x, gains):
+            retries.append(gains.size)
+            return real_retry(run, x, gains)
+
+        def counted(scenario, y_star):
+            generated.append(scenario.n_actions)
+            return real_step(scenario, y_star)
+
+        monkeypatch.setattr(integrate._BatchRun, "_retry", recorded)
+        monkeypatch.setattr(integrate, "float_step", counted)
+        on_kernel = phase_portrait(scen, policy, starts, cfg)
+        assert retries and generated == []
+        monkeypatch.setattr(integrate, "FLOAT_WORK", 10 ** 9)
+        on_floats = phase_portrait(scen, policy, starts, cfg)
+        assert generated == [20]
+        for got, expected in zip(on_kernel, on_floats):
+            assert_same_bits(got.states, expected.states)
+
     def test_float_step_is_generated_once_the_steps_repay_it(
             self, monkeypatch, threepop, policy_boundary):
         # a lone member at (3, 2) saves 40·7 - 12 = 268 work a step on
@@ -698,6 +731,7 @@ class TestBatchBits:
         route, used = [None], set()  # the forced route; what a run used
         real_field = integrate.batch_field
         real_step = integrate.float_step
+        real_rk4 = integrate._rk4_step
 
         def count(key, value):
             if route[0] is not None:
@@ -709,6 +743,11 @@ class TestBatchBits:
             count("domain", int(np.count_nonzero(~ok)))
             return rates, ok
 
+        def counted_rk4(rhs, x, dt):
+            # a halving retry's substep on the kernel
+            count("halved", dt < cfg.dt)
+            return real_rk4(rhs, x, dt)
+
         def counted_step(scenario, y_star):
             step = real_step(scenario, y_star)
             # what a step that leaves the field's domain returns
@@ -716,7 +755,7 @@ class TestBatchBits:
 
             def one(x, d, dt):
                 result = step(x, d, dt)
-                # a halving retry steps on floats on either route
+                # a halving retry's substep on floats
                 count("halved", dt < cfg.dt)
                 if dt == cfg.dt:
                     used.add("float")
@@ -726,6 +765,7 @@ class TestBatchBits:
 
         monkeypatch.setattr(integrate, "batch_field", counted_field)
         monkeypatch.setattr(integrate, "float_step", counted_step)
+        monkeypatch.setattr(integrate, "_rk4_step", counted_rk4)
         default_work = integrate.FLOAT_WORK
         for case in range(6):
             rng = np.random.default_rng(500 + case)
