@@ -27,7 +27,10 @@ matching set the advantage is linear, so its minimum is one exact LP.  The
 supremum has no closed form, so it is *estimated* (grid + Dirichlet
 sampling + coordinate ascent, with the argmax reported so users can
 escalate resolution), never certified; the recommendation inflates the
-estimate by a safety margin.
+estimate by a safety margin.  One rule, ``_dbar_batch``, gives the
+critical subsidy of a batch and :func:`critical_subsidy` of one state: -inf
+where the supremum excludes the state, near the target output or the zero
+of a targeted share.
 
 Terminology used throughout: the *matching set* is the polytope of state
 combinations whose aggregate output equals y_star exactly.
@@ -56,7 +59,6 @@ from .game import (CARRIER_THRESHOLD, Scenario, aggregate_output, carrier,
                    lattice_product, simplex_lattice, weighted_sum)
 
 __all__ = [
-    "AtTargetOutputError",
     "BoundEstimate",
     "InapplicableError",
     "LyapunovObserver",
@@ -100,10 +102,6 @@ class InapplicableError(RuntimeError):
     def __init__(self, message: str, reason: str):
         super().__init__(message)
         self.reason = reason
-
-
-class AtTargetOutputError(ValueError):
-    """Critical subsidy requested at a state whose output is ~y_star."""
 
 
 @dataclass(frozen=True)
@@ -183,26 +181,6 @@ def _mismatch_batch(outputs: np.ndarray, y_star: np.ndarray) -> np.ndarray:
     return mismatch if ok is None else np.where(ok, mismatch, np.inf)
 
 
-def critical_subsidy(x: np.ndarray, eq: TargetEquilibrium,
-                     scenario: Scenario) -> float:
-    """The gain level above which the certificate decreases at this state.
-
-    Defined as -advantage / mismatch; requires the state's output to differ
-    from the target (mismatch bounded away from zero), otherwise raises
-    :class:`AtTargetOutputError` and the state must be treated as part of
-    the matching set.
-    """
-    advantage, y = _advantage_batch(np.asarray(x, dtype=float)[..., None],
-                                    eq, scenario)
-    mismatch = float(_mismatch_batch(y, eq.target_output)[0])
-    if mismatch < MISMATCH_FLOOR:
-        raise AtTargetOutputError(
-            f"output mismatch {mismatch!r} below {MISMATCH_FLOOR}; "
-            "state is effectively on the matching set"
-        )
-    return -float(advantage[0]) / mismatch
-
-
 class LyapunovObserver:
     """Attachable observer computing V, Vdot, F1 (advantage), F2 (mismatch).
 
@@ -266,11 +244,11 @@ class BoundEstimate:
 
 
 def _dbar_batch(states: np.ndarray, eq: TargetEquilibrium, scenario: Scenario
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Critical subsidy over an (m, n, B) batch, with a validity mask.
-
-    Invalid members: outputs within TUBE_RADIUS of the target, outputs with
-    a targeted share below BOUNDARY_MARGIN, or mismatch numerically zero.
+                ) -> np.ndarray:
+    """Critical subsidy -F1/F2 of each member of an (m, n, B) batch, shape
+    (B,), and -inf for a member the bound excludes: output within
+    TUBE_RADIUS of the target, a targeted share below BOUNDARY_MARGIN, or
+    mismatch numerically zero.
     """
     advantage, outputs = _advantage_batch(states, eq, scenario)
     y_star = eq.target_output
@@ -280,9 +258,16 @@ def _dbar_batch(states: np.ndarray, eq: TargetEquilibrium, scenario: Scenario
     mismatch = _mismatch_batch(outputs, y_star)
     valid = off_tube & in_domain & (mismatch > MISMATCH_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dbar = -advantage / mismatch
-    dbar = np.where(valid, dbar, -np.inf)
-    return dbar, valid
+        return np.where(valid, -advantage / mismatch, -np.inf)
+
+
+def critical_subsidy(x: np.ndarray, eq: TargetEquilibrium,
+                     scenario: Scenario) -> float:
+    """The gain level above which the certificate decreases at state ``x``:
+    the value the bound uses, and -inf where the bound excludes the state
+    (see :func:`_dbar_batch`)."""
+    return float(_dbar_batch(np.asarray(x, dtype=float)[..., None], eq,
+                             scenario)[0])
 
 
 def _grid_states(lattice: np.ndarray, n_populations: int, start: int,
@@ -331,7 +316,7 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
               *range(n_grid, dbar.size, CHUNK_ROWS), dbar.size]
     for start, stop in zip(starts, starts[1:]):
         dbar[start:stop] = _dbar_batch(np.ascontiguousarray(
-            pool(start, stop).transpose(1, 2, 0)), eq, scenario)[0]
+            pool(start, stop).transpose(1, 2, 0)), eq, scenario)
     # a valid state's dbar is finite: its mismatch exceeds MISMATCH_FLOOR
     if not np.any(dbar > -np.inf):
         raise InapplicableError(
@@ -372,7 +357,7 @@ def _lockstep_ascent(seeds: np.ndarray, eq: TargetEquilibrium,
     states and the number of states evaluated.
     """
     current = np.ascontiguousarray(seeds.transpose(1, 2, 0))
-    current_value = _dbar_batch(current, eq, scenario)[0]
+    current_value = _dbar_batch(current, eq, scenario)
     n_evals = current.shape[2]
     step = np.full(n_evals, 0.25)
     active = np.ones(n_evals, dtype=bool)
@@ -391,7 +376,7 @@ def _lockstep_ascent(seeds: np.ndarray, eq: TargetEquilibrium,
             moved = np.minimum(step[tried], candidate[k, j])
             candidate[k, j] -= moved
             candidate[k, i] += moved
-            value = _dbar_batch(candidate, eq, scenario)[0]
+            value = _dbar_batch(candidate, eq, scenario)
             n_evals += tried.size
             better = value > current_value[tried]
             kept = tried[better]

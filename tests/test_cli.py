@@ -1425,6 +1425,23 @@ class TestOutputBytes:
         assert main([*argv, "--scenario", SCENARIO, "--out", str(out)]) == 0
         assert output_digest(out) == digest
 
+    def test_verify_three_action_report_matches_its_pinned_digest(
+            self, tmp_path):
+        # the bound on a seeded (3, 3) game and a vertex target: 7.58200...
+        # from 166,375 lattice states, 20,000 samples and 2,663 ascent
+        # evaluations
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(
+            random_scenario(np.random.default_rng(1), 3, 3).to_dict()))
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", str(scenario), "--y-star",
+                     "1,0,0", "--grid-per-dim", "10", "--seed", "1",
+                     "--out", str(out)]) == 0
+        report = (out / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == (
+            "a03e144830bc46737716feb44b0060f2"
+            "c91f6e32fec40cc642002aba22ff60b7")
+
 
 class TestBenchmarkCommandLines:
     """Every command line of the benchmark parses into its manifest."""

@@ -19,7 +19,6 @@ from replicator_ctl import (
     field_uncontrolled,
 )
 from replicator_ctl.stability import (
-    AtTargetOutputError,
     InapplicableError,
     LyapunovObserver,
     SamplingConfig,
@@ -33,8 +32,8 @@ from replicator_ctl.stability import (
 )
 from replicator_ctl import stability
 from replicator_ctl.dynamics import output_payoffs
-from replicator_ctl.stability import (MISMATCH_FLOOR, _combo_solutions,
-                                     _dbar_batch, _lp_min, _matching_system,
+from replicator_ctl.stability import (_combo_solutions, _dbar_batch,
+                                     _lp_min, _matching_system,
                                      _mismatch_batch, _payoff_classes)
 from replicator_ctl.game import lattice_product, simplex_lattice
 from conftest import (RECIPE_REFUSED, assert_same_bits, average_payoff,
@@ -92,8 +91,7 @@ def sequential_bound(eq: TargetEquilibrium, scen: Scenario,
     ascent one seed and one candidate state at a time.  Returns the value,
     argmax, ascent evaluations and the sampled maximum."""
     def evaluate(state):
-        value, ok = _dbar_batch(state[..., None], eq, scen)
-        return float(value[0]) if ok[0] else -np.inf
+        return float(_dbar_batch(state[..., None], eq, scen)[0])
 
     rng = np.random.default_rng(seed)
     pool = np.concatenate([
@@ -101,7 +99,7 @@ def sequential_bound(eq: TargetEquilibrium, scen: Scenario,
                         scen.n_populations),
         rng.dirichlet(np.ones(scen.n_actions),
                       size=(sampling.random_samples, scen.n_populations))])
-    dbar, _ = _dbar_batch(pool.transpose(1, 2, 0), eq, scen)
+    dbar = _dbar_batch(pool.transpose(1, 2, 0), eq, scen)
     # highest value first, equal values by pool row
     order = np.lexsort((np.arange(dbar.size), -dbar))
     best_value, best_state = float(dbar[order[0]]), pool[order[0]].copy()
@@ -279,18 +277,47 @@ class TestCriticalSubsidy:
         for _ in range(200):
             x = random_state(rng, threepop, interior=0.01)
             terms = certificate_terms(x, eq_boundary, threepop, 0.0)
-            if terms["F2"] < 1e-9:
-                continue
             value = critical_subsidy(x, eq_boundary, threepop)
+            if value == -np.inf:
+                continue
             if terms["F1"] > 0:
                 assert value < 0
             elif terms["F1"] < 0:
                 assert value > 0
 
-    def test_at_target_output_raises(self, threepop, eq_interior):
+    def test_at_target_output_is_minus_inf(self, threepop, eq_interior):
         x = make_state([eq_interior.target_output] * 3)
-        with pytest.raises(AtTargetOutputError):
-            critical_subsidy(x, eq_interior, threepop)
+        assert critical_subsidy(x, eq_interior, threepop) == -np.inf
+
+    def test_one_rule_for_a_state_and_a_batch(self, threepop, eq_interior):
+        # five interior states, then one for each exclusion of the bound:
+        # the target state, a state whose output lies in the tube around
+        # y_star but off it, and a state with a targeted share under the
+        # boundary margin
+        rng = np.random.default_rng(101)
+        tube = eq_interior.state.copy()
+        tube[1] += (np.array([-0.8, 0.8]) * stability.TUBE_RADIUS
+                    / threepop.shares[1])
+        low = 0.1 * stability.BOUNDARY_MARGIN
+        margin = make_state([[1.0 - low, low]] * 3)
+        states = np.array([*(random_state(rng, threepop, interior=0.1)
+                             for _ in range(5)),
+                           eq_interior.state, tube, margin])
+        batch = states.transpose(1, 2, 0)
+        dbar = _dbar_batch(batch, eq_interior, threepop)
+        assert_same_bits([critical_subsidy(x, eq_interior, threepop)
+                          for x in states], dbar)
+        assert np.all(dbar[-3:] == -np.inf)
+        series = LyapunovObserver(eq_interior, threepop).series(batch, d=0.0)
+        assert np.all(np.isfinite(dbar[:5]))
+        assert_same_bits(dbar[:5], -series["F1"][:5] / series["F2"][:5])
+        # the tube and the margin alone exclude their states: both
+        # mismatches are finite and above the floor
+        miss = np.abs(aggregate_output(tube, threepop)
+                      - eq_interior.target_output).max()
+        assert 0.0 < miss < stability.TUBE_RADIUS
+        assert np.all(series["F2"][-2:] > stability.MISMATCH_FLOOR)
+        assert np.all(np.isfinite(series["F2"][-2:]))
 
 
 class TestBoundEstimate:
@@ -301,18 +328,18 @@ class TestBoundEstimate:
         # the all-second-action state for population 1 alone scores 1.12,
         # and the supremum is known to sit below 1.2
         assert 1.0 < estimate.value < 1.2
-        _, ok = _dbar_batch(estimate.argmax[..., None], eq_boundary,
+        value = _dbar_batch(estimate.argmax[..., None], eq_boundary,
                             threepop)
-        assert ok[0]
+        assert value[0] > -np.inf
 
     def test_interior_target_under_published_threshold(self, threepop,
                                                        eq_interior):
         estimate = estimate_subsidy_bound(eq_interior, threepop,
                                           SamplingConfig(), seed=3)
         witness = z_state((0.0, 0.0, 1.0))
-        witness_value, valid = _dbar_batch(witness[..., None], eq_interior,
-                                           threepop)
-        assert valid[0]
+        witness_value = _dbar_batch(witness[..., None], eq_interior,
+                                    threepop)
+        assert witness_value[0] > -np.inf
         assert estimate.value >= witness_value[0] - 1e-9
         assert estimate.value < 1.5
 
@@ -321,8 +348,8 @@ class TestBoundEstimate:
         # brute-force reference over a dense lattice
         grid = lattice_product(simplex_lattice(scen.n_actions, 31),
                                scen.n_populations)
-        values, valid = _dbar_batch(grid.transpose(1, 2, 0), eq, scen)
-        assert values[valid].max() <= 0.0
+        values = _dbar_batch(grid.transpose(1, 2, 0), eq, scen)
+        assert values[values > -np.inf].max() <= 0.0
         estimate = estimate_subsidy_bound(
             eq, scen, SamplingConfig(grid_per_dim=15, random_samples=20_000),
             seed=5)
@@ -420,7 +447,7 @@ class TestBoundEstimate:
                             seeds.append(s) or ascent(s, *rest))
         estimate = estimate_subsidy_bound(eq, scen, cfg)
         pool = lattice_product(simplex_lattice(2, grid), 3)
-        dbar = _dbar_batch(pool.transpose(1, 2, 0), eq, scen)[0]
+        dbar = _dbar_batch(pool.transpose(1, 2, 0), eq, scen)
         ranked = [row for value in sorted(set(dbar), reverse=True)
                   for row in np.flatnonzero(dbar == value)]
         admissible = np.count_nonzero(dbar > -np.inf)
@@ -460,12 +487,10 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (3, 4)])
     def test_critical_subsidy_rows_equal_alone_and_in_a_batch(self, m, n):
         scen, eq, states = self.game(m, n)
-        batch, batch_ok = _dbar_batch(states.transpose(1, 2, 0), eq, scen)
-        alone = [_dbar_batch(state[..., None], eq, scen)
-                 for state in states]
-        assert np.array_equal(np.concatenate([v for v, _ in alone]), batch)
-        assert np.array_equal(np.concatenate([ok for _, ok in alone]),
-                              batch_ok)
+        batch = _dbar_batch(states.transpose(1, 2, 0), eq, scen)
+        alone = np.concatenate([_dbar_batch(state[..., None], eq, scen)
+                                for state in states])
+        assert np.array_equal(alone, batch)
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (3, 4)])
     def test_observer_rows_equal_alone_and_in_a_batch(self, m, n):
@@ -476,9 +501,10 @@ class TestBatchIndependence:
             alone = observer.series(states[idx][..., None], d=1.3)
             for key in ("V", "F1", "F2", "Vdot"):
                 assert np.array_equal(alone[key], batch[key][idx:idx + 1])
-            if batch["F2"][idx] >= MISMATCH_FLOOR:
-                assert (critical_subsidy(states[idx], eq, scen)
-                        == -batch["F1"][idx] / batch["F2"][idx])
+            value = critical_subsidy(states[idx], eq, scen)
+            assert value == _dbar_batch(states[idx][..., None], eq, scen)[0]
+            if value > -np.inf:
+                assert value == -batch["F1"][idx] / batch["F2"][idx]
 
 
 class TestMatchingSet:
