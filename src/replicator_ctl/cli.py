@@ -46,7 +46,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -109,15 +109,22 @@ def _write_json(path: str, payload: dict[str, Any]) -> None:
 
 
 def _write_csv(path: str, provenance: dict[str, str], columns: list[str],
-               rows: Iterable[Sequence[float | int]]) -> None:
+               rows: Sequence[Sequence[float | int]] | np.ndarray) -> None:
     """The provenance comments, the header, and one line per row, each cell
     the ``repr`` of a Python float or int: the shortest text that parses
-    back to the same value."""
+    back to the same value.  Rows are formatted 256 at a time, an array's
+    turned into Python floats one such block at a time, so no list of a
+    whole table is held."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.writelines(f"# {key}: {value}\n"
                           for key, value in provenance.items())
         handle.write(",".join(columns) + "\n")
-        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for lo in range(0, len(rows), 256):
+            block = rows[lo:lo + 256]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            handle.writelines(",".join(map(repr, row)) + "\n"
+                              for row in block)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str,
@@ -132,7 +139,7 @@ def write_trajectory_csv(traj: Trajectory, path: str,
     if traj.observables is not None:
         columns += ["V", "Vdot", "F1", "F2"]
         blocks += [traj.observables[key][:, None] for key in columns[-4:]]
-    _write_csv(path, provenance, columns, np.hstack(blocks).tolist())
+    _write_csv(path, provenance, columns, np.hstack(blocks))
 
 
 def write_rounds_csv(series: list[agents.RoundStats], path: str,
@@ -141,10 +148,10 @@ def write_rounds_csv(series: list[agents.RoundStats], path: str,
     n = series[0].empirical_output.shape[0]
     columns = ["round", *(f"y_{i + 1}" for i in range(n)),
                *(f"p_{i + 1}" for i in range(n)), "total_subsidy"]
-    _write_csv(path, provenance, columns, (
+    _write_csv(path, provenance, columns, [
         [idx, *stats.empirical_output.tolist(),
          *stats.action_counts.tolist(), float(stats.total_subsidy)]
-        for idx, stats in enumerate(series)))
+        for idx, stats in enumerate(series)])
 
 
 def _parse_x0(text: str, shape: tuple[int, int]) -> np.ndarray:
@@ -400,32 +407,31 @@ def _cmd_portrait(manifest: dict[str, Any]) -> int:
     states = _initial_states(manifest, scenario)
     observer = _observer_for(scenario, policy)
     _echo_manifest(manifest)
-    results = phase_portrait(scenario, policy, states, cfg, observer=observer)
     prov = _provenance(manifest, scenario)
     out = manifest["out"]
     traj_dir = os.path.join(out, "trajectories")
     os.makedirs(traj_dir, exist_ok=True)
-    entries = []
-    any_failed = False
-    for idx, outcome in enumerate(results):
-        entry: dict[str, Any] = {"x0": states[idx]}
-        if isinstance(outcome, Trajectory):
-            name = f"traj_{idx:03d}.csv"
-            write_trajectory_csv(outcome, os.path.join(traj_dir, name), prov)
-            entry.update({
-                "file": os.path.join("trajectories", name),
+
+    def entry(idx: int, outcome: Trajectory | IntegrationError
+              ) -> dict[str, Any]:
+        """Write the file of a start that left the batch; its index entry,
+        which keeps copies of the final row, not the trajectory."""
+        if isinstance(outcome, IntegrationError):
+            return {"x0": states[idx], "error": str(outcome)}
+        name = f"traj_{idx:03d}.csv"
+        write_trajectory_csv(outcome, os.path.join(traj_dir, name), prov)
+        return {"x0": states[idx], "file": os.path.join("trajectories", name),
                 "converged": outcome.converged,
                 "t_end": float(outcome.times[-1]),
-                "endpoint": outcome.final_state,
-                "final_output": outcome.final_output,
-            })
-        else:
-            any_failed = True
-            entry["error"] = str(outcome)
-        entries.append(entry)
+                "endpoint": outcome.final_state.tolist(),
+                "final_output": outcome.final_output.tolist()}
+
+    entries = phase_portrait(scenario, policy, states, cfg, observer=observer,
+                             sink=entry)
     _write_json(os.path.join(out, "index.json"),
                 {"provenance": prov, "trajectories": entries})
-    return EXIT_NUMERIC if any_failed else EXIT_OK
+    return (EXIT_NUMERIC if any("error" in item for item in entries)
+            else EXIT_OK)
 
 
 def _cmd_verify(manifest: dict[str, Any]) -> int:

@@ -14,7 +14,10 @@ fails the step.
 
 `simulate` integrates one initial state; `phase_portrait` integrates a
 whole batch at once, optionally with a gain per start, and returns results
-in input order.  Every operation runs elementwise along the batch, so a
+in input order.  Each member's outcome is built at the step where it
+leaves the batch (converged, failed or at t_max), and can be handed to a
+sink there, so that a run holds the recorded rows of its running members
+only.  Every operation runs elementwise along the batch, so a
 trajectory's bits depend only on (scenario, policy, x0, config), never on
 the rest of its batch, which steps as one C-contiguous (m, n, B) array on
 a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run.  Once
@@ -283,23 +286,43 @@ class _BatchRun:
     observer reads each step's array at a recording stride above 1; the
     final V, and at stride 1 the largest rise of V, come from the recorded
     V column.
+
+    A member leaves the batch when it converges, fails, or takes the final
+    step.  At that step its outcome, a :class:`Trajectory` or an
+    :class:`IntegrationError`, is built and handed to ``sink(member,
+    outcome)``, members leaving together in member order; ``outcomes``
+    holds what the sink returned, or without a sink the outcome itself,
+    in member order.  Every member still running has the same recorded
+    steps, 0 and each multiple of the stride so far, so those rows are
+    held as chunks of up to 64 rows, (rows, m, n, slots), a slot per
+    member; a leaving member's states are its slot's rows and, off the
+    stride, its last state.  The slots of members that left are dropped,
+    all at once, when they reach a quarter of the slots, so the chunks
+    hold at most 4/3 of the running members' rows.  A leave event reads
+    only its leavers' slots, and each row is copied O(1) times, amortized:
+    a drop copies the rows of the L members left, and at least L/4 of them
+    leave before the next.
     """
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
                  states0: np.ndarray, cfg: IntegrationConfig, observer=None,
-                 gains: np.ndarray | None = None):
+                 gains: np.ndarray | None = None,
+                 sink: Callable[[int, "Trajectory | IntegrationError"],
+                                object] | None = None):
         self.scenario = scenario
         self.policy = policy
         self.cfg = cfg
         self.observer = observer
         self.gains = (np.full(states0.shape[0], policy.d) if gains is None
                       else gains)
+        self.sink = sink
         self.stepper = None
         self.n_members = states0.shape[0]
-        self.records: list[tuple[int, np.ndarray, np.ndarray]] = []
-        self.converged = np.zeros(self.n_members, dtype=bool)
-        self.failed_at = np.zeros(self.n_members, dtype=int)  # 0: never
+        self.outcomes: list = [None] * self.n_members
         self.lyap_max_inc = np.full(self.n_members, -np.inf)
+        # the held rows: full chunks, then the last with ``filled`` rows
+        self.chunks: list[np.ndarray] = []
+        self.filled = self.held = 0
         self._run(states0)
 
     def _fits(self, size: int, steps: int) -> bool:
@@ -360,15 +383,67 @@ class _BatchRun:
         self.lyap_max_inc[ids] = np.maximum(self.lyap_max_inc[ids], inc)
         return v_new
 
+    def _hold(self, x: np.ndarray, slots: np.ndarray) -> None:
+        """Hold x, (m, n, B), as the next recorded row of the running
+        members, at their ``slots`` of the chunks."""
+        if not self.chunks or self.filled == self.chunks[-1].shape[0]:
+            rows_left = self.cfg.n_steps // self.cfg.record_stride + 1 \
+                - self.held
+            width = (self.chunks[-1] if self.chunks else x).shape[-1]
+            self.chunks.append(np.empty((min(64, rows_left), *x.shape[:2],
+                                         width)))
+            self.filled = 0
+        row = self.chunks[-1][self.filled]
+        if slots.size == row.shape[-1]:  # no slot is vacant
+            row[...] = x
+        else:
+            row[..., slots] = x
+        self.filled += 1
+        self.held += 1
+
+    def _drop_vacant(self, slots: np.ndarray) -> np.ndarray:
+        """Keep only the running members' ``slots`` in the chunks, one
+        chunk at a time; their new slots."""
+        for idx, chunk in enumerate(self.chunks):
+            self.chunks[idx] = chunk[..., slots]
+        return np.arange(slots.size)
+
+    def _leave(self, step: int, ids: np.ndarray, slots: np.ndarray,
+               last: np.ndarray, ok: np.ndarray, converged: np.ndarray,
+               on_stride: bool) -> None:
+        """Hand over the members ``ids`` that leave at ``step``, in member
+        order: their ``slots``, ``last`` states (m, n, k), whether each is
+        ``ok`` and ``converged``, and whether ``step`` was held."""
+        steps = np.arange(self.held) * self.cfg.record_stride
+        if not on_stride:
+            steps = np.append(steps, step)
+        for pos, member in enumerate(ids.tolist()):
+            if ok[pos]:
+                rows = [chunk[..., slots[pos]] for chunk in self.chunks[:-1]]
+                rows.append(self.chunks[-1][:self.filled, ..., slots[pos]])
+                if not on_stride:
+                    rows.append(last[None, ..., pos])
+                outcome = self._trajectory(
+                    member, self.cfg.dt * steps.astype(float),
+                    np.concatenate(rows), bool(converged[pos]))
+            else:
+                outcome = IntegrationError(
+                    f"trajectory {member}: step failed at "
+                    f"t={step * self.cfg.dt:.6g} "
+                    f"after {MAX_HALVINGS} halvings of dt={self.cfg.dt}")
+            self.outcomes[member] = (outcome if self.sink is None
+                                     else self.sink(member, outcome))
+
     def _run(self, states0: np.ndarray) -> None:
         cfg = self.cfg
         ids = np.arange(self.n_members)
+        slots = ids  # each running member's slot in the held rows
         kernel = BatchKernel(self.scenario, self.policy.y_star, self.gains)
         x = np.ascontiguousarray(states0.transpose(1, 2, 0))
         counters = np.zeros(self.n_members, dtype=int)
         observe = self.observer is not None and cfg.record_stride > 1
         v_prev = self.observer.values(x) if observe else None
-        self.records.append((0, ids, x))
+        self._hold(x, slots)
         n_steps = cfg.n_steps
         for step in range(1, n_steps + 1):
             fixed, ok, still = self._step(kernel, x, cfg.dt,
@@ -378,7 +453,6 @@ class _BatchRun:
                 failed = ~ok
                 fixed[..., failed], ok[failed] = self._retry(
                     x[..., failed], kernel.gains[failed])
-                self.failed_at[ids[~ok]] = step
                 all_ok = np.logical_and.reduce(ok)
             if still is None:
                 # x holds no inf: no inf - inf to silence
@@ -392,57 +466,35 @@ class _BatchRun:
             if observe:
                 v_prev = self._observe(fixed, ids, ok, v_prev)
 
-            record_now = (step % cfg.record_stride == 0) or (step == n_steps)
-            keep = ok if record_now else just_converged
-            if record_now and all_ok:
-                self.records.append((step, ids, fixed))
-            elif np.logical_or.reduce(keep):
-                self.records.append((step, ids[keep], fixed[..., keep]))
+            on_stride = step % cfg.record_stride == 0
+            if on_stride:
+                self._hold(fixed, slots)
 
-            ending = just_converged if all_ok else just_converged | ~ok
+            if step == n_steps:
+                ending = np.ones(ids.size, dtype=bool)
+            else:
+                ending = just_converged if all_ok else just_converged | ~ok
             if np.logical_or.reduce(ending):
-                self.converged[ids[just_converged]] = True
+                self._leave(step, ids[ending], slots[ending],
+                            fixed[..., ending], ok[ending],
+                            just_converged[ending], on_stride)
                 active = ~ending
-                ids = ids[active]
+                ids, slots = ids[active], slots[active]
+                if ids.size == 0:
+                    break
+                if 4 * ids.size <= 3 * self.chunks[-1].shape[-1]:
+                    slots = self._drop_vacant(slots)
                 fixed = np.compress(active, fixed, axis=-1)
                 counters = counters[active]
                 kernel.take(active)
                 if observe:
                     v_prev = v_prev[active]
-                if ids.size == 0:
-                    break
             x = fixed
 
-    def results(self) -> list["Trajectory | IntegrationError"]:
-        """Every member's outcome, in member order.
-
-        One pass groups the recorded rows by member: a stable sort on the
-        member id keeps each member's rows in step order.  A member that did
-        not fail is recorded at step 0 and at its final step, so its rows
-        are the whole trajectory.  The records are released once merged,
-        and each trajectory's states are a slice of the grouped array.
-        """
-        steps = np.repeat([step for step, _, _ in self.records],
-                          [ids.size for _, ids, _ in self.records])
-        ids = np.concatenate([ids for _, ids, _ in self.records])
-        order = np.argsort(ids, kind="stable")
-        grouped = np.concatenate([block for *_, block in self.records],
-                                 axis=2)
-        self.records = []
-        grouped = grouped.transpose(2, 0, 1)[order]
-        steps = steps[order]
-        bounds = np.searchsorted(ids[order], np.arange(self.n_members + 1))
-        return [self._trajectory(member, steps[lo:hi], grouped[lo:hi])
-                for member, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-
-    def _trajectory(self, member: int, steps: np.ndarray,
-                    states: np.ndarray) -> "Trajectory | IntegrationError":
-        if self.failed_at[member]:
-            return IntegrationError(
-                f"trajectory {member}: step failed at "
-                f"t={self.failed_at[member] * self.cfg.dt:.6g} "
-                f"after {MAX_HALVINGS} halvings of dt={self.cfg.dt}")
-        times = self.cfg.dt * steps.astype(float)
+    def _trajectory(self, member: int, times: np.ndarray, states: np.ndarray,
+                    converged: bool) -> Trajectory:
+        """The trajectory of ``member`` from its recorded ``states``, (rows,
+        m, n), at ``times``."""
         x = states.transpose(1, 2, 0)
         outputs = aggregate_output(x, self.scenario).T
         observables = max_inc = None
@@ -456,8 +508,7 @@ class _BatchRun:
                 max_inc = self.lyap_max_inc[member]
             max_inc = float(max_inc) if np.isfinite(max_inc) else 0.0
         return Trajectory(
-            times=times, states=states, outputs=outputs,
-            converged=bool(self.converged[member]),
+            times=times, states=states, outputs=outputs, converged=converged,
             observables=observables, max_V_step_increase=max_inc,
         )
 
@@ -472,7 +523,7 @@ def simulate(scenario: Scenario, policy: ControlPolicy, x0: np.ndarray,
     the initial state is not interior.
     """
     x0 = _check_interior(x0, scenario, "x0")
-    outcome = _BatchRun(scenario, policy, x0[None], cfg, observer).results()[0]
+    outcome = _BatchRun(scenario, policy, x0[None], cfg, observer).outcomes[0]
     if isinstance(outcome, IntegrationError):
         raise outcome
     return outcome
@@ -481,8 +532,9 @@ def simulate(scenario: Scenario, policy: ControlPolicy, x0: np.ndarray,
 def phase_portrait(scenario: Scenario, policy: ControlPolicy,
                    grid: Sequence[np.ndarray] | np.ndarray,
                    cfg: IntegrationConfig = IntegrationConfig(),
-                   observer=None, gains: Sequence[float] | None = None
-                   ) -> list["Trajectory | IntegrationError"]:
+                   observer=None, gains: Sequence[float] | None = None,
+                   sink: Callable[[int, "Trajectory | IntegrationError"],
+                                  object] | None = None) -> list:
     """Integrate a batch of initial states; results in input order.
 
     Per-trajectory failures are returned in place (as IntegrationError
@@ -494,6 +546,13 @@ def phase_portrait(scenario: Scenario, policy: ControlPolicy,
     under ``gains[g]``.  It has the same bits as a run of
     ``ControlPolicy(policy.y_star, gains[g])``: no trajectory depends on
     which other starts or gains share its batch.
+
+    ``sink``, if given, is called as ``sink(i, outcome)`` once for each
+    result i, at the step where it leaves the batch (converged, failed or
+    at t_max; results leaving at one step in index order), and the
+    returned list holds what it returned.  A trajectory handed to the sink
+    is then held only as long as the sink keeps it, while the rows of the
+    members still running are held by the run.
     """
     states0 = np.array(grid, dtype=float)
     for idx in range(len(states0)):
@@ -506,8 +565,8 @@ def phase_portrait(scenario: Scenario, policy: ControlPolicy,
                           np.tile(states0, (gains.size, 1, 1)))
     if states0.size == 0:
         return []
-    return _BatchRun(scenario, policy, states0, cfg, observer,
-                     gains).results()
+    return _BatchRun(scenario, policy, states0, cfg, observer, gains,
+                     sink).outcomes
 
 
 def interior_grid(scenario: Scenario, per_dim: int) -> np.ndarray:

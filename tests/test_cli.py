@@ -16,7 +16,7 @@ import pytest
 from replicator_ctl import (ControlPolicy, IntegrationConfig, Scenario,
                             aggregate_output, interior_grid, phase_portrait,
                             scenario_digest)
-from replicator_ctl import cli, game
+from replicator_ctl import cli, game, integrate
 from replicator_ctl.cli import main
 from replicator_ctl.stability import unique_target_equilibrium
 from conftest import (RECIPE_REFUSED, THREEPOP_PAYOFFS, THREEPOP_SHARES,
@@ -301,6 +301,29 @@ class TestPortrait:
         first = paths[0].read_bytes()
         assert first == paths[1].read_bytes()
 
+
+    def test_memory_follows_the_running_starts(self, tmp_path, monkeypatch):
+        # uncontrolled starts on a 4-point grid leave from step 330 to 1602;
+        # each is written as it leaves, and the rows of the starts that left
+        # are dropped, so the traced peak stays below the bytes of all the
+        # recorded states.  On the batch kernel: its steps make no Python
+        # floats for tracemalloc to trace one by one
+        monkeypatch.setattr(integrate, "FLOAT_WORK", 0)
+        args = ["portrait", "--scenario", SCENARIO, "--dt", "0.05"]
+        assert main([*args, "--grid", "2", "--t-max", "1",
+                     "--out", str(tmp_path / "warm-up")]) == 0
+        out = tmp_path / "portrait"
+        tracemalloc.start()
+        try:
+            assert main([*args, "--grid", "4", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # stride 1: a row at each step from 0 to the last
+        rows = [round(entry["t_end"] / 0.05) + 1
+                for entry in read_json(out / "index.json")["trajectories"]]
+        assert len(rows) == 64 and len(set(rows)) > 40
+        assert peak < sum(rows) * 3 * 2 * 8
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_start_exits_1(self, tmp_path, capsys, bad):

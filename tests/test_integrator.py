@@ -3,6 +3,7 @@ convergence detection, batch portraits, determinism, and CSV export."""
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -788,7 +789,7 @@ class TestBatchBits:
             for route[0], work in routes.items():
                 monkeypatch.setattr(integrate, "FLOAT_WORK", work)
                 alone[route[0]] = [_BatchRun(scen, policy, x[None], cfg,
-                                             gains=np.array([d])).results()[0]
+                                             gains=np.array([d])).outcomes[0]
                                    for x, d in probes]
                 count("converged", sum(getattr(a, "converged", False)
                                        for a in alone[route[0]]))
@@ -812,7 +813,7 @@ class TestBatchBits:
                     monkeypatch.setattr(integrate, "FLOAT_WORK", work)
                     used.clear()
                     inside = _BatchRun(scen, policy, np.array(states), cfg,
-                                       gains=member_gains).results()
+                                       gains=member_gains).outcomes
                     for place, probe in zip(places, chosen):
                         self.same_outcome(inside[place],
                                           alone["kernel"][probe])
@@ -1045,25 +1046,23 @@ class TestPortrait:
 
     def test_reassembly_matches_per_member_scan(self, threepop,
                                                 policy_boundary):
-        # members converge at different steps, some of them off the stride
+        # members converge at different steps, some of them off the stride;
+        # the oracle runs each start alone, recording every step, and keeps
+        # the steps on the stride and the last
         cfg = IntegrationConfig(dt=0.05, record_stride=7)
         states0 = np.array(five_start_states()
                            + [z_state((0.3, 0.6, 0.2)),
                               z_state((0.9, 0.1, 0.7))])
-        run = _BatchRun(threepop, policy_boundary, states0, cfg)
-        records = list(run.records)
-        results = run.results()
+        results = _BatchRun(threepop, policy_boundary, states0, cfg).outcomes
+        every_step = dataclasses.replace(cfg, record_stride=1)
         final_steps = []
         for member, outcome in enumerate(results):
-            steps, rows = [], []
-            for step, ids, block in records:
-                pos = np.flatnonzero(ids == member)
-                if pos.size:
-                    steps.append(step)
-                    # blocks are (m, n, k), or flat (m·n,) for a lone member
-                    rows.append(block.reshape(3, 2, -1)[..., pos[0]])
+            alone = simulate(threepop, policy_boundary, states0[member],
+                             every_step)
+            last = alone.times.size - 1
+            steps = [*range(0, last, cfg.record_stride), last]
             final_steps.append(steps[-1])
-            states = np.array(rows)
+            states = alone.states[steps]
             assert outcome.converged
             np.testing.assert_array_equal(
                 outcome.times, cfg.dt * np.array(steps, dtype=float))
@@ -1084,6 +1083,77 @@ class TestPortrait:
                                  IntegrationConfig(dt=0.1, t_max=1.0))
         assert len(results) == 2
         assert all(isinstance(r, IntegrationError) for r in results)
+
+
+class TestSink:
+    """A batch run hands each member to its sink at the step it leaves."""
+
+    @staticmethod
+    def same_outcome(got, expected):
+        if isinstance(expected, IntegrationError):
+            assert isinstance(got, IntegrationError)
+            assert str(got) == str(expected)
+            return
+        for key in ("times", "states", "outputs"):
+            assert_same_bits(getattr(got, key), getattr(expected, key))
+        assert sorted(got.observables) == sorted(expected.observables)
+        for key, values in expected.observables.items():
+            assert_same_bits(got.observables[key], values)
+        assert got.max_V_step_increase == expected.max_V_step_increase
+        assert got.converged == expected.converged
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_each_member_once_in_leave_order(self, threepop, policy_boundary,
+                                             stride):
+        # a vertex outside the field's domain fails at step 1; five starts
+        # converge at distinct steps, 1144 to 1884; two stop at t_max
+        # (step 2000, off the stride 7) before converging
+        cfg = IntegrationConfig(dt=0.05, t_max=100.0, record_stride=stride)
+        observer = LyapunovObserver(
+            unique_target_equilibrium(threepop, policy_boundary.y_star),
+            threepop)
+        states0 = np.array(five_start_states()[:3] + [z_state((0.0,) * 3)]
+                           + five_start_states()[3:]
+                           + [z_state((0.3, 0.6, 0.2)),
+                              z_state((0.9, 0.1, 0.7))])
+        expected = _BatchRun(threepop, policy_boundary, states0, cfg,
+                             observer).outcomes
+        handed = []
+
+        def sink(member, outcome):
+            handed.append((member, outcome))
+            return f"entry {member}"
+
+        returned = _BatchRun(threepop, policy_boundary, states0, cfg,
+                             observer, sink=sink).outcomes
+        assert returned == [f"entry {i}" for i in range(len(states0))]
+        members = [member for member, _ in handed]
+        assert sorted(members) == list(range(len(states0)))
+        left_at = [1 if isinstance(outcome, IntegrationError)
+                   else round(outcome.times[-1] / cfg.dt)
+                   for _, outcome in handed]
+        assert list(zip(left_at, members)) == sorted(zip(left_at, members))
+        assert str(handed[0][1]).startswith("trajectory 3: step failed at ")
+        assert [outcome.converged for _, outcome in handed[1:]] == \
+            [True] * 5 + [False] * 2
+        assert len(set(left_at[1:6])) == 5
+        assert left_at[6:] == [cfg.n_steps] * 2
+        for member, outcome in handed:
+            self.same_outcome(outcome, expected[member])
+
+    def test_portrait_returns_what_the_sink_returned(self, threepop,
+                                                     policy_boundary):
+        starts = five_start_states()
+        cfg = IntegrationConfig(dt=0.05, record_stride=13)
+        gains = [0.6, 1.2]
+        expected = phase_portrait(threepop, policy_boundary, starts, cfg,
+                                  gains=gains)
+        returned = phase_portrait(threepop, policy_boundary, starts, cfg,
+                                  gains=gains,
+                                  sink=lambda idx, outcome: (idx, outcome))
+        assert [idx for idx, _ in returned] == list(range(len(expected)))
+        for (_, got), want in zip(returned, expected):
+            TestBatchBits.same_outcome(got, want)
 
 
 class TestGrid:
@@ -1147,3 +1217,26 @@ class TestCsvExport:
             parsed = np.array([float(cell) for cell in cells])
             assert np.array_equal(parsed.view(np.uint64), row.view(np.uint64))
         assert lines[2].split(",")[:2] == ["-0.0", "-0.0"]
+
+    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257])
+    def test_blocks_give_the_one_table_bytes(self, tmp_path, n_rows):
+        # the writer formats 256 rows at a time; the bytes are those of one
+        # list of the whole table
+        rng = np.random.default_rng(n_rows)
+        states = rng.dirichlet(np.ones(2), size=(n_rows, 3))
+        states[0, 0] = [-0.0, 5e-324]
+        observables = {key: rng.normal(size=n_rows) * 10.0 ** power
+                       for key, power in zip(("V", "Vdot", "F1", "F2"),
+                                             (0, -9, 3, 300))}
+        traj = Trajectory(times=0.05 * np.arange(n_rows), states=states,
+                          outputs=states.mean(axis=1), observables=observables)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, str(path), {"artifact": "test"})
+        table = np.hstack([traj.times[:, None], states.reshape(n_rows, -1),
+                           traj.outputs] + [observables[key][:, None] for key
+                                            in ("V", "Vdot", "F1", "F2")])
+        expected = "".join(
+            ["# artifact: test\n",
+             "t,x1_1,x1_2,x2_1,x2_2,x3_1,x3_2,y_1,y_2,V,Vdot,F1,F2\n"]
+            + [",".join(map(repr, row)) + "\n" for row in table.tolist()])
+        assert path.read_bytes() == expected.encode()
