@@ -456,9 +456,59 @@ class TestBoundEstimate:
         assert np.array_equal(seeds[0], pool[ranked[:candidates]])
         assert np.array_equal(estimate.argmax, pool[ranked[0]])
 
+    @pytest.mark.parametrize("candidates", [0, 1, 10])
+    @pytest.mark.parametrize("game", ["sampled_best", "tied"])
+    def test_streaming_equals_the_whole_pool(self, threepop, monkeypatch,
+                                             game, candidates):
+        # sampled_best: 36 lattice rows, and the best pool row is sample
+        # 41, with 7 of the 10 best rows sampled, so draws made chunk by
+        # chunk must be the one call's.  tied: zero payoffs, every
+        # admissible value is -0.0, and ties cross chunk boundaries, so
+        # the seeds must keep pool row order
+        if game == "sampled_best":
+            scen = random_scenario(np.random.default_rng(6), m=2, n=3)
+            eq = unique_target_equilibrium(scen, np.array([1.0, 0.0, 0.0]))
+            grid, samples = 3, 300
+        else:
+            scen = Scenario(payoffs=np.zeros((3, 2, 2)),
+                            shares=threepop.shares)
+            eq = TargetEquilibrium(state=z_state((0.5, 0.5, 0.5)),
+                                   target_output=np.array([0.5, 0.5]),
+                                   carriers=((0, 1),) * 3)
+            grid, samples = 5, 40
+        cfg = SamplingConfig(grid_per_dim=grid, random_samples=samples,
+                             ascent_candidates=candidates)
+        value, argmax, n_evals, _ = sequential_bound(eq, scen, cfg, seed=0)
+        n_grid = (simplex_lattice(scen.n_actions, grid).shape[0]
+                  ** scen.n_populations)
+        want = (repr(value), argmax.tobytes(), n_grid, samples, n_evals)
+        if game == "sampled_best" and candidates == 0:  # off the lattice
+            assert not np.array_equal(argmax * 2, np.round(argmax * 2))
+        for rows in (1, 3, 7, 4_096, 10_000):
+            monkeypatch.setattr(stability, "CHUNK_ROWS", rows)
+            e = estimate_subsidy_bound(eq, scen, cfg, seed=0)
+            assert (repr(e.value), e.argmax.tobytes(), e.n_grid, e.n_random,
+                    e.n_ascent_evals) == want, rows
+
+    @pytest.mark.parametrize("samples", [20_000, 200_000])
+    def test_memory_does_not_grow_with_the_pool(self, samples):
+        # 1,728,000 lattice states at the default 15 points per edge, and
+        # the samples: whole-pool values and samples peaked at 29 and 45 MB
+        scen = random_scenario(np.random.default_rng(1), m=3, n=3)
+        eq = unique_target_equilibrium(scen, np.array([1.0, 0.0, 0.0]))
+        tracemalloc.start()
+        try:
+            estimate = estimate_subsidy_bound(
+                eq, scen, SamplingConfig(random_samples=samples))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (estimate.n_grid, estimate.n_random) == (1_728_000, samples)
+        assert peak < 4_000_000
+
     def test_lattice_is_never_built_whole(self):
         # the default 15 points per edge at (3, 3): 1,728,000 lattice
-        # states, 124 MB built whole; the values alone take 14 MB
+        # states, 124 MB built whole
         scen = random_scenario(np.random.default_rng(1), m=3, n=3)
         eq = unique_target_equilibrium(scen, np.array([1.0, 0.0, 0.0]))
         tracemalloc.start()
