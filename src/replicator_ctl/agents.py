@@ -6,10 +6,10 @@ only the action profile, and agents of one population who play the same
 action are interchangeable, so the chain's whole state is ``counts``, the
 (m, n) head count of each action in each population.  Per round:
 
-* the controller observes the action counts p_i = Σ_k counts[k, i], funds
-  the pot D = d * N, and pays every agent on a targeted action i the equal
-  split D * y_star_i / p_i — identical to the continuum per-agent subsidy
-  d * y_star_i / y_hat_i;
+* the controller observes the action counts p_i = Σ_k counts[k, i] and
+  pays every agent on action i the continuum per-agent subsidy
+  d * f_i(y_hat), the weights f of the payoffs below: d * y_star_i / y_hat_i
+  on a targeted action, so the round pays d * N in all;
 * each agent independently, with probability ``revision_prob``, samples a
   uniformly random member of its own population (itself included) and,
   when that peer plays j and it plays i, imitates with probability
@@ -27,8 +27,10 @@ independently of every other agent.  The counts[k, i] agents that share
 ``rng.multinomial(counts, [pi, 1 - Σ_j pi])`` draw samples the whole round
 with the same law as revising agent by agent.  A round takes O(m n^2) time
 and memory (n times that with sampled matches), whatever N is.  :func:`run`
-builds what every round reads once: N, the pot, the targeted actions, the
-field's kernel, the normalizer and the population sizes.
+builds what every round reads once: N, d * N, the field's kernel, the
+normalizer and the population sizes.  A snapshot's payments, gaps and
+refusal (f is undefined at a targeted share <= DOMAIN_THRESHOLD) come from
+one ``controlled_payoffs`` call.
 
 Proportional imitation with expected payoffs is the standard protocol whose
 mean field is the replicator equation; the expected one-round drift equals
@@ -51,11 +53,12 @@ replicas with different seeds can run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import BatchKernel, ControlPolicy, controlled_payoffs
+from .dynamics import (DOMAIN_THRESHOLD, BatchKernel, ControlPolicy,
+                       controlled_payoffs)
 from .game import CARRIER_THRESHOLD, Scenario, check_simplex
 
 __all__ = [
@@ -74,7 +77,8 @@ REVISION_PROB = 0.05  # default chance that an agent revises in a round
 
 
 class EmptyActionGroupError(RuntimeError):
-    """A targeted action has no agents, so its equal split is undefined."""
+    """A targeted share is at or below DOMAIN_THRESHOLD (an empty group, in
+    a run of under 10^12 agents), so its subsidy weight is undefined."""
 
 
 @dataclass(eq=False)
@@ -167,46 +171,43 @@ def init_agents(scenario: Scenario, x0: np.ndarray, n_agents: int,
 
 
 class _RoundConstants:
-    """What every round of a run reads, built once by :func:`run`."""
+    """What every round of a run reads, built once by :func:`run`; raises
+    ValueError unless 0 < revision_prob <= 1."""
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
-                 pop_sizes: np.ndarray):
+                 pop_sizes: np.ndarray, revision_prob: float):
+        if not 0.0 < revision_prob <= 1.0:
+            raise ValueError(f"revision_prob must be in (0, 1], got "
+                             f"{revision_prob!r}")
         self.policy, self.payoffs = policy, scenario.payoffs
         self.n_agents = int(pop_sizes.sum())
         self.sizes = pop_sizes[:, None]
         self.total = policy.d * self.n_agents
-        self.targeted = np.flatnonzero(policy.y_star > 0.0)
-        self.pots = self.total * policy.y_star[self.targeted]
         self.kernel = BatchKernel(scenario, policy.y_star, [policy.d])
         self.normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
 
-    def stats(self, counts: np.ndarray, y: np.ndarray,
-              gap: float = 0.0) -> RoundStats:
-        """The snapshot at action counts ``counts`` and output ``y``; raises
-        :class:`EmptyActionGroupError` where a targeted group is empty."""
-        per_agent = np.zeros(counts.shape)
-        if self.policy.d > 0.0:
-            held = counts[self.targeted]
-            if not held.all():
-                raise EmptyActionGroupError(
-                    f"targeted action {int(self.targeted[held == 0][0])} "
-                    "has no agents; the equal split is undefined")
-            per_agent[self.targeted] = self.pots / held
-        return RoundStats(empirical_output=y, action_counts=counts,
-                          total_subsidy=self.total,
-                          per_agent_subsidy=per_agent, imitation_gap=gap)
-
-    def gaps(self, y: np.ndarray, sampled_matches: bool = False) -> np.ndarray:
-        """Normalized controlled-payoff gaps (F[k, j] - F[k, i]) / norm at
-        the output y, indexed [k, i, j]: what an i-player sees a j-player
-        gain.  With sampled matches, the gaps against each opponent action
-        l, indexed [k, i, j, l]."""
-        table, f, _ = controlled_payoffs(self.kernel, y[:, None])
-        table = table[..., 0]
-        if sampled_matches:
-            # table[k, i, l]: action i against opponent l, plus d·f_i
-            table = self.payoffs + (0.0 if f is None else self.policy.d * f)
-        return (table[:, None] - table[:, :, None]) / self.normalizer
+    def snapshot(self, counts: np.ndarray, sampled_matches: bool = False
+                 ) -> tuple[RoundStats, np.ndarray]:
+        """The snapshot at action counts ``counts`` (imitation gap 0) and the
+        gaps (F[k, j] - F[k, i]) / norm of a revision from it, [k, i, j]: what
+        an i-player sees a j-player gain ([k, i, j, l] against each opponent
+        action l with sampled matches).  Payments d·f, gaps and refusal come
+        from one :func:`controlled_payoffs` call at counts / N; raises
+        :class:`EmptyActionGroupError` where f is undefined there."""
+        y = counts / self.n_agents
+        table, f, ok = controlled_payoffs(self.kernel, y[:, None])
+        if not ok[0]:
+            i = int(np.flatnonzero((self.policy.y_star > 0.0)
+                                   & (y <= DOMAIN_THRESHOLD))[0])
+            count = f"{counts[i]} of {self.n_agents}" if counts[i] else "no"
+            raise EmptyActionGroupError(
+                f"targeted action {i} has {count} agents, share {float(y[i])}"
+                "; its subsidy weight is undefined")
+        paid = np.zeros((y.size, 1)) if f is None else self.policy.d * f
+        # with sampled matches, table[k, i, l] is i against l, plus d·f_i
+        table = self.payoffs + paid if sampled_matches else table[..., 0]
+        stats = RoundStats(y, counts, self.total, paid[:, 0])
+        return stats, (table[:, None] - table[:, :, None]) / self.normalizer
 
 
 def round_time_step(scenario: Scenario, policy: ControlPolicy,
@@ -222,26 +223,24 @@ def run_round(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
     """Pay subsidies at the current state, then draw every revision at once.
 
     Returns the pre-revision snapshot (the payments actually made), with
-    the round's largest unclipped normalized gap.  Raises
-    :class:`EmptyActionGroupError` when a targeted action group is empty.
+    the round's largest unclipped normalized gap.  Raises ValueError unless
+    0 < revision_prob <= 1, and :class:`EmptyActionGroupError` as it pays.
     ``_constants`` are what :func:`run` built once for these arguments.
     """
-    constants = _constants or _RoundConstants(scenario, policy, pop.pop_sizes)
-    counts = pop.counts.sum(axis=0)
-    y_hat = counts / constants.n_agents
-    gaps = constants.gaps(y_hat, sampled_matches)
-    stats = constants.stats(counts, y_hat, float(gaps.max()))
+    constants = _constants or _RoundConstants(scenario, policy, pop.pop_sizes,
+                                              revision_prob)
+    stats, gaps = constants.snapshot(pop.action_counts(), sampled_matches)
     switch = np.clip(gaps, 0.0, 1.0)
     if sampled_matches:
         # the weights y_hat can sum to 1 + 1 ulp
-        switch = np.minimum(switch @ y_hat, 1.0)
+        switch = np.minimum(switch @ stats.empirical_output, 1.0)
     # the peer is a uniform member of the reviser's own population
-    moves = revision_prob * (pop.counts / constants.sizes)[:, None, :] * switch
+    moves = revision_prob * (pop.counts / constants.sizes)[:, None] * switch
     stay = np.maximum(1.0 - moves.sum(axis=2, keepdims=True), 0.0)
     drawn = pop.rng.multinomial(
         pop.counts, np.concatenate([moves, stay], axis=2))[..., :-1]
     pop.counts += drawn.sum(axis=1) - drawn.sum(axis=2)
-    return stats
+    return replace(stats, imitation_gap=float(gaps.max()))
 
 
 def run(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
@@ -249,15 +248,9 @@ def run(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,
         sampled_matches: bool = False) -> list[RoundStats]:
     """Run a number of rounds; returns rounds + 1 snapshots (initial state
     included).  Deterministic for a given population seed.  Raises
-    ValueError unless 0 < revision_prob <= 1."""
-    if not 0.0 < revision_prob <= 1.0:
-        raise ValueError(f"revision_prob must be in (0, 1], got "
-                         f"{revision_prob!r}")
-    constants = _RoundConstants(scenario, policy, pop.pop_sizes)
-    series = []
-    for _ in range(rounds):
-        series.append(run_round(pop, scenario, policy, revision_prob,
-                                sampled_matches, _constants=constants))
-    counts = pop.action_counts()
-    series.append(constants.stats(counts, counts / constants.n_agents))
+    ValueError unless 0 < revision_prob <= 1, also for 0 rounds."""
+    constants = _RoundConstants(scenario, policy, pop.pop_sizes, revision_prob)
+    series = [run_round(pop, scenario, policy, revision_prob, sampled_matches,
+                        _constants=constants) for _ in range(rounds)]
+    series.append(constants.snapshot(pop.action_counts())[0])
     return series

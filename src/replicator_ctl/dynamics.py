@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (COORD_TOLERANCE, Scenario, aggregate_output, check_real,
-                   check_simplex, weighted_sum)
+from .game import (COORD_TOLERANCE, SHARE_SUM_TOLERANCE, Scenario,
+                   aggregate_output, check_real, check_simplex, weighted_sum)
 
 __all__ = [
     "DOMAIN_THRESHOLD",
@@ -72,6 +72,9 @@ class ControlPolicy:
 
     d > 0 switches the subsidy term on; d = 0 encodes "control off" and
     reproduces the uncontrolled field exactly (one code path serves both).
+    A target's sum, if off 1 by more than SHARE_SUM_TOLERANCE, is divided
+    out, once (a stored target is kept): the agents' payments then add to
+    d·N, and the matching set is not empty.
     """
 
     y_star: np.ndarray
@@ -83,6 +86,8 @@ class ControlPolicy:
         y_star = check_simplex(self.y_star, "target y_star",
                                (np.size(self.y_star),), -COORD_TOLERANCE)
         y_star = np.where(y_star > 0.0, y_star, 0.0)
+        if abs(y_star.sum() - 1.0) > SHARE_SUM_TOLERANCE:
+            y_star /= y_star.sum()
         if not np.isfinite(self.d) or self.d < 0.0:
             raise ValueError(f"average subsidy d must be >= 0, got {self.d!r}")
         y_star.setflags(write=False)

@@ -329,10 +329,10 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
             "no admissible states found outside the matching set; "
             "increase sampling resolution", reason="sampling_exhausted",
         )
+    # with no ascent candidates the one kept row, the pool's best, stands
     value, state, n_evals = _lockstep_ascent(
-        states[:sampling.ascent_candidates], eq, scenario, sampling)
-    if value.size == 0:  # no ascent seeds: the pool's best stands
-        value, state = values, states
+        states, values, eq, scenario,
+        sampling.ascent_iters if sampling.ascent_candidates else 0)
     # seed 0 is the pool's best and keeps only strictly better moves, so
     # the first maximum over the seeds is also the best over the pool
     best = int(np.argmax(value))
@@ -341,12 +341,13 @@ def estimate_subsidy_bound(eq: TargetEquilibrium, scenario: Scenario,
                          n_ascent_evals=n_evals)
 
 
-def _lockstep_ascent(seeds: np.ndarray, eq: TargetEquilibrium,
-                     scenario: Scenario, sampling: SamplingConfig
-                     ) -> tuple[np.ndarray, np.ndarray, int]:
+def _lockstep_ascent(seeds: np.ndarray, values: np.ndarray,
+                     eq: TargetEquilibrium, scenario: Scenario,
+                     iterations: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Coordinate ascent of the critical subsidy from each seed state.
 
-    Each seed climbs on its own: at every (iteration, k, i, j) move
+    Each seed climbs from its pool value ``values``, for ``iterations``
+    sweeps, on its own: at every (iteration, k, i, j) move
     position it tries moving ``min(step, x[k, j])`` of population k's mass
     from action j to action i and keeps the move if it strictly raises its
     value; a sweep without a kept move halves its step, and a step below
@@ -354,17 +355,16 @@ def _lockstep_ascent(seeds: np.ndarray, eq: TargetEquilibrium,
     :func:`_dbar_batch` call per position over the seeds that try it;
     since a state's value does not depend on its batch, every seed ends
     exactly where it would climbing alone.  Returns the final values and
-    states and the number of states evaluated.
+    states and the number of states evaluated, the seeds not among them.
     """
     current = np.ascontiguousarray(seeds.transpose(1, 2, 0))
-    current_value = _dbar_batch(current, eq, scenario)
-    n_evals = current.shape[2]
-    step = np.full(n_evals, 0.25)
-    active = np.ones(n_evals, dtype=bool)
+    current_value, n_evals = values.copy(), 0
+    step = np.full(values.size, 0.25)
+    active = np.ones(values.size, dtype=bool)
     m, n = scenario.n_populations, scenario.n_actions
     moves = [(k, i, j) for k in range(m) for i in range(n) for j in range(n)
              if i != j]
-    for _ in range(sampling.ascent_iters):
+    for _ in range(iterations):
         if not active.any():
             break
         improved = np.zeros(active.size, dtype=bool)
@@ -504,7 +504,8 @@ def min_advantage_on_matching_set(eq: TargetEquilibrium, scenario: Scenario
     its minimum is one exact LP over the matching system.  The advantage is
     then evaluated at the LP's vertex (the witness), so the verdict rests on
     this package's arithmetic, not on the solver's objective.  Raises
-    :class:`InapplicableError` when the target output is unreachable.
+    :class:`InapplicableError` when the target output is unreachable: only
+    a target that is not a simplex point is, never a ControlPolicy's.
     """
     y_star = eq.target_output
     eq_mat, eq_rhs = _matching_system(scenario, y_star)
@@ -680,7 +681,7 @@ def recommend_subsidy(scenario: Scenario, y_star: np.ndarray,
     when the target equilibrium is unique and the advantage is non-negative
     on the matching set; otherwise the report carries a refusal reason.
     Raises :class:`InapplicableError` if the target admits no equilibrium
-    at all or is unreachable.  ``seed`` draws the bound's samples.
+    or, off the simplex, is unreachable.  ``seed`` draws the bound's samples.
     """
     y_star = np.asarray(y_star, dtype=float)
     equilibria = find_target_equilibria(scenario, y_star)

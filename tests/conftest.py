@@ -11,8 +11,8 @@ import pytest
 
 from replicator_ctl import (ControlPolicy, IntegrationConfig, Scenario,
                             Trajectory, field_controlled, simulate)
-from replicator_ctl.agents import (_RoundConstants, population_sizes,
-                                   round_time_step)
+from replicator_ctl.agents import (REVISION_PROB, _RoundConstants,
+                                   population_sizes, round_time_step)
 from replicator_ctl.dynamics import BatchKernel, batch_field
 from replicator_ctl.game import aggregate_output, carrier
 from replicator_ctl.stability import LyapunovObserver, TargetEquilibrium
@@ -142,9 +142,16 @@ def certificate_terms(x: np.ndarray, eq: TargetEquilibrium,
 
 def round_constants(scenario: Scenario,
                     policy: ControlPolicy) -> _RoundConstants:
-    """The agents' round constants of a run of 1,000 agents; the payoffs
-    and gaps they give do not depend on the head counts."""
-    return _RoundConstants(scenario, policy, population_sizes(scenario, 1000))
+    """The agents' round constants of a one-agent run: a snapshot at counts
+    y reads the output y / 1, which is y to the bit."""
+    return _RoundConstants(scenario, policy, population_sizes(scenario, 1),
+                           REVISION_PROB)
+
+
+def imitation_gaps(scenario: Scenario, policy: ControlPolicy, y: np.ndarray,
+                   sampled_matches: bool = False) -> np.ndarray:
+    """The normalized payoff gaps the agents imitate by at the output y."""
+    return round_constants(scenario, policy).snapshot(y, sampled_matches)[1]
 
 
 def agents_reference(scenario: Scenario, policy: ControlPolicy,
@@ -169,7 +176,7 @@ def expected_drift(scenario: Scenario, policy: ControlPolicy, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     switch = np.clip(
-        round_constants(scenario, policy).gaps(aggregate_output(x, scenario)),
+        imitation_gaps(scenario, policy, aggregate_output(x, scenario)),
         0.0, 1.0)
     # inflow j -> i minus outflow i -> j, per unit of x_i x_j
     net = switch.swapaxes(1, 2) - switch

@@ -3,12 +3,15 @@ and its agreement with the continuum field."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from replicator_ctl import (ControlPolicy, Scenario, aggregate_output,
+from replicator_ctl import (ControlPolicy, Scenario, agents, aggregate_output,
                             field_controlled)
 from replicator_ctl.agents import (
+    AgentPopulation,
     EmptyActionGroupError,
     init_agents,
     population_sizes,
@@ -16,9 +19,10 @@ from replicator_ctl.agents import (
     run,
     run_round,
 )
-from conftest import (agents_reference, expected_drift, make_state,
-                      random_policy, random_scenario, random_state,
-                      round_constants, z_state)
+from replicator_ctl.dynamics import BatchKernel, controlled_payoffs
+from conftest import (agents_reference, expected_drift, imitation_gaps,
+                      make_state, random_policy, random_scenario,
+                      random_state, z_state)
 
 
 class TestInitialization:
@@ -83,11 +87,85 @@ class TestSubsidyAccounting:
 
     def test_empty_targeted_group_aborts(self, threepop, policy_boundary):
         pop = init_agents(threepop, make_state([[0, 1]] * 3), 500, seed=0)
-        with pytest.raises(EmptyActionGroupError):
+        with pytest.raises(EmptyActionGroupError, match=re.escape(
+                "targeted action 0 has no agents, share 0.0; its subsidy "
+                "weight is undefined")):
             run_round(pop, threepop, policy_boundary)
+
+    @pytest.mark.parametrize("sampled_matches", [False, True])
+    def test_payment_is_d_times_the_fields_weight(self, threepop,
+                                                  policy_boundary,
+                                                  sampled_matches):
+        # per head, d·f of controlled_payoffs at the snapshot's output, to
+        # the bit: the subsidy the agents' imitation sees
+        d = policy_boundary.d
+        kernel = BatchKernel(threepop, policy_boundary.y_star, [d])
+        pop = init_agents(threepop, z_state((0.3, 0.6, 0.4)), 3000, seed=8)
+        series = run(pop, threepop, policy_boundary, rounds=50,
+                     sampled_matches=sampled_matches)
+        for stats in series:
+            _, f, _ = controlled_payoffs(kernel,
+                                         stats.empirical_output[:, None])
+            assert np.array_equal(stats.per_agent_subsidy, d * f[:, 0])
+
+    @pytest.mark.parametrize("sampled_matches", [False, True])
+    def test_one_controlled_payoffs_call_per_snapshot(self, threepop,
+                                                      policy_boundary,
+                                                      monkeypatch,
+                                                      sampled_matches):
+        calls, real = [], agents.controlled_payoffs
+        monkeypatch.setattr(agents, "controlled_payoffs",
+                            lambda *args: calls.append(args) or real(*args))
+        pop = init_agents(threepop, z_state((0.5, 0.5, 0.5)), 1000, seed=4)
+        series = run(pop, threepop, policy_boundary, rounds=20,
+                     sampled_matches=sampled_matches)
+        assert len(calls) == len(series) == 21
+
+    def test_one_agent_of_ten_trillion_is_refused(self, threepop,
+                                                  policy_boundary):
+        # one agent of 10^13 on the targeted action: its share 1e-13 is at
+        # or below DOMAIN_THRESHOLD, where f is undefined
+        sizes = population_sizes(threepop, 10 ** 13)
+        counts = np.stack([np.zeros(3, dtype=np.int64), sizes], axis=1)
+        counts[0] = [1, sizes[0] - 1]
+        pop = AgentPopulation(counts=counts.copy(), pop_sizes=sizes,
+                              rng=np.random.default_rng(0))
+        message = re.escape("targeted action 0 has 1 of 10000000000000 "
+                            "agents, share 1e-13; its subsidy weight is "
+                            "undefined")
+        with pytest.raises(EmptyActionGroupError, match=message):
+            run_round(pop, threepop, policy_boundary)
+        with pytest.raises(EmptyActionGroupError, match=message):
+            run(pop, threepop, policy_boundary, 0)
+        np.testing.assert_array_equal(pop.counts, counts)
+
+    def test_near_simplex_target_pays_the_pot(self, threepop):
+        # the target sums to 1 - 0.999e-9, so it is stored divided by its
+        # sum and every round pays d·N
+        policy = ControlPolicy(y_star=np.array([0.8, 0.2 - 0.999e-9]),
+                               d=1.5)
+        pop = init_agents(threepop, z_state((0.5, 0.5, 0.5)), 10 ** 5, seed=1)
+        for stats in run(pop, threepop, policy, rounds=20):
+            paid = float(stats.action_counts @ stats.per_agent_subsidy)
+            assert paid == pytest.approx(1.5 * 10 ** 5, rel=1e-12, abs=0.0)
 
 
 class TestProtocol:
+    @pytest.mark.parametrize("prob", [0.0, -0.5, 2.0])
+    def test_round_refuses_a_revision_prob_outside_0_1(self, threepop,
+                                                       policy_boundary,
+                                                       prob):
+        # one check for run_round and run, with run's message, and no
+        # round drawn
+        pop = init_agents(threepop, z_state((0.5, 0.5, 0.5)), 1000, seed=0)
+        start = pop.counts.copy()
+        message = re.escape(f"revision_prob must be in (0, 1], got {prob!r}")
+        with pytest.raises(ValueError, match=message):
+            run_round(pop, threepop, policy_boundary, revision_prob=prob)
+        with pytest.raises(ValueError, match=message):
+            run(pop, threepop, policy_boundary, 0, revision_prob=prob)
+        np.testing.assert_array_equal(pop.counts, start)
+
     def test_zero_rounds_yield_initial_snapshot(self, threepop):
         pop = init_agents(threepop, z_state((0.5, 0.5, 0.5)), 1000, seed=4)
         series = run(pop, threepop, ControlPolicy.off(2), rounds=0)
@@ -227,8 +305,7 @@ class TestCountChainLaw:
             threepop, policy_boundary)[case]
         pop = init_agents(scen, x0, n_agents, seed=17)
         start, x = pop.counts.copy(), pop.counts / pop.pop_sizes[:, None]
-        scale = round_constants(scen, policy).gaps(
-            aggregate_output(x, scen)).max()
+        scale = imitation_gaps(scen, policy, aggregate_output(x, scen)).max()
         if case != "three_actions":
             assert (scale > 1.0) == (case == "clipped")
         changes = np.empty((self.REPLICAS,) + start.shape)
@@ -271,8 +348,8 @@ class TestMeanField:
             scen = random_scenario(rng)
             policy = random_policy(rng, scen, d_range=(0.2, 2.0))
             x = random_state(rng, scen, interior=0.02)
-            if round_constants(scen, policy).gaps(
-                    aggregate_output(x, scen)).max() > 1.0:
+            if imitation_gaps(scen, policy,
+                              aggregate_output(x, scen)).max() > 1.0:
                 continue
             drift = expected_drift(scen, policy, x, revision_prob=0.05)
             dt = round_time_step(scen, policy, revision_prob=0.05)

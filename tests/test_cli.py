@@ -20,7 +20,7 @@ from replicator_ctl import cli, game, integrate
 from replicator_ctl.cli import main
 from replicator_ctl.stability import unique_target_equilibrium
 from conftest import (RECIPE_REFUSED, THREEPOP_PAYOFFS, THREEPOP_SHARES,
-                      random_scenario, recipe_game, round_constants,
+                      imitation_gaps, random_scenario, recipe_game,
                       tied_everywhere_game, tied_once_game, z_state)
 
 REPO = Path(__file__).resolve().parent.parent
@@ -354,6 +354,32 @@ class TestVerify:
         assert report["subsidy_bound"] < 1.2
         state = np.array(report["equilibria"][0]["state"])
         np.testing.assert_allclose(state[:, 0], [1, 1, 1])
+
+    def test_near_vertex_target_gets_the_vertex_bound(self, tmp_path):
+        # 0.9999999990011 + 0 passes the sum rule (within 1e-9 of 1), and
+        # stored divided by its sum it is the vertex, whose matching set is
+        # not empty: the same report as --y-star 1,0
+        reports = []
+        for name, y_star in (("near", "0.9999999990011,0"), ("vertex", "1,0")):
+            out = tmp_path / name
+            assert main(["verify", "--scenario", SCENARIO, "--y-star", y_star,
+                         "--out", str(out)]) == 0
+            report = read_json(out / "report.json")
+            del report["provenance"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert repr(reports[0]["subsidy_bound"]) == "1.1200000000000003"
+
+    def test_zero_ascent_iterations_evaluate_nothing(self, tmp_path):
+        # the kept pool rows climb from their pool values: no iteration, no
+        # evaluation
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", SCENARIO,
+                     "--policy", POLICY_BOUNDARY, "--grid-per-dim", "2",
+                     "--ascent-iters", "0", "--samples", "0",
+                     "--out", str(out)]) == 0
+        assert read_json(out / "report.json")["sample_counts"] == {
+            "ascent_evals": 0, "grid": 8, "random": 0}
 
     def test_interior_target(self, tmp_path):
         out = tmp_path / "verify"
@@ -885,7 +911,7 @@ class TestAgents:
                                                              rel=1e-12)
         start = aggregate_output(z_state((0.5, 0.5, 0.5)), threepop)
         assert summary["max_imitation_gap"] == pytest.approx(
-            round_constants(threepop, policy_boundary).gaps(start).max(),
+            imitation_gaps(threepop, policy_boundary, start).max(),
             rel=1e-12)
         second = tmp_path / "second"
         assert main(["agents", "--manifest", str(first / "manifest.json"),
@@ -1421,12 +1447,12 @@ PINNED_RUNS = {
         "0ce4b90a5583b9175972211c47faa8be"),
     "verify-boundary": (
         ["verify", "--policy", POLICY_BOUNDARY, "--grid-per-dim", "10"],
-        "0ab146fe9a2c6317663134dd85ed4774"
-        "0dca28fac5cc23e699c9117c01dcd3d6"),
+        "6639abff69daf13b5f3823856c4de59f"
+        "bb531fffe85c98652c41ce36668cd6bc"),
     "verify-interior": (
         ["verify", "--policy", POLICY_INTERIOR, "--grid-per-dim", "10"],
-        "3f73188b7794fc3ecc914ecc12f9b2ea"
-        "d025258d63237ee85fe70b2aa4d4c3ac"),
+        "489beae24ff4f5de711f97f7af38e686"
+        "0849597d017fdcdd0e73fc442d265cc6"),
     "agents-expected": (
         ["agents", "--policy", POLICY_BOUNDARY, "--x0", "0.5,0.5,0.5",
          "--n-agents", "20000", "--rounds", "300"],
@@ -1451,7 +1477,7 @@ class TestOutputBytes:
     def test_verify_three_action_report_matches_its_pinned_digest(
             self, tmp_path):
         # the bound on a seeded (3, 3) game and a vertex target: 7.58200...
-        # from 166,375 lattice states, 20,000 samples and 2,663 ascent
+        # from 166,375 lattice states, 20,000 samples and 2,653 ascent
         # evaluations
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(
@@ -1462,8 +1488,8 @@ class TestOutputBytes:
                      "--out", str(out)]) == 0
         report = (out / "report.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == (
-            "a03e144830bc46737716feb44b0060f2"
-            "c91f6e32fec40cc642002aba22ff60b7")
+            "68ba0dbcd26abf0d7035a27a4f01635b"
+            "6a336f70f15840689e249cc547b27c42")
 
 
 class TestBenchmarkCommandLines:

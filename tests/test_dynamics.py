@@ -120,9 +120,12 @@ class TestOneDefinition:
             _, weights, _ = controlled_payoffs(constants.kernel, y[:, b, None])
             assert np.array_equal(weights[:, 0], f[:, b])
             row = scen.payoffs + (policy.d * f[:, b])[:, None]
+            stats, gaps = constants.snapshot(y[:, b], sampled_matches=True)
             assert np.array_equal(
-                constants.gaps(y[:, b], sampled_matches=True),
-                (row[:, None] - row[:, :, None]) / constants.normalizer)
+                gaps, (row[:, None] - row[:, :, None]) / constants.normalizer)
+            # and they pay d·f per head
+            assert np.array_equal(stats.per_agent_subsidy,
+                                  policy.d * f[:, b])
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 2)])
     def test_agents_table_is_the_controlled_payoff(self, m, n):
@@ -137,16 +140,18 @@ class TestOneDefinition:
             # the gaps the agents imitate by are the table's differences
             table = table[..., 0]
             assert np.array_equal(
-                constants.gaps(y[:, b]),
+                constants.snapshot(y[:, b])[1],
                 (table[:, None] - table[:, :, None]) / constants.normalizer)
             # d = 0: exactly A^k y, and no subsidy row
             table, weights, _ = controlled_payoffs(off.kernel, y[:, b, None])
             assert np.array_equal(table[..., 0], F[..., b])
             assert weights is None
+            stats, gaps = off.snapshot(y[:, b], sampled_matches=True)
             assert np.array_equal(
-                off.gaps(y[:, b], sampled_matches=True),
-                (scen.payoffs[:, None] - scen.payoffs[:, :, None])
+                gaps, (scen.payoffs[:, None] - scen.payoffs[:, :, None])
                 / off.normalizer)
+            # and they pay nothing
+            assert np.array_equal(stats.per_agent_subsidy, np.zeros(n))
 
     def test_trajectory_outputs_are_the_aggregate_of_each_row(
             self, threepop, policy_boundary):

@@ -89,7 +89,8 @@ def sequential_bound(eq: TargetEquilibrium, scen: Scenario,
                      sampling: SamplingConfig, seed: int):
     """Reference bound: the whole pool in one batch, then the coordinate
     ascent one seed and one candidate state at a time.  Returns the value,
-    argmax, ascent evaluations and the sampled maximum."""
+    argmax, ascent evaluations (the seeds' own not counted) and the sampled
+    maximum."""
     def evaluate(state):
         return float(_dbar_batch(state[..., None], eq, scen)[0])
 
@@ -106,10 +107,9 @@ def sequential_bound(eq: TargetEquilibrium, scen: Scenario,
     sampled = best_value
     n_evals = 0
     m, n = scen.n_populations, scen.n_actions
-    for seed_state in pool[order[:sampling.ascent_candidates]]:
-        current = seed_state.copy()
-        current_value = evaluate(current)
-        n_evals += 1
+    for row in order[:sampling.ascent_candidates]:
+        # a seed climbs from its pool value, not evaluated again
+        current, current_value = pool[row].copy(), float(dbar[row])
         step = 0.25
         for _ in range(sampling.ascent_iters):
             improved = False
@@ -370,7 +370,8 @@ class TestBoundEstimate:
             [0.9999975893232558, 0.0, 2.4106767442244603e-06],
             [1.0, 0.0, 0.0],
         ]
-        assert (estimate.n_grid, estimate.n_ascent_evals) == (166_375, 2_691)
+        # the 10 seeds' values come from the pool and are not counted
+        assert (estimate.n_grid, estimate.n_ascent_evals) == (166_375, 2_681)
 
     @pytest.mark.parametrize("case", ["random_3x3", "boundary", "interior",
                                       "flat"])
