@@ -29,7 +29,8 @@ Scenario schema:  ``{"populations": [{"share": v, "payoff": [[...], ...]},
 the policy, or d, or setting d to 0 runs the uncontrolled dynamics.
 ``verify`` needs only the target output (``--y-star`` or a policy file);
 ``sweep`` takes its gains from ``--d-values`` and ignores ``--d`` and
-``--record-stride``.
+``--record-stride``.  A manifest holds only what the command's flags and
+config types set: any other key exits 1 and no file is written.
 
 Each ``--x0`` start is m comma-separated first-action shares (two-action
 games) or m semicolon-separated rows of n shares, each row summing to 1
@@ -191,7 +192,7 @@ _STEPPED = ("simulate", "portrait", "sweep")
 # its value is stored under, keyed by its argparse dest ("" for the top
 # level, "policy" for the merge of --policy, --d and --y-star in this order,
 # None for --manifest, the base that the other flags override), and its
-# argparse options.
+# argparse options.  It also decides the keys each command's manifest takes.
 FLAGS: list[tuple[str, tuple[str, ...], str | None, dict[str, Any]]] = [
     ("--scenario", _ALL, "", {"help": "scenario JSON file"}),
     ("--out", _ALL, "", {"help": "output directory"}),
@@ -240,8 +241,8 @@ def _check_object(name: str, value: Any) -> Any:
 def _build_manifest(args: argparse.Namespace, command: str) -> dict[str, Any]:
     """Resolve CLI arguments (plus any --manifest base) into one manifest.
 
-    A flag that is given, and not empty, overrides the base.
-    """
+    A flag that is given, and not empty, overrides the base.  A section
+    takes only the command's FLAGS dests there, and their config's fields."""
     manifest = _load_json(args.manifest, "--manifest") if args.manifest else {}
     if not isinstance(manifest, dict):
         raise ScenarioError(f"--manifest {args.manifest}: expected a JSON "
@@ -260,9 +261,10 @@ def _build_manifest(args: argparse.Namespace, command: str) -> dict[str, Any]:
     policy = manifest.get("policy")
     known = {"": {"version", "command", "integration", "sampling", "agents",
                   "policy"}}
-    for flag, _, section, options in FLAGS:
+    for flag, commands, section, options in FLAGS:
         key = options.get("dest", flag[2:].replace("-", "_"))
-        known.setdefault(section, set()).add(key)
+        if command in commands:
+            known.setdefault(section, set()).add(key)
         value = getattr(args, key, None)
         if section is None or value in (None, ""):
             continue
@@ -274,9 +276,13 @@ def _build_manifest(args: argparse.Namespace, command: str) -> dict[str, Any]:
         else:
             manifest[key] = value
     manifest["policy"] = policy
-    for section in ("", "agents"):
+    for section, config in (("integration", IntegrationConfig),
+                            ("sampling", SamplingConfig)):
+        if section in known:
+            known[section].update(f.name for f in dataclasses.fields(config))
+    for section in ("", "integration", "sampling", "agents"):
         held = manifest[section] if section else manifest
-        for key in sorted(set(held) - known[section]):
+        for key in sorted(set(held) - known.get(section, set())):
             raise ScenarioError(f"{section or 'manifest'}: unknown key {key!r}")
     for key in ("scenario", "out"):
         if key not in manifest:
@@ -314,7 +320,7 @@ def _resolve(manifest: dict[str, Any]):
                 f"scenario has {scenario.n_actions} actions")
     try:
         cfg = IntegrationConfig(**manifest["integration"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"integration config: {exc}") from exc
     return scenario, policy, cfg
 
@@ -438,13 +444,9 @@ def _cmd_verify(manifest: dict[str, Any]) -> int:
     scenario, policy, _ = _resolve(manifest)
     if manifest.get("policy") is None:
         raise ScenarioError("verify needs a target output (--policy/--y-star)")
-    spec = manifest["sampling"]
-    if "seed" in spec:
-        raise ScenarioError("sampling config: seed must be the run's --seed, "
-                            "not a sampling setting")
     try:
-        sampling = SamplingConfig(**spec)
-    except (TypeError, ValueError) as exc:
+        sampling = SamplingConfig(**manifest["sampling"])
+    except ValueError as exc:
         raise ScenarioError(f"sampling config: {exc}") from exc
     try:
         report = recommend_subsidy(scenario, policy.y_star, sampling,

@@ -135,9 +135,9 @@ class TestSimulate:
         capsys.readouterr()
         assert main(["simulate", "--manifest", str(path),
                      "--out", str(tmp_path / "second")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error: integration config: ")
-        assert field in err
+        assert capsys.readouterr().err == (
+            f"input error: integration: unknown key {field!r}\n")
+        assert not (tmp_path / "second").exists()
 
     def test_malformed_scenario_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -405,9 +405,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("edit, flags, message", [
         # the run's seed is the only seed: the pool takes no seed of its own
-        ({"sampling": {"seed": 7}}, [],
-         "sampling config: seed must be the run's --seed, not a sampling "
-         "setting"),
+        ({"sampling": {"seed": 7}}, [], "sampling: unknown key 'seed'"),
         ({"sampling": {"ascent_candidates": -3}}, [],
          "sampling config: ascent_candidates must be an integer >= 0, "
          "got -3"),
@@ -593,9 +591,9 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "--manifest", str(path),
                      "--out", str(tmp_path / "second")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error: sampling config: ")
-        assert "matching_samples" in err
+        assert capsys.readouterr().err == (
+            "input error: sampling: unknown key 'matching_samples'\n")
+        assert not (tmp_path / "second").exists()
         assert main(["verify", "--scenario", SCENARIO,
                      "--policy", POLICY_BOUNDARY, "--out", str(first),
                      "--matching-samples", "2000"]) == 1
@@ -614,9 +612,9 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "--manifest", str(path),
                      "--out", str(tmp_path / "second")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error: sampling config: ")
-        assert field in err
+        assert capsys.readouterr().err == (
+            f"input error: sampling: unknown key {field!r}\n")
+        assert not (tmp_path / "second").exists()
 
     def test_oversized_lattice_exits_1(self, tmp_path):
         # a random (4,3) game at the default 15 points per edge asks for
@@ -1027,29 +1025,59 @@ class TestManifestRoundTrip:
         assert message in err
         assert not second.exists()
 
-    @pytest.mark.parametrize("command, extra, edit, message", [
-        ("portrait", ["--grid", "2", "--t-max", "1"],
-         lambda manifest: manifest.update(grdi=3),
-         "manifest: unknown key 'grdi'"),
-        ("agents", ["--x0", "0.5,0.5,0.5", "--n-agents", "200",
-                    "--rounds", "5"],
-         lambda manifest: manifest["agents"].update(revison_prob=0.5),
-         "agents: unknown key 'revison_prob'"),
-    ], ids=["top-level", "agents"])
+    # a command takes only what its own flags and config types set: a
+    # setting of another command is as unknown as a typo
+    @pytest.mark.parametrize("command, section, key, value", [
+        pytest.param("portrait", "", "grdi", 3, id="top-level"),
+        pytest.param("agents", "agents", "revison_prob", 0.5, id="agents"),
+        pytest.param("verify", "", "grid", 2, id="verify-grid"),
+        pytest.param("verify", "", "x0", ["0.5,0.5,0.5"], id="verify-x0"),
+        pytest.param("verify", "", "d_values", [0.0, 1.2],
+                     id="verify-d_values"),
+        pytest.param("verify", "integration", "dt", 0.05,
+                     id="verify-integration.dt"),
+        pytest.param("verify", "agents", "rounds", 5,
+                     id="verify-agents.rounds"),
+        pytest.param("simulate", "", "grid", 2, id="simulate-grid"),
+        pytest.param("simulate", "sampling", "grid_per_dim", 5,
+                     id="simulate-sampling.grid_per_dim"),
+        pytest.param("simulate", "sampling", "foo", 1,
+                     id="simulate-sampling.foo"),
+        pytest.param("agents", "integration", "dt", 0.05,
+                     id="agents-integration.dt"),
+        pytest.param("agents", "sampling", "ascent_iters", 5,
+                     id="agents-sampling.ascent_iters"),
+        pytest.param("sweep", "agents", "rounds", 5,
+                     id="sweep-agents.rounds"),
+        pytest.param("portrait", "", "d_values", [0.0, 1.2],
+                     id="portrait-d_values"),
+        pytest.param("simulate", "integration", "dtt", 0.05,
+                     id="simulate-integration.dtt"),
+        pytest.param("verify", "sampling", "samplez", 500,
+                     id="verify-sampling.samplez"),
+    ])
     def test_unknown_manifest_key_exits_1(self, tmp_path, capsys, command,
-                                          extra, edit, message):
+                                          section, key, value):
+        extra = {"simulate": ["--x0", "0.5,0.5,0.5", "--t-max", "1"],
+                 "portrait": ["--grid", "2", "--t-max", "1"],
+                 "verify": ["--grid-per-dim", "5", "--samples", "500"],
+                 "sweep": ["--d-values", "0,1.2", "--grid", "2",
+                           "--t-max", "1"],
+                 "agents": ["--x0", "0.5,0.5,0.5", "--n-agents", "200",
+                            "--rounds", "5"]}[command]
         first = tmp_path / "first"
         assert main([command, "--scenario", SCENARIO, "--policy",
                      POLICY_BOUNDARY, *extra, "--out", str(first)]) == 0
         manifest = read_json(first / "manifest.json")
-        edit(manifest)
+        (manifest[section] if section else manifest)[key] = value
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
         capsys.readouterr()
         second = tmp_path / "second"
         assert main([command, "--manifest", str(path),
                      "--out", str(second)]) == 1
-        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert capsys.readouterr().err == (
+            f"input error: {section or 'manifest'}: unknown key {key!r}\n")
         assert not second.exists()
 
     def test_non_string_start_exits_1(self, tmp_path, capsys):
