@@ -27,10 +27,11 @@ empirical output y, the head count p of each action, the subsidy paid.
 Scenario schema:  ``{"populations": [{"share": v, "payoff": [[...], ...]},
 ...]}``.  Policy schema: ``{"d": gain, "y_star": [shares...]}``; omitting
 the policy, or d, or setting d to 0 runs the uncontrolled dynamics.
-``verify`` needs only the target output (``--y-star`` or a policy file);
-``sweep`` takes its gains from ``--d-values`` and ignores ``--d`` and
-``--record-stride``.  A manifest holds only what the command's flags and
-config types set: any other key exits 1 and no file is written.
+``verify`` needs only the target output (``--y-star`` or a policy file),
+and ``sweep`` takes its gains from ``--d-values``: neither takes ``--d``,
+and a policy file's d is not read.  ``sweep`` ignores ``--record-stride``.
+A manifest holds only what the command's flags and config types set: any
+other key exits 1 and no file is written.
 
 Each ``--x0`` start is m comma-separated first-action shares (two-action
 games) or m semicolon-separated rows of n shares, each row summing to 1
@@ -201,9 +202,9 @@ FLAGS: list[tuple[str, tuple[str, ...], str | None, dict[str, Any]]] = [
      {"help": "re-run from an echoed manifest.json"}),
     ("--policy", _ALL, "policy",
      {"help": "policy JSON file (y_star and optional d)"}),
-    ("--d", _ALL, "policy", {"type": float, "help": (
-        "average subsidy per agent (default 0, control off); "
-        "sweep ignores it")}),
+    ("--d", ("simulate", "portrait", "agents"), "policy", {
+        "type": float,
+        "help": "average subsidy per agent (default 0, control off)"}),
     ("--y-star", _ALL, "policy",
      {"type": _parse_floats, "help": "target output, comma separated"}),
     ("--x0", ("simulate", "portrait", "sweep", "agents"), "",

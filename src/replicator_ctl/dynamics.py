@@ -35,6 +35,7 @@ them in its generated float step, at most once per run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,21 +114,23 @@ class ControlPolicy:
         return cls(y_star=np.asarray(raw["y_star"], dtype=float), d=float(d))
 
 
-def subsidy_weights(y: np.ndarray, y_star: np.ndarray
+def subsidy_weights(y: np.ndarray, y_star: np.ndarray,
+                    out: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray | None]:
     """Subsidy weights f_i(y) = y_star_i / y_i over outputs of shape (n, *batch).
 
     ``y_star`` broadcasts against ``y``: (n,) for one output, (n, 1) for
-    columns.  f is 0 for untargeted actions.  A share at or below
-    DOMAIN_THRESHOLD is divided by 1 instead, so no warning is raised;
-    ``ok``, shape (*batch), is then False for a member where such a share
-    is targeted (f is undefined there), and None when every share is above
-    it.  Per agent on action i the subsidy is d * f_i(y).
+    columns.  f, written into ``out`` if given, is 0 for untargeted
+    actions.  A share at or below DOMAIN_THRESHOLD is divided by 1 instead,
+    so no warning is raised; ``ok``, shape (*batch), is then False for a
+    member where such a share is targeted (f is undefined there), and None
+    when every share is above it.  Per agent on action i the subsidy is d *
+    f_i(y).
     """
     if np.minimum.reduce(y, axis=None, initial=np.inf) > DOMAIN_THRESHOLD:
-        return y_star / y, None
+        return np.divide(y_star, y, out=out), None
     low = y <= DOMAIN_THRESHOLD
-    return (y_star / np.where(low, 1.0, y),
+    return (np.divide(y_star, np.where(low, 1.0, y), out=out),
             ~np.any(low & (y_star > 0.0), axis=0))
 
 
@@ -238,7 +241,11 @@ class BatchKernel:
     """What :func:`controlled_payoffs` needs of one run: the shares, payoff
     columns and target spread over the batch, (m, n, B), (n, m, n, B) and
     (n, B), so that numpy runs each product as one loop, and each member's
-    gain, (B,), with what depends on it; :meth:`take` cuts them down."""
+    gain, (B,), with what depends on it; :meth:`take` cuts them down and
+    lays out the scratch of the new width, which a step writes with
+    ``out=``: one buffer for the products of the three sums, each done
+    with before the next is made; y, f, d·f, ⟨x, F⟩; the RK4 stage, two
+    rate buffers and what ends the step."""
 
     def __init__(self, scenario: Scenario, y_star: np.ndarray,
                  gains: np.ndarray):
@@ -250,6 +257,7 @@ class BatchKernel:
                 (payoff_columns(scenario, 1), (n, m, n)),
                 (np.asarray(y_star, dtype=float)[:, None], (n,)),
                 (0.0 - self.gains, (n,))))
+        self.memory = np.empty(0)
         self.take(np.ones(self.gains.shape, dtype=bool))
 
     def take(self, members: np.ndarray) -> None:
@@ -262,45 +270,71 @@ class BatchKernel:
         self.any_controlled = bool(self.controlled.any())
         self.all_ok = np.ones(gains.shape, dtype=bool)
         self.all_ok.setflags(write=False)
+        # the scratch is cut from one buffer, made at the first width
+        # only, so that a shrinking batch frees and allocates none
+        m, n, width = self.shares.shape
+        shapes = ((n, m, n), (n,), (n,), (n,), (m,), (m, n), (m, n), (m, n),
+                  ())
+        ends = np.cumsum([math.prod(shape) * width for shape in shapes])
+        if self.memory.size < ends[-1]:
+            self.memory = np.empty(ends[-1])
+        (self.payoff_terms, self.y, self.f, self.paid, self.average,
+         self.stage, *self.rates, self.moved) = (
+            part.reshape(shape + (width,)) for part, shape in
+            zip(np.split(self.memory[:ends[-1]], ends[:-1]), shapes))
+        terms = self.payoff_terms.reshape(-1)
+        self.output_terms = terms[:m * n * width].reshape(m, n, width)
+        self.average_terms = terms[:n * m * width].reshape(n, m, width)
+        self.row_sums = self.average  # the step's end reuses ⟨x, F⟩'s
+        self.still = np.empty(width, dtype=bool)
 
 
-def controlled_payoffs(kernel: BatchKernel, y: np.ndarray
+def controlled_payoffs(kernel: BatchKernel, y: np.ndarray,
+                       out: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """F = A^k y + d·f(y) at outputs y of shape (n, B), folded as
     F − (0 − d)·f: F + d·f, and F to the bit (a −0.0 too) at d = 0.  Returns
     F, (m, n, B); f, (n, B), or None where no gain is positive and the fold
     is skipped; and ``ok``, (B,), False for a member with a positive gain
-    and a targeted share at or below DOMAIN_THRESHOLD."""
-    F = weighted_sum(kernel.columns, y[:, None, None])
+    and a targeted share at or below DOMAIN_THRESHOLD.  Given ``out``, F is
+    written into it and f into the kernel's scratch; else both are fresh."""
+    F = weighted_sum(kernel.columns, y[:, None, None], out,
+                     kernel.payoff_terms)
     f, ok = None, kernel.all_ok
     if kernel.any_controlled:
-        f, in_domain = subsidy_weights(y, kernel.y_star)
-        F -= kernel.push * f
+        f, in_domain = subsidy_weights(y, kernel.y_star,
+                                       None if out is None else kernel.f)
+        F -= np.multiply(kernel.push, f, out=kernel.paid)
         if in_domain is not None:
             ok = ~kernel.controlled | in_domain
     return F, f, ok
 
 
-def batch_field(kernel: BatchKernel, states: np.ndarray
+def batch_field(kernel: BatchKernel, states: np.ndarray,
+                out: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The replicator field x ∘ (F − ⟨x, F⟩) over states of shape (B, m, n).
 
     F is :func:`controlled_payoffs` at the outputs y.  Each of the three
     sums (y, A^k y, ⟨x, F⟩) is one product and then adds over the small m
     or n axis in a fixed order, elementwise along the batch (m + 2n ufunc
-    calls in all), so a member's bits depend neither on the rest of its
-    batch nor on the memory layout; ``states`` is best a view of a
-    C-contiguous (m, n, B) array.  A member with gain 0 gets exactly the
-    uncontrolled field and is not domain-checked.
+    calls, 6 more for the rest), in the kernel's scratch, so a member's
+    bits depend neither on the rest of its batch nor on the memory layout;
+    ``states`` is best a view of a C-contiguous (m, n, B) array.  A member
+    with gain 0 gets exactly the uncontrolled field and is not
+    domain-checked.
 
-    Returns the derivatives, a (B, m, n) view of an (m, n, B) array, and
-    ``ok``, shape (B,): False, with the member's derivative NaN, where a
-    member with a positive gain has a targeted aggregate share at or below
-    DOMAIN_THRESHOLD.
+    Returns the derivatives, a (B, m, n) view of an (m, n, B) array, fresh
+    or ``out`` (of that layout); and ``ok``, shape (B,): False, with the
+    member's derivative NaN, where a member with a positive gain has a
+    targeted aggregate share at or below DOMAIN_THRESHOLD.
     """
     x = states.transpose(1, 2, 0)                             # (m, n, B)
-    F, _, ok = controlled_payoffs(kernel, weighted_sum(kernel.shares, x))
-    F -= weighted_sum(x.swapaxes(0, 1), F.swapaxes(0, 1))[:, None]
+    F, _, ok = controlled_payoffs(
+        kernel, weighted_sum(kernel.shares, x, kernel.y, kernel.output_terms),
+        None if out is None else out.transpose(1, 2, 0))
+    F -= weighted_sum(x.swapaxes(0, 1), F.swapaxes(0, 1), kernel.average,
+                      kernel.average_terms)[:, None]
     F *= x
     if ok is not kernel.all_ok:
         F[..., ~ok] = np.nan

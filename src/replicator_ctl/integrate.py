@@ -20,17 +20,20 @@ sink there, so that a run holds the recorded rows of its running members
 only.  Every operation runs elementwise along the batch, so a
 trajectory's bits depend only on (scenario, policy, x0, config), never on
 the rest of its batch, which steps as one C-contiguous (m, n, B) array on
-a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run.  Once
-the batch is small enough, B·m·n² <= FLOAT_WORK·(m + 2n), and the steps
-left repay the float step's generation, each member steps as a flat list
-of Python floats on :func:`float_step`, generated at most once per run,
-with the same operations in the same order, so the same bits; the step's
-(m, n, B) array is made from those lists, and one loop counts, observes,
-records and compacts on either route.  A failed step's halving substeps
-take their route by the same rule.  At a recording stride above 1, an
-attached Lyapunov observer reads each step's (m, n, B) array.  Convergence
-is declared online when the max-norm state change per step stays below
-``CONVERGENCE_TOL`` for ``convergence_window`` consecutive steps.
+a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run, in
+whose scratch a step allocates only its new state.  Once the batch is
+small enough, B·m·n² <= FLOAT_WORK·(m + 2n), and the steps left repay the
+float step's generation, each member steps as a flat list of Python
+floats on :func:`float_step`, generated at most once per run, with the
+same operations in the same order, so the same bits; the step's
+(m, n, B) array is made from those lists.  Either route returns each
+member's stillness with its step, and one loop, under one np.errstate,
+counts, observes, records and compacts on either route.  A failed step's
+halving substeps take their route by the same rule.  At a recording
+stride above 1, an attached Lyapunov observer reads each step's (m, n, B)
+array.  Convergence is declared online when the max-norm state change
+per step stays below ``CONVERGENCE_TOL`` for ``convergence_window``
+consecutive steps.
 """
 
 from __future__ import annotations
@@ -74,12 +77,13 @@ MAX_HALVINGS = 20
 
 # A batch of B members steps on floats once B·m·n² <= FLOAT_WORK·(m + 2n):
 # the float step's work grows with m·n² per member, the batch kernel's
-# with its m + 2n ufunc loops per step, whatever B.  Measured crossovers
-# from (3, 2) to (20, 20) lie between 29 and 54, most near 40.  Before
-# the float step is generated, the steps left must also repay its
-# generation, which costs about FLOAT_GENERATION float member-steps
-# (measured: 65 to 130 from (3, 2) to (12, 12)).
-FLOAT_WORK = 40
+# with its m + 2n ufunc loops per step, whatever B.  Floats were measured
+# faster up to 13 members at (3, 2), for a lone member at (8, 8), and
+# never at (10, 10) or (20, 20); every constant in [22.3, 24) gives those
+# four crossovers.  Before the float step is generated, the steps left
+# must also repay its generation, which costs about FLOAT_GENERATION
+# float member-steps (measured: 65 to 130 from (3, 2) to (12, 12)).
+FLOAT_WORK = 23
 FLOAT_GENERATION = 100
 
 
@@ -143,51 +147,90 @@ class Trajectory:
         return self.outputs[-1]
 
 
-@np.errstate(invalid="ignore", divide="ignore", over="ignore")
-def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-              dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 step of states laid out (m, n, B), member last, by ``rhs``.
+def _rk4_step(kernel: BatchKernel, x: np.ndarray, dt: float
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One RK4 step of states laid out (m, n, B), member last, on the field
+    :func:`batch_field` of ``kernel``, under the caller's np.errstate: x_new,
+    ok, still.  Stage inputs x + h·k go in the kernel's stage buffer and
+    the rates in its two rate buffers, k1 and k3 in one, k2 and k4 in the
+    other: ((k1 + 2·k2) + 2·k3) + k4 builds up in x_new as they come.
+    :func:`_settle_rows` and :func:`_stillness` end the step.  NaN and inf
+    are in-band failure markers."""
+    def rates(s: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+        return batch_field(kernel, s.transpose(2, 0, 1),
+                           out=buffer.transpose(2, 0, 1))[0].transpose(1, 2, 0)
 
-    The stage inputs x + h·k share one buffer, never one that ``rhs``
-    returned; ((k1 + 2·k2) + 2·k3) + k4 builds up in another, and
-    :func:`_settle_rows` ends the step.  NaN and inf are in-band failure
-    markers: no warning is raised.
-    """
-    stage, k = np.empty_like(x), [rhs(x)]
-    for h in (0.5 * dt, 0.5 * dt, dt):
-        np.multiply(k[-1], h, out=stage)
-        stage += x
-        k.append(rhs(stage))
-    k1, k2, k3, k4 = k
-    x_new = k1 + 2.0 * k2
-    x_new += 2.0 * k3
-    x_new += k4
+    stage, (odd, even) = kernel.stage, kernel.rates
+    k1 = rates(x, odd)
+    np.multiply(k1, 0.5 * dt, out=stage)
+    stage += x
+    k2 = rates(stage, even)
+    np.multiply(k2, 0.5 * dt, out=stage)
+    stage += x
+    k2 *= 2.0  # 2·k2 and 2·k3 in place, the same products
+    x_new = k1 + k2
+    k3 = rates(stage, odd)
+    np.multiply(k3, dt, out=stage)
+    stage += x
+    k3 *= 2.0
+    x_new += k3
+    x_new += rates(stage, even)
     x_new *= dt / 6.0
     x_new += x
-    return x_new, _settle_rows(x_new)
+    ok = _settle_rows(x_new, kernel)
+    return x_new, ok, _stillness(x, x_new, ok, kernel)
 
 
-def _settle_rows(x_new: np.ndarray) -> np.ndarray:
+def _row_sums(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of x, (m, n, B), adding the actions in order: (m, B)."""
+    sums = np.add(x[:, 0], x[:, 1], out=out)
+    for i in range(2, x.shape[1]):
+        sums += x[:, i]
+    return sums
+
+
+def _settle_rows(x_new: np.ndarray, kernel: BatchKernel | None = None
+                 ) -> np.ndarray:
     """The end of an RK4 step on its raw result ``x_new``, (m, n, B), in
     place, under the caller's np.errstate: round-off negatives are clamped
-    and drifted rows renormalized (row sums add the actions in order; a
-    zero row gives numpy's 0/0, NaN), each only when some member needs it.
-    Returns the mask, shape (B,), True where the member is admissible:
-    finite, no coordinate below -NEG_TOL; a failed member is left as is."""
+    and drifted rows renormalized (a zero row gives numpy's 0/0, NaN), each
+    only when some member needs it.  Returns the mask, shape (B,), True
+    where the member is admissible: finite, no coordinate below -NEG_TOL; a
+    failed member is left as is.  Given a ``kernel``, a step with no share
+    below 0 and every row sum within RENORM_TOL of 1, as most are, needs
+    neither, and gets ``kernel.all_ok`` after n + 2 ufunc calls."""
     flat = x_new.reshape(-1, x_new.shape[2])
-    # ufunc reductions, not ndarray methods; fmin/fmax skip a failed NaN
+    # ufunc reductions, not ndarray methods; a NaN fails every test below
+    if kernel is not None and np.minimum.reduce(flat, axis=None) >= 0.0:
+        sums = _row_sums(x_new, kernel.row_sums)
+        # x - 1.0 is monotone in x: the extreme sums bound every deviation
+        if (-RENORM_TOL <= np.minimum.reduce(sums, axis=None) - 1.0
+                and np.maximum.reduce(sums, axis=None) - 1.0 <= RENORM_TOL):
+            return kernel.all_ok
+    # fmin/fmax skip a failed NaN
     lowest = np.minimum.reduce(flat, axis=0)
     ok = (lowest >= -NEG_TOL) & (np.maximum.reduce(flat, axis=0) < np.inf)
     if np.fmin.reduce(lowest) < 0.0:
         np.copyto(x_new, 0.0, where=(x_new < 0.0) & ok)
-    sums = x_new[:, 0] + x_new[:, 1]
-    for i in range(2, x_new.shape[1]):
-        sums += x_new[:, i]
+    sums = _row_sums(x_new)
     deviation = np.abs(sums - 1.0)
     if np.fmax.reduce(deviation, axis=None) > RENORM_TOL:
         np.divide(x_new, sums[:, None], out=x_new,
                   where=((deviation > RENORM_TOL) & ok)[:, None])
     return ok
+
+
+def _stillness(x: np.ndarray, x_new: np.ndarray, ok: np.ndarray,
+               kernel: BatchKernel) -> np.ndarray:
+    """Whether each member of a step from x to x_new, (m, n, B), is ok and
+    moved no share by CONVERGENCE_TOL or more: the kernel's ``still``."""
+    moved = np.subtract(x_new, x, out=kernel.stage)
+    np.abs(moved, out=moved)
+    np.maximum.reduce(moved.reshape(-1, x.shape[2]), axis=0, out=kernel.moved)
+    still = np.less(kernel.moved, CONVERGENCE_TOL, out=kernel.still)
+    if ok is not kernel.all_ok:
+        still &= ok
+    return still
 
 
 def float_step(scenario: Scenario, y_star: np.ndarray
@@ -252,20 +295,21 @@ def _compile_step(field: list[str], size: int, n: int) -> Callable:
     return namespace["step"]
 
 
-def _float_rk4(step: Callable, x: np.ndarray, gains: np.ndarray, dt: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _float_rk4(step: Callable, x: np.ndarray, kernel: BatchKernel,
+               dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_rk4_step` of the batch ``x`` (m, n, B) member by member on
-    ``step``, a :func:`float_step`, with the members' stillness when every
-    member took the step's fast path; else :func:`_settle_rows` ends the
-    step and the stillness is None."""
+    ``step``, a :func:`float_step`, under ``kernel``'s gains and the
+    caller's np.errstate; where a member missed the step's fast path,
+    :func:`_settle_rows` and :func:`_stillness` end the step."""
     fixed, ok, still = zip(*[
         step(state, d, dt) for state, d in
-        zip(x.reshape(-1, x.shape[2]).T.tolist(), gains.tolist())])
+        zip(x.reshape(-1, x.shape[2]).T.tolist(), kernel.gains.tolist())])
     x_new = np.array(fixed).T.reshape(x.shape)
     if all(ok):
-        return x_new, np.array(ok), np.array(still)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return x_new, _settle_rows(x_new), None
+        return x_new, kernel.all_ok, np.array(still)
+    # a member off the float step's fast path fails _settle_rows' too
+    ok = _settle_rows(x_new)
+    return x_new, ok, _stillness(x, x_new, ok, kernel)
 
 
 def _check_interior(x0: np.ndarray, scenario: Scenario,
@@ -336,16 +380,15 @@ class _BatchRun:
         return saving >= 0 and steps * saving >= owed
 
     def _step(self, kernel: BatchKernel, x: np.ndarray, dt: float,
-              steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+              steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One RK4 step of x, (m, n, B), under ``kernel``'s gains, ``steps``
         left, on :func:`_float_rk4` where :meth:`_fits`, its float step made
-        at its first use, else on the kernel: x_new, ok, still or None."""
+        at its first use, else on the kernel: x_new, ok, still."""
         if self._fits(x.shape[2], steps):
             if self.stepper is None:
                 self.stepper = float_step(self.scenario, self.policy.y_star)
-            return _float_rk4(self.stepper, x, kernel.gains, dt)
-        return *_rk4_step(lambda s: batch_field(
-            kernel, s.transpose(2, 0, 1))[0].transpose(1, 2, 0), x, dt), None
+            return _float_rk4(self.stepper, x, kernel, dt)
+        return _rk4_step(kernel, x, dt)
 
     def _retry(self, x: np.ndarray, gains: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -434,6 +477,7 @@ class _BatchRun:
             self.outcomes[member] = (outcome if self.sink is None
                                      else self.sink(member, outcome))
 
+    @np.errstate(invalid="ignore", divide="ignore", over="ignore")
     def _run(self, states0: np.ndarray) -> None:
         cfg = self.cfg
         ids = np.arange(self.n_members)
@@ -448,17 +492,13 @@ class _BatchRun:
         for step in range(1, n_steps + 1):
             fixed, ok, still = self._step(kernel, x, cfg.dt,
                                           n_steps + 1 - step)
-            all_ok = np.logical_and.reduce(ok)
-            if not all_ok:  # so the float route left still None
+            all_ok = ok is kernel.all_ok or np.logical_and.reduce(ok)
+            if not all_ok:
                 failed = ~ok
                 fixed[..., failed], ok[failed] = self._retry(
                     x[..., failed], kernel.gains[failed])
                 all_ok = np.logical_and.reduce(ok)
-            if still is None:
-                # x holds no inf: no inf - inf to silence
-                delta = np.abs(fixed - x).reshape(-1, ids.size)
-                still = (np.maximum.reduce(delta, axis=0)
-                         < CONVERGENCE_TOL) & ok
+                still = _stillness(x, fixed, ok, kernel)
             # a failed member's counter resets, so a full window implies ok
             counters = np.where(still, counters + 1, 0)
             just_converged = counters >= cfg.convergence_window

@@ -504,8 +504,7 @@ class TestVerify:
     def test_unreachable_target_exits_3(self, tmp_path, capsys):
         out = tmp_path / "verify"
         code = main(["verify", "--scenario", SCENARIO,
-                     "--y-star", "0.6,0.4", "--d", "1",
-                     "--out", str(out)])
+                     "--y-star", "0.6,0.4", "--out", str(out)])
         assert code == 3
         report = read_json(out / "report.json")
         assert not report["applicable"]
@@ -536,7 +535,7 @@ class TestVerify:
         out = tmp_path / "verify"
         code = main(["verify", "--scenario", str(scenario),
                      "--y-star", ",".join(map(repr, y_star.tolist())),
-                     "--d", "1", "--grid-per-dim", "2", "--samples", "500",
+                     "--grid-per-dim", "2", "--samples", "500",
                      "--out", str(out)])
         assert code == 3
         assert "advantage_negative_on_matching_set" in capsys.readouterr().err
@@ -575,7 +574,7 @@ class TestVerify:
         scenario.write_text(json.dumps(scen.to_dict()))
         code = main(["verify", "--scenario", str(scenario),
                      "--y-star", ",".join(map(repr, y_star.tolist())),
-                     "--d", "1", "--out", str(tmp_path / "verify")])
+                     "--out", str(tmp_path / "verify")])
         assert code == 3
         assert "advantage_negative_on_matching_set" in capsys.readouterr().err
 
@@ -633,7 +632,7 @@ class TestVerify:
             filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", ADDRESS_SPACE_CAP, "verify",
-             "--scenario", str(scenario), "--y-star", "1,0,0", "--d", "1",
+             "--scenario", str(scenario), "--y-star", "1,0,0",
              "--out", str(tmp_path / "verify")],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1, proc.stderr
@@ -1207,6 +1206,9 @@ class TestManifestRoundTrip:
 
 
 # what each command needs besides a target to run on the bundled game
+# the commands that take --d; verify and sweep read no gain
+GAIN_COMMANDS = ("simulate", "portrait", "agents")
+
 COMMAND_ARGS = {
     "simulate": ["--x0", "0.5,0.5,0.5"],
     "portrait": ["--x0", "0.5,0.5,0.5"],
@@ -1216,6 +1218,29 @@ COMMAND_ARGS = {
 }
 
 
+class TestGainFlag:
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_commands_that_read_no_gain_refuse_d(self, tmp_path, capsys,
+                                                 command):
+        out = tmp_path / "run"
+        assert main([command, "--scenario", SCENARIO, "--y-star", "1,0",
+                     "--d", "1", *COMMAND_ARGS[command],
+                     "--out", str(out)]) == 1
+        # verify has no flag named like it; in sweep it is ambiguous
+        # between --dt and --d-values
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error in (
+            "replicator-ctl: error: unrecognized arguments: --d 1",
+            "replicator-ctl sweep: error: ambiguous option: --d could match"
+            " --dt, --d-values")
+        assert not out.exists()
+        # a policy file's d is read and not used
+        assert main([command, "--scenario", SCENARIO, "--policy",
+                     POLICY_BOUNDARY, *COMMAND_ARGS[command],
+                     "--out", str(out)]) in (0, 3)
+        assert (out / "manifest.json").exists()
+
+
 class TestTargetLength:
     @pytest.mark.parametrize("command", list(COMMAND_ARGS))
     @pytest.mark.parametrize("y_star", ["1", "0.5,0.3,0.2"])
@@ -1223,8 +1248,9 @@ class TestTargetLength:
     def test_wrong_length_target_exits_1_unwritten(self, tmp_path, capsys,
                                                    command, y_star, d):
         out = tmp_path / "run"
+        gain = ["--d", d] if command in GAIN_COMMANDS else []
         assert main([command, "--scenario", SCENARIO, "--y-star", y_star,
-                     "--d", d, *COMMAND_ARGS[command],
+                     *gain, *COMMAND_ARGS[command],
                      "--out", str(out)]) == 1
         entries = len(y_star.split(","))
         assert capsys.readouterr().err == (
@@ -1235,8 +1261,9 @@ class TestTargetLength:
     @pytest.mark.parametrize("command", list(COMMAND_ARGS))
     def test_empty_target_exits_1_unwritten(self, tmp_path, capsys, command):
         out = tmp_path / "run"
+        gain = ["--d", "1"] if command in GAIN_COMMANDS else []
         assert main([command, "--scenario", SCENARIO, "--y-star", "",
-                     "--d", "1", *COMMAND_ARGS[command],
+                     *gain, *COMMAND_ARGS[command],
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "input error: policy: target y_star is empty\n")

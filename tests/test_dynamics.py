@@ -22,7 +22,8 @@ from replicator_ctl import (
     simulate,
 )
 from replicator_ctl import integrate
-from replicator_ctl.dynamics import (controlled_payoffs, field_lines,
+from replicator_ctl.dynamics import (BatchKernel, batch_field,
+                                     controlled_payoffs, field_lines,
                                      output_payoffs, subsidy_weights)
 from replicator_ctl.stability import _mismatch_batch
 from conftest import (assert_same_bits, average_payoff, batch_field_of,
@@ -334,6 +335,60 @@ class TestControlledField:
         assert ok.tolist() == [True, False]
         assert np.all(np.isfinite(batch[0]))
         assert np.all(np.isnan(batch[1]))
+
+
+class TestKernelScratch:
+    """The kernel's scratch: results written into it with out= have the
+    bits of fresh ones, and a result taken without out is the caller's."""
+
+    def test_out_gives_the_fresh_bits(self, threepop, policy_boundary):
+        rng = np.random.default_rng(71)
+        states = np.array([random_state(rng, threepop, interior=0.01)
+                           for _ in range(7)] + [z_state((0.0, 0.0, 0.0))])
+        gains = np.array([0.0, 1.2, 3.0, 0.0, 1.2, 3.0, 0.0, 1.2])
+        kernel = BatchKernel(threepop, policy_boundary.y_star, gains)
+        fresh, fresh_ok = batch_field(kernel, states)
+        out = np.empty((3, 2, 8)).transpose(2, 0, 1)
+        deriv, ok = batch_field(kernel, states, out=out)
+        assert np.shares_memory(deriv, out)
+        assert_same_bits(deriv, fresh)
+        assert ok.tolist() == fresh_ok.tolist() == [True] * 7 + [False]
+        y = aggregate_output(states.transpose(1, 2, 0), threepop)
+        F, f, _ = controlled_payoffs(kernel, y)
+        into = np.empty((3, 2, 8))
+        F_out, f_out, _ = controlled_payoffs(kernel, y, out=into)
+        assert F_out is into and np.shares_memory(f_out, kernel.f)
+        assert_same_bits(F_out, F)
+        assert_same_bits(f_out, f)
+
+    def test_fresh_results_are_not_aliased(self, threepop, policy_boundary):
+        # a result taken with out=None is unchanged by a second call on the
+        # same kernel, with out= and without, and by a take to another
+        # width and the calls there
+        rng = np.random.default_rng(72)
+        states = np.array([random_state(rng, threepop, interior=0.01)
+                           for _ in range(6)])
+        others = np.array([random_state(rng, threepop, interior=0.01)
+                           for _ in range(6)])
+        kernel = BatchKernel(threepop, policy_boundary.y_star,
+                             np.full(6, policy_boundary.d))
+        deriv, ok = batch_field(kernel, states)
+        y = aggregate_output(states.transpose(1, 2, 0), threepop)
+        F, f, _ = controlled_payoffs(kernel, y)
+        kept = [array.tobytes() for array in (deriv, ok, F, f)]
+
+        def unchanged():
+            assert [array.tobytes() for array in (deriv, ok, F, f)] == kept
+
+        batch_field(kernel, others)
+        batch_field(kernel, others, out=np.empty((6, 3, 2)))
+        controlled_payoffs(kernel, y[:, ::-1].copy())
+        unchanged()
+        kernel.take(np.array([True, False, True, False, False, True]))
+        batch_field(kernel, others[:3])
+        batch_field(kernel, others[:3], out=np.empty((3, 3, 2)))
+        controlled_payoffs(kernel, y[:, :3].copy())
+        unchanged()
 
 
 def generated_field(scenario: Scenario, y_star: np.ndarray):

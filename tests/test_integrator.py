@@ -42,11 +42,33 @@ from conftest import (
 )
 
 
+# what a batch run holds while it steps: the step functions run under it
+RUN_ERRSTATE = {"invalid": "ignore", "divide": "ignore", "over": "ignore"}
+
+
+def placeholder_kernel(m, n, gains):
+    """A batch kernel of the shape (m, n) and ``gains``, on a game of zero
+    payoffs: its scratch and gains, for a step that does not read its
+    field."""
+    scenario = Scenario(payoffs=np.zeros((m, n, n)),
+                        shares=np.full(m, 1.0 / m))
+    return BatchKernel(scenario, np.full(n, 1.0 / n), gains)
+
+
 def rk4_step(field, x, dt):
-    """One RK4 step of a single state by the integrator's batch step;
-    returns the new state and whether it is admissible."""
-    fixed, ok = integrate._rk4_step(lambda x: field(x[..., 0])[..., None],
-                                    np.asarray(x, dtype=float)[..., None], dt)
+    """One RK4 step of a single state by the integrator's batch step, with
+    ``field`` in place of the kernel's; returns the new state and whether
+    it is admissible."""
+    x = np.asarray(x, dtype=float)
+
+    def one(kernel, states, out):
+        out[0] = field(states[0])
+        return out, kernel.all_ok
+
+    with pytest.MonkeyPatch.context() as patch, np.errstate(**RUN_ERRSTATE):
+        patch.setattr(integrate, "batch_field", one)
+        fixed, ok, _ = integrate._rk4_step(placeholder_kernel(*x.shape, [0.0]),
+                                           x[..., None], dt)
     return fixed[..., 0], bool(ok[0])
 
 
@@ -54,10 +76,9 @@ def kernel_step(scenario, y_star, states, gains, dt):
     """One RK4 step of a (B, m, n) stack on the batch kernel, as a batch
     run takes it; returns the new (B, m, n) states and the mask."""
     kernel = BatchKernel(scenario, y_star, gains)
-    fixed, ok = integrate._rk4_step(
-        lambda x: batch_field(kernel, x.transpose(2, 0, 1))[0]
-        .transpose(1, 2, 0),
-        np.ascontiguousarray(np.transpose(states, (1, 2, 0))), dt)
+    with np.errstate(**RUN_ERRSTATE):
+        fixed, ok, _ = integrate._rk4_step(
+            kernel, np.ascontiguousarray(np.transpose(states, (1, 2, 0))), dt)
     return fixed.transpose(2, 0, 1), ok
 
 
@@ -97,15 +118,15 @@ class TestStep:
 
     def test_inadmissible_step_fails_its_mask(self):
         # a field pushing hard negative must fail the step
-        x = np.array([[0.5, 0.5]])
-        field = lambda s: np.array([[-1e6, 1e6]])
+        x = np.array([[0.5, 0.5], [0.5, 0.5]])
+        field = lambda s: np.array([[-1e6, 1e6], [0.0, 0.0]])
         assert not rk4_step(field, x, 0.01)[1]
 
     def test_failed_member_keeps_its_raw_minimum(self):
         # the failed step drifts off sum 1; the member keeps the coordinate
         # that failed, not its renormalized value
-        field = lambda s: np.array([[-1e6, 0.0]])
-        out, ok = rk4_step(field, np.array([[0.5, 0.5]]), 0.01)
+        field = lambda s: np.array([[-1e6, 0.0], [0.0, 0.0]])
+        out, ok = rk4_step(field, np.array([[0.5, 0.5], [0.5, 0.5]]), 0.01)
         assert not ok
         assert out.min() == -9999.5
 
@@ -197,9 +218,9 @@ class TestSimulate:
         real_step = integrate.float_step
         members = []
 
-        def counted(kernel, states):
+        def counted(kernel, states, out=None):
             members.append(states.shape[0])
-            return real(kernel, states)
+            return real(kernel, states, out=out)
 
         def counted_step(scenario, y_star):
             step = real_step(scenario, y_star)
@@ -257,11 +278,12 @@ class TestOneMemberPath:
     @staticmethod
     def float_route(step, x, d, dt):
         """One member's step on _float_rk4: the new state, whether it is
-        admissible, and its stillness, None where the route settled it."""
-        fixed, ok, still = integrate._float_rk4(
-            step, np.asarray(x, dtype=float)[..., None], np.array([d]), dt)
-        return (fixed[..., 0], bool(ok[0]),
-                None if still is None else bool(still[0]))
+        admissible, and its stillness."""
+        x = np.asarray(x, dtype=float)
+        with np.errstate(**RUN_ERRSTATE):
+            fixed, ok, still = integrate._float_rk4(
+                step, x[..., None], placeholder_kernel(*x.shape, [d]), dt)
+        return fixed[..., 0], bool(ok[0]), bool(still[0])
 
     # two larger shapes too, where the generated step is long
     @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4)
@@ -281,11 +303,10 @@ class TestOneMemberPath:
                     got, got_ok, got_still = self.float_route(step, x, d, dt)
                     assert got_ok == ok
                     assert_same_bits(np.reshape(got, (m, n)), expected)
-                    # the batch loop's max-norm test, where the route
-                    # returns the stillness (the step's fast path)
-                    if got_still is not None:
-                        assert got_still == (ok and np.max(
-                            np.abs(expected - x)) < CONVERGENCE_TOL)
+                    # the batch loop's max-norm test, on the step's fast
+                    # path and off it
+                    assert got_still == (ok and np.max(
+                        np.abs(expected - x)) < CONVERGENCE_TOL)
                     failed += not ok
                     still += bool(got_still)
         assert failed > 0 and still > 0
@@ -340,8 +361,13 @@ class TestOneMemberPath:
         assert [ok for _, ok, _ in raw] == [True, None, None, True]
         assert min(raw[1][0]) < 0.0 <= min(raw[2][0])
         x = np.ascontiguousarray(np.transpose(starts, (1, 2, 0)))
-        fixed, ok, still = integrate._float_rk4(step, x, gains, dt)
-        assert still is None and ok.all()
+        with np.errstate(**RUN_ERRSTATE):
+            fixed, ok, still = integrate._float_rk4(
+                step, x, BatchKernel(threepop, policy_boundary.y_star, gains),
+                dt)
+        assert ok.all()
+        assert np.array_equal(still, np.max(np.abs(fixed - x), axis=(0, 1))
+                              < CONVERGENCE_TOL)
         assert fixed[1, 0, 1] == 0.0
         assert abs(sum(raw[2][0][:2]) - 1.0) > 1e-12
         assert abs(fixed[0, :, 2].sum() - 1.0) < 1e-15
@@ -601,10 +627,12 @@ class TestOneMemberPath:
             # the member's own re-take: level by level, on one member
             for level in range(1, integrate.MAX_HALVINGS + 1):
                 current = x[..., member:member + 1]
+                kernel = BatchKernel(scen, policy.y_star,
+                                     gains[member:member + 1])
                 for _ in range(1 << level):
-                    current, ok, _ = integrate._float_rk4(
-                        step, current, gains[member:member + 1],
-                        dt / (1 << level))
+                    with np.errstate(**RUN_ERRSTATE):
+                        current, ok, _ = integrate._float_rk4(
+                            step, current, kernel, dt / (1 << level))
                     if not ok[0]:
                         break
                 else:
@@ -678,10 +706,10 @@ class TestOneMemberPath:
 
     def test_float_step_is_generated_once_the_steps_repay_it(
             self, monkeypatch, threepop, policy_boundary):
-        # a lone member at (3, 2) saves 40·7 - 12 = 268 work a step on
+        # a lone member at (3, 2) saves 23·7 - 12 = 149 work a step on
         # floats, against FLOAT_GENERATION·12 = 1,200 for the generation:
-        # a 4-step run stays on the kernel, a 5-step run steps on floats
-        assert integrate.FLOAT_WORK == 40
+        # an 8-step run stays on the kernel, a 9-step run steps on floats
+        assert integrate.FLOAT_WORK == 23
         assert integrate.FLOAT_GENERATION == 100
         real, generated = integrate.float_step, []
 
@@ -692,13 +720,13 @@ class TestOneMemberPath:
         monkeypatch.setattr(integrate, "float_step", counted)
         start = z_state((0.2, 0.3, 0.4))
         short = simulate(threepop, policy_boundary, start,
-                         IntegrationConfig(dt=0.25, t_max=1.0))
+                         IntegrationConfig(dt=0.25, t_max=2.0))
         assert generated == []
         longer = simulate(threepop, policy_boundary, start,
-                          IntegrationConfig(dt=0.25, t_max=1.25))
+                          IntegrationConfig(dt=0.25, t_max=2.25))
         assert generated == [2]
-        assert short.times.size == 5 and longer.times.size == 6
-        assert_same_bits(short.states, longer.states[:5])
+        assert short.times.size == 9 and longer.times.size == 10
+        assert_same_bits(short.states, longer.states[:9])
 
 
 class TestBatchBits:
@@ -738,16 +766,16 @@ class TestBatchBits:
             if route[0] is not None:
                 seen[route[0]][key] += value
 
-        def counted_field(kernel, states):
-            rates, ok = real_field(kernel, states)
+        def counted_field(kernel, states, out=None):
+            rates, ok = real_field(kernel, states, out=out)
             used.add("kernel")
             count("domain", int(np.count_nonzero(~ok)))
             return rates, ok
 
-        def counted_rk4(rhs, x, dt):
+        def counted_rk4(kernel, x, dt):
             # a halving retry's substep on the kernel
             count("halved", dt < cfg.dt)
-            return real_rk4(rhs, x, dt)
+            return real_rk4(kernel, x, dt)
 
         def counted_step(scenario, y_star):
             step = real_step(scenario, y_star)
@@ -822,10 +850,13 @@ class TestBatchBits:
                                                                 "float"}
         assert min(min(counts.values()) for counts in seen.values()) > 0, seen
 
-    def test_batched_step_raises_no_warning(self, threepop, policy_boundary):
+    def test_batched_step_raises_no_warning(self, threepop, policy_boundary,
+                                            monkeypatch):
         # one step of six members: in range; outside the domain (NaN);
         # a clamped entry and a drifted row; a row clamped to zeros, which
-        # renormalizes to 0/0; below -NEG_TOL; overflowing to inf
+        # renormalizes to 0/0; below -NEG_TOL; overflowing to inf.  The step
+        # runs under the np.errstate of a batch run, which the portrait
+        # below enters itself
         good = z_state((0.4, 0.5, 0.6))
         states = np.array([good, z_state((0.0, 0.0, 0.0))] + [good] * 4)
         kernel = BatchKernel(threepop, policy_boundary.y_star,
@@ -835,18 +866,19 @@ class TestBatchBits:
             [[-0.4 - 4e-13, -0.6 - 4e-13], [0.0, 0.0], [0.0, 0.0]],
             [[-1.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
             [[1e308, -1e308], [0.0, 0.0], [0.0, 0.0]],
-        ]).transpose(1, 2, 0)
+        ])
 
-        def rhs(x):
-            deriv = batch_field(kernel, x.transpose(2, 0, 1))[0]
-            deriv = deriv.transpose(1, 2, 0).copy()
-            deriv[..., 2:] = rates
-            return deriv
+        def overridden(kernel, states, out=None):
+            deriv, ok = batch_field(kernel, states, out=out)
+            deriv[2:] = rates
+            return deriv, ok
 
         x = np.ascontiguousarray(states.transpose(1, 2, 0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fixed, ok = integrate._rk4_step(rhs, x, 1.0)
+            with monkeypatch.context() as patch, np.errstate(**RUN_ERRSTATE):
+                patch.setattr(integrate, "batch_field", overridden)
+                fixed, ok, _ = integrate._rk4_step(kernel, x, 1.0)
             # the game of test_domain_failure_is_the_same_error, whose
             # controlled steps leave the domain down to dt / 2^20
             payoff = np.array([[-1e12, -1e12], [0.0, 0.0]])
@@ -864,6 +896,81 @@ class TestBatchBits:
         assert np.all(np.isnan(fixed[3, 0]))
         assert not np.isfinite(fixed[5]).all()
         assert all(isinstance(r, IntegrationError) for r in outcomes)
+
+
+class TestStepEnd:
+    """The end of a kernel step: its fast path and the full end agree, and
+    a large batch that shrinks as it runs keeps every member's bits."""
+
+    def test_fast_end_is_the_full_end(self, threepop, policy_boundary):
+        # one member of each kind: admissible; a round-off negative share,
+        # clamped; rows off sum 1 by +1e-9 and -1e-9, renormalized; NaN;
+        # inf; and a share below -NEG_TOL, out of the domain
+        good = z_state((0.3, 0.6, 0.2))
+        kinds = [good.copy() for _ in range(7)]
+        kinds[1][1] = [-5e-13, 1.0 + 5e-13]
+        kinds[2][0] = [0.7, 0.3 + 1e-9]
+        kinds[3][2] = [0.6, 0.4 - 1e-9]
+        kinds[4][2, 0] = np.nan
+        kinds[5][0, 1] = np.inf
+        kinds[6][1] = [-1e-6, 1.0 + 1e-6]
+        batch = np.stack(kinds, axis=-1)
+        for members in [slice(None)] + [slice(b, b + 1) for b in range(7)]:
+            raw = np.ascontiguousarray(batch[..., members])
+            kernel = BatchKernel(threepop, policy_boundary.y_star,
+                                 np.ones(raw.shape[2]))
+            fast, full = raw.copy(), raw.copy()
+            with np.errstate(**RUN_ERRSTATE):
+                fast_ok = integrate._settle_rows(fast, kernel)
+                full_ok = integrate._settle_rows(full)
+            assert_same_bits(fast, full)
+            assert fast_ok.tolist() == full_ok.tolist()
+            # only the admissible member alone takes the fast path
+            assert (fast_ok is kernel.all_ok) == (members == slice(0, 1))
+        assert full_ok.tolist() == [False]
+        with np.errstate(**RUN_ERRSTATE):
+            ok = integrate._settle_rows(batch)
+        assert ok.tolist() == [True] * 4 + [False] * 3
+        assert_same_bits(batch[..., 0], good)
+        assert batch[1, 0, 1] == 0.0 and batch[1, 1, 1] == 1.0 + 5e-13
+        assert abs(batch[0, :, 2].sum() - 1.0) < 1e-15
+        assert abs(batch[2, :, 3].sum() - 1.0) < 1e-15
+        assert batch[1, 0, 6] == -1e-6
+
+    def test_large_batch_keeps_each_members_bits(self, threepop,
+                                                 policy_boundary,
+                                                 monkeypatch):
+        # 2,000 members on the kernel to the last: they leave from t = 7
+        # to t = 30, and each leave re-makes the kernel's scratch at the
+        # new width; sampled members equal their runs alone, on floats
+        cfg = IntegrationConfig(dt=0.1, t_max=30.0, convergence_window=10,
+                                record_stride=25)
+        grid = interior_grid(threepop, 10)
+        gains = [0.0, 3.0]
+        real_take, widths = BatchKernel.take, []
+
+        def recorded(kernel, members):
+            real_take(kernel, members)
+            widths.append(kernel.stage.shape[-1])
+
+        monkeypatch.setattr(BatchKernel, "take", recorded)
+        monkeypatch.setattr(integrate, "FLOAT_WORK", 0)
+        results = phase_portrait(threepop, policy_boundary, grid, cfg,
+                                 gains=gains)
+        monkeypatch.undo()
+        assert widths[0] == 2 * len(grid) == 2000
+        assert len(set(widths)) > 100 and widths[-1] <= 200
+        assert len({traj.times[-1] for traj in results}) > 100
+        rng = np.random.default_rng(34)
+        for member in rng.choice(len(results), size=12, replace=False):
+            gain, start = divmod(int(member), len(grid))
+            alone = simulate(threepop,
+                             ControlPolicy(policy_boundary.y_star,
+                                           gains[gain]),
+                             grid[start], cfg)
+            assert np.array_equal(results[member].times, alone.times)
+            assert_same_bits(results[member].states, alone.states)
+            assert results[member].converged == alone.converged
 
 
 class TestInvariantRegion:
@@ -957,10 +1064,10 @@ class TestPortrait:
         # batch kept on the kernel to its last member
         real, members = integrate.batch_field, []
 
-        def recorded(kernel, states):
+        def recorded(kernel, states, out=None):
             assert states.ndim == 3 and states.shape[1:] == (3, 2)
             members.append(states.shape[0])
-            return real(kernel, states)
+            return real(kernel, states, out=out)
 
         monkeypatch.setattr(integrate, "batch_field", recorded)
         monkeypatch.setattr(integrate, "FLOAT_WORK", 0)  # never on floats
