@@ -31,7 +31,8 @@ the policy, or d, or setting d to 0 runs the uncontrolled dynamics.
 and ``sweep`` takes its gains from ``--d-values``: neither takes ``--d``,
 and a policy file's d is not read.  ``sweep`` ignores ``--record-stride``.
 A manifest holds only what the command's flags and config types set: any
-other key exits 1 and no file is written.
+other key exits 1 and no file is written, and so does an abbreviated flag
+(``--grid`` for ``--grid-per-dim``): a flag is taken by its full name only.
 
 Each ``--x0`` start is m comma-separated first-action shares (two-action
 games) or m semicolon-separated rows of n shares, each row summing to 1
@@ -568,12 +569,13 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="replicator-ctl", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+                     formatter_class=argparse.RawDescriptionHelpFormatter,
+                     allow_abbrev=False)
     parser.add_argument("--version", action="version",
                         version=f"replicator-ctl {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=help_text)
+        sub = subs.add_parser(command, help=help_text, allow_abbrev=False)
         for flag, commands, _, options in FLAGS:
             if command in commands:
                 sub.add_argument(flag, **options)

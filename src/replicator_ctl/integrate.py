@@ -22,18 +22,17 @@ trajectory's bits depend only on (scenario, policy, x0, config), never on
 the rest of its batch, which steps as one C-contiguous (m, n, B) array on
 a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run, in
 whose scratch a step allocates only its new state.  Once the batch is
-small enough, B·m·n² <= FLOAT_WORK·(m + 2n), and the steps left repay the
-float step's generation, each member steps as a flat list of Python
-floats on :func:`float_step`, generated at most once per run, with the
-same operations in the same order, so the same bits; the step's
-(m, n, B) array is made from those lists.  Either route returns each
-member's stillness with its step, and one loop, under one np.errstate,
-counts, observes, records and compacts on either route.  A failed step's
-halving substeps take their route by the same rule.  At a recording
-stride above 1, an attached Lyapunov observer reads each step's (m, n, B)
-array.  Convergence is declared online when the max-norm state change
-per step stays below ``CONVERGENCE_TOL`` for ``convergence_window``
-consecutive steps.
+small enough, B·m·n² <= FLOAT_WORK·(m + 2n), each member steps as a flat
+list of Python floats on :func:`float_step`, generated at most once per
+run, at its first use, with the same operations in the same order, so
+the same bits; the step's (m, n, B) array is made from those lists.
+Either route returns each member's stillness with its step, and one
+loop, under one np.errstate, counts, observes, records and compacts on
+either route.  A failed step's halving substeps take their route by the
+same rule.  At a recording stride above 1, an attached Lyapunov observer
+reads each step's (m, n, B) array.  Convergence is declared online when
+the max-norm state change per step stays below ``CONVERGENCE_TOL`` for
+``convergence_window`` consecutive steps.
 """
 
 from __future__ import annotations
@@ -80,11 +79,8 @@ MAX_HALVINGS = 20
 # with its m + 2n ufunc loops per step, whatever B.  Floats were measured
 # faster up to 13 members at (3, 2), for a lone member at (8, 8), and
 # never at (10, 10) or (20, 20); every constant in [22.3, 24) gives those
-# four crossovers.  Before the float step is generated, the steps left
-# must also repay its generation, which costs about FLOAT_GENERATION
-# float member-steps (measured: 65 to 130 from (3, 2) to (12, 12)).
+# four crossovers.
 FLOAT_WORK = 23
-FLOAT_GENERATION = 100
 
 
 class IntegrationError(RuntimeError):
@@ -324,12 +320,12 @@ class _BatchRun:
     ``gains`` holds one gain per member; by default each is ``policy.d``.
     The batch steps on the batch kernel as one C-contiguous (m, n, B)
     array, member last, so that every operation of a step runs along the
-    batch on contiguous memory, or, where :meth:`_fits`, member by member
-    on :func:`_float_rk4`, its :func:`float_step` generated at most once
-    per run, for full steps and halving retries alike.  An attached
-    observer reads each step's array at a recording stride above 1; the
-    final V, and at stride 1 the largest rise of V, come from the recorded
-    V column.
+    batch on contiguous memory, or, once B·m·n² <= FLOAT_WORK·(m + 2n),
+    member by member on :func:`_float_rk4`, its :func:`float_step`
+    generated at most once per run, for full steps and halving retries
+    alike.  An attached observer reads each step's array at a recording
+    stride above 1; the final V, and at stride 1 the largest rise of V,
+    come from the recorded V column.
 
     A member leaves the batch when it converges, fails, or takes the final
     step.  At that step its outcome, a :class:`Trajectory` or an
@@ -369,22 +365,13 @@ class _BatchRun:
         self.filled = self.held = 0
         self._run(states0)
 
-    def _fits(self, size: int, steps: int) -> bool:
-        """Whether ``size`` members step on floats, ``steps`` left: the
-        float step's m·n² work per member against the batch kernel's m + 2n
-        ufunc loops, the saving over the steps left also repaying the float
-        step's generation while it is not yet made."""
-        m, n = self.scenario.n_populations, self.scenario.n_actions
-        saving = FLOAT_WORK * (m + 2 * n) - size * m * n * n
-        owed = 0 if self.stepper is not None else FLOAT_GENERATION * m * n * n
-        return saving >= 0 and steps * saving >= owed
-
-    def _step(self, kernel: BatchKernel, x: np.ndarray, dt: float,
-              steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One RK4 step of x, (m, n, B), under ``kernel``'s gains, ``steps``
-        left, on :func:`_float_rk4` where :meth:`_fits`, its float step made
-        at its first use, else on the kernel: x_new, ok, still."""
-        if self._fits(x.shape[2], steps):
+    def _step(self, kernel: BatchKernel, x: np.ndarray, dt: float
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One RK4 step of x, (m, n, B), under ``kernel``'s gains: on
+        :func:`_float_rk4` where B·m·n² <= FLOAT_WORK·(m + 2n), its float
+        step made at its first use, else on the kernel: x_new, ok, still."""
+        m, n, size = x.shape
+        if size * m * n * n <= FLOAT_WORK * (m + 2 * n):
             if self.stepper is None:
                 self.stepper = float_step(self.scenario, self.policy.y_star)
             return _float_rk4(self.stepper, x, kernel, dt)
@@ -402,10 +389,9 @@ class _BatchRun:
             current, substeps = x[..., left], 1 << level
             kernel = BatchKernel(self.scenario, self.policy.y_star,
                                  gains[left])
-            for taken in range(substeps):
+            for _ in range(substeps):
                 current, ok, _ = self._step(kernel, current,
-                                            self.cfg.dt / substeps,
-                                            substeps - taken)
+                                            self.cfg.dt / substeps)
                 if not np.logical_and.reduce(ok):
                     left, current = left[ok], current[..., ok]
                     if left.size == 0:
@@ -490,8 +476,7 @@ class _BatchRun:
         self._hold(x, slots)
         n_steps = cfg.n_steps
         for step in range(1, n_steps + 1):
-            fixed, ok, still = self._step(kernel, x, cfg.dt,
-                                          n_steps + 1 - step)
+            fixed, ok, still = self._step(kernel, x, cfg.dt)
             all_ok = ok is kernel.all_ok or np.logical_and.reduce(ok)
             if not all_ok:
                 failed = ~ok

@@ -1079,6 +1079,22 @@ class TestManifestRoundTrip:
             f"input error: {section or 'manifest'}: unknown key {key!r}\n")
         assert not second.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("verify", "--grid", "3"),  # for --grid-per-dim
+        ("simulate", "--t", "5"),  # for --t-max
+        ("agents", "--n", "1000"),  # for --n-agents
+        ("sweep", "--d", "1"),  # for --dt or --d-values
+    ])
+    def test_abbreviated_flag_exits_1(self, tmp_path, capsys, command, flag,
+                                      value):
+        out = tmp_path / "run"
+        assert main([command, "--scenario", SCENARIO, "--policy",
+                     POLICY_BOUNDARY, *COMMAND_ARGS[command], flag, value,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"replicator-ctl: error: unrecognized arguments: {flag} {value}")
+        assert not out.exists()
+
     def test_non_string_start_exits_1(self, tmp_path, capsys):
         first = tmp_path / "first"
         assert main(["simulate", "--scenario", SCENARIO,
@@ -1226,13 +1242,9 @@ class TestGainFlag:
         assert main([command, "--scenario", SCENARIO, "--y-star", "1,0",
                      "--d", "1", *COMMAND_ARGS[command],
                      "--out", str(out)]) == 1
-        # verify has no flag named like it; in sweep it is ambiguous
-        # between --dt and --d-values
-        error = capsys.readouterr().err.splitlines()[-1]
-        assert error in (
-            "replicator-ctl: error: unrecognized arguments: --d 1",
-            "replicator-ctl sweep: error: ambiguous option: --d could match"
-            " --dt, --d-values")
+        # neither has a flag named --d, and none is taken abbreviated
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "replicator-ctl: error: unrecognized arguments: --d 1")
         assert not out.exists()
         # a policy file's d is read and not used
         assert main([command, "--scenario", SCENARIO, "--policy",

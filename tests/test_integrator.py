@@ -529,12 +529,12 @@ class TestOneMemberPath:
 
         # FLOAT_WORK 2 admits one member at (3, 2) (12 <= 2·7) and at
         # (2, 2) (8 <= 2·6), never two: only a lone member steps on floats,
-        # and a run generates its step once; at (2, 2) a member saves
-        # 2·6 - 8 = 4 a step, too little over 15 steps or a retry's few
-        # substeps to repay the generation's 100·8, so the retries stay on
-        # the kernel, as everything does at 0; a huge FLOAT_WORK puts every
-        # run, its retries too, on floats from its first step
-        for work, expected in ((2, ([], [12], [12])),
+        # and a run generates its step once (the list gathers all three
+        # runs), so the pair's lone retried member generates one, and the
+        # lone run another; at 0 everything stays on the kernel; a huge
+        # FLOAT_WORK puts every run, its retries too, on floats from its
+        # first step
+        for work, expected in ((2, ([], [12], [12, 8, 8])),
                                (0, ([], [], [])),
                                (10 ** 9, ([12], [12, 12], [12, 12, 8, 8]))):
             monkeypatch.setattr(integrate, "FLOAT_WORK", work)
@@ -704,29 +704,50 @@ class TestOneMemberPath:
         for got, expected in zip(on_kernel, on_floats):
             assert_same_bits(got.states, expected.states)
 
-    def test_float_step_is_generated_once_the_steps_repay_it(
-            self, monkeypatch, threepop, policy_boundary):
-        # a lone member at (3, 2) saves 23·7 - 12 = 149 work a step on
-        # floats, against FLOAT_GENERATION·12 = 1,200 for the generation:
-        # an 8-step run stays on the kernel, a 9-step run steps on floats
+    def test_small_batches_step_on_floats_however_few_steps_are_left(
+            self, monkeypatch, policy_boundary):
+        # the route rule reads only the batch: a lone (8, 8) member of a
+        # 100-step run (8·8² = 512 <= 23·24) and the last step of a (3, 2)
+        # batch that falls from 26 members to 13 (13·3·2² = 156 <= 23·7)
+        # step on floats, with the bits of the kernel route
         assert integrate.FLOAT_WORK == 23
-        assert integrate.FLOAT_GENERATION == 100
-        real, generated = integrate.float_step, []
+        rng = np.random.default_rng(21)
+        scen = random_scenario(rng, m=8, n=8)
+        policy = random_policy(rng, scen)
+        start = random_state(rng, scen, interior=0.01)
+        # on zero payoffs, the 13 starts under gain 0 are still from the
+        # first step and converge after 7; under gain 1 they move
+        still = Scenario(payoffs=np.zeros((3, 2, 2)),
+                         shares=np.array([0.2, 0.3, 0.5]))
+        starts = [z_state(rng.uniform(0.1, 0.9, size=3)) for _ in range(13)]
+        real_float, sizes = integrate._float_rk4, []
 
-        def counted(scenario, y_star):
-            generated.append(scenario.n_actions)
-            return real(scenario, y_star)
+        def recorded(step, x, kernel, dt):
+            sizes.append(x.shape[2])
+            return real_float(step, x, kernel, dt)
 
-        monkeypatch.setattr(integrate, "float_step", counted)
-        start = z_state((0.2, 0.3, 0.4))
-        short = simulate(threepop, policy_boundary, start,
-                         IntegrationConfig(dt=0.25, t_max=2.0))
-        assert generated == []
-        longer = simulate(threepop, policy_boundary, start,
-                          IntegrationConfig(dt=0.25, t_max=2.25))
-        assert generated == [2]
-        assert short.times.size == 9 and longer.times.size == 10
-        assert_same_bits(short.states, longer.states[:9])
+        def lone():
+            return [simulate(scen, policy, start,
+                             IntegrationConfig(dt=0.05, t_max=5.0))]
+
+        def shrinking():
+            cfg = IntegrationConfig(dt=0.25, t_max=2.0, convergence_window=7)
+            return phase_portrait(still, policy_boundary, starts, cfg,
+                                  gains=[0.0, 1.0])
+
+        monkeypatch.setattr(integrate, "_float_rk4", recorded)
+        for run, on_floats in ((lone, [1] * 100), (shrinking, [13])):
+            sizes.clear()
+            got = run()
+            assert sizes == on_floats
+            with monkeypatch.context() as patch:
+                patch.setattr(integrate, "FLOAT_WORK", 0)
+                expected = run()
+            assert sizes == on_floats
+            assert [traj.times.size for traj in got] == [
+                traj.times.size for traj in expected]
+            for traj, reference in zip(got, expected):
+                assert_same_bits(traj.states, reference.states)
 
 
 class TestBatchBits:
