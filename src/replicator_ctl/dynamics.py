@@ -114,23 +114,21 @@ class ControlPolicy:
         return cls(y_star=np.asarray(raw["y_star"], dtype=float), d=float(d))
 
 
-def subsidy_weights(y: np.ndarray, y_star: np.ndarray,
-                    out: np.ndarray | None = None
+def subsidy_weights(y: np.ndarray, y_star: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray | None]:
     """Subsidy weights f_i(y) = y_star_i / y_i over outputs of shape (n, *batch).
 
     ``y_star`` broadcasts against ``y``: (n,) for one output, (n, 1) for
-    columns.  f, written into ``out`` if given, is 0 for untargeted
-    actions.  A share at or below DOMAIN_THRESHOLD is divided by 1 instead,
-    so no warning is raised; ``ok``, shape (*batch), is then False for a
-    member where such a share is targeted (f is undefined there), and None
-    when every share is above it.  Per agent on action i the subsidy is d *
-    f_i(y).
+    columns.  f is 0 for untargeted actions.  A share at or below
+    DOMAIN_THRESHOLD is divided by 1 instead, so no warning is raised;
+    ``ok``, shape (*batch), is then False for a member where such a share
+    is targeted (f is undefined there), and None when every share is above
+    it.  Per agent on action i the subsidy is d * f_i(y).
     """
     if np.minimum.reduce(y, axis=None, initial=np.inf) > DOMAIN_THRESHOLD:
-        return np.divide(y_star, y, out=out), None
+        return y_star / y, None
     low = y <= DOMAIN_THRESHOLD
-    return (np.divide(y_star, np.where(low, 1.0, y), out=out),
+    return (y_star / np.where(low, 1.0, y),
             ~np.any(low & (y_star > 0.0), axis=0))
 
 
@@ -243,9 +241,8 @@ class BatchKernel:
     (n, B), so that numpy runs each product as one loop, and each member's
     gain, (B,), with what depends on it; :meth:`take` cuts them down and
     lays out the scratch of the new width, which a step writes with
-    ``out=``: one buffer for the products of the three sums, each done
-    with before the next is made; y, f, d·f, ⟨x, F⟩; the RK4 stage, two
-    rate buffers and what ends the step."""
+    ``out=``, its state-sized buffers only: the products of the three sums,
+    each done with before the next is made, the RK4 stage and two rates."""
 
     def __init__(self, scenario: Scenario, y_star: np.ndarray,
                  gains: np.ndarray):
@@ -273,20 +270,16 @@ class BatchKernel:
         # the scratch is cut from one buffer, made at the first width
         # only, so that a shrinking batch frees and allocates none
         m, n, width = self.shares.shape
-        shapes = ((n, m, n), (n,), (n,), (n,), (m,), (m, n), (m, n), (m, n),
-                  ())
+        shapes = ((n, m, n), (m, n), (m, n), (m, n))
         ends = np.cumsum([math.prod(shape) * width for shape in shapes])
         if self.memory.size < ends[-1]:
             self.memory = np.empty(ends[-1])
-        (self.payoff_terms, self.y, self.f, self.paid, self.average,
-         self.stage, *self.rates, self.moved) = (
+        self.payoff_terms, self.stage, *self.rates = (
             part.reshape(shape + (width,)) for part, shape in
             zip(np.split(self.memory[:ends[-1]], ends[:-1]), shapes))
         terms = self.payoff_terms.reshape(-1)
         self.output_terms = terms[:m * n * width].reshape(m, n, width)
         self.average_terms = terms[:n * m * width].reshape(n, m, width)
-        self.row_sums = self.average  # the step's end reuses ⟨x, F⟩'s
-        self.still = np.empty(width, dtype=bool)
 
 
 def controlled_payoffs(kernel: BatchKernel, y: np.ndarray,
@@ -296,15 +289,14 @@ def controlled_payoffs(kernel: BatchKernel, y: np.ndarray,
     F − (0 − d)·f: F + d·f, and F to the bit (a −0.0 too) at d = 0.  Returns
     F, (m, n, B); f, (n, B), or None where no gain is positive and the fold
     is skipped; and ``ok``, (B,), False for a member with a positive gain
-    and a targeted share at or below DOMAIN_THRESHOLD.  Given ``out``, F is
-    written into it and f into the kernel's scratch; else both are fresh."""
+    and a targeted share at or below DOMAIN_THRESHOLD.  F is written into
+    ``out`` if given, else fresh; f is fresh."""
     F = weighted_sum(kernel.columns, y[:, None, None], out,
                      kernel.payoff_terms)
     f, ok = None, kernel.all_ok
     if kernel.any_controlled:
-        f, in_domain = subsidy_weights(y, kernel.y_star,
-                                       None if out is None else kernel.f)
-        F -= np.multiply(kernel.push, f, out=kernel.paid)
+        f, in_domain = subsidy_weights(y, kernel.y_star)
+        F -= kernel.push * f
         if in_domain is not None:
             ok = ~kernel.controlled | in_domain
     return F, f, ok
@@ -318,10 +310,10 @@ def batch_field(kernel: BatchKernel, states: np.ndarray,
     F is :func:`controlled_payoffs` at the outputs y.  Each of the three
     sums (y, A^k y, ⟨x, F⟩) is one product and then adds over the small m
     or n axis in a fixed order, elementwise along the batch (m + 2n ufunc
-    calls, 6 more for the rest), in the kernel's scratch, so a member's
-    bits depend neither on the rest of its batch nor on the memory layout;
-    ``states`` is best a view of a C-contiguous (m, n, B) array.  A member
-    with gain 0 gets exactly the uncontrolled field and is not
+    calls, 6 more for the rest), its products in the kernel's scratch, so a
+    member's bits depend neither on the rest of its batch nor on the memory
+    layout; ``states`` is best a view of a C-contiguous (m, n, B) array.  A
+    member with gain 0 gets exactly the uncontrolled field and is not
     domain-checked.
 
     Returns the derivatives, a (B, m, n) view of an (m, n, B) array, fresh
@@ -331,10 +323,10 @@ def batch_field(kernel: BatchKernel, states: np.ndarray,
     """
     x = states.transpose(1, 2, 0)                             # (m, n, B)
     F, _, ok = controlled_payoffs(
-        kernel, weighted_sum(kernel.shares, x, kernel.y, kernel.output_terms),
+        kernel, weighted_sum(kernel.shares, x, products=kernel.output_terms),
         None if out is None else out.transpose(1, 2, 0))
-    F -= weighted_sum(x.swapaxes(0, 1), F.swapaxes(0, 1), kernel.average,
-                      kernel.average_terms)[:, None]
+    F -= weighted_sum(x.swapaxes(0, 1), F.swapaxes(0, 1),
+                      products=kernel.average_terms)[:, None]
     F *= x
     if ok is not kernel.all_ok:
         F[..., ~ok] = np.nan

@@ -263,14 +263,11 @@ def weighted_sum(weights: np.ndarray, terms: np.ndarray,
     += p[2], ..., elementwise along the other axes (no BLAS, and no
     reduction ufunc, whose inner loops may reorder the adds), so an entry's
     bits do not depend on the rest of the array.  ``products`` (of their
-    broadcast shape) and ``out``, if given, take the products and the sum,
-    by the same operations."""
+    broadcast shape) and ``out``, if given, take the products and the sum
+    of two or more, by the same operations."""
     products = np.multiply(weights, terms, out=products)
     if len(products) == 1:
-        if out is None:
-            return products[0]
-        out[...] = products[0]
-        return out
+        return products[0]
     total = np.add(products[0], products[1], out=out)
     for k in range(2, len(products)):
         total += products[k]

@@ -21,7 +21,7 @@ only.  Every operation runs elementwise along the batch, so a
 trajectory's bits depend only on (scenario, policy, x0, config), never on
 the rest of its batch, which steps as one C-contiguous (m, n, B) array on
 a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run, in
-whose scratch a step allocates only its new state.  Once the batch is
+whose scratch a step keeps its state-sized buffers.  Once the batch is
 small enough, B·m·n² <= FLOAT_WORK·(m + 2n), each member steps as a flat
 list of Python floats on :func:`float_step`, generated at most once per
 run, at its first use, with the same operations in the same order, so
@@ -89,7 +89,9 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Step size, horizon, convergence window and recording stride."""
+    """Step size, horizon, convergence window and recording stride.  A run
+    takes up to ``n_steps`` = ceil(t_max/dt − 1e-9) steps, so it may end
+    past t_max by less than dt (dt 0.3, t_max 0.5: times 0, 0.3, 0.6)."""
 
     dt: float = 0.01
     t_max: float = 200.0
@@ -177,9 +179,9 @@ def _rk4_step(kernel: BatchKernel, x: np.ndarray, dt: float
     return x_new, ok, _stillness(x, x_new, ok, kernel)
 
 
-def _row_sums(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _row_sums(x: np.ndarray) -> np.ndarray:
     """Row sums of x, (m, n, B), adding the actions in order: (m, B)."""
-    sums = np.add(x[:, 0], x[:, 1], out=out)
+    sums = x[:, 0] + x[:, 1]
     for i in range(2, x.shape[1]):
         sums += x[:, i]
     return sums
@@ -198,7 +200,7 @@ def _settle_rows(x_new: np.ndarray, kernel: BatchKernel | None = None
     flat = x_new.reshape(-1, x_new.shape[2])
     # ufunc reductions, not ndarray methods; a NaN fails every test below
     if kernel is not None and np.minimum.reduce(flat, axis=None) >= 0.0:
-        sums = _row_sums(x_new, kernel.row_sums)
+        sums = _row_sums(x_new)
         # x - 1.0 is monotone in x: the extreme sums bound every deviation
         if (-RENORM_TOL <= np.minimum.reduce(sums, axis=None) - 1.0
                 and np.maximum.reduce(sums, axis=None) - 1.0 <= RENORM_TOL):
@@ -219,11 +221,10 @@ def _settle_rows(x_new: np.ndarray, kernel: BatchKernel | None = None
 def _stillness(x: np.ndarray, x_new: np.ndarray, ok: np.ndarray,
                kernel: BatchKernel) -> np.ndarray:
     """Whether each member of a step from x to x_new, (m, n, B), is ok and
-    moved no share by CONVERGENCE_TOL or more: the kernel's ``still``."""
-    moved = np.subtract(x_new, x, out=kernel.stage)
+    moved no share by CONVERGENCE_TOL or more, its moves in kernel.stage."""
+    moved = np.subtract(x_new, x, out=kernel.stage).reshape(-1, x.shape[2])
     np.abs(moved, out=moved)
-    np.maximum.reduce(moved.reshape(-1, x.shape[2]), axis=0, out=kernel.moved)
-    still = np.less(kernel.moved, CONVERGENCE_TOL, out=kernel.still)
+    still = np.maximum.reduce(moved, axis=0) < CONVERGENCE_TOL
     if ok is not kernel.all_ok:
         still &= ok
     return still
@@ -543,9 +544,9 @@ def simulate(scenario: Scenario, policy: ControlPolicy, x0: np.ndarray,
              observer=None) -> Trajectory:
     """Integrate one trajectory from an interior initial state.
 
-    Stops at t_max or as soon as convergence is detected.  Raises
-    :class:`IntegrationError` if stepping fails repeatedly, ValueError if
-    the initial state is not interior.
+    Stops at convergence or after ``cfg.n_steps`` steps, at t_max or past
+    it by less than dt.  Raises :class:`IntegrationError` if stepping
+    fails repeatedly, ValueError if the initial state is not interior.
     """
     x0 = _check_interior(x0, scenario, "x0")
     outcome = _BatchRun(scenario, policy, x0[None], cfg, observer).outcomes[0]
@@ -563,7 +564,8 @@ def phase_portrait(scenario: Scenario, policy: ControlPolicy,
     """Integrate a batch of initial states; results in input order.
 
     Per-trajectory failures are returned in place (as IntegrationError
-    objects) without aborting the rest of the batch.
+    objects) without aborting the rest of the batch.  Each stops as
+    :func:`simulate`'s does, at t_max or past it by less than dt.
 
     ``gains``, if given, lists subsidy gains (finite, >= 0) that replace
     ``policy.d``, the policy then supplying only the target: every start

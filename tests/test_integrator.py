@@ -1310,6 +1310,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegrationConfig(convergence_window=0)
 
+    def test_last_step_may_pass_t_max(self, threepop, policy_boundary):
+        # ceil(0.5 / 0.3) = 2 steps: the run ends at 0.6, past t_max by
+        # less than dt
+        cfg = IntegrationConfig(dt=0.3, t_max=0.5)
+        traj = simulate(threepop, policy_boundary, z_state((0.5, 0.5, 0.5)),
+                        cfg)
+        assert cfg.n_steps == 2
+        assert traj.times.tolist() == [0.0, 0.3, 0.6]
+
 
 class TestCsvExport:
     def test_layout_and_provenance(self, tmp_path, threepop, policy_boundary):

@@ -3,6 +3,7 @@ equilibrium enumeration, and report assembly."""
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import tracemalloc
 import warnings
@@ -590,6 +591,15 @@ class TestMatchingSet:
                                lopsided.target_output)
         assert min_adv == pytest.approx(
             two_action_oracle(threepop, lopsided), abs=1e-12)
+
+    def test_unreachable_target_is_refused(self, threepop, eq_boundary):
+        # no ControlPolicy target is off the simplex: this one is set
+        # directly, and no state of the populations produces it
+        eq = dataclasses.replace(eq_boundary,
+                                 target_output=np.array([0.6, 0.6]))
+        with pytest.raises(InapplicableError) as info:
+            min_advantage_on_matching_set(eq, threepop)
+        assert info.value.reason == "matching_set_empty"
 
     def test_two_action_minimum_equals_the_vertex_oracle(self):
         rng = np.random.default_rng(211)
