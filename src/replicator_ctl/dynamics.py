@@ -25,9 +25,10 @@ failure, not a model state: `batch_field` flags the member and
 The payoffs A^k y (`output_payoffs`: `game.weighted_sum` of
 `game.aggregate_output` and of the columns of `payoff_columns`), the
 weights f (`subsidy_weights`) and the controlled payoffs F = A^k y + d·f(y)
-(`controlled_payoffs`, over a `BatchKernel` built once per run) are defined
-here once; the field `batch_field` (states laid out (m, n, B), member last),
-the certificate in `stability` and the finite agents all use these.
+(`controlled_payoffs`, over a `BatchKernel` of one run's constants) are
+defined here once; the field `batch_field` (states laid out (m, n, B),
+member last, its derivatives fresh), the certificate in `stability` and
+the finite agents all use these.
 `field_lines` writes the same field for one state as straight-line Python
 statements, in the same order, so the same bits; the integrator inlines
 them in its generated float step, at most once per run.
@@ -35,7 +36,6 @@ them in its generated float step, at most once per run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,10 +239,7 @@ class BatchKernel:
     """What :func:`controlled_payoffs` needs of one run: the shares, payoff
     columns and target spread over the batch, (m, n, B), (n, m, n, B) and
     (n, B), so that numpy runs each product as one loop, and each member's
-    gain, (B,), with what depends on it; :meth:`take` cuts them down and
-    lays out the scratch of the new width, which a step writes with
-    ``out=``, its state-sized buffers only: the products of the three sums,
-    each done with before the next is made, the RK4 stage and two rates."""
+    gain, (B,), with what depends on it; :meth:`take` cuts them down."""
 
     def __init__(self, scenario: Scenario, y_star: np.ndarray,
                  gains: np.ndarray):
@@ -254,7 +251,6 @@ class BatchKernel:
                 (payoff_columns(scenario, 1), (n, m, n)),
                 (np.asarray(y_star, dtype=float)[:, None], (n,)),
                 (0.0 - self.gains, (n,))))
-        self.memory = np.empty(0)
         self.take(np.ones(self.gains.shape, dtype=bool))
 
     def take(self, members: np.ndarray) -> None:
@@ -267,32 +263,16 @@ class BatchKernel:
         self.any_controlled = bool(self.controlled.any())
         self.all_ok = np.ones(gains.shape, dtype=bool)
         self.all_ok.setflags(write=False)
-        # the scratch is cut from one buffer, made at the first width
-        # only, so that a shrinking batch frees and allocates none
-        m, n, width = self.shares.shape
-        shapes = ((n, m, n), (m, n), (m, n), (m, n))
-        ends = np.cumsum([math.prod(shape) * width for shape in shapes])
-        if self.memory.size < ends[-1]:
-            self.memory = np.empty(ends[-1])
-        self.payoff_terms, self.stage, *self.rates = (
-            part.reshape(shape + (width,)) for part, shape in
-            zip(np.split(self.memory[:ends[-1]], ends[:-1]), shapes))
-        terms = self.payoff_terms.reshape(-1)
-        self.output_terms = terms[:m * n * width].reshape(m, n, width)
-        self.average_terms = terms[:n * m * width].reshape(n, m, width)
 
 
-def controlled_payoffs(kernel: BatchKernel, y: np.ndarray,
-                       out: np.ndarray | None = None
+def controlled_payoffs(kernel: BatchKernel, y: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """F = A^k y + d·f(y) at outputs y of shape (n, B), folded as
     F − (0 − d)·f: F + d·f, and F to the bit (a −0.0 too) at d = 0.  Returns
     F, (m, n, B); f, (n, B), or None where no gain is positive and the fold
     is skipped; and ``ok``, (B,), False for a member with a positive gain
-    and a targeted share at or below DOMAIN_THRESHOLD.  F is written into
-    ``out`` if given, else fresh; f is fresh."""
-    F = weighted_sum(kernel.columns, y[:, None, None], out,
-                     kernel.payoff_terms)
+    and a targeted share at or below DOMAIN_THRESHOLD; F and f are fresh."""
+    F = weighted_sum(kernel.columns, y[:, None, None])
     f, ok = None, kernel.all_ok
     if kernel.any_controlled:
         f, in_domain = subsidy_weights(y, kernel.y_star)
@@ -302,31 +282,26 @@ def controlled_payoffs(kernel: BatchKernel, y: np.ndarray,
     return F, f, ok
 
 
-def batch_field(kernel: BatchKernel, states: np.ndarray,
-                out: np.ndarray | None = None
+def batch_field(kernel: BatchKernel, states: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The replicator field x ∘ (F − ⟨x, F⟩) over states of shape (B, m, n).
 
     F is :func:`controlled_payoffs` at the outputs y.  Each of the three
     sums (y, A^k y, ⟨x, F⟩) is one product and then adds over the small m
     or n axis in a fixed order, elementwise along the batch (m + 2n ufunc
-    calls, 6 more for the rest), its products in the kernel's scratch, so a
-    member's bits depend neither on the rest of its batch nor on the memory
-    layout; ``states`` is best a view of a C-contiguous (m, n, B) array.  A
-    member with gain 0 gets exactly the uncontrolled field and is not
-    domain-checked.
+    calls, 6 more for the rest), so a member's bits depend neither on the
+    rest of its batch nor on the memory layout; ``states`` is best a view
+    of a C-contiguous (m, n, B) array.  A member with gain 0 gets exactly
+    the uncontrolled field and is not domain-checked.
 
-    Returns the derivatives, a (B, m, n) view of an (m, n, B) array, fresh
-    or ``out`` (of that layout); and ``ok``, shape (B,): False, with the
-    member's derivative NaN, where a member with a positive gain has a
-    targeted aggregate share at or below DOMAIN_THRESHOLD.
+    Returns the derivatives, a (B, m, n) view of a fresh (m, n, B) array;
+    and ``ok``, shape (B,): False, with the member's derivative NaN, where
+    a member with a positive gain has a targeted aggregate share at or
+    below DOMAIN_THRESHOLD.
     """
     x = states.transpose(1, 2, 0)                             # (m, n, B)
-    F, _, ok = controlled_payoffs(
-        kernel, weighted_sum(kernel.shares, x, products=kernel.output_terms),
-        None if out is None else out.transpose(1, 2, 0))
-    F -= weighted_sum(x.swapaxes(0, 1), F.swapaxes(0, 1),
-                      products=kernel.average_terms)[:, None]
+    F, _, ok = controlled_payoffs(kernel, weighted_sum(kernel.shares, x))
+    F -= weighted_sum(x.swapaxes(0, 1), F.swapaxes(0, 1))[:, None]
     F *= x
     if ok is not kernel.all_ok:
         F[..., ~ok] = np.nan

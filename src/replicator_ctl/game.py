@@ -254,21 +254,17 @@ def aggregate_output(x: np.ndarray, scenario: Scenario) -> np.ndarray:
     return weighted_sum(scenario.shares.reshape(-1, *[1] * (x.ndim - 1)), x)
 
 
-def weighted_sum(weights: np.ndarray, terms: np.ndarray,
-                 out: np.ndarray | None = None,
-                 products: np.ndarray | None = None) -> np.ndarray:
+def weighted_sum(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Sum of weights[k] * terms[k] over the leading axis, the contraction
     behind y, A^k y and <x, F>: one multiply of the arrays as they
     broadcast, then the products added in index order, p[0] + p[1], then
     += p[2], ..., elementwise along the other axes (no BLAS, and no
     reduction ufunc, whose inner loops may reorder the adds), so an entry's
-    bits do not depend on the rest of the array.  ``products`` (of their
-    broadcast shape) and ``out``, if given, take the products and the sum
-    of two or more, by the same operations."""
-    products = np.multiply(weights, terms, out=products)
+    bits do not depend on the rest of the array.  The result is fresh."""
+    products = weights * terms
     if len(products) == 1:
         return products[0]
-    total = np.add(products[0], products[1], out=out)
+    total = products[0] + products[1]
     for k in range(2, len(products)):
         total += products[k]
     return total

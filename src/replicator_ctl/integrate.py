@@ -20,12 +20,12 @@ sink there, so that a run holds the recorded rows of its running members
 only.  Every operation runs elementwise along the batch, so a
 trajectory's bits depend only on (scenario, policy, x0, config), never on
 the rest of its batch, which steps as one C-contiguous (m, n, B) array on
-a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run, in
-whose scratch a step keeps its state-sized buffers.  Once the batch is
-small enough, B·m·n² <= FLOAT_WORK·(m + 2n), each member steps as a flat
-list of Python floats on :func:`float_step`, generated at most once per
-run, at its first use, with the same operations in the same order, so
-the same bits; the step's (m, n, B) array is made from those lists.
+a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run, each
+step on fresh arrays.  Once the batch is small enough, B·m·n² <=
+FLOAT_WORK·(m + 2n), each member steps as a flat list of Python floats
+on :func:`float_step`, generated at most once per run, at its first use,
+with the same operations in the same order, so the same bits; the step's
+(m, n, B) array is made from those lists.
 Either route returns each member's stillness with its step, and one
 loop, under one np.errstate, counts, observes, records and compacts on
 either route.  A failed step's halving substeps take their route by the
@@ -149,30 +149,19 @@ def _rk4_step(kernel: BatchKernel, x: np.ndarray, dt: float
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One RK4 step of states laid out (m, n, B), member last, on the field
     :func:`batch_field` of ``kernel``, under the caller's np.errstate: x_new,
-    ok, still.  Stage inputs x + h·k go in the kernel's stage buffer and
-    the rates in its two rate buffers, k1 and k3 in one, k2 and k4 in the
-    other: ((k1 + 2·k2) + 2·k3) + k4 builds up in x_new as they come.
+    ok, still, with each stage input x + h·k and each rate a fresh array.
     :func:`_settle_rows` and :func:`_stillness` end the step.  NaN and inf
     are in-band failure markers."""
-    def rates(s: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-        return batch_field(kernel, s.transpose(2, 0, 1),
-                           out=buffer.transpose(2, 0, 1))[0].transpose(1, 2, 0)
+    def rates(s: np.ndarray) -> np.ndarray:
+        return batch_field(kernel, s.transpose(2, 0, 1))[0].transpose(1, 2, 0)
 
-    stage, (odd, even) = kernel.stage, kernel.rates
-    k1 = rates(x, odd)
-    np.multiply(k1, 0.5 * dt, out=stage)
-    stage += x
-    k2 = rates(stage, even)
-    np.multiply(k2, 0.5 * dt, out=stage)
-    stage += x
-    k2 *= 2.0  # 2·k2 and 2·k3 in place, the same products
-    x_new = k1 + k2
-    k3 = rates(stage, odd)
-    np.multiply(k3, dt, out=stage)
-    stage += x
-    k3 *= 2.0
-    x_new += k3
-    x_new += rates(stage, even)
+    k1 = rates(x)
+    k2 = rates(k1 * (0.5 * dt) + x)
+    k3 = rates(k2 * (0.5 * dt) + x)
+    k4 = rates(k3 * dt + x)
+    x_new = k1 + 2.0 * k2
+    x_new += 2.0 * k3
+    x_new += k4
     x_new *= dt / 6.0
     x_new += x
     ok = _settle_rows(x_new, kernel)
@@ -221,9 +210,8 @@ def _settle_rows(x_new: np.ndarray, kernel: BatchKernel | None = None
 def _stillness(x: np.ndarray, x_new: np.ndarray, ok: np.ndarray,
                kernel: BatchKernel) -> np.ndarray:
     """Whether each member of a step from x to x_new, (m, n, B), is ok and
-    moved no share by CONVERGENCE_TOL or more, its moves in kernel.stage."""
-    moved = np.subtract(x_new, x, out=kernel.stage).reshape(-1, x.shape[2])
-    np.abs(moved, out=moved)
+    moved no share by CONVERGENCE_TOL or more."""
+    moved = np.abs(x_new - x).reshape(-1, x.shape[2])
     still = np.maximum.reduce(moved, axis=0) < CONVERGENCE_TOL
     if ok is not kernel.all_ok:
         still &= ok

@@ -337,34 +337,13 @@ class TestControlledField:
         assert np.all(np.isnan(batch[1]))
 
 
-class TestKernelScratch:
-    """The kernel's scratch: results written into it with out= have the
-    bits of fresh ones, and a result taken without out is the caller's."""
-
-    def test_out_gives_the_fresh_bits(self, threepop, policy_boundary):
-        rng = np.random.default_rng(71)
-        states = np.array([random_state(rng, threepop, interior=0.01)
-                           for _ in range(7)] + [z_state((0.0, 0.0, 0.0))])
-        gains = np.array([0.0, 1.2, 3.0, 0.0, 1.2, 3.0, 0.0, 1.2])
-        kernel = BatchKernel(threepop, policy_boundary.y_star, gains)
-        fresh, fresh_ok = batch_field(kernel, states)
-        out = np.empty((3, 2, 8)).transpose(2, 0, 1)
-        deriv, ok = batch_field(kernel, states, out=out)
-        assert np.shares_memory(deriv, out)
-        assert_same_bits(deriv, fresh)
-        assert ok.tolist() == fresh_ok.tolist() == [True] * 7 + [False]
-        y = aggregate_output(states.transpose(1, 2, 0), threepop)
-        F, f, _ = controlled_payoffs(kernel, y)
-        into = np.empty((3, 2, 8))
-        F_out, f_out, _ = controlled_payoffs(kernel, y, out=into)
-        assert F_out is into
-        assert_same_bits(F_out, F)
-        assert_same_bits(f_out, f)
+class TestFreshResults:
+    """Every result of the kernel is the caller's: no later call changes
+    it."""
 
     def test_fresh_results_are_not_aliased(self, threepop, policy_boundary):
-        # a result taken with out=None is unchanged by a second call on the
-        # same kernel, with out= and without, and by a take to another
-        # width and the calls there
+        # a result is unchanged by a second call on the same kernel, and by
+        # a take to another width and the calls there
         rng = np.random.default_rng(72)
         states = np.array([random_state(rng, threepop, interior=0.01)
                            for _ in range(6)])
@@ -381,12 +360,10 @@ class TestKernelScratch:
             assert [array.tobytes() for array in (deriv, ok, F, f)] == kept
 
         batch_field(kernel, others)
-        batch_field(kernel, others, out=np.empty((6, 3, 2)))
         controlled_payoffs(kernel, y[:, ::-1].copy())
         unchanged()
         kernel.take(np.array([True, False, True, False, False, True]))
         batch_field(kernel, others[:3])
-        batch_field(kernel, others[:3], out=np.empty((3, 3, 2)))
         controlled_payoffs(kernel, y[:, :3].copy())
         unchanged()
 

@@ -48,8 +48,7 @@ RUN_ERRSTATE = {"invalid": "ignore", "divide": "ignore", "over": "ignore"}
 
 def placeholder_kernel(m, n, gains):
     """A batch kernel of the shape (m, n) and ``gains``, on a game of zero
-    payoffs: its scratch and gains, for a step that does not read its
-    field."""
+    payoffs: its gains, for a step that does not read its field."""
     scenario = Scenario(payoffs=np.zeros((m, n, n)),
                         shares=np.full(m, 1.0 / m))
     return BatchKernel(scenario, np.full(n, 1.0 / n), gains)
@@ -61,9 +60,8 @@ def rk4_step(field, x, dt):
     it is admissible."""
     x = np.asarray(x, dtype=float)
 
-    def one(kernel, states, out):
-        out[0] = field(states[0])
-        return out, kernel.all_ok
+    def one(kernel, states):
+        return field(states[0])[None], kernel.all_ok
 
     with pytest.MonkeyPatch.context() as patch, np.errstate(**RUN_ERRSTATE):
         patch.setattr(integrate, "batch_field", one)
@@ -218,9 +216,9 @@ class TestSimulate:
         real_step = integrate.float_step
         members = []
 
-        def counted(kernel, states, out=None):
+        def counted(kernel, states):
             members.append(states.shape[0])
-            return real(kernel, states, out=out)
+            return real(kernel, states)
 
         def counted_step(scenario, y_star):
             step = real_step(scenario, y_star)
@@ -787,8 +785,8 @@ class TestBatchBits:
             if route[0] is not None:
                 seen[route[0]][key] += value
 
-        def counted_field(kernel, states, out=None):
-            rates, ok = real_field(kernel, states, out=out)
+        def counted_field(kernel, states):
+            rates, ok = real_field(kernel, states)
             used.add("kernel")
             count("domain", int(np.count_nonzero(~ok)))
             return rates, ok
@@ -889,8 +887,8 @@ class TestBatchBits:
             [[1e308, -1e308], [0.0, 0.0], [0.0, 0.0]],
         ])
 
-        def overridden(kernel, states, out=None):
-            deriv, ok = batch_field(kernel, states, out=out)
+        def overridden(kernel, states):
+            deriv, ok = batch_field(kernel, states)
             deriv[2:] = rates
             return deriv, ok
 
@@ -962,8 +960,8 @@ class TestStepEnd:
                                                  policy_boundary,
                                                  monkeypatch):
         # 2,000 members on the kernel to the last: they leave from t = 7
-        # to t = 30, and each leave re-makes the kernel's scratch at the
-        # new width; sampled members equal their runs alone, on floats
+        # to t = 30, and each leave cuts the kernel down to the new width;
+        # sampled members equal their runs alone, on floats
         cfg = IntegrationConfig(dt=0.1, t_max=30.0, convergence_window=10,
                                 record_stride=25)
         grid = interior_grid(threepop, 10)
@@ -972,7 +970,7 @@ class TestStepEnd:
 
         def recorded(kernel, members):
             real_take(kernel, members)
-            widths.append(kernel.stage.shape[-1])
+            widths.append(kernel.gains.shape[-1])
 
         monkeypatch.setattr(BatchKernel, "take", recorded)
         monkeypatch.setattr(integrate, "FLOAT_WORK", 0)
@@ -1085,10 +1083,10 @@ class TestPortrait:
         # batch kept on the kernel to its last member
         real, members = integrate.batch_field, []
 
-        def recorded(kernel, states, out=None):
+        def recorded(kernel, states):
             assert states.ndim == 3 and states.shape[1:] == (3, 2)
             members.append(states.shape[0])
-            return real(kernel, states, out=out)
+            return real(kernel, states)
 
         monkeypatch.setattr(integrate, "batch_field", recorded)
         monkeypatch.setattr(integrate, "FLOAT_WORK", 0)  # never on floats
