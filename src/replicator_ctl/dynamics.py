@@ -25,10 +25,10 @@ failure, not a model state: `batch_field` flags the member and
 The payoffs A^k y (`output_payoffs`: `game.weighted_sum` of
 `game.aggregate_output` and of the columns of `payoff_columns`), the
 weights f (`subsidy_weights`) and the controlled payoffs F = A^k y + d·f(y)
-(`controlled_payoffs`, over a `BatchKernel` of one run's constants) are
-defined here once; the field `batch_field` (states laid out (m, n, B),
-member last, its derivatives fresh), the certificate in `stability` and
-the finite agents all use these.
+(`controlled_payoffs`, over a `BatchKernel` built for a batch's members)
+are defined here once; the field `batch_field` (states laid out
+(m, n, B), member last, its derivatives fresh), the certificate in
+`stability` and the finite agents all use these.
 `field_lines` writes the same field for one state as straight-line Python
 statements, in the same order, so the same bits; the integrator inlines
 them in its generated float step, at most once per run.
@@ -236,29 +236,22 @@ def payoff_columns(scenario: Scenario, batch_axes: int) -> np.ndarray:
 
 
 class BatchKernel:
-    """What :func:`controlled_payoffs` needs of one run: the shares, payoff
-    columns and target spread over the batch, (m, n, B), (n, m, n, B) and
-    (n, B), so that numpy runs each product as one loop, and each member's
-    gain, (B,), with what depends on it; :meth:`take` cuts them down."""
+    """What :func:`controlled_payoffs` needs of a batch's members, built
+    once for them and never changed: the shares, payoff columns and target
+    spread over the batch, (m, n, B), (n, m, n, B) and (n, B), C-contiguous,
+    so that each product is one numpy loop, and each member's gain, (B,)."""
 
     def __init__(self, scenario: Scenario, y_star: np.ndarray,
                  gains: np.ndarray):
         m, n = scenario.n_populations, scenario.n_actions
-        self.gains = np.asarray(gains, dtype=float)
+        self.gains = gains = np.asarray(gains, dtype=float)
         self.shares, self.columns, self.y_star, self.push = (
-            np.broadcast_to(c, shape + self.gains.shape) for c, shape in (
+            np.ascontiguousarray(np.broadcast_to(c, shape + gains.shape))
+            for c, shape in (
                 (scenario.shares[:, None, None], (m, n)),
                 (payoff_columns(scenario, 1), (n, m, n)),
                 (np.asarray(y_star, dtype=float)[:, None], (n,)),
-                (0.0 - self.gains, (n,))))
-        self.take(np.ones(self.gains.shape, dtype=bool))
-
-    def take(self, members: np.ndarray) -> None:
-        """Keep only ``members`` (a mask along the batch), C-contiguous."""
-        self.gains = gains = self.gains[members]
-        self.shares, self.columns, self.y_star, self.push = (
-            np.compress(members, c, axis=-1) for c in (
-                self.shares, self.columns, self.y_star, self.push))
+                (0.0 - gains, (n,))))
         self.controlled = gains > 0.0
         self.any_controlled = bool(self.controlled.any())
         self.all_ok = np.ones(gains.shape, dtype=bool)

@@ -19,8 +19,9 @@ States live on products of probability simplices:
 -COORD_TOLERANCE for a target, ``integrate.INTERIOR_FLOOR`` for an
 integration or command-line start and 0 for ``agents.init_agents``.
 
-All types are immutable after construction and all operations are pure,
-so they can be evaluated concurrently without synchronization.
+Scenario is frozen with read-only arrays and every function here is pure,
+so all can be used concurrently; `stability.StabilityReport` and the head
+counts of `agents.AgentPopulation` are the records that change by design.
 """
 
 from __future__ import annotations

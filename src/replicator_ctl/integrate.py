@@ -20,8 +20,8 @@ sink there, so that a run holds the recorded rows of its running members
 only.  Every operation runs elementwise along the batch, so a
 trajectory's bits depend only on (scenario, policy, x0, config), never on
 the rest of its batch, which steps as one C-contiguous (m, n, B) array on
-a :class:`~replicator_ctl.dynamics.BatchKernel` built once per run, each
-step on fresh arrays.  Once the batch is small enough, B·m·n² <=
+a :class:`~replicator_ctl.dynamics.BatchKernel` built for each membership,
+each step on fresh arrays.  Once the batch is small enough, B·m·n² <=
 FLOAT_WORK·(m + 2n), each member steps as a flat list of Python floats
 on :func:`float_step`, generated at most once per run, at its first use,
 with the same operations in the same order, so the same bits; the step's
@@ -119,7 +119,7 @@ class IntegrationConfig:
         return int(np.ceil(self.t_max / self.dt - 1e-9))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Recorded integration output on the uniform time grid.
 
@@ -307,14 +307,14 @@ class _BatchRun:
     """Shared stepping loop for simulate and phase_portrait.
 
     ``gains`` holds one gain per member; by default each is ``policy.d``.
-    The batch steps on the batch kernel as one C-contiguous (m, n, B)
-    array, member last, so that every operation of a step runs along the
-    batch on contiguous memory, or, once B·m·n² <= FLOAT_WORK·(m + 2n),
-    member by member on :func:`_float_rk4`, its :func:`float_step`
-    generated at most once per run, for full steps and halving retries
-    alike.  An attached observer reads each step's array at a recording
-    stride above 1; the final V, and at stride 1 the largest rise of V,
-    come from the recorded V column.
+    The batch steps on a batch kernel built for its running members, anew
+    when any leave, as one C-contiguous (m, n, B) array, member last, so
+    that every operation of a step runs along the batch on contiguous
+    memory, or, once B·m·n² <= FLOAT_WORK·(m + 2n), member by member on
+    :func:`_float_rk4`, its :func:`float_step` generated at most once per
+    run, for full steps and halving retries alike.  An attached observer
+    reads each step's array at a recording stride above 1; the final V,
+    and at stride 1 the largest rise of V, come from the recorded V column.
 
     A member leaves the batch when it converges, fails, or takes the final
     step.  At that step its outcome, a :class:`Trajectory` or an
@@ -385,7 +385,8 @@ class _BatchRun:
                     left, current = left[ok], current[..., ok]
                     if left.size == 0:
                         break
-                    kernel.take(ok)
+                    kernel = BatchKernel(self.scenario, self.policy.y_star,
+                                         gains[left])
             x[..., left], done[left] = current, True
             if np.logical_and.reduce(done):
                 break
@@ -411,11 +412,7 @@ class _BatchRun:
             self.chunks.append(np.empty((min(64, rows_left), *x.shape[:2],
                                          width)))
             self.filled = 0
-        row = self.chunks[-1][self.filled]
-        if slots.size == row.shape[-1]:  # no slot is vacant
-            row[...] = x
-        else:
-            row[..., slots] = x
+        self.chunks[-1][self.filled][..., slots] = x
         self.filled += 1
         self.held += 1
 
@@ -500,7 +497,8 @@ class _BatchRun:
                     slots = self._drop_vacant(slots)
                 fixed = np.compress(active, fixed, axis=-1)
                 counters = counters[active]
-                kernel.take(active)
+                kernel = BatchKernel(self.scenario, self.policy.y_star,
+                                     kernel.gains[active])
                 if observe:
                     v_prev = v_prev[active]
             x = fixed

@@ -1600,6 +1600,26 @@ for label, argv, code in json.loads(sys.argv[1]):
 """
 
 
+class TestEntry:
+    def test_version_exits_0(self, monkeypatch, capsys):
+        # the installed script's entry point exits with main's code
+        monkeypatch.setattr(sys, "argv", ["replicator-ctl", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == \
+            f"replicator-ctl {cli.__version__}\n"
+
+    def test_json_refuses_an_unknown_type(self):
+        # an array is written as its list; anything else json cannot write
+        # is a TypeError, never a silent str()
+        assert json.dumps(np.arange(2.0), default=cli._json_default) \
+            == "[0.0, 1.0]"
+        with pytest.raises(TypeError,
+                           match="not JSON serializable: <class 'set'>"):
+            json.dumps({"a": {1}}, default=cli._json_default)
+
+
 class TestImportGuard:
     def test_no_command_loads_scipy(self, tmp_path):
         common = ["--scenario", SCENARIO, "--policy", POLICY_BOUNDARY]

@@ -343,7 +343,7 @@ class TestFreshResults:
 
     def test_fresh_results_are_not_aliased(self, threepop, policy_boundary):
         # a result is unchanged by a second call on the same kernel, and by
-        # a take to another width and the calls there
+        # the calls on a kernel built for some of its members
         rng = np.random.default_rng(72)
         states = np.array([random_state(rng, threepop, interior=0.01)
                            for _ in range(6)])
@@ -362,7 +362,9 @@ class TestFreshResults:
         batch_field(kernel, others)
         controlled_payoffs(kernel, y[:, ::-1].copy())
         unchanged()
-        kernel.take(np.array([True, False, True, False, False, True]))
+        members = np.array([True, False, True, False, False, True])
+        kernel = BatchKernel(threepop, policy_boundary.y_star,
+                             kernel.gains[members])
         batch_field(kernel, others[:3])
         controlled_payoffs(kernel, y[:, :3].copy())
         unchanged()

@@ -647,6 +647,46 @@ class TestOneMemberPath:
                 f"trajectory {member}: step failed at t=6.10352e-06 after 20 "
                 "halvings of dt=6.103515625e-06")
 
+    @pytest.mark.parametrize("work", [0, 10 ** 9], ids=["kernel", "float"])
+    def test_no_kernel_changes_after_it_is_built(self, monkeypatch, work):
+        # the run of test_failed_members_are_retaken_together on either
+        # route: its retries drop the members that fail a substep, and
+        # five members leave at the first step; every kernel built for it
+        # keeps the arrays it was built with to the end of the run
+        payoff = np.array([[-1e12, -1e12], [0.0, 0.0]])
+        scen = Scenario(payoffs=np.stack([payoff, payoff]),
+                        shares=np.array([0.5, 0.5]))
+        policy = ControlPolicy(y_star=np.array([1.0, 0.0]), d=1.0)
+        dt = 0.1 / 2 ** 14
+        starts = [make_state([[1.0 - a, a], [1.0 - b, b]])
+                  for a, b in ((1e-6, 1e-6), (1e-6, 2e-6), (2e-6, 2e-6))]
+        starts.append(make_state([[0.5, 0.5], [0.5, 0.5]]))
+        built = []
+
+        def arrays(kernel):
+            return [(value.shape, value.tobytes()) for value in (
+                kernel.gains, kernel.shares, kernel.columns, kernel.y_star,
+                kernel.push, kernel.all_ok)]
+
+        class Recorded(BatchKernel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append((self, arrays(self)))
+
+        monkeypatch.setattr(integrate, "BatchKernel", Recorded)
+        monkeypatch.setattr(integrate, "FLOAT_WORK", work)
+        outcomes = phase_portrait(scen, policy, starts,
+                                  IntegrationConfig(dt=dt, t_max=2 * dt),
+                                  gains=[1.0, 1e12])
+        assert [isinstance(outcome, Trajectory) for outcome in outcomes] \
+            == [False] * 4 + [True] * 3 + [False]
+        for kernel, at_build in built:
+            assert arrays(kernel) == at_build
+        # the run's kernel, a retry's, one for a single member left in a
+        # retry, and one for the three members left after the first step
+        widths = [kernel.gains.size for kernel, _ in built]
+        assert widths[:2] == [8, 8] and 1 in widths and widths[-1] == 3
+
     def test_large_lone_member_steps_on_the_kernel(self, monkeypatch):
         # at (20, 20) one member's m·n² work is over FLOAT_WORK·(m + 2n):
         # simulate steps on the batch kernel, generates no float step, and
@@ -960,19 +1000,20 @@ class TestStepEnd:
                                                  policy_boundary,
                                                  monkeypatch):
         # 2,000 members on the kernel to the last: they leave from t = 7
-        # to t = 30, and each leave cuts the kernel down to the new width;
+        # to t = 30, and each leave builds a kernel of the new width;
         # sampled members equal their runs alone, on floats
         cfg = IntegrationConfig(dt=0.1, t_max=30.0, convergence_window=10,
                                 record_stride=25)
         grid = interior_grid(threepop, 10)
         gains = [0.0, 3.0]
-        real_take, widths = BatchKernel.take, []
+        widths = []
 
-        def recorded(kernel, members):
-            real_take(kernel, members)
-            widths.append(kernel.gains.shape[-1])
+        class Recorded(BatchKernel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                widths.append(self.gains.shape[-1])
 
-        monkeypatch.setattr(BatchKernel, "take", recorded)
+        monkeypatch.setattr(integrate, "BatchKernel", Recorded)
         monkeypatch.setattr(integrate, "FLOAT_WORK", 0)
         results = phase_portrait(threepop, policy_boundary, grid, cfg,
                                  gains=gains)

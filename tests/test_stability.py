@@ -717,6 +717,12 @@ class TestSimplex:
         assert _lp_min(cost[::2], a_eq[:, ::2], 0.0 * b_eq).tolist() == \
             [0.0, 0.0, 0.0]
 
+    def test_unbounded_program_is_refused(self):
+        # z = (t, t) solves z0 - z1 = 0 for every t >= 0, and the cost -t
+        # has no minimum
+        with pytest.raises(ValueError, match="linear program is unbounded"):
+            _lp_min([-1, 0], [[1, -1]], [0])
+
 
 class TestEquilibriumEnumeration:
     def test_boundary_target_single_point(self, threepop):
