@@ -170,9 +170,19 @@ def init_agents(scenario: Scenario, x0: np.ndarray, n_agents: int,
                            rng=np.random.default_rng(seed))
 
 
+def _normalizer(scenario: Scenario, policy: ControlPolicy) -> float:
+    """a_max - a_min + d, the gap that imitates with probability 1; raises
+    ValueError unless it is positive and finite, as imitation needs."""
+    norm = scenario.payoff_max - scenario.payoff_min + policy.d
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"imitation normalizer a_max - a_min + d is {norm!r}"
+                         "; it must be positive and finite")
+    return norm
+
+
 class _RoundConstants:
     """What every round of a run reads, built once by :func:`run`; raises
-    ValueError unless 0 < revision_prob <= 1."""
+    ValueError unless 0 < revision_prob <= 1, and as :func:`_normalizer`."""
 
     def __init__(self, scenario: Scenario, policy: ControlPolicy,
                  pop_sizes: np.ndarray, revision_prob: float):
@@ -184,7 +194,7 @@ class _RoundConstants:
         self.sizes = pop_sizes[:, None]
         self.total = policy.d * self.n_agents
         self.kernel = BatchKernel(scenario, policy.y_star, [policy.d])
-        self.normalizer = scenario.payoff_max - scenario.payoff_min + policy.d
+        self.normalizer = _normalizer(scenario, policy)
 
     def snapshot(self, counts: np.ndarray, sampled_matches: bool = False
                  ) -> tuple[RoundStats, np.ndarray]:
@@ -212,8 +222,9 @@ class _RoundConstants:
 
 def round_time_step(scenario: Scenario, policy: ControlPolicy,
                     revision_prob: float = REVISION_PROB) -> float:
-    """Mean-field time advanced per round by the imitation protocol."""
-    return revision_prob / (scenario.payoff_max - scenario.payoff_min + policy.d)
+    """Mean-field time advanced per round by the imitation protocol; raises
+    ValueError unless a_max - a_min + d is positive and finite."""
+    return revision_prob / _normalizer(scenario, policy)
 
 
 def run_round(pop: AgentPopulation, scenario: Scenario, policy: ControlPolicy,

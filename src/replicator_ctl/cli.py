@@ -525,7 +525,7 @@ def _cmd_agents(manifest: dict[str, Any]) -> int:
             f"sampled_matches must be true or false, got {sampled_matches!r}")
     x0 = _single_start(manifest, scenario)
     pop = init_agents(scenario, x0, n_agents, seed=manifest["seed"])
-    # refuses a bad revision_prob before anything is written
+    # refuses a bad revision_prob or normalizer before anything is written
     run_rounds(pop, scenario, policy, 0, revision_prob)
     dt_round = round_time_step(scenario, policy, revision_prob)
     horizon = rounds * dt_round

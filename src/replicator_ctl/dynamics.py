@@ -22,8 +22,8 @@ f is only defined on states whose output keeps every targeted action alive
 failure, not a model state: `batch_field` flags the member and
 `field_controlled` raises :class:`SimplexDomainError`.
 
-The payoffs A^k y (`output_payoffs`: `game.weighted_sum` of
-`game.aggregate_output` and of the columns of `payoff_columns`), the
+The payoffs A^k y (`action_payoffs`: `game.weighted_sum` of the columns
+of `payoff_columns` at an output y, `game.aggregate_output`), the
 weights f (`subsidy_weights`) and the controlled payoffs F = A^k y + d·f(y)
 (`controlled_payoffs`, over a `BatchKernel` built for a batch's members)
 are defined here once; the field `batch_field` (states laid out
@@ -48,12 +48,12 @@ __all__ = [
     "BatchKernel",
     "ControlPolicy",
     "SimplexDomainError",
+    "action_payoffs",
     "batch_field",
     "controlled_payoffs",
     "field_controlled",
     "field_lines",
     "field_uncontrolled",
-    "output_payoffs",
     "subsidy_weights",
 ]
 
@@ -71,8 +71,8 @@ class SimplexDomainError(ValueError):
 class ControlPolicy:
     """Feedback parameters: target output and average subsidy per agent.
 
-    d > 0 switches the subsidy term on; d = 0 encodes "control off" and
-    reproduces the uncontrolled field exactly (one code path serves both).
+    d > 0 switches the subsidy term on; d = 0 encodes "control off", whose
+    field is the uncontrolled one to the bit, its zero subsidy folded or not.
     A target's sum, if off 1 by more than SHARE_SUM_TOLERANCE, is divided
     out, once (a stored target is kept): the agents' payments then add to
     d·N, and the matching set is not empty.
@@ -210,21 +210,12 @@ def field_lines(scenario: Scenario, y_star: np.ndarray) -> list[str]:
     return lines
 
 
-def output_payoffs(scenario: Scenario, x: np.ndarray | None,
-                   y: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate output y = Σ_k v^k x^k and action payoffs F = A^k y.
-
-    ``x`` holds states batch axes last, shape (m, n, *batch); y has shape
-    (n, *batch) and F shape (m, n, *batch).  A given ``y`` is used in
-    place of the aggregate of ``x``, which may then be None.  Both sums
-    are :func:`~replicator_ctl.game.weighted_sum`, so a member's bits do
-    not depend on the rest of its batch.
-    """
-    if y is None:
-        y = aggregate_output(x, scenario)
-    return y, weighted_sum(payoff_columns(scenario, y.ndim - 1),
-                           y[:, None, None])
+def action_payoffs(scenario: Scenario, y: np.ndarray) -> np.ndarray:
+    """Action payoffs F = A^k y at outputs y of shape (n, *batch), shape
+    (m, n, *batch); a state's output is :func:`aggregate_output`.  The sum
+    is :func:`~replicator_ctl.game.weighted_sum`, so a member's bits do
+    not depend on the rest of its batch."""
+    return weighted_sum(payoff_columns(scenario, y.ndim - 1), y[:, None, None])
 
 
 def payoff_columns(scenario: Scenario, batch_axes: int) -> np.ndarray:

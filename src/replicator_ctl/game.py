@@ -20,8 +20,8 @@ States live on products of probability simplices:
 integration or command-line start and 0 for ``agents.init_agents``.
 
 Scenario is frozen with read-only arrays and every function here is pure,
-so all can be used concurrently; `stability.StabilityReport` and the head
-counts of `agents.AgentPopulation` are the records that change by design.
+so all can be used concurrently; the head counts of
+`agents.AgentPopulation` are the one record that changes by design.
 """
 
 from __future__ import annotations

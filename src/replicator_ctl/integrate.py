@@ -121,7 +121,7 @@ class IntegrationConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded integration output on the uniform time grid.
+    """Recorded integration output on the uniform time grid, read-only.
 
     ``observables`` holds per-row arrays keyed "V", "Vdot", "F1", "F2" when
     an observer was attached; ``max_V_step_increase`` is then the largest
@@ -519,6 +519,9 @@ class _BatchRun:
             else:
                 max_inc = self.lyap_max_inc[member]
             max_inc = float(max_inc) if np.isfinite(max_inc) else 0.0
+        # every array here is fresh, so no caller's array is frozen
+        for array in (times, states, outputs, *(observables or {}).values()):
+            array.setflags(write=False)
         return Trajectory(
             times=times, states=states, outputs=outputs, converged=converged,
             observables=observables, max_V_step_increase=max_inc,

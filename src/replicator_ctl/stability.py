@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import field_uncontrolled, output_payoffs, subsidy_weights
+from .dynamics import action_payoffs, field_uncontrolled, subsidy_weights
 from .game import (CARRIER_THRESHOLD, Scenario, aggregate_output, carrier,
                    check_count, check_lattice_budget, check_state_budget,
                    lattice_product, simplex_lattice, weighted_sum)
@@ -155,20 +155,14 @@ class TargetEquilibrium:
 
 
 def _advantage_batch(states: np.ndarray, eq: TargetEquilibrium,
-                     scenario: Scenario, at_target: bool = False
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     scenario: Scenario, F: np.ndarray) -> np.ndarray:
     """Payoff advantage of the target profile at each state of an (m, n, B)
-    batch, and the outputs, shape (n, B).
-
-    ``at_target`` evaluates the payoffs at y_star instead of each state's
-    own output, as on the matching set.  The sums run in a fixed order
-    along the batch, so a state's bits do not depend on its batch.
-    """
-    y, F = output_payoffs(
-        scenario, states, eq.target_output[:, None] if at_target else None)
+    batch under the payoffs ``F``, (m, n, B): A^k y at each state's own
+    output, or at y_star on the matching set.  The sums run in a fixed
+    order along the batch, so a state's bits do not depend on its batch."""
     diff = eq.state[:, :, None] - states
     per_pop = weighted_sum(diff.swapaxes(0, 1), F.swapaxes(0, 1))
-    return weighted_sum(scenario.shares[:, None], per_pop), y
+    return weighted_sum(scenario.shares[:, None], per_pop)
 
 
 def _mismatch_batch(outputs: np.ndarray, y_star: np.ndarray) -> np.ndarray:
@@ -207,7 +201,9 @@ class LyapunovObserver:
         return np.where(np.isnan(values), np.inf, values)
 
     def series(self, states: np.ndarray, d: float) -> dict[str, np.ndarray]:
-        advantage, outputs = _advantage_batch(states, self.eq, self.scenario)
+        outputs = aggregate_output(states, self.scenario)
+        advantage = _advantage_batch(states, self.eq, self.scenario,
+                                     action_payoffs(self.scenario, outputs))
         mismatch = _mismatch_batch(outputs, self.eq.target_output)
         # at d = 0 the subsidy term vanishes, also where F2 is infinite
         subsidized = (d != 0.0) | np.isfinite(mismatch)
@@ -251,7 +247,9 @@ def _dbar_batch(states: np.ndarray, eq: TargetEquilibrium, scenario: Scenario
     TUBE_RADIUS of the target, a targeted share below BOUNDARY_MARGIN, or
     mismatch numerically zero.
     """
-    advantage, outputs = _advantage_batch(states, eq, scenario)
+    outputs = aggregate_output(states, scenario)
+    advantage = _advantage_batch(states, eq, scenario,
+                                 action_payoffs(scenario, outputs))
     y_star = eq.target_output
     carried = y_star > 0.0
     off_tube = np.max(np.abs(outputs - y_star[:, None]), axis=0) >= TUBE_RADIUS
@@ -507,7 +505,7 @@ def min_advantage_on_matching_set(eq: TargetEquilibrium, scenario: Scenario
     """
     y_star = eq.target_output
     eq_mat, eq_rhs = _matching_system(scenario, y_star)
-    _, payoffs_at_target = output_payoffs(scenario, None, y_star)
+    payoffs_at_target = action_payoffs(scenario, y_star)
     cost = -(scenario.shares[:, None] * payoffs_at_target)
     vertex = _lp_min(cost.reshape(-1), eq_mat, eq_rhs)
     if vertex is None:
@@ -518,8 +516,8 @@ def min_advantage_on_matching_set(eq: TargetEquilibrium, scenario: Scenario
     m, n = scenario.n_populations, scenario.n_actions
     # + 0.0 turns the solver's -0.0 entries into 0.0 for report.json
     witness = vertex.reshape(m, n) + 0.0
-    advantage, _ = _advantage_batch(witness[..., None], eq, scenario,
-                                    at_target=True)
+    advantage = _advantage_batch(witness[..., None], eq, scenario,
+                                 payoffs_at_target[..., None])
     return float(advantage[0]), witness
 
 
@@ -600,7 +598,7 @@ def find_target_equilibria(scenario: Scenario,
     Raises :class:`InapplicableError` when there are no solutions at all.
     """
     y_star = np.asarray(y_star, dtype=float)
-    _, payoffs_at_target = output_payoffs(scenario, None, y_star)
+    payoffs_at_target = action_payoffs(scenario, y_star)
     per_pop = [_payoff_classes(values, y_star > 0.0)
                for values in payoffs_at_target]
     limit = (y_star + EQUILIBRIUM_TOL).tolist()
@@ -650,7 +648,7 @@ def unique_target_equilibrium(scenario: Scenario,
 # report assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class StabilityReport:
     """Everything the controller designer needs to pick a gain, or the
     reason no recommendation can be made; a check that stops early leaves
@@ -684,28 +682,23 @@ def recommend_subsidy(scenario: Scenario, y_star: np.ndarray,
     y_star = np.asarray(y_star, dtype=float)
     equilibria = find_target_equilibria(scenario, y_star)
     unique = len(equilibria) == 1 and not equilibria[0].continuum_vertex
-    report = StabilityReport(target_output=y_star, equilibria=equilibria,
-                             unique=unique, seed=seed)
+    found = dict(target_output=y_star, equilibria=equilibria, unique=unique,
+                 seed=seed)
     if not unique:
-        report.reason = "multiple_target_equilibria"
-        return report
+        return StabilityReport(**found, reason="multiple_target_equilibria")
     eq = equilibria[0]
-    report.min_advantage, report.min_advantage_witness = (
-        min_advantage_on_matching_set(eq, scenario))
-    if report.min_advantage < -EQUILIBRIUM_TOL:
+    min_advantage, witness = min_advantage_on_matching_set(eq, scenario)
+    checked = dict(found, min_advantage=min_advantage,
+                   min_advantage_witness=witness)
+    if min_advantage < -EQUILIBRIUM_TOL:
         # refused without a bound, so no lattice is built for it
-        report.reason = "advantage_negative_on_matching_set"
-        return report
+        return StabilityReport(**checked,
+                               reason="advantage_negative_on_matching_set")
     bound = estimate_subsidy_bound(eq, scenario, sampling, seed)
-    report.subsidy_bound = bound.value
-    report.bound_argmax = bound.argmax
-    report.sample_counts = {
-        "grid": bound.n_grid,
-        "random": bound.n_random,
-        "ascent_evals": bound.n_ascent_evals,
-    }
-    report.applicable = True
-    report.recommended_subsidy = (
-        max(0.0, bound.value) * (1.0 + RECOMMEND_MARGIN) + RECOMMEND_FLOOR
-    )
-    return report
+    return StabilityReport(
+        **checked, applicable=True, subsidy_bound=bound.value,
+        bound_argmax=bound.argmax,
+        recommended_subsidy=(max(0.0, bound.value) * (1.0 + RECOMMEND_MARGIN)
+                             + RECOMMEND_FLOOR),
+        sample_counts={"grid": bound.n_grid, "random": bound.n_random,
+                       "ascent_evals": bound.n_ascent_evals})

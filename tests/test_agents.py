@@ -166,6 +166,26 @@ class TestProtocol:
             run(pop, threepop, policy_boundary, 0, revision_prob=prob)
         np.testing.assert_array_equal(pop.counts, start)
 
+    @pytest.mark.parametrize("low, high", [(1.0, 1.0), (-1e308, 1e308)])
+    def test_normalizer_must_be_positive_and_finite(self, low, high):
+        # a flat game without a subsidy has a_max - a_min + d = 0, and too
+        # wide a spread overflows it: no imitation step is defined, and
+        # neither the rounds nor their mean-field time step run
+        payoff = [[low, high], [high, low]]
+        game = Scenario(payoffs=np.array([payoff, payoff]),
+                        shares=np.array([0.5, 0.5]))
+        pop = init_agents(game, z_state((0.5, 0.5)), 1000, seed=0)
+        start = pop.counts.copy()
+        policy = ControlPolicy.off(2)
+        message = "normalizer a_max - a_min \\+ d is (0.0|inf)"
+        with pytest.raises(ValueError, match=message):
+            round_time_step(game, policy)
+        with pytest.raises(ValueError, match=message):
+            run_round(pop, game, policy)
+        with pytest.raises(ValueError, match=message):
+            run(pop, game, policy, 0)
+        np.testing.assert_array_equal(pop.counts, start)
+
     def test_zero_rounds_yield_initial_snapshot(self, threepop):
         pop = init_agents(threepop, z_state((0.5, 0.5, 0.5)), 1000, seed=4)
         series = run(pop, threepop, ControlPolicy.off(2), rounds=0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -886,6 +887,26 @@ class TestAgents:
             "input error: population sizes [0, 100] cannot host agents\n")
         assert not out.exists()
 
+    def test_game_without_payoff_spread_exits_1(self, tmp_path, capsys):
+        # every payoff 1 and no subsidy: a_max - a_min + d is 0, so no
+        # imitation probability is defined and nothing is written
+        flat = [[1.0, 1.0], [1.0, 1.0]]
+        scenario = tmp_path / "flat.json"
+        scenario.write_text(json.dumps(Scenario(
+            payoffs=np.array([flat, flat]),
+            shares=np.array([0.5, 0.5])).to_dict()))
+        command = ["agents", "--scenario", str(scenario), "--x0", "0.5,0.5",
+                   "--n-agents", "1000", "--rounds", "10"]
+        out = tmp_path / "o"
+        assert main([*command, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "input error: imitation normalizer a_max - a_min + d is 0.0; "
+            "it must be positive and finite\n")
+        assert not out.exists()
+        # a subsidy makes the normalizer positive, and the same game runs
+        assert main([*command, "--y-star", "1,0", "--d", "1",
+                     "--out", str(tmp_path / "subsidized")]) == 0
+
     def test_too_few_agents_exits_1(self, tmp_path, capsys):
         code = main(["agents", "--scenario", SCENARIO,
                      "--policy", POLICY_BOUNDARY,
@@ -1606,6 +1627,17 @@ class TestEntry:
         monkeypatch.setattr(sys, "argv", ["replicator-ctl", "--version"])
         with pytest.raises(SystemExit) as exc:
             cli.entry()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == \
+            f"replicator-ctl {cli.__version__}\n"
+
+    def test_main_guard_exits_0(self, monkeypatch, capsys):
+        # python -m replicator_ctl.cli runs the module again as __main__;
+        # runpy warns that it is already imported, as it is here
+        monkeypatch.setattr(sys, "argv", ["replicator-ctl", "--version"])
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+                pytest.raises(SystemExit) as exc:
+            runpy.run_module("replicator_ctl.cli", run_name="__main__")
         assert exc.value.code == 0
         assert capsys.readouterr().out == \
             f"replicator-ctl {cli.__version__}\n"

@@ -24,7 +24,7 @@ from replicator_ctl import (
 from replicator_ctl import integrate
 from replicator_ctl.dynamics import (BatchKernel, batch_field,
                                      controlled_payoffs, field_lines,
-                                     output_payoffs, subsidy_weights)
+                                     action_payoffs, subsidy_weights)
 from replicator_ctl.stability import _mismatch_batch
 from conftest import (assert_same_bits, average_payoff, batch_field_of,
                       expected_payoff, local_shift, make_state, random_policy,
@@ -93,7 +93,8 @@ class TestOneDefinition:
         states = np.array([random_state(rng, scen, interior=0.01)
                            for _ in range(200)])
         x = states.transpose(1, 2, 0)
-        y, F = output_payoffs(scen, x)
+        y = aggregate_output(x, scen)
+        F = action_payoffs(scen, y)
         return scen, policy, states, x, y, F
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 2)])

@@ -80,6 +80,17 @@ def kernel_step(scenario, y_star, states, gains, dt):
     return fixed.transpose(2, 0, 1), ok
 
 
+def assert_arrays_read_only(traj: Trajectory) -> None:
+    """A write into any array of ``traj`` raises."""
+    arrays = {"times": traj.times, "states": traj.states,
+              "outputs": traj.outputs, **traj.observables}
+    assert sorted(arrays) == ["F1", "F2", "V", "Vdot", "outputs", "states",
+                              "times"]
+    for array in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 class TestStep:
     def test_zero_field_is_fixed_point(self, threepop):
         x = z_state((0.3, 0.6, 0.9))
@@ -179,6 +190,14 @@ class TestSimulate:
                         IntegrationConfig(t_max=5.0, record_stride=7))
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[0] == 0.0
+
+    def test_arrays_are_read_only(self, threepop, policy_boundary):
+        observer = LyapunovObserver(
+            unique_target_equilibrium(threepop, policy_boundary.y_star),
+            threepop)
+        traj = simulate(threepop, policy_boundary, z_state((0.3, 0.6, 0.2)),
+                        IntegrationConfig(t_max=5.0), observer=observer)
+        assert_arrays_read_only(traj)
 
     def test_determinism_is_bitwise(self, threepop, policy_boundary):
         a = simulate(threepop, policy_boundary, z_state((0.37, 0.21, 0.55)))
@@ -1307,6 +1326,18 @@ class TestSink:
         assert left_at[6:] == [cfg.n_steps] * 2
         for member, outcome in handed:
             self.same_outcome(outcome, expected[member])
+
+    def test_sink_gets_read_only_arrays(self, threepop, policy_boundary):
+        observer = LyapunovObserver(
+            unique_target_equilibrium(threepop, policy_boundary.y_star),
+            threepop)
+        cfg = IntegrationConfig(dt=0.05, t_max=5.0, record_stride=3)
+        handed = phase_portrait(threepop, policy_boundary,
+                                five_start_states(), cfg, observer,
+                                sink=lambda idx, outcome: outcome)
+        assert len(handed) == 5
+        for outcome in handed:
+            assert_arrays_read_only(outcome)
 
     def test_portrait_returns_what_the_sink_returned(self, threepop,
                                                      policy_boundary):

@@ -32,7 +32,7 @@ from replicator_ctl.stability import (
     unique_target_equilibrium,
 )
 from replicator_ctl import stability
-from replicator_ctl.dynamics import output_payoffs
+from replicator_ctl.dynamics import action_payoffs
 from replicator_ctl.stability import (_combo_solutions, _dbar_batch,
                                      _lp_min, _matching_system,
                                      _mismatch_batch, _payoff_classes)
@@ -786,7 +786,7 @@ class TestEquilibriumEnumeration:
                 scen = Scenario(payoffs=np.round(scen.payoffs / 2.5),
                                 shares=scen.shares)
             y_star = aggregate_output(np.eye(n)[rng.integers(0, n, m)], scen)
-            _, at_target = output_payoffs(scen, None, y_star)
+            at_target = action_payoffs(scen, y_star)
             groups = [_payoff_classes(values, y_star > 0.0)
                       for values in at_target]
             expected = [
